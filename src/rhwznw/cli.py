@@ -5,8 +5,8 @@ and matrices row-major.  Every result record embeds the schema version,
 the library version, and a hash of the canonical config serialization, so
 identical config + seed reruns are byte-identical.
 
-Exit codes: 0 success, 2 validation/usage, 3 non-convergence,
-4 regular-locus violation.
+Exit codes: 0 success, 2 validation/usage, 3 non-convergence or another
+numerical failure (NumericalError, LinAlgError), 4 regular-locus violation.
 """
 
 from __future__ import annotations
@@ -556,6 +556,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # LinAlgError subclasses ValueError but is a numerical failure, not bad input
+    except (np.linalg.LinAlgError, numcore.NumericalError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (fuchs.DegreeError, fuchs.StabilityRangeError, fuchs.NotAdmissibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

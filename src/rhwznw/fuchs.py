@@ -16,6 +16,17 @@ Orientation conventions (documented once, used everywhere):
 * M_n is the plain transport around a large counterclockwise circle
   through the basepoint (no inversion: seen from infinity that circle is
   already the inverted loop).
+
+Transport has one integrator, the adaptive Dormand-Prince 5(4) pair of
+:func:`transport_stack`.  It moves a stack of B members, each with its own
+residues (B, n-1, r, r) and start (B, r, r), along one shared path: the
+coefficients of every member at all stage points of a step come from one
+product, and each stage is one product with a tableau row.  The step is
+shared: it is accepted when the largest scaled error over the members
+(per-member Frobenius norms) is <= 1, so every member meets the tolerance
+and the hardest member sets the pace.  :func:`transport` is the same kernel
+with B = 1; the solver stacks the 2 dim perturbed systems of its
+central-difference Jacobian and transports them in one call per loop.
 """
 
 from __future__ import annotations
@@ -387,54 +398,129 @@ class TransportResult:
     det_residual: float
 
 
-# Dormand-Prince 5(4) tableau
+@dataclass
+class StackTransport:
+    """Transported values of a stack of systems along one shared path."""
+
+    values: np.ndarray           # (B, r, r)
+    step_count: int              # accepted shared steps
+    error_estimates: np.ndarray  # (B,) accumulated local error per member
+
+
+# Dormand-Prince 5(4) tableau; row s of _DP_A holds the stage-s weights.
+# The rows are stored complex so that products with the stage stack need
+# no cast.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+_DP_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ],
+    dtype=complex,
+)
+# the last row of _DP_A is the 5th-order solution (FSAL); _DP_E = b5 - b4
+_DP_E = np.array(
+    [
+        35 / 384 - 5179 / 57600,
+        0.0,
+        500 / 1113 - 7571 / 16695,
+        125 / 192 - 393 / 640,
+        -2187 / 6784 + 92097 / 339200,
+        11 / 84 - 187 / 2100,
+        -1 / 40,
+    ],
+    dtype=complex,
 )
 
 
-def _integrate_segment(rhs, y, tol: float, stats: dict) -> np.ndarray:
-    """Adaptive Dormand-Prince loop over t in [0, 1] with PI step control."""
+def _member_fro(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every member of a C-contiguous (B, N) complex stack."""
+    x = a.view(float)
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
+def _integrate_stack(seg, points, res_t, y, tol: float, stats: dict) -> np.ndarray:
+    """Adaptive Dormand-Prince loop over t in [0, 1] for a (B, r, r) stack.
+
+    res_t holds the negated residues as an (n-1, B*r*r) matrix, so the
+    coefficient -A(z) dz of every member at all six stage points of a step
+    is one product, and each stage is one product with a tableau row.  One
+    step is shared by the stack and accepted when the largest scaled error
+    over the members is <= 1, so every member meets tol; PI control, FSAL.
+    """
+    shape = y.shape
+    ks = np.empty((7,) + shape, dtype=complex)
+    kf = ks.reshape(7, -1)
+
+    def coefficients(t):
+        w = seg.velocity(t)[:, None] / (seg.point(t)[:, None] - points)
+        return (w @ res_t).reshape((len(t),) + shape)
+
     t, h = 0.0, 0.1
-    yn = max(fro(y), 1.0)
-    k0 = rhs(t, y)
+    yn = np.maximum(_member_fro(y.reshape(len(y), -1)), 1.0)
+    np.matmul(coefficients(np.zeros(1))[0], y, out=ks[0])
     err_prev = 1.0
     while t < 1.0:
         h = min(h, 1.0 - t)
-        ks = [k0]
+        cs = coefficients(t + _DP_C[1:] * h)
+        ha = h * _DP_A
         for s in range(1, 7):
-            acc = sum(a * k for a, k in zip(_DP_A[s], ks))
-            ks.append(rhs(t + _DP_C[s] * h, y + h * acc))
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
-        err = max(fro(y5 - y4) / (tol * max(yn, fro(y5))), 1e-16)
+            ys = (ha[s, :s] @ kf[:s]).reshape(shape)
+            ys += y
+            np.matmul(cs[s - 1], ys, out=ks[s])
+        # the last stage is taken at the 5th-order solution
+        y5n = _member_fro(ys.reshape(len(y), -1))
+        errs = _member_fro((h * (_DP_E @ kf)).reshape(len(y), -1))
+        errs /= tol * np.maximum(yn, y5n)
+        err = max(float(errs.max()), 1e-16)
         if err <= 1.0:
             t += h
-            y = y5
-            k0 = ks[-1]  # FSAL
-            yn = max(yn, fro(y))
+            y = ys
+            ks[0] = ks[6]  # FSAL
+            yn = np.maximum(yn, y5n)
             stats["steps"] += 1
-            stats["err"] += err * tol * yn
+            stats["err"] += np.maximum(errs, 1e-16) * tol * yn
             factor = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
             err_prev = err
         else:
-            stats["rejects"] += 1
             factor = 0.9 * err ** (-0.2)
-        h *= float(np.clip(factor, 0.2, 5.0))
+        h *= min(max(factor, 0.2), 5.0)
         if h < 1e-13:
             raise StiffnessError("step size underflow during transport")
     return y
+
+
+def transport_stack(
+    points: np.ndarray,
+    residues: np.ndarray,
+    path: list[paths.Segment],
+    starts: np.ndarray | None = None,
+    tol: float = 1e-10,
+) -> StackTransport:
+    """Transport dY/dz = -A(z) Y for a stack of systems along one path.
+
+    residues has shape (B, n-1, r, r), member b solving with
+    A_b(z) = sum_i residues[b, i] / (z - points[i]); starts (default: the
+    identity) has shape (B, r, r).  The members share the step sequence,
+    which follows the hardest one.  No proximity check is made.
+    """
+    res = np.asarray(residues, dtype=complex)
+    b, m, r, _ = res.shape
+    res_t = -np.moveaxis(res, 1, 0).reshape(m, -1)
+    if starts is None:
+        y = np.broadcast_to(np.eye(r, dtype=complex), (b, r, r)).copy()
+    else:
+        y = np.array(starts, dtype=complex).reshape(b, r, r)
+    pts = np.asarray(points, dtype=complex)
+    stats = {"steps": 0, "err": np.zeros(b)}
+    for seg in path:
+        y = _integrate_stack(seg, pts, res_t, y, tol, stats)
+    return StackTransport(values=y, step_count=stats["steps"], error_estimates=stats["err"])
 
 
 def transport(
@@ -448,6 +534,7 @@ def transport(
 ) -> TransportResult:
     """Parallel transport of dY/dz = -A(z) Y along a piecewise path.
 
+    The stacked kernel of :func:`transport_stack` with a single member.
     The path must keep distance r_min (default: 5% of the minimal pairwise
     puncture distance) from every puncture.  The determinant identity
     log det Y_end - log det Y_start = -sum_i tr(A_i) * Delta log(z - z_i)
@@ -466,15 +553,8 @@ def transport(
                     f"path comes within {d:.3e} of puncture {w} (limit {r_min:.3e})"
                 )
 
-    stats = {"steps": 0, "rejects": 0, "err": 0.0}
-    value = y.copy()
-    for seg in path:
-        def rhs(t, Y, seg=seg):
-            z = seg.point(t)
-            dz = seg.velocity(t)
-            return -(system.A_of(z) @ Y) * dz
-
-        value = _integrate_segment(rhs, value, tol, stats)
+    out = transport_stack(system.points, system.residues[None], path, y[None], tol)
+    value = out.values[0]
 
     det_residual = 0.0
     if check_det:
@@ -487,8 +567,8 @@ def transport(
         det_residual = abs(got - expected) / max(abs(expected), 1e-300)
     return TransportResult(
         value=value,
-        step_count=stats["steps"],
-        error_estimate=stats["err"],
+        step_count=out.step_count,
+        error_estimate=float(out.error_estimates[0]),
         det_residual=float(det_residual),
     )
 

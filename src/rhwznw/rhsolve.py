@@ -7,7 +7,9 @@ A_i = C_i W_i C_i^{-1} is removed exactly); restarts move the basepoints
 B_i.  The merit function compares gauge-aligned computed monodromy
 generators with the target tuple entrywise and adds a 10x-weighted
 penalty on the spectrum of the residue at infinity, which pins the
-splitting type.
+splitting type.  Residuals are evaluated for stacks of chart points: the
+central-difference Jacobian of one LM iteration is a single stack of
+2 dim points, transported with one kernel call per monodromy loop.
 
 Gauge alignment of a computed tuple proceeds in three steps: conjugate by
 the (ordered) eigenbasis of the last generator, balance the tuple over
@@ -177,18 +179,54 @@ class _MonodromyProblem:
         self.loops = [
             fuchs.puncture_loop(weights, i, self.z0, ccw=True)
             for i in range(weights.n - 1)
-        ]
-        self.big = fuchs.big_circle_loop(weights, self.z0)
-        self.order = np.lexsort((weights.points.imag, weights.points.real))
+        ] + [fuchs.big_circle_loop(weights, self.z0)]
 
-    def generators(self, system: fuchs.FuchsianSystem, tol: float) -> list[np.ndarray]:
-        gens = []
-        for loop in self.loops:
-            res = fuchs.transport(system, loop, tol=tol, check_det=False, precheck=False)
-            gens.append(np.linalg.inv(res.value))
-        big = fuchs.transport(system, self.big, tol=tol, check_det=False, precheck=False)
-        gens.append(big.value)
-        return gens
+    def generators(self, residues: np.ndarray, tol: float) -> np.ndarray:
+        """Generators (B, n, r, r) of a (B, n-1, r, r) residue stack.
+
+        One stacked transport per loop; the puncture-loop transports are
+        inverted, the big circle is kept as it is (see fuchs).
+        """
+        points = self.weights.points
+        gens = [
+            fuchs.transport_stack(points, residues, loop, tol=tol).values
+            for loop in self.loops
+        ]
+        gens[:-1] = [np.linalg.inv(g) for g in gens[:-1]]
+        return np.stack(gens, axis=1)
+
+
+def residual_stack(
+    parm: ResidueParametrization,
+    xs: np.ndarray,
+    target: fuchs.AdmissibleRep,
+    problem: _MonodromyProblem | None = None,
+    transport_tol: float = 1e-9,
+    infinity_weight: float = 10.0,
+) -> np.ndarray:
+    """Residual vectors (B, m) of a (B, dim) stack of chart points.
+
+    Residues of every member, then the generators of the whole stack
+    (one kernel call per loop), then per-member gauge alignment and the
+    infinity spectrum.
+    """
+    if problem is None:
+        problem = _MonodromyProblem(parm.weights)
+    residues = np.array([parm.residues(x) for x in np.asarray(xs, dtype=float)])
+    gens = problem.generators(residues, transport_tol)
+    aligned = np.array(
+        [align_tuple_to_target(list(g), target).generators for g in gens]
+    )
+    diff = aligned - np.asarray(target.generators)
+    # per generator: real parts, then imaginary parts
+    d = np.stack([diff.real, diff.imag], axis=2).reshape(len(gens), -1)
+    lam = np.linalg.eigvals(-np.sum(residues, axis=1))
+    lam = np.take_along_axis(lam, np.argsort(lam.real, axis=-1), axis=-1)
+    tgt = np.sort(parm.weights.infinity_exponents)
+    return np.concatenate(
+        [d, infinity_weight * (lam.real - tgt), infinity_weight * lam.imag],
+        axis=1,
+    )
 
 
 def residual_vector(
@@ -200,22 +238,17 @@ def residual_vector(
     infinity_weight: float = 10.0,
 ) -> np.ndarray:
     """Concatenated gauge-aligned monodromy and infinity-spectrum residuals."""
-    if problem is None:
-        problem = _MonodromyProblem(parm.weights)
-    system = parm.system(x)
-    gens = problem.generators(system, transport_tol)
-    aligned = align_tuple_to_target(gens, target)
-    pieces = []
-    for a, b in zip(aligned.generators, target.generators):
-        d = (a - b).ravel()
-        pieces.append(d.real)
-        pieces.append(d.imag)
-    lam = np.linalg.eigvals(system.residue_at_infinity())
-    lam = lam[np.argsort(lam.real)]
-    tgt = np.sort(parm.weights.infinity_exponents)
-    pieces.append(infinity_weight * (lam.real - tgt))
-    pieces.append(infinity_weight * lam.imag)
-    return np.concatenate(pieces)
+    xs = np.asarray(x, dtype=float)[None, :]
+    return residual_stack(parm, xs, target, problem, transport_tol, infinity_weight)[0]
+
+
+def central_jacobian(func_stack, x: np.ndarray, fd_step: float) -> np.ndarray:
+    """Central-difference Jacobian from one stacked evaluation of 2 dim points."""
+    steps = fd_step * np.maximum(1.0, np.abs(x))
+    shift = np.diag(steps)
+    f = func_stack(np.concatenate([x + shift, x - shift]))
+    n = len(x)
+    return ((f[:n] - f[n:]) / (2 * steps[:, None])).T
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +278,12 @@ class SolveReport:
     message: str = ""
 
 
-def _levenberg_marquardt(func, x0: np.ndarray, opts: SolveOptions):
-    """Small dense LM with central-difference Jacobian and Nielsen damping."""
+def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
+    """Small dense LM with central-difference Jacobian and Nielsen damping.
+
+    func(x) is the residual at one point; func_stack evaluates a stack of
+    points and builds each iteration's Jacobian in one call.
+    """
     x = x0.copy()
     f = func(x)
     cost = float(f @ f)
@@ -260,14 +297,8 @@ def _levenberg_marquardt(func, x0: np.ndarray, opts: SolveOptions):
     for n_iter in range(1, opts.max_iter + 1):
         if cost <= target_cost:
             break
-        m, n = len(f), len(x)
-        J = np.zeros((m, n))
-        for j in range(n):
-            h = opts.fd_step * max(1.0, abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            J[:, j] = (func(xp) - func(xm)) / (2 * h)
+        n = len(x)
+        J = central_jacobian(func_stack, x, opts.fd_step)
         g = J.T @ f
         if np.linalg.norm(g, np.inf) < 1e-14:
             break
@@ -311,8 +342,8 @@ def _computed_rep(
     tol: float,
 ) -> tuple[fuchs.AdmissibleRep, TupleAlignment]:
     system = parm.system(x)
-    gens = problem.generators(system, tol)
-    aligned = align_tuple_to_target(gens, target)
+    gens = problem.generators(system.residues[None], tol)[0]
+    aligned = align_tuple_to_target(list(gens), target)
     rep = fuchs.AdmissibleRep(
         weights=parm.weights,
         generators=aligned.generators,
@@ -364,11 +395,16 @@ def solve(
                 parm, x, target, problem=problem, transport_tol=opts.transport_tol
             )
 
+        def func_stack(xs, parm=parm):
+            return residual_stack(
+                parm, xs, target, problem=problem, transport_tol=opts.transport_tol
+            )
+
         x0 = np.zeros(parm.dim)
         if parm.dim == 0:
             x, cost, iters, history = x0, float(func(x0) @ func(x0)), 0, []
         else:
-            x, cost, iters, history = _levenberg_marquardt(func, x0, opts)
+            x, cost, iters, history = _levenberg_marquardt(func, func_stack, x0, opts)
 
         rep, aligned = _computed_rep(parm, x, target, problem, opts.transport_tol)
         final = fuchs.rep_distance(rep, target)
@@ -469,8 +505,8 @@ def normalize_at_infinity(
 
     if problem is None:
         problem = _MonodromyProblem(ws)
-    gens = problem.generators(system, transport_tol)
-    aligned = align_tuple_to_target(gens, target)
+    gens = problem.generators(system.residues[None], transport_tol)[0]
+    aligned = align_tuple_to_target(list(gens), target)
     W = aligned.conjugator
     z0 = problem.z0
 

@@ -449,7 +449,14 @@ def _kink_angles(points: np.ndarray, i: int, r_out: float, samples: int = 4096) 
 
 
 class TransportWeb:
-    """Transported solution values and densities on the full quadrature web."""
+    """Transported solution values and densities on the full quadrature web.
+
+    Besides the densities, the web keeps h and A at IMAG_SAMPLE nodes of the
+    first patch, spread evenly over its node list, for the check that the
+    trace form stays real.
+    """
+
+    IMAG_SAMPLE = 64
 
     def __init__(
         self,
@@ -559,7 +566,7 @@ class TransportWeb:
         )
         wt = np.concatenate([np.broadcast_to(wt_in, z_in.shape).ravel(), wt_out.ravel()])
         y = np.concatenate([y_in.reshape(-1, *y_in.shape[2:]), y_out.reshape(-1, *y_out.shape[2:])])
-        kin, top = self._densities(z, y)
+        kin, top = self._densities(z, y, keep_sample=(i == 0))
         return _WebRegion(z=z, rho=rho, weight=wt, kinetic=kin, topological=top)
 
     def _build_outer(self, delta_schedule, delta_min: float) -> _WebRegion:
@@ -590,10 +597,13 @@ class TransportWeb:
             topological=top,
         )
 
-    def _densities(self, z: np.ndarray, y: np.ndarray):
+    def _densities(self, z: np.ndarray, y: np.ndarray, keep_sample: bool = False):
         h = np.linalg.inv(y @ np.conj(np.swapaxes(y, -1, -2)))
         h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
         A = self.field.system.A_of(z)
+        if keep_sample:
+            idx = np.linspace(0, len(z) - 1, min(self.IMAG_SAMPLE, len(z))).astype(int)
+            self.sample_h, self.sample_A = h[idx], A[idx]
         return _batched_densities(h, A)
 
     # -- assembly -----------------------------------------------------------
@@ -698,7 +708,7 @@ def action_regularized(
         )
     # densities are assembled from norms, so the imaginary part can only
     # enter through the trace form; track it at a sample of web nodes
-    imag_residual = _imag_residual_sample(fld, web)
+    imag_residual = _imag_residual_sample(web)
     return ActionResult(
         value=value,
         counterterm_k1=k1,
@@ -713,16 +723,12 @@ def action_regularized(
     )
 
 
-def _imag_residual_sample(fld: MetricField, web: TransportWeb, count: int = 64) -> float:
-    region = web.regions[0]
-    idx = np.linspace(0, len(region.z) - 1, min(count, len(region.z))).astype(int)
-    worst = 0.0
-    for k in idx:
-        z = region.z[k]
-        h, A = fld.metric_at(z)
-        val = np.trace(A @ np.linalg.solve(h, A.conj().T @ h))
-        worst = max(worst, abs(val.imag) / max(abs(val.real), 1e-300))
-    return float(worst)
+def _imag_residual_sample(web: TransportWeb) -> float:
+    """max |Im tr(A h^{-1} A* h)| / |Re ...| over the web's sample nodes."""
+    h, A = web.sample_h, web.sample_A
+    Ah = np.conj(np.swapaxes(A, -1, -2))
+    val = np.trace(A @ np.linalg.solve(h, Ah @ h), axis1=-2, axis2=-1)
+    return float(np.max(np.abs(val.imag) / np.maximum(np.abs(val.real), 1e-300)))
 
 
 def annulus_kinetic_integral(

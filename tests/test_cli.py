@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rhwznw import cli, fuchs, wznw
+from rhwznw import cli, fuchs, rhsolve, wznw
 
 
 def rank1_config():
@@ -154,6 +154,26 @@ def test_rhsolve_non_convergence_exit(tmp_path):
     rec = json.loads((tmp_path / "result.json").read_text())
     assert not rec["success"]
     assert rec["final_residual"] > 0  # best iterate is still reported
+
+
+@pytest.mark.parametrize(
+    "error",
+    [fuchs.StiffnessError("step size underflow"), np.linalg.LinAlgError("Singular matrix")],
+    ids=["stiffness", "linalg"],
+)
+def test_rhsolve_numerical_failure_exit(tmp_path, monkeypatch, capsys, error):
+    cfg = rank1_config()
+    cfg.residues = None
+    cli.save_config(cfg, tmp_path / "cfg.json")
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(rhsolve, "solve", fail)
+    rc = cli.main(["rhsolve", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
 
 
 def test_verify_suites(tmp_path):

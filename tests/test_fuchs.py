@@ -265,3 +265,87 @@ def test_rank2_rigid_residues_spectra(rank2_oracle_system, rank2_weights):
     # trace identity: sum tr A_i = -sum infinity exponents
     tr = sum(np.trace(a) for a in rank2_oracle_system.residues)
     assert abs(tr + np.sum(rank2_weights.infinity_exponents)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacked transport kernel
+
+
+def _n4_rank3_weights():
+    return fuchs.build_weight_system(
+        [-1.0, 0.0, 1.2],
+        [[0.1, 0.3, 0.5], [0.2, 0.4, 0.6], [0.15, 0.35, 0.55], [0.1, 0.3, 0.45]],
+    )
+
+
+def _random_residues(ws, rng, count):
+    """count random residue tuples with the weight spectra, shape (count, n-1, r, r)."""
+    r = ws.rank
+    out = np.empty((count, ws.n - 1, r, r), dtype=complex)
+    for b in range(count):
+        for i in range(ws.n - 1):
+            c = np.eye(r) + 0.3 * (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+            out[b, i] = c @ np.diag(ws.weights[i]) @ np.linalg.inv(c)
+    return out
+
+
+def test_transport_stack_matches_members():
+    ws = _n4_rank3_weights()
+    residues = _random_residues(ws, np.random.default_rng(11), 6)
+    loop = fuchs.puncture_loop(ws, 1, ws.default_basepoint())
+    stacked = fuchs.transport_stack(ws.points, residues, loop, tol=1e-12)
+    assert stacked.values.shape == (6, 3, 3)
+    for b in range(6):
+        solo = fuchs.transport(fuchs.FuchsianSystem(ws, residues[b]), loop, tol=1e-12)
+        rel = numcore.fro(stacked.values[b] - solo.value) / numcore.fro(solo.value)
+        assert rel <= 1e-12
+
+
+def test_transport_stack_det_identity():
+    ws = _n4_rank3_weights()
+    residues = _random_residues(ws, np.random.default_rng(5), 6)
+    loop = fuchs.puncture_loop(ws, 0, ws.default_basepoint())
+    stacked = fuchs.transport_stack(ws.points, residues, loop, tol=1e-10)
+    logs = np.array([paths.path_log_increment(loop, complex(w)) for w in ws.points])
+    for b in range(6):
+        traces = np.trace(residues[b], axis1=-2, axis2=-1)
+        expected = np.exp(-np.sum(traces * logs))
+        got = np.linalg.det(stacked.values[b])
+        assert abs(got - expected) / abs(expected) < 1e-8
+
+
+def test_transport_stack_shared_step_follows_hardest():
+    # a path ending close to a puncture: the member with full-size residues
+    # sets the shared steps, the nearly trivial member rides along
+    ws = _n4_rank3_weights()
+    full = _random_residues(ws, np.random.default_rng(3), 1)[0]
+    easy, hard = 0.01 * full, full
+    line = [paths.Line(ws.default_basepoint(), 0.02j)]
+    tol = 1e-10
+    stacked = fuchs.transport_stack(ws.points, np.array([easy, hard]), line, tol=tol)
+
+    def solo(residues, tol):
+        system = fuchs.FuchsianSystem(ws, residues)
+        return fuchs.transport(system, line, tol=tol, precheck=False)
+
+    hard_solo = solo(hard, tol)
+    assert stacked.step_count == hard_solo.step_count
+    rel = numcore.fro(stacked.values[1] - hard_solo.value) / numcore.fro(hard_solo.value)
+    assert rel <= 1e-12
+    # the easy member agrees with its solo value to its tolerance (the solo
+    # value carries a global error of about tol itself, hence 2 tol) and is
+    # no less accurate for taking the hard member's smaller steps
+    easy_solo = solo(easy, tol)
+    ref = solo(easy, 1e-13).value
+    scale = numcore.fro(ref)
+    assert numcore.fro(stacked.values[0] - easy_solo.value) <= 2 * tol * scale
+    assert numcore.fro(stacked.values[0] - ref) <= numcore.fro(easy_solo.value - ref)
+
+
+def test_transport_stack_stiffness_propagates():
+    ws = _n4_rank3_weights()
+    full = _random_residues(ws, np.random.default_rng(3), 1)[0]
+    # the path runs into the puncture at 0; only the second member is singular there
+    residues = np.array([np.zeros_like(full), full])
+    with pytest.raises(fuchs.StiffnessError):
+        fuchs.transport_stack(ws.points, residues, [paths.Line(ws.default_basepoint(), 0.0)])

@@ -159,3 +159,38 @@ def test_canonical_constant_term_is_antidiagonal(rank2_solved, rank2_target):
     scale = g[0, 1]
     pi0 = factor.antidiagonal_permutation(2)
     assert numcore.fro(g / scale - pi0) < 1e-3
+
+
+def test_stacked_jacobian_matches_columns(rank2_target, rank2_oracle_system):
+    parm = rhsolve.parametrization_from_system(rank2_oracle_system)
+    problem = rhsolve._MonodromyProblem(parm.weights)
+    x = 0.05 * np.random.default_rng(4).standard_normal(parm.dim)
+    fd_step = 1e-6
+
+    def func_stack(xs):
+        return rhsolve.residual_stack(parm, xs, rank2_target, problem=problem)
+
+    J = rhsolve.central_jacobian(func_stack, x, fd_step)
+    columns = []
+    for j in range(parm.dim):
+        h = fd_step * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        fp = rhsolve.residual_vector(parm, xp, rank2_target, problem=problem)
+        fm = rhsolve.residual_vector(parm, xm, rank2_target, problem=problem)
+        columns.append((fp - fm) / (2 * h))
+    J_cols = np.stack(columns, axis=1)
+    assert J.shape == J_cols.shape
+    assert numcore.fro(J - J_cols) <= 1e-6 * numcore.fro(J_cols)
+    # the residual at one point is the stacked residual of a one-member stack
+    f = rhsolve.residual_vector(parm, x, rank2_target, problem=problem)
+    assert np.array_equal(f, func_stack(x[None, :])[0])
+
+
+def test_cold_solve_fixture(rank2_weights, rank2_target):
+    system, report = rhsolve.solve(rank2_weights, rank2_target)
+    assert report.success
+    assert report.restart_index == 0
+    assert report.iterations <= 9
+    assert report.final_residual <= 1e-6
