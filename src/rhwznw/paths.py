@@ -4,7 +4,8 @@ A path is a list of segments, each parameterized over t in [0, 1] with an
 analytic derivative.  Straight lines and circular arcs are enough for the
 loops and radial marches used here.  ``plan_route`` builds a segment list
 between two points that keeps a prescribed clearance from every puncture
-by inserting circular detours.
+by inserting circular detours.  A fan segment holds B member paths on one
+parameter, for transporting one system along all of them at once.
 """
 
 from __future__ import annotations
@@ -80,6 +81,52 @@ class Arc:
 
 
 Segment = Line | Arc
+
+
+class _Fan:
+    """B member paths on one t in [0, 1]: point = center + offset(t) and
+    velocity = offset(t) * rate map t (T,) to (T, B)."""
+
+    def point(self, t):
+        return self.center + self.offset(t)
+
+    def velocity(self, t):
+        return self.offset(t) * self.rate
+
+
+@dataclass(frozen=True)
+class ArcFan(_Fan):
+    """Arcs of one circle, member b sweeping from angle0[b] to angle1[b]."""
+
+    center: complex
+    radius: float
+    angle0: np.ndarray  # (B,) or a scalar shared by every member
+    angle1: np.ndarray  # (B,)
+
+    def offset(self, t):
+        ang = self.angle0 + np.asarray(t)[..., None] * (self.angle1 - self.angle0)
+        return self.radius * np.exp(1j * ang)
+
+    @property
+    def rate(self):
+        return 1j * (self.angle1 - self.angle0)
+
+
+@dataclass(frozen=True)
+class RayFan(_Fan):
+    """Rays center + e^{s + i phis[b]}, member b running from s = s0[b] to s1[b]."""
+
+    center: complex
+    phis: np.ndarray  # (B,)
+    s0: np.ndarray    # (B,) or a scalar shared by every member
+    s1: np.ndarray    # (B,) or a scalar shared by every member
+
+    def offset(self, t):
+        return np.exp(self.s0 + np.asarray(t)[..., None] * (self.s1 - self.s0) + 1j * self.phis)
+
+    @property
+    def rate(self):
+        return self.s1 - self.s0
 
 
 def path_min_distance(path: list[Segment], w: complex) -> float:

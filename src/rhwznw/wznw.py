@@ -26,6 +26,11 @@ delta schedule, so one transported web serves every delta at once.
 Full circles use the periodic trapezoid rule in the angle; the outward
 patch regions, whose radial extent is only piecewise smooth in the
 angle, use Gauss-Legendre panels split at the boundary kinks.
+
+Transport: one fan call (fuchs.transport_fan) per patch sweeps its ring to
+the trapezoid and the outward angles together; adaptive fan calls with a
+stop at every Gauss-Legendre node then march the inward, outward and outer
+rays.
 """
 
 from __future__ import annotations
@@ -108,12 +113,16 @@ def _batched_densities(h: np.ndarray, A: np.ndarray):
         np.linalg.solve(np.swapaxes(b, -1, -2), np.swapaxes(M, -1, -2)), -1, -2
     )
     absK2 = np.abs(K) ** 2
-    total = np.sum(absK2, axis=(-2, -1))
+    kinetic = np.sum(absK2, axis=(-2, -1))
     upper = np.sum(np.triu(absK2, 1), axis=(-2, -1))
     lower = np.sum(np.tril(absK2, -1), axis=(-2, -1))
-    kinetic = total
-    topological = lower - upper
-    return kinetic, topological
+    return kinetic, lower - upper
+
+
+def _metric_of(y: np.ndarray) -> np.ndarray:
+    """h = (Y Y*)^{-1}, made exactly Hermitian, for a stack of Y values."""
+    h = np.linalg.inv(y @ np.conj(np.swapaxes(y, -1, -2)))
+    return 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +194,24 @@ class MetricField:
         """(h(z), A(z)): transported metric and the closed-form connection."""
         return self.h_at(z), self.system.A_of(complex(z))
 
+    def fan_values(self, fan, starts: np.ndarray, stops=(1.0,)) -> np.ndarray:
+        """Y at the stop times along every member of a fan, (len(stops), B, r, r)."""
+        pts, res = self.system.points, self.system.residues
+        return fuchs.transport_fan(pts, res, fan, starts, stops, self.transport_tol).values
+
     def ray_values(self, center_index: int, phi: float, rhos: np.ndarray):
-        """Y along an inward ray at the given puncture, marched in log-radius.
+        """Y along an inward ray at the given puncture: the patch march with
+        its ring at rhos[0] and one ray through the other radii.
 
         rhos must be decreasing and start below half the distance to the
         next puncture; returns the stacked Y values at center + rho e^{i phi}.
         """
         rhos = np.asarray(rhos, dtype=float)
         center = complex(self.system.points[center_index])
-        r_start = float(rhos[0])
-        z_start = center + r_start * np.exp(1j * phi)
-        y0 = self.y_at(z_start)
-        svals = np.log(rhos)
-        ys = _march_log_radial(
-            self.system,
-            center,
-            np.array([phi]),
-            y0[None, :, :],
-            svals,
+        ring_y, ray_y = _march_ring_and_rays(
+            self, center, float(rhos[0]), np.array([phi]), 1, np.log(rhos[1:])
         )
-        return ys[:, 0]
+        return np.concatenate([ring_y, ray_y[:, 0]])
 
 
 def make_metric_field(
@@ -238,115 +245,32 @@ def make_metric_field(
 
 
 # ---------------------------------------------------------------------------
-# batched fixed-step marching
+# fan marches
 
 
-def _rk4_step(system: fuchs.FuchsianSystem, z_fun, y: np.ndarray, t: float, dt: float):
-    def f(tt, yy):
-        z, dz = z_fun(tt)
-        return -(system.A_of(z) @ yy) * dz[..., None, None]
+def _march_ring_and_rays(
+    fld: MetricField, center: complex, radius: float, ring_phis, n_rays: int, s_nodes
+):
+    """The patch march, in two fan calls.
 
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _march_log_radial(
-    system: fuchs.FuchsianSystem,
-    center: complex,
-    phis: np.ndarray,
-    y0: np.ndarray,
-    svals: np.ndarray,
-    h_s: float = 0.01,
-) -> np.ndarray:
-    """March Y along rays z = center + e^{s + i phi} through the s grid.
-
-    y0 has shape (len(phis), r, r) at s = svals[0]; returns values at every
-    s in svals, shape (len(svals), len(phis), r, r).
+    The ring |z - center| = radius is entered on the basepoint's side, and
+    member b sweeps counterclockwise from the entry to ring_phis[b].  Then
+    the rays at the first n_rays angles run from the ring through every
+    log-radius in s_nodes (all on one side of log(radius)), with a stop at
+    each.  Returns the ring values (len(ring_phis), r, r) and the ray values
+    (len(s_nodes), n_rays, r, r) in the order of s_nodes.
     """
-    e_iphi = np.exp(1j * phis)
-
-    def z_fun(s):
-        z = center + np.exp(s) * e_iphi
-        return z, z - center
-
-    out = np.empty((len(svals),) + y0.shape, dtype=complex)
-    out[0] = y0
-    y = y0
-    for k in range(1, len(svals)):
-        s0, s1 = svals[k - 1], svals[k]
-        nsub = max(2, int(np.ceil(abs(s1 - s0) / h_s)))
-        dt = (s1 - s0) / nsub
-        s = s0
-        for _ in range(nsub):
-            y = _rk4_step(system, z_fun, y, s, dt)
-            s += dt
-        out[k] = y
-    return out
-
-
-def _march_ray_scaled(
-    system: fuchs.FuchsianSystem,
-    center: complex,
-    phis: np.ndarray,
-    y0: np.ndarray,
-    s_start: np.ndarray,
-    s_end: np.ndarray,
-    tvals: np.ndarray,
-    h_s: float = 0.01,
-) -> np.ndarray:
-    """March along rays with per-ray log-radius window [s_start, s_end].
-
-    All rays share the t in [0,1] grid; ray j sits at log-radius
-    s_start[j] + t (s_end[j] - s_start[j]).
-    """
-    e_iphi = np.exp(1j * phis)
-    span = s_end - s_start
-
-    def z_fun(t):
-        s = s_start + t * span
-        z = center + np.exp(s) * e_iphi
-        return z, (z - center) * span
-
-    out = np.empty((len(tvals),) + y0.shape, dtype=complex)
-    out[0] = y0
-    y = y0
-    span_max = float(np.max(np.abs(span))) if len(span) else 0.0
-    for k in range(1, len(tvals)):
-        t0, t1 = tvals[k - 1], tvals[k]
-        nsub = max(2, int(np.ceil(abs(t1 - t0) * span_max / h_s)))
-        dt = (t1 - t0) / nsub
-        t = t0
-        for _ in range(nsub):
-            y = _rk4_step(system, z_fun, y, t, dt)
-            t += dt
-        out[k] = y
-    return out
-
-
-def _march_ring(
-    system: fuchs.FuchsianSystem,
-    center: complex,
-    radius: float,
-    y_entry: np.ndarray,
-    phi_entry: float,
-    phis: np.ndarray,
-    tol: float,
-) -> np.ndarray:
-    """Y at every ring angle, reached by short arcs swept CCW from the entry."""
-    rel = np.mod(phis - phi_entry, 2 * np.pi)
-    order = np.argsort(rel)
-    ys = np.empty((len(phis),) + y_entry.shape, dtype=complex)
-    y, ang = y_entry, phi_entry
-    for idx in order:
-        target_ang = phi_entry + rel[idx]
-        arc = paths.Arc(center, radius, ang, target_ang)
-        res = fuchs.transport(system, [arc], start=y, tol=tol, check_det=False, precheck=False)
-        y, ang = res.value, target_ang
-        ys[idx] = y
-    return ys
+    z0 = fld.basepoint
+    entry = center + radius * (z0 - center) / abs(z0 - center)
+    a0 = float(np.angle(entry - center))
+    ring = paths.ArcFan(center, radius, a0, a0 + np.mod(ring_phis - a0, 2 * np.pi))
+    ring_y = fld.fan_values(ring, fld.y_at(entry))[-1]
+    s0 = np.log(radius)
+    order = np.argsort(np.abs(s_nodes - s0))
+    s_far = s_nodes[order[-1]]
+    rays = paths.RayFan(center, ring_phis[:n_rays], s0, s_far)
+    ray_y = fld.fan_values(rays, ring_y[:n_rays], (s_nodes[order] - s0) / (s_far - s0))
+    return ring_y, ray_y[np.argsort(order)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +282,6 @@ class QuadratureOptions:
     n_phi: int = 192
     gl_order: int = 8
     outward_panels: int = 2
-    h_s: float = 0.01
     max_panel_span: float = 0.8  # maximal log-radius length of one GL panel
 
 
@@ -382,17 +305,19 @@ def _panel_edges(a: float, b: float, max_span: float) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
+def _gl_panels(edges, max_span: float, order: int):
+    """GL nodes and weights on [edges[0], edges[-1]] with a panel edge at
+    every given edge and no panel longer than max_span."""
+    fine = [_panel_edges(a, b, max_span) for a, b in zip(edges[:-1], edges[1:])]
+    parts = [_gl_nodes(a, b, order) for e in fine for a, b in zip(e[:-1], e[1:])]
+    return np.concatenate([x for x, _ in parts]), np.concatenate([w for _, w in parts])
+
+
 def _log_panels(r_lo: float, r_hi: float, fixed: list[float], opts: QuadratureOptions):
     """GL nodes and weights in s = log rho on [log r_lo, log r_hi] with panel
     edges at every fixed radius in between."""
     edges = sorted({np.log(r_lo), np.log(r_hi), *[np.log(f) for f in fixed if r_lo < f < r_hi]})
-    s_nodes, s_weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        for a, b in zip(*(lambda e: (e[:-1], e[1:]))(_panel_edges(lo, hi, opts.max_panel_span))):
-            x, w = _gl_nodes(a, b, opts.gl_order)
-            s_nodes.append(x)
-            s_weights.append(w)
-    return np.concatenate(s_nodes), np.concatenate(s_weights)
+    return _gl_panels(edges, opts.max_panel_span, opts.gl_order)
 
 
 def _patch_constraints(points: np.ndarray, i: int, r_out: float):
@@ -421,6 +346,11 @@ def _patch_constraints(points: np.ndarray, i: int, r_out: float):
     return bounds
 
 
+def _ring_radius(points: np.ndarray, i: int) -> float:
+    """Radius of the patch ring at puncture i: half the nearest distance."""
+    return 0.5 * min((abs(points[i] - p) for j, p in enumerate(points) if j != i), default=1.0)
+
+
 def _voronoi_rho_max(points: np.ndarray, i: int, phis: np.ndarray, r_out: float) -> np.ndarray:
     """Star-shaped patch boundary: nearest Voronoi bisector or outer circle."""
     return np.min(_patch_constraints(points, i, r_out)(np.asarray(phis, dtype=float)), axis=0)
@@ -431,21 +361,15 @@ def _kink_angles(points: np.ndarray, i: int, r_out: float, samples: int = 4096) 
     bounds = _patch_constraints(points, i, r_out)
     phis = 2 * np.pi * np.arange(samples) / samples
     active = np.argmin(bounds(phis), axis=0)
-    kinks = []
-    for k in range(samples):
-        k2 = (k + 1) % samples
-        if active[k] == active[k2]:
-            continue
-        lo, hi = phis[k], phis[k] + 2 * np.pi / samples
-        a_lo = active[k]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if np.argmin(bounds(np.array([mid]))[:, 0]) == a_lo:
-                lo = mid
-            else:
-                hi = mid
-        kinks.append(0.5 * (lo + hi))
-    return np.asarray(sorted(k % (2 * np.pi) for k in kinks))
+    ks = np.flatnonzero(active != np.roll(active, -1))
+    # bisect every switching sample interval at once
+    a_lo = active[ks]
+    lo, hi = phis[ks], phis[ks] + 2 * np.pi / samples
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = np.argmin(bounds(mid), axis=0) == a_lo
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.sort(np.mod(0.5 * (lo + hi), 2 * np.pi))
 
 
 class TransportWeb:
@@ -467,17 +391,11 @@ class TransportWeb:
     ):
         self.field = fld
         self.opts = opts
-        ws = fld.weights
         pts = np.asarray(fld.system.points)
         self.r_out = 2.0 * float(np.max(np.abs(pts))) + 2.0
         if 1.0 / max(delta_schedule) <= 1.2 * self.r_out:
             raise ValueError("largest delta too coarse for the outer region")
-        ring_radii = [
-            0.5 * min(abs(pts[i] - pts[j]) for j in range(len(pts)) if j != i)
-            if len(pts) > 1
-            else 0.5
-            for i in range(len(pts))
-        ]
+        ring_radii = [_ring_radius(pts, i) for i in range(len(pts))]
         if max(delta_schedule) >= 0.8 * min(ring_radii):
             raise ValueError("largest delta must sit inside every puncture patch")
         self.regions: list[_WebRegion] = []
@@ -488,37 +406,12 @@ class TransportWeb:
 
     # -- patches ------------------------------------------------------------
 
-    def _ring_seed(self, center: complex, radius: float):
-        fld = self.field
-        z0 = fld.basepoint
-        entry = center + radius * (z0 - center) / abs(z0 - center)
-        y_entry = fld.y_at(entry)
-        return entry, y_entry
-
     def _build_patch(self, i: int, ring_r: float, delta_min: float, fixed) -> _WebRegion:
         fld, opts = self.field, self.opts
-        system = fld.system
-        pts = np.asarray(system.points)
+        pts = np.asarray(fld.system.points)
         center = complex(pts[i])
         phis = 2 * np.pi * (np.arange(opts.n_phi) + 0.5) / opts.n_phi
         w_phi = 2 * np.pi / opts.n_phi
-
-        entry, y_entry = self._ring_seed(center, ring_r)
-        ring_y = _march_ring(
-            system, center, ring_r, y_entry, float(np.angle(entry - center)), phis,
-            fld.transport_tol,
-        )
-
-        # inward: common log-radius grid from the ring down to delta_min
-        s_in, w_in = _log_panels(delta_min, ring_r, fixed, opts)
-        order = np.argsort(-s_in)  # march downwards
-        s_desc = np.concatenate(([np.log(ring_r)], s_in[order]))
-        y_in = _march_log_radial(system, center, phis, ring_y, s_desc, opts.h_s)[1:]
-        y_in = y_in[np.argsort(order)]  # restore ascending-s order
-
-        rho_in = np.exp(s_in)
-        z_in = center + rho_in[:, None] * np.exp(1j * phis)[None, :]
-        wt_in = (w_in * np.exp(2 * s_in))[:, None] * w_phi
 
         # outward: the patch boundary rho_max(phi) has kinks where the active
         # Voronoi/circle constraint switches, so the angular rule is GL on
@@ -527,35 +420,29 @@ class TransportWeb:
         if len(kinks) == 0:
             kinks = np.array([0.0])
         edges = np.concatenate([kinks, [kinks[0] + 2 * np.pi]])
-        phi_out, wphi_out = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            for aa, bb in zip(*(lambda e: (e[:-1], e[1:]))(_panel_edges(a, b, 2 * np.pi / 12))):
-                x, w = _gl_nodes(aa, bb, opts.gl_order)
-                phi_out.append(x)
-                wphi_out.append(w)
-        phi_out = np.concatenate(phi_out)
-        wphi_out = np.concatenate(wphi_out)
+        phi_out, wphi_out = _gl_panels(edges, 2 * np.pi / 12, opts.gl_order)
 
-        entry_ang = float(np.angle(entry - center))
-        ring_y_out = _march_ring(system, center, ring_r, y_entry, entry_ang, phi_out,
-                                 fld.transport_tol)
+        # one ring call for the trapezoid and the outward angles, then the
+        # inward rays on the common log-radius grid down to delta_min
+        s_in, w_in = _log_panels(delta_min, ring_r, fixed, opts)
+        ring_y, y_in = _march_ring_and_rays(
+            fld, center, ring_r, np.concatenate([phis, phi_out]), len(phis), s_in
+        )
+
+        rho_in = np.exp(s_in)
+        z_in = center + rho_in[:, None] * np.exp(1j * phis)[None, :]
+        wt_in = (w_in * np.exp(2 * s_in))[:, None] * w_phi
+
         rho_max = _voronoi_rho_max(pts, i, phi_out, self.r_out)
-        t_nodes, t_weights = [], []
-        for a, b in zip(*(lambda e: (e[:-1], e[1:]))(np.linspace(0, 1, opts.outward_panels + 1))):
-            x, w = _gl_nodes(a, b, opts.gl_order)
-            t_nodes.append(x)
-            t_weights.append(w)
-        t_nodes = np.concatenate(t_nodes)
-        t_weights = np.concatenate(t_weights)
-        t_desc = np.concatenate(([0.0], t_nodes))
-        s_start = np.full(len(phi_out), np.log(ring_r))
+        t_edges = np.linspace(0, 1, opts.outward_panels + 1)
+        t_nodes, t_weights = _gl_panels(t_edges, 1.0, opts.gl_order)
+        s_start = np.log(ring_r)
         s_end = np.log(np.maximum(rho_max, ring_r))
-        y_out = _march_ray_scaled(
-            system, center, phi_out, ring_y_out, s_start, s_end, t_desc, opts.h_s
-        )[1:]
+        rays = paths.RayFan(center, phi_out, s_start, s_end)
+        y_out = fld.fan_values(rays, ring_y[len(phis):], t_nodes)
 
         span = s_end - s_start
-        s_out = s_start[None, :] + t_nodes[:, None] * span[None, :]
+        s_out = s_start + t_nodes[:, None] * span[None, :]
         rho_out = np.exp(s_out)
         z_out = center + rho_out * np.exp(1j * phi_out)[None, :]
         wt_out = (t_weights[:, None] * span[None, :]) * np.exp(2 * s_out) * wphi_out[None, :]
@@ -571,18 +458,12 @@ class TransportWeb:
 
     def _build_outer(self, delta_schedule, delta_min: float) -> _WebRegion:
         fld, opts = self.field, self.opts
-        system = fld.system
         phis = 2 * np.pi * (np.arange(opts.n_phi) + 0.5) / opts.n_phi
         w_phi = 2 * np.pi / opts.n_phi
 
-        entry, y_entry = self._ring_seed(0.0, self.r_out)
-        ring_y = _march_ring(
-            system, 0.0, self.r_out, y_entry, float(np.angle(entry)), phis, fld.transport_tol
-        )
         fixed = [1.0 / d for d in delta_schedule]
         s_nodes, s_weights = _log_panels(self.r_out, 1.0 / delta_min, fixed, opts)
-        s_asc = np.concatenate(([np.log(self.r_out)], s_nodes))
-        y = _march_log_radial(system, 0.0, phis, ring_y, s_asc, opts.h_s)[1:]
+        _, y = _march_ring_and_rays(fld, 0.0, self.r_out, phis, len(phis), s_nodes)
 
         rho = np.exp(s_nodes)
         z = rho[:, None] * np.exp(1j * phis)[None, :]
@@ -598,8 +479,7 @@ class TransportWeb:
         )
 
     def _densities(self, z: np.ndarray, y: np.ndarray, keep_sample: bool = False):
-        h = np.linalg.inv(y @ np.conj(np.swapaxes(y, -1, -2)))
-        h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+        h = _metric_of(y)
         A = self.field.system.A_of(z)
         if keep_sample:
             idx = np.linspace(0, len(z) - 1, min(self.IMAG_SAMPLE, len(z))).astype(int)
@@ -747,28 +627,15 @@ def annulus_kinetic_integral(
     system = fld.system
     pts = np.asarray(system.points)
     center = complex(pts[puncture_index])
-    ring_r = (
-        0.5 * min(abs(center - pts[j]) for j in range(len(pts)) if j != puncture_index)
-        if len(pts) > 1
-        else 0.5
-    )
     phis = 2 * np.pi * (np.arange(opts.n_phi) + 0.5) / opts.n_phi
     w_phi = 2 * np.pi / opts.n_phi
-    entry = center + ring_r * (fld.basepoint - center) / abs(fld.basepoint - center)
-    y_entry = fld.y_at(entry)
-    ring_y = _march_ring(
-        system, center, ring_r, y_entry, float(np.angle(entry - center)), phis,
-        fld.transport_tol,
-    )
     s_nodes, s_weights = _log_panels(delta, ratio * delta, [], opts)
-    s_desc = np.concatenate(([np.log(ring_r)], s_nodes[np.argsort(-s_nodes)]))
-    y = _march_log_radial(system, center, phis, ring_y, s_desc, opts.h_s)[1:]
-    y = y[np.argsort(np.argsort(-s_nodes))]
+    _, y = _march_ring_and_rays(
+        fld, center, _ring_radius(pts, puncture_index), phis, len(phis), s_nodes
+    )
     z = center + np.exp(s_nodes)[:, None] * np.exp(1j * phis)[None, :]
-    h = np.linalg.inv(y @ np.conj(np.swapaxes(y, -1, -2)))
-    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
-    A = system.A_of(z.ravel()).reshape(z.shape + (system.rank, system.rank))
-    kin, _ = _batched_densities(h.reshape(-1, system.rank, system.rank), A.reshape(-1, system.rank, system.rank))
+    r = system.rank
+    kin, _ = _batched_densities(_metric_of(y.reshape(-1, r, r)), system.A_of(z.ravel()))
     wt = np.broadcast_to((s_weights * np.exp(2 * s_nodes))[:, None] * w_phi, z.shape)
     return float(np.sum(wt.ravel() * kin))
 

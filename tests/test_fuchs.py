@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rhwznw import fuchs, numcore, paths
 
@@ -349,3 +350,149 @@ def test_transport_stack_stiffness_propagates():
     residues = np.array([np.zeros_like(full), full])
     with pytest.raises(fuchs.StiffnessError):
         fuchs.transport_stack(ws.points, residues, [paths.Line(ws.default_basepoint(), 0.0)])
+
+
+def test_transport_stack_stage_on_pole_raises():
+    # at a loose tolerance a step landing on the path's end puts a stage
+    # point on the puncture there; the NaN error must reject the step and
+    # end in StiffnessError, not stall the loop with a NaN step size
+    ws = _n4_rank3_weights()
+    residues = _random_residues(ws, np.random.default_rng(3), 1)
+    with pytest.raises(fuchs.StiffnessError), np.errstate(divide="ignore", invalid="ignore"):
+        fuchs.transport_stack(ws.points, residues, [paths.Line(2j, 0.0)], tol=1e-1)
+
+
+# ---------------------------------------------------------------------------
+# fan paths: one system, B member paths sharing the steps
+
+
+def _n4_rank3_system(seed):
+    ws = _n4_rank3_weights()
+    return fuchs.FuchsianSystem(ws, _random_residues(ws, np.random.default_rng(seed), 1)[0])
+
+
+def _arc_fan(rng, count):
+    # arcs on a circle around the puncture at 0 that clears the others
+    return paths.ArcFan(0.0j, 0.45, 0.7, 0.7 + rng.uniform(-2 * np.pi, 2 * np.pi, count))
+
+
+def _ray_fan(rng, count):
+    # rays out of the puncture at 1.2, each with its own log-radius window
+    phis = rng.uniform(0.0, 2 * np.pi, count)
+    return paths.RayFan(1.2 + 0j, phis, np.log(rng.uniform(0.3, 0.5, count)),
+                        np.log(rng.uniform(1e-3, 0.1, count)))
+
+
+def _member(fan, b):
+    """Member b of a fan as a plain segment: the same path, parametrized anew."""
+    if isinstance(fan, paths.ArcFan):
+        a0, a1 = np.broadcast_arrays(fan.angle0, fan.angle1)
+        return paths.Arc(fan.center, fan.radius, float(a0[b]), float(a1[b]))
+    phi, s0, s1 = (float(x[b]) for x in np.broadcast_arrays(fan.phis, fan.s0, fan.s1))
+    return paths.Line(fan.center + np.exp(s0 + 1j * phi), fan.center + np.exp(s1 + 1j * phi))
+
+
+def _solo(system, segment, tol, start=None):
+    return fuchs.transport(system, [segment], start=start, tol=tol, precheck=False).value
+
+
+@pytest.mark.parametrize("make_fan", [_arc_fan, _ray_fan])
+def test_transport_fan_matches_members(make_fan):
+    system = _n4_rank3_system(21)
+    fan = make_fan(np.random.default_rng(22), 16)
+    start = numcore.random_unitary(np.random.default_rng(23), 3)
+    tol = 1e-10
+    out = fuchs.transport_fan(system.points, system.residues, fan, start, tol=tol)
+    assert out.values.shape == (1, 16, 3, 3)
+    for b in range(16):
+        # the reference runs at tol / 100: on a Line parametrized linearly
+        # into a puncture a solo transport at tol itself carries up to 5 tol
+        # of global error, while the log-radial fan member stays below tol
+        solo = _solo(system, _member(fan, b), tol / 100, start)
+        assert numcore.fro(out.values[0, b] - solo) <= 2 * tol * numcore.fro(solo)
+
+
+def test_transport_fan_stops_match_truncated_transports():
+    system = _n4_rank3_system(31)
+    rng = np.random.default_rng(32)
+    fan = _arc_fan(rng, 3)
+    stops = np.sort(rng.uniform(0.0, 1.0, 40))
+    tol = 1e-10
+    out = fuchs.transport_fan(system.points, system.residues, fan, np.eye(3), stops, tol)
+    assert out.values.shape == (40, 3, 3, 3)
+    for b in range(3):
+        arc = _member(fan, b)
+        for k, t in enumerate(stops):
+            part = paths.Arc(arc.center, arc.radius, arc.angle0,
+                             arc.angle0 + t * (arc.angle1 - arc.angle0))
+            solo = _solo(system, part, tol / 100)
+            assert numcore.fro(out.values[k, b] - solo) <= 2 * tol * numcore.fro(solo)
+
+
+@pytest.mark.parametrize("make_fan", [_arc_fan, _ray_fan])
+def test_transport_fan_stops_keep_step_size(make_fan):
+    # a step clipped to land on a stop must not shrink the steps after it
+    system = _n4_rank3_system(41)
+    fan = make_fan(np.random.default_rng(42), 8)
+    stops = np.sort(np.random.default_rng(43).uniform(0.0, 1.0, 40))
+    stops[-1] = 1.0
+    free = fuchs.transport_fan(system.points, system.residues, fan, np.eye(3))
+    stopped = fuchs.transport_fan(system.points, system.residues, fan, np.eye(3), stops)
+    assert stopped.step_count <= free.step_count + 40 + 5
+
+
+@pytest.mark.parametrize("stops", [[0.5, 0.2], [-0.1, 0.5], [0.5, 1.5]])
+def test_transport_fan_rejects_bad_stops(stops):
+    system = _n4_rank3_system(41)
+    fan = _arc_fan(np.random.default_rng(42), 2)
+    with pytest.raises(ValueError):
+        fuchs.transport_fan(system.points, system.residues, fan, np.eye(3), stops)
+
+
+def test_transport_fan_stiffness_propagates():
+    system = _n4_rank3_system(3)
+    # the second ray runs from -0.5 into the puncture at 0
+    fan = paths.RayFan(-1.0 + 0j, np.array([np.pi / 2, 0.0]), np.log(0.5), 0.0)
+    with pytest.raises(fuchs.StiffnessError):
+        fuchs.transport_fan(system.points, system.residues, fan, np.eye(3))
+
+
+def _admissible_n4_rank3(rng):
+    """Random weights of n = 4, rank 3 with an integer degree in the stable
+    range, and random residues with those spectra."""
+    while True:
+        w = np.sort(rng.uniform(0.05, 0.95, size=(4, 3)), axis=1)
+        total = w.sum() - w[3, 2]
+        w[3, 2] = np.ceil(total + w[3, 1] + 0.02) - total
+        try:
+            ws = fuchs.build_weight_system(rng.uniform(-1.5, 1.5, 3) + 0j, w)
+        except ValueError:  # last weight outside (w[3, 1], 1), or unstable
+            continue
+        if ws.min_pairwise_distance() > 0.4:
+            return fuchs.FuchsianSystem(ws, _random_residues(ws, rng, 1)[0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_transport_fan_det_identity_property(seed):
+    # log det Y_end - log det Y_start = -sum_i tr(A_i) dlog(z - z_i) on every
+    # member, with dlog taken on that member's own path
+    rng = np.random.default_rng(seed)
+    system = _admissible_n4_rank3(rng)
+    pts = system.points
+    i = int(rng.integers(3))
+    radius = 0.45 * min(abs(pts[i] - pts[j]) for j in range(3) if j != i)
+    phis = rng.uniform(0.0, 2 * np.pi, 6)
+    fans = [
+        paths.ArcFan(pts[i], radius, phis, phis + rng.uniform(-2 * np.pi, 2 * np.pi, 6)),
+        paths.RayFan(pts[i], phis, np.log(radius), np.log(radius * rng.uniform(1e-3, 0.5, 6))),
+    ]
+    start = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
+    traces = np.trace(system.residues, axis1=-2, axis2=-1)
+    for fan in fans:
+        out = fuchs.transport_fan(pts, system.residues, fan, start)
+        for b in range(6):
+            logs = np.array([paths.path_log_increment([_member(fan, b)], complex(w)) for w in pts])
+            expected = np.linalg.det(start) * np.exp(-np.sum(traces * logs))
+            got = np.linalg.det(out.values[-1, b])
+            assert abs(got - expected) <= 1e-8 * abs(expected)

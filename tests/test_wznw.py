@@ -315,3 +315,49 @@ def test_cholesky_exponents_at_infinity(rank2_field, rank2_weights):
     expected = [-2 * (alpha_n[2 - 1 - j] + m[j]) for j in range(2)]
     got = np.log(a) / np.log(abs(zbig))
     assert np.max(np.abs(got - expected)) < 1e-2
+
+
+def _kink_angles_loop(points, i, r_out, samples=4096):
+    """The one-kink-at-a-time bisection that wznw._kink_angles vectorizes."""
+    bounds = wznw._patch_constraints(points, i, r_out)
+    phis = 2 * np.pi * np.arange(samples) / samples
+    active = np.argmin(bounds(phis), axis=0)
+    kinks = []
+    for k in range(samples):
+        if active[k] == active[(k + 1) % samples]:
+            continue
+        lo, hi = phis[k], phis[k] + 2 * np.pi / samples
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if np.argmin(bounds(np.array([mid]))[:, 0]) == active[k]:
+                lo = mid
+            else:
+                hi = mid
+        kinks.append(0.5 * (lo + hi))
+    return np.asarray(sorted(k % (2 * np.pi) for k in kinks))
+
+
+@pytest.mark.parametrize(
+    "points", [[0.0, 1.0], [-1.3, 0.0, 1.0], [-1.0, 0.3 + 0.8j, 1.2 - 0.1j, 0.2 - 1.1j]]
+)
+def test_kink_angles_match_loop_bisection(points):
+    pts = np.asarray(points, dtype=complex)
+    r_out = 2.0 * float(np.max(np.abs(pts))) + 2.0
+    for i in range(len(pts)):
+        got = wznw._kink_angles(pts, i, r_out)
+        want = _kink_angles_loop(pts, i, r_out)
+        assert len(got) > 0
+        assert np.array_equal(got, want)
+
+
+def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
+    # the fan marches reach the same quadrature nodes as the fixed-step RK4
+    # marches and the per-angle ring transports they replaced, and the
+    # action on the closed-form fixture residues stays where those put it
+    fld = wznw.make_metric_field(rank2_oracle_system, rank2_target)
+    act = wznw.action_regularized(fld)
+    assert abs(act.value / 0.0269422054119 - 1) <= 1e-8
+    assert act.imag_residual <= 1e-8
+    deltas = (0.1, 0.05, 0.025, 0.0125)
+    web = wznw.TransportWeb(fld, min(deltas), deltas, wznw.QuadratureOptions())
+    assert sum(len(region.z) for region in web.regions) == 29440
