@@ -16,7 +16,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,9 +74,9 @@ class ProblemConfig:
     conjugators: list[np.ndarray] | None = None
     residues: np.ndarray | None = None
     solver: rhsolve.SolveOptions = field(default_factory=rhsolve.SolveOptions)
-    delta_schedule: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
-    n_phi: int = 192
-    gl_order: int = 8
+    delta_schedule: tuple[float, ...] = wznw.DELTA_SCHEDULE
+    n_phi: int = wznw.QuadratureOptions.n_phi
+    gl_order: int = wznw.QuadratureOptions.gl_order
 
     def weight_system(self) -> fuchs.WeightSystem:
         return fuchs.build_weight_system(self.points, self.weights, self.degree)
@@ -139,18 +139,19 @@ class ProblemConfig:
             cfg.residues = np.asarray(
                 [_matrix_from_json(a, f"residues[{i}]") for i, a in enumerate(data["residues"])]
             )
-        sol = data.get("solver", {})
+        # absent fields keep the defaults cfg was built with
+        sol, d = data.get("solver", {}), cfg.solver
         cfg.solver = rhsolve.SolveOptions(
-            tol=float(sol.get("tol", 1e-6)),
-            max_iter=int(sol.get("max_iter", 200)),
-            restarts=int(sol.get("restarts", 10)),
-            seed=int(sol.get("seed", 0)),
-            transport_tol=float(sol.get("transport_tol", 1e-9)),
+            tol=float(sol.get("tol", d.tol)),
+            max_iter=int(sol.get("max_iter", d.max_iter)),
+            restarts=int(sol.get("restarts", d.restarts)),
+            seed=int(sol.get("seed", d.seed)),
+            transport_tol=float(sol.get("transport_tol", d.transport_tol)),
         )
         act = data.get("action", {})
-        cfg.delta_schedule = tuple(float(d) for d in act.get("delta_schedule", (0.1, 0.05, 0.025, 0.0125)))
-        cfg.n_phi = int(act.get("n_phi", 192))
-        cfg.gl_order = int(act.get("gl_order", 8))
+        cfg.delta_schedule = tuple(float(x) for x in act.get("delta_schedule", cfg.delta_schedule))
+        cfg.n_phi = int(act.get("n_phi", cfg.n_phi))
+        cfg.gl_order = int(act.get("gl_order", cfg.gl_order))
         return cfg
 
 
@@ -273,18 +274,7 @@ def cmd_rhsolve(cfg: ProblemConfig, out_dir: Path) -> int:
         "message": report.message,
     }
     _write_json(out_dir, "result.json", _record(cfg, "rhsolve", payload))
-    res_cfg = ProblemConfig(
-        points=cfg.points,
-        weights=cfg.weights,
-        degree=cfg.degree,
-        conjugators=cfg.conjugators,
-        residues=system.residues,
-        solver=cfg.solver,
-        delta_schedule=cfg.delta_schedule,
-        n_phi=cfg.n_phi,
-        gl_order=cfg.gl_order,
-    )
-    save_config(res_cfg, out_dir / "residues.json")
+    save_config(replace(cfg, residues=system.residues), out_dir / "residues.json")
     return EXIT_OK if report.success else EXIT_NO_CONVERGENCE
 
 
@@ -526,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override solver seed")
         p.add_argument("--tol", type=float, default=None, help="override solver tolerance")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="accepted for interface compatibility; execution is serial")
     v = sub.add_parser("verify", help="run a property-check suite")
     v.add_argument("suite", help=f"one of {sorted(SUITES)}")
     v.add_argument("--seed", type=int, default=0)

@@ -17,6 +17,17 @@ Orientation conventions (documented once, used everywhere):
   through the basepoint (no inversion: seen from infinity that circle is
   already the inverted loop).
 
+One loop set (:class:`MonodromyLoops`: the puncture loops and the big
+circle, clearance-checked once) serves every monodromy evaluation, one
+stacked kernel call per loop; :func:`monodromy_rep` is it with one member.
+One gauge alignment (:func:`align_tuple_to_target`) brings a computed tuple
+to a normalized target: conjugate by the ordered eigenbasis of the last
+generator, balance over the positive diagonal group (Osborne sweeps; away
+from a solution the tuple is only conjugate to a unitary one, and balancing
+lands on the unitary gauge when one exists), then align the diagonal torus
+by coordinate ascent from several starts.  :func:`rep_distance` is the
+mismatch it leaves.
+
 Transport has one integrator, an adaptive Dormand-Prince 5(4) loop over a
 stack of B members, with the coefficients -A(z(t)) z'(t) of every member
 at all stage points of a step from one product and each stage one product
@@ -604,35 +615,44 @@ def transport_fan(
     return StackTransport(values=values, step_count=stats["steps"], error_estimates=stats["err"])
 
 
+# paths keep this fraction of the minimal pairwise puncture distance away
+# from every puncture
+CLEARANCE = 0.05
+
+
+def check_clearance(weights: WeightSystem, path: list[paths.Segment]) -> None:
+    """Raise ProximityError when the path comes within CLEARANCE times the
+    minimal pairwise puncture distance of a puncture."""
+    r_min = CLEARANCE * weights.min_pairwise_distance()
+    for w in weights.points:
+        d = paths.path_min_distance(path, complex(w))
+        if d < r_min:
+            raise paths.ProximityError(
+                f"path comes within {d:.3e} of puncture {w} (limit {r_min:.3e})"
+            )
+
+
 def transport(
     system: FuchsianSystem,
     path: list[paths.Segment],
     start: np.ndarray | None = None,
     tol: float = 1e-10,
-    r_min: float | None = None,
     check_det: bool = True,
     precheck: bool = True,
 ) -> TransportResult:
     """Parallel transport of dY/dz = -A(z) Y along a piecewise path.
 
     The stacked kernel of :func:`transport_stack` with a single member.
-    The path must keep distance r_min (default: 5% of the minimal pairwise
-    puncture distance) from every puncture.  The determinant identity
+    With precheck the path must pass :func:`check_clearance`.  The
+    determinant identity
     log det Y_end - log det Y_start = -sum_i tr(A_i) * Delta log(z - z_i)
     is evaluated exactly from the path geometry and reported as a residual
-    (skipped when check_det is false, e.g. in optimizer inner loops).
+    (skipped when check_det is false).
     """
     r = system.rank
     y = np.eye(r, dtype=complex) if start is None else as_cmatrix(start, "start")
     if precheck:
-        if r_min is None:
-            r_min = 0.05 * system.weights.min_pairwise_distance()
-        for w in system.points:
-            d = paths.path_min_distance(path, complex(w))
-            if d < r_min:
-                raise paths.ProximityError(
-                    f"path comes within {d:.3e} of puncture {w} (limit {r_min:.3e})"
-                )
+        check_clearance(system.weights, path)
 
     out = transport_stack(system.points, system.residues[None], path, y[None], tol)
     value = out.values[0]
@@ -690,6 +710,37 @@ def big_circle_loop(weights: WeightSystem, basepoint: complex) -> list[paths.Seg
     return [paths.circle(0.0, radius, ang, ccw=True)]
 
 
+class MonodromyLoops:
+    """The monodromy loops of a weight system, built once and checked once.
+
+    The n-1 counterclockwise puncture loops and the big circle, all through
+    one basepoint (default: WeightSystem.default_basepoint); each loop
+    passes check_clearance when the set is built.
+    """
+
+    def __init__(self, weights: WeightSystem, basepoint: complex | None = None):
+        self.weights = weights
+        self.z0 = weights.default_basepoint() if basepoint is None else complex(basepoint)
+        self.loops = [
+            puncture_loop(weights, i, self.z0, ccw=True) for i in range(weights.n - 1)
+        ] + [big_circle_loop(weights, self.z0)]
+        for loop in self.loops:
+            check_clearance(weights, loop)
+
+    def monodromy(self, residues: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Raw loop transports and representation generators, (B, n, r, r)
+        each, of a (B, n-1, r, r) residue stack: one transport_stack call per
+        loop, then the puncture-loop transports inverted (module docstring)."""
+        points = self.weights.points
+        raw = np.stack(
+            [transport_stack(points, residues, loop, tol=tol).values for loop in self.loops],
+            axis=1,
+        )
+        gens = raw.copy()
+        gens[:, :-1] = np.linalg.inv(raw[:, :-1])
+        return raw, gens
+
+
 @dataclass
 class MonodromyResult:
     generators: list[np.ndarray]      # representation convention, product = I
@@ -706,24 +757,15 @@ def monodromy_rep(
 ) -> MonodromyResult:
     """Representation generators of the system's monodromy.
 
-    Generators are inverted counterclockwise loop transports (see module
-    docstring); the last generator is the big-circle transport.  The
-    relation residual multiplies the generators with the finite punctures
-    taken in order of increasing real part and is a genuine check because
-    the big circle is integrated independently.
+    The loops of :class:`MonodromyLoops` with one member.  The relation
+    residual multiplies the generators with the finite punctures taken in
+    order of increasing real part and is a genuine check because the big
+    circle is integrated independently.
     """
     ws = system.weights
-    z0 = ws.default_basepoint() if basepoint is None else complex(basepoint)
-    n = ws.n
-    transports = []
-    gens = []
-    for i in range(n - 1):
-        res = transport(system, puncture_loop(ws, i, z0, ccw=True), tol=tol)
-        transports.append(res.value)
-        gens.append(np.linalg.inv(res.value))
-    big = transport(system, big_circle_loop(ws, z0), tol=tol)
-    transports.append(big.value)
-    gens.append(big.value)
+    loops = MonodromyLoops(ws, basepoint)
+    raw, gens = loops.monodromy(system.residues[None], tol)
+    transports, gens = raw[0], gens[0]
 
     order = np.lexsort((ws.points.imag, ws.points.real))
     prod = np.eye(ws.rank, dtype=complex)
@@ -732,25 +774,38 @@ def monodromy_rep(
     prod = prod @ gens[-1]
     residual = fro(prod - np.eye(ws.rank))
     return MonodromyResult(
-        generators=gens,
-        loop_transports=transports,
+        generators=list(gens),
+        loop_transports=list(transports),
         relation_residual=float(residual),
-        basepoint=z0,
+        basepoint=loops.z0,
         order=order,
     )
 
 
 # ---------------------------------------------------------------------------
-# gauge distance between normalized tuples
+# gauge alignment
 
 
-def _alignment_data(a: list[np.ndarray], b: list[np.ndarray]):
-    c = np.zeros_like(a[0])
-    const = 0.0
-    for ma, mb in zip(a, b):
-        c = c + ma * np.conj(mb)
-        const += fro(ma) ** 2 + fro(mb) ** 2
-    return c, const
+def _balance_positive_diagonal(mats: list[np.ndarray], sweeps: int = 200) -> np.ndarray:
+    """Positive diagonal D minimizing sum ||D M D^{-1}||_F^2 (Osborne sweeps)."""
+    r = mats[0].shape[0]
+    lam = np.zeros(r)
+    sq = sum(np.abs(m) ** 2 for m in mats)
+    for _ in range(sweeps):
+        moved = 0.0
+        for j in range(r):
+            ej = np.exp(-2 * lam)
+            row = float(np.sum(np.delete(sq[j, :] * ej, j)))
+            col = float(np.sum(np.delete(sq[:, j] * np.exp(2 * lam), j)))
+            if row <= 0 or col <= 0:
+                continue
+            new = 0.25 * np.log(col / row)
+            moved = max(moved, abs(new - lam[j]))
+            lam[j] = new
+        lam -= lam.mean()
+        if moved < 1e-14:
+            break
+    return np.exp(lam)
 
 
 def _torus_objective(theta: np.ndarray, c: np.ndarray) -> float:
@@ -775,63 +830,58 @@ def _coordinate_ascent(theta: np.ndarray, c: np.ndarray, sweeps: int = 60) -> np
     return theta
 
 
-def rep_distance(a: AdmissibleRep, b: AdmissibleRep, starts: int = 8) -> float:
-    """Gauge-invariant distance between normalized tuples.
+@dataclass
+class TupleAlignment:
+    generators: list[np.ndarray]
+    conjugator: np.ndarray  # W with computed_i = W aligned_i W^{-1}
+    mismatch: float         # sum_i ||aligned_i - target_i||_F^2
 
-    Minimizes sum_i ||g M_i g^{-1} - M'_i||_F^2 over diagonal unitary g
-    (the residual gauge of a normalized tuple with distinct infinity
-    phases) by closed-form single-angle updates from several deterministic
-    starts.  Falls back to a full U(r) minimization when the infinity
-    phases are degenerate.
+
+def align_tuple_to_target(computed: list[np.ndarray], target: AdmissibleRep) -> TupleAlignment:
+    """Conjugate a computed tuple as close as possible to the target tuple."""
+    r = target.rank
+    targets_last = np.exp(TWO_PI_I * target.weights.weights[-1])
+    lam, v = np.linalg.eig(computed[-1])
+    perm, _ = _match_to_targets(lam, targets_last)
+    v = v[:, perm]
+    v = v / np.linalg.norm(v, axis=0, keepdims=True)
+    vinv = np.linalg.inv(v)
+    gens = [vinv @ m @ v for m in computed]
+
+    d = _balance_positive_diagonal(gens)
+    dmat, dinv = np.diag(d), np.diag(1.0 / d)
+    gens = [dmat @ m @ dinv for m in gens]
+
+    # maximize Re sum_i <g M_i g^*, T_i> over the diagonal torus g = diag(e^{i theta})
+    c = np.zeros_like(gens[0])
+    for m, t in zip(gens, target.generators):
+        c = c + m * np.conj(t)
+    theta = _coordinate_ascent(np.zeros(r), c)
+    best_val = _torus_objective(theta, c)
+    rng = np.random.default_rng(2024)
+    for _ in range(6):
+        cand = _coordinate_ascent(rng.uniform(0, 2 * np.pi, r), c)
+        val = _torus_objective(cand, c)
+        if val > best_val:
+            theta, best_val = cand, val
+    g = np.diag(np.exp(1j * theta))
+    gens = [g @ m @ g.conj().T for m in gens]
+    mismatch = sum(fro(a - b) ** 2 for a, b in zip(gens, target.generators))
+    conj = v @ np.diag(1.0 / d) @ np.diag(np.exp(-1j * theta))
+    return TupleAlignment(generators=gens, conjugator=conj, mismatch=float(mismatch))
+
+
+def rep_distance(a: AdmissibleRep, b: AdmissibleRep) -> float:
+    """Squared gauge distance between normalized tuples: the mismatch of
+    a aligned to b by :func:`align_tuple_to_target`.
+
+    The residual gauge of a normalized tuple is the diagonal torus only
+    when the infinity phases are distinct; repeated phases raise
+    ValueError (their exponents at infinity are resonant anyway).
     """
     if a.weights.weights.shape != b.weights.weights.shape:
         raise ValueError("weight data must match")
     gaps = np.diff(np.sort(a.weights.weights[-1]))
     if a.rank > 1 and np.min(gaps) < 1e-8:
-        warnings.warn("repeated infinity phases: falling back to full U(r) search")
-        return _rep_distance_full_unitary(a, b)
-    c, const = _alignment_data(a.generators, b.generators)
-    r = a.rank
-    best = -np.inf
-    rng = np.random.default_rng(12345)
-    starts_list = [np.zeros(r)] + [rng.uniform(0, 2 * np.pi, size=r) for _ in range(starts)]
-    for theta0 in starts_list:
-        theta = _coordinate_ascent(theta0.copy(), c)
-        best = max(best, _torus_objective(theta, c))
-    return max(const - 2.0 * best, 0.0)
-
-
-def _rep_distance_full_unitary(a: AdmissibleRep, b: AdmissibleRep) -> float:
-    import scipy.optimize
-
-    r = a.rank
-
-    def unpack(x):
-        H = np.zeros((r, r), dtype=complex)
-        idx = 0
-        for i in range(r):
-            H[i, i] = x[idx]
-            idx += 1
-        for i in range(r):
-            for j in range(i + 1, r):
-                H[i, j] = x[idx] + 1j * x[idx + 1]
-                H[j, i] = x[idx] - 1j * x[idx + 1]
-                idx += 2
-        import scipy.linalg
-
-        return scipy.linalg.expm(1j * H)
-
-    def cost(x):
-        U = unpack(x)
-        return sum(
-            fro(U @ ma @ U.conj().T - mb) ** 2 for ma, mb in zip(a.generators, b.generators)
-        )
-
-    dim = r * r
-    best = np.inf
-    rng = np.random.default_rng(777)
-    for trial in range(6):
-        x0 = np.zeros(dim) if trial == 0 else rng.uniform(-np.pi, np.pi, size=dim)
-        res = scipy.optimize.minimize(cost, x0, method="BFGS", options={"maxiter": 400})
-        best = min(best, float(res.fun))
-    return max(best, 0.0)
+        raise ValueError("repeated infinity phases: the residual gauge is not a torus")
+    return align_tuple_to_target(a.generators, b).mismatch

@@ -269,7 +269,7 @@ def action_surface(
     grid: list[complex],
     solve_opts: rhsolve.SolveOptions | None = None,
     quad_opts: wznw.QuadratureOptions | None = None,
-    delta_schedule: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125),
+    delta_schedule: tuple[float, ...] = wznw.DELTA_SCHEDULE,
     warm_start: bool = True,
 ) -> list[SurfacePoint]:
     """Regularized action at every grid member, warm-starting along the grid.

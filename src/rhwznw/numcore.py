@@ -1,10 +1,11 @@
-"""Dense complex small-matrix kernel.
+"""Dense complex small-matrix helpers.
 
 Everything in this package works with explicit dense complex matrices of
-size r <= 8 (ranks of interest are r <= 4).  This module collects the few
-primitives that need care beyond plain numpy calls: deterministic small
-eigendecompositions, the principal matrix logarithm with branch-cut
-checking, and Hermitian positive-definite validation.
+small size (ranks of interest are r <= 4).  This module collects the few
+helpers shared across modules: input coercion, the Frobenius norm,
+deterministically ordered eigenvalues, Hermitian positive-definite
+validation, random unitary and HPD samples, and the NumericalError base
+class.
 
 Tolerances are relative to the Frobenius norm throughout; the master
 default is ``DEFAULT_TOL = 1e-10``.
@@ -13,22 +14,12 @@ default is ``DEFAULT_TOL = 1e-10``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_TOL = 1e-10
-MAX_DIM = 8
 
 
 class NumericalError(RuntimeError):
     """Raised when a kernel routine cannot meet its accuracy contract."""
-
-
-class DefectiveMatrixError(NumericalError):
-    """Eigenvector basis too ill-conditioned to trust."""
-
-
-class BranchCutError(NumericalError):
-    """Eigenvalue on (or too close to) the closed negative real axis."""
 
 
 class NotPositiveDefiniteError(NumericalError):
@@ -69,78 +60,10 @@ def check_hermitian_pd(h, tol: float = 1e-12) -> np.ndarray:
     return h
 
 
-def eig_small(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a small square matrix with deterministic order.
-
-    Returns ``(lam, V)`` with ``m @ V ~= V @ diag(lam)``.  Eigenvalues are
-    sorted lexicographically by (real, imag) and each eigenvector column is
-    scaled so its largest-modulus entry is real positive, which makes the
-    output reproducible across runs.
-    """
-    m = as_cmatrix(m)
-    r = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("m must be square")
-    if r > MAX_DIM:
-        raise ValueError(f"dimension {r} exceeds supported maximum {MAX_DIM}")
-    lam, V = np.linalg.eig(m)
-    order = np.lexsort((lam.imag, lam.real))
-    lam, V = lam[order], V[:, order]
-    # deterministic column phases
-    for j in range(r):
-        k = int(np.argmax(np.abs(V[:, j])))
-        piv = V[k, j]
-        V[:, j] = V[:, j] / (piv / abs(piv))
-        V[:, j] /= np.linalg.norm(V[:, j])
-    scale = max(fro(m), 1.0)
-    cond = np.linalg.cond(V)
-    if cond > 1e12:
-        raise DefectiveMatrixError(
-            f"eigenvector condition number {cond:.2e}; matrix is numerically defective"
-        )
-    resid = fro(m @ V - V @ np.diag(lam))
-    if resid > 1e-10 * scale * max(cond, 1.0):
-        raise NumericalError(f"eigendecomposition residual {resid:.2e} too large")
-    return lam, V
-
-
 def sorted_eigvals(m) -> np.ndarray:
     """Eigenvalues only, in the deterministic (real, imag) lexicographic order."""
     lam = np.linalg.eigvals(as_cmatrix(m))
     return lam[np.lexsort((lam.imag, lam.real))]
-
-
-def mat_log_principal(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal matrix logarithm.
-
-    Requires all eigenvalues off the closed negative real axis; the result
-    has spectrum with imaginary parts in (-pi, pi) and satisfies
-    ``expm(result) ~= m`` to ``tol`` relative.
-    """
-    m = as_cmatrix(m)
-    lam = np.linalg.eigvals(m)
-    if np.any(np.abs(lam) < 1e-14):
-        raise BranchCutError("matrix is singular; logarithm undefined")
-    # distance of arg from pi, relative margin against the cut
-    margin = np.min(np.abs(np.pi - np.abs(np.angle(lam))))
-    if margin < 1e-9:
-        raise BranchCutError(
-            f"eigenvalue within {margin:.2e} of the negative real axis"
-        )
-    out = scipy.linalg.logm(m)
-    back = scipy.linalg.expm(out)
-    err = fro(back - m) / max(fro(m), 1e-300)
-    if err > tol:
-        raise NumericalError(f"exp(log m) residual {err:.2e} exceeds {tol:.2e}")
-    return out
-
-
-def mat_exp(m) -> np.ndarray:
-    return scipy.linalg.expm(as_cmatrix(m))
-
-
-def solve_upper_triangular(u, b) -> np.ndarray:
-    return scipy.linalg.solve_triangular(u, b, lower=False)
 
 
 def random_unitary(rng: np.random.Generator, r: int) -> np.ndarray:

@@ -11,12 +11,9 @@ splitting type.  Residuals are evaluated for stacks of chart points: the
 central-difference Jacobian of one LM iteration is a single stack of
 2 dim points, transported with one kernel call per monodromy loop.
 
-Gauge alignment of a computed tuple proceeds in three steps: conjugate by
-the (ordered) eigenbasis of the last generator, balance the tuple over
-the positive diagonal group (Osborne sweeps in Frobenius norm - away
-from the solution the tuple is only conjugate to a unitary one, and
-balancing lands on the unitary gauge when one exists), then align the
-remaining diagonal-unitary freedom in closed form.
+The monodromy loops and the gauge alignment live in fuchs (MonodromyLoops,
+align_tuple_to_target).  A restart's final residual is the squared norm of
+the generator block of its last LM residual: nothing is transported again.
 """
 
 from __future__ import annotations
@@ -28,6 +25,8 @@ import numpy as np
 import scipy.linalg
 
 from . import factor, fuchs, paths
+# called by this name, so that a wrapper of rhsolve.align_tuple_to_target sees every call
+from .fuchs import align_tuple_to_target
 from .numcore import NumericalError, fro
 
 
@@ -101,106 +100,14 @@ def parametrization_from_system(system: fuchs.FuchsianSystem) -> ResidueParametr
 
 
 # ---------------------------------------------------------------------------
-# gauge alignment
-
-
-def _balance_positive_diagonal(mats: list[np.ndarray], sweeps: int = 200) -> np.ndarray:
-    """Positive diagonal D minimizing sum ||D M D^{-1}||_F^2 (Osborne sweeps)."""
-    r = mats[0].shape[0]
-    lam = np.zeros(r)
-    sq = sum(np.abs(m) ** 2 for m in mats)
-    for _ in range(sweeps):
-        moved = 0.0
-        for j in range(r):
-            ej = np.exp(-2 * lam)
-            row = float(np.sum(np.delete(sq[j, :] * ej, j)))
-            col = float(np.sum(np.delete(sq[:, j] * np.exp(2 * lam), j)))
-            if row <= 0 or col <= 0:
-                continue
-            new = 0.25 * np.log(col / row)
-            moved = max(moved, abs(new - lam[j]))
-            lam[j] = new
-        lam -= lam.mean()
-        if moved < 1e-14:
-            break
-    return np.exp(lam)
-
-
-@dataclass
-class TupleAlignment:
-    generators: list[np.ndarray]
-    conjugator: np.ndarray  # W with computed_i = W aligned_i W^{-1}
-    mismatch: float
-
-
-def align_tuple_to_target(
-    computed: list[np.ndarray], target: fuchs.AdmissibleRep
-) -> TupleAlignment:
-    """Conjugate a computed tuple as close as possible to the target tuple."""
-    r = target.rank
-    targets_last = np.exp(fuchs.TWO_PI_I * target.weights.weights[-1])
-    lam, v = np.linalg.eig(computed[-1])
-    perm, _ = fuchs._match_to_targets(lam, targets_last)
-    v = v[:, perm]
-    v = v / np.linalg.norm(v, axis=0, keepdims=True)
-    vinv = np.linalg.inv(v)
-    gens = [vinv @ m @ v for m in computed]
-
-    d = _balance_positive_diagonal(gens)
-    dmat, dinv = np.diag(d), np.diag(1.0 / d)
-    gens = [dmat @ m @ dinv for m in gens]
-
-    c, _ = fuchs._alignment_data(gens, target.generators)
-    theta = fuchs._coordinate_ascent(np.zeros(r), c)
-    best_val = fuchs._torus_objective(theta, c)
-    rng = np.random.default_rng(2024)
-    for _ in range(6):
-        cand = fuchs._coordinate_ascent(rng.uniform(0, 2 * np.pi, r), c)
-        val = fuchs._torus_objective(cand, c)
-        if val > best_val:
-            theta, best_val = cand, val
-    g = np.diag(np.exp(1j * theta))
-    gens = [g @ m @ g.conj().T for m in gens]
-    mismatch = sum(fro(a - b) ** 2 for a, b in zip(gens, target.generators))
-    conj = v @ np.diag(1.0 / d) @ np.diag(np.exp(-1j * theta))
-    return TupleAlignment(generators=gens, conjugator=conj, mismatch=float(mismatch))
-
-
-# ---------------------------------------------------------------------------
 # residual
-
-
-class _MonodromyProblem:
-    """Precomputed loop geometry for repeated monodromy evaluations."""
-
-    def __init__(self, weights: fuchs.WeightSystem, basepoint: complex | None = None):
-        self.weights = weights
-        self.z0 = weights.default_basepoint() if basepoint is None else complex(basepoint)
-        self.loops = [
-            fuchs.puncture_loop(weights, i, self.z0, ccw=True)
-            for i in range(weights.n - 1)
-        ] + [fuchs.big_circle_loop(weights, self.z0)]
-
-    def generators(self, residues: np.ndarray, tol: float) -> np.ndarray:
-        """Generators (B, n, r, r) of a (B, n-1, r, r) residue stack.
-
-        One stacked transport per loop; the puncture-loop transports are
-        inverted, the big circle is kept as it is (see fuchs).
-        """
-        points = self.weights.points
-        gens = [
-            fuchs.transport_stack(points, residues, loop, tol=tol).values
-            for loop in self.loops
-        ]
-        gens[:-1] = [np.linalg.inv(g) for g in gens[:-1]]
-        return np.stack(gens, axis=1)
 
 
 def residual_stack(
     parm: ResidueParametrization,
     xs: np.ndarray,
     target: fuchs.AdmissibleRep,
-    problem: _MonodromyProblem | None = None,
+    problem: fuchs.MonodromyLoops | None = None,
     transport_tol: float = 1e-9,
     infinity_weight: float = 10.0,
 ) -> np.ndarray:
@@ -211,9 +118,9 @@ def residual_stack(
     infinity spectrum.
     """
     if problem is None:
-        problem = _MonodromyProblem(parm.weights)
+        problem = fuchs.MonodromyLoops(parm.weights)
     residues = np.array([parm.residues(x) for x in np.asarray(xs, dtype=float)])
-    gens = problem.generators(residues, transport_tol)
+    _, gens = problem.monodromy(residues, transport_tol)
     aligned = np.array(
         [align_tuple_to_target(list(g), target).generators for g in gens]
     )
@@ -233,7 +140,7 @@ def residual_vector(
     parm: ResidueParametrization,
     x: np.ndarray,
     target: fuchs.AdmissibleRep,
-    problem: _MonodromyProblem | None = None,
+    problem: fuchs.MonodromyLoops | None = None,
     transport_tol: float = 1e-9,
     infinity_weight: float = 10.0,
 ) -> np.ndarray:
@@ -282,7 +189,9 @@ def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
     """Small dense LM with central-difference Jacobian and Nielsen damping.
 
     func(x) is the residual at one point; func_stack evaluates a stack of
-    points and builds each iteration's Jacobian in one call.
+    points and builds each iteration's Jacobian in one call.  Returns the
+    final point, its residual and cost, the iteration count and the cost
+    history.
     """
     x = x0.copy()
     f = func(x)
@@ -331,25 +240,7 @@ def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
             break
         if len(history) > 3 and abs(history[-3] - cost) < 1e-16 * (1 + cost):
             break
-    return x, cost, n_iter, history
-
-
-def _computed_rep(
-    parm: ResidueParametrization,
-    x: np.ndarray,
-    target: fuchs.AdmissibleRep,
-    problem: _MonodromyProblem,
-    tol: float,
-) -> tuple[fuchs.AdmissibleRep, TupleAlignment]:
-    system = parm.system(x)
-    gens = problem.generators(system.residues[None], tol)[0]
-    aligned = align_tuple_to_target(list(gens), target)
-    rep = fuchs.AdmissibleRep(
-        weights=parm.weights,
-        generators=aligned.generators,
-        conjugators=[np.eye(parm.weights.rank, dtype=complex)] * parm.weights.n,
-    )
-    return rep, aligned
+    return x, f, cost, n_iter, history
 
 
 def solve(
@@ -361,15 +252,16 @@ def solve(
     """Find residues with the weight spectra whose monodromy matches the target.
 
     Levenberg-Marquardt from deterministic multi-starts; success means the
-    recomputed gauge distance between the solution's monodromy and the
-    target is at most opts.tol.  The returned report carries the
-    large-cell flag from the normalization at infinity.
+    squared gauge distance between the solution's monodromy and the target
+    (the generator block of the last LM residual) is at most opts.tol.  The
+    returned report carries the large-cell flag from the normalization at
+    infinity.
     """
     opts = opts or SolveOptions()
     if not target.is_irreducible():
         raise ReducibleTargetError("target representation is reducible")
     n, r = weights.n, weights.rank
-    problem = _MonodromyProblem(weights)
+    problem = fuchs.MonodromyLoops(weights)
 
     best = None
     rng_master = np.random.default_rng(opts.seed)
@@ -402,12 +294,15 @@ def solve(
 
         x0 = np.zeros(parm.dim)
         if parm.dim == 0:
-            x, cost, iters, history = x0, float(func(x0) @ func(x0)), 0, []
+            x, f, iters, history = x0, func(x0), 0, []
+            cost = float(f @ f)
         else:
-            x, cost, iters, history = _levenberg_marquardt(func, func_stack, x0, opts)
+            x, f, cost, iters, history = _levenberg_marquardt(func, func_stack, x0, opts)
 
-        rep, aligned = _computed_rep(parm, x, target, problem, opts.transport_tol)
-        final = fuchs.rep_distance(rep, target)
+        # the generator block of the residual is aligned - target; the last
+        # 2r entries are the infinity-spectrum penalty
+        gauge = f[: -2 * r]
+        final = float(gauge @ gauge)
         cand = (final, restart, parm, x, iters, history)
         if best is None or cand[0] < best[0]:
             best = cand
@@ -482,7 +377,7 @@ def _coset_flag(G: np.ndarray, splitting: factor.SplittingType) -> bool:
 def normalize_at_infinity(
     system: fuchs.FuchsianSystem,
     target: fuchs.AdmissibleRep,
-    problem: _MonodromyProblem | None = None,
+    problem: fuchs.MonodromyLoops | None = None,
     transport_tol: float = 1e-10,
     radius: float | None = None,
     disagreement_tol: float = 1e-3,
@@ -504,9 +399,9 @@ def normalize_at_infinity(
         raise ResonanceError("infinity exponents have (near) integer differences")
 
     if problem is None:
-        problem = _MonodromyProblem(ws)
-    gens = problem.generators(system.residues[None], transport_tol)[0]
-    aligned = align_tuple_to_target(list(gens), target)
+        problem = fuchs.MonodromyLoops(ws)
+    _, gens = problem.monodromy(system.residues[None], transport_tol)
+    aligned = align_tuple_to_target(list(gens[0]), target)
     W = aligned.conjugator
     z0 = problem.z0
 

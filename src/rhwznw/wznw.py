@@ -277,6 +277,10 @@ def _march_ring_and_rays(
 # quadrature web
 
 
+# the default delta schedule of the action's extrapolation
+DELTA_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
+
+
 @dataclass
 class QuadratureOptions:
     n_phi: int = 192
@@ -530,7 +534,7 @@ def decay_exponent(weights: fuchs.WeightSystem) -> float:
 
 def action_regularized(
     fld: MetricField,
-    delta_schedule: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125),
+    delta_schedule: tuple[float, ...] = DELTA_SCHEDULE,
     opts: QuadratureOptions | None = None,
     fit_tolerance: float = 1e-2,
 ) -> ActionResult:

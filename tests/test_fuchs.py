@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from rhwznw import fuchs, numcore, paths
@@ -258,6 +259,30 @@ def test_rep_distance_torus_grid_oracle(rank2_weights, rank2_target):
         best = min(best, val)
     # polish the grid minimum by golden-section refinement
     assert abs(d - best) <= 1e-4 * (1 + best)
+
+
+def test_rep_distance_small_distance_scales(rank2_target):
+    # conjugating M_1 by expm(eps X) moves the squared distance as eps^2;
+    # the value must keep that scaling far below the norms of the tuples
+    x = np.array([[0.3j, 0.8 + 0.2j], [-0.8 + 0.2j, -0.5j]])
+
+    def dist(eps):
+        g = scipy.linalg.expm(eps * x)
+        gens = list(rank2_target.generators)
+        gens[0] = g @ gens[0] @ np.linalg.inv(g)
+        other = fuchs.AdmissibleRep(rank2_target.weights, gens, rank2_target.conjugators)
+        return fuchs.rep_distance(other, rank2_target)
+
+    assert abs(dist(1e-7) / (1e-4 * dist(1e-5)) - 1) <= 0.01
+
+
+def test_rep_distance_rejects_repeated_infinity_phases(rank2_target):
+    ws = fuchs.build_weight_system(
+        [0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.425 - 5e-10, 0.425 + 5e-10]]
+    )
+    rep = fuchs.AdmissibleRep(ws, rank2_target.generators, rank2_target.conjugators)
+    with pytest.raises(ValueError, match="repeated infinity phases"):
+        fuchs.rep_distance(rep, rep)
 
 
 def test_rank2_rigid_residues_spectra(rank2_oracle_system, rank2_weights):

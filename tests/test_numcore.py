@@ -1,94 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from rhwznw import numcore
-
-
-def companion_roots(m):
-    """Characteristic-polynomial roots through the companion matrix (oracle)."""
-    coeffs = np.poly(m)
-    comp = np.zeros((m.shape[0], m.shape[0]), dtype=complex)
-    comp[0, :] = -coeffs[1:]
-    comp[1:, :-1] = np.eye(m.shape[0] - 1)
-    lam = np.linalg.eigvals(comp)
-    return lam[np.lexsort((lam.imag, lam.real))]
-
-
-def test_eig_diagonal():
-    lam, v = numcore.eig_small(np.diag([1.0, 2.0]))
-    assert np.allclose(lam, [1.0, 2.0])
-    assert np.allclose(v, np.eye(2))
-
-
-def test_eig_symmetric_swap():
-    lam, _ = numcore.eig_small(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(lam, [-1.0, 1.0])
-
-
-def test_eig_matches_companion_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        lam, v = numcore.eig_small(m)
-        assert np.max(np.abs(lam - companion_roots(m))) < 1e-9 * max(numcore.fro(m), 1)
-        recon = v @ np.diag(lam) @ np.linalg.inv(v)
-        assert numcore.fro(recon - m) < 1e-9 * numcore.fro(m)
-
-
-def test_eig_rejects_large_matrices():
-    with pytest.raises(ValueError):
-        numcore.eig_small(np.eye(9))
-
-
-def test_eig_defective():
-    m = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-15]])
-    with pytest.raises(numcore.DefectiveMatrixError):
-        numcore.eig_small(m)
-
-
-def test_log_identity():
-    assert numcore.fro(numcore.mat_log_principal(np.eye(3))) < 1e-12
-
-
-def test_log_scalar_phase():
-    out = numcore.mat_log_principal(np.array([[np.exp(0.5j * np.pi)]]))
-    assert abs(out[0, 0] - 0.5j * np.pi) < 1e-12
-
-
-def test_log_branch_cut_error():
-    with pytest.raises(numcore.BranchCutError):
-        numcore.mat_log_principal(np.diag([-1.0, 2.0]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
-def test_exp_log_roundtrip(seed, r):
-    rng = np.random.default_rng(seed)
-    u = numcore.random_unitary(rng, r)
-    # keep the spectrum off the negative axis by a positive rotation
-    m = u * np.exp(0.2j)
-    try:
-        out = numcore.mat_log_principal(m)
-    except numcore.BranchCutError:
-        return
-    assert numcore.fro(numcore.mat_exp(out) - m) < 1e-10 * numcore.fro(m)
-    assert np.max(np.abs(np.linalg.eigvals(out).imag)) < np.pi
-
-
-def test_exp_log_roundtrip_bulk():
-    rng = np.random.default_rng(11)
-    count = 0
-    while count < 500:
-        r = int(rng.integers(1, 5))
-        m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        m = m + 3.0 * np.eye(r)  # push the spectrum right of the cut
-        lam = np.linalg.eigvals(m)
-        if np.min(np.abs(np.pi - np.abs(np.angle(lam)))) < 1e-2:
-            continue
-        out = numcore.mat_log_principal(m)
-        assert numcore.fro(numcore.mat_exp(out) - m) <= 1e-10 * numcore.fro(m)
-        count += 1
 
 
 def test_hermitian_pd_check():

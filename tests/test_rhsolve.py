@@ -163,7 +163,7 @@ def test_canonical_constant_term_is_antidiagonal(rank2_solved, rank2_target):
 
 def test_stacked_jacobian_matches_columns(rank2_target, rank2_oracle_system):
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
-    problem = rhsolve._MonodromyProblem(parm.weights)
+    problem = fuchs.MonodromyLoops(parm.weights)
     x = 0.05 * np.random.default_rng(4).standard_normal(parm.dim)
     fd_step = 1e-6
 
