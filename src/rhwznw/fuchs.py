@@ -18,8 +18,13 @@ Orientation conventions (documented once, used everywhere):
   already the inverted loop).
 
 One loop set (:class:`MonodromyLoops`: the puncture loops and the big
-circle, clearance-checked once) serves every monodromy evaluation, one
-stacked kernel call per loop; :func:`monodromy_rep` is it with one member.
+circle, clearance-checked once) serves every monodromy evaluation.  Each
+puncture loop is an approach leg P_i from the basepoint, a full circle and
+the approach run back.  The circles of all loops and all systems of a stack
+are one fan call; each approach leg is one stacked call; the return leg is
+never integrated, since its transport is P_i^{-1}, and the raw loop
+transport is assembled as P_i^{-1} C_i P_i from the circle's transport C_i.
+:func:`monodromy_rep` is the loop set with one member.
 One gauge alignment (:func:`align_tuple_to_target`) brings a computed tuple
 to a normalized target: conjugate by the ordered eigenbasis of the last
 generator, balance over the positive diagonal group (Osborne sweeps; away
@@ -41,10 +46,13 @@ callers build the coefficients:
 * :func:`transport_stack`: members with their own residues (B, n-1, r, r)
   on one shared path.  :func:`transport` is this with B = 1; the solver
   stacks the 2 dim perturbed systems of its central-difference Jacobian
-  and transports them in one call per loop.
-* :func:`transport_fan`: one system on a fan of B member paths (arcs of one
-  circle, or log-radial rays with per-member windows), with stops; the
-  action's transport web sweeps its rings and rays this way.
+  and transports them in one call per approach leg.
+* :func:`transport_fan`: one system, or a stack of S systems, on a fan of
+  L member paths (arcs, or log-radial rays with per-member windows; each
+  member may have its own center, and an arc its own radius), with stops;
+  the action's transport web sweeps its rings and rays this way, the loop
+  set runs its circles this way, and the normalization at infinity marches
+  its ray.
 """
 
 from __future__ import annotations
@@ -420,9 +428,9 @@ class TransportResult:
 class StackTransport:
     """Transported values of a stack: systems on one path, or a fan."""
 
-    values: np.ndarray           # (B, r, r); from a fan: (len(stops), B, r, r)
+    values: np.ndarray           # (B, r, r); from a fan: (len(stops), [S,] L, r, r)
     step_count: int              # accepted shared steps
-    error_estimates: np.ndarray  # (B,) accumulated local error per member
+    error_estimates: np.ndarray  # (B,) accumulated local error per member; fan: ([S,] L)
 
 
 # Dormand-Prince 5(4) tableau; row s of _DP_A holds the stage-s weights.
@@ -547,7 +555,8 @@ def _shared_path_coefficients(seg, points, res_t, shape):
 
 
 def _fan_coefficients(fan, points, res_t, shape):
-    """Negated shared residues res_t (n-1, r*r) on a fan: one (T*B, n-1) product."""
+    """Negated residues res_t (n-1, S*r*r) of S systems on a fan of L members:
+    one (T*L, n-1) product, members ordered (L, S)."""
 
     def coefficients(t):
         e = fan.offset(t)  # one evaluation for both z and z'
@@ -555,6 +564,12 @@ def _fan_coefficients(fan, points, res_t, shape):
         return (w.reshape(-1, len(points)) @ res_t).reshape((len(t),) + shape)
 
     return coefficients
+
+
+def _negated_residue_columns(res: np.ndarray) -> np.ndarray:
+    """(B, n-1, r, r) residues as the (n-1, B*r*r) right factor of the
+    coefficient product, negated."""
+    return -np.moveaxis(res, 1, 0).reshape(res.shape[1], -1)
 
 
 def transport_stack(
@@ -573,7 +588,7 @@ def transport_stack(
     """
     res = np.asarray(residues, dtype=complex)
     b, m, r, _ = res.shape
-    res_t = -np.moveaxis(res, 1, 0).reshape(m, -1)
+    res_t = _negated_residue_columns(res)
     if starts is None:
         y = np.broadcast_to(np.eye(r, dtype=complex), (b, r, r)).copy()
     else:
@@ -594,25 +609,37 @@ def transport_fan(
     stops=(1.0,),
     tol: float = 1e-10,
 ) -> StackTransport:
-    """Transport one system along every member path of a fan segment.
+    """Transport systems along every member path of a fan segment.
 
-    residues has shape (n-1, r, r); starts is (B, r, r) or one (r, r) start
-    for every member.  The members share the step sequence and the values
-    are recorded at the increasing stop times in [0, 1]: values has shape
-    (len(stops), B, r, r).  No proximity check is made.
+    residues is one system (n-1, r, r) or a stack of S systems
+    (S, n-1, r, r); every system runs along every one of the L member
+    paths.  starts broadcasts to (L, r, r) for one system and to
+    (S, L, r, r) for a stack.  All S*L members share the step sequence and
+    the values are recorded at the increasing stop times in [0, 1]: values
+    has shape (len(stops), L, r, r) for one system and
+    (len(stops), S, L, r, r) for a stack, error_estimates (L,) or (S, L).
+    No proximity check is made.
     """
     stops = np.asarray(stops, dtype=float)
     if stops.ndim != 1 or np.any(np.diff(stops, prepend=0.0, append=1.0) < 0):
         raise ValueError("stops must be increasing times in [0, 1]")
     res = np.asarray(residues, dtype=complex)
-    m, r, _ = res.shape
-    b = fan.offset(np.zeros(1)).shape[1]
-    y = np.broadcast_to(np.asarray(starts, dtype=complex), (b, r, r)).copy()
-    stats = {"steps": 0, "err": np.zeros(b)}
+    single = res.ndim == 3
+    res = res.reshape((-1,) + res.shape[-3:])
+    s, m, r, _ = res.shape
+    count = fan.point(np.zeros(1)).shape[1]
+    starts = np.broadcast_to(np.asarray(starts, dtype=complex), (s, count, r, r))
+    # the kernel's members run over (L, S): the coefficient product's order
+    y = np.swapaxes(starts, 0, 1).reshape(count * s, r, r).copy()
+    stats = {"steps": 0, "err": np.zeros(count * s)}
     pts = np.asarray(points, dtype=complex)
-    coefficients = _fan_coefficients(fan, pts, -res.reshape(m, -1), y.shape)
+    coefficients = _fan_coefficients(fan, pts, _negated_residue_columns(res), y.shape)
     values = _integrate_stack(coefficients, y, tol, stats, stops)
-    return StackTransport(values=values, step_count=stats["steps"], error_estimates=stats["err"])
+    values = np.swapaxes(values.reshape(len(stops), count, s, r, r), 1, 2)
+    errs = stats["err"].reshape(count, s).T
+    if single:
+        values, errs = values[:, 0], errs[0]
+    return StackTransport(values=values, step_count=stats["steps"], error_estimates=errs)
 
 
 # paths keep this fraction of the minimal pairwise puncture distance away
@@ -685,10 +712,10 @@ def loop_radius(weights: WeightSystem, i: int, basepoint: complex) -> float:
     return 0.5 * min(others)
 
 
-def puncture_loop(
-    weights: WeightSystem, i: int, basepoint: complex, ccw: bool = True
-) -> list[paths.Segment]:
-    """Basepoint loop around puncture i: approach, full circle, return."""
+def _approach_leg(weights: WeightSystem, i: int, basepoint: complex, ccw: bool = True):
+    """The approach leg from the basepoint to the circle around puncture i
+    (a plan_route path around the other punctures' circles) and that full
+    circle, entered where the leg ends."""
     pts = weights.points
     radius = loop_radius(weights, i, basepoint)
     center = complex(pts[i])
@@ -699,45 +726,68 @@ def puncture_loop(
         if j != i
     ]
     approach = paths.plan_route(basepoint, entry, keepouts)
-    ang = float(np.angle(entry - center))
-    loop = approach + [paths.circle(center, radius, ang, ccw=ccw)] + paths.reversed_path(approach)
-    return loop
+    return approach, paths.circle(center, radius, float(np.angle(entry - center)), ccw=ccw)
 
 
-def big_circle_loop(weights: WeightSystem, basepoint: complex) -> list[paths.Segment]:
-    radius = abs(basepoint)
-    ang = float(np.angle(basepoint))
-    return [paths.circle(0.0, radius, ang, ccw=True)]
+def puncture_loop(
+    weights: WeightSystem, i: int, basepoint: complex, ccw: bool = True
+) -> list[paths.Segment]:
+    """Basepoint loop around puncture i: approach, full circle, return."""
+    approach, circle = _approach_leg(weights, i, basepoint, ccw)
+    return approach + [circle] + paths.reversed_path(approach)
 
 
 class MonodromyLoops:
     """The monodromy loops of a weight system, built once and checked once.
 
-    The n-1 counterclockwise puncture loops and the big circle, all through
-    one basepoint (default: WeightSystem.default_basepoint); each loop
-    passes check_clearance when the set is built.
+    Loop i < n-1 runs from the basepoint (default:
+    WeightSystem.default_basepoint) along its approach leg P_i to the
+    circle around puncture i, once around that circle counterclockwise and
+    back along P_i; loop n is the big counterclockwise circle through the
+    basepoint.  Each loop passes check_clearance when the set is built.
+
+    A monodromy evaluation integrates every circle of every system in one
+    transport_fan call (per-member centers and radii, each circle from the
+    identity at its entry point) and each approach leg in one
+    transport_stack call.  The return leg is never integrated: its
+    transport is exactly P_i^{-1}, so the raw loop transport is
+    P_i^{-1} C_i P_i with C_i the circle's transport.
     """
 
     def __init__(self, weights: WeightSystem, basepoint: complex | None = None):
         self.weights = weights
         self.z0 = weights.default_basepoint() if basepoint is None else complex(basepoint)
-        self.loops = [
-            puncture_loop(weights, i, self.z0, ccw=True) for i in range(weights.n - 1)
-        ] + [big_circle_loop(weights, self.z0)]
-        for loop in self.loops:
-            check_clearance(weights, loop)
+        legs = [_approach_leg(weights, i, self.z0) for i in range(weights.n - 1)]
+        self.approaches = [approach for approach, _ in legs]
+        circles = [circle for _, circle in legs]
+        circles.append(paths.circle(0.0, abs(self.z0), float(np.angle(self.z0))))
+        for approach, circle in zip(self.approaches + [[]], circles):
+            check_clearance(weights, approach + [circle])
+        self.circles = paths.ArcFan(
+            center=np.array([c.center for c in circles], dtype=complex),
+            radius=np.array([c.radius for c in circles]),
+            angle0=np.array([c.angle0 for c in circles]),
+            angle1=np.array([c.angle1 for c in circles]),
+        )
 
     def monodromy(self, residues: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Raw loop transports and representation generators, (B, n, r, r)
-        each, of a (B, n-1, r, r) residue stack: one transport_stack call per
-        loop, then the puncture-loop transports inverted (module docstring)."""
+        each, of a (B, n-1, r, r) residue stack: one fan call for all the
+        circles and one transport_stack call per approach leg, then the
+        puncture loops P^{-1} C P and their inverses P^{-1} C^{-1} P as
+        generators (module docstring); the big circle is kept as it is."""
         points = self.weights.points
-        raw = np.stack(
-            [transport_stack(points, residues, loop, tol=tol).values for loop in self.loops],
+        res = np.asarray(residues, dtype=complex)
+        eye = np.eye(self.weights.rank, dtype=complex)
+        circ = transport_fan(points, res, self.circles, eye, tol=tol).values[-1]
+        legs = np.stack(
+            [transport_stack(points, res, approach, tol=tol).values for approach in self.approaches],
             axis=1,
         )
-        gens = raw.copy()
-        gens[:, :-1] = np.linalg.inv(raw[:, :-1])
+        legs_inv = np.linalg.inv(legs)
+        raw, gens = circ.copy(), circ.copy()
+        raw[:, :-1] = legs_inv @ circ[:, :-1] @ legs
+        gens[:, :-1] = legs_inv @ np.linalg.inv(circ[:, :-1]) @ legs
         return raw, gens
 
 

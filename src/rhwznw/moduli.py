@@ -302,7 +302,8 @@ def action_surface(
                 continue
             prev_system = system
             fld = wznw.make_metric_field(
-                system, rep, transport_tol=min(1e-10, solve_opts.transport_tol)
+                system, rep, transport_tol=min(1e-10, solve_opts.transport_tol),
+                normalization=report.normalization,
             )
             act = wznw.action_regularized(fld, delta_schedule, opts=quad_opts)
             out.append(

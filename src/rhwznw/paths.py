@@ -85,7 +85,8 @@ Segment = Line | Arc
 
 class _Fan:
     """B member paths on one t in [0, 1]: point = center + offset(t) and
-    velocity = offset(t) * rate map t (T,) to (T, B)."""
+    velocity = offset(t) * rate map t (T,) to (T, B).  The center is one
+    point for every member or a (B,) array of per-member centers."""
 
     def point(self, t):
         return self.center + self.offset(t)
@@ -96,10 +97,11 @@ class _Fan:
 
 @dataclass(frozen=True)
 class ArcFan(_Fan):
-    """Arcs of one circle, member b sweeping from angle0[b] to angle1[b]."""
+    """Arcs, member b on the circle of center[b] and radius[b] sweeping from
+    angle0[b] to angle1[b]; a scalar center or radius is shared."""
 
-    center: complex
-    radius: float
+    center: complex | np.ndarray  # scalar or (B,)
+    radius: float | np.ndarray    # scalar or (B,)
     angle0: np.ndarray  # (B,) or a scalar shared by every member
     angle1: np.ndarray  # (B,)
 
@@ -114,9 +116,10 @@ class ArcFan(_Fan):
 
 @dataclass(frozen=True)
 class RayFan(_Fan):
-    """Rays center + e^{s + i phis[b]}, member b running from s = s0[b] to s1[b]."""
+    """Rays center[b] + e^{s + i phis[b]}, member b running from s = s0[b]
+    to s1[b]; a scalar center is shared."""
 
-    center: complex
+    center: complex | np.ndarray  # scalar or (B,)
     phis: np.ndarray  # (B,)
     s0: np.ndarray    # (B,) or a scalar shared by every member
     s1: np.ndarray    # (B,) or a scalar shared by every member

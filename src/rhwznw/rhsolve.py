@@ -9,7 +9,8 @@ generators with the target tuple entrywise and adds a 10x-weighted
 penalty on the spectrum of the residue at infinity, which pins the
 splitting type.  Residuals are evaluated for stacks of chart points: the
 central-difference Jacobian of one LM iteration is a single stack of
-2 dim points, transported with one kernel call per monodromy loop.
+2 dim points, transported by the loop set in one fan call for all the
+loop circles and one kernel call per approach leg.
 
 The monodromy loops and the gauge alignment live in fuchs (MonodromyLoops,
 align_tuple_to_target).  A restart's final residual is the squared norm of
@@ -114,7 +115,7 @@ def residual_stack(
     """Residual vectors (B, m) of a (B, dim) stack of chart points.
 
     Residues of every member, then the generators of the whole stack
-    (one kernel call per loop), then per-member gauge alignment and the
+    (MonodromyLoops.monodromy), then per-member gauge alignment and the
     infinity spectrum.
     """
     if problem is None:
@@ -183,6 +184,9 @@ class SolveReport:
     success: bool
     restart_index: int
     message: str = ""
+    # the normalization at infinity of the solution, None when the solve
+    # failed or the normalization raised
+    normalization: NormalizationResult | None = None
 
 
 def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
@@ -254,8 +258,8 @@ def solve(
     Levenberg-Marquardt from deterministic multi-starts; success means the
     squared gauge distance between the solution's monodromy and the target
     (the generator block of the last LM residual) is at most opts.tol.  The
-    returned report carries the large-cell flag from the normalization at
-    infinity.
+    returned report carries the normalization at infinity of a successful
+    solution and its large-cell flag; make_metric_field accepts it as is.
     """
     opts = opts or SolveOptions()
     if not target.is_irreducible():
@@ -314,11 +318,14 @@ def solve(
     final, restart, parm, x, iters, history = best
     system = parm.system(x)
     success = final <= opts.tol
-    large_cell = False
+    norm = None
     if success:
         try:
-            norm = normalize_at_infinity(system, target, problem=problem)
-            large_cell = norm.large_cell_flag
+            # at the tolerance make_metric_field normalizes with, so that a
+            # field built on this solve can take the result as it is
+            norm = normalize_at_infinity(
+                system, target, problem=problem, transport_tol=min(opts.transport_tol, 1e-10)
+            )
         except NumericalError as exc:
             warnings.warn(f"normalization at infinity failed: {exc}")
     report = SolveReport(
@@ -326,10 +333,11 @@ def solve(
         iterations=iters,
         objective_history=history,
         infinity_spectrum_error=system.infinity_spectrum_residual(),
-        large_cell_flag=large_cell,
+        large_cell_flag=norm is not None and norm.large_cell_flag,
         success=success,
         restart_index=restart,
         message="converged" if success else "no restart reached tolerance",
+        normalization=norm,
     )
     return system, report
 
@@ -348,6 +356,9 @@ class NormalizationResult:
     extrapolation_disagreement: float
     right_conjugator: np.ndarray
     left_gauge: np.ndarray
+    # the monodromy generators aligned to the target, W^{-1} M_i W: the
+    # canonical solution's monodromy in the gauge of basepoint_value
+    aligned_generators: list[np.ndarray]
 
 
 def _coset_flag(G: np.ndarray, splitting: factor.SplittingType) -> bool:
@@ -386,10 +397,12 @@ def normalize_at_infinity(
     canonical fundamental solution.
 
     The right conjugator W aligns the monodromy with the target unitary
-    tuple; the constant term G of Y(z) z^{-(N'+W_n)} is then estimated at
-    radii R and 2R on the upward ray through the basepoint and Richardson
-    extrapolated.  When G Pi0-membership in the large-cell coset holds,
-    the solution is left-normalized so the constant term becomes Pi0.
+    tuple (the aligned generators W^{-1} M_i W are kept); the constant term
+    G of Y(z) z^{-(N'+W_n)} is then estimated at radii R, 2R and 4R, the
+    three stops of one log-radial ray march (transport_fan) outward from
+    the basepoint, and Richardson extrapolated.  When G Pi0-membership in
+    the large-cell coset holds, the solution is left-normalized so the
+    constant term becomes Pi0.
     """
     ws = system.weights
     diffs = ws.infinity_exponents[:, None] - ws.infinity_exponents[None, :]
@@ -407,18 +420,21 @@ def normalize_at_infinity(
 
     if radius is None:
         radius = 20.0 * max(1.0, float(np.max(np.abs(ws.points))))
+    if radius <= abs(z0):
+        raise ValueError(f"radius {radius} must exceed the basepoint modulus {abs(z0)}")
+    radii = radius * np.array([1.0, 2.0, 4.0])
+    # straight continuation of the basepoint ray outwards, log-radial, with a
+    # stop at each radius
+    fuchs.check_clearance(ws, [paths.Line(z0, z0 * (radii[-1] / abs(z0)))])
+    s0, s_nodes = np.log(abs(z0)), np.log(radii)
+    ray = paths.RayFan(0.0, np.array([np.angle(z0)]), s0, s_nodes[-1])
+    ys = fuchs.transport_fan(
+        ws.points, system.residues, ray, np.eye(ws.rank), (s_nodes - s0) / (s_nodes[-1] - s0),
+        transport_tol,
+    ).values[:, 0]
     lam = np.asarray(ws.infinity_exponents, dtype=complex)
-
-    def g_at(R: float) -> np.ndarray:
-        # straight continuation of the basepoint ray outwards
-        end = z0 * (R / abs(z0))
-        ray = [paths.Line(z0, end)]
-        res = fuchs.transport(system, ray, tol=transport_tol, check_det=False)
-        y = res.value @ W
-        logz = np.log(abs(end)) + 1j * np.angle(end)
-        return y * np.exp(-lam[None, :] * logz)
-
-    g1, g2, g4 = g_at(radius), g_at(2 * radius), g_at(4 * radius)
+    logz = s_nodes + 1j * np.angle(z0)
+    g1, g2, g4 = (ys @ W) * np.exp(-lam[None, None, :] * logz[:, None, None])
     G_a = 2.0 * g2 - g1
     G_b = 2.0 * g4 - g2
     # three-point extrapolation removes both 1/R and 1/R^2 tails
@@ -449,4 +465,5 @@ def normalize_at_infinity(
         extrapolation_disagreement=float(disagreement),
         right_conjugator=W,
         left_gauge=left,
+        aligned_generators=aligned.generators,
     )

@@ -220,20 +220,21 @@ def make_metric_field(
     transport_tol: float = 1e-10,
     normalization: rhsolve.NormalizationResult | None = None,
 ) -> MetricField:
-    """Normalize a solved system at infinity and wrap it as a metric field."""
+    """Normalize a solved system at infinity and wrap it as a metric field.
+
+    normalization, when given, is the system's normalize_at_infinity result
+    (SolveReport.normalization) and is used as it is.  monodromy_quality is
+    the largest ||M M* - I||_F over its aligned generators: the monodromy
+    of the canonical solution in the gauge of its basepoint value, where
+    unitarity is what makes h single-valued.
+    """
     norm = normalization or rhsolve.normalize_at_infinity(
         system, target, transport_tol=min(transport_tol, 1e-10)
     )
     if not norm.large_cell_flag:
         raise RegularLocusError("constant term at infinity outside the large-cell coset")
-    mon = fuchs.monodromy_rep(norm.canonical_system, tol=transport_tol)
     eye = np.eye(system.weights.rank)
-    # unitarity holds in the gauge of the canonical solution Y = Phi y0
-    y0 = norm.basepoint_value
-    y0inv = np.linalg.inv(y0)
-    quality = max(
-        fro((y0inv @ m @ y0) @ (y0inv @ m @ y0).conj().T - eye) for m in mon.generators
-    )
+    quality = max(fro(m @ m.conj().T - eye) for m in norm.aligned_generators)
     return MetricField(
         system=norm.canonical_system,
         basepoint=norm.basepoint,

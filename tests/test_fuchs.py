@@ -408,20 +408,37 @@ def _ray_fan(rng, count):
                         np.log(rng.uniform(1e-3, 0.1, count)))
 
 
+def _arc_fan_centers(rng, count):
+    # arcs on circles of their own around the three punctures
+    centers = rng.choice(_n4_rank3_weights().points, count)
+    a0 = rng.uniform(0.0, 2 * np.pi, count)
+    return paths.ArcFan(centers, rng.uniform(0.2, 0.45, count), a0,
+                        a0 + rng.uniform(-2 * np.pi, 2 * np.pi, count))
+
+
+def _ray_fan_centers(rng, count):
+    # rays out of the three punctures, each with its own log-radius window
+    centers = rng.choice(_n4_rank3_weights().points, count)
+    return paths.RayFan(centers, rng.uniform(0.0, 2 * np.pi, count),
+                        np.log(rng.uniform(0.3, 0.45, count)),
+                        np.log(rng.uniform(1e-3, 0.1, count)))
+
+
 def _member(fan, b):
     """Member b of a fan as a plain segment: the same path, parametrized anew."""
     if isinstance(fan, paths.ArcFan):
-        a0, a1 = np.broadcast_arrays(fan.angle0, fan.angle1)
-        return paths.Arc(fan.center, fan.radius, float(a0[b]), float(a1[b]))
-    phi, s0, s1 = (float(x[b]) for x in np.broadcast_arrays(fan.phis, fan.s0, fan.s1))
-    return paths.Line(fan.center + np.exp(s0 + 1j * phi), fan.center + np.exp(s1 + 1j * phi))
+        c, rad, a0, a1 = np.broadcast_arrays(fan.center, fan.radius, fan.angle0, fan.angle1)
+        return paths.Arc(complex(c[b]), float(rad[b].real), float(a0[b]), float(a1[b]))
+    c, phi, s0, s1 = np.broadcast_arrays(fan.center, fan.phis, fan.s0, fan.s1)
+    c, phi, s0, s1 = complex(c[b]), float(phi[b].real), float(s0[b].real), float(s1[b].real)
+    return paths.Line(c + np.exp(s0 + 1j * phi), c + np.exp(s1 + 1j * phi))
 
 
 def _solo(system, segment, tol, start=None):
     return fuchs.transport(system, [segment], start=start, tol=tol, precheck=False).value
 
 
-@pytest.mark.parametrize("make_fan", [_arc_fan, _ray_fan])
+@pytest.mark.parametrize("make_fan", [_arc_fan, _ray_fan, _arc_fan_centers, _ray_fan_centers])
 def test_transport_fan_matches_members(make_fan):
     system = _n4_rank3_system(21)
     fan = make_fan(np.random.default_rng(22), 16)
@@ -452,6 +469,27 @@ def test_transport_fan_stops_match_truncated_transports():
                              arc.angle0 + t * (arc.angle1 - arc.angle0))
             solo = _solo(system, part, tol / 100)
             assert numcore.fro(out.values[k, b] - solo) <= 2 * tol * numcore.fro(solo)
+
+
+def test_transport_fan_residue_stack_matches_single_systems():
+    # S = 3 systems on L = 5 arcs with a start of their own per (system, arc):
+    # the stacked call shares one step sequence, each single call has its own
+    ws = _n4_rank3_weights()
+    rng = np.random.default_rng(51)
+    residues = _random_residues(ws, rng, 3)
+    fan = _arc_fan(rng, 5)
+    stops = np.sort(rng.uniform(0.0, 1.0, 6))
+    starts = np.eye(3) + 0.2 * rng.standard_normal((3, 5, 3, 3))
+    tol = 1e-10
+    out = fuchs.transport_fan(ws.points, residues, fan, starts, stops, tol)
+    assert out.values.shape == (6, 3, 5, 3, 3)
+    assert out.error_estimates.shape == (3, 5)
+    for s in range(3):
+        solo = fuchs.transport_fan(ws.points, residues[s], fan, starts[s], stops, tol).values
+        for k in range(6):
+            for b in range(5):
+                scale = numcore.fro(solo[k, b])
+                assert numcore.fro(out.values[k, s, b] - solo[k, b]) <= 2 * tol * scale
 
 
 @pytest.mark.parametrize("make_fan", [_arc_fan, _ray_fan])
@@ -521,3 +559,27 @@ def test_transport_fan_det_identity_property(seed):
             expected = np.linalg.det(start) * np.exp(-np.sum(traces * logs))
             got = np.linalg.det(out.values[-1, b])
             assert abs(got - expected) <= 1e-8 * abs(expected)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_monodromy_loops_path_independence_property(seed):
+    # the loop set assembles each puncture loop as P^-1 C P from its approach
+    # leg P and its circle C, without the return leg; it must agree with a
+    # transport along the whole loop (approach, circle, return), and its big
+    # circle with a transport around that circle alone.  The reference is
+    # the transport kernel with the three systems stacked, at tol / 100.
+    rng = np.random.default_rng(seed)
+    ws = _admissible_n4_rank3(rng).weights
+    residues = _random_residues(ws, rng, 3)
+    loops = fuchs.MonodromyLoops(ws)
+    tol = 1e-9  # the solver's default transport tolerance
+    raw, gens = loops.monodromy(residues, tol)
+    assert raw.shape == gens.shape == (3, 4, 3, 3)
+    assert np.array_equal(gens[:, 3], raw[:, 3])
+    big = paths.circle(0.0, abs(loops.z0), float(np.angle(loops.z0)))
+    refs = [fuchs.puncture_loop(ws, i, loops.z0) for i in range(3)] + [[big]]
+    for i, loop in enumerate(refs):
+        ref = fuchs.transport_stack(ws.points, residues, loop, tol=tol / 100).values
+        for b in range(3):
+            assert numcore.fro(raw[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])

@@ -104,6 +104,24 @@ def test_action_surface_single_point(rank1_weights, rank1_target, rank1_field):
     assert abs(pts[0].action - direct) < 1e-8
 
 
+def test_action_surface_normalizes_each_point_once(rank1_weights, rank1_target, monkeypatch):
+    # the field takes the normalization the solve already computed
+    from rhwznw import rhsolve
+
+    calls = []
+    normalize = rhsolve.normalize_at_infinity
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return normalize(*args, **kwargs)
+
+    monkeypatch.setattr(rhsolve, "normalize_at_infinity", counted)
+    family = moduli.RepFamily(rank1_target, moduli.random_tangent_direction(rank1_weights, 3))
+    pts = moduli.action_surface(family, [0.0, 0.02], solve_opts=rhsolve.SolveOptions(restarts=1))
+    assert all(p.ok for p in pts)
+    assert len(calls) == 2
+
+
 def test_action_surface_rank1_family_matches_oracle(rank1_weights, rank1_target):
     # rank-1 tuples are rigid under conjugator moves, so every member has
     # the closed-form abelian action

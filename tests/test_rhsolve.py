@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rhwznw import factor, fuchs, numcore, rhsolve
+from rhwznw import factor, fuchs, numcore, paths, rhsolve, wznw
 
 
 def test_residual_rank1_immediate(rank1_weights, rank1_target):
@@ -121,6 +121,39 @@ def test_normalize_two_radius_consistency(rank2_solved, rank2_target):
     scale = numcore.fro(b.constant_term)
     assert numcore.fro(a.constant_term - b.constant_term) / scale < 1e-4
     assert a.large_cell_flag and b.large_cell_flag
+
+
+def test_normalize_constant_term_matches_line_transports(rank2_solved, rank2_target):
+    # the one log-radial ray march with stops at R, 2R, 4R against three
+    # separate transports along the straight continuation of the basepoint
+    # ray, at a tolerance 100 times tighter
+    system, _ = rank2_solved
+    tol = 1e-10
+    norm = rhsolve.normalize_at_infinity(system, rank2_target, transport_tol=tol)
+    z0, lam = norm.basepoint, system.weights.infinity_exponents
+
+    def g_at(radius):
+        end = z0 * (radius / abs(z0))
+        y = fuchs.transport(system, [paths.Line(z0, end)], tol=tol / 100).value
+        return (y @ norm.right_conjugator) * np.exp(-lam[None, :] * np.log(end))
+
+    radius = 20.0  # the default for punctures inside the unit disk
+    g1, g2, g4 = g_at(radius), g_at(2 * radius), g_at(4 * radius)
+    ref = (g1 - 6.0 * g2 + 8.0 * g4) / 3.0
+    assert numcore.fro(norm.constant_term - ref) <= 1e-9 * numcore.fro(ref)
+
+
+def test_solve_hands_over_normalization(rank2_solved, rank2_target):
+    # the field built from the solve's own normalization is the field built
+    # from a fresh one
+    system, report = rank2_solved
+    assert report.normalization is not None
+    assert report.large_cell_flag == report.normalization.large_cell_flag
+    handed = wznw.make_metric_field(system, rank2_target, normalization=report.normalization)
+    fresh = wznw.make_metric_field(system, rank2_target)
+    y0 = fresh.basepoint_value
+    assert numcore.fro(handed.basepoint_value - y0) <= 1e-12 * numcore.fro(y0)
+    assert handed.monodromy_quality == pytest.approx(fresh.monodromy_quality, abs=1e-12)
 
 
 def test_normalize_flag_invariant_under_left_gauge(rank2_solved, rank2_target):

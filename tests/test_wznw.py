@@ -71,6 +71,21 @@ def test_metric_positive_and_single_valued(rank2_field):
     ) * numcore.fro(h1)
 
 
+def test_monodromy_quality_gate(rank2_oracle_system, rank2_target):
+    # the aligned generators are unitary on the closed-form residues and far
+    # from it once the residues are perturbed by 0.01, so that their
+    # monodromy no longer matches a unitary tuple
+    fld = wznw.make_metric_field(rank2_oracle_system, rank2_target)
+    assert fld.monodromy_quality <= 1e-8
+    residues = rank2_oracle_system.residues
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal(residues.shape) + 1j * rng.standard_normal(residues.shape)
+    perturbed = fuchs.FuchsianSystem(rank2_oracle_system.weights, residues + 0.01 * noise / np.sqrt(2))
+    with pytest.warns(UserWarning, match="extrapolation disagreement"):
+        bad = wznw.make_metric_field(perturbed, rank2_target)
+    assert bad.monodromy_quality > 1e-6
+
+
 def test_kinetic_density_zero_and_rank1():
     h = np.diag([2.0, 3.0])
     assert wznw.kinetic_density(h, np.zeros((2, 2))) == 0.0
