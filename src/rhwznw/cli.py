@@ -3,10 +3,13 @@
 Config files are JSON with complex numbers as two-element [re, im] arrays
 and matrices row-major.  Every result record embeds the schema version,
 the library version, and a hash of the canonical config serialization, so
-identical config + seed reruns are byte-identical.
+identical config + seed reruns are byte-identical.  The property suites of
+``rhwznw verify`` live in rhwznw.verify.
 
-Exit codes: 0 success, 2 validation/usage, 3 non-convergence or another
-numerical failure (NumericalError, LinAlgError), 4 regular-locus violation.
+Exit codes (EXIT_CODES maps exceptions to them): 0 success, 1 a verify
+check failed, 2 validation/usage (ValueError, ConfigError among them),
+3 non-convergence or another numerical failure (NumericalError,
+LinAlgError, ProximityError), 4 regular-locus violation.
 """
 
 from __future__ import annotations
@@ -21,19 +24,31 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, factor, fuchs, numcore, paths, rhsolve, wznw
+from . import __version__, fuchs, numcore, paths, rhsolve, verify, wznw
 
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_REGULAR_LOCUS = 4
 
+# first match wins: LinAlgError subclasses ValueError but is a numerical failure
+EXIT_CODES = (
+    (wznw.RegularLocusError, EXIT_REGULAR_LOCUS),
+    (np.linalg.LinAlgError, EXIT_NO_CONVERGENCE),
+    (numcore.NumericalError, EXIT_NO_CONVERGENCE),
+    (paths.ProximityError, EXIT_NO_CONVERGENCE),
+    (ValueError, EXIT_VALIDATION),
+)
+
+# largest ||M M* - I||_F of the field's aligned generators that `action` accepts
+MONODROMY_QUALITY_GATE = 1e-6
+
 
 class ConfigError(ValueError):
     def __init__(self, fieldname: str, message: str):
-        self.fieldname = fieldname
         super().__init__(f"config field '{fieldname}': {message}")
 
 
@@ -41,10 +56,22 @@ class ConfigError(ValueError):
 # (de)serialization helpers
 
 
-def _pair_to_complex(v, fieldname: str) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ConfigError(fieldname, "complex values are [re, im] pairs")
-    return complex(float(v[0]), float(v[1]))
+def _read(fieldname: str, convert, value):
+    """convert(value), with a failed conversion reported on fieldname."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(fieldname, str(exc)) from exc
+
+
+def _complex_array(value, fieldname: str, ndim: int) -> np.ndarray:
+    """Nested lists of [re, im] pairs as a complex array with ndim axes."""
+    pairs = _read(fieldname, lambda v: np.asarray(v, dtype=float), value)
+    shape_ok = pairs.ndim == ndim + 1 and pairs.shape[-1] == 2 and 0 not in pairs.shape
+    if not (shape_ok and np.isfinite(pairs).all()):
+        kind = "a list" if ndim == 1 else "a list of matrices"
+        raise ConfigError(fieldname, f"expected {kind} of finite [re, im] pairs")
+    return pairs.view(complex)[..., 0]
 
 
 def _complex_to_pair(z: complex) -> list[float]:
@@ -55,15 +82,41 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[_complex_to_pair(x) for x in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _matrix_from_json(rows, fieldname: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ConfigError(fieldname, "expected a non-empty matrix")
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise ConfigError(f"{fieldname}[{i}]", "expected a matrix row")
-        out.append([_pair_to_complex(x, f"{fieldname}[{i}][{j}]") for j, x in enumerate(row)])
-    return np.asarray(out, dtype=complex)
+def _float_tuple(value) -> tuple[float, ...]:
+    return tuple(float(x) for x in value)
+
+
+def _positive_int(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
+
+
+# the fields of the "solver" section (on ProblemConfig.solver) and of the
+# "action" section (on ProblemConfig), each with the reader of its value
+SOLVER_FIELDS = (
+    ("tol", float), ("max_iter", int), ("restarts", int), ("seed", int), ("transport_tol", float),
+)
+ACTION_FIELDS = (("delta_schedule", _float_tuple), ("n_phi", _positive_int), ("gl_order", _positive_int))
+
+
+def _section_to_dict(obj, fields) -> dict:
+    """The section's fields as JSON values: tuples become lists."""
+    values = {name: getattr(obj, name) for name, _ in fields}
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values.items()}
+
+
+def _section_from_dict(data: dict, section: str, fields) -> dict:
+    """The fields present in data[section], read; absent ones keep their defaults."""
+    values = data.get(section, {})
+    if not isinstance(values, dict):
+        raise ConfigError(section, "expected an object")
+    return {
+        name: _read(f"{section}.{name}", convert, values[name])
+        for name, convert in fields
+        if name in values
+    }
 
 
 @dataclass
@@ -89,18 +142,8 @@ class ProblemConfig:
             "schema_version": SCHEMA_VERSION,
             "points": [_complex_to_pair(z) for z in self.points],
             "weights": [[float(x) for x in row] for row in np.asarray(self.weights)],
-            "solver": {
-                "tol": self.solver.tol,
-                "max_iter": self.solver.max_iter,
-                "restarts": self.solver.restarts,
-                "seed": self.solver.seed,
-                "transport_tol": self.solver.transport_tol,
-            },
-            "action": {
-                "delta_schedule": list(self.delta_schedule),
-                "n_phi": self.n_phi,
-                "gl_order": self.gl_order,
-            },
+            "solver": _section_to_dict(self.solver, SOLVER_FIELDS),
+            "action": _section_to_dict(self, ACTION_FIELDS),
         }
         if self.degree is not None:
             out["degree"] = self.degree
@@ -117,50 +160,34 @@ class ProblemConfig:
         for key in ("points", "weights"):
             if key not in data:
                 raise ConfigError(key, "missing required field")
-        pts = [
-            _pair_to_complex(v, f"points[{i}]") for i, v in enumerate(data["points"])
-        ]
-        weights = data["weights"]
-        if not isinstance(weights, list) or not all(isinstance(r, list) for r in weights):
+        weights = _read("weights", lambda w: np.asarray(w, dtype=float), data["weights"])
+        if weights.ndim != 2:
             raise ConfigError("weights", "expected an n x r matrix of reals")
-        weights = np.asarray(weights, dtype=float)
-        cfg = ProblemConfig(points=pts, weights=weights)
+        cfg = ProblemConfig(
+            points=[complex(z) for z in _complex_array(data["points"], "points", 1)],
+            weights=weights,
+            solver=rhsolve.SolveOptions(**_section_from_dict(data, "solver", SOLVER_FIELDS)),
+            **_section_from_dict(data, "action", ACTION_FIELDS),
+        )
         if "degree" in data:
-            cfg.degree = int(data["degree"])
+            cfg.degree = _read("degree", int, data["degree"])
         rep = data.get("representation")
         if rep is not None:
+            if not isinstance(rep, dict):
+                raise ConfigError("representation", "expected an object")
             if "conjugators" not in rep:
                 raise ConfigError("representation.conjugators", "missing required field")
-            cfg.conjugators = [
-                _matrix_from_json(u, f"representation.conjugators[{i}]")
-                for i, u in enumerate(rep["conjugators"])
-            ]
+            cfg.conjugators = list(_complex_array(rep["conjugators"], "representation.conjugators", 3))
         if "residues" in data:
-            cfg.residues = np.asarray(
-                [_matrix_from_json(a, f"residues[{i}]") for i, a in enumerate(data["residues"])]
-            )
-        # absent fields keep the defaults cfg was built with
-        sol, d = data.get("solver", {}), cfg.solver
-        cfg.solver = rhsolve.SolveOptions(
-            tol=float(sol.get("tol", d.tol)),
-            max_iter=int(sol.get("max_iter", d.max_iter)),
-            restarts=int(sol.get("restarts", d.restarts)),
-            seed=int(sol.get("seed", d.seed)),
-            transport_tol=float(sol.get("transport_tol", d.transport_tol)),
-        )
-        act = data.get("action", {})
-        cfg.delta_schedule = tuple(float(x) for x in act.get("delta_schedule", cfg.delta_schedule))
-        cfg.n_phi = int(act.get("n_phi", cfg.n_phi))
-        cfg.gl_order = int(act.get("gl_order", cfg.gl_order))
+            cfg.residues = _complex_array(data["residues"], "residues", 3)
         return cfg
 
 
 def load_config(path: str | Path) -> ProblemConfig:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<json>", f"parse error: {exc}") from exc
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError("<json>", f"parse error: {exc}") from exc
     return ProblemConfig.from_dict(data)
 
 
@@ -190,11 +217,9 @@ def _record(cfg: ProblemConfig | None, command: str, payload: dict) -> dict:
     return rec
 
 
-def _write_json(out_dir: Path, name: str, record: dict) -> Path:
+def _write_result(out_dir: Path, record: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(canonical_json(record))
-    return path
+    (out_dir / "result.json").write_text(canonical_json(record))
 
 
 # ---------------------------------------------------------------------------
@@ -204,25 +229,18 @@ def _write_json(out_dir: Path, name: str, record: dict) -> Path:
 def _target_rep(cfg: ProblemConfig, ws: fuchs.WeightSystem) -> fuchs.AdmissibleRep:
     if cfg.conjugators is None:
         raise ConfigError("representation", "missing required field")
-    if len(cfg.conjugators) != ws.n - 1:
-        raise ConfigError(
-            "representation.conjugators", f"expected {ws.n - 1} conjugator matrices"
-        )
     return fuchs.build_admissible_rep(ws, cfg.conjugators)
 
 
 def _spectra_payload(mats: list[np.ndarray]) -> list[dict]:
-    out = []
-    for i, m in enumerate(mats):
-        lam = numcore.sorted_eigvals(m)
-        out.append(
-            {
-                "index": i + 1,
-                "eigenvalues": [_complex_to_pair(x) for x in lam],
-                "phases": sorted(float(np.angle(x) / (2 * np.pi) % 1.0) for x in lam),
-            }
-        )
-    return out
+    return [
+        {
+            "index": i + 1,
+            "eigenvalues": [_complex_to_pair(x) for x in lam],
+            "phases": sorted(float(np.angle(x) / (2 * np.pi) % 1.0) for x in lam),
+        }
+        for i, lam in enumerate(map(numcore.sorted_eigvals, mats))
+    ]
 
 
 def cmd_monodromy(cfg: ProblemConfig, out_dir: Path) -> int:
@@ -250,30 +268,28 @@ def cmd_monodromy(cfg: ProblemConfig, out_dir: Path) -> int:
         }
     else:
         raise ConfigError("residues", "monodromy needs residues or a representation")
-    _write_json(out_dir, "result.json", _record(cfg, "monodromy", payload))
+    _write_result(out_dir, _record(cfg, "monodromy", payload))
     return EXIT_OK
+
+
+# the SolveReport and ActionResult fields that rhsolve and action write
+RHSOLVE_RESULT_FIELDS = (
+    "success", "final_residual", "iterations", "restart_index", "infinity_spectrum_error",
+    "large_cell_flag", "objective_history", "message",
+)
+ACTION_RESULT_FIELDS = (
+    "value", "counterterm_k1", "counterterm_k2", "kappa", "extrapolation_error",
+    "kinetic_part", "topological_part", "imag_residual", "per_delta",
+)
 
 
 def cmd_rhsolve(cfg: ProblemConfig, out_dir: Path) -> int:
     ws = cfg.weight_system()
     target = _target_rep(cfg, ws)
     init = fuchs.FuchsianSystem(ws, cfg.residues) if cfg.residues is not None else None
-    try:
-        system, report = rhsolve.solve(ws, target, init=init, opts=cfg.solver)
-    except rhsolve.ReducibleTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    payload = {
-        "success": report.success,
-        "final_residual": report.final_residual,
-        "iterations": report.iterations,
-        "restart_index": report.restart_index,
-        "infinity_spectrum_error": report.infinity_spectrum_error,
-        "large_cell_flag": report.large_cell_flag,
-        "objective_history": report.objective_history,
-        "message": report.message,
-    }
-    _write_json(out_dir, "result.json", _record(cfg, "rhsolve", payload))
+    system, report = rhsolve.solve(ws, target, init=init, opts=cfg.solver)
+    payload = {name: getattr(report, name) for name in RHSOLVE_RESULT_FIELDS}
+    _write_result(out_dir, _record(cfg, "rhsolve", payload))
     save_config(replace(cfg, residues=system.residues), out_dir / "residues.json")
     return EXIT_OK if report.success else EXIT_NO_CONVERGENCE
 
@@ -284,28 +300,15 @@ def cmd_action(cfg: ProblemConfig, out_dir: Path) -> int:
     if cfg.residues is None:
         raise ConfigError("residues", "action needs solved residues (run rhsolve first)")
     system = fuchs.FuchsianSystem(ws, cfg.residues)
-    try:
-        fld = wznw.make_metric_field(system, target)
-        act = wznw.action_regularized(fld, cfg.delta_schedule, opts=cfg.quad_options())
-    except wznw.RegularLocusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGULAR_LOCUS
-    except wznw.UnreliableExtrapolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    payload = {
-        "value": act.value,
-        "counterterm_k1": act.counterterm_k1,
-        "counterterm_k2": act.counterterm_k2,
-        "kappa": act.kappa,
-        "extrapolation_error": act.extrapolation_error,
-        "kinetic_part": act.kinetic_part,
-        "topological_part": act.topological_part,
-        "imag_residual": act.imag_residual,
-        "per_delta": [[d, t] for d, t in act.per_delta],
-    }
-    _write_json(out_dir, "result.json", _record(cfg, "action", payload))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    fld = wznw.make_metric_field(system, target)
+    if fld.monodromy_quality > MONODROMY_QUALITY_GATE:
+        raise numcore.NumericalError(
+            f"monodromy quality {fld.monodromy_quality:.3e} above {MONODROMY_QUALITY_GATE:g}: "
+            "the monodromy is not unitary, so h is not single-valued"
+        )
+    act = wznw.action_regularized(fld, cfg.delta_schedule, opts=cfg.quad_options())
+    payload = {name: getattr(act, name) for name in ACTION_RESULT_FIELDS}
+    _write_result(out_dir, _record(cfg, "action", payload))
     with open(out_dir / "deltas.csv", "w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["delta", "kinetic", "topological", "counterterm", "total"]
@@ -316,174 +319,16 @@ def cmd_action(cfg: ProblemConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _oracle_bruhat_permutation(g: np.ndarray) -> tuple[int, ...]:
-    """Exhaustive-permutation factorization oracle.
-
-    Tries every permutation, solving the triangular column system by
-    Gaussian elimination, and accepts when the reconstruction holds with a
-    lower-triangular P; exactly one permutation may be accepted.
-    """
-    from itertools import permutations
-
-    r = g.shape[0]
-    accepted = []
-    for perm in permutations(range(r)):
-        Pi = np.zeros((r, r))
-        for i, c in enumerate(perm):
-            Pi[i, c] = 1.0
-        inv_perm = np.argsort(np.asarray(perm))
-        X = np.eye(r, dtype=complex)
-        ok = True
-        for c in range(r):
-            k = int(inv_perm[c])
-            if k == 0 or c == r - 1:
-                continue
-            Amat = g[:k, c + 1 :]
-            rhs = -g[:k, c]
-            sol, res, rank, _ = np.linalg.lstsq(Amat, rhs, rcond=None)
-            X[c + 1 :, c] = sol
-        gx = g @ X
-        P = gx @ Pi.T
-        if numcore.fro(np.triu(P, 1)) > 1e-8 * max(numcore.fro(P), 1e-300):
-            ok = False
-        L = np.linalg.inv(X)
-        if numcore.fro(P @ Pi @ L - g) > 1e-8 * max(numcore.fro(g), 1e-300):
-            ok = False
-        if ok:
-            accepted.append(perm)
-    if len(accepted) != 1:
-        raise numcore.NumericalError(f"oracle accepted {len(accepted)} permutations")
-    return accepted[0]
-
-
-def _suite_bruhat(seed: int, count: int) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
-    checks = []
-    worst_recon, worst_unique, mismatches = 0.0, 0.0, 0
-    for k in range(count):
-        r = 3 if k % 2 == 0 else 4
-        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        f = factor.bruhat_factor(g)
-        worst_recon = max(
-            worst_recon, numcore.fro(f.reconstruct() - g) / numcore.fro(g)
-        )
-        if f.permutation != _oracle_bruhat_permutation(g):
-            mismatches += 1
-        if factor.in_large_cell(g):
-            f2 = factor.bruhat_large_cell_minors(g)
-            worst_unique = max(
-                worst_unique,
-                numcore.fro(f.P - f2.P) / max(numcore.fro(f.P), 1.0),
-                numcore.fro(f.L - f2.L) / max(numcore.fro(f.L), 1.0),
-            )
-    checks.append(("reconstruction <= 1e-10", worst_recon <= 1e-10, f"worst {worst_recon:.3e}"))
-    checks.append(("oracle agreement 100%", mismatches == 0, f"{mismatches} mismatches"))
-    checks.append(("large-cell uniqueness <= 1e-9", worst_unique <= 1e-9, f"worst {worst_unique:.3e}"))
-    return checks
-
-
-def _suite_cholesky(seed: int, count: int) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
-    worst_ref, worst_inv = 0.0, 0.0
-    for _ in range(count):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = m.conj().T @ m + 0.1 * np.eye(4)
-        msq = _hpd_sqrt(h)
-        f = factor.cholesky_minors(h, msq)
-        b_ref = factor.cholesky_upper(h)
-        worst_ref = max(worst_ref, numcore.fro(f.b - b_ref) / numcore.fro(b_ref))
-        u = numcore.random_unitary(rng, 4)
-        f2 = factor.cholesky_minors(h, u @ msq)
-        worst_inv = max(worst_inv, numcore.fro(f.b - f2.b) / numcore.fro(f.b))
-    return [
-        ("textbook agreement <= 1e-9", worst_ref <= 1e-9, f"worst {worst_ref:.3e}"),
-        ("U-invariance <= 1e-9", worst_inv <= 1e-9, f"worst {worst_inv:.3e}"),
-    ]
-
-
-def _hpd_sqrt(h: np.ndarray) -> np.ndarray:
-    lam, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return (v * np.sqrt(lam)) @ v.conj().T
-
-
-def _suite_three_form(seed: int, count: int) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for k in range(count):
-        r = 2 if k % 2 == 0 else 3
-        h = numcore.random_hpd(rng, r)
-        xs = []
-        for _ in range(3):
-            m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-            xs.append(0.5 * (m + m.conj().T))
-        t3, dw = wznw.three_form_pair(h, *xs)
-        worst = max(worst, abs(t3 - dw) / (1 + abs(t3)))
-    return [("three-form identity <= 1e-5", worst <= 1e-5, f"worst {worst:.3e}")]
-
-
-def _rigid_fixture_field() -> wznw.MetricField:
-    ws = fuchs.build_weight_system([0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
-    target = fuchs.build_admissible_rep(ws, fuchs.rank2_closure_conjugators(ws))
-    system = fuchs.FuchsianSystem(ws, fuchs.rank2_rigid_residues(ws))
-    return wznw.make_metric_field(system, target)
-
-
-def _suite_flatness(seed: int, count: int) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
-    fld = _rigid_fixture_field()
-    ratios = []
-    for _ in range(count):
-        ang = rng.uniform(0, 2 * np.pi)
-        rad = rng.uniform(0.25, 0.45)
-        z = rad * np.exp(1j * ang)
-        r1 = wznw.flatness_residual(fld, z, 0.02)
-        r2 = wznw.flatness_residual(fld, z, 0.01)
-        ratios.append(r1 / r2)
-    med = float(np.median(ratios))
-    return [("Richardson ratio in [3.5, 4.5]", 3.5 <= med <= 4.5, f"median {med:.3f}")]
-
-
-def _suite_counterterm(seed: int, count: int) -> list[tuple[str, bool, str]]:
-    fld = _rigid_fixture_field()
-    checks = []
-    for i, row in enumerate(fld.weights.weights[:-1]):
-        val = wznw.annulus_kinetic_integral(fld, i, 1e-4)
-        pred = 2 * np.pi * np.log(2.0) * float(np.sum(row**2))
-        rel = abs(val / pred - 1)
-        checks.append(
-            (f"annulus divergence at puncture {i + 1} <= 1e-3", rel <= 1e-3, f"rel {rel:.3e}")
-        )
-    return checks
-
-
-SUITES = {
-    "bruhat": _suite_bruhat,
-    "cholesky": _suite_cholesky,
-    "three-form": _suite_three_form,
-    "flatness": _suite_flatness,
-    "counterterm": _suite_counterterm,
-}
-
-
 def cmd_verify(suite: str, seed: int, count: int, out_dir: Path) -> int:
-    if suite not in SUITES:
-        print(
-            f"error: unknown suite '{suite}' (choose from {sorted(SUITES)})",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
-    checks = [(name, bool(ok), detail) for name, ok, detail in SUITES[suite](seed, count)]
+    if suite not in verify.SUITES:
+        raise ValueError(f"unknown suite '{suite}' (choose from {sorted(verify.SUITES)})")
+    if count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
+    checks = [(name, bool(ok), detail) for name, ok, detail in verify.SUITES[suite](seed, count)]
     all_ok = all(ok for _, ok, _ in checks)
     for name, ok, detail in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {suite}: {name} ({detail})")
-    record = {
-        "command": "verify",
-        "schema_version": SCHEMA_VERSION,
-        "library_version": __version__,
+    payload = {
         "suite": suite,
         "seed": seed,
         "count": count,
@@ -492,12 +337,20 @@ def cmd_verify(suite: str, seed: int, count: int, out_dir: Path) -> int:
             {"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks
         ],
     }
-    _write_json(out_dir, "result.json", record)
-    return EXIT_OK if all_ok else 1
+    _write_result(out_dir, _record(None, "verify", payload))
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+# the commands that run on a problem config, with their help texts
+COMMANDS = {
+    "monodromy": (cmd_monodromy, "compute monodromy generators of a Fuchsian system"),
+    "rhsolve": (cmd_rhsolve, "solve the inverse monodromy problem"),
+    "action": (cmd_action, "evaluate the regularized WZNW action"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,20 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fuchsian monodromy, Riemann-Hilbert solving, and the regularized WZNW action",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("monodromy", "compute monodromy generators of a Fuchsian system"),
-        ("rhsolve", "solve the inverse monodromy problem"),
-        ("action", "evaluate the regularized WZNW action"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON problem config")
         p.add_argument("--seed", type=int, default=None, help="override solver seed")
         p.add_argument("--tol", type=float, default=None, help="override solver tolerance")
         p.add_argument("--out", default=".", help="output directory")
     v = sub.add_parser("verify", help="run a property-check suite")
-    v.add_argument("suite", help=f"one of {sorted(SUITES)}")
+    v.add_argument("suite", help=f"one of {sorted(verify.SUITES)}")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--count", type=int, default=100)
+    v.add_argument(
+        "--count", type=int, default=100,
+        help="samples, at least 1 (counterterm checks each finite puncture and ignores it)",
+    )
     v.add_argument("--out", default=".", help="output directory")
     return parser
 
@@ -535,26 +387,11 @@ def main(argv: list[str] | None = None) -> int:
             cfg.solver.seed = args.seed
         if args.tol is not None:
             cfg.solver.tol = args.tol
-        if args.command == "monodromy":
-            return cmd_monodromy(cfg, out_dir)
-        if args.command == "rhsolve":
-            return cmd_rhsolve(cfg, out_dir)
-        if args.command == "action":
-            return cmd_action(cfg, out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    # LinAlgError subclasses ValueError but is a numerical failure, not bad input
-    except (np.linalg.LinAlgError, numcore.NumericalError) as exc:
+        return COMMANDS[args.command][0](cfg, out_dir)
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
+        code = next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (fuchs.DegreeError, fuchs.StabilityRangeError, fuchs.NotAdmissibleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except paths.ProximityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return code
 
 
 if __name__ == "__main__":

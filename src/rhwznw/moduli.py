@@ -13,7 +13,7 @@ not any particular normalization of the metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -286,14 +286,7 @@ def action_surface(
             opts = solve_opts
             init = prev_system if warm_start else None
             if init is not None:
-                opts = rhsolve.SolveOptions(
-                    tol=solve_opts.tol,
-                    max_iter=solve_opts.max_iter,
-                    restarts=max(2, solve_opts.restarts // 3),
-                    seed=solve_opts.seed,
-                    transport_tol=solve_opts.transport_tol,
-                    fd_step=solve_opts.fd_step,
-                )
+                opts = replace(solve_opts, restarts=max(2, solve_opts.restarts // 3))
             system, report = rhsolve.solve(rep.weights, rep, init=init, opts=opts)
             if not report.success:
                 out.append(

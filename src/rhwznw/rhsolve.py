@@ -171,7 +171,6 @@ class SolveOptions:
     seed: int = 0
     transport_tol: float = 1e-9
     fd_step: float = 1e-6
-    verbose: bool = False
 
 
 @dataclass
@@ -194,8 +193,7 @@ def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
 
     func(x) is the residual at one point; func_stack evaluates a stack of
     points and builds each iteration's Jacobian in one call.  Returns the
-    final point, its residual and cost, the iteration count and the cost
-    history.
+    final point, its residual, the iteration count and the cost history.
     """
     x = x0.copy()
     f = func(x)
@@ -244,7 +242,7 @@ def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
             break
         if len(history) > 3 and abs(history[-3] - cost) < 1e-16 * (1 + cost):
             break
-    return x, f, cost, n_iter, history
+    return x, f, n_iter, history
 
 
 def solve(
@@ -299,9 +297,8 @@ def solve(
         x0 = np.zeros(parm.dim)
         if parm.dim == 0:
             x, f, iters, history = x0, func(x0), 0, []
-            cost = float(f @ f)
         else:
-            x, f, cost, iters, history = _levenberg_marquardt(func, func_stack, x0, opts)
+            x, f, iters, history = _levenberg_marquardt(func, func_stack, x0, opts)
 
         # the generator block of the residual is aligned - target; the last
         # 2r entries are the infinity-spectrum penalty
@@ -310,8 +307,6 @@ def solve(
         cand = (final, restart, parm, x, iters, history)
         if best is None or cand[0] < best[0]:
             best = cand
-        if opts.verbose:
-            print(f"restart {restart}: cost {cost:.3e} final {final:.3e}")
         if final <= opts.tol:
             break
 

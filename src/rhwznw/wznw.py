@@ -55,32 +55,6 @@ class UnreliableExtrapolationError(NumericalError):
 # densities
 
 
-def kinetic_density(h, A) -> float:
-    """tr(A h^{-1} A* h) = tr(h^{-1}h_z h^{-1}h_zbar); always >= 0."""
-    h = as_cmatrix(h, "h")
-    A = as_cmatrix(A, "A")
-    val = np.trace(A @ np.linalg.solve(h, A.conj().T @ h))
-    return float(val.real)
-
-
-def _cartan_split(h: np.ndarray, A: np.ndarray):
-    b = factor.cholesky_upper(h)
-    K = b @ A @ np.linalg.inv(b)
-    u = np.triu(K, 1)
-    l = np.tril(K, -1)
-    d = np.diag(np.diag(K))
-    return u, d, l
-
-
-def topological_density(h, A) -> float:
-    """|l|^2 - |u|^2 for the triangular split of b A b^{-1}.
-
-    Equals tr(b_zbar b^{-1} (b_zbar b^{-1})* - b_z b^{-1} (b_z b^{-1})*).
-    """
-    u, _, l = _cartan_split(as_cmatrix(h, "h"), as_cmatrix(A, "A"))
-    return float(np.sum(np.abs(l) ** 2) - np.sum(np.abs(u) ** 2))
-
-
 def topological_density_from_differentials(h, A) -> float:
     """Topological density through the Cholesky differential (cross-check path).
 
@@ -103,8 +77,13 @@ def topological_density_from_differentials(h, A) -> float:
     )
 
 
-def _batched_densities(h: np.ndarray, A: np.ndarray):
-    """kinetic and topological densities for stacked (N, r, r) inputs."""
+def densities(h: np.ndarray, A: np.ndarray):
+    """(kinetic, topological) densities of h and A, or of (..., r, r) stacks.
+
+    kinetic = tr(A h^{-1} A* h) = |K|^2 >= 0 and topological = |l|^2 - |u|^2
+    for K = b A b^{-1} with b the upper Cholesky factor of h, u and l the
+    strict upper and lower parts of K.
+    """
     low = np.linalg.cholesky(h)
     b = np.conj(np.swapaxes(low, -1, -2))
     # K = b A b^{-1} via K^T = solve(b^T, (bA)^T)
@@ -186,9 +165,7 @@ class MetricField:
         return res.value
 
     def h_at(self, z: complex) -> np.ndarray:
-        y = self.y_at(z)
-        h = np.linalg.inv(y @ y.conj().T)
-        return 0.5 * (h + h.conj().T)
+        return _metric_of(self.y_at(z))
 
     def metric_at(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
         """(h(z), A(z)): transported metric and the closed-form connection."""
@@ -489,7 +466,7 @@ class TransportWeb:
         if keep_sample:
             idx = np.linspace(0, len(z) - 1, min(self.IMAG_SAMPLE, len(z))).astype(int)
             self.sample_h, self.sample_A = h[idx], A[idx]
-        return _batched_densities(h, A)
+        return densities(h, A)
 
     # -- assembly -----------------------------------------------------------
 
@@ -640,7 +617,7 @@ def annulus_kinetic_integral(
     )
     z = center + np.exp(s_nodes)[:, None] * np.exp(1j * phis)[None, :]
     r = system.rank
-    kin, _ = _batched_densities(_metric_of(y.reshape(-1, r, r)), system.A_of(z.ravel()))
+    kin, _ = densities(_metric_of(y.reshape(-1, r, r)), system.A_of(z.ravel()))
     wt = np.broadcast_to((s_weights * np.exp(2 * s_nodes))[:, None] * w_phi, z.shape)
     return float(np.sum(wt.ravel() * kin))
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from rhwznw import cli, factor, fuchs, moduli, numcore, rhsolve, wznw
+from rhwznw import cli, fuchs, moduli, rhsolve, verify, wznw
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -38,76 +38,23 @@ def solved_rank2(rank2_weights, rank2_target):
     return system, report, fld, time.time() - t0
 
 
-def test_criterion_1_factorization():
+def _report_suite(num: int, name: str, suite: str, seed: int, count: int, budget: float):
     t0 = time.time()
-    rng = np.random.default_rng(101)
-    worst_recon = worst_unique = 0.0
-    mismatches = 0
-    for k in range(200):
-        r = 3 if k % 2 == 0 else 4
-        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        f = factor.bruhat_factor(g)
-        worst_recon = max(worst_recon, numcore.fro(f.reconstruct() - g) / numcore.fro(g))
-        if f.permutation != cli._oracle_bruhat_permutation(g):
-            mismatches += 1
-        if factor.in_large_cell(g):
-            f2 = factor.bruhat_large_cell_minors(g)
-            worst_unique = max(
-                worst_unique,
-                numcore.fro(f.P - f2.P) / max(numcore.fro(f.P), 1.0),
-                numcore.fro(f.L - f2.L) / max(numcore.fro(f.L), 1.0),
-            )
-    ok = worst_recon <= 1e-10 and mismatches == 0 and worst_unique <= 1e-9
-    _report(
-        1,
-        "Bruhat factorization",
-        ok,
-        f"recon {worst_recon:.2e}, {mismatches} oracle mismatches, uniqueness {worst_unique:.2e}",
-        time.time() - t0,
-        10.0,
-    )
+    checks = verify.SUITES[suite](seed, count)
+    detail = ", ".join(f"{check} ({figure})" for check, _, figure in checks)
+    _report(num, name, all(ok for _, ok, _ in checks), detail, time.time() - t0, budget)
+
+
+def test_criterion_1_factorization():
+    _report_suite(1, "Bruhat factorization", "bruhat", 101, 200, 10.0)
 
 
 def test_criterion_2_cholesky_minors():
-    t0 = time.time()
-    rng = np.random.default_rng(102)
-    worst_ref = worst_inv = 0.0
-    for _ in range(200):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = m.conj().T @ m + 0.1 * np.eye(4)
-        msq = cli._hpd_sqrt(h)
-        f = factor.cholesky_minors(h, msq)
-        b_ref = factor.cholesky_upper(h)
-        worst_ref = max(worst_ref, numcore.fro(f.b - b_ref) / numcore.fro(b_ref))
-        u = numcore.random_unitary(rng, 4)
-        f2 = factor.cholesky_minors(h, u @ msq)
-        worst_inv = max(worst_inv, numcore.fro(f.b - f2.b) / numcore.fro(f.b))
-    ok = worst_ref <= 1e-9 and worst_inv <= 1e-9
-    _report(
-        2,
-        "Cholesky minor formulas",
-        ok,
-        f"textbook {worst_ref:.2e}, U-invariance {worst_inv:.2e}",
-        time.time() - t0,
-        10.0,
-    )
+    _report_suite(2, "Cholesky minor formulas", "cholesky", 102, 200, 10.0)
 
 
 def test_criterion_3_three_form():
-    t0 = time.time()
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for r in (2, 3):
-        for _ in range(100):
-            h = numcore.random_hpd(rng, r)
-            xs = []
-            for _ in range(3):
-                m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-                xs.append(0.5 * (m + m.conj().T))
-            t3, dw = wznw.three_form_pair(h, *xs)
-            worst = max(worst, abs(t3 - dw) / (1 + abs(t3)))
-    ok = worst <= 1e-5
-    _report(3, "three-form identity", ok, f"worst {worst:.2e}", time.time() - t0, 30.0)
+    _report_suite(3, "three-form identity", "three-form", 103, 200, 30.0)
 
 
 def test_criterion_4_rank1_monodromy(rank1_system, rank1_weights):

@@ -202,3 +202,47 @@ def test_seed_and_tol_overrides(tmp_path):
     assert rc == 0
     rec = json.loads((tmp_path / "result.json").read_text())
     assert rec["seed"] == 9
+
+
+@pytest.mark.parametrize(
+    "patch, fieldname",
+    [
+        ({"points": 5}, "points"),
+        ({"solver": "x"}, "solver"),
+        ({"representation": 5}, "representation"),
+        ({"residues": 5}, "residues"),
+        ({"action": {"delta_schedule": 5}}, "action.delta_schedule"),
+        ({"action": {"n_phi": 0}}, "action.n_phi"),
+    ],
+    ids=["points", "solver", "representation", "residues", "delta_schedule", "n_phi"],
+)
+def test_bad_config_field_exits_2(tmp_path, capsys, patch, fieldname):
+    data = rank1_config().to_dict()
+    data.update(patch)
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    rc = cli.main(["action", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"config field '{fieldname}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_count_below_one(tmp_path, capsys, count):
+    rc = cli.main(["verify", "bruhat", "--count", count, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert "--count" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_action_monodromy_quality_gate(tmp_path, capsys):
+    # the 0.01-perturbed fixture residues: their monodromy is not unitary
+    cfg = rank2_config()
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal(cfg.residues.shape) + 1j * rng.standard_normal(cfg.residues.shape)
+    cfg.residues = cfg.residues + 0.01 * noise / np.sqrt(2)
+    cli.save_config(cfg, tmp_path / "cfg.json")
+    with pytest.warns(UserWarning, match="extrapolation disagreement"):
+        rc = cli.main(["action", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "monodromy quality" in err and "\n" not in err
+    assert not (tmp_path / "out" / "result.json").exists()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhwznw import factor, numcore
-from rhwznw.cli import _oracle_bruhat_permutation
+from rhwznw.verify import hpd_sqrt, oracle_bruhat_permutation
 
 
 def random_gl(rng, r):
@@ -34,7 +34,7 @@ def test_bruhat_oracle_agreement():
         g = random_gl(rng, 3)
         f = factor.bruhat_factor(g)
         assert numcore.fro(f.reconstruct() - g) <= 1e-10 * numcore.fro(g)
-        assert f.permutation == _oracle_bruhat_permutation(g)
+        assert f.permutation == oracle_bruhat_permutation(g)
 
 
 def test_bruhat_structure():
@@ -138,17 +138,12 @@ def test_cholesky_against_textbook():
     for _ in range(200):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = m.conj().T @ m + 0.1 * np.eye(4)
-        msq = _hpd_sqrt(h)
+        msq = hpd_sqrt(h)
         f = factor.cholesky_minors(h, msq)
         b_ref = factor.cholesky_upper(h)
         assert numcore.fro(f.b - b_ref) <= 1e-9 * numcore.fro(b_ref)
         assert numcore.fro(f.reconstruct() - h) <= 1e-9 * numcore.fro(h)
         assert numcore.fro(np.diag(np.sqrt(f.a)) @ f.c - f.b) < 1e-10 * numcore.fro(f.b)
-
-
-def _hpd_sqrt(h):
-    lam, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return (v * np.sqrt(lam)) @ v.conj().T
 
 
 def test_cholesky_invariance_under_unitary():

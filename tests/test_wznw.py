@@ -88,10 +88,10 @@ def test_monodromy_quality_gate(rank2_oracle_system, rank2_target):
 
 def test_kinetic_density_zero_and_rank1():
     h = np.diag([2.0, 3.0])
-    assert wznw.kinetic_density(h, np.zeros((2, 2))) == 0.0
+    assert wznw.densities(h, np.zeros((2, 2)))[0] == 0.0
     h1 = np.array([[1.7]])
     a1 = np.array([[0.3 + 0.2j]])
-    assert abs(wznw.kinetic_density(h1, a1) - abs(a1[0, 0]) ** 2) < 1e-14
+    assert abs(wznw.densities(h1, a1)[0] - abs(a1[0, 0]) ** 2) < 1e-14
 
 
 def test_kinetic_density_positive(rank2_field):
@@ -101,7 +101,7 @@ def test_kinetic_density_positive(rank2_field):
         if rank2_field.min_distance_to_punctures(z) < 0.2:
             continue
         h, A = rank2_field.metric_at(z)
-        assert wznw.kinetic_density(h, A) >= 0
+        assert wznw.densities(h, A)[0] >= 0
 
 
 def test_kinetic_asymptotics_near_puncture(rank2_field, rank2_weights):
@@ -111,25 +111,26 @@ def test_kinetic_asymptotics_near_puncture(rank2_field, rank2_weights):
     z = rank2_weights.points[0] + 1e-4 * np.exp(0.9j)
     y = ys[-1]
     h = np.linalg.inv(y @ y.conj().T)
-    kin = wznw.kinetic_density(0.5 * (h + h.conj().T), rank2_field.system.A_of(z))
+    kin, _ = wznw.densities(0.5 * (h + h.conj().T), rank2_field.system.A_of(z))
     target = float(np.sum(rank2_weights.weights[0] ** 2))
     assert abs(kin * 1e-8 / target - 1) < 1e-3
 
 
 def test_topological_density_trivial():
-    assert wznw.topological_density(np.array([[2.0]]), np.array([[0.4 + 1j]])) == 0.0
+    assert wznw.densities(np.array([[2.0]]), np.array([[0.4 + 1j]]))[1] == 0.0
     h = np.diag([1.0, 4.0])
     a = np.diag([0.3, 0.7 + 0.1j])
-    assert wznw.topological_density(h, a) == 0.0
+    assert wznw.densities(h, a)[1] == 0.0
 
 
 def test_topological_density_two_routes():
+    # the routine the action integrates against the Cholesky-differential route
     rng = np.random.default_rng(4)
     for r in (2, 3):
         for _ in range(15):
             h = numcore.random_hpd(rng, r)
             a = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-            d1 = wznw.topological_density(h, a)
+            d1 = wznw.densities(h, a)[1]
             d2 = wznw.topological_density_from_differentials(h, a)
             assert abs(d1 - d2) < 1e-8 * (1 + abs(d1))
 
