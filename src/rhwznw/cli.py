@@ -86,17 +86,34 @@ def _float_tuple(value) -> tuple[float, ...]:
     return tuple(float(x) for x in value)
 
 
+def _integer(value) -> int:
+    """An integral number as an int: 3 and 3.0 are read, -2.7, true and "3" are not."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _positive_int(value) -> int:
-    n = int(value)
+    n = _integer(value)
     if n < 1:
         raise ValueError(f"must be at least 1, got {n}")
     return n
 
 
+def _positive_float(value) -> float:
+    x = float(value)
+    if not (np.isfinite(x) and x > 0):
+        raise ValueError(f"must be finite and positive, got {x}")
+    return x
+
+
 # the fields of the "solver" section (on ProblemConfig.solver) and of the
 # "action" section (on ProblemConfig), each with the reader of its value
 SOLVER_FIELDS = (
-    ("tol", float), ("max_iter", int), ("restarts", int), ("seed", int), ("transport_tol", float),
+    ("tol", _positive_float), ("max_iter", _integer), ("restarts", _integer),
+    ("seed", _integer), ("transport_tol", _positive_float),
 )
 ACTION_FIELDS = (("delta_schedule", _float_tuple), ("n_phi", _positive_int), ("gl_order", _positive_int))
 
@@ -170,7 +187,7 @@ class ProblemConfig:
             **_section_from_dict(data, "action", ACTION_FIELDS),
         )
         if "degree" in data:
-            cfg.degree = _read("degree", int, data["degree"])
+            cfg.degree = _read("degree", _integer, data["degree"])
         rep = data.get("representation")
         if rep is not None:
             if not isinstance(rep, dict):
@@ -386,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg.solver.seed = args.seed
         if args.tol is not None:
-            cfg.solver.tol = args.tol
+            cfg.solver.tol = _read("solver.tol", _positive_float, args.tol)
         return COMMANDS[args.command][0](cfg, out_dir)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         code = next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

@@ -50,9 +50,13 @@ callers build the coefficients:
 * :func:`transport_fan`: one system, or a stack of S systems, on a fan of
   L member paths (arcs, or log-radial rays with per-member windows; each
   member may have its own center, and an arc its own radius), with stops;
-  the action's transport web sweeps its rings and rays this way, the loop
+  the action's transport web marches its outward rays this way, the loop
   set runs its circles this way, and the normalization at infinity marches
   its ray.
+
+Near a puncture and near infinity no march is needed: :func:`local_series`
+gives the Frobenius solution Y0 = G(x) x^{-L} there (x = z - z_i, or 1/z at
+infinity), summed to a tail below tol / 100, and every solution is Y0 K.
 """
 
 from __future__ import annotations
@@ -572,6 +576,12 @@ def _negated_residue_columns(res: np.ndarray) -> np.ndarray:
     return -np.moveaxis(res, 1, 0).reshape(res.shape[1], -1)
 
 
+def _check_tol(tol: float) -> None:
+    # a tolerance <= 0 turns every error ratio negative: every step would pass
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
 def transport_stack(
     points: np.ndarray,
     residues: np.ndarray,
@@ -586,6 +596,7 @@ def transport_stack(
     identity) has shape (B, r, r).  The members share the step sequence,
     which follows the hardest one.  No proximity check is made.
     """
+    _check_tol(tol)
     res = np.asarray(residues, dtype=complex)
     b, m, r, _ = res.shape
     res_t = _negated_residue_columns(res)
@@ -620,6 +631,7 @@ def transport_fan(
     (len(stops), S, L, r, r) for a stack, error_estimates (L,) or (S, L).
     No proximity check is made.
     """
+    _check_tol(tol)
     stops = np.asarray(stops, dtype=float)
     if stops.ndim != 1 or np.any(np.diff(stops, prepend=0.0, append=1.0) < 0):
         raise ValueError("stops must be increasing times in [0, 1]")
@@ -698,6 +710,156 @@ def transport(
         step_count=out.step_count,
         error_estimate=float(out.error_estimates[0]),
         det_residual=float(det_residual),
+    )
+
+
+# ---------------------------------------------------------------------------
+# local series
+
+
+class ResonanceError(NumericalError):
+    """Exponents with (near) integer differences: the local series has no
+    power-times-series form there."""
+
+
+# the local series' limits: a divisor m + lam_a - lam_b below SERIES_MIN_DIVISOR
+# is (near) resonant, and a tail still above tol / 100 after SERIES_MAX_TERMS
+# terms converges too slowly
+SERIES_MIN_DIVISOR = 1e-6
+SERIES_MAX_TERMS = 200
+
+
+@dataclass(frozen=True)
+class LocalSeries:
+    """The Frobenius solution Y0(x) = G(x) x^{-L} at a puncture or at infinity.
+
+    x = z - z_i at the finite puncture z_i and x = 1/z at infinity; L is
+    the residue there (A_i, or -sum_j A_j) and
+    G = sum_m coefficients[m] (x / scale)^m, coefficients[0] = I, converges
+    for |x| < scale, the distance to the nearest other singular point.
+    Every solution near the point is Y0 K for a constant K.  tail bounds
+    the truncation error of G for |x| <= radius.
+    """
+
+    center: complex | None  # the puncture z_i; None at infinity
+    scale: float
+    radius: float
+    exponents: np.ndarray     # (r,) eigenvalues of L
+    basis: np.ndarray         # (r, r) eigenvectors of L, L = basis diag(exponents) basis^-1
+    coefficients: np.ndarray  # (M + 1, r, r)
+    tail: float
+
+    def _local(self, rho, theta):
+        """x and log x at z = center + rho e^{i theta} (z = rho e^{i theta} at infinity)."""
+        log_x = np.log(rho) + 1j * np.asarray(theta, dtype=float)
+        if self.center is None:
+            log_x = -log_x
+        x = np.exp(log_x)
+        if np.any(np.abs(x) > self.radius * (1 + 1e-12)):
+            raise ValueError(f"node outside the series radius {self.radius:.6g}")
+        return x, log_x
+
+    def values(self, rho, theta, right=None) -> np.ndarray:
+        """Y0 right at the nodes z = center + rho e^{i theta} (at infinity
+        z = rho e^{i theta}); rho and theta broadcast to the node shape,
+        and the values have that shape + (r, r).
+
+        theta is the argument of z - center followed continuously along the
+        caller's path; it picks the branch of x^{-L}.  G is summed by Horner
+        in place, one (N, r, r) array at a time.
+        """
+        rho, theta = np.broadcast_arrays(rho, theta)
+        x, log_x = self._local(rho.ravel(), theta.ravel())
+        u = (x / self.scale)[:, None, None]
+        coef = self.coefficients
+        g = np.empty((len(u),) + coef.shape[1:], dtype=complex)
+        g[:] = coef[-1]
+        for c in coef[-2::-1]:
+            g *= u
+            g += c
+        r = len(self.exponents)
+        right = np.eye(r) if right is None else right
+        # x^{-L} right = basis diag(x^{-lam}) basis^{-1} right: one product
+        power = self.basis * np.exp(-log_x[:, None] * self.exponents)[:, None, :]
+        w = (power.reshape(-1, r) @ np.linalg.solve(self.basis, right)).reshape(g.shape)
+        out = np.empty_like(g)
+        _stack_matmul(g, w, out)
+        return out.reshape(rho.shape + (r, r))
+
+    def matched(self, rho: float, theta: float, value: np.ndarray) -> np.ndarray:
+        """The constant K with Y0 K = value at one node (rho, theta)."""
+        return np.linalg.solve(self.values(rho, theta), value)
+
+
+def local_series(points, residues, at: int | None, radius: float, tol: float) -> LocalSeries:
+    """The local series of one system at puncture `at` (None: infinity),
+    summed to tol / 100 for |x| <= radius.
+
+    In x the system reads dY/dx = -(L/x + sum_k B_k x^k) Y.  With R the
+    distance to the nearest other singular point,
+    B_k R^{k+1} = -sum_j A_j t_j^{k+1}: at z_i, L = A_i and
+    t_j = R / (z_j - z_i) over the other punctures; at infinity
+    L = -sum_j A_j, R = 1 / max |z_j| and t_j = R z_j.  The coefficients solve
+    m G_m + [L, G_m] = -sum_{k+l=m-1} B_k G_l, in the eigenbasis of L an
+    elementwise division by m + lam_a - lam_b.  Terms are added until the
+    tail bound max ||G_m R^m|| q^(m+1) / (1 - q) over the last four terms
+    (q = radius / R) is <= tol / 100.  Raises ResonanceError on a divisor
+    (or an eigenvalue gap of L) below SERIES_MIN_DIVISOR and NumericalError
+    when the tail is still above tol / 100 after SERIES_MAX_TERMS terms.
+    """
+    _check_tol(tol)
+    pts = np.asarray(points, dtype=complex)
+    res = np.asarray(residues, dtype=complex)
+    if at is None:
+        lead, others = -np.sum(res, axis=0), res
+        scale = 1.0 / float(np.max(np.abs(pts)))
+        t = scale * pts
+        center = None
+    else:
+        lead, others = res[at], np.delete(res, at, axis=0)
+        d = np.delete(pts, at) - pts[at]
+        scale = float(np.min(np.abs(d)))
+        t = scale / d
+        center = complex(pts[at])
+    q = radius / scale
+    if not 0 < q < 1:
+        raise ValueError(f"radius {radius:.6g} outside the convergence radius {scale:.6g}")
+
+    lam, basis = np.linalg.eig(lead)
+    gaps = lam[:, None] - lam[None, :]
+    if np.min(np.abs(gaps) + np.eye(len(lam))) < SERIES_MIN_DIVISOR:
+        raise ResonanceError("residue with a (near) repeated eigenvalue")
+    basis_inv = np.linalg.inv(basis)
+    r = len(lam)
+    # scaled B_k in the eigenbasis, k < SERIES_MAX_TERMS
+    powers = t[None, :] ** np.arange(1, SERIES_MAX_TERMS + 1)[:, None]
+    b = -(powers @ others.reshape(len(others), -1)).reshape(-1, r, r)
+    b = basis_inv @ b @ basis
+    g = np.zeros((SERIES_MAX_TERMS + 1, r, r), dtype=complex)
+    g[0] = np.eye(r)
+    norms = [np.sqrt(r)]
+    target = tol / 100
+    for m in range(1, SERIES_MAX_TERMS + 1):
+        divisor = m + gaps
+        if np.min(np.abs(divisor)) < SERIES_MIN_DIVISOR:
+            raise ResonanceError(f"near-resonant divisor at order {m}")
+        g[m] = -np.einsum("kab,kbc->ac", b[:m], g[m - 1 :: -1]) / divisor
+        norms.append(fro(basis @ g[m] @ basis_inv))
+        tail = max(norms[-4:]) * q ** (m + 1) / (1 - q)
+        if tail <= target:
+            break
+    else:
+        raise NumericalError(
+            f"local series tail {tail:.3e} above {target:.1e} after {SERIES_MAX_TERMS} terms"
+        )
+    return LocalSeries(
+        center=center,
+        scale=scale,
+        radius=radius,
+        exponents=lam,
+        basis=basis,
+        coefficients=basis @ g[: m + 1] @ basis_inv,
+        tail=float(tail),
     )
 
 

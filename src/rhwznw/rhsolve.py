@@ -27,12 +27,8 @@ import scipy.linalg
 
 from . import factor, fuchs, paths
 # called by this name, so that a wrapper of rhsolve.align_tuple_to_target sees every call
-from .fuchs import align_tuple_to_target
+from .fuchs import ResonanceError, align_tuple_to_target
 from .numcore import NumericalError, fro
-
-
-class ResonanceError(NumericalError):
-    """Infinity exponents resonant (integer differences): unsupported."""
 
 
 class ReducibleTargetError(ValueError):

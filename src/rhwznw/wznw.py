@@ -27,15 +27,19 @@ Full circles use the periodic trapezoid rule in the angle; the outward
 patch regions, whose radial extent is only piecewise smooth in the
 angle, use Gauss-Legendre panels split at the boundary kinks.
 
-Transport: one fan call (fuchs.transport_fan) per patch sweeps its ring to
-the trapezoid and the outward angles together; adaptive fan calls with a
-stop at every Gauss-Legendre node then march the inward, outward and outer
-rays.
+Transport: near each puncture and near infinity Y is a convergent
+Frobenius series times a power (fuchs.local_series), matched once per
+region to the transported value at its ring entry.  The series gives the
+ring values and every inward node of a patch and the whole outer region;
+only the outward rays, from the ring to the Voronoi or outer boundary,
+are one adaptive fan call (fuchs.transport_fan) per patch, with a stop at
+every Gauss-Legendre node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,18 +181,18 @@ class MetricField:
         return fuchs.transport_fan(pts, res, fan, starts, stops, self.transport_tol).values
 
     def ray_values(self, center_index: int, phi: float, rhos: np.ndarray):
-        """Y along an inward ray at the given puncture: the patch march with
-        its ring at rhos[0] and one ray through the other radii.
+        """Y at center + rho e^{i phi} for every radius in rhos, stacked in
+        their order: the puncture's local series, matched at the patch ring
+        as in the action's web.
 
-        rhos must be decreasing and start below half the distance to the
-        next puncture; returns the stacked Y values at center + rho e^{i phi}.
+        Every radius must lie in (0, ring radius), the ring radius being half
+        the distance to the nearest other puncture; ValueError otherwise.
         """
         rhos = np.asarray(rhos, dtype=float)
-        center = complex(self.system.points[center_index])
-        ring_y, ray_y = _march_ring_and_rays(
-            self, center, float(rhos[0]), np.array([phi]), 1, np.log(rhos[1:])
-        )
-        return np.concatenate([ring_y, ray_y[:, 0]])
+        ring = _ring_radius(np.asarray(self.system.points), center_index)
+        if np.any(rhos <= 0) or np.any(rhos >= ring):
+            raise ValueError(f"ray radii must lie in (0, {ring:.6g}), the ring radius")
+        return _region_series(self, center_index)(rhos, phi)
 
 
 def make_metric_field(
@@ -223,32 +227,39 @@ def make_metric_field(
 
 
 # ---------------------------------------------------------------------------
-# fan marches
+# local series regions
 
 
-def _march_ring_and_rays(
-    fld: MetricField, center: complex, radius: float, ring_phis, n_rays: int, s_nodes
-):
-    """The patch march, in two fan calls.
+def _region_series(fld: MetricField, at: int | None):
+    """Y on one region from its local series, as a function of (rho, phi).
 
-    The ring |z - center| = radius is entered on the basepoint's side, and
-    member b sweeps counterclockwise from the entry to ring_phis[b].  Then
-    the rays at the first n_rays angles run from the ring through every
-    log-radius in s_nodes (all on one side of log(radius)), with a stop at
-    each.  Returns the ring values (len(ring_phis), r, r) and the ray values
-    (len(s_nodes), n_rays, r, r) in the order of s_nodes.
+    The region is the patch at puncture `at` (center z_at, ring at
+    _ring_radius, nodes on or inside the ring) or, for at = None, the outer
+    region (center 0, ring at _outer_radius, nodes on or beyond it).  The
+    series is matched once, at the ring's entry point on the basepoint's
+    side, to y_at there.  The argument of a node at angle phi is
+    a0 + mod(phi - a0, 2 pi), a0 the entry's: the branch a transport from
+    the entry counterclockwise along the ring and then radially reaches.
+    The returned function maps broadcastable rho, phi to Y of shape
+    rho.shape + (r, r).
     """
+    pts = np.asarray(fld.system.points)
+    if at is None:
+        center, ring = 0j, _outer_radius(pts)
+        radius = 1.0 / ring
+    else:
+        center, ring = complex(pts[at]), _ring_radius(pts, at)
+        radius = ring
     z0 = fld.basepoint
-    entry = center + radius * (z0 - center) / abs(z0 - center)
+    entry = center + ring * (z0 - center) / abs(z0 - center)
     a0 = float(np.angle(entry - center))
-    ring = paths.ArcFan(center, radius, a0, a0 + np.mod(ring_phis - a0, 2 * np.pi))
-    ring_y = fld.fan_values(ring, fld.y_at(entry))[-1]
-    s0 = np.log(radius)
-    order = np.argsort(np.abs(s_nodes - s0))
-    s_far = s_nodes[order[-1]]
-    rays = paths.RayFan(center, ring_phis[:n_rays], s0, s_far)
-    ray_y = fld.fan_values(rays, ring_y[:n_rays], (s_nodes[order] - s0) / (s_far - s0))
-    return ring_y, ray_y[np.argsort(order)]
+    series = fuchs.local_series(pts, fld.system.residues, at, radius, fld.transport_tol)
+    right = series.matched(ring, a0, fld.y_at(entry))
+
+    def values(rho, phi) -> np.ndarray:
+        return series.values(rho, a0 + np.mod(phi - a0, 2 * np.pi), right)
+
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +287,16 @@ class _WebRegion:
     topological: np.ndarray
 
 
-def _gl_nodes(a: float, b: float, order: int):
+@lru_cache(maxsize=None)
+def _gl_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gl_nodes(a: float, b: float, order: int):
+    x, w = _gl_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -333,6 +352,11 @@ def _ring_radius(points: np.ndarray, i: int) -> float:
     return 0.5 * min((abs(points[i] - p) for j, p in enumerate(points) if j != i), default=1.0)
 
 
+def _outer_radius(points: np.ndarray) -> float:
+    """Radius of the outer circle, where the patches end and the outer region starts."""
+    return 2.0 * float(np.max(np.abs(points))) + 2.0
+
+
 def _voronoi_rho_max(points: np.ndarray, i: int, phis: np.ndarray, r_out: float) -> np.ndarray:
     """Star-shaped patch boundary: nearest Voronoi bisector or outer circle."""
     return np.min(_patch_constraints(points, i, r_out)(np.asarray(phis, dtype=float)), axis=0)
@@ -374,7 +398,7 @@ class TransportWeb:
         self.field = fld
         self.opts = opts
         pts = np.asarray(fld.system.points)
-        self.r_out = 2.0 * float(np.max(np.abs(pts))) + 2.0
+        self.r_out = _outer_radius(pts)
         if 1.0 / max(delta_schedule) <= 1.2 * self.r_out:
             raise ValueError("largest delta too coarse for the outer region")
         ring_radii = [_ring_radius(pts, i) for i in range(len(pts))]
@@ -404,14 +428,14 @@ class TransportWeb:
         edges = np.concatenate([kinks, [kinks[0] + 2 * np.pi]])
         phi_out, wphi_out = _gl_panels(edges, 2 * np.pi / 12, opts.gl_order)
 
-        # one ring call for the trapezoid and the outward angles, then the
-        # inward rays on the common log-radius grid down to delta_min
+        # the series gives the inward nodes, on the common log-radius grid
+        # down to delta_min, and the ring values the outward rays start from
         s_in, w_in = _log_panels(delta_min, ring_r, fixed, opts)
-        ring_y, y_in = _march_ring_and_rays(
-            fld, center, ring_r, np.concatenate([phis, phi_out]), len(phis), s_in
-        )
-
         rho_in = np.exp(s_in)
+        y_of = _region_series(fld, i)
+        y_in = y_of(rho_in[:, None], phis[None, :])
+        ring_y = y_of(ring_r, phi_out)
+
         z_in = center + rho_in[:, None] * np.exp(1j * phis)[None, :]
         wt_in = (w_in * np.exp(2 * s_in))[:, None] * w_phi
 
@@ -421,7 +445,7 @@ class TransportWeb:
         s_start = np.log(ring_r)
         s_end = np.log(np.maximum(rho_max, ring_r))
         rays = paths.RayFan(center, phi_out, s_start, s_end)
-        y_out = fld.fan_values(rays, ring_y[len(phis):], t_nodes)
+        y_out = fld.fan_values(rays, ring_y, t_nodes)
 
         span = s_end - s_start
         s_out = s_start + t_nodes[:, None] * span[None, :]
@@ -445,9 +469,9 @@ class TransportWeb:
 
         fixed = [1.0 / d for d in delta_schedule]
         s_nodes, s_weights = _log_panels(self.r_out, 1.0 / delta_min, fixed, opts)
-        _, y = _march_ring_and_rays(fld, 0.0, self.r_out, phis, len(phis), s_nodes)
-
         rho = np.exp(s_nodes)
+        y = _region_series(fld, None)(rho[:, None], phis[None, :])
+
         z = rho[:, None] * np.exp(1j * phis)[None, :]
         wt = (s_weights * np.exp(2 * s_nodes))[:, None] * w_phi
         zf = z.ravel()
@@ -603,7 +627,9 @@ def annulus_kinetic_integral(
     """Kinetic integral over the annulus delta < |z - z_i| < ratio*delta.
 
     As delta -> 0 this tends to 2 pi log(ratio) * sum_j alpha_ij^2; used to
-    check the counterterm coefficient.
+    check the counterterm coefficient.  Y at the nodes comes from the
+    puncture's local series, matched at the patch ring as in the action's
+    web, so ratio*delta must not exceed the ring radius (ValueError).
     """
     opts = opts or QuadratureOptions()
     system = fld.system
@@ -612,9 +638,7 @@ def annulus_kinetic_integral(
     phis = 2 * np.pi * (np.arange(opts.n_phi) + 0.5) / opts.n_phi
     w_phi = 2 * np.pi / opts.n_phi
     s_nodes, s_weights = _log_panels(delta, ratio * delta, [], opts)
-    _, y = _march_ring_and_rays(
-        fld, center, _ring_radius(pts, puncture_index), phis, len(phis), s_nodes
-    )
+    y = _region_series(fld, puncture_index)(np.exp(s_nodes)[:, None], phis[None, :])
     z = center + np.exp(s_nodes)[:, None] * np.exp(1j * phis)[None, :]
     r = system.rank
     kin, _ = densities(_metric_of(y.reshape(-1, r, r)), system.A_of(z.ravel()))

@@ -246,3 +246,58 @@ def test_action_monodromy_quality_gate(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "monodromy quality" in err and "\n" not in err
     assert not (tmp_path / "out" / "result.json").exists()
+
+
+@pytest.mark.parametrize("fieldname", ["tol", "transport_tol"])
+@pytest.mark.parametrize("value", [-1, 0])
+def test_non_positive_tolerance_exits_2(tmp_path, capsys, fieldname, value):
+    # a tolerance <= 0 used to pass every transport step: monodromy on the
+    # fixture exited 0 with a relation residual of 0.42 at transport_tol -1
+    data = rank2_config().to_dict()
+    data["solver"][fieldname] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    rc = cli.main(["monodromy", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"config field 'solver.{fieldname}'" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_non_positive_tol_override_exits_2(tmp_path, capsys):
+    cli.save_config(rank2_config(), tmp_path / "cfg.json")
+    rc = cli.main(
+        ["monodromy", "--config", str(tmp_path / "cfg.json"), "--tol=-1e-9", "--out", str(tmp_path)]
+    )
+    assert rc == cli.EXIT_VALIDATION
+    assert "config field 'solver.tol'" in capsys.readouterr().err
+
+
+INTEGER_FIELDS = [
+    ("degree", None), ("max_iter", "solver"), ("restarts", "solver"), ("seed", "solver"),
+    ("n_phi", "action"), ("gl_order", "action"),
+]
+
+
+@pytest.mark.parametrize("name, section", INTEGER_FIELDS, ids=[n for n, _ in INTEGER_FIELDS])
+def test_non_integral_integer_field_exits_2(tmp_path, capsys, name, section):
+    # int() used to truncate: degree -2.7 ran as degree -2
+    data = rank2_config().to_dict()
+    (data[section] if section else data)[name] = -2.7
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    rc = cli.main(["monodromy", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    fieldname = f"{section}.{name}" if section else name
+    assert f"config field '{fieldname}'" in capsys.readouterr().err
+
+
+def test_integral_floats_read_as_integers():
+    cfg = rank2_config()
+    cfg.degree = -2
+    data = cfg.to_dict()
+    floats = json.loads(json.dumps(data))
+    for name, section in INTEGER_FIELDS:
+        values = floats[section] if section else floats
+        values[name] = float(values[name])
+    read = cli.ProblemConfig.from_dict(floats)
+    assert read.to_dict() == data
+    assert json.dumps(read.to_dict()) == json.dumps(data)
+    assert cli.config_hash(read) == cli.config_hash(cfg)

@@ -583,3 +583,88 @@ def test_monodromy_loops_path_independence_property(seed):
         ref = fuchs.transport_stack(ws.points, residues, loop, tol=tol / 100).values
         for b in range(3):
             assert numcore.fro(raw[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
+def test_transports_reject_non_positive_tol(tol):
+    system = _n4_rank3_system(41)
+    fan = _arc_fan(np.random.default_rng(42), 2)
+    with pytest.raises(ValueError):
+        fuchs.transport_fan(system.points, system.residues, fan, np.eye(3), tol=tol)
+    with pytest.raises(ValueError):
+        fuchs.transport_stack(system.points, system.residues[None], [paths.Line(2j, 1j)], tol=tol)
+    with pytest.raises(ValueError):
+        fuchs.transport(system, [paths.Line(2j, 1j)], tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# local series
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_local_series_matches_fan_property(seed):
+    # at every puncture and at infinity the series, matched to the value at
+    # a ring entry, agrees with tol / 100 fan transports from that entry:
+    # counterclockwise along the ring, then along rays into the puncture (at
+    # infinity: out to 20 ring radii), with the branch of the power
+    # following the sweep
+    rng = np.random.default_rng(seed)
+    system = _admissible_n4_rank3(rng)
+    pts, res = system.points, system.residues
+    tol = 1e-10
+    for at in (0, 1, 2, None):
+        if at is None:
+            center, ring = 0j, 2.0 * np.max(np.abs(pts)) + 2.0
+            radius, s_far = 1.0 / ring, np.log(20 * ring)
+        else:
+            center = pts[at]
+            ring = 0.5 * min(abs(pts[at] - pts[j]) for j in range(3) if j != at)
+            radius, s_far = ring, np.log(1e-3 * ring)
+        series = fuchs.local_series(pts, res, at, radius, tol)
+        assert series.tail <= tol / 100
+        a0 = rng.uniform(0.0, 2 * np.pi)
+        entry_value = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
+        right = series.matched(ring, a0, entry_value)
+        theta = a0 + np.mod(rng.uniform(0.0, 2 * np.pi, 6) - a0, 2 * np.pi)
+        arcs = paths.ArcFan(center, ring, a0, theta)
+        ring_ref = fuchs.transport_fan(pts, res, arcs, entry_value, tol=tol / 100).values[-1]
+        stops = np.array([0.2, 0.6, 1.0])
+        rays = paths.RayFan(center, theta, np.log(ring), s_far)
+        ray_ref = fuchs.transport_fan(pts, res, rays, ring_ref, stops, tol / 100).values
+        rhos = np.exp(np.log(ring) + stops * (s_far - np.log(ring)))
+        got = series.values(np.concatenate([[ring], rhos])[:, None], theta[None, :], right)
+        refs = np.concatenate([ring_ref[None], ray_ref])
+        for k in range(len(refs)):
+            for b in range(6):
+                scale = numcore.fro(refs[k, b])
+                assert numcore.fro(got[k, b] - refs[k, b]) <= 2 * tol * scale
+
+
+def test_local_series_near_resonant_divisor_raises():
+    # at the puncture 0 the residue has eigenvalues 0.2 and 1.2 + 1e-8: the
+    # order-1 divisor 1 + 0.2 - (1.2 + 1e-8) is about -1e-8
+    c = np.array([[1.0, 0.3], [0.2, 1.0]])
+    a0 = c @ np.diag([0.2, 1.2 + 1e-8]) @ np.linalg.inv(c)
+    residues = np.array([a0, np.diag([0.3, 0.6])], dtype=complex)
+    with pytest.raises(fuchs.ResonanceError):
+        fuchs.local_series([0.0, 1.0], residues, 0, 0.5, 1e-10)
+    # the same eigenvalue gap 1 + 1e-8 one order away is no resonance
+    residues[0] = c @ np.diag([0.2, 0.7 + 1e-8]) @ np.linalg.inv(c)
+    fuchs.local_series([0.0, 1.0], residues, 0, 0.5, 1e-10)
+
+
+def test_local_series_limits():
+    system = _n4_rank3_system(41)
+    pts, res = system.points, system.residues
+    # the nearest other puncture is 1.0 away from the one at 0
+    with pytest.raises(ValueError):
+        fuchs.local_series(pts, res, 1, 1.0, 1e-10)
+    with pytest.raises(ValueError):
+        fuchs.local_series(pts, res, 1, 0.5, 0.0)
+    # at q = 0.99 the tail needs thousands of terms
+    with pytest.raises(numcore.NumericalError):
+        fuchs.local_series(pts, res, 1, 0.99, 1e-10)
+    series = fuchs.local_series(pts, res, 1, 0.5, 1e-10)
+    with pytest.raises(ValueError):
+        series.values(0.6, 0.0)

@@ -367,9 +367,10 @@ def test_kink_angles_match_loop_bisection(points):
 
 
 def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
-    # the fan marches reach the same quadrature nodes as the fixed-step RK4
-    # marches and the per-angle ring transports they replaced, and the
-    # action on the closed-form fixture residues stays where those put it
+    # the local series and the outward fan marches reach the same quadrature
+    # nodes as the fixed-step RK4 marches and the per-angle ring transports
+    # of earlier versions, and the action on the closed-form fixture
+    # residues stays where those put it
     fld = wznw.make_metric_field(rank2_oracle_system, rank2_target)
     act = wznw.action_regularized(fld)
     assert abs(act.value / 0.0269422054119 - 1) <= 1e-8
@@ -377,3 +378,30 @@ def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
     deltas = (0.1, 0.05, 0.025, 0.0125)
     web = wznw.TransportWeb(fld, min(deltas), deltas, wznw.QuadratureOptions())
     assert sum(len(region.z) for region in web.regions) == 29440
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.7])
+def test_ray_values_rejects_radii_outside_the_ring(rank2_field, rho):
+    # the ring radius at the puncture 0 is half the distance 1 to the next
+    with pytest.raises(ValueError):
+        rank2_field.ray_values(0, 1.3, np.array([0.4, rho, 1e-3]))
+
+
+def test_action_transports_only_the_outward_rays(rank2_field, monkeypatch):
+    # rings, inward nodes and the outer region come from the local series:
+    # one transport_fan call per patch is left, for its outward rays
+    calls = []
+    fan = fuchs.transport_fan
+    monkeypatch.setattr(fuchs, "transport_fan", lambda *a, **k: calls.append(a[2]) or fan(*a, **k))
+    wznw.action_regularized(rank2_field)
+    assert len(calls) == rank2_field.weights.n - 1
+    assert all(isinstance(f, paths.RayFan) for f in calls)
+
+
+def test_gl_rule_cached_and_bit_identical():
+    x, w = np.polynomial.legendre.leggauss(8)
+    nodes, weights = wznw._gl_nodes(-0.3, 1.7, 8)
+    assert np.array_equal(nodes, 0.7 + 1.0 * x) and np.array_equal(weights, 1.0 * w)
+    assert wznw._gl_rule(8) is wznw._gl_rule(8)
+    with pytest.raises(ValueError):
+        wznw._gl_rule(8)[0][0] = 0.0
