@@ -749,16 +749,6 @@ class LocalSeries:
     coefficients: np.ndarray  # (M + 1, r, r)
     tail: float
 
-    def _local(self, rho, theta):
-        """x and log x at z = center + rho e^{i theta} (z = rho e^{i theta} at infinity)."""
-        log_x = np.log(rho) + 1j * np.asarray(theta, dtype=float)
-        if self.center is None:
-            log_x = -log_x
-        x = np.exp(log_x)
-        if np.any(np.abs(x) > self.radius * (1 + 1e-12)):
-            raise ValueError(f"node outside the series radius {self.radius:.6g}")
-        return x, log_x
-
     def values(self, rho, theta, right=None) -> np.ndarray:
         """Y0 right at the nodes z = center + rho e^{i theta} (at infinity
         z = rho e^{i theta}); rho and theta broadcast to the node shape,
@@ -769,7 +759,12 @@ class LocalSeries:
         in place, one (N, r, r) array at a time.
         """
         rho, theta = np.broadcast_arrays(rho, theta)
-        x, log_x = self._local(rho.ravel(), theta.ravel())
+        log_x = np.log(rho.ravel()) + 1j * theta.ravel()
+        if self.center is None:
+            log_x = -log_x
+        x = np.exp(log_x)
+        if np.any(np.abs(x) > self.radius * (1 + 1e-12)):
+            raise ValueError(f"node outside the series radius {self.radius:.6g}")
         u = (x / self.scale)[:, None, None]
         coef = self.coefficients
         g = np.empty((len(u),) + coef.shape[1:], dtype=complex)
