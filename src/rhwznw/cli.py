@@ -43,10 +43,6 @@ EXIT_CODES = (
     (ValueError, EXIT_VALIDATION),
 )
 
-# largest ||M M* - I||_F of the field's aligned generators that `action` accepts
-MONODROMY_QUALITY_GATE = 1e-6
-
-
 class ConfigError(ValueError):
     def __init__(self, fieldname: str, message: str):
         super().__init__(f"config field '{fieldname}': {message}")
@@ -318,9 +314,9 @@ def cmd_action(cfg: ProblemConfig, out_dir: Path) -> int:
         raise ConfigError("residues", "action needs solved residues (run rhsolve first)")
     system = fuchs.FuchsianSystem(ws, cfg.residues)
     fld = wznw.make_metric_field(system, target)
-    if fld.monodromy_quality > MONODROMY_QUALITY_GATE:
+    if fld.monodromy_quality > wznw.MONODROMY_QUALITY_GATE:
         raise numcore.NumericalError(
-            f"monodromy quality {fld.monodromy_quality:.3e} above {MONODROMY_QUALITY_GATE:g}: "
+            f"monodromy quality {fld.monodromy_quality:.3e} above {wznw.MONODROMY_QUALITY_GATE:g}: "
             "the monodromy is not unitary, so h is not single-valued"
         )
     act = wznw.action_regularized(fld, cfg.delta_schedule, opts=cfg.quad_options())

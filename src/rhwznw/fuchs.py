@@ -50,9 +50,8 @@ callers build the coefficients:
 * :func:`transport_fan`: one system, or a stack of S systems, on a fan of
   L member paths (arcs, or log-radial rays with per-member windows; each
   member may have its own center, and an arc its own radius), with stops;
-  the action's transport web marches its outward rays this way, the loop
-  set runs its circles this way, and the normalization at infinity marches
-  its ray.
+  the action's transport web marches its outward rays this way and the
+  loop set runs its circles this way.
 
 Near a puncture and near infinity no march is needed: :func:`local_series`
 gives the Frobenius solution Y0 = G(x) x^{-L} there (x = z - z_i, or 1/z at
@@ -901,7 +900,8 @@ class MonodromyLoops:
     WeightSystem.default_basepoint) along its approach leg P_i to the
     circle around puncture i, once around that circle counterclockwise and
     back along P_i; loop n is the big counterclockwise circle through the
-    basepoint.  Each loop passes check_clearance when the set is built.
+    basepoint, outside the disk |z| <= max |z_j| (ValueError otherwise).
+    Each loop passes check_clearance when the set is built.
 
     A monodromy evaluation integrates every circle of every system in one
     transport_fan call (per-member centers and radii, each circle from the
@@ -914,6 +914,9 @@ class MonodromyLoops:
     def __init__(self, weights: WeightSystem, basepoint: complex | None = None):
         self.weights = weights
         self.z0 = weights.default_basepoint() if basepoint is None else complex(basepoint)
+        disk = float(np.max(np.abs(weights.points)))
+        if abs(self.z0) <= disk:
+            raise ValueError(f"basepoint {self.z0} inside the punctures' disk |z| <= {disk:.6g}")
         legs = [_approach_leg(weights, i, self.z0) for i in range(weights.n - 1)]
         self.approaches = [approach for approach, _ in legs]
         circles = [circle for _, circle in legs]

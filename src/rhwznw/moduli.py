@@ -274,7 +274,8 @@ def action_surface(
 ) -> list[SurfacePoint]:
     """Regularized action at every grid member, warm-starting along the grid.
 
-    Non-solving or non-regular members produce holes (ok=False) instead of
+    Non-solving or non-regular members, and members whose field misses
+    wznw.MONODROMY_QUALITY_GATE, produce holes (ok=False) instead of
     aborting the sweep.
     """
     solve_opts = solve_opts or rhsolve.SolveOptions()
@@ -298,6 +299,10 @@ def action_surface(
                 system, rep, transport_tol=min(1e-10, solve_opts.transport_tol),
                 normalization=report.normalization,
             )
+            if fld.monodromy_quality > wznw.MONODROMY_QUALITY_GATE:
+                message = f"monodromy quality {fld.monodromy_quality:.3e}: h is not single-valued"
+                out.append(SurfacePoint(eps, None, None, True, report.final_residual, False, message))
+                continue
             act = wznw.action_regularized(fld, delta_schedule, opts=quad_opts)
             out.append(
                 SurfacePoint(

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import factor, fuchs, paths
+from . import factor, fuchs
 # called by this name, so that a wrapper of rhsolve.align_tuple_to_target sees every call
 from .fuchs import ResonanceError, align_tuple_to_target
-from .numcore import NumericalError, fro
+from .numcore import NumericalError
 
 
 class ReducibleTargetError(ValueError):
@@ -337,6 +337,10 @@ def solve(
 # normalization at infinity
 
 
+# normalize_at_infinity warns above this exponent drift at infinity
+DISAGREEMENT_WARNING = 1e-3
+
+
 @dataclass
 class NormalizationResult:
     constant_term: np.ndarray
@@ -344,6 +348,8 @@ class NormalizationResult:
     canonical_system: fuchs.FuchsianSystem
     basepoint: complex
     basepoint_value: np.ndarray  # canonical fundamental solution at the basepoint
+    # the spectrum at infinity's drift from the exponents Lambda, whose power
+    # z^{lam - Lambda} keeps Y W z^{-Lambda} from having a limit
     extrapolation_disagreement: float
     right_conjugator: np.ndarray
     left_gauge: np.ndarray
@@ -381,19 +387,17 @@ def normalize_at_infinity(
     target: fuchs.AdmissibleRep,
     problem: fuchs.MonodromyLoops | None = None,
     transport_tol: float = 1e-10,
-    radius: float | None = None,
-    disagreement_tol: float = 1e-3,
 ) -> NormalizationResult:
-    """Estimate the constant term at infinity and renormalize to the
-    canonical fundamental solution.
+    """Read the constant term at infinity from the local series and
+    renormalize to the canonical fundamental solution.
 
     The right conjugator W aligns the monodromy with the target unitary
-    tuple (the aligned generators W^{-1} M_i W are kept); the constant term
-    G of Y(z) z^{-(N'+W_n)} is then estimated at radii R, 2R and 4R, the
-    three stops of one log-radial ray march (transport_fan) outward from
-    the basepoint, and Richardson extrapolated.  When G Pi0-membership in
-    the large-cell coset holds, the solution is left-normalized so the
-    constant term becomes Pi0.
+    tuple (the aligned generators W^{-1} M_i W are kept).  Y W = Y0 K with
+    Y0 the series at infinity matched at the basepoint, where Y = I; column
+    b of Y W z^{-(N'+W_n)} tends to the constant term basis[:, pi(b)]
+    C[pi(b), b], C = basis^{-1} K and pi matching the series' exponents to
+    N' + W_n.  When G Pi0-membership in the large-cell coset holds, the
+    solution is left-normalized so the constant term becomes Pi0.
     """
     ws = system.weights
     diffs = ws.infinity_exponents[:, None] - ws.infinity_exponents[None, :]
@@ -409,32 +413,16 @@ def normalize_at_infinity(
     W = aligned.conjugator
     z0 = problem.z0
 
-    if radius is None:
-        radius = 20.0 * max(1.0, float(np.max(np.abs(ws.points))))
-    if radius <= abs(z0):
-        raise ValueError(f"radius {radius} must exceed the basepoint modulus {abs(z0)}")
-    radii = radius * np.array([1.0, 2.0, 4.0])
-    # straight continuation of the basepoint ray outwards, log-radial, with a
-    # stop at each radius
-    fuchs.check_clearance(ws, [paths.Line(z0, z0 * (radii[-1] / abs(z0)))])
-    s0, s_nodes = np.log(abs(z0)), np.log(radii)
-    ray = paths.RayFan(0.0, np.array([np.angle(z0)]), s0, s_nodes[-1])
-    ys = fuchs.transport_fan(
-        ws.points, system.residues, ray, np.eye(ws.rank), (s_nodes - s0) / (s_nodes[-1] - s0),
-        transport_tol,
-    ).values[:, 0]
-    lam = np.asarray(ws.infinity_exponents, dtype=complex)
-    logz = s_nodes + 1j * np.angle(z0)
-    g1, g2, g4 = (ys @ W) * np.exp(-lam[None, None, :] * logz[:, None, None])
-    G_a = 2.0 * g2 - g1
-    G_b = 2.0 * g4 - g2
-    # three-point extrapolation removes both 1/R and 1/R^2 tails
-    G = (g1 - 6.0 * g2 + 8.0 * g4) / 3.0
-    disagreement = fro(G_b - G_a) / max(fro(G), 1e-300)
-    if disagreement > disagreement_tol:
+    # |z0| > max |z_j| (MonodromyLoops), so the basepoint is inside the series' disk
+    series = fuchs.local_series(ws.points, system.residues, None, 1.0 / abs(z0), transport_tol)
+    K = series.matched(abs(z0), float(np.angle(z0)), W)
+    perm, _ = fuchs._match_to_targets(series.exponents, ws.infinity_exponents)
+    G = series.basis[:, perm] * np.diagonal(np.linalg.solve(series.basis, K)[perm])
+    disagreement = system.infinity_spectrum_residual()
+    if disagreement > DISAGREEMENT_WARNING:
         warnings.warn(
-            f"constant-term extrapolation disagreement {disagreement:.2e}; "
-            "expansion unreliable"
+            f"constant-term extrapolation disagreement {disagreement:.2e}: the "
+            "exponents at infinity drift from the weights; expansion unreliable"
         )
 
     flag = bool(_coset_flag(G, ws.splitting))

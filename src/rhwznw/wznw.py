@@ -55,6 +55,10 @@ class UnreliableExtrapolationError(NumericalError):
     pass
 
 
+# largest MetricField.monodromy_quality at which h counts as single-valued
+MONODROMY_QUALITY_GATE = 1e-6
+
+
 # ---------------------------------------------------------------------------
 # densities
 
@@ -174,11 +178,6 @@ class MetricField:
     def metric_at(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
         """(h(z), A(z)): transported metric and the closed-form connection."""
         return self.h_at(z), self.system.A_of(complex(z))
-
-    def fan_values(self, fan, starts: np.ndarray, stops=(1.0,)) -> np.ndarray:
-        """Y at the stop times along every member of a fan, (len(stops), B, r, r)."""
-        pts, res = self.system.points, self.system.residues
-        return fuchs.transport_fan(pts, res, fan, starts, stops, self.transport_tol).values
 
     def ray_values(self, center_index: int, phi: float, rhos: np.ndarray):
         """Y at center + rho e^{i phi} for every radius in rhos, stacked in
@@ -445,7 +444,8 @@ class TransportWeb:
         s_start = np.log(ring_r)
         s_end = np.log(np.maximum(rho_max, ring_r))
         rays = paths.RayFan(center, phi_out, s_start, s_end)
-        y_out = fld.fan_values(rays, ring_y, t_nodes)
+        res = fld.system.residues
+        y_out = fuchs.transport_fan(pts, res, rays, ring_y, t_nodes, fld.transport_tol).values
 
         span = s_end - s_start
         s_out = s_start + t_nodes[:, None] * span[None, :]

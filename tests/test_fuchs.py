@@ -172,6 +172,16 @@ def test_monodromy_local_exponents(rank2_oracle_system, rank2_weights):
     assert mon.relation_residual <= 1e-7
 
 
+@pytest.mark.parametrize("basepoint", [0.5 + 0.5j, 1.0j, -1.0])
+def test_loop_basepoint_inside_punctures_disk_rejected(rank2_oracle_system, basepoint):
+    # the big circle through 0.5+0.5j misses puncture 1: M_n came out with
+    # phases 0.65/0.85 instead of 0.30/0.55 and relation residual 6.7
+    with pytest.raises(ValueError, match="inside the punctures. disk"):
+        fuchs.MonodromyLoops(rank2_oracle_system.weights, basepoint)
+    with pytest.raises(ValueError, match="inside the punctures. disk"):
+        fuchs.monodromy_rep(rank2_oracle_system, basepoint=basepoint)
+
+
 def test_monodromy_path_independence(rank2_oracle_system, rank2_weights):
     # circle loop against a square loop around the same puncture
     ws = rank2_weights

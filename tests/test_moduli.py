@@ -122,6 +122,23 @@ def test_action_surface_normalizes_each_point_once(rank1_weights, rank1_target, 
     assert len(calls) == 2
 
 
+def test_action_surface_hole_above_monodromy_quality_gate(rank1_weights, rank1_target, monkeypatch):
+    # a field whose aligned generators are far from unitary has a
+    # multi-valued h: the point is a hole, not an action
+    from dataclasses import replace
+
+    from rhwznw import rhsolve, wznw
+
+    make = wznw.make_metric_field
+    monkeypatch.setattr(
+        wznw, "make_metric_field", lambda *a, **k: replace(make(*a, **k), monodromy_quality=1e-3)
+    )
+    family = moduli.RepFamily(rank1_target, moduli.random_tangent_direction(rank1_weights, 3))
+    pts = moduli.action_surface(family, [0.0], solve_opts=rhsolve.SolveOptions(restarts=1))
+    assert len(pts) == 1 and not pts[0].ok
+    assert pts[0].action is None and "monodromy quality" in pts[0].message
+
+
 def test_action_surface_rank1_family_matches_oracle(rank1_weights, rank1_target):
     # rank-1 tuples are rigid under conjugator moves, so every member has
     # the closed-form abelian action

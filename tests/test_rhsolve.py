@@ -113,34 +113,31 @@ def test_normalize_rank1(rank1_system, rank1_target):
     assert norm.extrapolation_disagreement < 1e-3
 
 
-def test_normalize_two_radius_consistency(rank2_solved, rank2_target):
-    system, _ = rank2_solved
-    a = rhsolve.normalize_at_infinity(system, rank2_target, radius=20.0)
-    b = rhsolve.normalize_at_infinity(system, rank2_target, radius=40.0)
-    # the estimates converge to the same constant term as the radius grows
-    scale = numcore.fro(b.constant_term)
-    assert numcore.fro(a.constant_term - b.constant_term) / scale < 1e-4
-    assert a.large_cell_flag and b.large_cell_flag
-
-
-def test_normalize_constant_term_matches_line_transports(rank2_solved, rank2_target):
-    # the one log-radial ray march with stops at R, 2R, 4R against three
-    # separate transports along the straight continuation of the basepoint
-    # ray, at a tolerance 100 times tighter
+def test_normalize_constant_term_is_the_richardson_limit(rank2_solved, rank2_target):
+    # three-point Richardson estimates from R, 2R and 4R, along the straight
+    # continuation of the basepoint ray at a tolerance 100 times tighter,
+    # leave an R^-3 tail: they converge to the series' constant term
     system, _ = rank2_solved
     tol = 1e-10
     norm = rhsolve.normalize_at_infinity(system, rank2_target, transport_tol=tol)
     z0, lam = norm.basepoint, system.weights.infinity_exponents
+    unit = z0 / abs(z0)
 
-    def g_at(radius):
-        end = z0 * (radius / abs(z0))
-        y = fuchs.transport(system, [paths.Line(z0, end)], tol=tol / 100).value
-        return (y @ norm.right_conjugator) * np.exp(-lam[None, :] * np.log(end))
+    radii = 20.0 * 2.0 ** np.arange(6)
+    g, start, y = {}, z0, np.eye(2, dtype=complex)
+    for radius in radii:
+        end = radius * unit
+        y = fuchs.transport(system, [paths.Line(start, end)], start=y, tol=tol / 100).value
+        g[radius] = (y @ norm.right_conjugator) * np.exp(-lam[None, :] * np.log(end))
+        start = end
 
-    radius = 20.0  # the default for punctures inside the unit disk
-    g1, g2, g4 = g_at(radius), g_at(2 * radius), g_at(4 * radius)
-    ref = (g1 - 6.0 * g2 + 8.0 * g4) / 3.0
-    assert numcore.fro(norm.constant_term - ref) <= 1e-9 * numcore.fro(ref)
+    scale = numcore.fro(norm.constant_term)
+    errors = [
+        numcore.fro((g[r] - 6.0 * g[2 * r] + 8.0 * g[4 * r]) / 3.0 - norm.constant_term) / scale
+        for r in radii[:4]
+    ]
+    assert all(b <= a / 6.0 for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] <= 1e-8, errors
 
 
 def test_solve_hands_over_normalization(rank2_solved, rank2_target):
