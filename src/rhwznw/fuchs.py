@@ -25,13 +25,15 @@ are one fan call; each approach leg is one stacked call; the return leg is
 never integrated, since its transport is P_i^{-1}, and the raw loop
 transport is assembled as P_i^{-1} C_i P_i from the circle's transport C_i.
 :func:`monodromy_rep` is the loop set with one member.
-One gauge alignment (:func:`align_tuple_to_target`) brings a computed tuple
-to a normalized target: conjugate by the ordered eigenbasis of the last
-generator, balance over the positive diagonal group (Osborne sweeps; away
-from a solution the tuple is only conjugate to a unitary one, and balancing
-lands on the unitary gauge when one exists), then align the diagonal torus
-by coordinate ascent from several starts.  :func:`rep_distance` is the
-mismatch it leaves.
+One gauge alignment (:func:`align_tuple_to_target`) brings computed tuples,
+one (n, r, r) or a stack (B, n, r, r), to a normalized target, each step on
+the whole stack: conjugate by the ordered eigenbasis of the last generator
+(batched eig; all r! matchings to the target phases scored at once),
+balance over the positive diagonal group (Osborne sweeps on (B, r) arrays;
+away from a solution the tuple is only conjugate to a unitary one, and
+balancing lands on the unitary gauge when one exists), then align the
+diagonal torus by coordinate ascent with its seven starts as one more stack
+axis (B, 7, r).  :func:`rep_distance` is the mismatch it leaves.
 
 Transport has one integrator, an adaptive Dormand-Prince 5(4) loop over a
 stack of B members, with the coefficients -A(z(t)) z'(t) of every member
@@ -250,15 +252,16 @@ def local_generator(weights: WeightSystem, i: int, U: np.ndarray) -> np.ndarray:
     return U @ np.diag(phases) @ U.conj().T
 
 
-def _match_to_targets(lam: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best permutation matching of eigenvalues to target phases (r <= 5)."""
-    r = len(lam)
-    best, best_cost = None, np.inf
-    for perm in permutations(range(r)):
-        cost = float(np.max(np.abs(lam[list(perm)] - targets)))
-        if cost < best_cost:
-            best, best_cost = perm, cost
-    return np.asarray(best, dtype=int), best_cost
+def _match_to_targets(lam: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best permutation matching of eigenvalues to target phases (r <= 5).
+
+    lam (..., r); every permutation is scored by its largest distance and
+    the first best one in itertools order wins.  Returns perm (..., r) and
+    its cost (...).
+    """
+    perms = np.array(list(permutations(range(lam.shape[-1]))))
+    cost = np.max(np.abs(lam[..., perms] - targets), axis=-1)
+    return perms[np.argmin(cost, axis=-1)], np.min(cost, axis=-1)
 
 
 def unitary_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -996,89 +999,104 @@ def monodromy_rep(
 # gauge alignment
 
 
-def _balance_positive_diagonal(mats: list[np.ndarray], sweeps: int = 200) -> np.ndarray:
-    """Positive diagonal D minimizing sum ||D M D^{-1}||_F^2 (Osborne sweeps)."""
-    r = mats[0].shape[0]
-    lam = np.zeros(r)
-    sq = sum(np.abs(m) ** 2 for m in mats)
-    for _ in range(sweeps):
-        moved = 0.0
-        for j in range(r):
-            ej = np.exp(-2 * lam)
-            row = float(np.sum(np.delete(sq[j, :] * ej, j)))
-            col = float(np.sum(np.delete(sq[:, j] * np.exp(2 * lam), j)))
-            if row <= 0 or col <= 0:
-                continue
-            new = 0.25 * np.log(col / row)
-            moved = max(moved, abs(new - lam[j]))
-            lam[j] = new
-        lam -= lam.mean()
-        if moved < 1e-14:
-            break
+def _balance_positive_diagonal(sq: np.ndarray, sweeps: int = 200) -> np.ndarray:
+    """Positive diagonals D minimizing sum ||D M D^{-1}||_F^2 (Osborne sweeps).
+
+    sq (B, r, r) holds sum_i |M_i|^2 of each member; returns d (B, r).  A
+    member stops moving once a sweep moves it by less than 1e-14.
+    """
+    r = sq.shape[-1]
+    # with the diagonal zeroed, row and column sums skip it (adding 0 is exact)
+    off = sq * (1 - np.eye(r))
+    lam = np.zeros(sq.shape[:-1])
+    active = np.ones(len(sq), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(sweeps):
+            before = lam.copy()
+            for j in range(r):
+                row = (off[:, j, :] * np.exp(-2 * lam)).sum(axis=-1)
+                col = (off[:, :, j] * np.exp(2 * lam)).sum(axis=-1)
+                step = active & (row > 0) & (col > 0)
+                lam[:, j] = np.where(step, 0.25 * np.log(col / row), lam[:, j])
+            moved = np.abs(lam - before).max(axis=-1)
+            # subtracting 0.0 leaves the members that stopped as they are
+            lam -= active[:, None] * (lam.sum(axis=-1, keepdims=True) / r)
+            active &= moved >= 1e-14
+            if not active.any():
+                break
     return np.exp(lam)
 
 
-def _torus_objective(theta: np.ndarray, c: np.ndarray) -> float:
-    g = np.exp(1j * theta)
-    return float(np.real(np.sum(np.outer(g, np.conj(g)) * c)))
+def _torus_ascent(c: np.ndarray, theta: np.ndarray, sweeps: int = 60) -> np.ndarray:
+    """Coordinate ascent of Re sum_jk g_j c_jk conj(g_k), g = e^{i theta}.
 
-
-def _coordinate_ascent(theta: np.ndarray, c: np.ndarray, sweeps: int = 60) -> np.ndarray:
-    r = len(theta)
+    c (B, r, r), theta (B, S, r) with S starts per member; each start stops
+    once a sweep moves it by less than 1e-14.  Every coordinate step is the
+    exact maximizer along its axis.
+    """
+    r = theta.shape[-1]
+    off = (c * (1 - np.eye(r)))[:, None]
+    active = np.ones(theta.shape[:-1], dtype=bool)
     for _ in range(sweeps):
-        moved = 0.0
+        before = theta.copy()
         for j in range(r):
             g = np.exp(1j * theta)
-            row = np.sum(np.delete(c[j, :] * np.conj(g), j))
-            col = np.sum(np.delete(c[:, j] * g, j))
-            w = row + np.conj(col)
-            new = -np.angle(w) if abs(w) > 0 else theta[j]
-            moved = max(moved, abs(np.angle(np.exp(1j * (new - theta[j])))))
-            theta[j] = new
-        if moved < 1e-14:
+            w = (off[..., j, :] * np.conj(g)).sum(axis=-1) + np.conj(
+                (off[..., :, j] * g).sum(axis=-1)
+            )
+            step = active & (np.abs(w) > 0)
+            theta[..., j] = np.where(step, -np.arctan2(w.imag, w.real), theta[..., j])
+        turn = np.exp(1j * (theta - before))
+        active &= np.abs(np.arctan2(turn.imag, turn.real)).max(axis=-1) >= 1e-14
+        if not active.any():
             break
     return theta
 
 
 @dataclass
 class TupleAlignment:
-    generators: list[np.ndarray]
-    conjugator: np.ndarray  # W with computed_i = W aligned_i W^{-1}
-    mismatch: float         # sum_i ||aligned_i - target_i||_F^2
+    generators: np.ndarray  # (..., n, r, r) aligned tuples
+    conjugator: np.ndarray  # (..., r, r) W with computed_i = W aligned_i W^{-1}
+    mismatch: np.ndarray    # (...) sum_i ||aligned_i - target_i||_F^2
 
 
-def align_tuple_to_target(computed: list[np.ndarray], target: AdmissibleRep) -> TupleAlignment:
-    """Conjugate a computed tuple as close as possible to the target tuple."""
-    r = target.rank
-    targets_last = np.exp(TWO_PI_I * target.weights.weights[-1])
-    lam, v = np.linalg.eig(computed[-1])
-    perm, _ = _match_to_targets(lam, targets_last)
-    v = v[:, perm]
-    v = v / np.linalg.norm(v, axis=0, keepdims=True)
-    vinv = np.linalg.inv(v)
-    gens = [vinv @ m @ v for m in computed]
+def align_tuple_to_target(computed, target: AdmissibleRep) -> TupleAlignment:
+    """Conjugate computed tuples, one (n, r, r) or a stack (..., n, r, r), as
+    close as possible to the target tuple; every step runs on the whole stack.
+    """
+    m = np.asarray(computed, dtype=complex)
+    lead, (n, r) = m.shape[:-3], m.shape[-3:-1]
+    m = m.reshape(-1, n, r, r)
+    tgt = np.asarray(target.generators, dtype=complex)
 
-    d = _balance_positive_diagonal(gens)
-    dmat, dinv = np.diag(d), np.diag(1.0 / d)
-    gens = [dmat @ m @ dinv for m in gens]
+    lam, v = np.linalg.eig(m[:, -1])
+    perm, _ = _match_to_targets(lam, np.exp(TWO_PI_I * target.weights.weights[-1]))
+    v = np.take_along_axis(v, perm[:, None, :], axis=-1)
+    v = v / np.linalg.norm(v, axis=-2, keepdims=True)
+    gens = np.linalg.inv(v)[:, None] @ m @ v[:, None]
 
-    # maximize Re sum_i <g M_i g^*, T_i> over the diagonal torus g = diag(e^{i theta})
-    c = np.zeros_like(gens[0])
-    for m, t in zip(gens, target.generators):
-        c = c + m * np.conj(t)
-    theta = _coordinate_ascent(np.zeros(r), c)
-    best_val = _torus_objective(theta, c)
-    rng = np.random.default_rng(2024)
-    for _ in range(6):
-        cand = _coordinate_ascent(rng.uniform(0, 2 * np.pi, r), c)
-        val = _torus_objective(cand, c)
-        if val > best_val:
-            theta, best_val = cand, val
-    g = np.diag(np.exp(1j * theta))
-    gens = [g @ m @ g.conj().T for m in gens]
-    mismatch = sum(fro(a - b) ** 2 for a, b in zip(gens, target.generators))
-    conj = v @ np.diag(1.0 / d) @ np.diag(np.exp(-1j * theta))
-    return TupleAlignment(generators=gens, conjugator=conj, mismatch=float(mismatch))
+    d = _balance_positive_diagonal(np.sum(np.abs(gens) ** 2, axis=1))
+    gens = d[:, None, :, None] * gens * (1.0 / d)[:, None, None, :]
+
+    # maximize Re sum_i <g M_i g^*, T_i> over the diagonal torus g = diag(e^{i theta}),
+    # from theta = 0 and six seeded starts; the first best start wins
+    c = np.sum(gens * np.conj(tgt), axis=1)
+    draws = np.random.default_rng(2024).uniform(0, 2 * np.pi, (6, r))
+    starts = np.concatenate([np.zeros((1, r)), draws])
+    theta = _torus_ascent(c, np.broadcast_to(starts, (len(m), 7, r)).copy())
+    g = np.exp(1j * theta)
+    value = np.real(np.sum(g[..., :, None] * np.conj(g)[..., None, :] * c[:, None], axis=(-2, -1)))
+    theta = theta[np.arange(len(m)), np.argmax(value, axis=-1)]
+    g = np.exp(1j * theta)
+    gens = g[:, None, :, None] * gens * np.conj(g)[:, None, None, :]
+
+    mismatch = np.sum(np.abs(gens - tgt) ** 2, axis=(-3, -2, -1))
+    conj = v * (1.0 / d)[:, None, :] * np.exp(-1j * theta)[:, None, :]
+    return TupleAlignment(
+        generators=gens.reshape(*lead, n, r, r),
+        conjugator=conj.reshape(*lead, r, r),
+        mismatch=mismatch.reshape(lead)[()],
+    )
 
 
 def rep_distance(a: AdmissibleRep, b: AdmissibleRep) -> float:
@@ -1091,7 +1109,9 @@ def rep_distance(a: AdmissibleRep, b: AdmissibleRep) -> float:
     """
     if a.weights.weights.shape != b.weights.weights.shape:
         raise ValueError("weight data must match")
-    gaps = np.diff(np.sort(a.weights.weights[-1]))
+    w = np.sort(a.weights.weights[-1])
+    # the phases lie on a circle: the first and last weights are neighbours too
+    gaps = np.append(np.diff(w), 1.0 - (w[-1] - w[0]))
     if a.rank > 1 and np.min(gaps) < 1e-8:
         raise ValueError("repeated infinity phases: the residual gauge is not a torus")
     return align_tuple_to_target(a.generators, b).mismatch

@@ -9,8 +9,9 @@ generators with the target tuple entrywise and adds a 10x-weighted
 penalty on the spectrum of the residue at infinity, which pins the
 splitting type.  Residuals are evaluated for stacks of chart points: the
 central-difference Jacobian of one LM iteration is a single stack of
-2 dim points, transported by the loop set in one fan call for all the
-loop circles and one kernel call per approach leg.
+2 dim points, mapped to residues by one batched expm, transported by the
+loop set in one fan call for all the loop circles and one kernel call per
+approach leg, and gauge-aligned in one call.
 
 The monodromy loops and the gauge alignment live in fuchs (MonodromyLoops,
 align_tuple_to_target).  A restart's final residual is the squared norm of
@@ -56,27 +57,24 @@ class ResidueParametrization:
         return 2 * (r * r - r) * (n - 1)
 
     def _unpack(self, x: np.ndarray) -> np.ndarray:
+        """K_i of chart points x (..., dim) as (..., n-1, r, r): per residue the
+        off-diagonal entries in row-major order, each a (real, imaginary) pair."""
         n, r = self.weights.n, self.weights.rank
-        ks = np.zeros((n - 1, r, r), dtype=complex)
-        off = [(a, b) for a in range(r) for b in range(r) if a != b]
-        per = 2 * len(off)
-        for i in range(n - 1):
-            chunk = x[i * per : (i + 1) * per]
-            for m, (a, b) in enumerate(off):
-                ks[i, a, b] = chunk[2 * m] + 1j * chunk[2 * m + 1]
+        a, b = np.nonzero(~np.eye(r, dtype=bool))
+        ks = np.zeros(x.shape[:-1] + (n - 1, r, r), dtype=complex)
+        ks[..., a, b] = (x[..., 0::2] + 1j * x[..., 1::2]).reshape(*x.shape[:-1], n - 1, len(a))
         return ks
 
     def conjugators(self, x: np.ndarray) -> np.ndarray:
+        """C_i of chart points x (..., dim) as (..., n-1, r, r)."""
         ks = self._unpack(np.asarray(x, dtype=float))
-        return np.array([self.basepoints[i] @ scipy.linalg.expm(ks[i]) for i in range(len(ks))])
+        return self.basepoints @ scipy.linalg.expm(ks)
 
     def residues(self, x: np.ndarray) -> np.ndarray:
+        """A_i of chart points x (..., dim) as (..., n-1, r, r)."""
         cs = self.conjugators(x)
-        out = []
-        for i, c in enumerate(cs):
-            w = self.weights.weight_diag(i)
-            out.append(c @ w @ np.linalg.inv(c))
-        return np.array(out)
+        spectra = np.array([self.weights.weight_diag(i) for i in range(self.weights.n - 1)])
+        return cs @ spectra @ np.linalg.inv(cs)
 
     def system(self, x: np.ndarray) -> fuchs.FuchsianSystem:
         return fuchs.FuchsianSystem(self.weights, self.residues(x))
@@ -110,17 +108,15 @@ def residual_stack(
 ) -> np.ndarray:
     """Residual vectors (B, m) of a (B, dim) stack of chart points.
 
-    Residues of every member, then the generators of the whole stack
-    (MonodromyLoops.monodromy), then per-member gauge alignment and the
-    infinity spectrum.
+    Residues of the whole stack, its generators (MonodromyLoops.monodromy)
+    and their gauge alignment each come from one call; then the infinity
+    spectrum.
     """
     if problem is None:
         problem = fuchs.MonodromyLoops(parm.weights)
-    residues = np.array([parm.residues(x) for x in np.asarray(xs, dtype=float)])
+    residues = parm.residues(xs)
     _, gens = problem.monodromy(residues, transport_tol)
-    aligned = np.array(
-        [align_tuple_to_target(list(g), target).generators for g in gens]
-    )
+    aligned = align_tuple_to_target(gens, target).generators
     diff = aligned - np.asarray(target.generators)
     # per generator: real parts, then imaginary parts
     d = np.stack([diff.real, diff.imag], axis=2).reshape(len(gens), -1)
@@ -355,7 +351,7 @@ class NormalizationResult:
     left_gauge: np.ndarray
     # the monodromy generators aligned to the target, W^{-1} M_i W: the
     # canonical solution's monodromy in the gauge of basepoint_value
-    aligned_generators: list[np.ndarray]
+    aligned_generators: np.ndarray  # (n, r, r)
 
 
 def _coset_flag(G: np.ndarray, splitting: factor.SplittingType) -> bool:
@@ -409,7 +405,7 @@ def normalize_at_infinity(
     if problem is None:
         problem = fuchs.MonodromyLoops(ws)
     _, gens = problem.monodromy(system.residues[None], transport_tol)
-    aligned = align_tuple_to_target(list(gens[0]), target)
+    aligned = align_tuple_to_target(gens[0], target)
     W = aligned.conjugator
     z0 = problem.z0
 

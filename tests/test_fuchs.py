@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from rhwznw import fuchs, numcore, paths
+from rhwznw import fuchs, moduli, numcore, paths
 
 
 def test_weight_system_stability_rejection():
@@ -260,15 +261,20 @@ def test_rep_distance_torus_grid_oracle(rank2_weights, rank2_target):
     assert d > 1e-4
 
     gens, tgts = other.generators, rank2_target.generators
-    best = np.inf
-    for phi in np.linspace(0, 2 * np.pi, 721):
+
+    def torus_mismatch(phi):
         g = np.diag([np.exp(1j * phi), 1.0])
-        val = sum(
-            numcore.fro(g @ a @ g.conj().T - b) ** 2 for a, b in zip(gens, tgts)
-        )
-        best = min(best, val)
-    # polish the grid minimum by golden-section refinement
-    assert abs(d - best) <= 1e-4 * (1 + best)
+        return sum(numcore.fro(g @ a @ g.conj().T - b) ** 2 for a, b in zip(gens, tgts))
+
+    grid = np.linspace(0, 2 * np.pi, 721)
+    phi = grid[np.argmin([torus_mismatch(p) for p in grid])]
+    # polish the grid minimum by Brent's method bracketed at its neighbours
+    h = grid[1] - grid[0]
+    polished = scipy.optimize.minimize_scalar(
+        torus_mismatch, bracket=(phi - h, phi, phi + h), method="brent", tol=1e-12
+    )
+    best = polished.fun
+    assert abs(d - best) <= 1e-10 * best
 
 
 def test_rep_distance_small_distance_scales(rank2_target):
@@ -293,6 +299,83 @@ def test_rep_distance_rejects_repeated_infinity_phases(rank2_target):
     rep = fuchs.AdmissibleRep(ws, rank2_target.generators, rank2_target.conjugators)
     with pytest.raises(ValueError, match="repeated infinity phases"):
         fuchs.rep_distance(rep, rep)
+
+
+def test_rep_distance_rejects_phases_adjacent_across_zero(rank2_target):
+    # 5e-10 and 1 - 5e-10 are 1e-9 apart on the circle of phases
+    ws = fuchs.build_weight_system(
+        [0.0, 1.0], [[0.15, 0.35], [0.2, 0.3], [5e-10, 1 - 5e-10]]
+    )
+    rep = fuchs.AdmissibleRep(ws, rank2_target.generators, rank2_target.conjugators)
+    with pytest.raises(ValueError, match="repeated infinity phases"):
+        fuchs.rep_distance(rep, rep)
+
+
+def _perturbed_tuples(target, rng, count, scale):
+    """Tuples conjugate to small perturbations of the target by random
+    non-unitary matrices, stacked as (count, n, r, r)."""
+    r = target.rank
+    gens = np.asarray(target.generators)
+    out = []
+    for _ in range(count):
+        bump = scale * (rng.standard_normal(gens.shape) + 1j * rng.standard_normal(gens.shape))
+        w = scipy.linalg.expm(0.5 * (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))))
+        out.append(w @ (gens + bump) @ np.linalg.inv(w))
+    return np.array(out)
+
+
+def test_align_stack_matches_single_calls(rank2_target):
+    rng = np.random.default_rng(8)
+    stack = _perturbed_tuples(rank2_target, rng, 6, 0.05)
+    aligned = fuchs.align_tuple_to_target(stack, rank2_target)
+    assert aligned.generators.shape == stack.shape
+    assert aligned.conjugator.shape == (6, 2, 2)
+    assert aligned.mismatch.shape == (6,)
+    for k, tup in enumerate(stack):
+        one = fuchs.align_tuple_to_target(list(tup), rank2_target)
+        assert np.allclose(one.generators, aligned.generators[k], rtol=0, atol=1e-14)
+        assert np.allclose(one.conjugator, aligned.conjugator[k], rtol=1e-14, atol=1e-14)
+        assert abs(one.mismatch - aligned.mismatch[k]) <= 1e-14 * max(one.mismatch, 1e-300)
+        # computed_i = W aligned_i W^{-1}
+        w = aligned.conjugator[k]
+        assert np.allclose(w @ aligned.generators[k] @ np.linalg.inv(w), tup, atol=1e-12)
+
+
+def test_align_rank2_torus_phase_is_closed_form_optimum(rank2_target):
+    # at r = 2 the best relative torus phase is -arg(c01 + conj c10) with
+    # c = sum_i aligned_i * conj(T_i); after alignment it must be 0
+    rng = np.random.default_rng(12)
+    stack = _perturbed_tuples(rank2_target, rng, 8, 0.3)
+    aligned = fuchs.align_tuple_to_target(stack, rank2_target)
+    c = np.sum(aligned.generators * np.conj(np.asarray(rank2_target.generators)), axis=1)
+    w = c[:, 0, 1] + np.conj(c[:, 1, 0])
+    assert np.all(np.abs(w) > 1e-3)
+    assert np.max(np.abs(np.angle(w))) <= 1e-12
+
+
+def test_align_rank3_torus_oracle():
+    ws = fuchs.build_weight_system(
+        [-1.0, 0.0, 1.0], [[0.1, 0.3, 0.5], [0.2, 0.4, 0.6], [0.1, 0.5, 0.7], [0.1, 0.2, 0.3]]
+    )
+    target = moduli.random_admissible_rep(ws, seed=2)
+    tgts = np.asarray(target.generators)
+    rng = np.random.default_rng(13)
+    stack = _perturbed_tuples(target, rng, 4, 0.4)
+    aligned = fuchs.align_tuple_to_target(stack, target)
+
+    def mismatch(theta, gens):
+        g = np.exp(1j * np.concatenate([theta, [0.0]]))
+        rotated = g[:, None] * gens * np.conj(g)[None, :]
+        return float(np.sum(np.abs(rotated - tgts) ** 2))
+
+    for gens, found in zip(aligned.generators, aligned.mismatch):
+        # no torus rotation of the aligned tuple does better, from many random starts
+        starts = rng.uniform(0, 2 * np.pi, (200, 2))
+        vals = [mismatch(t, gens) for t in starts]
+        for t in starts[np.argsort(vals)[:5]]:
+            res = scipy.optimize.minimize(mismatch, t, args=(gens,), method="BFGS", tol=1e-14)
+            assert res.fun >= found - 1e-12 * (1 + found)
+        assert abs(mismatch(np.zeros(2), gens) - found) <= 1e-12 * (1 + found)
 
 
 def test_rank2_rigid_residues_spectra(rank2_oracle_system, rank2_weights):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rhwznw import factor, fuchs, numcore, paths, rhsolve, wznw
 
@@ -48,6 +49,40 @@ def test_parametrization_preserves_spectra(rank2_weights):
         x = rng.standard_normal(parm.dim)
         system = parm.system(x)
         assert system.spectrum_residual() < 1e-10
+
+
+def test_parametrization_stack_matches_points(rank2_weights):
+    rng = np.random.default_rng(6)
+    parm = rhsolve.ResidueParametrization(
+        rank2_weights, np.array([scipy.linalg.expm(0.3 * rng.standard_normal((2, 2)))] * 2)
+    )
+    xs = rng.standard_normal((5, parm.dim))
+    cs, res = parm.conjugators(xs), parm.residues(xs)
+    assert cs.shape == res.shape == (5, 2, 2, 2)
+    for k, x in enumerate(xs):
+        assert np.allclose(cs[k], parm.conjugators(x), rtol=1e-14, atol=1e-15)
+        assert np.allclose(res[k], parm.residues(x), rtol=1e-14, atol=1e-15)
+
+
+def test_residual_stack_rows_match_residual_vector_rank1(rank1_weights, rank1_target):
+    parm = rhsolve.ResidueParametrization(
+        rank1_weights, np.array([np.eye(1, dtype=complex)] * 3)
+    )
+    f = rhsolve.residual_stack(parm, np.zeros((3, 0)), rank1_target)
+    one = rhsolve.residual_vector(parm, np.zeros(0), rank1_target)
+    assert f.shape == (3, len(one))
+    assert np.max(np.abs(f - one)) <= 1e-13
+
+
+def test_residual_stack_rows_match_residual_vector_rank2(rank2_target, rank2_oracle_system):
+    parm = rhsolve.parametrization_from_system(rank2_oracle_system)
+    problem = fuchs.MonodromyLoops(parm.weights)
+    xs = 0.1 * np.random.default_rng(9).standard_normal((4, parm.dim))
+    f = rhsolve.residual_stack(parm, xs, rank2_target, problem=problem)
+    for row, x in zip(f, xs):
+        one = rhsolve.residual_vector(parm, x, rank2_target, problem=problem)
+        # the stack shares its transport steps, so rows agree to the transport tolerance
+        assert np.max(np.abs(row - one)) <= 1e-8
 
 
 def test_solve_rank1(rank1_weights, rank1_target):
