@@ -751,17 +751,45 @@ class LocalSeries:
     coefficients: np.ndarray  # (M + 1, r, r)
     tail: float
 
-    def values(self, rho, theta, right=None) -> np.ndarray:
-        """Y0 right at the nodes z = center + rho e^{i theta} (at infinity
+    def values(self, rho, theta, coords=None) -> np.ndarray:
+        """Y0 K at the nodes z = center + rho e^{i theta} (at infinity
         z = rho e^{i theta}); rho and theta broadcast to the node shape,
         and the values have that shape + (r, r).
 
-        theta is the argument of z - center followed continuously along the
-        caller's path; it picks the branch of x^{-L}.  G is summed by Horner
-        in place, one (N, r, r) array at a time.
+        coords = basis^{-1} K are the coordinates of K in the eigenbasis of
+        L, as matched returns them; None means K = I.  theta is the argument
+        of z - center followed continuously along the caller's path; it
+        picks the branch of x^{-L}.
         """
         rho, theta = np.broadcast_arrays(rho, theta)
-        log_x = np.log(rho.ravel()) + 1j * theta.ravel()
+        log_x, g = self._series(rho.ravel(), theta.ravel())
+        r = len(self.exponents)
+        coords = np.linalg.inv(self.basis) if coords is None else coords
+        # x^{-L} K = basis diag(x^{-lam}) coords: one product, and each row
+        # of coords only scaled, so none is swamped by a larger one
+        power = self.basis * np.exp(-log_x[:, None] * self.exponents)[:, None, :]
+        w = (power.reshape(-1, r) @ coords).reshape(g.shape)
+        out = np.empty_like(g)
+        _stack_matmul(g, w, out)
+        return out.reshape(rho.shape + (r, r))
+
+    def matched(self, rho: float, theta: float, value: np.ndarray) -> np.ndarray:
+        """The coordinates basis^{-1} K of the constant K with Y0 K = value
+        at one node (rho, theta).
+
+        They are diag(x^{lam}) (G basis)^{-1} value: the power enters as a
+        row scaling, never inverted as a dense matrix, so components that
+        x^{-L} spreads over many orders of magnitude (exponents with
+        imaginary parts, far from the principal branch) keep their digits.
+        """
+        log_x, g = self._series(np.array([rho], dtype=float), np.array([theta], dtype=float))
+        lifted = np.linalg.solve(g[0] @ self.basis, value)
+        return np.exp(log_x[0] * self.exponents)[:, None] * lifted
+
+    def _series(self, rho, theta):
+        """log x and G(x), (N, r, r), at flat node arrays; G is summed by
+        Horner in place, one (N, r, r) array at a time."""
+        log_x = np.log(rho) + 1j * theta
         if self.center is None:
             log_x = -log_x
         x = np.exp(log_x)
@@ -774,18 +802,7 @@ class LocalSeries:
         for c in coef[-2::-1]:
             g *= u
             g += c
-        r = len(self.exponents)
-        right = np.eye(r) if right is None else right
-        # x^{-L} right = basis diag(x^{-lam}) basis^{-1} right: one product
-        power = self.basis * np.exp(-log_x[:, None] * self.exponents)[:, None, :]
-        w = (power.reshape(-1, r) @ np.linalg.solve(self.basis, right)).reshape(g.shape)
-        out = np.empty_like(g)
-        _stack_matmul(g, w, out)
-        return out.reshape(rho.shape + (r, r))
-
-    def matched(self, rho: float, theta: float, value: np.ndarray) -> np.ndarray:
-        """The constant K with Y0 K = value at one node (rho, theta)."""
-        return np.linalg.solve(self.values(rho, theta), value)
+        return log_x, g
 
 
 def local_series(points, residues, at: int | None, radius: float, tol: float) -> LocalSeries:

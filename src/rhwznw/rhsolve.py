@@ -411,9 +411,9 @@ def normalize_at_infinity(
 
     # |z0| > max |z_j| (MonodromyLoops), so the basepoint is inside the series' disk
     series = fuchs.local_series(ws.points, system.residues, None, 1.0 / abs(z0), transport_tol)
-    K = series.matched(abs(z0), float(np.angle(z0)), W)
+    C = series.matched(abs(z0), float(np.angle(z0)), W)
     perm, _ = fuchs._match_to_targets(series.exponents, ws.infinity_exponents)
-    G = series.basis[:, perm] * np.diagonal(np.linalg.solve(series.basis, K)[perm])
+    G = series.basis[:, perm] * np.diagonal(C[perm])
     disagreement = system.infinity_spectrum_residual()
     if disagreement > DISAGREEMENT_WARNING:
         warnings.warn(

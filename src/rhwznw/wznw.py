@@ -253,10 +253,10 @@ def _region_series(fld: MetricField, at: int | None):
     entry = center + ring * (z0 - center) / abs(z0 - center)
     a0 = float(np.angle(entry - center))
     series = fuchs.local_series(pts, fld.system.residues, at, radius, fld.transport_tol)
-    right = series.matched(ring, a0, fld.y_at(entry))
+    coords = series.matched(ring, a0, fld.y_at(entry))
 
     def values(rho, phi) -> np.ndarray:
-        return series.values(rho, a0 + np.mod(phi - a0, 2 * np.pi), right)
+        return series.values(rho, a0 + np.mod(phi - a0, 2 * np.pi), coords)
 
     return values
 
