@@ -18,13 +18,19 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
+# BLAS is pinned to one thread before numpy is imported: threads on 2x2 to
+# 4x4 matrices only oversubscribe the cores; a value already set is kept
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from . import __version__, fuchs, numcore, paths, rhsolve, verify, wznw
+import numpy as np  # noqa: E402
+
+from . import __version__, fuchs, numcore, paths, rhsolve, verify, wznw  # noqa: E402
 
 SCHEMA_VERSION = 1
 

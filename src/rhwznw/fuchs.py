@@ -21,10 +21,12 @@ One loop set (:class:`MonodromyLoops`: the puncture loops and the big
 circle, clearance-checked once) serves every monodromy evaluation.  Each
 puncture loop is an approach leg P_i from the basepoint, a full circle and
 the approach run back.  The circles of all loops and all systems of a stack
-are one fan call; each approach leg is one stacked call; the return leg is
-never integrated, since its transport is P_i^{-1}, and the raw loop
-transport is assembled as P_i^{-1} C_i P_i from the circle's transport C_i.
-:func:`monodromy_rep` is the loop set with one member.
+are not marched: each is F exp(-+2 pi i Lambda) F^{-1} from the local
+series at its entry (below), all from one stacked recursion; each approach
+leg is one stacked call; the return leg is never integrated, since its
+transport is P_i^{-1}, and the raw loop transport is assembled as
+P_i^{-1} C_i P_i from the circle's transport C_i.  :func:`monodromy_rep`
+is the loop set with one member.
 One gauge alignment (:func:`align_tuple_to_target`) brings computed tuples,
 one (n, r, r) or a stack (B, n, r, r), to a normalized target, each step on
 the whole stack: conjugate by the ordered eigenbasis of the last generator
@@ -52,12 +54,16 @@ callers build the coefficients:
 * :func:`transport_fan`: one system, or a stack of S systems, on a fan of
   L member paths (arcs, or log-radial rays with per-member windows; each
   member may have its own center, and an arc its own radius), with stops;
-  the action's transport web marches its outward rays this way and the
-  loop set runs its circles this way.
+  the action's transport web marches its outward rays this way.
 
-Near a puncture and near infinity no march is needed: :func:`local_series`
-gives the Frobenius solution Y0 = G(x) x^{-L} there (x = z - z_i, or 1/z at
-infinity), summed to a tail below tol / 100, and every solution is Y0 K.
+Near a puncture and near infinity no march is needed: the Frobenius
+solution Y0 = G(x) x^{-L} (x = z - z_i, or 1/z at infinity) is summed to a
+tail below tol / 100, and every solution is Y0 K.  There is one recursion
+for G, :func:`series_stack`, over a stack of B systems at P points, the
+hardest member setting the term count as it sets the shared step of the
+kernel; :func:`local_series` is its case B = P = 1, which the action's web
+and the normalization at infinity read, and the loop set takes every
+circle from one stacked call.
 """
 
 from __future__ import annotations
@@ -729,6 +735,8 @@ class ResonanceError(NumericalError):
 # terms converges too slowly
 SERIES_MIN_DIVISOR = 1e-6
 SERIES_MAX_TERMS = 200
+# a series' B_k are computed, and its buffers grown, this many orders at a time
+SERIES_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -807,73 +815,150 @@ class LocalSeries:
 
 def local_series(points, residues, at: int | None, radius: float, tol: float) -> LocalSeries:
     """The local series of one system at puncture `at` (None: infinity),
-    summed to tol / 100 for |x| <= radius.
+    summed to tol / 100 for |x| <= radius: :func:`series_stack` with one
+    member."""
+    res = np.asarray(residues, dtype=complex)
+    stack = series_stack(points, res[None], [at], [radius], tol)
+    basis = stack.basis[0]
+    g = stack.terms[0].reshape(-1, res.shape[-1], res.shape[-1])[::-1]
+    return LocalSeries(
+        center=None if at is None else complex(np.asarray(points)[at]),
+        scale=float(stack.scale[0]),
+        radius=float(radius),
+        exponents=stack.exponents[0],
+        basis=basis,
+        coefficients=basis @ g @ np.linalg.inv(basis),
+        tail=float(stack.tail[0]),
+    )
 
-    In x the system reads dY/dx = -(L/x + sum_k B_k x^k) Y.  With R the
-    distance to the nearest other singular point,
-    B_k R^{k+1} = -sum_j A_j t_j^{k+1}: at z_i, L = A_i and
-    t_j = R / (z_j - z_i) over the other punctures; at infinity
-    L = -sum_j A_j, R = 1 / max |z_j| and t_j = R z_j.  The coefficients solve
-    m G_m + [L, G_m] = -sum_{k+l=m-1} B_k G_l, in the eigenbasis of L an
-    elementwise division by m + lam_a - lam_b.  Terms are added until the
-    tail bound max ||G_m R^m|| q^(m+1) / (1 - q) over the last four terms
-    (q = radius / R) is <= tol / 100.  Raises ResonanceError on a divisor
-    (or an eigenvalue gap of L) below SERIES_MIN_DIVISOR and NumericalError
-    when the tail is still above tol / 100 after SERIES_MAX_TERMS terms.
+
+@dataclass(frozen=True)
+class SeriesStack:
+    """Local series of B systems at P points each, from one recursion.
+
+    Member s = b P + p is system b at point p.  Its series is
+    G(x) = basis sum_m g_m (x / scale[p])^m basis^{-1} with g_0 = I, the
+    g_m in the eigenbasis of its residue L = basis diag(exponents) basis^{-1}.
+    """
+
+    scale: np.ndarray      # (P,) distance to the nearest other singular point
+    exponents: np.ndarray  # (S, r)
+    basis: np.ndarray      # (S, r, r)
+    terms: np.ndarray      # (S, (M+1) r, r): g_M, ..., g_0 stacked row-wise
+    tail: np.ndarray       # (S,) truncation bound of G at the radius
+
+    def frame(self, x) -> np.ndarray:
+        """G(x) basis of every member, (S, r, r), at one local coordinate
+        x[p] per point: one product of the reversed powers with the terms."""
+        s, rows, r = self.terms.shape
+        u = np.asarray(x, dtype=complex) / self.scale
+        powers = u[:, None] ** np.arange(rows // r - 1, -1, -1)
+        powers = np.tile(powers, (s // len(u), 1))[:, None, :]
+        g = (powers @ self.terms.reshape(s, rows // r, r * r)).reshape(s, r, r)
+        return self.basis @ g
+
+
+def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
+    """Frobenius series Y0 = G(x) x^{-L} of a stack of systems at a list of
+    points, every member summed to tol / 100 for |x| <= its radius.
+
+    residues (B, n-1, r, r); at lists P points (a puncture index, None for
+    infinity) and radius their P radii; member b P + p is system b at at[p].
+    x = z - z_i at the puncture z_i and x = 1/z at infinity.  In x the
+    system reads dY/dx = -(L/x + sum_k B_k x^k) Y.  With R the distance to
+    the nearest other singular point, B_k R^{k+1} = -sum_j A_j t_j^{k+1}:
+    at z_i, L = A_i, t_i = 0 and t_j = R / (z_j - z_i); at infinity
+    L = -sum_j A_j, R = 1 / max |z_j| and t_j = R z_j.  The coefficients
+    solve m G_m + [L, G_m] = -sum_{k+l=m-1} B_k G_l, in the eigenbasis of L
+    an elementwise division by m + lam_a - lam_b.  The B_k of a member are
+    one row block (r, K r) and the G_l a column block in reverse order, so
+    each order is one batched product over a contiguous slice.
+
+    Terms are added until every member's tail bound
+    max ||G_m R^m|| q^(m+1) / (1 - q) over its last four terms (natural
+    basis, q = radius / R) is <= tol / 100: the hardest member sets the
+    count.  Raises ResonanceError on a divisor (or an eigenvalue gap of L)
+    below SERIES_MIN_DIVISOR and NumericalError when a tail is still above
+    tol / 100 after SERIES_MAX_TERMS terms, for the whole stack.
     """
     _check_tol(tol)
     pts = np.asarray(points, dtype=complex)
     res = np.asarray(residues, dtype=complex)
-    if at is None:
-        lead, others = -np.sum(res, axis=0), res
-        scale = 1.0 / float(np.max(np.abs(pts)))
-        t = scale * pts
-        center = None
-    else:
-        lead, others = res[at], np.delete(res, at, axis=0)
-        d = np.delete(pts, at) - pts[at]
-        scale = float(np.min(np.abs(d)))
-        t = scale / d
-        center = complex(pts[at])
+    b, npts, r, _ = res.shape
+    p = len(at)
+    scale = np.empty(p)
+    t = np.zeros((p, npts), dtype=complex)
+    for k, i in enumerate(at):
+        if i is None:
+            scale[k] = 1.0 / float(np.max(np.abs(pts)))
+            t[k] = scale[k] * pts
+        else:
+            others = np.arange(npts) != i
+            d = pts[others] - pts[i]
+            scale[k] = float(np.min(np.abs(d)))
+            t[k, others] = scale[k] / d
+    radius = np.asarray(radius, dtype=float)
     q = radius / scale
-    if not 0 < q < 1:
-        raise ValueError(f"radius {radius:.6g} outside the convergence radius {scale:.6g}")
+    outside = np.flatnonzero(~((q > 0) & (q < 1)))
+    if outside.size:
+        k = outside[0]
+        raise ValueError(f"radius {radius[k]:.6g} outside the convergence radius {scale[k]:.6g}")
 
-    lam, basis = np.linalg.eig(lead)
-    gaps = lam[:, None] - lam[None, :]
-    if np.min(np.abs(gaps) + np.eye(len(lam))) < SERIES_MIN_DIVISOR:
-        raise ResonanceError("residue with a (near) repeated eigenvalue")
+    lead_index = [npts if i is None else i for i in at]
+    lead = np.concatenate([res, -np.sum(res, axis=1, keepdims=True)], axis=1)[:, lead_index]
+    lam, basis = np.linalg.eig(lead.reshape(b * p, r, r))
     basis_inv = np.linalg.inv(basis)
-    r = len(lam)
-    # scaled B_k in the eigenbasis, k < SERIES_MAX_TERMS
-    powers = t[None, :] ** np.arange(1, SERIES_MAX_TERMS + 1)[:, None]
-    b = -(powers @ others.reshape(len(others), -1)).reshape(-1, r, r)
-    b = basis_inv @ b @ basis
-    g = np.zeros((SERIES_MAX_TERMS + 1, r, r), dtype=complex)
-    g[0] = np.eye(r)
-    norms = [np.sqrt(r)]
+    gaps = lam[:, :, None] - lam[:, None, :]
+    if np.min(np.abs(gaps) + np.eye(r)) < SERIES_MIN_DIVISOR:
+        raise ResonanceError("residue with a (near) repeated eigenvalue")
+
+    # the scaled B_k in each member's eigenbasis as the row block (S, r, K r)
+    # and the G_l as the column block (S, (K+1) r, r) with G_l in slot K - l,
+    # both grown SERIES_CHUNK orders at a time as the recursion reaches them:
+    # row a of B_k is sum_j t_j^(k+1) times row a of -A_j, one product per chunk
+    s = b * p
+    res_e = basis_inv.reshape(b, p, 1, r, r) @ res[:, None] @ basis.reshape(b, p, 1, r, r)
+    rows_of = -np.swapaxes(res_e, 2, 3)
+    row = np.empty((s, r, 0), dtype=complex)
+    terms = np.broadcast_to(np.eye(r, dtype=complex), (s, r, r)).copy()
+    size = 0
+    # vec(basis G basis^-1) = kron(basis, basis^-T) vec(G) for the natural-basis norms
+    natural = np.einsum("sac,sdb->sabcd", basis, basis_inv).reshape(s, r * r, r * r)
+    lifted = np.empty((s, r * r, 1), dtype=complex)
+    norms = np.empty((SERIES_MAX_TERMS + 1, s))
+    norms[0] = np.sqrt(r)
+    q = np.tile(q, b)
+    decay = q / (1 - q)  # q^(m+1) / (1 - q) at m = 0
     target = tol / 100
     for m in range(1, SERIES_MAX_TERMS + 1):
-        divisor = m + gaps
+        divisor = -m - gaps
         if np.min(np.abs(divisor)) < SERIES_MIN_DIVISOR:
             raise ResonanceError(f"near-resonant divisor at order {m}")
-        g[m] = -np.einsum("kab,kbc->ac", b[:m], g[m - 1 :: -1]) / divisor
-        norms.append(fro(basis @ g[m] @ basis_inv))
-        tail = max(norms[-4:]) * q ** (m + 1) / (1 - q)
-        if tail <= target:
+        if m > size:
+            k = np.arange(size + 1, min(size + SERIES_CHUNK, SERIES_MAX_TERMS) + 1)
+            chunk = (t[:, None, :] ** k[:, None])[:, None] @ rows_of
+            row = np.concatenate([row, chunk.reshape(s, r, len(k) * r)], axis=2)
+            terms = np.concatenate([np.zeros((s, len(k) * r, r), dtype=complex), terms], axis=1)
+            size = k[-1]
+        slot = terms[:, (size - m) * r : (size - m + 1) * r]
+        np.matmul(row[:, :, : m * r], terms[:, (size - m + 1) * r :], out=slot)
+        slot /= divisor
+        np.matmul(natural, slot.reshape(s, r * r, 1), out=lifted)
+        norms[m] = _member_fro(lifted.reshape(s, r * r))
+        decay *= q
+        tail = np.max(norms[max(m - 3, 0) : m + 1], axis=0) * decay
+        if tail.max() <= target:
             break
     else:
         raise NumericalError(
-            f"local series tail {tail:.3e} above {target:.1e} after {SERIES_MAX_TERMS} terms"
+            f"local series tail {tail.max():.3e} above {target:.1e} after {SERIES_MAX_TERMS} terms"
         )
-    return LocalSeries(
-        center=center,
+    return SeriesStack(
         scale=scale,
-        radius=radius,
         exponents=lam,
         basis=basis,
-        coefficients=basis @ g[: m + 1] @ basis_inv,
-        tail=float(tail),
+        terms=terms[:, (size - m) * r :].copy(),
+        tail=tail,
     )
 
 
@@ -923,12 +1008,15 @@ class MonodromyLoops:
     basepoint, outside the disk |z| <= max |z_j| (ValueError otherwise).
     Each loop passes check_clearance when the set is built.
 
-    A monodromy evaluation integrates every circle of every system in one
-    transport_fan call (per-member centers and radii, each circle from the
-    identity at its entry point) and each approach leg in one
-    transport_stack call.  The return leg is never integrated: its
-    transport is exactly P_i^{-1}, so the raw loop transport is
-    P_i^{-1} C_i P_i with C_i the circle's transport.
+    A monodromy evaluation marches each approach leg in one transport_stack
+    call and takes every circle in closed form from one series_stack call
+    over all (system, point) members, the n-1 punctures and infinity.  With
+    F = G(x) V the series at the circle's entry x, V the eigenbasis of the
+    point's residue L = V Lambda V^{-1}, the circle's transport is
+    F exp(-2 pi i Lambda) F^{-1} at a puncture and F exp(2 pi i Lambda) F^{-1}
+    on the big circle (counterclockwise in z is clockwise in w = 1/z).  The
+    return leg is never integrated: its transport is exactly P_i^{-1}, so
+    the raw loop transport is P_i^{-1} C_i P_i with C_i the circle's.
     """
 
     def __init__(self, weights: WeightSystem, basepoint: complex | None = None):
@@ -943,31 +1031,49 @@ class MonodromyLoops:
         circles.append(paths.circle(0.0, abs(self.z0), float(np.angle(self.z0))))
         for approach, circle in zip(self.approaches + [[]], circles):
             check_clearance(weights, approach + [circle])
-        self.circles = paths.ArcFan(
-            center=np.array([c.center for c in circles], dtype=complex),
-            radius=np.array([c.radius for c in circles]),
-            angle0=np.array([c.angle0 for c in circles]),
-            angle1=np.array([c.angle1 for c in circles]),
+        self.circles = circles
+        # each circle's point, series radius and entry in the local coordinate
+        self.at = list(range(weights.n - 1)) + [None]
+        self.radii = [c.radius for c in circles[:-1]] + [1.0 / abs(self.z0)]
+        self.entries = np.array(
+            [c.radius * np.exp(1j * c.angle0) for c in circles[:-1]] + [1.0 / self.z0]
         )
+
+    def circle_transports(self, residues: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Transports C once around every circle, each from I at its entry,
+        and their inverses, (B, n, r, r) each, of a (B, n-1, r, r) residue
+        stack: one series_stack call, then F exp(-+2 pi i Lambda) F^{-1}
+        (class docstring).  C^{-1} takes the opposite phase, so no matrix
+        but F is inverted."""
+        res = np.asarray(residues, dtype=complex)
+        b, n, r = len(res), self.weights.n, self.weights.rank
+        series = series_stack(self.weights.points, res, self.at, self.radii, tol)
+        frame = series.frame(self.entries).reshape(b, n, r, r)
+        frame_inv = np.linalg.inv(frame)
+        # x^{-L} gains exp(-2 pi i L) counterclockwise around a puncture and
+        # w^{-L} exp(2 pi i L) counterclockwise around infinity
+        sign = np.array([-1.0] * (n - 1) + [1.0])[:, None]
+        phase = TWO_PI_I * sign * series.exponents.reshape(b, n, r)
+        circ = (frame * np.exp(phase)[:, :, None, :]) @ frame_inv
+        circ_inv = (frame * np.exp(-phase)[:, :, None, :]) @ frame_inv
+        return circ, circ_inv
 
     def monodromy(self, residues: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Raw loop transports and representation generators, (B, n, r, r)
-        each, of a (B, n-1, r, r) residue stack: one fan call for all the
-        circles and one transport_stack call per approach leg, then the
-        puncture loops P^{-1} C P and their inverses P^{-1} C^{-1} P as
-        generators (module docstring); the big circle is kept as it is."""
+        each, of a (B, n-1, r, r) residue stack: the circles in closed form
+        (circle_transports) and one transport_stack call per approach leg,
+        then the puncture loops P^{-1} C P and their inverses P^{-1} C^{-1} P
+        as generators (module docstring); the big circle is kept as it is."""
         points = self.weights.points
         res = np.asarray(residues, dtype=complex)
-        eye = np.eye(self.weights.rank, dtype=complex)
-        circ = transport_fan(points, res, self.circles, eye, tol=tol).values[-1]
+        circ, circ_inv = self.circle_transports(res, tol)
         legs = np.stack(
             [transport_stack(points, res, approach, tol=tol).values for approach in self.approaches],
             axis=1,
         )
-        legs_inv = np.linalg.inv(legs)
-        raw, gens = circ.copy(), circ.copy()
-        raw[:, :-1] = legs_inv @ circ[:, :-1] @ legs
-        gens[:, :-1] = legs_inv @ np.linalg.inv(circ[:, :-1]) @ legs
+        raw, gens = circ, circ.copy()
+        raw[:, :-1] = np.linalg.solve(legs, circ[:, :-1] @ legs)
+        gens[:, :-1] = np.linalg.solve(legs, circ_inv[:, :-1] @ legs)
         return raw, gens
 
 
@@ -989,8 +1095,9 @@ def monodromy_rep(
 
     The loops of :class:`MonodromyLoops` with one member.  The relation
     residual multiplies the generators with the finite punctures taken in
-    order of increasing real part and is a genuine check because the big
-    circle is integrated independently.
+    order of increasing real part.  It is a genuine check: the big circle
+    comes from the series at infinity, which depends neither on the
+    approach legs nor on the puncture series.
     """
     ws = system.weights
     loops = MonodromyLoops(ws, basepoint)

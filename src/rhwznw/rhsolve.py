@@ -3,15 +3,18 @@ unitary monodromy, plus the canonical normalization at infinity.
 
 The unknowns are conjugators C_i in the chart C_i = B_i exp(K_i) with
 zero-diagonal K_i (the right-diagonal torus acting trivially on
-A_i = C_i W_i C_i^{-1} is removed exactly); restarts move the basepoints
-B_i.  The merit function compares gauge-aligned computed monodromy
-generators with the target tuple entrywise and adds a 10x-weighted
-penalty on the spectrum of the residue at infinity, which pins the
-splitting type.  Residuals are evaluated for stacks of chart points: the
-central-difference Jacobian of one LM iteration is a single stack of
-2 dim points, mapped to residues by one batched expm, transported by the
-loop set in one fan call for all the loop circles and one kernel call per
-approach leg, and gauge-aligned in one call.
+A_i = C_i W_i C_i^{-1} is removed exactly).  Every restart without an
+initial system, the first included, draws its basepoints B_i = exp(K)
+from zero-diagonal Gaussian K; at identity basepoints the
+central-difference Jacobian is rounding noise.  The merit function
+compares gauge-aligned computed monodromy generators with the target
+tuple entrywise and adds a 10x-weighted penalty on the spectrum of the
+residue at infinity, which pins the splitting type.  Residuals are
+evaluated for stacks of chart points: the central-difference Jacobian of
+one LM iteration is a single stack of 2 dim points, mapped to residues by
+one batched expm, taken through the loop set (every loop circle in closed
+form from one stacked local-series recursion, one kernel call per
+approach leg), and gauge-aligned in one call.
 
 The monodromy loops and the gauge alignment live in fuchs (MonodromyLoops,
 align_tuple_to_target).  A restart's final residual is the squared norm of
@@ -245,11 +248,14 @@ def solve(
 ) -> tuple[fuchs.FuchsianSystem, SolveReport]:
     """Find residues with the weight spectra whose monodromy matches the target.
 
-    Levenberg-Marquardt from deterministic multi-starts; success means the
-    squared gauge distance between the solution's monodromy and the target
-    (the generator block of the last LM residual) is at most opts.tol.  The
-    returned report carries the normalization at infinity of a successful
-    solution and its large-cell flag; make_metric_field accepts it as is.
+    Levenberg-Marquardt from deterministic multi-starts: restart 0 starts
+    from the chart of init when one is given; otherwise, and on every later
+    restart, the chart basepoints are drawn from the restart's seed.
+    Success means the squared gauge distance between the solution's
+    monodromy and the target (the generator block of the last LM residual)
+    is at most opts.tol.  The returned report carries the normalization at
+    infinity of a successful solution and its large-cell flag;
+    make_metric_field accepts it as is.
     """
     opts = opts or SolveOptions()
     if not target.is_irreducible():
@@ -264,10 +270,6 @@ def solve(
         rng = np.random.default_rng(seed)
         if restart == 0 and init is not None:
             parm = parametrization_from_system(init)
-        elif restart == 0:
-            parm = ResidueParametrization(
-                weights, np.array([np.eye(r, dtype=complex)] * (n - 1))
-            )
         else:
             bases = []
             for _ in range(n - 1):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +67,18 @@ def test_monodromy_rank1(tmp_path):
         gen = complex(*rec["generators"][i][0][0])
         assert abs(gen - np.exp(2j * np.pi * a)) < 1e-7
     assert rec["relation_residual"] <= 1e-7
+
+
+def test_monodromy_resonant_residues_exit(tmp_path, capsys):
+    # exponents -0.3 and -1.3 at infinity differ by an integer: the loop
+    # circles have no series form there, and the command exits 3 with no result
+    cfg = rank2_config()
+    cfg.residues[1] = -np.diag([-0.3, -1.3]) - cfg.residues[0]
+    cli.save_config(cfg, tmp_path / "cfg.json")
+    rc = cli.main(["monodromy", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err.startswith("error: ResonanceError:")
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_monodromy_solved_fixture(tmp_path):
@@ -301,3 +317,23 @@ def test_integral_floats_read_as_integers():
     assert read.to_dict() == data
     assert json.dumps(read.to_dict()) == json.dumps(data)
     assert cli.config_hash(read) == cli.config_hash(cfg)
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_import_pins_blas_threads(preset):
+    # the pin must land before numpy is loaded, so it is checked in a fresh
+    # interpreter: the package root loads no numpy, the CLI sets an unset
+    # thread count to 1 and keeps one the user set
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = (
+        "import os, sys, rhwznw; early = 'numpy' in sys.modules; import rhwznw.cli; "
+        f"print(early, *(os.environ[k] for k in {names!r}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", preset or "1", "1", "1"]

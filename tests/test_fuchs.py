@@ -761,3 +761,96 @@ def test_local_series_limits():
     series = fuchs.local_series(pts, res, 1, 0.5, 1e-10)
     with pytest.raises(ValueError):
         series.values(0.6, 0.0)
+
+
+def _n4_rank2_weights():
+    return fuchs.build_weight_system(
+        [-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]]
+    )
+
+
+def _set_infinity_exponents(residues, exponents, rng):
+    """Replace the last residue of one tuple (n-1, r, r) so that -sum A_j has
+    the given exponents; the other residues keep their spectra."""
+    r = len(exponents)
+    c = np.eye(r) + 0.3 * rng.standard_normal((r, r))
+    lead = c @ np.diag(exponents) @ np.linalg.inv(c)
+    residues[-1] = -lead - np.sum(residues[:-1], axis=0)
+
+
+@pytest.mark.parametrize("make_weights, seed", [(_n4_rank2_weights, 1), (_n4_rank3_weights, 2)])
+def test_circle_transports_match_fan(make_weights, seed):
+    # every loop circle of a 4-system stack in closed form from the series,
+    # against tol / 10^4 fan transports once around it counterclockwise
+    # (the circle) and clockwise (its inverse)
+    ws = make_weights()
+    rng = np.random.default_rng(seed)
+    residues = _random_residues(ws, rng, 4)
+    # one member with exponents off the real axis at infinity
+    shift = np.array([0.3j, -0.4j, 0.2j])[: ws.rank]
+    _set_infinity_exponents(residues[2], ws.infinity_exponents + shift, rng)
+    loops = fuchs.MonodromyLoops(ws)
+    tol = 1e-9
+    circ, circ_inv = loops.circle_transports(residues, tol)
+    assert circ.shape == circ_inv.shape == (4, ws.n, ws.rank, ws.rank)
+    arcs = loops.circles
+    for turn, got in ((2 * np.pi, circ), (-2 * np.pi, circ_inv)):
+        fan = paths.ArcFan(
+            np.array([a.center for a in arcs]),
+            np.array([a.radius for a in arcs]),
+            np.array([a.angle0 for a in arcs]),
+            np.array([a.angle0 + turn for a in arcs]),
+        )
+        ref = fuchs.transport_fan(ws.points, residues, fan, np.eye(ws.rank), tol=tol / 1e4)
+        for b in range(4):
+            for i in range(ws.n):
+                scale = numcore.fro(ref.values[-1, b, i])
+                assert numcore.fro(got[b, i] - ref.values[-1, b, i]) <= tol / 10 * scale
+
+
+def test_series_stack_members_match_local_series():
+    # 3 systems at every puncture and at infinity in one recursion: each
+    # member's G agrees with the series of that system alone at nodes on
+    # and inside its radius; the stack runs to the hardest member's count
+    ws = _n4_rank3_weights()
+    residues = _random_residues(ws, np.random.default_rng(7), 3)
+    at = [0, 1, 2, None]
+    radii = [0.4, 0.3, 0.5, 0.2]
+    tol = 1e-10
+    stack = fuchs.series_stack(ws.points, residues, at, radii, tol)
+    assert np.all(stack.tail <= tol / 100)
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        x = np.array(radii) * rng.uniform(0.0, 1.0, 4) * np.exp(2j * np.pi * rng.uniform(size=4))
+        frame = stack.frame(x)
+        for b in range(3):
+            for p in range(4):
+                alone = fuchs.local_series(ws.points, residues[b], at[p], radii[p], tol)
+                assert alone.tail <= tol / 100
+                u = x[p] / alone.scale
+                g_alone = sum(c * u**m for m, c in enumerate(alone.coefficients))
+                s = 4 * b + p
+                g_stack = frame[s] @ np.linalg.inv(stack.basis[s])
+                assert numcore.fro(g_stack - g_alone) <= tol / 100
+
+
+def test_series_stack_tail_not_converging_raises():
+    # one member at q = 0.99 needs thousands of terms: the stack raises
+    ws = _n4_rank3_weights()
+    residues = _random_residues(ws, np.random.default_rng(9), 2)
+    fuchs.series_stack(ws.points, residues, [0, None], [0.5, 0.5 / 1.2], 1e-10)
+    with pytest.raises(numcore.NumericalError, match="tail"):
+        fuchs.series_stack(ws.points, residues, [0, None], [0.5, 0.99 / 1.2], 1e-10)
+
+
+def test_monodromy_resonant_infinity_member_raises():
+    # the second of three systems has exponents -0.3 and -2.3 at infinity: its
+    # order-2 divisor vanishes, and the whole stack raises
+    ws = _n4_rank2_weights()
+    rng = np.random.default_rng(10)
+    residues = _random_residues(ws, rng, 3)
+    _set_infinity_exponents(residues[1], np.array([-0.3, -2.3]), rng)
+    loops = fuchs.MonodromyLoops(ws)
+    loops.monodromy(residues[[0, 2]], 1e-9)
+    with pytest.raises(fuchs.ResonanceError, match="order 2"):
+        loops.monodromy(residues, 1e-9)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rhwznw import factor, fuchs, numcore, paths, rhsolve, wznw
+from rhwznw import factor, fuchs, moduli, numcore, paths, rhsolve, wznw
 
 
 def test_residual_rank1_immediate(rank1_weights, rank1_target):
@@ -259,3 +259,20 @@ def test_cold_solve_fixture(rank2_weights, rank2_target):
     assert report.restart_index == 0
     assert report.iterations <= 9
     assert report.final_residual <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_cold_solve_seeded_centers_at_restart_0(seed):
+    # restart 0 draws its chart basepoints as every later restart does: at
+    # identity basepoints the central-difference Jacobian is rounding noise,
+    # and a first LM step from there can leave the chart
+    ws = fuchs.build_weight_system(
+        [-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]]
+    )
+    center = moduli.random_admissible_rep(ws, seed=seed)
+    system, report = rhsolve.solve(ws, center)
+    assert report.success
+    assert report.restart_index == 0
+    assert report.iterations <= 9
+    assert report.final_residual <= 1e-6
+    assert system.spectrum_residual() < 1e-10
