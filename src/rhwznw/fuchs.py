@@ -737,6 +737,8 @@ SERIES_MIN_DIVISOR = 1e-6
 SERIES_MAX_TERMS = 200
 # a series' B_k are computed, and its buffers grown, this many orders at a time
 SERIES_CHUNK = 64
+# LocalSeries sums G over blocks of nodes whose power table stays within this
+SERIES_TABLE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -795,22 +797,37 @@ class LocalSeries:
         return np.exp(log_x[0] * self.exponents)[:, None] * lifted
 
     def _series(self, rho, theta):
-        """log x and G(x), (N, r, r), at flat node arrays; G is summed by
-        Horner in place, one (N, r, r) array at a time."""
+        """log x and G(x), (N, r, r), at flat node arrays.  G is one product
+        of a table of the powers u^m, u = x / scale, with the coefficients,
+        taken over blocks of nodes whose table stays within
+        SERIES_TABLE_BYTES."""
         log_x = np.log(rho) + 1j * theta
         if self.center is None:
             log_x = -log_x
         x = np.exp(log_x)
         if np.any(np.abs(x) > self.radius * (1 + 1e-12)):
             raise ValueError(f"node outside the series radius {self.radius:.6g}")
-        u = (x / self.scale)[:, None, None]
+        u = x / self.scale
         coef = self.coefficients
-        g = np.empty((len(u),) + coef.shape[1:], dtype=complex)
-        g[:] = coef[-1]
-        for c in coef[-2::-1]:
-            g *= u
-            g += c
-        return log_x, g
+        terms = len(coef)
+        flat = coef.reshape(terms, -1)
+        g = np.empty((len(u), flat.shape[1]), dtype=complex)
+        block = max(1, SERIES_TABLE_BYTES // (16 * terms))
+        table = np.empty((terms, min(block, len(u))), dtype=complex)
+        for lo in range(0, len(u), block):
+            ub = u[lo : lo + block]
+            powers = table[:, : len(ub)]
+            powers[0] = 1.0
+            powers[1:2] = ub
+            # by doubling: rows n.. are rows 0.. times u^n, so a block takes
+            # about log2(terms) products (np.cumprod is slower on complex)
+            n = 2
+            while n < terms:
+                k = min(n, terms - n)
+                np.multiply(powers[:k], powers[n - 1] * ub, out=powers[n : n + k])
+                n += k
+            np.matmul(powers.T, flat, out=g[lo : lo + len(ub)])
+        return log_x, g.reshape((len(u),) + coef.shape[1:])
 
 
 def local_series(points, residues, at: int | None, radius: float, tol: float) -> LocalSeries:

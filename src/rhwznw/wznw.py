@@ -18,6 +18,13 @@ d, strict lower l parts,
 
 so the combined integrand is |d|^2 + 2|l|^2 >= 0.
 
+Densities come from Y without forming h: factor Y = R Q, R upper
+triangular with positive diagonal and Q unitary.  Then h = b* b with
+b = R^{-1}, so K = R^{-1} A R.  R is read off the rows of Y by
+Gram-Schmidt and K by back-substitution on whole node vectors; no
+Y Y* is formed, so cond(Y), not its square, sets the rounding error.
+MetricField.h_at builds h = b* b from the same R.
+
 Quadrature: the plane is tiled exactly by star-shaped polar patches (one
 per finite puncture, bounded by Voronoi bisectors and the outer circle)
 plus a log-polar annulus reaching 1/delta.  Radial directions use
@@ -85,31 +92,78 @@ def topological_density_from_differentials(h, A) -> float:
     )
 
 
-def densities(h: np.ndarray, A: np.ndarray):
-    """(kinetic, topological) densities of h and A, or of (..., r, r) stacks.
+def densities(y: np.ndarray, A: np.ndarray):
+    """(kinetic, topological) densities of the metric h = (Y Y*)^{-1} and A,
+    for one Y or a (..., r, r) stack; A broadcasts against it.
 
-    kinetic = tr(A h^{-1} A* h) = |K|^2 >= 0 and topological = |l|^2 - |u|^2
-    for K = b A b^{-1} with b the upper Cholesky factor of h, u and l the
-    strict upper and lower parts of K.
+    With Y = R Q (R upper triangular with positive diagonal, Q unitary),
+    h = b* b for b = R^{-1}, the upper Cholesky factor of h.  Then
+    K = b A b^{-1} = R^{-1} A R, kinetic = tr(A h^{-1} A* h) = |K|^2 >= 0 and
+    topological = |l|^2 - |u|^2, u and l the strict upper and lower parts
+    of K.  R comes from the rows of Y itself, so the condition number of Y
+    is never squared, as it is in Y Y*.
     """
-    low = np.linalg.cholesky(h)
-    b = np.conj(np.swapaxes(low, -1, -2))
-    # K = b A b^{-1} via K^T = solve(b^T, (bA)^T)
-    M = b @ A
-    K = np.swapaxes(
-        np.linalg.solve(np.swapaxes(b, -1, -2), np.swapaxes(M, -1, -2)), -1, -2
-    )
-    absK2 = np.abs(K) ** 2
-    kinetic = np.sum(absK2, axis=(-2, -1))
-    upper = np.sum(np.triu(absK2, 1), axis=(-2, -1))
-    lower = np.sum(np.tril(absK2, -1), axis=(-2, -1))
-    return kinetic, lower - upper
+    y = np.asarray(y, dtype=complex)
+    R = _upper_factor(_entries(y))
+    a = _entries(np.broadcast_to(np.asarray(A, dtype=complex), y.shape))
+    # A R by r broadcast rank-1 updates: column k of A times row k of R
+    m = a[:, :1] * R[:1]
+    for k in range(1, len(R)):
+        m += a[:, k : k + 1] * R[k : k + 1]
+    K = _back_substitute(R, m)
+    absK2 = K.real**2 + K.imag**2
+    iu, ju = np.triu_indices(len(R), 1)
+    kinetic = np.sum(absK2, axis=(0, 1))
+    topological = np.sum(absK2[ju, iu], axis=0) - np.sum(absK2[iu, ju], axis=0)
+    return kinetic.reshape(y.shape[:-2])[()], topological.reshape(y.shape[:-2])[()]
 
 
-def _metric_of(y: np.ndarray) -> np.ndarray:
-    """h = (Y Y*)^{-1}, made exactly Hermitian, for a stack of Y values."""
-    h = np.linalg.inv(y @ np.conj(np.swapaxes(y, -1, -2)))
-    return 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+def _entries(x: np.ndarray) -> np.ndarray:
+    """A copy of a (..., r, r) stack as an (r, r, N) array whose entries are
+    contiguous node vectors: every step below is then an operation on whole
+    vectors, and may overwrite them."""
+    r = x.shape[-1]
+    return np.moveaxis(x.reshape(-1, r, r), 0, -1).copy()
+
+
+def _upper_factor(v: np.ndarray) -> np.ndarray:
+    """R of Y = R Q for every node of an (r, r, N) entry array v, which is
+    overwritten: R upper triangular with positive real diagonal, Q unitary.
+
+    Modified Gram-Schmidt on the rows of Y, from the last row up: the
+    residual of row i, once the rows below it are projected out, gives R_ii
+    and the unit row q_i, and its component along q_i leaves every row above
+    it at once.  The only loop runs over the r rows.
+    """
+    R = np.zeros_like(v)
+    for i in range(len(v) - 1, -1, -1):
+        row = v[i]
+        norm = np.sqrt(np.sum(row.real**2 + row.imag**2, axis=0))
+        R[i, i] = norm
+        q = row / norm
+        c = np.sum(v[:i] * q.conj(), axis=1)
+        R[:i, i] = c
+        v[:i] -= c[:, None] * q
+    return R
+
+
+def _back_substitute(R: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """R^{-1} m for (r, r, N) entry arrays, R upper triangular, row by row
+    from the last; m is overwritten and returned."""
+    for i in range(len(R) - 1, -1, -1):
+        m[i] -= np.sum(R[i, i + 1 :, None] * m[i + 1 :], axis=0)
+        m[i] /= R[i, i]
+    return m
+
+
+def _metric_from_factor(y: np.ndarray) -> np.ndarray:
+    """h = (Y Y*)^{-1} = b* b with b = R^{-1} from Y = R Q, made exactly
+    Hermitian, for one Y or a (..., r, r) stack."""
+    R = _upper_factor(_entries(y))
+    b = _back_substitute(R, np.repeat(np.eye(len(R), dtype=complex)[:, :, None], R.shape[-1], axis=2))
+    h = np.einsum("kin,kjn->nij", b.conj(), b)
+    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+    return h.reshape(np.shape(y))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +227,7 @@ class MetricField:
         return res.value
 
     def h_at(self, z: complex) -> np.ndarray:
-        return _metric_of(self.y_at(z))
+        return _metric_from_factor(self.y_at(z))
 
     def metric_at(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
         """(h(z), A(z)): transported metric and the closed-form connection."""
@@ -362,8 +416,16 @@ def _voronoi_rho_max(points: np.ndarray, i: int, phis: np.ndarray, r_out: float)
 
 
 def _kink_angles(points: np.ndarray, i: int, r_out: float, samples: int = 4096) -> np.ndarray:
-    """Angles where the active patch constraint switches (boundary kinks)."""
-    bounds = _patch_constraints(points, i, r_out)
+    """Angles where the active patch constraint switches (boundary kinks),
+    read-only and cached per point set: every action at fixed points has the
+    same patches."""
+    key = tuple(np.asarray(points).ravel().tolist())
+    return _kink_angles_of(key, int(i), float(r_out), int(samples))
+
+
+@lru_cache(maxsize=256)
+def _kink_angles_of(points: tuple, i: int, r_out: float, samples: int) -> np.ndarray:
+    bounds = _patch_constraints(np.asarray(points), i, r_out)
     phis = 2 * np.pi * np.arange(samples) / samples
     active = np.argmin(bounds(phis), axis=0)
     ks = np.flatnonzero(active != np.roll(active, -1))
@@ -374,7 +436,9 @@ def _kink_angles(points: np.ndarray, i: int, r_out: float, samples: int = 4096) 
         mid = 0.5 * (lo + hi)
         below = np.argmin(bounds(mid), axis=0) == a_lo
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return np.sort(np.mod(0.5 * (lo + hi), 2 * np.pi))
+    kinks = np.sort(np.mod(0.5 * (lo + hi), 2 * np.pi))
+    kinks.flags.writeable = False
+    return kinks
 
 
 class TransportWeb:
@@ -485,12 +549,11 @@ class TransportWeb:
         )
 
     def _densities(self, z: np.ndarray, y: np.ndarray, keep_sample: bool = False):
-        h = _metric_of(y)
         A = self.field.system.A_of(z)
         if keep_sample:
             idx = np.linspace(0, len(z) - 1, min(self.IMAG_SAMPLE, len(z))).astype(int)
-            self.sample_h, self.sample_A = h[idx], A[idx]
-        return densities(h, A)
+            self.sample_h, self.sample_A = _metric_from_factor(y[idx]), A[idx]
+        return densities(y, A)
 
     # -- assembly -----------------------------------------------------------
 
@@ -641,7 +704,7 @@ def annulus_kinetic_integral(
     y = _region_series(fld, puncture_index)(np.exp(s_nodes)[:, None], phis[None, :])
     z = center + np.exp(s_nodes)[:, None] * np.exp(1j * phis)[None, :]
     r = system.rank
-    kin, _ = densities(_metric_of(y.reshape(-1, r, r)), system.A_of(z.ravel()))
+    kin, _ = densities(y.reshape(-1, r, r), system.A_of(z.ravel()))
     wt = np.broadcast_to((s_weights * np.exp(2 * s_nodes))[:, None] * w_phi, z.shape)
     return float(np.sum(wt.ravel() * kin))
 
@@ -723,18 +786,15 @@ def flatness_residual(fld: MetricField, z: complex, step: float) -> float:
     z = complex(z)
     if fld.min_distance_to_punctures(z) < 8 * step:
         raise paths.ProximityError("stencil too close to a puncture")
-
-    def g_at(w: complex) -> np.ndarray:
-        s = step
-        hp = fld.h_at(w + s)
-        hm = fld.h_at(w - s)
-        hq = fld.h_at(w + 1j * s)
-        hr = fld.h_at(w - 1j * s)
-        hz = 0.5 * ((hp - hm) / (2 * s) - 1j * (hq - hr) / (2 * s))
-        return np.linalg.solve(fld.h_at(w), hz)
-
     s = step
-    gz = 0.5 * (
-        (g_at(z + s) - g_at(z - s)) / (2 * s) + 1j * (g_at(z + 1j * s) - g_at(z - 1j * s)) / (2 * s)
-    )
+    arms = (s, -s, 1j * s, -1j * s)
+    # h^{-1} h_z at each w = z + arm needs h at w + arm and at w: Y is read
+    # point by point in that order, h at all of them from one factorisation
+    ys = [fld.y_at(w + o) for w in (z + a for a in arms) for o in (*arms, 0)]
+    hs = _metric_from_factor(np.stack(ys)).reshape(4, 5, *ys[0].shape)
+    g = [
+        np.linalg.solve(h, 0.5 * ((hp - hm) / (2 * s) - 1j * (hq - hr) / (2 * s)))
+        for hp, hm, hq, hr, h in hs
+    ]
+    gz = 0.5 * ((g[0] - g[1]) / (2 * s) + 1j * (g[2] - g[3]) / (2 * s))
     return float(fro(gz))

@@ -763,6 +763,24 @@ def test_local_series_limits():
         series.values(0.6, 0.0)
 
 
+@pytest.mark.parametrize("table_bytes", [16 * 7, 1 << 20])
+def test_local_series_blocked_sum_matches_horner(monkeypatch, table_bytes):
+    # G from the blocked power table against Horner on the coefficients,
+    # with node blocks of 1 (16 * 7 bytes hold one row of powers at most)
+    # and of all nodes at once
+    system = _n4_rank3_system(41)
+    series = fuchs.local_series(system.points, system.residues, 1, 0.5, 1e-10)
+    rng = np.random.default_rng(3)
+    rho, theta = rng.uniform(1e-3, 0.5, 37), rng.uniform(0.0, 2 * np.pi, 37)
+    monkeypatch.setattr(fuchs, "SERIES_TABLE_BYTES", table_bytes)
+    log_x, g = series._series(rho, theta)
+    u = (np.exp(log_x) / series.scale)[:, None, None]
+    want = np.broadcast_to(series.coefficients[-1], g.shape).copy()
+    for c in series.coefficients[-2::-1]:
+        want = want * u + c
+    assert np.max(np.abs(g - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def _n4_rank2_weights():
     return fuchs.build_weight_system(
         [-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]]

@@ -86,12 +86,17 @@ def test_monodromy_quality_gate(rank2_oracle_system, rank2_target):
     assert bad.monodromy_quality > 1e-6
 
 
+def _y_of_metric(h):
+    """A Y with (Y Y*)^{-1} = h: the inverse of h's upper Cholesky factor."""
+    return np.linalg.inv(factor.cholesky_upper(h))
+
+
 def test_kinetic_density_zero_and_rank1():
-    h = np.diag([2.0, 3.0])
-    assert wznw.densities(h, np.zeros((2, 2)))[0] == 0.0
-    h1 = np.array([[1.7]])
+    y = _y_of_metric(np.diag([2.0, 3.0]))
+    assert wznw.densities(y, np.zeros((2, 2)))[0] == 0.0
+    y1 = _y_of_metric(np.array([[1.7]]))
     a1 = np.array([[0.3 + 0.2j]])
-    assert abs(wznw.densities(h1, a1)[0] - abs(a1[0, 0]) ** 2) < 1e-14
+    assert abs(wznw.densities(y1, a1)[0] - abs(a1[0, 0]) ** 2) < 1e-14
 
 
 def test_kinetic_density_positive(rank2_field):
@@ -100,8 +105,8 @@ def test_kinetic_density_positive(rank2_field):
         z = rng.uniform(-2, 3) + 1j * rng.uniform(-2, 2)
         if rank2_field.min_distance_to_punctures(z) < 0.2:
             continue
-        h, A = rank2_field.metric_at(z)
-        assert wznw.densities(h, A)[0] >= 0
+        y, A = rank2_field.y_at(z), rank2_field.system.A_of(z)
+        assert wznw.densities(y, A)[0] >= 0
 
 
 def test_kinetic_asymptotics_near_puncture(rank2_field, rank2_weights):
@@ -109,18 +114,16 @@ def test_kinetic_asymptotics_near_puncture(rank2_field, rank2_weights):
     rhos = np.array([0.4, 0.1, 1e-2, 1e-3, 1e-4])
     ys = rank2_field.ray_values(0, 0.9, rhos)
     z = rank2_weights.points[0] + 1e-4 * np.exp(0.9j)
-    y = ys[-1]
-    h = np.linalg.inv(y @ y.conj().T)
-    kin, _ = wznw.densities(0.5 * (h + h.conj().T), rank2_field.system.A_of(z))
+    kin, _ = wznw.densities(ys[-1], rank2_field.system.A_of(z))
     target = float(np.sum(rank2_weights.weights[0] ** 2))
     assert abs(kin * 1e-8 / target - 1) < 1e-3
 
 
 def test_topological_density_trivial():
-    assert wznw.densities(np.array([[2.0]]), np.array([[0.4 + 1j]]))[1] == 0.0
-    h = np.diag([1.0, 4.0])
+    assert wznw.densities(_y_of_metric(np.array([[2.0]])), np.array([[0.4 + 1j]]))[1] == 0.0
+    y = _y_of_metric(np.diag([1.0, 4.0]))
     a = np.diag([0.3, 0.7 + 0.1j])
-    assert wznw.densities(h, a)[1] == 0.0
+    assert wznw.densities(y, a)[1] == 0.0
 
 
 def test_topological_density_two_routes():
@@ -130,9 +133,59 @@ def test_topological_density_two_routes():
         for _ in range(15):
             h = numcore.random_hpd(rng, r)
             a = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-            d1 = wznw.densities(h, a)[1]
+            d1 = wznw.densities(_y_of_metric(h), a)[1]
             d2 = wznw.topological_density_from_differentials(h, a)
             assert abs(d1 - d2) < 1e-8 * (1 + abs(d1))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("cond", [1e2, 1e5, 1e7])
+def test_kinetic_density_ill_conditioned(r, cond):
+    # Y = U diag(s) V: h = U s^-2 U*, so tr(A h^-1 A* h) is
+    # sum |(U* A U)_ij|^2 s_j^2 / s_i^2 exactly; a route through Y Y*
+    # squares cond(Y) and loses about 1e-2 relative at cond 1e7
+    rng = np.random.default_rng(int(r * np.log10(cond)))
+    s = np.geomspace(1.0, 1.0 / cond, r)
+    for _ in range(5):
+        u, v = numcore.random_unitary(rng, r), numcore.random_unitary(rng, r)
+        a = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        b = u.conj().T @ a @ u
+        exact = np.sum(np.abs(b) ** 2 * s[None, :] ** 2 / s[:, None] ** 2)
+        kin, _ = wznw.densities((u * s) @ v, a)
+        assert abs(kin / exact - 1) <= 1e-8
+
+
+def test_densities_stack_matches_single_nodes():
+    rng = np.random.default_rng(8)
+    y = rng.standard_normal((4, 3, 3, 3)) + 1j * rng.standard_normal((4, 3, 3, 3))
+    a = rng.standard_normal((4, 3, 3, 3)) + 1j * rng.standard_normal((4, 3, 3, 3))
+    y_before = y.copy()
+    kin, top = wznw.densities(y, a)
+    assert kin.shape == top.shape == (4, 3)
+    for idx in np.ndindex(4, 3):
+        k1, t1 = wznw.densities(y[idx], a[idx])
+        assert abs(kin[idx] - k1) <= 1e-14 * k1 and abs(top[idx] - t1) <= 1e-14 * k1
+    # the factorisation works on copies: Y is left as it was
+    assert np.array_equal(y, y_before)
+
+
+def test_h_at_matches_inverse_gram(rank2_field):
+    # h = b* b from Y = R Q against (Y Y*)^{-1} where Y is well conditioned
+    rng = np.random.default_rng(9)
+    done = 0
+    while done < 10:
+        z = rng.uniform(-1.5, 2.5) + 1j * rng.uniform(-1.5, 1.5)
+        if rank2_field.min_distance_to_punctures(z) < 0.3:
+            continue
+        y = rank2_field.y_at(z).copy()
+        assert np.linalg.cond(y) < 1e3
+        h = rank2_field.h_at(z)
+        # h_at works on a copy of the cached Y
+        assert np.array_equal(rank2_field.y_at(z), y)
+        want = np.linalg.inv(y @ y.conj().T)
+        assert numcore.fro(h - want) <= 1e-13 * numcore.fro(want)
+        assert numcore.fro(h - h.conj().T) <= 1e-15 * numcore.fro(h)
+        done += 1
 
 
 def test_three_form_antisymmetry():
@@ -364,6 +417,16 @@ def test_kink_angles_match_loop_bisection(points):
         want = _kink_angles_loop(pts, i, r_out)
         assert len(got) > 0
         assert np.array_equal(got, want)
+
+
+def test_kink_angles_cached_read_only():
+    pts = np.array([-1.3, 0.0, 1.0])
+    first = wznw._kink_angles(pts, 1, 4.6)
+    again = wznw._kink_angles(pts.copy(), 1, 4.6)
+    assert again is first and not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    assert wznw._kink_angles(pts, 0, 4.6) is not first
 
 
 def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
