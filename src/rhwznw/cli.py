@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 # BLAS is pinned to one thread before numpy is imported: threads on 2x2 to
@@ -88,20 +89,20 @@ def _float_tuple(value) -> tuple[float, ...]:
     return tuple(float(x) for x in value)
 
 
-def _integer(value) -> int:
-    """An integral number as an int: 3 and 3.0 are read, -2.7, true and "3" are not."""
+def _integer(value, low: int | None = None) -> int:
+    """An integral number as an int: 3 and 3.0 are read, -2.7, true and "3"
+    are not, nor one below low."""
     if isinstance(value, bool) or not (
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     ):
         raise ValueError(f"expected an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"must be at least {low}, got {int(value)}")
     return int(value)
 
 
-def _positive_int(value) -> int:
-    n = _integer(value)
-    if n < 1:
-        raise ValueError(f"must be at least 1, got {n}")
-    return n
+_count = partial(_integer, low=0)
+_positive_int = partial(_integer, low=1)
 
 
 def _positive_float(value) -> float:
@@ -114,7 +115,7 @@ def _positive_float(value) -> float:
 # the fields of the "solver" section (on ProblemConfig.solver) and of the
 # "action" section (on ProblemConfig), each with the reader of its value
 SOLVER_FIELDS = (
-    ("tol", _positive_float), ("max_iter", _integer), ("restarts", _integer),
+    ("tol", _positive_float), ("max_iter", _count), ("restarts", _count),
     ("seed", _integer), ("transport_tol", _positive_float),
 )
 ACTION_FIELDS = (("delta_schedule", _float_tuple), ("n_phi", _positive_int), ("gl_order", _positive_int))

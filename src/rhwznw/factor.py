@@ -69,17 +69,6 @@ class SplittingType:
             sizes.append(len(list(grp)))
         return tuple(sizes)
 
-    @property
-    def evenly_split(self) -> bool:
-        return self.m[-1] - self.m[0] <= 1
-
-    def diag(self) -> np.ndarray:
-        return np.diag(np.asarray(self.m, dtype=float))
-
-    def reversed_diag(self) -> np.ndarray:
-        """Pi0 N Pi0: the exchange-conjugated (reversed) exponent matrix."""
-        return np.diag(np.asarray(self.m[::-1], dtype=float))
-
     def block_slices(self) -> list[slice]:
         out, start = [], 0
         for size in self.partition:

@@ -44,8 +44,9 @@ with a tableau row.  The step is shared: it is accepted when the largest
 scaled error over the members (per-member Frobenius norms) is <= 1, so
 every member meets the tolerance and the hardest member sets the pace.
 Values are recorded at stop times: a step that would pass the next stop is
-clipped to land on it, and the clip does not shrink the next step.  Two
-callers build the coefficients:
+clipped to land on it, and the clip does not shrink the next step.  One
+builder makes the coefficients on a path segment or a fan segment of L
+member paths, its point and velocity read from one call as (T, L):
 
 * :func:`transport_stack`: members with their own residues (B, n-1, r, r)
   on one shared path.  :func:`transport` is this with B = 1; the solver
@@ -61,9 +62,10 @@ solution Y0 = G(x) x^{-L} (x = z - z_i, or 1/z at infinity) is summed to a
 tail below tol / 100, and every solution is Y0 K.  There is one recursion
 for G, :func:`series_stack`, over a stack of B systems at P points, the
 hardest member setting the term count as it sets the shared step of the
-kernel; :func:`local_series` is its case B = P = 1, which the action's web
-and the normalization at infinity read, and the loop set takes every
-circle from one stacked call.
+kernel, and one series type, :class:`SeriesStack`, summed by one
+node-blocked power table.  The loop set takes every circle from one
+stacked call and hands the stack to the normalization at infinity; the
+action's web builds a stack of one member per region.
 """
 
 from __future__ import annotations
@@ -556,32 +558,22 @@ def _integrate_stack(coefficients, y, tol: float, stats: dict, stops=(1.0,)) -> 
     return out
 
 
-def _shared_path_coefficients(seg, points, res_t, shape):
-    """Negated per-member residues res_t (n-1, B*r*r) on one path: one product."""
+def _march(points, residues, seg, y, tol: float, stats: dict, stops=(1.0,)) -> np.ndarray:
+    """The kernel on one path segment or fan: S systems (S, n-1, r, r), each
+    along each of the L member paths, from the values y (L*S, r, r) ordered
+    (L, S) to the values at the stops.  point_and_velocity(t) is read as
+    (T, L), a plain segment being one member, so the coefficients of all
+    members at all stage points are one (T*L, n-1) product with the negated
+    residues."""
+    res_t = -np.moveaxis(residues, 1, 0).reshape(residues.shape[1], -1)
 
     def coefficients(t):
-        w = seg.velocity(t)[:, None] / (seg.point(t)[:, None] - points)
-        return (w @ res_t).reshape((len(t),) + shape)
+        z, v = seg.point_and_velocity(t)
+        z = z.reshape(len(t), -1)
+        w = v.reshape(z.shape)[..., None] / (z[..., None] - points)
+        return (w.reshape(-1, len(points)) @ res_t).reshape((len(t),) + y.shape)
 
-    return coefficients
-
-
-def _fan_coefficients(fan, points, res_t, shape):
-    """Negated residues res_t (n-1, S*r*r) of S systems on a fan of L members:
-    one (T*L, n-1) product, members ordered (L, S)."""
-
-    def coefficients(t):
-        e = fan.offset(t)  # one evaluation for both z and z'
-        w = (e * fan.rate)[..., None] / ((fan.center + e)[..., None] - points)
-        return (w.reshape(-1, len(points)) @ res_t).reshape((len(t),) + shape)
-
-    return coefficients
-
-
-def _negated_residue_columns(res: np.ndarray) -> np.ndarray:
-    """(B, n-1, r, r) residues as the (n-1, B*r*r) right factor of the
-    coefficient product, negated."""
-    return -np.moveaxis(res, 1, 0).reshape(res.shape[1], -1)
+    return _integrate_stack(coefficients, y, tol, stats, stops)
 
 
 def _check_tol(tol: float) -> None:
@@ -607,7 +599,6 @@ def transport_stack(
     _check_tol(tol)
     res = np.asarray(residues, dtype=complex)
     b, m, r, _ = res.shape
-    res_t = _negated_residue_columns(res)
     if starts is None:
         y = np.broadcast_to(np.eye(r, dtype=complex), (b, r, r)).copy()
     else:
@@ -615,8 +606,7 @@ def transport_stack(
     pts = np.asarray(points, dtype=complex)
     stats = {"steps": 0, "err": np.zeros(b)}
     for seg in path:
-        coefficients = _shared_path_coefficients(seg, pts, res_t, y.shape)
-        y = _integrate_stack(coefficients, y, tol, stats)[-1]
+        y = _march(pts, res, seg, y, tol, stats)[-1]
     return StackTransport(values=y, step_count=stats["steps"], error_estimates=stats["err"])
 
 
@@ -647,14 +637,13 @@ def transport_fan(
     single = res.ndim == 3
     res = res.reshape((-1,) + res.shape[-3:])
     s, m, r, _ = res.shape
-    count = fan.point(np.zeros(1)).shape[1]
+    count = fan.offset(np.zeros(1)).shape[1]
     starts = np.broadcast_to(np.asarray(starts, dtype=complex), (s, count, r, r))
     # the kernel's members run over (L, S): the coefficient product's order
     y = np.swapaxes(starts, 0, 1).reshape(count * s, r, r).copy()
     stats = {"steps": 0, "err": np.zeros(count * s)}
     pts = np.asarray(points, dtype=complex)
-    coefficients = _fan_coefficients(fan, pts, _negated_residue_columns(res), y.shape)
-    values = _integrate_stack(coefficients, y, tol, stats, stops)
+    values = _march(pts, res, fan, y, tol, stats, stops)
     values = np.swapaxes(values.reshape(len(stops), count, s, r, r), 1, 2)
     errs = stats["err"].reshape(count, s).T
     if single:
@@ -737,142 +726,106 @@ SERIES_MIN_DIVISOR = 1e-6
 SERIES_MAX_TERMS = 200
 # a series' B_k are computed, and its buffers grown, this many orders at a time
 SERIES_CHUNK = 64
-# LocalSeries sums G over blocks of nodes whose power table stays within this
+# a series sums its frame over blocks of nodes whose power table stays within this
 SERIES_TABLE_BYTES = 1 << 18
-
-
-@dataclass(frozen=True)
-class LocalSeries:
-    """The Frobenius solution Y0(x) = G(x) x^{-L} at a puncture or at infinity.
-
-    x = z - z_i at the finite puncture z_i and x = 1/z at infinity; L is
-    the residue there (A_i, or -sum_j A_j) and
-    G = sum_m coefficients[m] (x / scale)^m, coefficients[0] = I, converges
-    for |x| < scale, the distance to the nearest other singular point.
-    Every solution near the point is Y0 K for a constant K.  tail bounds
-    the truncation error of G for |x| <= radius.
-    """
-
-    center: complex | None  # the puncture z_i; None at infinity
-    scale: float
-    radius: float
-    exponents: np.ndarray     # (r,) eigenvalues of L
-    basis: np.ndarray         # (r, r) eigenvectors of L, L = basis diag(exponents) basis^-1
-    coefficients: np.ndarray  # (M + 1, r, r)
-    tail: float
-
-    def values(self, rho, theta, coords=None) -> np.ndarray:
-        """Y0 K at the nodes z = center + rho e^{i theta} (at infinity
-        z = rho e^{i theta}); rho and theta broadcast to the node shape,
-        and the values have that shape + (r, r).
-
-        coords = basis^{-1} K are the coordinates of K in the eigenbasis of
-        L, as matched returns them; None means K = I.  theta is the argument
-        of z - center followed continuously along the caller's path; it
-        picks the branch of x^{-L}.
-        """
-        rho, theta = np.broadcast_arrays(rho, theta)
-        log_x, g = self._series(rho.ravel(), theta.ravel())
-        r = len(self.exponents)
-        coords = np.linalg.inv(self.basis) if coords is None else coords
-        # x^{-L} K = basis diag(x^{-lam}) coords: one product, and each row
-        # of coords only scaled, so none is swamped by a larger one
-        power = self.basis * np.exp(-log_x[:, None] * self.exponents)[:, None, :]
-        w = (power.reshape(-1, r) @ coords).reshape(g.shape)
-        out = np.empty_like(g)
-        _stack_matmul(g, w, out)
-        return out.reshape(rho.shape + (r, r))
-
-    def matched(self, rho: float, theta: float, value: np.ndarray) -> np.ndarray:
-        """The coordinates basis^{-1} K of the constant K with Y0 K = value
-        at one node (rho, theta).
-
-        They are diag(x^{lam}) (G basis)^{-1} value: the power enters as a
-        row scaling, never inverted as a dense matrix, so components that
-        x^{-L} spreads over many orders of magnitude (exponents with
-        imaginary parts, far from the principal branch) keep their digits.
-        """
-        log_x, g = self._series(np.array([rho], dtype=float), np.array([theta], dtype=float))
-        lifted = np.linalg.solve(g[0] @ self.basis, value)
-        return np.exp(log_x[0] * self.exponents)[:, None] * lifted
-
-    def _series(self, rho, theta):
-        """log x and G(x), (N, r, r), at flat node arrays.  G is one product
-        of a table of the powers u^m, u = x / scale, with the coefficients,
-        taken over blocks of nodes whose table stays within
-        SERIES_TABLE_BYTES."""
-        log_x = np.log(rho) + 1j * theta
-        if self.center is None:
-            log_x = -log_x
-        x = np.exp(log_x)
-        if np.any(np.abs(x) > self.radius * (1 + 1e-12)):
-            raise ValueError(f"node outside the series radius {self.radius:.6g}")
-        u = x / self.scale
-        coef = self.coefficients
-        terms = len(coef)
-        flat = coef.reshape(terms, -1)
-        g = np.empty((len(u), flat.shape[1]), dtype=complex)
-        block = max(1, SERIES_TABLE_BYTES // (16 * terms))
-        table = np.empty((terms, min(block, len(u))), dtype=complex)
-        for lo in range(0, len(u), block):
-            ub = u[lo : lo + block]
-            powers = table[:, : len(ub)]
-            powers[0] = 1.0
-            powers[1:2] = ub
-            # by doubling: rows n.. are rows 0.. times u^n, so a block takes
-            # about log2(terms) products (np.cumprod is slower on complex)
-            n = 2
-            while n < terms:
-                k = min(n, terms - n)
-                np.multiply(powers[:k], powers[n - 1] * ub, out=powers[n : n + k])
-                n += k
-            np.matmul(powers.T, flat, out=g[lo : lo + len(ub)])
-        return log_x, g.reshape((len(u),) + coef.shape[1:])
-
-
-def local_series(points, residues, at: int | None, radius: float, tol: float) -> LocalSeries:
-    """The local series of one system at puncture `at` (None: infinity),
-    summed to tol / 100 for |x| <= radius: :func:`series_stack` with one
-    member."""
-    res = np.asarray(residues, dtype=complex)
-    stack = series_stack(points, res[None], [at], [radius], tol)
-    basis = stack.basis[0]
-    g = stack.terms[0].reshape(-1, res.shape[-1], res.shape[-1])[::-1]
-    return LocalSeries(
-        center=None if at is None else complex(np.asarray(points)[at]),
-        scale=float(stack.scale[0]),
-        radius=float(radius),
-        exponents=stack.exponents[0],
-        basis=basis,
-        coefficients=basis @ g @ np.linalg.inv(basis),
-        tail=float(stack.tail[0]),
-    )
 
 
 @dataclass(frozen=True)
 class SeriesStack:
     """Local series of B systems at P points each, from one recursion.
 
-    Member s = b P + p is system b at point p.  Its series is
-    G(x) = basis sum_m g_m (x / scale[p])^m basis^{-1} with g_0 = I, the
-    g_m in the eigenbasis of its residue L = basis diag(exponents) basis^{-1}.
+    Member s = b P + p is system b at the point at[p]: a puncture index, or
+    None for infinity, with the local coordinate x = z - z_i at the puncture
+    z_i and x = 1/z at infinity.  Its Frobenius solution is
+    Y0(x) = G(x) x^{-L}, L = basis diag(exponents) basis^{-1} the residue
+    there, and every solution near the point is Y0 K for a constant K.  The
+    frame F = G basis = sum_m coefficients[s, m] (x / scale[p])^m converges
+    for |x| < scale[p], the distance to the nearest other singular point;
+    tail bounds the truncation error of G for |x| <= radius[p].
     """
 
-    scale: np.ndarray      # (P,) distance to the nearest other singular point
-    exponents: np.ndarray  # (S, r)
-    basis: np.ndarray      # (S, r, r)
-    terms: np.ndarray      # (S, (M+1) r, r): g_M, ..., g_0 stacked row-wise
-    tail: np.ndarray       # (S,) truncation bound of G at the radius
+    at: tuple                 # (P,) puncture indices, None for infinity
+    scale: np.ndarray         # (P,)
+    radius: np.ndarray        # (P,)
+    exponents: np.ndarray     # (S, r)
+    basis: np.ndarray         # (S, r, r)
+    coefficients: np.ndarray  # (S, M + 1, r, r): basis g_m, g_0 = I
+    tail: np.ndarray          # (S,)
 
     def frame(self, x) -> np.ndarray:
-        """G(x) basis of every member, (S, r, r), at one local coordinate
-        x[p] per point: one product of the reversed powers with the terms."""
-        s, rows, r = self.terms.shape
-        u = np.asarray(x, dtype=complex) / self.scale
-        powers = u[:, None] ** np.arange(rows // r - 1, -1, -1)
-        powers = np.tile(powers, (s // len(u), 1))[:, None, :]
-        g = (powers @ self.terms.reshape(s, rows // r, r * r)).reshape(s, r, r)
-        return self.basis @ g
+        """F of every member, (S, r, r), at one local coordinate x[p] per point."""
+        s = len(self.coefficients)
+        u = np.tile(np.asarray(x, dtype=complex) / self.scale, s // len(self.scale))
+        return self._frames(np.arange(s), u[:, None])[:, 0]
+
+    def values(self, s: int, rho, theta, coords: np.ndarray) -> np.ndarray:
+        """Y0 K of member s at the nodes z = z_i + rho e^{i theta} (at infinity
+        z = rho e^{i theta}); rho and theta broadcast to the node shape, and
+        the values have that shape + (r, r).
+
+        coords = basis^{-1} K are the coordinates of K in the eigenbasis of
+        L, as matched returns them.  theta is the argument of z - z_i
+        followed continuously along the caller's path; it picks the branch
+        of x^{-L}.
+        """
+        rho, theta = np.broadcast_arrays(rho, theta)
+        log_x, frame = self._nodes(s, rho.ravel(), theta.ravel())
+        r = frame.shape[-1]
+        # Y0 K = F diag(x^{-lam}) coords: one product, and each row of coords
+        # only scaled, so none is swamped by a larger one
+        frame *= np.exp(-log_x[:, None] * self.exponents[s])[:, None, :]
+        return (frame.reshape(-1, r) @ coords).reshape(rho.shape + (r, r))
+
+    def matched(self, s: int, rho: float, theta: float, value: np.ndarray) -> np.ndarray:
+        """The coordinates basis^{-1} K of the constant K with Y0 K = value at
+        one node (rho, theta) of member s.
+
+        They are diag(x^{lam}) F^{-1} value: the power enters as a row
+        scaling, never inverted as a dense matrix, so components that x^{-L}
+        spreads over many orders of magnitude (exponents with imaginary
+        parts, far from the principal branch) keep their digits.
+        """
+        log_x, frame = self._nodes(s, np.array([rho], dtype=float), np.array([theta], dtype=float))
+        lifted = np.linalg.solve(frame[0], value)
+        return np.exp(log_x[0] * self.exponents[s])[:, None] * lifted
+
+    def _nodes(self, s: int, rho, theta):
+        """log x and F, (N, r, r), of member s at flat node arrays."""
+        p = s % len(self.at)
+        log_x = np.log(rho) + 1j * theta
+        if self.at[p] is None:
+            log_x = -log_x
+        x = np.exp(log_x)
+        if np.any(np.abs(x) > self.radius[p] * (1 + 1e-12)):
+            raise ValueError(f"node outside the series radius {self.radius[p]:.6g}")
+        return log_x, self._frames(np.array([s]), x[None] / self.scale[p])[0]
+
+    def _frames(self, members: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """F of the members (K,) at scaled nodes u (K, N), (K, N, r, r): one
+        product of a table of the powers u^m with the coefficients, taken over
+        blocks of nodes whose table stays within SERIES_TABLE_BYTES."""
+        coef = self.coefficients[members]
+        k, terms, r, _ = coef.shape
+        flat = coef.reshape(k, terms, r * r)
+        n = u.shape[1]
+        out = np.empty((k, n, r * r), dtype=complex)
+        block = max(1, SERIES_TABLE_BYTES // (16 * terms * k))
+        table = np.empty((k, terms, min(block, n)), dtype=complex)
+        for lo in range(0, n, block):
+            ub = u[:, lo : lo + block]
+            powers = table[:, :, : ub.shape[1]]
+            powers[:, 0] = 1.0
+            powers[:, 1] = ub
+            # by doubling: rows m.. are rows 0.. times u^m, so a block takes
+            # about log2(terms) products (np.cumprod is slower on complex)
+            m = 2
+            while m < terms:
+                c = min(m, terms - m)
+                step = (powers[:, m - 1] * ub)[:, None]
+                np.multiply(powers[:, :c], step, out=powers[:, m : m + c])
+                m += c
+            np.matmul(np.swapaxes(powers, 1, 2), flat, out=out[:, lo : lo + ub.shape[1]])
+        return out.reshape(k, n, r, r)
 
 
 def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
@@ -970,11 +923,15 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
         raise NumericalError(
             f"local series tail {tail.max():.3e} above {target:.1e} after {SERIES_MAX_TERMS} terms"
         )
+    # the frame's coefficients basis g_l in increasing order
+    g = terms[:, (size - m) * r :].reshape(s, m + 1, r, r)[:, ::-1]
     return SeriesStack(
+        at=tuple(at),
         scale=scale,
+        radius=radius,
         exponents=lam,
         basis=basis,
-        terms=terms[:, (size - m) * r :].copy(),
+        coefficients=basis[:, None] @ g,
         tail=tail,
     )
 
@@ -990,10 +947,10 @@ def loop_radius(weights: WeightSystem, i: int, basepoint: complex) -> float:
     return 0.5 * min(others)
 
 
-def _approach_leg(weights: WeightSystem, i: int, basepoint: complex, ccw: bool = True):
+def _approach_leg(weights: WeightSystem, i: int, basepoint: complex):
     """The approach leg from the basepoint to the circle around puncture i
     (a plan_route path around the other punctures' circles) and that full
-    circle, entered where the leg ends."""
+    counterclockwise circle, entered where the leg ends."""
     pts = weights.points
     radius = loop_radius(weights, i, basepoint)
     center = complex(pts[i])
@@ -1004,14 +961,12 @@ def _approach_leg(weights: WeightSystem, i: int, basepoint: complex, ccw: bool =
         if j != i
     ]
     approach = paths.plan_route(basepoint, entry, keepouts)
-    return approach, paths.circle(center, radius, float(np.angle(entry - center)), ccw=ccw)
+    return approach, paths.circle(center, radius, float(np.angle(entry - center)))
 
 
-def puncture_loop(
-    weights: WeightSystem, i: int, basepoint: complex, ccw: bool = True
-) -> list[paths.Segment]:
+def puncture_loop(weights: WeightSystem, i: int, basepoint: complex) -> list[paths.Segment]:
     """Basepoint loop around puncture i: approach, full circle, return."""
-    approach, circle = _approach_leg(weights, i, basepoint, ccw)
+    approach, circle = _approach_leg(weights, i, basepoint)
     return approach + [circle] + paths.reversed_path(approach)
 
 
@@ -1056,12 +1011,12 @@ class MonodromyLoops:
             [c.radius * np.exp(1j * c.angle0) for c in circles[:-1]] + [1.0 / self.z0]
         )
 
-    def circle_transports(self, residues: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    def circle_transports(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack]:
         """Transports C once around every circle, each from I at its entry,
         and their inverses, (B, n, r, r) each, of a (B, n-1, r, r) residue
-        stack: one series_stack call, then F exp(-+2 pi i Lambda) F^{-1}
-        (class docstring).  C^{-1} takes the opposite phase, so no matrix
-        but F is inverted."""
+        stack, and the one SeriesStack they come from: one series_stack
+        call, then F exp(-+2 pi i Lambda) F^{-1} (class docstring).  C^{-1}
+        takes the opposite phase, so no matrix but F is inverted."""
         res = np.asarray(residues, dtype=complex)
         b, n, r = len(res), self.weights.n, self.weights.rank
         series = series_stack(self.weights.points, res, self.at, self.radii, tol)
@@ -1073,17 +1028,18 @@ class MonodromyLoops:
         phase = TWO_PI_I * sign * series.exponents.reshape(b, n, r)
         circ = (frame * np.exp(phase)[:, :, None, :]) @ frame_inv
         circ_inv = (frame * np.exp(-phase)[:, :, None, :]) @ frame_inv
-        return circ, circ_inv
+        return circ, circ_inv, series
 
-    def monodromy(self, residues: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    def monodromy(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack]:
         """Raw loop transports and representation generators, (B, n, r, r)
-        each, of a (B, n-1, r, r) residue stack: the circles in closed form
-        (circle_transports) and one transport_stack call per approach leg,
-        then the puncture loops P^{-1} C P and their inverses P^{-1} C^{-1} P
-        as generators (module docstring); the big circle is kept as it is."""
+        each, of a (B, n-1, r, r) residue stack, and the circles' series
+        (member b n + n - 1: system b at infinity): the circles in closed
+        form (circle_transports) and one transport_stack call per approach
+        leg, then the puncture loops P^{-1} C P and their inverses
+        P^{-1} C^{-1} P as generators; the big circle is kept as it is."""
         points = self.weights.points
         res = np.asarray(residues, dtype=complex)
-        circ, circ_inv = self.circle_transports(res, tol)
+        circ, circ_inv, series = self.circle_transports(res, tol)
         legs = np.stack(
             [transport_stack(points, res, approach, tol=tol).values for approach in self.approaches],
             axis=1,
@@ -1091,7 +1047,7 @@ class MonodromyLoops:
         raw, gens = circ, circ.copy()
         raw[:, :-1] = np.linalg.solve(legs, circ[:, :-1] @ legs)
         gens[:, :-1] = np.linalg.solve(legs, circ_inv[:, :-1] @ legs)
-        return raw, gens
+        return raw, gens, series
 
 
 @dataclass
@@ -1118,7 +1074,7 @@ def monodromy_rep(
     """
     ws = system.weights
     loops = MonodromyLoops(ws, basepoint)
-    raw, gens = loops.monodromy(system.residues[None], tol)
+    raw, gens, _ = loops.monodromy(system.residues[None], tol)
     transports, gens = raw[0], gens[0]
 
     order = np.lexsort((ws.points.imag, ws.points.real))

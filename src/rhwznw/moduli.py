@@ -363,17 +363,6 @@ def potential_levi_form(
     return -0.5 * levi_form(s_center, s_plus, s_minus, s_iplus, s_iminus, spacing)
 
 
-def levi_form_of(fun, center: complex, spacing: float) -> float:
-    vals = [
-        fun(center),
-        fun(center + spacing),
-        fun(center - spacing),
-        fun(center + 1j * spacing),
-        fun(center - 1j * spacing),
-    ]
-    return levi_form(*vals, spacing)
-
-
 def surface_to_csv(points: list[SurfacePoint], path) -> None:
     """Write an action surface as CSV rows (Re eps, Im eps, S, fit error, flag)."""
     import csv

@@ -1,11 +1,12 @@
 """Piecewise paths in the punctured plane.
 
-A path is a list of segments, each parameterized over t in [0, 1] with an
-analytic derivative.  Straight lines and circular arcs are enough for the
-loops and radial marches used here.  ``plan_route`` builds a segment list
-between two points that keeps a prescribed clearance from every puncture
-by inserting circular detours.  A fan segment holds B member paths on one
-parameter, for transporting one system along all of them at once.
+A path is a list of segments, each parameterized over t in [0, 1]; its
+point_and_velocity(t) gives the point and the analytic derivative.
+Straight lines and circular arcs are enough for the loops and radial
+marches used here.  ``plan_route`` builds a segment list between two
+points that keeps a prescribed clearance from every puncture by inserting
+circular detours.  A fan segment holds B member paths on one parameter,
+for transporting one system along all of them at once.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ class Line:
     def point(self, t):
         return self.start + t * (self.end - self.start)
 
-    def velocity(self, t):
-        return (self.end - self.start) * np.ones_like(np.asarray(t, dtype=float))
+    def point_and_velocity(self, t):
+        return self.point(t), (self.end - self.start) * np.ones_like(np.asarray(t, dtype=float))
 
     @property
     def length(self) -> float:
@@ -56,9 +57,10 @@ class Arc:
         ang = self.angle0 + t * (self.angle1 - self.angle0)
         return self.center + self.radius * np.exp(1j * ang)
 
-    def velocity(self, t):
+    def point_and_velocity(self, t):
         ang = self.angle0 + t * (self.angle1 - self.angle0)
-        return 1j * (self.angle1 - self.angle0) * self.radius * np.exp(1j * ang)
+        e = np.exp(1j * ang)
+        return self.center + self.radius * e, 1j * (self.angle1 - self.angle0) * self.radius * e
 
     @property
     def length(self) -> float:
@@ -88,11 +90,9 @@ class _Fan:
     velocity = offset(t) * rate map t (T,) to (T, B).  The center is one
     point for every member or a (B,) array of per-member centers."""
 
-    def point(self, t):
-        return self.center + self.offset(t)
-
-    def velocity(self, t):
-        return self.offset(t) * self.rate
+    def point_and_velocity(self, t):
+        e = self.offset(t)  # one evaluation for both
+        return self.center + e, e * self.rate
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ def residual_stack(
     if problem is None:
         problem = fuchs.MonodromyLoops(parm.weights)
     residues = parm.residues(xs)
-    _, gens = problem.monodromy(residues, transport_tol)
+    _, gens, _ = problem.monodromy(residues, transport_tol)
     aligned = align_tuple_to_target(gens, target).generators
     diff = aligned - np.asarray(target.generators)
     # per generator: real parts, then imaginary parts
@@ -391,7 +391,8 @@ def normalize_at_infinity(
 
     The right conjugator W aligns the monodromy with the target unitary
     tuple (the aligned generators W^{-1} M_i W are kept).  Y W = Y0 K with
-    Y0 the series at infinity matched at the basepoint, where Y = I; column
+    Y0 the series at infinity, the big circle's member of the loops'
+    SeriesStack, matched at the basepoint, where Y = I; column
     b of Y W z^{-(N'+W_n)} tends to the constant term basis[:, pi(b)]
     C[pi(b), b], C = basis^{-1} K and pi matching the series' exponents to
     N' + W_n.  When G Pi0-membership in the large-cell coset holds, the
@@ -406,16 +407,15 @@ def normalize_at_infinity(
 
     if problem is None:
         problem = fuchs.MonodromyLoops(ws)
-    _, gens = problem.monodromy(system.residues[None], transport_tol)
+    _, gens, series = problem.monodromy(system.residues[None], transport_tol)
     aligned = align_tuple_to_target(gens[0], target)
     W = aligned.conjugator
     z0 = problem.z0
 
-    # |z0| > max |z_j| (MonodromyLoops), so the basepoint is inside the series' disk
-    series = fuchs.local_series(ws.points, system.residues, None, 1.0 / abs(z0), transport_tol)
-    C = series.matched(abs(z0), float(np.angle(z0)), W)
-    perm, _ = fuchs._match_to_targets(series.exponents, ws.infinity_exponents)
-    G = series.basis[:, perm] * np.diagonal(C[perm])
+    inf = ws.n - 1  # the big circle's member: at infinity, radius 1/|z0|
+    C = series.matched(inf, abs(z0), float(np.angle(z0)), W)
+    perm, _ = fuchs._match_to_targets(series.exponents[inf], ws.infinity_exponents)
+    G = series.basis[inf][:, perm] * np.diagonal(C[perm])
     disagreement = system.infinity_spectrum_residual()
     if disagreement > DISAGREEMENT_WARNING:
         warnings.warn(

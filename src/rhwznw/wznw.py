@@ -35,12 +35,13 @@ patch regions, whose radial extent is only piecewise smooth in the
 angle, use Gauss-Legendre panels split at the boundary kinks.
 
 Transport: near each puncture and near infinity Y is a convergent
-Frobenius series times a power (fuchs.local_series), matched once per
-region to the transported value at its ring entry.  The series gives the
-ring values and every inward node of a patch and the whole outer region;
-only the outward rays, from the ring to the Voronoi or outer boundary,
-are one adaptive fan call (fuchs.transport_fan) per patch, with a stop at
-every Gauss-Legendre node.
+Frobenius series times a power (a fuchs.SeriesStack of one member per
+region: one stack over all regions would sum every region to the hardest
+one's term count), matched once per region to the transported value at
+its ring entry.  The series gives the ring values and every inward node of
+a patch and the whole outer region; only the outward rays, from the ring
+to the Voronoi or outer boundary, are one adaptive fan call
+(fuchs.transport_fan) per patch, with a stop at every Gauss-Legendre node.
 """
 
 from __future__ import annotations
@@ -229,24 +230,6 @@ class MetricField:
     def h_at(self, z: complex) -> np.ndarray:
         return _metric_from_factor(self.y_at(z))
 
-    def metric_at(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
-        """(h(z), A(z)): transported metric and the closed-form connection."""
-        return self.h_at(z), self.system.A_of(complex(z))
-
-    def ray_values(self, center_index: int, phi: float, rhos: np.ndarray):
-        """Y at center + rho e^{i phi} for every radius in rhos, stacked in
-        their order: the puncture's local series, matched at the patch ring
-        as in the action's web.
-
-        Every radius must lie in (0, ring radius), the ring radius being half
-        the distance to the nearest other puncture; ValueError otherwise.
-        """
-        rhos = np.asarray(rhos, dtype=float)
-        ring = _ring_radius(np.asarray(self.system.points), center_index)
-        if np.any(rhos <= 0) or np.any(rhos >= ring):
-            raise ValueError(f"ray radii must lie in (0, {ring:.6g}), the ring radius")
-        return _region_series(self, center_index)(rhos, phi)
-
 
 def make_metric_field(
     system: fuchs.FuchsianSystem,
@@ -306,11 +289,11 @@ def _region_series(fld: MetricField, at: int | None):
     z0 = fld.basepoint
     entry = center + ring * (z0 - center) / abs(z0 - center)
     a0 = float(np.angle(entry - center))
-    series = fuchs.local_series(pts, fld.system.residues, at, radius, fld.transport_tol)
-    coords = series.matched(ring, a0, fld.y_at(entry))
+    series = fuchs.series_stack(pts, fld.system.residues[None], [at], [radius], fld.transport_tol)
+    coords = series.matched(0, ring, a0, fld.y_at(entry))
 
     def values(rho, phi) -> np.ndarray:
-        return series.values(rho, a0 + np.mod(phi - a0, 2 * np.pi), coords)
+        return series.values(0, rho, a0 + np.mod(phi - a0, 2 * np.pi), coords)
 
     return values
 

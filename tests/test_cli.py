@@ -278,6 +278,19 @@ def test_non_positive_tolerance_exits_2(tmp_path, capsys, fieldname, value):
     assert not (tmp_path / "result.json").exists()
 
 
+@pytest.mark.parametrize("fieldname, value", [("max_iter", -5), ("restarts", -2)])
+def test_negative_solver_count_exits_2(tmp_path, capsys, fieldname, value):
+    # both used to load: rhsolve on the fixture ran 0 LM iterations and
+    # exited 3 (no convergence)
+    data = rank2_config().to_dict()
+    data["solver"][fieldname] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    rc = cli.main(["rhsolve", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"config field 'solver.{fieldname}'" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_non_positive_tol_override_exits_2(tmp_path, capsys):
     cli.save_config(rank2_config(), tmp_path / "cfg.json")
     rc = cli.main(

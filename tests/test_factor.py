@@ -113,10 +113,9 @@ def test_large_cell_uniqueness_two_paths():
 
 def test_splitting_type():
     s = factor.SplittingType((-1, -1))
-    assert s.evenly_split and s.partition == (2,)
-    assert np.allclose(s.reversed_diag(), np.diag([-1.0, -1.0]))
+    assert s.partition == (2,)
     s2 = factor.SplittingType((-2, -1))
-    assert s2.evenly_split and s2.partition == (1, 1)
+    assert s2.partition == (1, 1)
     with pytest.raises(ValueError):
         factor.SplittingType((0, -1))
 

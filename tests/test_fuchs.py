@@ -667,9 +667,11 @@ def test_monodromy_loops_path_independence_property(seed):
     residues = _random_residues(ws, rng, 3)
     loops = fuchs.MonodromyLoops(ws)
     tol = 1e-9  # the solver's default transport tolerance
-    raw, gens = loops.monodromy(residues, tol)
+    raw, gens, series = loops.monodromy(residues, tol)
     assert raw.shape == gens.shape == (3, 4, 3, 3)
     assert np.array_equal(gens[:, 3], raw[:, 3])
+    # the circles' series: system b at point p is member 4 b + p, infinity last
+    assert series.at == (0, 1, 2, None) and series.exponents.shape == (12, 3)
     big = paths.circle(0.0, abs(loops.z0), float(np.angle(loops.z0)))
     refs = [fuchs.puncture_loop(ws, i, loops.z0) for i in range(3)] + [[big]]
     for i, loop in enumerate(refs):
@@ -714,11 +716,11 @@ def test_local_series_matches_fan_property(seed):
             center = pts[at]
             ring = 0.5 * min(abs(pts[at] - pts[j]) for j in range(3) if j != at)
             radius, s_far = ring, np.log(1e-3 * ring)
-        series = fuchs.local_series(pts, res, at, radius, tol)
-        assert series.tail <= tol / 100
+        series = fuchs.series_stack(pts, res[None], [at], [radius], tol)
+        assert series.tail[0] <= tol / 100
         a0 = rng.uniform(0.0, 2 * np.pi)
         entry_value = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-        right = series.matched(ring, a0, entry_value)
+        right = series.matched(0, ring, a0, entry_value)
         theta = a0 + np.mod(rng.uniform(0.0, 2 * np.pi, 6) - a0, 2 * np.pi)
         arcs = paths.ArcFan(center, ring, a0, theta)
         ring_ref = fuchs.transport_fan(pts, res, arcs, entry_value, tol=tol / 100).values[-1]
@@ -726,7 +728,7 @@ def test_local_series_matches_fan_property(seed):
         rays = paths.RayFan(center, theta, np.log(ring), s_far)
         ray_ref = fuchs.transport_fan(pts, res, rays, ring_ref, stops, tol / 100).values
         rhos = np.exp(np.log(ring) + stops * (s_far - np.log(ring)))
-        got = series.values(np.concatenate([[ring], rhos])[:, None], theta[None, :], right)
+        got = series.values(0, np.concatenate([[ring], rhos])[:, None], theta[None, :], right)
         refs = np.concatenate([ring_ref[None], ray_ref])
         for k in range(len(refs)):
             for b in range(6):
@@ -741,44 +743,45 @@ def test_local_series_near_resonant_divisor_raises():
     a0 = c @ np.diag([0.2, 1.2 + 1e-8]) @ np.linalg.inv(c)
     residues = np.array([a0, np.diag([0.3, 0.6])], dtype=complex)
     with pytest.raises(fuchs.ResonanceError):
-        fuchs.local_series([0.0, 1.0], residues, 0, 0.5, 1e-10)
+        fuchs.series_stack([0.0, 1.0], residues[None], [0], [0.5], 1e-10)
     # the same eigenvalue gap 1 + 1e-8 one order away is no resonance
     residues[0] = c @ np.diag([0.2, 0.7 + 1e-8]) @ np.linalg.inv(c)
-    fuchs.local_series([0.0, 1.0], residues, 0, 0.5, 1e-10)
+    fuchs.series_stack([0.0, 1.0], residues[None], [0], [0.5], 1e-10)
 
 
 def test_local_series_limits():
     system = _n4_rank3_system(41)
-    pts, res = system.points, system.residues
+    pts, res = system.points, system.residues[None]
     # the nearest other puncture is 1.0 away from the one at 0
     with pytest.raises(ValueError):
-        fuchs.local_series(pts, res, 1, 1.0, 1e-10)
+        fuchs.series_stack(pts, res, [1], [1.0], 1e-10)
     with pytest.raises(ValueError):
-        fuchs.local_series(pts, res, 1, 0.5, 0.0)
+        fuchs.series_stack(pts, res, [1], [0.5], 0.0)
     # at q = 0.99 the tail needs thousands of terms
     with pytest.raises(numcore.NumericalError):
-        fuchs.local_series(pts, res, 1, 0.99, 1e-10)
-    series = fuchs.local_series(pts, res, 1, 0.5, 1e-10)
+        fuchs.series_stack(pts, res, [1], [0.99], 1e-10)
+    series = fuchs.series_stack(pts, res, [1], [0.5], 1e-10)
     with pytest.raises(ValueError):
-        series.values(0.6, 0.0)
+        series.values(0, 0.6, 0.0, np.eye(3))
 
 
 @pytest.mark.parametrize("table_bytes", [16 * 7, 1 << 20])
 def test_local_series_blocked_sum_matches_horner(monkeypatch, table_bytes):
-    # G from the blocked power table against Horner on the coefficients,
-    # with node blocks of 1 (16 * 7 bytes hold one row of powers at most)
-    # and of all nodes at once
+    # the frame from the blocked power table against Horner on the
+    # coefficients, with node blocks of 1 (16 * 7 bytes hold one row of
+    # powers at most) and of all nodes at once
     system = _n4_rank3_system(41)
-    series = fuchs.local_series(system.points, system.residues, 1, 0.5, 1e-10)
+    series = fuchs.series_stack(system.points, system.residues[None], [1], [0.5], 1e-10)
     rng = np.random.default_rng(3)
     rho, theta = rng.uniform(1e-3, 0.5, 37), rng.uniform(0.0, 2 * np.pi, 37)
     monkeypatch.setattr(fuchs, "SERIES_TABLE_BYTES", table_bytes)
-    log_x, g = series._series(rho, theta)
-    u = (np.exp(log_x) / series.scale)[:, None, None]
-    want = np.broadcast_to(series.coefficients[-1], g.shape).copy()
-    for c in series.coefficients[-2::-1]:
+    log_x, frame = series._nodes(0, rho, theta)
+    u = (np.exp(log_x) / series.scale[0])[:, None, None]
+    coefficients = series.coefficients[0]
+    want = np.broadcast_to(coefficients[-1], frame.shape).copy()
+    for c in coefficients[-2::-1]:
         want = want * u + c
-    assert np.max(np.abs(g - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(frame - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _n4_rank2_weights():
@@ -809,7 +812,7 @@ def test_circle_transports_match_fan(make_weights, seed):
     _set_infinity_exponents(residues[2], ws.infinity_exponents + shift, rng)
     loops = fuchs.MonodromyLoops(ws)
     tol = 1e-9
-    circ, circ_inv = loops.circle_transports(residues, tol)
+    circ, circ_inv, _ = loops.circle_transports(residues, tol)
     assert circ.shape == circ_inv.shape == (4, ws.n, ws.rank, ws.rank)
     arcs = loops.circles
     for turn, got in ((2 * np.pi, circ), (-2 * np.pi, circ_inv)):
@@ -843,10 +846,11 @@ def test_series_stack_members_match_local_series():
         frame = stack.frame(x)
         for b in range(3):
             for p in range(4):
-                alone = fuchs.local_series(ws.points, residues[b], at[p], radii[p], tol)
-                assert alone.tail <= tol / 100
-                u = x[p] / alone.scale
-                g_alone = sum(c * u**m for m, c in enumerate(alone.coefficients))
+                alone = fuchs.series_stack(ws.points, residues[b : b + 1], [at[p]], [radii[p]], tol)
+                assert alone.tail[0] <= tol / 100
+                u = x[p] / alone.scale[0]
+                f_alone = sum(c * u**m for m, c in enumerate(alone.coefficients[0]))
+                g_alone = f_alone @ np.linalg.inv(alone.basis[0])
                 s = 4 * b + p
                 g_stack = frame[s] @ np.linalg.inv(stack.basis[s])
                 assert numcore.fro(g_stack - g_alone) <= tol / 100

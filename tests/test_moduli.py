@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,14 +71,16 @@ def test_levi_constant_surface():
 
 def test_levi_quadratic_exact():
     fun = lambda e: abs(e) ** 2
+    c = 0.37 - 0.21j
     for a in (0.1, 0.05, 0.3):
-        val = moduli.levi_form_of(fun, 0.37 - 0.21j, a)
+        val = moduli.levi_form(fun(c), fun(c + a), fun(c - a), fun(c + 1j * a), fun(c - 1j * a), a)
         assert abs(val - 1.0) < 1e-10
 
 
 def test_levi_pluriharmonic_zero():
+    c, a = 0.2 + 0.1j, 0.05
     for fun in (lambda e: (e * e).real, lambda e: (e * e).imag, lambda e: e.real):
-        val = moduli.levi_form_of(fun, 0.2 + 0.1j, 0.05)
+        val = moduli.levi_form(fun(c), fun(c + a), fun(c - a), fun(c + 1j * a), fun(c - 1j * a), a)
         assert abs(val) < 1e-9
 
 
@@ -92,6 +96,28 @@ def test_levi_from_surface_table():
     assert abs(moduli.levi_from_surface(pts, 0.0, 0.1) - 1.0) < 1e-12
     with pytest.raises(moduli.ChartRadiusError):
         moduli.levi_from_surface(pts, 0.05, 0.1)
+
+
+def test_surface_to_csv(tmp_path):
+    # a hole writes empty action and fit-error fields; the repr floats read
+    # back exactly
+    pts = [
+        moduli.SurfacePoint(
+            eps=0.1 + 0.2 - 1j / 3, action=2 / 3, extrapolation_error=1.1e-17,
+            large_cell_flag=True, solve_residual=0.0, ok=True,
+        ),
+        moduli.SurfacePoint(
+            eps=0.25 - 0.7j, action=None, extrapolation_error=None,
+            large_cell_flag=False, solve_residual=None, ok=False, message="hole",
+        ),
+    ]
+    moduli.surface_to_csv(pts, tmp_path / "surface.csv")
+    with open(tmp_path / "surface.csv", newline="") as fh:
+        header, full, hole = list(csv.reader(fh))
+    assert header == ["re_eps", "im_eps", "action", "extrapolation_error", "large_cell_flag"]
+    assert [float(x) for x in full[:4]] == [0.1 + 0.2, -1 / 3, 2 / 3, 1.1e-17]
+    assert full[4] == "true"
+    assert hole == ["0.25", "-0.7", "", "", "false"]
 
 
 def test_action_surface_single_point(rank1_weights, rank1_target, rank1_field):

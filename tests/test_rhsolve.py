@@ -175,6 +175,17 @@ def test_normalize_constant_term_is_the_richardson_limit(rank2_solved, rank2_tar
     assert errors[-1] <= 1e-8, errors
 
 
+def test_normalize_builds_the_series_at_infinity_once(rank2_solved, rank2_target, monkeypatch):
+    # the constant term reads the infinity member of the series the loop
+    # circles came from: one series_stack call per normalization
+    system, _ = rank2_solved
+    calls = []
+    series_stack = fuchs.series_stack
+    monkeypatch.setattr(fuchs, "series_stack", lambda *a: calls.append(a[2]) or series_stack(*a))
+    rhsolve.normalize_at_infinity(system, rank2_target)
+    assert calls == [[0, 1, None]]
+
+
 def test_solve_hands_over_normalization(rank2_solved, rank2_target):
     # the field built from the solve's own normalization is the field built
     # from a fresh one

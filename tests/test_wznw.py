@@ -18,7 +18,7 @@ def test_metric_rank1_explicit(rank1_field, rank1_weights):
 
 def test_metric_at_basepoint(rank2_field):
     y0 = rank2_field.basepoint_value
-    h0, _ = rank2_field.metric_at(rank2_field.basepoint)
+    h0 = rank2_field.h_at(rank2_field.basepoint)
     want = np.linalg.inv(y0 @ y0.conj().T)
     assert numcore.fro(h0 - want) < 1e-12 * numcore.fro(want)
 
@@ -32,7 +32,7 @@ def test_metric_derivative_matches_connection(rank2_field):
         z = rng.uniform(-1.5, 2.5) + 1j * rng.uniform(-1.5, 1.5)
         if rank2_field.min_distance_to_punctures(z) < 0.3:
             continue
-        h, A = rank2_field.metric_at(z)
+        h, A = rank2_field.h_at(z), rank2_field.system.A_of(z)
         hz = 0.5 * (
             (rank2_field.h_at(z + s) - rank2_field.h_at(z - s)) / (2 * s)
             - 1j * (rank2_field.h_at(z + 1j * s) - rank2_field.h_at(z - 1j * s)) / (2 * s)
@@ -112,7 +112,7 @@ def test_kinetic_density_positive(rank2_field):
 def test_kinetic_asymptotics_near_puncture(rank2_field, rank2_weights):
     # density * |z - z_i|^2 -> sum_j alpha_ij^2 (to 1e-3 at rho = 1e-4)
     rhos = np.array([0.4, 0.1, 1e-2, 1e-3, 1e-4])
-    ys = rank2_field.ray_values(0, 0.9, rhos)
+    ys = wznw._region_series(rank2_field, 0)(rhos, 0.9)
     z = rank2_weights.points[0] + 1e-4 * np.exp(0.9j)
     kin, _ = wznw.densities(ys[-1], rank2_field.system.A_of(z))
     target = float(np.sum(rank2_weights.weights[0] ** 2))
@@ -358,7 +358,7 @@ def test_counterterm_annulus(rank2_field, rank2_weights):
 def test_cholesky_exponents_along_ray(rank2_field, rank2_weights):
     # local log-log slope of the Cholesky diagonal recovers 2 alpha_ij
     rhos = np.array([0.4, 1e-3, 1e-4])
-    ys = rank2_field.ray_values(0, 1.3, rhos)
+    ys = wznw._region_series(rank2_field, 0)(rhos, 1.3)
     a_vals = []
     for y in ys[-2:]:
         h = np.linalg.inv(y @ y.conj().T)
@@ -441,13 +441,6 @@ def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
     deltas = (0.1, 0.05, 0.025, 0.0125)
     web = wznw.TransportWeb(fld, min(deltas), deltas, wznw.QuadratureOptions())
     assert sum(len(region.z) for region in web.regions) == 29440
-
-
-@pytest.mark.parametrize("rho", [0.5, 0.7])
-def test_ray_values_rejects_radii_outside_the_ring(rank2_field, rho):
-    # the ring radius at the puncture 0 is half the distance 1 to the next
-    with pytest.raises(ValueError):
-        rank2_field.ray_values(0, 1.3, np.array([0.4, rho, 1e-3]))
 
 
 def test_action_transports_only_the_outward_rays(rank2_field, monkeypatch):
