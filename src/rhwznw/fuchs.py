@@ -64,8 +64,9 @@ for G, :func:`series_stack`, over a stack of B systems at P points, the
 hardest member setting the term count as it sets the shared step of the
 kernel, and one series type, :class:`SeriesStack`, summed by one
 node-blocked power table.  The loop set takes every circle from one
-stacked call and hands the stack to the normalization at infinity; the
-action's web builds a stack of one member per region.
+stacked call and hands the stack, with the approach legs' transports, to
+the normalization at infinity.  That matches every member at its loop
+entry and keeps the stack, so the action's web builds no series of its own.
 """
 
 from __future__ import annotations
@@ -434,8 +435,6 @@ class FuchsianSystem:
 class TransportResult:
     value: np.ndarray
     step_count: int
-    error_estimate: float
-    det_residual: float
 
 
 @dataclass
@@ -673,41 +672,19 @@ def transport(
     path: list[paths.Segment],
     start: np.ndarray | None = None,
     tol: float = 1e-10,
-    check_det: bool = True,
     precheck: bool = True,
 ) -> TransportResult:
     """Parallel transport of dY/dz = -A(z) Y along a piecewise path.
 
     The stacked kernel of :func:`transport_stack` with a single member.
-    With precheck the path must pass :func:`check_clearance`.  The
-    determinant identity
-    log det Y_end - log det Y_start = -sum_i tr(A_i) * Delta log(z - z_i)
-    is evaluated exactly from the path geometry and reported as a residual
-    (skipped when check_det is false).
+    With precheck the path must pass :func:`check_clearance`.
     """
     r = system.rank
     y = np.eye(r, dtype=complex) if start is None else as_cmatrix(start, "start")
     if precheck:
         check_clearance(system.weights, path)
-
     out = transport_stack(system.points, system.residues[None], path, y[None], tol)
-    value = out.values[0]
-
-    det_residual = 0.0
-    if check_det:
-        expected = complex(np.linalg.det(y))
-        for i, w in enumerate(system.points):
-            expected *= np.exp(
-                -np.trace(system.residues[i]) * paths.path_log_increment(path, complex(w))
-            )
-        got = complex(np.linalg.det(value))
-        det_residual = abs(got - expected) / max(abs(expected), 1e-300)
-    return TransportResult(
-        value=value,
-        step_count=out.step_count,
-        error_estimate=float(out.error_estimates[0]),
-        det_residual=float(det_residual),
-    )
+    return TransportResult(value=out.values[0], step_count=out.step_count)
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +927,8 @@ def loop_radius(weights: WeightSystem, i: int, basepoint: complex) -> float:
 def _approach_leg(weights: WeightSystem, i: int, basepoint: complex):
     """The approach leg from the basepoint to the circle around puncture i
     (a plan_route path around the other punctures' circles) and that full
-    counterclockwise circle, entered where the leg ends."""
+    counterclockwise circle, entered where the leg ends: on the ray from
+    z_i to the basepoint, at the argument arg(basepoint - z_i)."""
     pts = weights.points
     radius = loop_radius(weights, i, basepoint)
     center = complex(pts[i])
@@ -961,7 +939,7 @@ def _approach_leg(weights: WeightSystem, i: int, basepoint: complex):
         if j != i
     ]
     approach = paths.plan_route(basepoint, entry, keepouts)
-    return approach, paths.circle(center, radius, float(np.angle(entry - center)))
+    return approach, paths.circle(center, radius, float(np.angle(basepoint - center)))
 
 
 def puncture_loop(weights: WeightSystem, i: int, basepoint: complex) -> list[paths.Segment]:
@@ -1030,13 +1008,15 @@ class MonodromyLoops:
         circ_inv = (frame * np.exp(-phase)[:, :, None, :]) @ frame_inv
         return circ, circ_inv, series
 
-    def monodromy(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack]:
+    def monodromy(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack, np.ndarray]:
         """Raw loop transports and representation generators, (B, n, r, r)
-        each, of a (B, n-1, r, r) residue stack, and the circles' series
-        (member b n + n - 1: system b at infinity): the circles in closed
-        form (circle_transports) and one transport_stack call per approach
-        leg, then the puncture loops P^{-1} C P and their inverses
-        P^{-1} C^{-1} P as generators; the big circle is kept as it is."""
+        each, of a (B, n-1, r, r) residue stack, the circles' series
+        (member b n + p: system b at the loop point at[p]) and the approach
+        legs' transports P, (B, n-1, r, r), from I at the basepoint to each
+        circle's entry: the circles in closed form (circle_transports) and
+        one transport_stack call per approach leg, then the puncture loops
+        P^{-1} C P and their inverses P^{-1} C^{-1} P as generators; the big
+        circle is kept as it is."""
         points = self.weights.points
         res = np.asarray(residues, dtype=complex)
         circ, circ_inv, series = self.circle_transports(res, tol)
@@ -1047,7 +1027,7 @@ class MonodromyLoops:
         raw, gens = circ, circ.copy()
         raw[:, :-1] = np.linalg.solve(legs, circ[:, :-1] @ legs)
         gens[:, :-1] = np.linalg.solve(legs, circ_inv[:, :-1] @ legs)
-        return raw, gens, series
+        return raw, gens, series, legs
 
 
 @dataclass
@@ -1074,7 +1054,7 @@ def monodromy_rep(
     """
     ws = system.weights
     loops = MonodromyLoops(ws, basepoint)
-    raw, gens, _ = loops.monodromy(system.residues[None], tol)
+    raw, gens, _, _ = loops.monodromy(system.residues[None], tol)
     transports, gens = raw[0], gens[0]
 
     order = np.lexsort((ws.points.imag, ws.points.real))
@@ -1184,6 +1164,10 @@ def align_tuple_to_target(computed, target: AdmissibleRep) -> TupleAlignment:
     g = np.exp(1j * theta)
     value = np.real(np.sum(g[..., :, None] * np.conj(g)[..., None, :] * c[:, None], axis=(-2, -1)))
     theta = theta[np.arange(len(m)), np.argmax(value, axis=-1)]
+    # the starts reach one optimum up to a common phase, which moves no
+    # aligned generator: pin theta_0 = 0, so that W does not follow the
+    # rounding tie that argmax breaks between them
+    theta -= theta[:, :1]
     g = np.exp(1j * theta)
     gens = g[:, None, :, None] * gens * np.conj(g)[:, None, None, :]
 

@@ -24,7 +24,7 @@ the generator block of its last LM residual: nothing is transported again.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -118,7 +118,7 @@ def residual_stack(
     if problem is None:
         problem = fuchs.MonodromyLoops(parm.weights)
     residues = parm.residues(xs)
-    _, gens, _ = problem.monodromy(residues, transport_tol)
+    _, gens, _, _ = problem.monodromy(residues, transport_tol)
     aligned = align_tuple_to_target(gens, target).generators
     diff = aligned - np.asarray(target.generators)
     # per generator: real parts, then imaginary parts
@@ -354,6 +354,11 @@ class NormalizationResult:
     # the monodromy generators aligned to the target, W^{-1} M_i W: the
     # canonical solution's monodromy in the gauge of basepoint_value
     aligned_generators: np.ndarray  # (n, r, r)
+    # the loops' series in the canonical gauge, member p at the loop point
+    # at[p], and the coordinates basis^{-1} K (n, r, r) of the canonical
+    # solution on each, matched at the loop entry at argument arg(z0 - z_p)
+    series: fuchs.SeriesStack
+    series_coords: np.ndarray
 
 
 def _coset_flag(G: np.ndarray, splitting: factor.SplittingType) -> bool:
@@ -390,13 +395,17 @@ def normalize_at_infinity(
     renormalize to the canonical fundamental solution.
 
     The right conjugator W aligns the monodromy with the target unitary
-    tuple (the aligned generators W^{-1} M_i W are kept).  Y W = Y0 K with
-    Y0 the series at infinity, the big circle's member of the loops'
-    SeriesStack, matched at the basepoint, where Y = I; column
-    b of Y W z^{-(N'+W_n)} tends to the constant term basis[:, pi(b)]
-    C[pi(b), b], C = basis^{-1} K and pi matching the series' exponents to
-    N' + W_n.  When G Pi0-membership in the large-cell coset holds, the
-    solution is left-normalized so the constant term becomes Pi0.
+    tuple (the aligned generators W^{-1} M_i W are kept).  Y W = Y0 K on
+    every region of the loops' SeriesStack, Y0 the member's series: K is
+    matched at the member's loop entry, where Y W is P_i W at puncture i
+    (P_i the approach leg's transport) and W at the basepoint on the big
+    circle.  At infinity column b of Y W z^{-(N'+W_n)} tends to the
+    constant term basis[:, pi(b)] C[pi(b), b], C = basis^{-1} K and pi
+    matching the series' exponents to N' + W_n.  When G Pi0-membership in
+    the large-cell coset holds, the solution is left-normalized so the
+    constant term becomes Pi0.  The series and the coordinates
+    basis^{-1} K of every member are kept for the canonical solution:
+    its frame is left F, and the coordinates do not change.
     """
     ws = system.weights
     diffs = ws.infinity_exponents[:, None] - ws.infinity_exponents[None, :]
@@ -407,13 +416,17 @@ def normalize_at_infinity(
 
     if problem is None:
         problem = fuchs.MonodromyLoops(ws)
-    _, gens, series = problem.monodromy(system.residues[None], transport_tol)
+    _, gens, series, legs = problem.monodromy(system.residues[None], transport_tol)
     aligned = align_tuple_to_target(gens[0], target)
     W = aligned.conjugator
     z0 = problem.z0
 
+    # Y W at every loop entry: P_i W at puncture i, W at the basepoint on the big circle
+    at_entry = np.concatenate([legs[0] @ W, W[None]])
+    entries = enumerate(zip(problem.circles, at_entry))
+    coords = np.stack([series.matched(s, c.radius, c.angle0, y) for s, (c, y) in entries])
     inf = ws.n - 1  # the big circle's member: at infinity, radius 1/|z0|
-    C = series.matched(inf, abs(z0), float(np.angle(z0)), W)
+    C = coords[inf]
     perm, _ = fuchs._match_to_targets(series.exponents[inf], ws.infinity_exponents)
     G = series.basis[inf][:, perm] * np.diagonal(C[perm])
     disagreement = system.infinity_spectrum_residual()
@@ -425,22 +438,19 @@ def normalize_at_infinity(
 
     flag = bool(_coset_flag(G, ws.splitting))
     if flag:
-        pi0 = factor.antidiagonal_permutation(ws.rank)
-        left = pi0 @ np.linalg.inv(G)
-        canonical = system.conjugated(left)
-        y0 = left @ W
+        left = factor.antidiagonal_permutation(ws.rank) @ np.linalg.inv(G)
     else:
         left = np.eye(ws.rank, dtype=complex)
-        canonical = system
-        y0 = W
     return NormalizationResult(
         constant_term=G,
         large_cell_flag=flag,
-        canonical_system=canonical,
+        canonical_system=system.conjugated(left),
         basepoint=z0,
-        basepoint_value=y0,
+        basepoint_value=left @ W,
         extrapolation_disagreement=float(disagreement),
         right_conjugator=W,
         left_gauge=left,
         aligned_generators=aligned.generators,
+        series=replace(series, basis=left @ series.basis, coefficients=left @ series.coefficients),
+        series_coords=coords,
     )

@@ -35,12 +35,14 @@ patch regions, whose radial extent is only piecewise smooth in the
 angle, use Gauss-Legendre panels split at the boundary kinks.
 
 Transport: near each puncture and near infinity Y is a convergent
-Frobenius series times a power (a fuchs.SeriesStack of one member per
-region: one stack over all regions would sum every region to the hardest
-one's term count), matched once per region to the transported value at
-its ring entry.  The series gives the ring values and every inward node of
-a patch and the whole outer region; only the outward rays, from the ring
-to the Voronoi or outer boundary, are one adaptive fan call
+Frobenius series times a power.  The normalization at infinity already
+holds both: the monodromy loops' one fuchs.SeriesStack over all n points,
+in the canonical gauge, and the coordinates of Y on every member, matched
+at the loop circle's entry to the approach leg's transport.  A patch's
+ring is its puncture's loop circle.  The series gives the ring values,
+every inward node of a patch and the whole outer region, so the web
+builds no series and transports no ring entry; only the outward rays,
+from the ring to the Voronoi or outer boundary, are one adaptive fan call
 (fuchs.transport_fan) per patch, with a stop at every Gauss-Legendre node.
 """
 
@@ -177,7 +179,9 @@ class MetricField:
 
     h(z) is path independent because the monodromy is unitary (to solver
     tolerance); Y(z) itself is cached per evaluation point and reused as a
-    nearby seed for later points.
+    nearby seed for later points.  series and series_coords are the
+    normalization's loop series and Y's coordinates on each member
+    (NormalizationResult), which the action's web reads.
     """
 
     system: fuchs.FuchsianSystem
@@ -186,6 +190,8 @@ class MetricField:
     large_cell_flag: bool = True
     transport_tol: float = 1e-10
     monodromy_quality: float = 0.0
+    series: fuchs.SeriesStack | None = None
+    series_coords: np.ndarray | None = None
     _cache_z: list = field(default_factory=list)
     _cache_y: list = field(default_factory=list)
 
@@ -219,10 +225,7 @@ class MetricField:
             if r > 0:
                 keepouts.append((complex(w), r))
         route = paths.plan_route(znear, z, keepouts)
-        res = fuchs.transport(
-            self.system, route, start=ynear, tol=self.transport_tol,
-            check_det=False, precheck=False,
-        )
+        res = fuchs.transport(self.system, route, start=ynear, tol=self.transport_tol, precheck=False)
         self._cache_z.append(z)
         self._cache_y.append(res.value)
         return res.value
@@ -259,6 +262,8 @@ def make_metric_field(
         large_cell_flag=norm.large_cell_flag,
         transport_tol=transport_tol,
         monodromy_quality=float(quality),
+        series=norm.series,
+        series_coords=norm.series_coords,
     )
 
 
@@ -267,33 +272,25 @@ def make_metric_field(
 
 
 def _region_series(fld: MetricField, at: int | None):
-    """Y on one region from its local series, as a function of (rho, phi).
+    """Y on one region from the field's loop series, as a function of
+    (rho, phi).
 
-    The region is the patch at puncture `at` (center z_at, ring at
-    _ring_radius, nodes on or inside the ring) or, for at = None, the outer
-    region (center 0, ring at _outer_radius, nodes on or beyond it).  The
-    series is matched once, at the ring's entry point on the basepoint's
-    side, to y_at there.  The argument of a node at angle phi is
-    a0 + mod(phi - a0, 2 pi), a0 the entry's: the branch a transport from
-    the entry counterclockwise along the ring and then radially reaches.
-    The returned function maps broadcastable rho, phi to Y of shape
-    rho.shape + (r, r).
+    The region is the patch at puncture `at` (center z_at, ring at its loop
+    circle's radius, nodes on or inside the ring) or, for at = None, the
+    outer region (center 0, nodes on or beyond the outer circle).  Its
+    member was matched at the loop entry, at argument a0 = arg(z0 - center);
+    the argument of a node at angle phi is a0 + mod(phi - a0, 2 pi): the
+    branch a transport from the entry counterclockwise along the circle and
+    then radially reaches.  The returned function maps broadcastable rho,
+    phi to Y of shape rho.shape + (r, r).
     """
-    pts = np.asarray(fld.system.points)
-    if at is None:
-        center, ring = 0j, _outer_radius(pts)
-        radius = 1.0 / ring
-    else:
-        center, ring = complex(pts[at]), _ring_radius(pts, at)
-        radius = ring
-    z0 = fld.basepoint
-    entry = center + ring * (z0 - center) / abs(z0 - center)
-    a0 = float(np.angle(entry - center))
-    series = fuchs.series_stack(pts, fld.system.residues[None], [at], [radius], fld.transport_tol)
-    coords = series.matched(0, ring, a0, fld.y_at(entry))
+    s = len(fld.series.at) - 1 if at is None else at
+    center = 0j if at is None else complex(fld.system.points[at])
+    a0 = float(np.angle(fld.basepoint - center))
+    coords = fld.series_coords[s]
 
     def values(rho, phi) -> np.ndarray:
-        return series.values(0, rho, a0 + np.mod(phi - a0, 2 * np.pi), coords)
+        return fld.series.values(s, rho, a0 + np.mod(phi - a0, 2 * np.pi), coords)
 
     return values
 
@@ -383,14 +380,11 @@ def _patch_constraints(points: np.ndarray, i: int, r_out: float):
     return bounds
 
 
-def _ring_radius(points: np.ndarray, i: int) -> float:
-    """Radius of the patch ring at puncture i: half the nearest distance."""
-    return 0.5 * min((abs(points[i] - p) for j, p in enumerate(points) if j != i), default=1.0)
-
-
-def _outer_radius(points: np.ndarray) -> float:
-    """Radius of the outer circle, where the patches end and the outer region starts."""
-    return 2.0 * float(np.max(np.abs(points))) + 2.0
+def _outer_radius(points: np.ndarray, basepoint: complex) -> float:
+    """Radius of the outer circle, where the patches end and the outer region
+    starts: 2 max |z_j| + 2, or |z0| if larger, since the loops' series at
+    infinity is summed for |z| >= |z0| only."""
+    return max(2.0 * float(np.max(np.abs(points))) + 2.0, abs(basepoint))
 
 
 def _voronoi_rho_max(points: np.ndarray, i: int, phis: np.ndarray, r_out: float) -> np.ndarray:
@@ -444,10 +438,11 @@ class TransportWeb:
         self.field = fld
         self.opts = opts
         pts = np.asarray(fld.system.points)
-        self.r_out = _outer_radius(pts)
+        self.r_out = _outer_radius(pts, fld.basepoint)
         if 1.0 / max(delta_schedule) <= 1.2 * self.r_out:
             raise ValueError("largest delta too coarse for the outer region")
-        ring_radii = [_ring_radius(pts, i) for i in range(len(pts))]
+        # each patch's ring is its puncture's loop circle
+        ring_radii = fld.series.radius[:-1]
         if max(delta_schedule) >= 0.8 * min(ring_radii):
             raise ValueError("largest delta must sit inside every puncture patch")
         self.regions: list[_WebRegion] = []
@@ -674,8 +669,8 @@ def annulus_kinetic_integral(
 
     As delta -> 0 this tends to 2 pi log(ratio) * sum_j alpha_ij^2; used to
     check the counterterm coefficient.  Y at the nodes comes from the
-    puncture's local series, matched at the patch ring as in the action's
-    web, so ratio*delta must not exceed the ring radius (ValueError).
+    puncture's member of the field's loop series, as in the action's web,
+    so ratio*delta must not exceed its loop circle's radius (ValueError).
     """
     opts = opts or QuadratureOptions()
     system = fld.system

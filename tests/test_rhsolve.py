@@ -186,6 +186,26 @@ def test_normalize_builds_the_series_at_infinity_once(rank2_solved, rank2_target
     assert calls == [[0, 1, None]]
 
 
+def test_normalize_keeps_the_matched_loop_series(rank2_solved, rank2_target):
+    # the kept series is in the canonical gauge and matched on every member:
+    # at each loop entry it gives the canonical solution, transported there
+    # from the basepoint value (the infinity member: the basepoint itself)
+    system, _ = rank2_solved
+    norm = rhsolve.normalize_at_infinity(system, rank2_target)
+    loops = fuchs.MonodromyLoops(system.weights)
+    series, coords = norm.series, norm.series_coords
+    assert series.at == (0, 1, None) and coords.shape == (3, 2, 2)
+    for s, circle in enumerate(loops.circles):
+        got = series.values(s, circle.radius, circle.angle0, coords[s])
+        if s < len(loops.approaches):
+            want = fuchs.transport(
+                norm.canonical_system, loops.approaches[s], start=norm.basepoint_value, tol=1e-12
+            ).value
+        else:
+            want = norm.basepoint_value
+        assert numcore.fro(got - want) <= 1e-9 * numcore.fro(want)
+
+
 def test_solve_hands_over_normalization(rank2_solved, rank2_target):
     # the field built from the solve's own normalization is the field built
     # from a fresh one

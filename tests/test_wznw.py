@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rhwznw import factor, fuchs, numcore, paths, wznw
+from rhwznw import factor, fuchs, numcore, paths, rhsolve, wznw
 
 
 def test_metric_rank1_explicit(rank1_field, rank1_weights):
@@ -375,7 +375,6 @@ def test_cholesky_exponents_at_infinity(rank2_field, rank2_weights):
         [paths.Line(rank2_field.basepoint, zbig)],
         start=rank2_field.basepoint_value,
         tol=1e-11,
-        check_det=False,
     ).value
     h = np.linalg.inv(y @ y.conj().T)
     a = np.abs(np.diag(factor.cholesky_upper(0.5 * (h + h.conj().T)))) ** 2
@@ -443,15 +442,70 @@ def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
     assert sum(len(region.z) for region in web.regions) == 29440
 
 
-def test_action_transports_only_the_outward_rays(rank2_field, monkeypatch):
-    # rings, inward nodes and the outer region come from the local series:
-    # one transport_fan call per patch is left, for its outward rays
-    calls = []
+def _count_calls(monkeypatch):
+    """Record the fans of transport_fan and count series_stack, transport
+    and MetricField.y_at calls."""
+    calls = {"fans": [], "series_stack": 0, "transport": 0, "y_at": 0}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return inner(*a, **k)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((fuchs, "series_stack"), (fuchs, "transport"), (wznw.MetricField, "y_at")):
+        counted(owner, name)
     fan = fuchs.transport_fan
-    monkeypatch.setattr(fuchs, "transport_fan", lambda *a, **k: calls.append(a[2]) or fan(*a, **k))
+    monkeypatch.setattr(fuchs, "transport_fan", lambda *a, **k: calls["fans"].append(a[2]) or fan(*a, **k))
+    return calls
+
+
+def test_action_transports_only_the_outward_rays(rank2_field, monkeypatch):
+    # rings, inward nodes and the outer region come from the field's loop
+    # series, matched by the normalization: no series is built and no ring
+    # entry transported, and one transport_fan call per patch is left, for
+    # its outward rays
+    calls = _count_calls(monkeypatch)
     wznw.action_regularized(rank2_field)
-    assert len(calls) == rank2_field.weights.n - 1
-    assert all(isinstance(f, paths.RayFan) for f in calls)
+    assert len(calls["fans"]) == rank2_field.weights.n - 1
+    assert all(isinstance(f, paths.RayFan) for f in calls["fans"])
+    assert calls["series_stack"] == calls["transport"] == calls["y_at"] == 0
+
+
+def test_annulus_integral_builds_and_transports_nothing(rank2_field, monkeypatch):
+    calls = _count_calls(monkeypatch)
+    wznw.annulus_kinetic_integral(rank2_field, 1, 1e-3)
+    assert calls == {"fans": [], "series_stack": 0, "transport": 0, "y_at": 0}
+
+
+def test_action_rings_are_the_loop_circles(monkeypatch):
+    # the basepoint 2i sets the loop radius at 1j: 0.5, against half the
+    # puncture distance, 1.0; the web's rings follow the loop circles
+    ws = fuchs.build_weight_system([1j, -1j], [[0.3], [0.8], [0.9]])
+    target = fuchs.build_admissible_rep(ws, [np.eye(1, dtype=complex)] * 2)
+    system = fuchs.FuchsianSystem(ws, np.array([[[0.3]], [[0.8]]], dtype=complex))
+    fld = wznw.make_metric_field(system, target)
+    radii = fuchs.MonodromyLoops(ws).radii[:-1]
+    assert radii[0] == 0.5
+    calls = _count_calls(monkeypatch)
+    act = wznw.action_regularized(fld)
+    assert [float(np.exp(f.s0)) for f in calls["fans"]] == pytest.approx(radii, rel=1e-15)
+    exact = wznw.abelian_action_closed_form(ws)
+    assert abs(act.value - exact) <= 1e-3 * abs(exact)
+
+
+def test_action_with_a_far_basepoint(rank1_system, rank1_target, rank1_weights):
+    # the series at infinity is summed for |z| >= |z0| only: with z0 = 6i
+    # beyond the default outer circle (4.6) the outer region starts at |z0|
+    loops = fuchs.MonodromyLoops(rank1_weights, 6j)
+    norm = rhsolve.normalize_at_infinity(rank1_system, rank1_target, problem=loops)
+    fld = wznw.make_metric_field(rank1_system, rank1_target, normalization=norm)
+    act = wznw.action_regularized(fld)
+    exact = wznw.abelian_action_closed_form(rank1_weights)
+    assert abs(act.value - exact) <= 1e-3 * abs(exact)
 
 
 def test_gl_rule_cached_and_bit_identical():
