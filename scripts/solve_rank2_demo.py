@@ -48,7 +48,7 @@ def main() -> None:
         points=[0.0, 1.0],
         weights=np.asarray(alphas),
         conjugators=fuchs.rank2_closure_conjugators(ws),
-        residues=system.residues,
+        residues=fld.system.residues,  # the canonical gauge, as rhwznw rhsolve saves it
     )
     cli.save_config(cfg, out / "residues.json")
     print(f"solved config written to {out / 'residues.json'}")

@@ -310,6 +310,10 @@ def cmd_rhsolve(cfg: ProblemConfig, out_dir: Path) -> int:
     system, report = rhsolve.solve(ws, target, init=init, opts=cfg.solver)
     payload = {name: getattr(report, name) for name in RHSOLVE_RESULT_FIELDS}
     _write_result(out_dir, _record(cfg, "rhsolve", payload))
+    # a solve leaves the residues free along conjugations, where its last bits
+    # decide where it stops; the canonical gauge pins them
+    if report.normalization is not None:
+        system = report.normalization.canonical_system
     save_config(replace(cfg, residues=system.residues), out_dir / "residues.json")
     return EXIT_OK if report.success else EXIT_NO_CONVERGENCE
 

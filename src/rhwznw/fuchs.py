@@ -22,11 +22,12 @@ circle, clearance-checked once) serves every monodromy evaluation.  Each
 puncture loop is an approach leg P_i from the basepoint, a full circle and
 the approach run back.  The circles of all loops and all systems of a stack
 are not marched: each is F exp(-+2 pi i Lambda) F^{-1} from the local
-series at its entry (below), all from one stacked recursion; each approach
-leg is one stacked call; the return leg is never integrated, since its
-transport is P_i^{-1}, and the raw loop transport is assembled as
-P_i^{-1} C_i P_i from the circle's transport C_i.  :func:`monodromy_rep`
-is the loop set with one member.
+series at its entry (below), all from one stacked recursion; the approach
+legs of all systems run as one fan per segment round, padded at the front
+with zero-length segments to the longest leg; the return leg is never
+integrated, since its transport is P_i^{-1}, and the raw loop transport is
+assembled as P_i^{-1} C_i P_i from the circle's transport C_i.
+:func:`monodromy_rep` is the loop set with one member.
 One gauge alignment (:func:`align_tuple_to_target`) brings computed tuples,
 one (n, r, r) or a stack (B, n, r, r), to a normalized target, each step on
 the whole stack: conjugate by the ordered eigenbasis of the last generator
@@ -45,17 +46,17 @@ scaled error over the members (per-member Frobenius norms) is <= 1, so
 every member meets the tolerance and the hardest member sets the pace.
 Values are recorded at stop times: a step that would pass the next stop is
 clipped to land on it, and the clip does not shrink the next step.  One
-builder makes the coefficients on a path segment or a fan segment of L
-member paths, its point and velocity read from one call as (T, L):
-
-* :func:`transport_stack`: members with their own residues (B, n-1, r, r)
-  on one shared path.  :func:`transport` is this with B = 1; the solver
-  stacks the 2 dim perturbed systems of its central-difference Jacobian
-  and transports them in one call per approach leg.
-* :func:`transport_fan`: one system, or a stack of S systems, on a fan of
-  L member paths (arcs, or log-radial rays with per-member windows; each
-  member may have its own center, and an arc its own radius), with stops;
-  the action's transport web marches its outward rays this way.
+builder makes the coefficients on a fan of L member paths, its point and
+velocity read from one call as (T, L).  The one kernel entry is
+:func:`transport_fan`: one system, or a stack of S systems, each along
+every member of a fan, with stops.  A paths.SegmentFan holds arbitrary
+Line and Arc members, a paths.RayFan log-radial rays with per-member
+centers and windows.  Every transport stage is one call: the approach legs
+of a monodromy evaluation (the solver stacks the 2 dim perturbed systems of
+its central-difference Jacobian) one per segment round, all outward rays
+of the action's web, and the flatness stencil's twelve lines.
+:func:`transport` runs a piecewise path of one system segment by segment,
+each a one-member SegmentFan.
 
 Near a puncture and near infinity no march is needed: the Frobenius
 solution Y0 = G(x) x^{-L} (x = z - z_i, or 1/z at infinity) is summed to a
@@ -439,11 +440,11 @@ class TransportResult:
 
 @dataclass
 class StackTransport:
-    """Transported values of a stack: systems on one path, or a fan."""
+    """Transported values of systems along the member paths of a fan."""
 
-    values: np.ndarray           # (B, r, r); from a fan: (len(stops), [S,] L, r, r)
+    values: np.ndarray           # (len(stops), [S,] L, r, r)
     step_count: int              # accepted shared steps
-    error_estimates: np.ndarray  # (B,) accumulated local error per member; fan: ([S,] L)
+    error_estimates: np.ndarray  # ([S,] L) accumulated local error per member
 
 
 # Dormand-Prince 5(4) tableau; row s of _DP_A holds the stage-s weights.
@@ -558,12 +559,11 @@ def _integrate_stack(coefficients, y, tol: float, stats: dict, stops=(1.0,)) -> 
 
 
 def _march(points, residues, seg, y, tol: float, stats: dict, stops=(1.0,)) -> np.ndarray:
-    """The kernel on one path segment or fan: S systems (S, n-1, r, r), each
-    along each of the L member paths, from the values y (L*S, r, r) ordered
-    (L, S) to the values at the stops.  point_and_velocity(t) is read as
-    (T, L), a plain segment being one member, so the coefficients of all
-    members at all stage points are one (T*L, n-1) product with the negated
-    residues."""
+    """The kernel on one fan: S systems (S, n-1, r, r), each along each of
+    the L member paths, from the values y (L*S, r, r) ordered (L, S) to the
+    values at the stops.  point_and_velocity(t) is read as (T, L), so the
+    coefficients of all members at all stage points are one (T*L, n-1)
+    product with the negated residues."""
     res_t = -np.moveaxis(residues, 1, 0).reshape(residues.shape[1], -1)
 
     def coefficients(t):
@@ -581,43 +581,16 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
-def transport_stack(
-    points: np.ndarray,
-    residues: np.ndarray,
-    path: list[paths.Segment],
-    starts: np.ndarray | None = None,
-    tol: float = 1e-10,
-) -> StackTransport:
-    """Transport dY/dz = -A(z) Y for a stack of systems along one path.
-
-    residues has shape (B, n-1, r, r), member b solving with
-    A_b(z) = sum_i residues[b, i] / (z - points[i]); starts (default: the
-    identity) has shape (B, r, r).  The members share the step sequence,
-    which follows the hardest one.  No proximity check is made.
-    """
-    _check_tol(tol)
-    res = np.asarray(residues, dtype=complex)
-    b, m, r, _ = res.shape
-    if starts is None:
-        y = np.broadcast_to(np.eye(r, dtype=complex), (b, r, r)).copy()
-    else:
-        y = np.array(starts, dtype=complex).reshape(b, r, r)
-    pts = np.asarray(points, dtype=complex)
-    stats = {"steps": 0, "err": np.zeros(b)}
-    for seg in path:
-        y = _march(pts, res, seg, y, tol, stats)[-1]
-    return StackTransport(values=y, step_count=stats["steps"], error_estimates=stats["err"])
-
-
 def transport_fan(
     points: np.ndarray,
     residues: np.ndarray,
-    fan: paths.ArcFan | paths.RayFan,
+    fan: paths.SegmentFan | paths.RayFan,
     starts: np.ndarray,
     stops=(1.0,),
     tol: float = 1e-10,
 ) -> StackTransport:
-    """Transport systems along every member path of a fan segment.
+    """Transport systems along every member path of a fan: a SegmentFan of
+    Line and Arc members or a RayFan of log-radial rays.
 
     residues is one system (n-1, r, r) or a stack of S systems
     (S, n-1, r, r); every system runs along every one of the L member
@@ -636,7 +609,7 @@ def transport_fan(
     single = res.ndim == 3
     res = res.reshape((-1,) + res.shape[-3:])
     s, m, r, _ = res.shape
-    count = fan.offset(np.zeros(1)).shape[1]
+    count = fan.point_and_velocity(np.zeros(1))[0].shape[1]
     starts = np.broadcast_to(np.asarray(starts, dtype=complex), (s, count, r, r))
     # the kernel's members run over (L, S): the coefficient product's order
     y = np.swapaxes(starts, 0, 1).reshape(count * s, r, r).copy()
@@ -676,15 +649,18 @@ def transport(
 ) -> TransportResult:
     """Parallel transport of dY/dz = -A(z) Y along a piecewise path.
 
-    The stacked kernel of :func:`transport_stack` with a single member.
-    With precheck the path must pass :func:`check_clearance`.
+    Each segment is one :func:`transport_fan` call on a one-member
+    SegmentFan; step_count sums their steps.  With precheck the path must
+    pass :func:`check_clearance`.
     """
-    r = system.rank
-    y = np.eye(r, dtype=complex) if start is None else as_cmatrix(start, "start")
+    y = np.eye(system.rank, dtype=complex) if start is None else as_cmatrix(start, "start")
     if precheck:
         check_clearance(system.weights, path)
-    out = transport_stack(system.points, system.residues[None], path, y[None], tol)
-    return TransportResult(value=out.values[0], step_count=out.step_count)
+    steps = 0
+    for seg in path:
+        out = transport_fan(system.points, system.residues, paths.SegmentFan([seg]), y, tol=tol)
+        y, steps = out.values[-1, 0], steps + out.step_count
+    return TransportResult(value=y, step_count=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -958,9 +934,13 @@ class MonodromyLoops:
     basepoint, outside the disk |z| <= max |z_j| (ValueError otherwise).
     Each loop passes check_clearance when the set is built.
 
-    A monodromy evaluation marches each approach leg in one transport_stack
-    call and takes every circle in closed form from one series_stack call
-    over all (system, point) members, the n-1 punctures and infinity.  With
+    A monodromy evaluation marches the approach legs of all systems as one
+    fan per segment round: K transport_fan calls, K the longest leg's
+    segment count, each leg padded at the front with zero-length segments
+    at the basepoint, on which it does not move (a leg is one Line unless
+    plan_route detours it round another puncture's circle).  Every circle
+    is taken in closed form from one series_stack call over all
+    (system, point) members, the n-1 punctures and infinity.  With
     F = G(x) V the series at the circle's entry x, V the eigenbasis of the
     point's residue L = V Lambda V^{-1}, the circle's transport is
     F exp(-2 pi i Lambda) F^{-1} at a puncture and F exp(2 pi i Lambda) F^{-1}
@@ -982,6 +962,11 @@ class MonodromyLoops:
         for approach, circle in zip(self.approaches + [[]], circles):
             check_clearance(weights, approach + [circle])
         self.circles = circles
+        # round k: segment k of every approach leg, padded at the front
+        depth = max(len(approach) for approach in self.approaches)
+        pad = paths.Line(self.z0, self.z0)
+        padded = [[pad] * (depth - len(approach)) + approach for approach in self.approaches]
+        self._leg_rounds = [paths.SegmentFan(round_) for round_ in zip(*padded)]
         # each circle's point, series radius and entry in the local coordinate
         self.at = list(range(weights.n - 1)) + [None]
         self.radii = [c.radius for c in circles[:-1]] + [1.0 / abs(self.z0)]
@@ -1014,16 +999,15 @@ class MonodromyLoops:
         (member b n + p: system b at the loop point at[p]) and the approach
         legs' transports P, (B, n-1, r, r), from I at the basepoint to each
         circle's entry: the circles in closed form (circle_transports) and
-        one transport_stack call per approach leg, then the puncture loops
+        the legs of all systems as one fan per segment round, K
+        transport_fan calls in all, then the puncture loops
         P^{-1} C P and their inverses P^{-1} C^{-1} P as generators; the big
         circle is kept as it is."""
-        points = self.weights.points
         res = np.asarray(residues, dtype=complex)
         circ, circ_inv, series = self.circle_transports(res, tol)
-        legs = np.stack(
-            [transport_stack(points, res, approach, tol=tol).values for approach in self.approaches],
-            axis=1,
-        )
+        legs = np.eye(self.weights.rank, dtype=complex)
+        for fan in self._leg_rounds:
+            legs = transport_fan(self.weights.points, res, fan, legs, tol=tol).values[-1]
         raw, gens = circ, circ.copy()
         raw[:, :-1] = np.linalg.solve(legs, circ[:, :-1] @ legs)
         gens[:, :-1] = np.linalg.solve(legs, circ_inv[:, :-1] @ legs)

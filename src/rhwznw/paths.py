@@ -5,8 +5,9 @@ point_and_velocity(t) gives the point and the analytic derivative.
 Straight lines and circular arcs are enough for the loops and radial
 marches used here.  ``plan_route`` builds a segment list between two
 points that keeps a prescribed clearance from every puncture by inserting
-circular detours.  A fan segment holds B member paths on one parameter,
-for transporting one system along all of them at once.
+circular detours.  A fan holds L member paths on one parameter, for
+transporting systems along all of them at once: a SegmentFan of arbitrary
+Line and Arc members, or a RayFan of log-radial rays.
 """
 
 from __future__ import annotations
@@ -85,51 +86,44 @@ class Arc:
 Segment = Line | Arc
 
 
-class _Fan:
-    """B member paths on one t in [0, 1]: point = center + offset(t) and
-    velocity = offset(t) * rate map t (T,) to (T, B).  The center is one
-    point for every member or a (B,) array of per-member centers."""
+class SegmentFan:
+    """L member segments on one t in [0, 1], member l the Line or Arc
+    segments[l] with its own parametrization; point_and_velocity(t) maps t
+    (T,) to (T, L).  Every member is read as start + t d + radius
+    e^{i(angle0 + t sweep)}, a Line with radius 0 and an Arc with d = 0, so
+    each member's values are exactly its segment's own.  A zero-length Line
+    has velocity 0: a member on it does not move."""
+
+    def __init__(self, segments):
+        self.segments = tuple(segments)
+        rows = [(s.start, s.end - s.start, 0.0, 0.0, 0.0) if isinstance(s, Line)
+                else (s.center, 0.0, s.radius, s.angle0, s.angle1 - s.angle0)
+                for s in self.segments]
+        cols = np.array(rows, dtype=complex).T
+        self._start, self._d = cols[:2]
+        self._radius, self._angle0, self._sweep = cols[2:].real
 
     def point_and_velocity(self, t):
-        e = self.offset(t)  # one evaluation for both
-        return self.center + e, e * self.rate
+        t = np.asarray(t, dtype=float)[..., None]
+        e = np.exp(1j * (self._angle0 + t * self._sweep))
+        return (self._start + t * self._d + self._radius * e,
+                self._d + 1j * self._sweep * self._radius * e)
 
 
 @dataclass(frozen=True)
-class ArcFan(_Fan):
-    """Arcs, member b on the circle of center[b] and radius[b] sweeping from
-    angle0[b] to angle1[b]; a scalar center or radius is shared."""
+class RayFan:
+    """Rays center[l] + e^{s + i phis[l]}, member l running from s = s0[l]
+    to s1[l]; point_and_velocity(t) maps t (T,) to (T, L).  A scalar center,
+    s0 or s1 is shared by every member."""
 
-    center: complex | np.ndarray  # scalar or (B,)
-    radius: float | np.ndarray    # scalar or (B,)
-    angle0: np.ndarray  # (B,) or a scalar shared by every member
-    angle1: np.ndarray  # (B,)
+    center: complex | np.ndarray  # scalar or (L,)
+    phis: np.ndarray  # (L,)
+    s0: np.ndarray    # (L,) or a scalar
+    s1: np.ndarray    # (L,) or a scalar
 
-    def offset(self, t):
-        ang = self.angle0 + np.asarray(t)[..., None] * (self.angle1 - self.angle0)
-        return self.radius * np.exp(1j * ang)
-
-    @property
-    def rate(self):
-        return 1j * (self.angle1 - self.angle0)
-
-
-@dataclass(frozen=True)
-class RayFan(_Fan):
-    """Rays center[b] + e^{s + i phis[b]}, member b running from s = s0[b]
-    to s1[b]; a scalar center is shared."""
-
-    center: complex | np.ndarray  # scalar or (B,)
-    phis: np.ndarray  # (B,)
-    s0: np.ndarray    # (B,) or a scalar shared by every member
-    s1: np.ndarray    # (B,) or a scalar shared by every member
-
-    def offset(self, t):
-        return np.exp(self.s0 + np.asarray(t)[..., None] * (self.s1 - self.s0) + 1j * self.phis)
-
-    @property
-    def rate(self):
-        return self.s1 - self.s0
+    def point_and_velocity(self, t):
+        e = np.exp(self.s0 + np.asarray(t)[..., None] * (self.s1 - self.s0) + 1j * self.phis)
+        return self.center + e, e * (self.s1 - self.s0)
 
 
 def path_min_distance(path: list[Segment], w: complex) -> float:

@@ -42,8 +42,9 @@ at the loop circle's entry to the approach leg's transport.  A patch's
 ring is its puncture's loop circle.  The series gives the ring values,
 every inward node of a patch and the whole outer region, so the web
 builds no series and transports no ring entry; only the outward rays,
-from the ring to the Voronoi or outer boundary, are one adaptive fan call
-(fuchs.transport_fan) per patch, with a stop at every Gauss-Legendre node.
+from the ring to the Voronoi or outer boundary, are transported: the rays
+of all patches as the members of one adaptive fan call
+(fuchs.transport_fan), with a stop at every Gauss-Legendre node.
 """
 
 from __future__ import annotations
@@ -445,55 +446,67 @@ class TransportWeb:
         ring_radii = fld.series.radius[:-1]
         if max(delta_schedule) >= 0.8 * min(ring_radii):
             raise ValueError("largest delta must sit inside every puncture patch")
-        self.regions: list[_WebRegion] = []
+        # every patch's outward rays are the members of one fan call, with a
+        # stop at every Gauss-Legendre node in t
+        patches = [self._patch_rays(i, ring_radii[i]) for i in range(len(pts))]
+        t_edges = np.linspace(0, 1, opts.outward_panels + 1)
+        t_nodes, t_weights = _gl_panels(t_edges, 1.0, opts.gl_order)
+        rays = paths.RayFan(*(np.concatenate([getattr(fan, k) for fan, _, _ in patches])
+                              for k in ("center", "phis", "s0", "s1")))
+        ring_y = np.concatenate([y for _, _, y in patches])
+        y_out = fuchs.transport_fan(pts, fld.system.residues, rays, ring_y, t_nodes,
+                                    fld.transport_tol).values
+        ends = np.cumsum([len(fan.phis) for fan, _, _ in patches])[:-1]
         fixed = sorted(set(delta_schedule) | {delta_min})
-        for i in range(len(pts)):
-            self.regions.append(self._build_patch(i, ring_radii[i], delta_min, fixed))
+        self.regions = [
+            self._build_patch(i, ring_radii[i], delta_min, fixed, fan, w_phi, y, t_nodes, t_weights)
+            for i, ((fan, w_phi, _), y) in enumerate(zip(patches, np.split(y_out, ends, axis=1)))
+        ]
         self.regions.append(self._build_outer(delta_schedule, delta_min))
 
     # -- patches ------------------------------------------------------------
 
-    def _build_patch(self, i: int, ring_r: float, delta_min: float, fixed) -> _WebRegion:
-        fld, opts = self.field, self.opts
-        pts = np.asarray(fld.system.points)
-        center = complex(pts[i])
-        phis = 2 * np.pi * (np.arange(opts.n_phi) + 0.5) / opts.n_phi
-        w_phi = 2 * np.pi / opts.n_phi
+    def _patch_rays(self, i: int, ring_r: float):
+        """The outward rays of the patch at puncture i, from its ring to the
+        patch boundary: a RayFan with one member per ray, their angular
+        weights and their ring values (rays, r, r) from the series.
 
-        # outward: the patch boundary rho_max(phi) has kinks where the active
-        # Voronoi/circle constraint switches, so the angular rule is GL on
-        # panels split at the kinks (uniform trapezoid would stall at N^-2)
+        The boundary rho_max(phi) has kinks where the active Voronoi/circle
+        constraint switches, so the angular rule is GL on panels split at the
+        kinks (uniform trapezoid would stall at N^-2)."""
+        pts = np.asarray(self.field.system.points)
         kinks = _kink_angles(pts, i, self.r_out)
         if len(kinks) == 0:
             kinks = np.array([0.0])
         edges = np.concatenate([kinks, [kinks[0] + 2 * np.pi]])
-        phi_out, wphi_out = _gl_panels(edges, 2 * np.pi / 12, opts.gl_order)
+        phi, w_phi = _gl_panels(edges, 2 * np.pi / 12, self.opts.gl_order)
+        rho_max = _voronoi_rho_max(pts, i, phi, self.r_out)
+        rays = paths.RayFan(np.full(len(phi), complex(pts[i])), phi,
+                            np.full(len(phi), np.log(ring_r)), np.log(np.maximum(rho_max, ring_r)))
+        return rays, w_phi, _region_series(self.field, i)(ring_r, phi)
 
-        # the series gives the inward nodes, on the common log-radius grid
-        # down to delta_min, and the ring values the outward rays start from
+    def _build_patch(self, i: int, ring_r: float, delta_min: float, fixed,
+                     rays: paths.RayFan, w_rays, y_out, t_nodes, t_weights) -> _WebRegion:
+        """The patch at puncture i: its inward nodes from the series, on the
+        common log-radius grid down to delta_min, and its rays' values y_out
+        (len(t_nodes), rays, r, r) at the stops t_nodes, w_rays their
+        angular weights."""
+        fld, opts = self.field, self.opts
+        center = complex(fld.system.points[i])
+        phis = 2 * np.pi * (np.arange(opts.n_phi) + 0.5) / opts.n_phi
+        w_phi = 2 * np.pi / opts.n_phi
+
         s_in, w_in = _log_panels(delta_min, ring_r, fixed, opts)
         rho_in = np.exp(s_in)
-        y_of = _region_series(fld, i)
-        y_in = y_of(rho_in[:, None], phis[None, :])
-        ring_y = y_of(ring_r, phi_out)
-
+        y_in = _region_series(fld, i)(rho_in[:, None], phis[None, :])
         z_in = center + rho_in[:, None] * np.exp(1j * phis)[None, :]
         wt_in = (w_in * np.exp(2 * s_in))[:, None] * w_phi
 
-        rho_max = _voronoi_rho_max(pts, i, phi_out, self.r_out)
-        t_edges = np.linspace(0, 1, opts.outward_panels + 1)
-        t_nodes, t_weights = _gl_panels(t_edges, 1.0, opts.gl_order)
-        s_start = np.log(ring_r)
-        s_end = np.log(np.maximum(rho_max, ring_r))
-        rays = paths.RayFan(center, phi_out, s_start, s_end)
-        res = fld.system.residues
-        y_out = fuchs.transport_fan(pts, res, rays, ring_y, t_nodes, fld.transport_tol).values
-
-        span = s_end - s_start
-        s_out = s_start + t_nodes[:, None] * span[None, :]
+        span = rays.s1 - rays.s0
+        s_out = rays.s0 + t_nodes[:, None] * span[None, :]
         rho_out = np.exp(s_out)
-        z_out = center + rho_out * np.exp(1j * phi_out)[None, :]
-        wt_out = (t_weights[:, None] * span[None, :]) * np.exp(2 * s_out) * wphi_out[None, :]
+        z_out = center + rho_out * np.exp(1j * rays.phis)[None, :]
+        wt_out = (t_weights[:, None] * span[None, :]) * np.exp(2 * s_out) * w_rays[None, :]
 
         z = np.concatenate([z_in.ravel(), z_out.ravel()])
         rho = np.concatenate(
@@ -757,19 +770,29 @@ def three_form_pair(h, X, Y, Z, step: float = 1e-5):
 def flatness_residual(fld: MetricField, z: complex, step: float) -> float:
     """|| d/dzbar (h^{-1} h_z) || from a compact finite-difference stencil.
 
-    h is rebuilt by transport at the 13 stencil points; the inner central
-    differences form h^{-1} h_z, the outer one differentiates it in zbar.
-    Decays like step^2 down to the transport tolerance floor.
+    Y is read at z once (MetricField.y_at) and transported from there to
+    the 12 other distinct stencil points along straight lines, as the
+    members of one fan (fuchs.transport_fan); every line stays within
+    2 step of z, at least 6 step from every puncture.  h at all 13 points
+    comes from one factorisation; the inner central differences form
+    h^{-1} h_z, the outer one differentiates it in zbar.  Decays like
+    step^2 down to the transport tolerance floor.
     """
     z = complex(z)
     if fld.min_distance_to_punctures(z) < 8 * step:
         raise paths.ProximityError("stencil too close to a puncture")
     s = step
     arms = (s, -s, 1j * s, -1j * s)
-    # h^{-1} h_z at each w = z + arm needs h at w + arm and at w: Y is read
-    # point by point in that order, h at all of them from one factorisation
-    ys = [fld.y_at(w + o) for w in (z + a for a in arms) for o in (*arms, 0)]
-    hs = _metric_from_factor(np.stack(ys)).reshape(4, 5, *ys[0].shape)
+    # h^{-1} h_z at each w = z + arm needs h at w + arm and at w
+    offsets = [a + o for a in arms for o in (*arms, 0)]
+    others = list(dict.fromkeys(o for o in offsets if o != 0))
+    y0 = fld.y_at(z)
+    fan = paths.SegmentFan([paths.Line(z, z + o) for o in others])
+    ys = fuchs.transport_fan(fld.system.points, fld.system.residues, fan, y0,
+                             tol=fld.transport_tol).values[-1]
+    y_of = dict(zip(others, ys))
+    y_of[0] = y0
+    hs = _metric_from_factor(np.stack([y_of[o] for o in offsets])).reshape(4, 5, *y0.shape)
     g = [
         np.linalg.solve(h, 0.5 * ((hp - hm) / (2 * s) - 1j * (hq - hr) / (2 * s)))
         for hp, hm, hq, hr, h in hs

@@ -103,6 +103,29 @@ def test_rhsolve_rank1(tmp_path):
     assert out_cfg.residues is not None
 
 
+def test_rhsolve_saves_the_canonical_residues(tmp_path, monkeypatch):
+    # the solve stops somewhere along the conjugation orbit of its residues;
+    # the file holds the canonical gauge, which a conjugated system reaches too
+    cfg = rank2_config()
+    cfg.residues = None
+    cli.save_config(cfg, tmp_path / "cfg.json")
+    solved = []
+    solve = rhsolve.solve
+    monkeypatch.setattr(rhsolve, "solve", lambda *a, **k: solved.append(solve(*a, **k)) or solved[-1])
+    rc = cli.main(["rhsolve", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == 0
+    saved = cli.load_config(tmp_path / "residues.json").residues
+    _, report = solved[0]
+    assert np.array_equal(saved, report.normalization.canonical_system.residues)
+    ws = cfg.weight_system()
+    target = fuchs.build_admissible_rep(ws, cfg.conjugators)
+    system = fuchs.FuchsianSystem(ws, saved)
+    rng = np.random.default_rng(5)
+    g = np.eye(2) + 1e-3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    again = rhsolve.normalize_at_infinity(system.conjugated(g), target).canonical_system
+    assert np.linalg.norm(again.residues - saved) <= 1e-12 * np.linalg.norm(saved)
+
+
 def test_rhsolve_reducible_rejected(tmp_path, capsys):
     cfg = cli.ProblemConfig(
         points=[0.0, 1.0],

@@ -430,15 +430,26 @@ def _random_residues(ws, rng, count):
     return out
 
 
+def _transport_stack(points, residues, path, tol):
+    """A stack of systems (B, n-1, r, r) from I along one piecewise path:
+    one transport_fan call per segment on a one-member SegmentFan.  Returns
+    the values (B, r, r) and the summed step count."""
+    y, steps = np.eye(residues.shape[-1], dtype=complex), 0
+    for seg in path:
+        out = fuchs.transport_fan(points, residues, paths.SegmentFan([seg]), y, tol=tol)
+        y, steps = out.values[-1], steps + out.step_count
+    return y[:, 0], steps
+
+
 def test_transport_stack_matches_members():
     ws = _n4_rank3_weights()
     residues = _random_residues(ws, np.random.default_rng(11), 6)
     loop = fuchs.puncture_loop(ws, 1, ws.default_basepoint())
-    stacked = fuchs.transport_stack(ws.points, residues, loop, tol=1e-12)
-    assert stacked.values.shape == (6, 3, 3)
+    stacked, _ = _transport_stack(ws.points, residues, loop, tol=1e-12)
+    assert stacked.shape == (6, 3, 3)
     for b in range(6):
         solo = fuchs.transport(fuchs.FuchsianSystem(ws, residues[b]), loop, tol=1e-12)
-        rel = numcore.fro(stacked.values[b] - solo.value) / numcore.fro(solo.value)
+        rel = numcore.fro(stacked[b] - solo.value) / numcore.fro(solo.value)
         assert rel <= 1e-12
 
 
@@ -446,12 +457,12 @@ def test_transport_stack_det_identity():
     ws = _n4_rank3_weights()
     residues = _random_residues(ws, np.random.default_rng(5), 6)
     loop = fuchs.puncture_loop(ws, 0, ws.default_basepoint())
-    stacked = fuchs.transport_stack(ws.points, residues, loop, tol=1e-10)
+    stacked, _ = _transport_stack(ws.points, residues, loop, tol=1e-10)
     logs = np.array([paths.path_log_increment(loop, complex(w)) for w in ws.points])
     for b in range(6):
         traces = np.trace(residues[b], axis1=-2, axis2=-1)
         expected = np.exp(-np.sum(traces * logs))
-        got = np.linalg.det(stacked.values[b])
+        got = np.linalg.det(stacked[b])
         assert abs(got - expected) / abs(expected) < 1e-8
 
 
@@ -463,15 +474,15 @@ def test_transport_stack_shared_step_follows_hardest():
     easy, hard = 0.01 * full, full
     line = [paths.Line(ws.default_basepoint(), 0.02j)]
     tol = 1e-10
-    stacked = fuchs.transport_stack(ws.points, np.array([easy, hard]), line, tol=tol)
+    stacked, steps = _transport_stack(ws.points, np.array([easy, hard]), line, tol=tol)
 
     def solo(residues, tol):
         system = fuchs.FuchsianSystem(ws, residues)
         return fuchs.transport(system, line, tol=tol, precheck=False)
 
     hard_solo = solo(hard, tol)
-    assert stacked.step_count == hard_solo.step_count
-    rel = numcore.fro(stacked.values[1] - hard_solo.value) / numcore.fro(hard_solo.value)
+    assert steps == hard_solo.step_count
+    rel = numcore.fro(stacked[1] - hard_solo.value) / numcore.fro(hard_solo.value)
     assert rel <= 1e-12
     # the easy member agrees with its solo value to its tolerance (the solo
     # value carries a global error of about tol itself, hence 2 tol) and is
@@ -479,8 +490,8 @@ def test_transport_stack_shared_step_follows_hardest():
     easy_solo = solo(easy, tol)
     ref = solo(easy, 1e-13).value
     scale = numcore.fro(ref)
-    assert numcore.fro(stacked.values[0] - easy_solo.value) <= 2 * tol * scale
-    assert numcore.fro(stacked.values[0] - ref) <= numcore.fro(easy_solo.value - ref)
+    assert numcore.fro(stacked[0] - easy_solo.value) <= 2 * tol * scale
+    assert numcore.fro(stacked[0] - ref) <= numcore.fro(easy_solo.value - ref)
 
 
 def test_transport_stack_stiffness_propagates():
@@ -489,7 +500,7 @@ def test_transport_stack_stiffness_propagates():
     # the path runs into the puncture at 0; only the second member is singular there
     residues = np.array([np.zeros_like(full), full])
     with pytest.raises(fuchs.StiffnessError):
-        fuchs.transport_stack(ws.points, residues, [paths.Line(ws.default_basepoint(), 0.0)])
+        _transport_stack(ws.points, residues, [paths.Line(ws.default_basepoint(), 0.0)], 1e-10)
 
 
 def test_transport_stack_stage_on_pole_raises():
@@ -499,7 +510,7 @@ def test_transport_stack_stage_on_pole_raises():
     ws = _n4_rank3_weights()
     residues = _random_residues(ws, np.random.default_rng(3), 1)
     with pytest.raises(fuchs.StiffnessError), np.errstate(divide="ignore", invalid="ignore"):
-        fuchs.transport_stack(ws.points, residues, [paths.Line(2j, 0.0)], tol=1e-1)
+        _transport_stack(ws.points, residues, [paths.Line(2j, 0.0)], tol=1e-1)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +524,8 @@ def _n4_rank3_system(seed):
 
 def _arc_fan(rng, count):
     # arcs on a circle around the puncture at 0 that clears the others
-    return paths.ArcFan(0.0j, 0.45, 0.7, 0.7 + rng.uniform(-2 * np.pi, 2 * np.pi, count))
+    ends = 0.7 + rng.uniform(-2 * np.pi, 2 * np.pi, count)
+    return paths.SegmentFan([paths.Arc(0.0j, 0.45, 0.7, a1) for a1 in ends])
 
 
 def _ray_fan(rng, count):
@@ -527,8 +539,9 @@ def _arc_fan_centers(rng, count):
     # arcs on circles of their own around the three punctures
     centers = rng.choice(_n4_rank3_weights().points, count)
     a0 = rng.uniform(0.0, 2 * np.pi, count)
-    return paths.ArcFan(centers, rng.uniform(0.2, 0.45, count), a0,
-                        a0 + rng.uniform(-2 * np.pi, 2 * np.pi, count))
+    arcs = zip(centers, rng.uniform(0.2, 0.45, count), a0,
+               a0 + rng.uniform(-2 * np.pi, 2 * np.pi, count))
+    return paths.SegmentFan([paths.Arc(complex(c), rad, b0, b1) for c, rad, b0, b1 in arcs])
 
 
 def _ray_fan_centers(rng, count):
@@ -541,9 +554,8 @@ def _ray_fan_centers(rng, count):
 
 def _member(fan, b):
     """Member b of a fan as a plain segment: the same path, parametrized anew."""
-    if isinstance(fan, paths.ArcFan):
-        c, rad, a0, a1 = np.broadcast_arrays(fan.center, fan.radius, fan.angle0, fan.angle1)
-        return paths.Arc(complex(c[b]), float(rad[b].real), float(a0[b]), float(a1[b]))
+    if isinstance(fan, paths.SegmentFan):
+        return fan.segments[b]
     c, phi, s0, s1 = np.broadcast_arrays(fan.center, fan.phis, fan.s0, fan.s1)
     c, phi, s0, s1 = complex(c[b]), float(phi[b].real), float(s0[b].real), float(s1[b].real)
     return paths.Line(c + np.exp(s0 + 1j * phi), c + np.exp(s1 + 1j * phi))
@@ -635,6 +647,69 @@ def test_transport_fan_stiffness_propagates():
         fuchs.transport_fan(system.points, system.residues, fan, np.eye(3))
 
 
+def test_segment_fan_mixed_members_match_solo_transports():
+    # Line and Arc members, each with a parametrization and a start of its
+    # own, and zero-length members that must not move at all
+    system = _n4_rank3_system(61)
+    members = [
+        paths.Line(2j, 0.5 + 0.5j),
+        paths.Arc(0j, 0.45, 0.7, 0.7 - 5.0),
+        paths.Line(1 + 1j, 1 + 1j),
+        paths.Arc(-1 + 0j, 0.3, 2.0, 5.0),
+        paths.Line(-0.5 - 0.5j, 0.6 - 0.6j),
+        paths.Line(2j, 2j),
+    ]
+    fan = paths.SegmentFan(members)
+    t = np.random.default_rng(62).uniform(0.0, 1.0, 7)
+    z, v = fan.point_and_velocity(t)
+    assert z.shape == v.shape == (7, 6)
+    for l, seg in enumerate(members):
+        z_l, v_l = seg.point_and_velocity(t)
+        assert np.array_equal(z[:, l], z_l) and np.array_equal(v[:, l], v_l)
+    starts = np.eye(3) + 0.2 * np.random.default_rng(63).standard_normal((6, 3, 3))
+    tol = 1e-10
+    out = fuchs.transport_fan(system.points, system.residues, fan, starts, tol=tol)
+    for l, seg in enumerate(members):
+        if seg.length == 0:
+            assert np.array_equal(out.values[-1, l], starts[l])
+            continue
+        solo = _solo(system, seg, tol / 10, starts[l])
+        assert numcore.fro(out.values[-1, l] - solo) <= 2 * tol * numcore.fro(solo)
+
+
+def test_monodromy_detour_legs_run_as_padded_rounds(monkeypatch):
+    # from the basepoint 2i the leg to 0 detours round the loop circle at
+    # 1j (Line, Arc, Line) while the leg to 1j is one Line: the legs run as
+    # K = 3 fan calls, the short leg padded, and nothing else is marched
+    ws = fuchs.build_weight_system([0.0, 1j], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
+    loops = fuchs.MonodromyLoops(ws)
+    assert loops.z0 == 2j
+    kinds = [[type(seg) for seg in approach] for approach in loops.approaches]
+    assert kinds == [[paths.Line, paths.Arc, paths.Line], [paths.Line]]
+    residues = _random_residues(ws, np.random.default_rng(71), 4)
+    calls = {"fan": 0, "kernel": 0}
+    fan, kernel = fuchs.transport_fan, fuchs._integrate_stack
+
+    def counted_fan(*a, **k):
+        calls["fan"] += 1
+        return fan(*a, **k)
+
+    def counted_kernel(*a, **k):
+        calls["kernel"] += 1
+        return kernel(*a, **k)
+
+    monkeypatch.setattr(fuchs, "transport_fan", counted_fan)
+    monkeypatch.setattr(fuchs, "_integrate_stack", counted_kernel)
+    tol = 1e-9
+    _, _, _, legs = loops.monodromy(residues, tol)
+    assert calls == {"fan": 3, "kernel": 3}
+    monkeypatch.undo()
+    for i, approach in enumerate(loops.approaches):
+        ref, _ = _transport_stack(ws.points, residues, approach, tol=tol / 100)
+        for b in range(4):
+            assert numcore.fro(legs[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
+
+
 def _admissible_n4_rank3(rng):
     """Random weights of n = 4, rank 3 with an integer degree in the stable
     range, and random residues with those spectra."""
@@ -662,7 +737,8 @@ def test_transport_fan_det_identity_property(seed):
     radius = 0.45 * min(abs(pts[i] - pts[j]) for j in range(3) if j != i)
     phis = rng.uniform(0.0, 2 * np.pi, 6)
     fans = [
-        paths.ArcFan(pts[i], radius, phis, phis + rng.uniform(-2 * np.pi, 2 * np.pi, 6)),
+        paths.SegmentFan([paths.Arc(complex(pts[i]), radius, a0, a0 + turn) for a0, turn
+                          in zip(phis, rng.uniform(-2 * np.pi, 2 * np.pi, 6))]),
         paths.RayFan(pts[i], phis, np.log(radius), np.log(radius * rng.uniform(1e-3, 0.5, 6))),
     ]
     start = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
@@ -697,12 +773,12 @@ def test_monodromy_loops_path_independence_property(seed):
     big = paths.circle(0.0, abs(loops.z0), float(np.angle(loops.z0)))
     refs = [fuchs.puncture_loop(ws, i, loops.z0) for i in range(3)] + [[big]]
     for i, loop in enumerate(refs):
-        ref = fuchs.transport_stack(ws.points, residues, loop, tol=tol / 100).values
+        ref, _ = _transport_stack(ws.points, residues, loop, tol=tol / 100)
         for b in range(3):
             assert numcore.fro(raw[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
     # the legs are the approach transports from I to each circle's entry
     for i, approach in enumerate(loops.approaches):
-        ref = fuchs.transport_stack(ws.points, residues, approach, tol=tol / 100).values
+        ref, _ = _transport_stack(ws.points, residues, approach, tol=tol / 100)
         for b in range(3):
             assert numcore.fro(legs[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
 
@@ -714,7 +790,8 @@ def test_transports_reject_non_positive_tol(tol):
     with pytest.raises(ValueError):
         fuchs.transport_fan(system.points, system.residues, fan, np.eye(3), tol=tol)
     with pytest.raises(ValueError):
-        fuchs.transport_stack(system.points, system.residues[None], [paths.Line(2j, 1j)], tol=tol)
+        fan = paths.SegmentFan([paths.Line(2j, 1j)])
+        fuchs.transport_fan(system.points, system.residues[None], fan, np.eye(3), tol=tol)
     with pytest.raises(ValueError):
         fuchs.transport(system, [paths.Line(2j, 1j)], tol=tol)
 
@@ -749,7 +826,7 @@ def test_local_series_matches_fan_property(seed):
         entry_value = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
         right = series.matched(0, ring, a0, entry_value)
         theta = a0 + np.mod(rng.uniform(0.0, 2 * np.pi, 6) - a0, 2 * np.pi)
-        arcs = paths.ArcFan(center, ring, a0, theta)
+        arcs = paths.SegmentFan([paths.Arc(complex(center), ring, a0, a1) for a1 in theta])
         ring_ref = fuchs.transport_fan(pts, res, arcs, entry_value, tol=tol / 100).values[-1]
         stops = np.array([0.2, 0.6, 1.0])
         rays = paths.RayFan(center, theta, np.log(ring), s_far)
@@ -843,12 +920,8 @@ def test_circle_transports_match_fan(make_weights, seed):
     assert circ.shape == circ_inv.shape == (4, ws.n, ws.rank, ws.rank)
     arcs = loops.circles
     for turn, got in ((2 * np.pi, circ), (-2 * np.pi, circ_inv)):
-        fan = paths.ArcFan(
-            np.array([a.center for a in arcs]),
-            np.array([a.radius for a in arcs]),
-            np.array([a.angle0 for a in arcs]),
-            np.array([a.angle0 + turn for a in arcs]),
-        )
+        fan = paths.SegmentFan([paths.Arc(a.center, a.radius, a.angle0, a.angle0 + turn)
+                                for a in arcs])
         ref = fuchs.transport_fan(ws.points, residues, fan, np.eye(ws.rank), tol=tol / 1e4)
         for b in range(4):
             for i in range(ws.n):

@@ -466,13 +466,31 @@ def _count_calls(monkeypatch):
 def test_action_transports_only_the_outward_rays(rank2_field, monkeypatch):
     # rings, inward nodes and the outer region come from the field's loop
     # series, matched by the normalization: no series is built and no ring
-    # entry transported, and one transport_fan call per patch is left, for
-    # its outward rays
+    # entry transported, and one transport_fan call is left, for the
+    # outward rays of every patch
     calls = _count_calls(monkeypatch)
     wznw.action_regularized(rank2_field)
-    assert len(calls["fans"]) == rank2_field.weights.n - 1
+    assert len(calls["fans"]) == 1
     assert all(isinstance(f, paths.RayFan) for f in calls["fans"])
+    # its members run out of every finite puncture
+    centers = np.broadcast_to(calls["fans"][0].center, calls["fans"][0].phis.shape)
+    assert set(centers.tolist()) == set(rank2_field.system.points.tolist())
     assert calls["series_stack"] == calls["transport"] == calls["y_at"] == 0
+
+
+def test_flatness_reads_y_once_and_runs_one_fan(rank2_field, monkeypatch):
+    # Y is read at the stencil's center, and the 12 other stencil points
+    # are the straight-line members of one fan from there; Y at the center
+    # is cached first, so every transport counted is the stencil's own
+    z = 0.3 + 0.2j
+    rank2_field.y_at(z)
+    calls = _count_calls(monkeypatch)
+    wznw.flatness_residual(rank2_field, z, 0.01)
+    assert calls["y_at"] == 1 and calls["transport"] == 0
+    (fan,) = calls["fans"]
+    assert isinstance(fan, paths.SegmentFan) and len(fan.segments) == 12
+    assert all(seg.start == z for seg in fan.segments)
+    assert len({seg.end for seg in fan.segments}) == 12
 
 
 def test_annulus_integral_builds_and_transports_nothing(rank2_field, monkeypatch):
@@ -492,7 +510,11 @@ def test_action_rings_are_the_loop_circles(monkeypatch):
     assert radii[0] == 0.5
     calls = _count_calls(monkeypatch)
     act = wznw.action_regularized(fld)
-    assert [float(np.exp(f.s0)) for f in calls["fans"]] == pytest.approx(radii, rel=1e-15)
+    (rays,) = calls["fans"]
+    # the merged fan's members start on the ring of their own puncture
+    rings = [np.exp(rays.s0[rays.center == z]) for z in ws.points]
+    assert [float(ring[0]) for ring in rings] == pytest.approx(radii, rel=1e-15)
+    assert all(np.all(ring == ring[0]) for ring in rings)
     exact = wznw.abelian_action_closed_form(ws)
     assert abs(act.value - exact) <= 1e-3 * abs(exact)
 
