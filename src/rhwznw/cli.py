@@ -85,10 +85,6 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[_complex_to_pair(x) for x in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _float_tuple(value) -> tuple[float, ...]:
-    return tuple(float(x) for x in value)
-
-
 def _integer(value, low: int | None = None) -> int:
     """An integral number as an int: 3 and 3.0 are read, -2.7, true and "3"
     are not, nor one below low."""
@@ -113,12 +109,16 @@ def _positive_float(value) -> float:
 
 
 # the fields of the "solver" section (on ProblemConfig.solver) and of the
-# "action" section (on ProblemConfig), each with the reader of its value
+# "action" section (on ProblemConfig), each with the reader of its value;
+# the delta schedule is checked as action_regularized checks it
 SOLVER_FIELDS = (
     ("tol", _positive_float), ("max_iter", _count), ("restarts", _count),
     ("seed", _integer), ("transport_tol", _positive_float),
 )
-ACTION_FIELDS = (("delta_schedule", _float_tuple), ("n_phi", _positive_int), ("gl_order", _positive_int))
+ACTION_FIELDS = (
+    ("delta_schedule", wznw.checked_delta_schedule),
+    ("n_phi", _positive_int), ("gl_order", _positive_int),
+)
 
 
 def _section_to_dict(obj, fields) -> dict:
@@ -153,9 +153,6 @@ class ProblemConfig:
 
     def weight_system(self) -> fuchs.WeightSystem:
         return fuchs.build_weight_system(self.points, self.weights, self.degree)
-
-    def quad_options(self) -> wznw.QuadratureOptions:
-        return wznw.QuadratureOptions(n_phi=self.n_phi, gl_order=self.gl_order)
 
     def to_dict(self) -> dict:
         out = {
@@ -330,7 +327,8 @@ def cmd_action(cfg: ProblemConfig, out_dir: Path) -> int:
             f"monodromy quality {fld.monodromy_quality:.3e} above {wznw.MONODROMY_QUALITY_GATE:g}: "
             "the monodromy is not unitary, so h is not single-valued"
         )
-    act = wznw.action_regularized(fld, cfg.delta_schedule, opts=cfg.quad_options())
+    opts = wznw.QuadratureOptions(n_phi=cfg.n_phi, gl_order=cfg.gl_order)
+    act = wznw.action_regularized(fld, cfg.delta_schedule, opts=opts)
     payload = {name: getattr(act, name) for name in ACTION_RESULT_FIELDS}
     _write_result(out_dir, _record(cfg, "action", payload))
     with open(out_dir / "deltas.csv", "w", newline="") as fh:

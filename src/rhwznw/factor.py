@@ -35,6 +35,12 @@ from .numcore import (
 )
 
 
+# relative reconstruction tolerance of cholesky_minors (its Gram floor is 1e-6 of it)
+CHOLESKY_MINOR_TOL = 1e-9
+# cholesky_differential warns above this condition number of h
+CONDITION_WARNING = 1e10
+
+
 class SingularInputError(NumericalError):
     """Input matrix numerically singular."""
 
@@ -127,15 +133,16 @@ def _rank_pattern(g: np.ndarray, threshold: float, band: float = 50.0):
     return rho
 
 
-def bruhat_permutation(g, threshold_scale: float = DEFAULT_TOL) -> np.ndarray:
+def bruhat_permutation(g) -> np.ndarray:
     """Permutation factor of the Bruhat decomposition g = B Pi L.
 
     Determined from the rank pattern of upper-right corner submatrices,
-    which is a complete invariant of the double coset B(r) g N(r).
+    which is a complete invariant of the double coset B(r) g N(r); a
+    singular value counts towards a rank above DEFAULT_TOL * ||g||.
     """
     g = as_cmatrix(g, "g")
     r = g.shape[0]
-    threshold = threshold_scale * max(fro(g), 1e-300)
+    threshold = DEFAULT_TOL * max(fro(g), 1e-300)
     rho = _rank_pattern(g, threshold)
     Pi = np.zeros((r, r))
     for i in range(1, r + 1):
@@ -148,15 +155,15 @@ def bruhat_permutation(g, threshold_scale: float = DEFAULT_TOL) -> np.ndarray:
     return Pi
 
 
-def bruhat_factor(g, splitting: SplittingType | None = None) -> BruhatFactors:
+def bruhat_factor(g) -> BruhatFactors:
     """Factor g = P Pi L with lower-triangular P, permutation Pi, lower-unipotent L.
 
-    Without a splitting the factorization is the classical one with
-    P in the Borel subgroup B(r); since B(r) is contained in every
-    block-lower parabolic P_N, the same factors serve the parabolic case.
-    The permutation is the rank-pattern one, so the output is
-    deterministic; for a given splitting it is a representative of the
-    W(i_1) x ... x W(i_s) coset of admissible permutations.
+    The factorization is the classical one with P in the Borel subgroup
+    B(r); since B(r) is contained in every block-lower parabolic P_N, the
+    same factors serve every splitting type.  The permutation is the
+    rank-pattern one, so the output is deterministic; for a splitting it
+    is a representative of the W(i_1) x ... x W(i_s) coset of admissible
+    permutations.
     """
     g = as_cmatrix(g, "g")
     r = g.shape[0]
@@ -166,8 +173,6 @@ def bruhat_factor(g, splitting: SplittingType | None = None) -> BruhatFactors:
     det = np.linalg.det(g)
     if abs(det) <= 1e-12 * scale**r:
         raise SingularInputError(f"|det g| = {abs(det):.3e} below threshold")
-    if splitting is not None and splitting.rank != r:
-        raise ValueError("splitting rank does not match matrix size")
 
     Pi = bruhat_permutation(g)
     perm = [int(np.argmax(Pi[i])) for i in range(r)]   # row i -> column perm[i]
@@ -195,20 +200,20 @@ def bruhat_factor(g, splitting: SplittingType | None = None) -> BruhatFactors:
     return factors
 
 
-def in_large_cell(g, threshold_scale: float = DEFAULT_TOL) -> bool:
+def in_large_cell(g) -> bool:
     """Whether g lies in the large Bruhat cell B(r) Pi0 N(r).
 
     Tested through the corner minors det g[:k, r-k:], k = 1..r, which for
     this convention are nonzero exactly on the large cell.  The decision
-    threshold is ``threshold_scale * ||g||^k`` (scale covariance of a
-    k x k minor).
+    threshold is ``DEFAULT_TOL * ||g||^k`` (scale covariance of a k x k
+    minor), with ||g|| = ||g||_F / sqrt(r).
     """
     g = as_cmatrix(g, "g")
     r = g.shape[0]
     gnorm = max(fro(g) / np.sqrt(r), 1e-300)
     for k in range(1, r + 1):
         minor = np.linalg.det(g[:k, r - k :])
-        if abs(minor) <= threshold_scale * gnorm**k:
+        if abs(minor) <= DEFAULT_TOL * gnorm**k:
             return False
     return True
 
@@ -246,7 +251,7 @@ def _minor_det(M: np.ndarray, rows, cols) -> complex:
     return np.linalg.det(M[np.ix_(rows, cols)])
 
 
-def cholesky_minors(h, M, tol: float = 1e-9) -> CholeskyFactors:
+def cholesky_minors(h, M) -> CholeskyFactors:
     """Cholesky data of h = M* M through conjugated-minor sums.
 
     The Gram-determinant quantities
@@ -282,7 +287,7 @@ def cholesky_minors(h, M, tol: float = 1e-9) -> CholeskyFactors:
     c = np.eye(r, dtype=complex)
     for j in range(1, r + 1):
         qjj = Q[j, j]
-        if not (qjj.real > tol * 1e-6 and abs(qjj.imag) <= 1e-8 * max(qjj.real, 1.0)):
+        if not (qjj.real > CHOLESKY_MINOR_TOL * 1e-6 and abs(qjj.imag) <= 1e-8 * max(qjj.real, 1.0)):
             raise NotPositiveDefiniteError(
                 f"leading Gram quantity Q_{j}{j} = {qjj:.3e} not positive"
             )
@@ -293,7 +298,7 @@ def cholesky_minors(h, M, tol: float = 1e-9) -> CholeskyFactors:
     b = np.diag(np.sqrt(a)) @ c
     factors = CholeskyFactors(b=b, a=a, c=c)
     resid = fro(factors.reconstruct() - h)
-    if resid > tol * max(fro(h), 1e-300):
+    if resid > CHOLESKY_MINOR_TOL * max(fro(h), 1e-300):
         raise NumericalError(f"Cholesky reconstruction residual {resid:.3e}")
     return factors
 
@@ -308,19 +313,20 @@ def cholesky_upper(h) -> np.ndarray:
     return low.conj().T
 
 
-def cholesky_differential(h, dh, warn_condition: float = 1e10) -> np.ndarray:
+def cholesky_differential(h, dh) -> np.ndarray:
     """Directional derivative db of the upper Cholesky factor.
 
     For Hermitian dh, db is the unique upper-triangular matrix with real
     diagonal satisfying db* b + b* db = dh.  With S = b^{-*} dh b^{-1} the
-    solution is db = (strict_upper(S) + diag(S)/2) b.
+    solution is db = (strict_upper(S) + diag(S)/2) b.  Warns when the
+    condition number of h exceeds CONDITION_WARNING.
     """
     import scipy.linalg
 
     h = check_hermitian_pd(h)
     dh = as_cmatrix(dh, "dh")
     cond = np.linalg.cond(h)
-    if cond > warn_condition:
+    if cond > CONDITION_WARNING:
         import warnings
 
         warnings.warn(f"h condition number {cond:.2e}; db may lose accuracy")

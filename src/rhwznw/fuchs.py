@@ -83,6 +83,10 @@ from .factor import SplittingType
 from .numcore import NumericalError, as_cmatrix, fro, sorted_eigvals
 
 TWO_PI_I = 2j * np.pi
+# build_admissible_rep's largest distance of M_n's spectrum from the infinity phases
+ADMISSIBLE_SPECTRUM_TOL = 1e-6
+# commutant_dimension counts the singular values up to this times the largest
+COMMUTANT_TOL = 1e-8
 
 
 class DegreeError(ValueError):
@@ -131,9 +135,6 @@ class WeightSystem:
     def degree(self) -> int:
         return int(sum(self.splitting.m))
 
-    def weight_diag(self, i: int) -> np.ndarray:
-        return np.diag(self.weights[i])
-
     def min_pairwise_distance(self) -> float:
         pts = self.points
         if len(pts) < 2:
@@ -155,11 +156,13 @@ class WeightSystem:
 def build_weight_system(points, weights, degree: int | None = None) -> WeightSystem:
     """Validate weight data and fill in the evenly-split twist at infinity.
 
-    The total weight must be a (negative of an) integer d; the evenly
-    split exponents are m repeated r-p times and m+1 repeated p times
-    where d = m r + p, and every exponent must lie strictly inside
-    (-n, 0).  The infinity exponents are alpha_{n,j} + m'_j with
-    m' the exchange-reversed exponent vector.
+    The points must be finite and distinct, every weight finite and
+    strictly inside (0, 1), each row strictly increasing.  The total
+    weight must be a (negative of an) integer d; the evenly split
+    exponents are m repeated r-p times and m+1 repeated p times where
+    d = m r + p, and every exponent must lie strictly inside (-n, 0).  The
+    infinity exponents are alpha_{n,j} + m'_j with m' the exchange-reversed
+    exponent vector.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
     w = np.asarray(weights, dtype=float)
@@ -170,12 +173,15 @@ def build_weight_system(points, weights, degree: int | None = None) -> WeightSys
         raise ValueError("need at least three marked points (n >= 3)")
     if len(pts) != n - 1:
         raise ValueError(f"expected {n - 1} finite points for {n} weight rows")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"marked points must be finite, got {pts[~np.isfinite(pts)][0]}")
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if abs(pts[i] - pts[j]) < 1e-12:
                 raise ValueError("marked points must be distinct")
-    if np.any(w <= 0.0) or np.any(w >= 1.0):
-        raise ValueError("weights must lie strictly inside (0, 1)")
+    inside = (w > 0.0) & (w < 1.0)  # false for NaN
+    if not np.all(inside):
+        raise ValueError(f"weights must lie strictly inside (0, 1), got {w[~inside][0]}")
     if np.any(np.diff(w, axis=1) <= 0.0):
         raise ValueError("weights must be strictly increasing within each row")
 
@@ -204,14 +210,14 @@ def build_weight_system(points, weights, degree: int | None = None) -> WeightSys
 # admissible representations
 
 
-def commutant_dimension(mats: list[np.ndarray], tol: float = 1e-8) -> int:
+def commutant_dimension(mats: list[np.ndarray]) -> int:
     """Dimension of {X : [X, M_i] = 0 for all i} via one SVD."""
     r = mats[0].shape[0]
     eye = np.eye(r)
     rows = [np.kron(m.T, eye) - np.kron(eye, m) for m in mats]
     big = np.vstack(rows)
     sv = np.linalg.svd(big, compute_uv=False)
-    return int(np.sum(sv <= tol * max(sv[0], 1.0)))
+    return int(np.sum(sv <= COMMUTANT_TOL * max(sv[0], 1.0)))
 
 
 @dataclass
@@ -262,6 +268,16 @@ def local_generator(weights: WeightSystem, i: int, U: np.ndarray) -> np.ndarray:
     return U @ np.diag(phases) @ U.conj().T
 
 
+def closing_generator(weights: WeightSystem, conjugators) -> tuple[list[np.ndarray], np.ndarray]:
+    """The local generators of U_1 .. U_{n-1} and M_n, the inverse of their
+    (unitary) product."""
+    gens = [local_generator(weights, i, u) for i, u in enumerate(conjugators)]
+    prod = np.eye(weights.rank, dtype=complex)
+    for m in gens:
+        prod = prod @ m
+    return gens, prod.conj().T
+
+
 def _match_to_targets(lam: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best permutation matching of eigenvalues to target phases (r <= 5).
 
@@ -282,17 +298,13 @@ def unitary_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, Q
 
 
-def build_admissible_rep(
-    weights: WeightSystem,
-    conjugators: list[np.ndarray],
-    spectrum_tol: float = 1e-6,
-) -> AdmissibleRep:
+def build_admissible_rep(weights: WeightSystem, conjugators: list[np.ndarray]) -> AdmissibleRep:
     """Close U_1 .. U_{n-1} into a normalized admissible tuple.
 
     M_n is the inverse of the product of the first n-1 generators; it is
     accepted when its spectrum matches the infinity weight phases to
-    spectrum_tol, then the whole tuple is conjugated so M_n is diagonal in
-    the weight order.
+    ADMISSIBLE_SPECTRUM_TOL, then the whole tuple is conjugated so M_n is
+    diagonal in the weight order.
     """
     n, r = weights.n, weights.rank
     if len(conjugators) != n - 1:
@@ -301,16 +313,12 @@ def build_admissible_rep(
     for u in us:
         if fro(u @ u.conj().T - np.eye(r)) > 1e-10:
             raise ValueError("conjugators must be unitary")
-    gens = [local_generator(weights, i, us[i]) for i in range(n - 1)]
-    prod = np.eye(r, dtype=complex)
-    for m in gens:
-        prod = prod @ m
-    m_last = prod.conj().T  # inverse of a unitary product
+    gens, m_last = closing_generator(weights, us)
 
     targets = np.exp(TWO_PI_I * weights.weights[-1])
     lam, V = unitary_eig(m_last)
     perm, mismatch = _match_to_targets(lam, targets)
-    if mismatch > spectrum_tol:
+    if mismatch > ADMISSIBLE_SPECTRUM_TOL:
         raise NotAdmissibleError(
             f"spectrum at infinity misses the weights by {mismatch:.3e}"
         )

@@ -22,6 +22,16 @@ from . import fuchs, rhsolve, wznw
 from .numcore import fro
 
 
+# closure residual (max norm) at which project_conjugators stops
+PROJECTION_TOL = 1e-12
+# Newton steps project_conjugators takes before it gives up
+PROJECTION_MAX_ITER = 40
+# random conjugator draws random_admissible_rep tries
+ADMISSIBLE_ATTEMPTS = 40
+# largest |eps| that deform_rep accepts
+CHART_RADIUS = 0.35
+
+
 class ChartRadiusError(RuntimeError):
     """Newton projection failed: parameter outside the chart radius."""
 
@@ -71,11 +81,7 @@ def _closure_residual(weights: fuchs.WeightSystem, conjugators: list[np.ndarray]
     of the implied generator at infinity.
     """
     r = weights.rank
-    gens = [fuchs.local_generator(weights, i, u) for i, u in enumerate(conjugators)]
-    prod = np.eye(r, dtype=complex)
-    for m in gens:
-        prod = prod @ m
-    m_last = prod.conj().T
+    _, m_last = fuchs.closing_generator(weights, conjugators)
     target = np.diag(np.exp(fuchs.TWO_PI_I * weights.weights[-1]))
     diffs = []
     mp, tp = m_last.copy(), target.copy()
@@ -96,11 +102,7 @@ def _closure_jacobian(
     """
     r = weights.rank
     n1 = len(conjugators)
-    gens = [fuchs.local_generator(weights, i, u) for i, u in enumerate(conjugators)]
-    prod = np.eye(r, dtype=complex)
-    for m in gens:
-        prod = prod @ m
-    m_last = prod.conj().T
+    gens, m_last = fuchs.closing_generator(weights, conjugators)
     powers = [np.eye(r, dtype=complex)]
     for _ in range(r - 2):
         powers.append(powers[-1] @ m_last)
@@ -130,10 +132,7 @@ def _closure_jacobian(
 
 
 def project_conjugators(
-    weights: fuchs.WeightSystem,
-    conjugators: list[np.ndarray],
-    tol: float = 1e-12,
-    max_iter: int = 40,
+    weights: fuchs.WeightSystem, conjugators: list[np.ndarray]
 ) -> list[np.ndarray]:
     """Newton-correct the conjugators so the tuple closes admissibly.
 
@@ -148,9 +147,9 @@ def project_conjugators(
         return us  # the only closure constraint is the automatic determinant
     basis = _su_basis(r)
     per = len(basis)
-    for _ in range(max_iter):
+    for _ in range(PROJECTION_MAX_ITER):
         res = _closure_residual(weights, us)
-        if np.linalg.norm(res, np.inf) < tol:
+        if np.linalg.norm(res, np.inf) < PROJECTION_TOL:
             return us
         J = _closure_jacobian(weights, us, basis)
         U_, sv, Vt = np.linalg.svd(J, full_matrices=False)
@@ -164,15 +163,13 @@ def project_conjugators(
     raise ChartRadiusError("closure Newton did not converge")
 
 
-def random_admissible_rep(
-    weights: fuchs.WeightSystem, seed: int = 0, attempts: int = 40
-) -> fuchs.AdmissibleRep:
+def random_admissible_rep(weights: fuchs.WeightSystem, seed: int = 0) -> fuchs.AdmissibleRep:
     """Admissible tuple from random conjugators plus Newton projection."""
     from .numcore import random_unitary
 
     rng = np.random.default_rng(seed)
     last_err: Exception | None = None
-    for _ in range(attempts):
+    for _ in range(ADMISSIBLE_ATTEMPTS):
         us = [random_unitary(rng, weights.rank) for _ in range(weights.n - 1)]
         try:
             us = project_conjugators(weights, us)
@@ -181,7 +178,9 @@ def random_admissible_rep(
                 return rep
         except (ChartRadiusError, fuchs.NotAdmissibleError) as exc:
             last_err = exc
-    raise ChartRadiusError(f"no admissible tuple found in {attempts} attempts: {last_err}")
+    raise ChartRadiusError(
+        f"no admissible tuple found in {ADMISSIBLE_ATTEMPTS} attempts: {last_err}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +195,8 @@ class TangentDirection:
     xi_im: list[np.ndarray]
 
 
-def random_tangent_direction(
-    weights: fuchs.WeightSystem, seed: int = 0, scale: float = 1.0
-) -> TangentDirection:
+def random_tangent_direction(weights: fuchs.WeightSystem, seed: int = 0) -> TangentDirection:
+    """Unit-norm random anti-Hermitian velocities for the Re and Im moves."""
     rng = np.random.default_rng(seed)
 
     def anti_hermitian() -> np.ndarray:
@@ -206,7 +204,7 @@ def random_tangent_direction(
             (weights.rank,) * 2
         )
         a = 0.5 * (m - m.conj().T)
-        return scale * a / max(fro(a), 1e-12)
+        return a / max(fro(a), 1e-12)
 
     n = weights.n
     return TangentDirection(
@@ -216,18 +214,15 @@ def random_tangent_direction(
 
 
 def deform_rep(
-    center: fuchs.AdmissibleRep,
-    direction: TangentDirection,
-    eps: complex,
-    radius: float = 0.35,
+    center: fuchs.AdmissibleRep, direction: TangentDirection, eps: complex
 ) -> fuchs.AdmissibleRep:
     """Move the conjugators along the direction and re-close the tuple.
 
-    The chart is valid while the Newton correction converges; beyond the
-    declared radius a ChartRadiusError is raised without trying.
+    The chart is valid while the Newton correction converges; beyond
+    CHART_RADIUS a ChartRadiusError is raised without trying.
     """
-    if abs(eps) > radius:
-        raise ChartRadiusError(f"|eps| = {abs(eps):.3f} beyond chart radius {radius}")
+    if abs(eps) > CHART_RADIUS:
+        raise ChartRadiusError(f"|eps| = {abs(eps):.3f} beyond chart radius {CHART_RADIUS}")
     x, y = float(np.real(eps)), float(np.imag(eps))
     us = []
     for i in range(center.n - 1):
@@ -241,12 +236,11 @@ def deform_rep(
 class RepFamily:
     center: fuchs.AdmissibleRep
     direction: TangentDirection
-    radius: float = 0.35
 
     def member(self, eps: complex) -> fuchs.AdmissibleRep:
         if eps == 0:
             return self.center
-        return deform_rep(self.center, self.direction, eps, radius=self.radius)
+        return deform_rep(self.center, self.direction, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -268,27 +262,23 @@ def action_surface(
     family: RepFamily,
     grid: list[complex],
     solve_opts: rhsolve.SolveOptions | None = None,
-    quad_opts: wznw.QuadratureOptions | None = None,
-    delta_schedule: tuple[float, ...] = wznw.DELTA_SCHEDULE,
-    warm_start: bool = True,
 ) -> list[SurfacePoint]:
-    """Regularized action at every grid member, warm-starting along the grid.
+    """Regularized action at every grid member at action_regularized's
+    defaults, each solve after the first success warm-started from the last.
 
     Non-solving or non-regular members, and members whose field misses
     wznw.MONODROMY_QUALITY_GATE, produce holes (ok=False) instead of
     aborting the sweep.
     """
     solve_opts = solve_opts or rhsolve.SolveOptions()
+    warm_opts = replace(solve_opts, restarts=max(2, solve_opts.restarts // 3))
     out: list[SurfacePoint] = []
     prev_system: fuchs.FuchsianSystem | None = None
     for eps in grid:
         try:
             rep = family.member(complex(eps))
-            opts = solve_opts
-            init = prev_system if warm_start else None
-            if init is not None:
-                opts = replace(solve_opts, restarts=max(2, solve_opts.restarts // 3))
-            system, report = rhsolve.solve(rep.weights, rep, init=init, opts=opts)
+            opts = solve_opts if prev_system is None else warm_opts
+            system, report = rhsolve.solve(rep.weights, rep, init=prev_system, opts=opts)
             if not report.success:
                 out.append(
                     SurfacePoint(eps, None, None, report.large_cell_flag, report.final_residual, False, "solve failed")
@@ -303,7 +293,7 @@ def action_surface(
                 message = f"monodromy quality {fld.monodromy_quality:.3e}: h is not single-valued"
                 out.append(SurfacePoint(eps, None, None, True, report.final_residual, False, message))
                 continue
-            act = wznw.action_regularized(fld, delta_schedule, opts=quad_opts)
+            act = wznw.action_regularized(fld)
             out.append(
                 SurfacePoint(
                     eps=complex(eps),

@@ -134,9 +134,9 @@ def reversed_path(path: list[Segment]) -> list[Segment]:
     return [seg.reversed() for seg in reversed(path)]
 
 
-def circle(center: complex, radius: float, start_angle: float, ccw: bool = True) -> Arc:
-    sweep = 2 * np.pi if ccw else -2 * np.pi
-    return Arc(center, radius, start_angle, start_angle + sweep)
+def circle(center: complex, radius: float, start_angle: float) -> Arc:
+    """The full counterclockwise circle entered at start_angle."""
+    return Arc(center, radius, start_angle, start_angle + 2 * np.pi)
 
 
 def plan_route(

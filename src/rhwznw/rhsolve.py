@@ -8,9 +8,9 @@ initial system, the first included, draws its basepoints B_i = exp(K)
 from zero-diagonal Gaussian K; at identity basepoints the
 central-difference Jacobian is rounding noise.  The merit function
 compares gauge-aligned computed monodromy generators with the target
-tuple entrywise and adds a 10x-weighted penalty on the spectrum of the
-residue at infinity, which pins the splitting type.  Residuals are
-evaluated for stacks of chart points: the central-difference Jacobian of
+tuple entrywise and adds a penalty, weighted by INFINITY_WEIGHT, on the
+spectrum of the residue at infinity, which pins the splitting type.
+Residuals are evaluated for stacks of chart points: the central-difference Jacobian of
 one LM iteration is a single stack of 2 dim points, mapped to residues by
 one batched expm, taken through the loop set (every loop circle in closed
 form from one stacked local-series recursion, one kernel call per
@@ -37,6 +37,12 @@ from .numcore import NumericalError
 
 class ReducibleTargetError(ValueError):
     pass
+
+
+# weight of the infinity-spectrum entries of the LM residual against the generators'
+INFINITY_WEIGHT = 10.0
+# relative step of the central-difference Jacobian, scaled by max(1, |x_j|)
+FD_STEP = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +82,7 @@ class ResidueParametrization:
     def residues(self, x: np.ndarray) -> np.ndarray:
         """A_i of chart points x (..., dim) as (..., n-1, r, r)."""
         cs = self.conjugators(x)
-        spectra = np.array([self.weights.weight_diag(i) for i in range(self.weights.n - 1)])
+        spectra = np.array([np.diag(w) for w in self.weights.weights[:-1]])
         return cs @ spectra @ np.linalg.inv(cs)
 
     def system(self, x: np.ndarray) -> fuchs.FuchsianSystem:
@@ -107,7 +113,6 @@ def residual_stack(
     target: fuchs.AdmissibleRep,
     problem: fuchs.MonodromyLoops | None = None,
     transport_tol: float = 1e-9,
-    infinity_weight: float = 10.0,
 ) -> np.ndarray:
     """Residual vectors (B, m) of a (B, dim) stack of chart points.
 
@@ -127,7 +132,7 @@ def residual_stack(
     lam = np.take_along_axis(lam, np.argsort(lam.real, axis=-1), axis=-1)
     tgt = np.sort(parm.weights.infinity_exponents)
     return np.concatenate(
-        [d, infinity_weight * (lam.real - tgt), infinity_weight * lam.imag],
+        [d, INFINITY_WEIGHT * (lam.real - tgt), INFINITY_WEIGHT * lam.imag],
         axis=1,
     )
 
@@ -138,16 +143,16 @@ def residual_vector(
     target: fuchs.AdmissibleRep,
     problem: fuchs.MonodromyLoops | None = None,
     transport_tol: float = 1e-9,
-    infinity_weight: float = 10.0,
 ) -> np.ndarray:
     """Concatenated gauge-aligned monodromy and infinity-spectrum residuals."""
     xs = np.asarray(x, dtype=float)[None, :]
-    return residual_stack(parm, xs, target, problem, transport_tol, infinity_weight)[0]
+    return residual_stack(parm, xs, target, problem, transport_tol)[0]
 
 
-def central_jacobian(func_stack, x: np.ndarray, fd_step: float) -> np.ndarray:
-    """Central-difference Jacobian from one stacked evaluation of 2 dim points."""
-    steps = fd_step * np.maximum(1.0, np.abs(x))
+def central_jacobian(func_stack, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian from one stacked evaluation of 2 dim points,
+    step FD_STEP * max(1, |x_j|) in coordinate j."""
+    steps = FD_STEP * np.maximum(1.0, np.abs(x))
     shift = np.diag(steps)
     f = func_stack(np.concatenate([x + shift, x - shift]))
     n = len(x)
@@ -165,7 +170,6 @@ class SolveOptions:
     restarts: int = 10
     seed: int = 0
     transport_tol: float = 1e-9
-    fd_step: float = 1e-6
 
 
 @dataclass
@@ -204,7 +208,7 @@ def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
         if cost <= target_cost:
             break
         n = len(x)
-        J = central_jacobian(func_stack, x, opts.fd_step)
+        J = central_jacobian(func_stack, x)
         g = J.T @ f
         if np.linalg.norm(g, np.inf) < 1e-14:
             break

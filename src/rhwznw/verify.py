@@ -12,8 +12,8 @@ Each suite takes a seed and a sample count and returns a list of
 * ``flatness``: the Richardson ratio of the flatness residual of h on the
   rigid rank-2 fixture;
 * ``counterterm``: the annulus divergence at each finite puncture of that
-  fixture against 2 pi log 2 sum_j alpha_ij^2.  Its checks are one per
-  finite puncture, so it ignores the count.
+  fixture against 2 pi log(wznw.ANNULUS_RATIO) sum_j alpha_ij^2.  Its
+  checks are one per finite puncture, so it ignores the count.
 
 The library is called through module attributes (``factor.bruhat_factor``,
 ``wznw.flatness_residual``, ...), so that a wrapper installed on those
@@ -161,7 +161,7 @@ def _suite_counterterm(seed: int, count: int) -> list[tuple[str, bool, str]]:
     checks = []
     for i, row in enumerate(fld.weights.weights[:-1]):
         val = wznw.annulus_kinetic_integral(fld, i, 1e-4)
-        pred = 2 * np.pi * np.log(2.0) * float(np.sum(row**2))
+        pred = 2 * np.pi * np.log(wznw.ANNULUS_RATIO) * float(np.sum(row**2))
         rel = abs(val / pred - 1)
         checks.append(
             (f"annulus divergence at puncture {i + 1} <= 1e-3", rel <= 1e-3, f"rel {rel:.3e}")

@@ -68,6 +68,18 @@ class UnreliableExtrapolationError(NumericalError):
 
 # largest MetricField.monodromy_quality at which h counts as single-valued
 MONODROMY_QUALITY_GATE = 1e-6
+# the default delta schedule of the action's extrapolation
+DELTA_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
+# largest delta-fit residual, relative to max(|S|, spread of the totals)
+FIT_TOLERANCE = 1e-2
+# Gauss-Legendre panels along every outward ray of the web
+OUTWARD_PANELS = 2
+# largest log-radius length of one radial Gauss-Legendre panel
+MAX_PANEL_SPAN = 0.8
+# outer over inner radius of annulus_kinetic_integral's annulus
+ANNULUS_RATIO = 2.0
+# central-difference step of three_form_pair's d omega
+THREE_FORM_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +312,10 @@ def _region_series(fld: MetricField, at: int | None):
 # quadrature web
 
 
-# the default delta schedule of the action's extrapolation
-DELTA_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
-
-
 @dataclass
 class QuadratureOptions:
     n_phi: int = 192
     gl_order: int = 8
-    outward_panels: int = 2
-    max_panel_span: float = 0.8  # maximal log-radius length of one GL panel
 
 
 @dataclass
@@ -352,7 +358,7 @@ def _log_panels(r_lo: float, r_hi: float, fixed: list[float], opts: QuadratureOp
     """GL nodes and weights in s = log rho on [log r_lo, log r_hi] with panel
     edges at every fixed radius in between."""
     edges = sorted({np.log(r_lo), np.log(r_hi), *[np.log(f) for f in fixed if r_lo < f < r_hi]})
-    return _gl_panels(edges, opts.max_panel_span, opts.gl_order)
+    return _gl_panels(edges, MAX_PANEL_SPAN, opts.gl_order)
 
 
 def _patch_constraints(points: np.ndarray, i: int, r_out: float):
@@ -424,18 +430,12 @@ class TransportWeb:
 
     Besides the densities, the web keeps h and A at IMAG_SAMPLE nodes of the
     first patch, spread evenly over its node list, for the check that the
-    trace form stays real.
+    trace form stays real.  The web spans the smallest delta of the schedule.
     """
 
     IMAG_SAMPLE = 64
 
-    def __init__(
-        self,
-        fld: MetricField,
-        delta_min: float,
-        delta_schedule: tuple[float, ...],
-        opts: QuadratureOptions,
-    ):
+    def __init__(self, fld: MetricField, delta_schedule: tuple, opts: QuadratureOptions):
         self.field = fld
         self.opts = opts
         pts = np.asarray(fld.system.points)
@@ -449,7 +449,7 @@ class TransportWeb:
         # every patch's outward rays are the members of one fan call, with a
         # stop at every Gauss-Legendre node in t
         patches = [self._patch_rays(i, ring_radii[i]) for i in range(len(pts))]
-        t_edges = np.linspace(0, 1, opts.outward_panels + 1)
+        t_edges = np.linspace(0, 1, OUTWARD_PANELS + 1)
         t_nodes, t_weights = _gl_panels(t_edges, 1.0, opts.gl_order)
         rays = paths.RayFan(*(np.concatenate([getattr(fan, k) for fan, _, _ in patches])
                               for k in ("center", "phis", "s0", "s1")))
@@ -457,7 +457,8 @@ class TransportWeb:
         y_out = fuchs.transport_fan(pts, fld.system.residues, rays, ring_y, t_nodes,
                                     fld.transport_tol).values
         ends = np.cumsum([len(fan.phis) for fan, _, _ in patches])[:-1]
-        fixed = sorted(set(delta_schedule) | {delta_min})
+        delta_min = min(delta_schedule)
+        fixed = sorted(set(delta_schedule))
         self.regions = [
             self._build_patch(i, ring_radii[i], delta_min, fixed, fan, w_phi, y, t_nodes, t_weights)
             for i, ((fan, w_phi, _), y) in enumerate(zip(patches, np.split(y_out, ends, axis=1)))
@@ -588,34 +589,48 @@ def decay_exponent(weights: fuchs.WeightSystem) -> float:
     return float(np.min(2.0 * (w[:, 0] - w[:, -1] + 1.0)))
 
 
+def checked_delta_schedule(schedule) -> tuple[float, ...]:
+    """The schedule as a tuple of floats in its order; ValueError unless it
+    holds at least three values, each finite and positive, no two equal."""
+    deltas = tuple(float(d) for d in schedule)
+    positive = all(np.isfinite(d) and d > 0 for d in deltas)
+    if len(set(deltas)) < max(len(deltas), 3) or not positive:
+        raise ValueError(f"need three or more distinct finite positive deltas, got {list(deltas)}")
+    return deltas
+
+
 def action_regularized(
     fld: MetricField,
     delta_schedule: tuple[float, ...] = DELTA_SCHEDULE,
     opts: QuadratureOptions | None = None,
-    fit_tolerance: float = 1e-2,
 ) -> ActionResult:
     """Regularized WZNW action with delta -> 0 extrapolation.
 
     Integrates the kinetic and topological densities over X_delta for each
-    delta in the (decreasing) schedule, adds the log-delta counterterms,
-    and fits total(delta) = S + C delta^kappa.  The fit residual is
-    reported and must stay below fit_tolerance * |S|.
+    delta in the schedule (checked_delta_schedule), taken in decreasing
+    order, adds the log-delta counterterms, and fits
+    total(delta) = S + C delta^kappa.  A total that is not finite raises
+    NumericalError.  The fit residual is reported and must stay below
+    FIT_TOLERANCE * max(|S|, spread of the totals).
     """
     if not fld.large_cell_flag:
         raise RegularLocusError("action is defined on the regular locus only")
-    deltas = tuple(sorted(delta_schedule, reverse=True))
-    if len(deltas) < 3:
-        raise ValueError("need at least three deltas for the extrapolation")
+    deltas = tuple(sorted(checked_delta_schedule(delta_schedule), reverse=True))
     opts = opts or QuadratureOptions()
     k1, k2 = fld.weights.counterterm_coefficients()
-    web = TransportWeb(fld, min(deltas), deltas, opts)
+    # a non-finite value at any node reaches the smallest delta's total,
+    # which is checked below, so numpy's overflow warnings would only repeat it
+    with np.errstate(all="ignore"):
+        web = TransportWeb(fld, deltas, opts)
+        integrals = [web.integrals_at(d) for d in deltas]
 
     rows, totals = [], []
     kin_last = top_last = 0.0
-    for d in deltas:
-        kin, top = web.integrals_at(d)
+    for d, (kin, top) in zip(deltas, integrals):
         ct = float(2 * np.pi * np.log(d) * (k1 + k2))
         total = kin + top + ct
+        if not np.isfinite(total):
+            raise NumericalError(f"the total at delta {d:g} is {total}, not finite")
         rows.append(
             {
                 "delta": float(d),
@@ -642,7 +657,7 @@ def action_regularized(
     resid = float(np.max(np.abs(fit - totals)))
     value = float(coef[0])
     spread = float(np.max(totals) - np.min(totals))
-    if resid > fit_tolerance * max(abs(value), spread, 1e-12):
+    if resid > FIT_TOLERANCE * max(abs(value), spread, 1e-12):
         raise UnreliableExtrapolationError(
             f"delta-fit residual {resid:.3e} vs value {value:.3e} (spread {spread:.3e})"
         )
@@ -671,27 +686,23 @@ def _imag_residual_sample(web: TransportWeb) -> float:
     return float(np.max(np.abs(val.imag) / np.maximum(np.abs(val.real), 1e-300)))
 
 
-def annulus_kinetic_integral(
-    fld: MetricField,
-    puncture_index: int,
-    delta: float,
-    ratio: float = 2.0,
-    opts: QuadratureOptions | None = None,
-) -> float:
-    """Kinetic integral over the annulus delta < |z - z_i| < ratio*delta.
+def annulus_kinetic_integral(fld: MetricField, puncture_index: int, delta: float) -> float:
+    """Kinetic integral over the annulus delta < |z - z_i| < ANNULUS_RATIO * delta,
+    at the default quadrature.
 
-    As delta -> 0 this tends to 2 pi log(ratio) * sum_j alpha_ij^2; used to
-    check the counterterm coefficient.  Y at the nodes comes from the
-    puncture's member of the field's loop series, as in the action's web,
-    so ratio*delta must not exceed its loop circle's radius (ValueError).
+    As delta -> 0 this tends to 2 pi log(ANNULUS_RATIO) * sum_j alpha_ij^2;
+    used to check the counterterm coefficient.  Y at the nodes comes from
+    the puncture's member of the field's loop series, as in the action's
+    web, so ANNULUS_RATIO * delta must not exceed its loop circle's radius
+    (ValueError).
     """
-    opts = opts or QuadratureOptions()
+    opts = QuadratureOptions()
     system = fld.system
     pts = np.asarray(system.points)
     center = complex(pts[puncture_index])
     phis = 2 * np.pi * (np.arange(opts.n_phi) + 0.5) / opts.n_phi
     w_phi = 2 * np.pi / opts.n_phi
-    s_nodes, s_weights = _log_panels(delta, ratio * delta, [], opts)
+    s_nodes, s_weights = _log_panels(delta, ANNULUS_RATIO * delta, [], opts)
     y = _region_series(fld, puncture_index)(np.exp(s_nodes)[:, None], phis[None, :])
     z = center + np.exp(s_nodes)[:, None] * np.exp(1j * phis)[None, :]
     r = system.rank
@@ -735,14 +746,14 @@ def _omega_eval(h: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> float:
     return complex(val)
 
 
-def three_form_pair(h, X, Y, Z, step: float = 1e-5):
+def three_form_pair(h, X, Y, Z):
     """(Theta(X,Y,Z), 3 dOmega(X,Y,Z)) on the space of positive metrics.
 
     Theta is the alternating sum over the six permutations of
     tr(h^{-1} X h^{-1} Y h^{-1} Z); the second entry differentiates the
     2-form omega(Y,Z) = tr(theta1(Y) theta1(Z)* - theta1(Z) theta1(Y)*)
-    by central differences, so their agreement is a genuine two-route
-    check of the antiderivative identity.
+    by central differences of step THREE_FORM_STEP, so their agreement is
+    a genuine two-route check of the antiderivative identity.
     """
     h = as_cmatrix(h, "h")
     mats = [as_cmatrix(m, name) for m, name in ((X, "X"), (Y, "Y"), (Z, "Z"))]
@@ -755,7 +766,7 @@ def three_form_pair(h, X, Y, Z, step: float = 1e-5):
         theta3 += sign * np.trace(hinv @ a @ hinv @ b_ @ hinv @ c)
 
     def d_omega(direction, v1, v2):
-        t = step
+        t = THREE_FORM_STEP
         return (_omega_eval(h + t * direction, v1, v2) - _omega_eval(h - t * direction, v1, v2)) / (2 * t)
 
     X_, Y_, Z_ = mats

@@ -147,7 +147,7 @@ def test_criterion_8_counterterm(solved_rank2, rank2_weights):
     worst = 0.0
     for i in range(2):
         val = wznw.annulus_kinetic_integral(fld, i, 1e-4)
-        pred = 2 * np.pi * np.log(2.0) * float(np.sum(rank2_weights.weights[i] ** 2))
+        pred = 2 * np.pi * np.log(wznw.ANNULUS_RATIO) * float(np.sum(rank2_weights.weights[i] ** 2))
         worst = max(worst, abs(val / pred - 1))
     ok = worst <= 1e-3
     _report(8, "counterterm coefficient", ok, f"worst rel {worst:.2e}", time.time() - t0, 60.0)

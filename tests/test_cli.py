@@ -264,6 +264,38 @@ def test_bad_config_field_exits_2(tmp_path, capsys, patch, fieldname):
     assert f"config field '{fieldname}'" in capsys.readouterr().err
 
 
+BAD_SCHEDULES = [
+    ([0.1, 0.1, 0.1], cli.EXIT_VALIDATION),
+    ([0.1, 0.1, 0.05], cli.EXIT_VALIDATION),
+    ([0.1, 0.05, 0.0], cli.EXIT_VALIDATION),
+    ([0.1, 0.05, -0.01], cli.EXIT_VALIDATION),
+    ([0.1, 0.05, float("nan")], cli.EXIT_VALIDATION),
+    ([0.1, 0.05, 1e-300], cli.EXIT_NO_CONVERGENCE),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "schedule, code", BAD_SCHEDULES,
+    ids=["all-equal", "repeated", "zero", "negative", "nan", "overflow"],
+)
+def test_bad_delta_schedule_exit(tmp_path, capsys, schedule, code):
+    # each used to exit 0 with a wrong or NaN S, or with a traceback or an
+    # unrelated code: a bad schedule stops at load (exit 2), one whose
+    # quadrature overflows stops at the non-finite total (exit 3) without
+    # numpy's overflow warnings; the coarse quadrature keeps the web small
+    data = rank2_config().to_dict()
+    data["action"].update(delta_schedule=schedule, n_phi=8, gl_order=2)
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    rc = cli.main(["action", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+    assert rc == code
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    if code == cli.EXIT_VALIDATION:
+        assert "config field 'action.delta_schedule'" in err
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_verify_count_below_one(tmp_path, capsys, count):
     rc = cli.main(["verify", "bruhat", "--count", count, "--out", str(tmp_path)])

@@ -70,7 +70,7 @@ def test_permutation_ambiguity_is_block_diagonal():
     assert sizes == (1, 2)
     for _ in range(60):
         g = random_gl(rng, 3)
-        f1 = factor.bruhat_factor(g, splitting)
+        f1 = factor.bruhat_factor(g)
         p = np.zeros((3, 3), dtype=complex)
         start = 0
         for s in sizes:
@@ -78,7 +78,7 @@ def test_permutation_ambiguity_is_block_diagonal():
             p[start : start + s, start : start + s] = blk + 2 * np.eye(s)
             start += s
         p[1:, :1] = rng.standard_normal((2, 1))
-        f2 = factor.bruhat_factor(p @ g, splitting)
+        f2 = factor.bruhat_factor(p @ g)
         w = f2.Pi @ f1.Pi.T
         for sl in splitting.block_slices():
             outside = w.copy()

@@ -45,6 +45,23 @@ def test_weight_system_validation():
         fuchs.build_weight_system([0.0, 1.0], [[0.5, 0.4], [0.5, 0.6], [0.5, 0.6]])
 
 
+@pytest.mark.parametrize(
+    "points, weights, match",
+    [
+        ([0.0, 1.0], [[0.15, np.nan], [0.2, 0.45], [0.3, 0.55]], "weights must lie strictly inside"),
+        ([0.0, 1.0], [[0.15, 0.35], [0.2, np.inf], [0.3, 0.55]], "weights must lie strictly inside"),
+        ([0.0, np.nan], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]], "points must be finite"),
+        ([0.0, np.inf], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]], "points must be finite"),
+    ],
+    ids=["nan-weight", "inf-weight", "nan-point", "inf-point"],
+)
+def test_weight_system_rejects_non_finite_data(points, weights, match):
+    # w <= 0 or w >= 1 is false for NaN: a NaN weight used to reach round()
+    # and NaN or infinite points were accepted
+    with pytest.raises(ValueError, match=match):
+        fuchs.build_weight_system(points, weights)
+
+
 def test_admissible_rank1():
     ws = fuchs.build_weight_system([0.0, 1.0], [[0.3], [0.8], [0.9]])
     rep = fuchs.build_admissible_rep(ws, [np.eye(1, dtype=complex)] * 2)

@@ -261,12 +261,12 @@ def test_stacked_jacobian_matches_columns(rank2_target, rank2_oracle_system):
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
     problem = fuchs.MonodromyLoops(parm.weights)
     x = 0.05 * np.random.default_rng(4).standard_normal(parm.dim)
-    fd_step = 1e-6
+    fd_step = rhsolve.FD_STEP
 
     def func_stack(xs):
         return rhsolve.residual_stack(parm, xs, rank2_target, problem=problem)
 
-    J = rhsolve.central_jacobian(func_stack, x, fd_step)
+    J = rhsolve.central_jacobian(func_stack, x)
     columns = []
     for j in range(parm.dim):
         h = fd_step * max(1.0, abs(x[j]))

@@ -348,10 +348,32 @@ def test_action_refuses_non_regular(rank2_field):
         wznw.action_regularized(bad)
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [(0.1, 0.05), (0.1, 0.1, 0.1), (0.1, 0.1, 0.05), (0.1, 0.05, 0.0), (0.1, 0.05, -0.01),
+     (0.1, 0.05, np.nan)],
+    ids=["two", "all-equal", "repeated", "zero", "negative", "nan"],
+)
+def test_action_rejects_a_bad_delta_schedule(rank2_field, schedule):
+    # on the fixture residues (0.1, 0.1, 0.1) used to fit three equal totals
+    # to S = 0.00557 (0.02694 at the default schedule), fit residual 1.7e-18
+    with pytest.raises(ValueError, match="three or more distinct finite positive deltas"):
+        wznw.action_regularized(rank2_field, schedule)
+
+
+def test_action_non_finite_total_raises(rank2_field):
+    # delta 1e-300 puts the outer circle at 1e300, whose area weights
+    # overflow: the action used to return NaN; a coarse quadrature keeps
+    # the web small and overflows the same way
+    opts = wznw.QuadratureOptions(n_phi=8, gl_order=2)
+    with pytest.raises(numcore.NumericalError, match="delta 1e-300"):
+        wznw.action_regularized(rank2_field, (0.1, 0.05, 1e-300), opts)
+
+
 def test_counterterm_annulus(rank2_field, rank2_weights):
     for i in range(2):
         val = wznw.annulus_kinetic_integral(rank2_field, i, 1e-4)
-        pred = 2 * np.pi * np.log(2.0) * float(np.sum(rank2_weights.weights[i] ** 2))
+        pred = 2 * np.pi * np.log(wznw.ANNULUS_RATIO) * float(np.sum(rank2_weights.weights[i] ** 2))
         assert abs(val / pred - 1) <= 1e-3
 
 
@@ -438,7 +460,7 @@ def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
     assert abs(act.value / 0.0269422054119 - 1) <= 1e-8
     assert act.imag_residual <= 1e-8
     deltas = (0.1, 0.05, 0.025, 0.0125)
-    web = wznw.TransportWeb(fld, min(deltas), deltas, wznw.QuadratureOptions())
+    web = wznw.TransportWeb(fld, deltas, wznw.QuadratureOptions())
     assert sum(len(region.z) for region in web.regions) == 29440
 
 
