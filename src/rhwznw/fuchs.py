@@ -39,11 +39,12 @@ diagonal torus by coordinate ascent with its seven starts as one more stack
 axis (B, 7, r).  :func:`rep_distance` is the mismatch it leaves.
 
 Transport has one integrator, an adaptive Dormand-Prince 5(4) loop over a
-stack of B members, with the coefficients -A(z(t)) z'(t) of every member
-at all stage points of a step from one product and each stage one product
-with a tableau row.  The step is shared: it is accepted when the largest
-scaled error over the members (per-member Frobenius norms) is <= 1, so
-every member meets the tolerance and the hardest member sets the pace.
+members-last stack (r, r, M), with the coefficients -A(z(t)) z'(t) of
+every member at all stage points of a step from one product and each
+stage one einsum over the members.  The step is shared: it is accepted
+when the largest scaled error over the members (per-member Frobenius
+norms) is <= 1, so every member meets the tolerance and the hardest
+member sets the pace.
 Values are recorded at stop times: a step that would pass the next stop is
 clipped to land on it, and the clip does not shrink the next step.  One
 builder makes the coefficients on a fan of L member paths, its point and
@@ -63,11 +64,13 @@ solution Y0 = G(x) x^{-L} (x = z - z_i, or 1/z at infinity) is summed to a
 tail below tol / 100, and every solution is Y0 K.  There is one recursion
 for G, :func:`series_stack`, over a stack of B systems at P points, the
 hardest member setting the term count as it sets the shared step of the
-kernel, and one series type, :class:`SeriesStack`, summed by one
-node-blocked power table.  The loop set takes every circle from one
-stacked call and hands the stack, with the approach legs' transports, to
-the normalization at infinity.  That matches every member at its loop
-entry and keeps the stack, so the action's web builds no series of its own.
+kernel, and one series type, :class:`SeriesStack`, which sums a grid of
+nodes rho x theta separably: a real power table in rho times a phase
+table in theta, with no complex exp per node.  The loop set takes every
+circle from one stacked call and hands the stack, with the approach legs'
+transports, to the normalization at infinity.  That matches every member
+at its loop entry and keeps the stack, so the action's web builds no
+series of its own.
 """
 
 from __future__ import annotations
@@ -417,10 +420,12 @@ class FuchsianSystem:
         return -np.sum(self.residues, axis=0)
 
     def A_of(self, z) -> np.ndarray:
-        """A(z) = sum_i A_i / (z - z_i); z may be any broadcastable array."""
+        """A(z) = sum_i A_i / (z - z_i) at a scalar or any array z, shape
+        z.shape + (r, r): the N nodes' 1 / (z - z_i), (N, n-1), times the
+        residues (n-1, r r) in one product."""
         z = np.asarray(z, dtype=complex)
-        denom = z[..., None, None, None] - self.points[:, None, None]
-        return np.sum(self.residues / denom, axis=-3)
+        w = 1.0 / (z.reshape(-1, 1) - self.points)
+        return (w @ self.residues.reshape(w.shape[1], -1)).reshape(z.shape + self.residues.shape[1:])
 
     def spectrum_residual(self) -> float:
         worst = 0.0
@@ -487,42 +492,33 @@ _DP_E = np.array(
 
 
 def _member_fro(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every member of a C-contiguous (B, N) complex stack."""
-    x = a.view(float)
-    return np.sqrt(np.einsum("ij,ij->i", x, x))
-
-
-def _stack_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a @ b for (B, r, r) stacks.  np.matmul multiplies tiny matrices
-    one at a time; from B = 32 on, r broadcast rank-1 updates over the stack
-    are faster (r = 2, B = 400: 49 us against 182 us on one core)."""
-    if len(a) < 32:
-        np.matmul(a, b, out=out)
-        return
-    np.multiply(a[:, :, :1], b[:, :1, :], out=out)
-    for j in range(1, a.shape[-1]):
-        out += a[:, :, j : j + 1] * b[:, j : j + 1, :]
+    """Frobenius norm of every member of a members-last complex stack
+    (..., M): the sum runs over all leading axes."""
+    x = np.ascontiguousarray(a).view(float).reshape(-1, a.shape[-1], 2)
+    return np.sqrt(np.einsum("imc,imc->m", x, x))
 
 
 def _integrate_stack(coefficients, y, tol: float, stats: dict, stops=(1.0,)) -> np.ndarray:
-    """Adaptive Dormand-Prince loop from t = 0 to stops[-1] for a (B, r, r) stack.
+    """Adaptive Dormand-Prince loop from t = 0 to stops[-1] for a members-last
+    (r, r, M) stack.
 
     coefficients maps stage times (T,) to -A(z(t)) z'(t) of every member,
-    shape (T, B, r, r), so all six stage points of a step take one call, and
-    each stage is one product with a tableau row.  One step is shared by the
+    shape (T, r, r, M), so all six stage points of a step take one call.
+    Each stage is one einsum over the members, at every M: np.matmul would
+    multiply the tiny matrices one at a time.  One step is shared by the
     stack and accepted when the largest scaled error over the members is
     <= 1, so every member meets tol; PI control, FSAL.  A step that would
     pass the next stop is clipped to land on it without shrinking the next
     proposal.  Returns the values at the increasing stops, each in [0, 1],
-    shape (len(stops), B, r, r).
+    shape (len(stops), r, r, M).
     """
     shape = y.shape
     ks = np.empty((7,) + shape, dtype=complex)
     kf = ks.reshape(7, -1)
     out = np.empty((len(stops),) + shape, dtype=complex)
     t, h, k = 0.0, 0.1, 0
-    yn = np.maximum(_member_fro(y.reshape(len(y), -1)), 1.0)
-    _stack_matmul(coefficients(np.zeros(1))[0], y, ks[0])
+    yn = np.maximum(_member_fro(y), 1.0)
+    np.einsum("ijm,jkm->ikm", coefficients(np.zeros(1))[0], y, out=ks[0])
     err_prev = 1.0
     while k < len(stops):
         clipped = h >= stops[k] - t
@@ -532,10 +528,10 @@ def _integrate_stack(coefficients, y, tol: float, stats: dict, stops=(1.0,)) -> 
         for s in range(1, 7):
             ys = (ha[s, :s] @ kf[:s]).reshape(shape)
             ys += y
-            _stack_matmul(cs[s - 1], ys, ks[s])
+            np.einsum("ijm,jkm->ikm", cs[s - 1], ys, out=ks[s])
         # the last stage is taken at the 5th-order solution
-        y5n = _member_fro(ys.reshape(len(y), -1))
-        errs = _member_fro((step * (_DP_E @ kf)).reshape(len(y), -1))
+        y5n = _member_fro(ys)
+        errs = _member_fro((step * (_DP_E @ kf)).reshape(shape))
         errs /= tol * np.maximum(yn, y5n)
         err = float(errs.max())
         # NaN means a stage point hit a pole: reject and shrink
@@ -568,17 +564,17 @@ def _integrate_stack(coefficients, y, tol: float, stats: dict, stops=(1.0,)) -> 
 
 def _march(points, residues, seg, y, tol: float, stats: dict, stops=(1.0,)) -> np.ndarray:
     """The kernel on one fan: S systems (S, n-1, r, r), each along each of
-    the L member paths, from the values y (L*S, r, r) ordered (L, S) to the
-    values at the stops.  point_and_velocity(t) is read as (T, L), so the
-    coefficients of all members at all stage points are one (T*L, n-1)
-    product with the negated residues."""
-    res_t = -np.moveaxis(residues, 1, 0).reshape(residues.shape[1], -1)
+    the L member paths, from the members-last values y (r, r, S*L), members
+    ordered (system, fan member), to the values at the stops.
+    point_and_velocity(t) is read as (T, L), so the coefficients of all
+    members at all stage points are one product
+    (r*r*S, n-1) @ (T, n-1, L) -> (T, r, r, S*L) with the negated residues."""
+    res_t = -np.transpose(residues, (2, 3, 0, 1)).reshape(-1, residues.shape[1])
 
     def coefficients(t):
         z, v = seg.point_and_velocity(t)
-        z = z.reshape(len(t), -1)
-        w = v.reshape(z.shape)[..., None] / (z[..., None] - points)
-        return (w.reshape(-1, len(points)) @ res_t).reshape((len(t),) + y.shape)
+        w = v[:, None, :] / (z[:, None, :] - points[:, None])
+        return (res_t @ w).reshape((len(t),) + y.shape)
 
     return _integrate_stack(coefficients, y, tol, stats, stops)
 
@@ -607,7 +603,9 @@ def transport_fan(
     the values are recorded at the increasing stop times in [0, 1]: values
     has shape (len(stops), L, r, r) for one system and
     (len(stops), S, L, r, r) for a stack, error_estimates (L,) or (S, L).
-    No proximity check is made.
+    The kernel runs them as one members-last stack (r, r, S*L) (_march);
+    the values are a view of it in these shapes.  No proximity check is
+    made.
     """
     _check_tol(tol)
     stops = np.asarray(stops, dtype=float)
@@ -619,13 +617,14 @@ def transport_fan(
     s, m, r, _ = res.shape
     count = fan.point_and_velocity(np.zeros(1))[0].shape[1]
     starts = np.broadcast_to(np.asarray(starts, dtype=complex), (s, count, r, r))
-    # the kernel's members run over (L, S): the coefficient product's order
-    y = np.swapaxes(starts, 0, 1).reshape(count * s, r, r).copy()
-    stats = {"steps": 0, "err": np.zeros(count * s)}
+    # the kernel's stack is members-last, (r, r, S*L) ordered (system, fan
+    # member): the coefficient product's order
+    y = np.ascontiguousarray(np.moveaxis(starts, (2, 3), (0, 1)).reshape(r, r, s * count))
+    stats = {"steps": 0, "err": np.zeros(s * count)}
     pts = np.asarray(points, dtype=complex)
     values = _march(pts, res, fan, y, tol, stats, stops)
-    values = np.swapaxes(values.reshape(len(stops), count, s, r, r), 1, 2)
-    errs = stats["err"].reshape(count, s).T
+    values = np.moveaxis(values.reshape(len(stops), r, r, s, count), (1, 2), (3, 4))
+    errs = stats["err"].reshape(s, count)
     if single:
         values, errs = values[:, 0], errs[0]
     return StackTransport(values=values, step_count=stats["steps"], error_estimates=errs)
@@ -687,8 +686,6 @@ SERIES_MIN_DIVISOR = 1e-6
 SERIES_MAX_TERMS = 200
 # a series' B_k are computed, and its buffers grown, this many orders at a time
 SERIES_CHUNK = 64
-# a series sums its frame over blocks of nodes whose power table stays within this
-SERIES_TABLE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -717,25 +714,37 @@ class SeriesStack:
         """F of every member, (S, r, r), at one local coordinate x[p] per point."""
         s = len(self.coefficients)
         u = np.tile(np.asarray(x, dtype=complex) / self.scale, s // len(self.scale))
-        return self._frames(np.arange(s), u[:, None])[:, 0]
+        return self._frames(np.arange(s), u)
 
     def values(self, s: int, rho, theta, coords: np.ndarray) -> np.ndarray:
-        """Y0 K of member s at the nodes z = z_i + rho e^{i theta} (at infinity
-        z = rho e^{i theta}); rho and theta broadcast to the node shape, and
-        the values have that shape + (r, r).
+        """Y0 K of member s on the grid of nodes z = z_i + rho e^{i theta} (at
+        infinity z = rho e^{i theta}), rho (A,) by theta (B,), either of them
+        a scalar; the values have shape rho.shape + theta.shape + (r, r).
 
         coords = basis^{-1} K are the coordinates of K in the eigenbasis of
         L, as matched returns them.  theta is the argument of z - z_i
         followed continuously along the caller's path; it picks the branch
-        of x^{-L}.
+        of x^{-L}.  The sum separates: u^m = (|x| / scale)^m e^{i m arg x}
+        is a real (A, M) table times a (B, M) one, so F is one product
+        (B, M) @ (A, M, r r) per rho row, and x^{-lam} is the outer product
+        of |x|^{-lam} and e^{-i lam arg x}.
         """
-        rho, theta = np.broadcast_arrays(rho, theta)
-        log_x, frame = self._nodes(s, rho.ravel(), theta.ravel())
-        r = frame.shape[-1]
+        p = s % len(self.at)
+        rho, theta = np.asarray(rho, dtype=float), np.asarray(theta, dtype=float)
+        sign, log_mod = self._log_modulus(p, rho.ravel())
+        angle = sign * theta.ravel()  # arg x
+        coef, lam = self.coefficients[s], self.exponents[s]
+        terms, r, _ = coef.shape
+        # F diag(|x|^{-lam}) on each rho row: the radial powers and factor
+        # enter the coefficients, the angular powers the one product
+        radial = _power_table(np.exp(log_mod) / self.scale[p], terms)
+        table = radial[:, :, None, None] * coef * np.exp(-log_mod[:, None] * lam)[:, None, None, :]
+        frame = _power_table(np.exp(1j * angle), terms) @ table.reshape(len(table), terms, r * r)
+        frame = frame.reshape(len(table), len(angle), r, r)
+        frame *= np.exp(-1j * angle[:, None] * lam)[:, None, :]
         # Y0 K = F diag(x^{-lam}) coords: one product, and each row of coords
         # only scaled, so none is swamped by a larger one
-        frame *= np.exp(-log_x[:, None] * self.exponents[s])[:, None, :]
-        return (frame.reshape(-1, r) @ coords).reshape(rho.shape + (r, r))
+        return (frame.reshape(-1, r) @ coords).reshape(rho.shape + theta.shape + (r, r))
 
     def matched(self, s: int, rho: float, theta: float, value: np.ndarray) -> np.ndarray:
         """The coordinates basis^{-1} K of the constant K with Y0 K = value at
@@ -746,47 +755,43 @@ class SeriesStack:
         spreads over many orders of magnitude (exponents with imaginary
         parts, far from the principal branch) keep their digits.
         """
-        log_x, frame = self._nodes(s, np.array([rho], dtype=float), np.array([theta], dtype=float))
-        lifted = np.linalg.solve(frame[0], value)
-        return np.exp(log_x[0] * self.exponents[s])[:, None] * lifted
-
-    def _nodes(self, s: int, rho, theta):
-        """log x and F, (N, r, r), of member s at flat node arrays."""
         p = s % len(self.at)
-        log_x = np.log(rho) + 1j * theta
-        if self.at[p] is None:
-            log_x = -log_x
-        x = np.exp(log_x)
-        if np.any(np.abs(x) > self.radius[p] * (1 + 1e-12)):
+        sign, log_mod = self._log_modulus(p, np.array([rho], dtype=float))
+        log_x = log_mod[0] + sign * 1j * theta
+        frame = self._frames(np.array([s]), np.exp(log_x)[None] / self.scale[p])[0]
+        lifted = np.linalg.solve(frame, value)
+        return np.exp(log_x * self.exponents[s])[:, None] * lifted
+
+    def _log_modulus(self, p: int, rho: np.ndarray):
+        """The sign of log x = +-(log rho + i theta) at point p (x = z - z_i
+        or 1/z) and log |x| at the radii rho; ValueError outside its radius."""
+        sign = -1.0 if self.at[p] is None else 1.0
+        log_mod = sign * np.log(rho)
+        if np.any(np.exp(log_mod) > self.radius[p] * (1 + 1e-12)):
             raise ValueError(f"node outside the series radius {self.radius[p]:.6g}")
-        return log_x, self._frames(np.array([s]), x[None] / self.scale[p])[0]
+        return sign, log_mod
 
     def _frames(self, members: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """F of the members (K,) at scaled nodes u (K, N), (K, N, r, r): one
-        product of a table of the powers u^m with the coefficients, taken over
-        blocks of nodes whose table stays within SERIES_TABLE_BYTES."""
+        """F of the members (K,) at one scaled node u (K,) each, (K, r, r)."""
         coef = self.coefficients[members]
         k, terms, r, _ = coef.shape
-        flat = coef.reshape(k, terms, r * r)
-        n = u.shape[1]
-        out = np.empty((k, n, r * r), dtype=complex)
-        block = max(1, SERIES_TABLE_BYTES // (16 * terms * k))
-        table = np.empty((k, terms, min(block, n)), dtype=complex)
-        for lo in range(0, n, block):
-            ub = u[:, lo : lo + block]
-            powers = table[:, :, : ub.shape[1]]
-            powers[:, 0] = 1.0
-            powers[:, 1] = ub
-            # by doubling: rows m.. are rows 0.. times u^m, so a block takes
-            # about log2(terms) products (np.cumprod is slower on complex)
-            m = 2
-            while m < terms:
-                c = min(m, terms - m)
-                step = (powers[:, m - 1] * ub)[:, None]
-                np.multiply(powers[:, :c], step, out=powers[:, m : m + c])
-                m += c
-            np.matmul(np.swapaxes(powers, 1, 2), flat, out=out[:, lo : lo + ub.shape[1]])
-        return out.reshape(k, n, r, r)
+        powers = _power_table(u, terms)
+        return (powers[:, None] @ coef.reshape(k, terms, r * r)).reshape(k, r, r)
+
+
+def _power_table(u: np.ndarray, terms: int) -> np.ndarray:
+    """The powers u^m, m < terms, of a real or complex u (N,), (N, terms):
+    by doubling, columns m.. are columns 0.. times u^m, so the table takes
+    about log2(terms) products (np.cumprod is slower on complex)."""
+    powers = np.empty((len(u), terms), dtype=u.dtype)
+    powers[:, 0] = 1.0
+    powers[:, 1] = u
+    m = 2
+    while m < terms:
+        c = min(m, terms - m)
+        np.multiply(powers[:, :c], (powers[:, m - 1] * u)[:, None], out=powers[:, m : m + c])
+        m += c
+    return powers
 
 
 def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
@@ -875,7 +880,7 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
         np.matmul(row[:, :, : m * r], terms[:, (size - m + 1) * r :], out=slot)
         slot /= divisor
         np.matmul(natural, slot.reshape(s, r * r, 1), out=lifted)
-        norms[m] = _member_fro(lifted.reshape(s, r * r))
+        norms[m] = _member_fro(lifted[..., 0].T)
         decay *= q
         tail = np.max(norms[max(m - 3, 0) : m + 1], axis=0) * decay
         if tail.max() <= target:

@@ -110,19 +110,21 @@ class SegmentFan:
                 self._d + 1j * self._sweep * self._radius * e)
 
 
-@dataclass(frozen=True)
 class RayFan:
     """Rays center[l] + e^{s + i phis[l]}, member l running from s = s0[l]
     to s1[l]; point_and_velocity(t) maps t (T,) to (T, L).  A scalar center,
-    s0 or s1 is shared by every member."""
+    s0 or s1 is shared by every member.  e^{i phis} is taken once, so a
+    point costs one real exp."""
 
-    center: complex | np.ndarray  # scalar or (L,)
-    phis: np.ndarray  # (L,)
-    s0: np.ndarray    # (L,) or a scalar
-    s1: np.ndarray    # (L,) or a scalar
+    def __init__(self, center, phis, s0, s1):
+        self.center = center  # scalar or (L,)
+        self.phis = phis      # (L,)
+        self.s0 = s0          # (L,) or a scalar
+        self.s1 = s1          # (L,) or a scalar
+        self._turn = np.exp(1j * np.asarray(phis))
 
     def point_and_velocity(self, t):
-        e = np.exp(self.s0 + np.asarray(t)[..., None] * (self.s1 - self.s0) + 1j * self.phis)
+        e = np.exp(self.s0 + np.asarray(t)[..., None] * (self.s1 - self.s0)) * self._turn
         return self.center + e, e * (self.s1 - self.s0)
 
 

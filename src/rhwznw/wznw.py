@@ -32,7 +32,9 @@ Gauss-Legendre panels in log-radius with panel edges aligned to the
 delta schedule, so one transported web serves every delta at once.
 Full circles use the periodic trapezoid rule in the angle; the outward
 patch regions, whose radial extent is only piecewise smooth in the
-angle, use Gauss-Legendre panels split at the boundary kinks.
+angle, use Gauss-Legendre panels split at the boundary kinks.  The web
+counts its nodes from these rules first and refuses more than
+WEB_NODE_LIMIT of them.
 
 Transport: near each puncture and near infinity Y is a convergent
 Frobenius series times a power.  The normalization at infinity already
@@ -44,7 +46,10 @@ every inward node of a patch and the whole outer region, so the web
 builds no series and transports no ring entry; only the outward rays,
 from the ring to the Voronoi or outer boundary, are transported: the rays
 of all patches as the members of one adaptive fan call
-(fuchs.transport_fan), with a stop at every Gauss-Legendre node.
+(fuchs.transport_fan), with a stop at every Gauss-Legendre node.  The
+inward nodes of a patch and the outer region are rho x phi grids, each
+one separable series evaluation (fuchs.SeriesStack.values), and A at all
+nodes of a region is one product (FuchsianSystem.A_of).
 """
 
 from __future__ import annotations
@@ -76,6 +81,9 @@ FIT_TOLERANCE = 1e-2
 OUTWARD_PANELS = 2
 # largest log-radius length of one radial Gauss-Legendre panel
 MAX_PANEL_SPAN = 0.8
+# most nodes of one quadrature web, 34 times the 29,440 of the default
+# schedule at the default quadrature on the rank-2 fixture
+WEB_NODE_LIMIT = 1_000_000
 # outer over inner radius of annulus_kinetic_integral's annulus
 ANNULUS_RATIO = 2.0
 # central-difference step of three_form_pair's d omega
@@ -294,8 +302,9 @@ def _region_series(fld: MetricField, at: int | None):
     member was matched at the loop entry, at argument a0 = arg(z0 - center);
     the argument of a node at angle phi is a0 + mod(phi - a0, 2 pi): the
     branch a transport from the entry counterclockwise along the circle and
-    then radially reaches.  The returned function maps broadcastable rho,
-    phi to Y of shape rho.shape + (r, r).
+    then radially reaches.  The returned function maps rho (A,) and phi
+    (B,), either of them a scalar, to Y on their grid, shape
+    rho.shape + phi.shape + (r, r) (fuchs.SeriesStack.values).
     """
     s = len(fld.series.at) - 1 if at is None else at
     center = 0j if at is None else complex(fld.system.points[at])
@@ -306,6 +315,20 @@ def _region_series(fld: MetricField, at: int | None):
         return fld.series.values(s, rho, a0 + np.mod(phi - a0, 2 * np.pi), coords)
 
     return values
+
+
+def _series_grid(fld: MetricField, at: int | None, radial, n_phi: int):
+    """Nodes z, radii, area weights and Y of one region (_region_series) on
+    the grid of the log-radius rule radial = (s, weights) by n_phi
+    trapezoid angles, each flattened in (rho, phi) order."""
+    s, w_s = radial
+    phis = 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    rho = np.exp(s)
+    center = 0j if at is None else complex(fld.system.points[at])
+    z = center + rho[:, None] * np.exp(1j * phis)[None, :]
+    wt = np.broadcast_to((w_s * np.exp(2 * s))[:, None] * (2 * np.pi / n_phi), z.shape)
+    y = _region_series(fld, at)(rho, phis)
+    return z.ravel(), np.repeat(rho, n_phi), wt.ravel(), y.reshape(-1, *y.shape[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +454,8 @@ class TransportWeb:
     Besides the densities, the web keeps h and A at IMAG_SAMPLE nodes of the
     first patch, spread evenly over its node list, for the check that the
     trace form stays real.  The web spans the smallest delta of the schedule.
+    Its nodes are counted from its radial and angular rules before anything
+    is evaluated: a web of more than WEB_NODE_LIMIT nodes raises ValueError.
     """
 
     IMAG_SAMPLE = 64
@@ -446,99 +471,75 @@ class TransportWeb:
         ring_radii = fld.series.radius[:-1]
         if max(delta_schedule) >= 0.8 * min(ring_radii):
             raise ValueError("largest delta must sit inside every puncture patch")
-        # every patch's outward rays are the members of one fan call, with a
-        # stop at every Gauss-Legendre node in t
-        patches = [self._patch_rays(i, ring_radii[i]) for i in range(len(pts))]
-        t_edges = np.linspace(0, 1, OUTWARD_PANELS + 1)
-        t_nodes, t_weights = _gl_panels(t_edges, 1.0, opts.gl_order)
-        rays = paths.RayFan(*(np.concatenate([getattr(fan, k) for fan, _, _ in patches])
-                              for k in ("center", "phis", "s0", "s1")))
-        ring_y = np.concatenate([y for _, _, y in patches])
-        y_out = fuchs.transport_fan(pts, fld.system.residues, rays, ring_y, t_nodes,
-                                    fld.transport_tol).values
-        ends = np.cumsum([len(fan.phis) for fan, _, _ in patches])[:-1]
         delta_min = min(delta_schedule)
         fixed = sorted(set(delta_schedule))
+        inward = [_log_panels(delta_min, ring_r, fixed, opts) for ring_r in ring_radii]
+        outer = _log_panels(self.r_out, 1.0 / delta_min, [1.0 / d for d in delta_schedule], opts)
+        angles = [self._ray_angles(i) for i in range(len(pts))]
+        t_nodes, t_weights = _gl_panels(np.linspace(0, 1, OUTWARD_PANELS + 1), 1.0, opts.gl_order)
+        nodes = (opts.n_phi * (sum(len(s_in) for s_in, _ in inward) + len(outer[0]))
+                 + len(t_nodes) * sum(len(phi) for phi, _ in angles))
+        if nodes > WEB_NODE_LIMIT:
+            raise ValueError(f"the quadrature web would have {nodes} nodes, "
+                             f"more than WEB_NODE_LIMIT = {WEB_NODE_LIMIT}")
+        # every patch's outward rays are the members of one fan call, with a
+        # stop at every Gauss-Legendre node in t
+        rays, ring_y = zip(*[self._patch_rays(i, ring_radii[i], phi)
+                             for i, (phi, _) in enumerate(angles)])
+        fan = paths.RayFan(*map(np.concatenate, zip(*rays)))
+        y_out = fuchs.transport_fan(pts, fld.system.residues, fan, np.concatenate(ring_y),
+                                    t_nodes, fld.transport_tol).values
+        ends = np.cumsum([len(phi) for phi, _ in angles])[:-1]
         self.regions = [
-            self._build_patch(i, ring_radii[i], delta_min, fixed, fan, w_phi, y, t_nodes, t_weights)
-            for i, ((fan, w_phi, _), y) in enumerate(zip(patches, np.split(y_out, ends, axis=1)))
+            self._build_patch(i, ray, w_phi, radial, y, t_nodes, t_weights)
+            for i, (ray, (_, w_phi), radial, y)
+            in enumerate(zip(rays, angles, inward, np.split(y_out, ends, axis=1)))
         ]
-        self.regions.append(self._build_outer(delta_schedule, delta_min))
+        # the outer region from the series at infinity, out to 1 / delta_min
+        z, rho, wt, y = _series_grid(fld, None, outer, opts.n_phi)
+        self.regions.append(_WebRegion(z, rho, wt, *self._densities(z, y)))
 
     # -- patches ------------------------------------------------------------
 
-    def _patch_rays(self, i: int, ring_r: float):
-        """The outward rays of the patch at puncture i, from its ring to the
-        patch boundary: a RayFan with one member per ray, their angular
-        weights and their ring values (rays, r, r) from the series.
-
-        The boundary rho_max(phi) has kinks where the active Voronoi/circle
-        constraint switches, so the angular rule is GL on panels split at the
-        kinks (uniform trapezoid would stall at N^-2)."""
-        pts = np.asarray(self.field.system.points)
-        kinks = _kink_angles(pts, i, self.r_out)
+    def _ray_angles(self, i: int):
+        """The angles of the outward rays of the patch at puncture i and their
+        weights.  The boundary rho_max(phi) has kinks where the active
+        Voronoi/circle constraint switches, so the angular rule is GL on
+        panels split at the kinks (uniform trapezoid would stall at N^-2)."""
+        kinks = _kink_angles(np.asarray(self.field.system.points), i, self.r_out)
         if len(kinks) == 0:
             kinks = np.array([0.0])
         edges = np.concatenate([kinks, [kinks[0] + 2 * np.pi]])
-        phi, w_phi = _gl_panels(edges, 2 * np.pi / 12, self.opts.gl_order)
+        return _gl_panels(edges, 2 * np.pi / 12, self.opts.gl_order)
+
+    def _patch_rays(self, i: int, ring_r: float, phi: np.ndarray):
+        """The outward rays of the patch at puncture i at the angles phi, from
+        its ring to the patch boundary, as the RayFan fields (center, phis,
+        s0, s1) of one member per ray, and their ring values from the series."""
+        pts = np.asarray(self.field.system.points)
         rho_max = _voronoi_rho_max(pts, i, phi, self.r_out)
-        rays = paths.RayFan(np.full(len(phi), complex(pts[i])), phi,
-                            np.full(len(phi), np.log(ring_r)), np.log(np.maximum(rho_max, ring_r)))
-        return rays, w_phi, _region_series(self.field, i)(ring_r, phi)
+        rays = (np.full(len(phi), complex(pts[i])), phi, np.full(len(phi), np.log(ring_r)),
+                np.log(np.maximum(rho_max, ring_r)))
+        return rays, _region_series(self.field, i)(ring_r, phi)
 
-    def _build_patch(self, i: int, ring_r: float, delta_min: float, fixed,
-                     rays: paths.RayFan, w_rays, y_out, t_nodes, t_weights) -> _WebRegion:
-        """The patch at puncture i: its inward nodes from the series, on the
-        common log-radius grid down to delta_min, and its rays' values y_out
-        (len(t_nodes), rays, r, r) at the stops t_nodes, w_rays their
-        angular weights."""
-        fld, opts = self.field, self.opts
-        center = complex(fld.system.points[i])
-        phis = 2 * np.pi * (np.arange(opts.n_phi) + 0.5) / opts.n_phi
-        w_phi = 2 * np.pi / opts.n_phi
-
-        s_in, w_in = _log_panels(delta_min, ring_r, fixed, opts)
-        rho_in = np.exp(s_in)
-        y_in = _region_series(fld, i)(rho_in[:, None], phis[None, :])
-        z_in = center + rho_in[:, None] * np.exp(1j * phis)[None, :]
-        wt_in = (w_in * np.exp(2 * s_in))[:, None] * w_phi
-
-        span = rays.s1 - rays.s0
-        s_out = rays.s0 + t_nodes[:, None] * span[None, :]
+    def _build_patch(self, i: int, rays, w_rays, radial, y_out, t_nodes, t_weights) -> _WebRegion:
+        """The patch at puncture i: its inward nodes from the series, at the
+        log-radius rule radial from delta_min to the ring, and its rays'
+        values y_out (len(t_nodes), rays, r, r) at the stops t_nodes, w_rays
+        their angular weights."""
+        z_in, rho_in, wt_in, y_in = _series_grid(self.field, i, radial, self.opts.n_phi)
+        center, phis, s0, s1 = rays
+        span = s1 - s0
+        s_out = s0 + t_nodes[:, None] * span[None, :]
         rho_out = np.exp(s_out)
-        z_out = center + rho_out * np.exp(1j * rays.phis)[None, :]
+        z_out = center + rho_out * np.exp(1j * phis)[None, :]
         wt_out = (t_weights[:, None] * span[None, :]) * np.exp(2 * s_out) * w_rays[None, :]
 
-        z = np.concatenate([z_in.ravel(), z_out.ravel()])
-        rho = np.concatenate(
-            [np.broadcast_to(rho_in[:, None], z_in.shape).ravel(), rho_out.ravel()]
-        )
-        wt = np.concatenate([np.broadcast_to(wt_in, z_in.shape).ravel(), wt_out.ravel()])
-        y = np.concatenate([y_in.reshape(-1, *y_in.shape[2:]), y_out.reshape(-1, *y_out.shape[2:])])
+        z = np.concatenate([z_in, z_out.ravel()])
+        y = np.concatenate([y_in, y_out.reshape(-1, *y_out.shape[2:])])
         kin, top = self._densities(z, y, keep_sample=(i == 0))
-        return _WebRegion(z=z, rho=rho, weight=wt, kinetic=kin, topological=top)
-
-    def _build_outer(self, delta_schedule, delta_min: float) -> _WebRegion:
-        fld, opts = self.field, self.opts
-        phis = 2 * np.pi * (np.arange(opts.n_phi) + 0.5) / opts.n_phi
-        w_phi = 2 * np.pi / opts.n_phi
-
-        fixed = [1.0 / d for d in delta_schedule]
-        s_nodes, s_weights = _log_panels(self.r_out, 1.0 / delta_min, fixed, opts)
-        rho = np.exp(s_nodes)
-        y = _region_series(fld, None)(rho[:, None], phis[None, :])
-
-        z = rho[:, None] * np.exp(1j * phis)[None, :]
-        wt = (s_weights * np.exp(2 * s_nodes))[:, None] * w_phi
-        zf = z.ravel()
-        kin, top = self._densities(zf, y.reshape(-1, *y.shape[2:]))
-        return _WebRegion(
-            z=zf,
-            rho=np.broadcast_to(rho[:, None], z.shape).ravel(),
-            weight=np.broadcast_to(wt, z.shape).ravel(),
-            kinetic=kin,
-            topological=top,
-        )
+        return _WebRegion(z=z, rho=np.concatenate([rho_in, rho_out.ravel()]),
+                          weight=np.concatenate([wt_in, wt_out.ravel()]), kinetic=kin, topological=top)
 
     def _densities(self, z: np.ndarray, y: np.ndarray, keep_sample: bool = False):
         A = self.field.system.A_of(z)
@@ -697,18 +698,10 @@ def annulus_kinetic_integral(fld: MetricField, puncture_index: int, delta: float
     (ValueError).
     """
     opts = QuadratureOptions()
-    system = fld.system
-    pts = np.asarray(system.points)
-    center = complex(pts[puncture_index])
-    phis = 2 * np.pi * (np.arange(opts.n_phi) + 0.5) / opts.n_phi
-    w_phi = 2 * np.pi / opts.n_phi
-    s_nodes, s_weights = _log_panels(delta, ANNULUS_RATIO * delta, [], opts)
-    y = _region_series(fld, puncture_index)(np.exp(s_nodes)[:, None], phis[None, :])
-    z = center + np.exp(s_nodes)[:, None] * np.exp(1j * phis)[None, :]
-    r = system.rank
-    kin, _ = densities(y.reshape(-1, r, r), system.A_of(z.ravel()))
-    wt = np.broadcast_to((s_weights * np.exp(2 * s_nodes))[:, None] * w_phi, z.shape)
-    return float(np.sum(wt.ravel() * kin))
+    radial = _log_panels(delta, ANNULUS_RATIO * delta, [], opts)
+    z, _, wt, y = _series_grid(fld, puncture_index, radial, opts.n_phi)
+    kin, _ = densities(y, fld.system.A_of(z))
+    return float(np.sum(wt * kin))
 
 
 def abelian_action_closed_form(weights: fuchs.WeightSystem) -> float:

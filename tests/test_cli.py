@@ -296,6 +296,19 @@ def test_bad_delta_schedule_exit(tmp_path, capsys, schedule, code):
     assert not (tmp_path / "out" / "result.json").exists()
 
 
+def test_web_node_limit_exit(tmp_path, capsys):
+    # a valid schedule whose web at the default quadrature would exceed
+    # wznw.WEB_NODE_LIMIT stops before the web is built
+    data = rank2_config().to_dict()
+    data["action"].update(delta_schedule=[0.1, 0.05, 1e-300])
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    rc = cli.main(["action", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err and "WEB_NODE_LIMIT" in err
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_verify_count_below_one(tmp_path, capsys, count):
     rc = cli.main(["verify", "bruhat", "--count", count, "--out", str(tmp_path)])

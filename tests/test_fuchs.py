@@ -417,6 +417,20 @@ def test_align_conjugator_stable_under_last_bit_perturbations(rank2_oracle_syste
         assert numcore.fro(w - base.conjugator) <= 1e-9 * numcore.fro(base.conjugator)
 
 
+def test_A_of_on_an_array_matches_the_residue_sum(rank2_oracle_system):
+    # one product over all nodes against sum_j A_j / (z - z_j) node by node,
+    # with the node array's shape kept
+    rng = np.random.default_rng(81)
+    z = rng.uniform(-2, 3, (7, 5)) + 1j * rng.uniform(-2, 2, (7, 5))
+    got = rank2_oracle_system.A_of(z)
+    assert got.shape == (7, 5, 2, 2)
+    for idx in np.ndindex(z.shape):
+        want = sum(a / (z[idx] - p) for a, p in zip(rank2_oracle_system.residues,
+                                                    rank2_oracle_system.points))
+        assert numcore.fro(got[idx] - want) <= 1e-14 * numcore.fro(want)
+    assert rank2_oracle_system.A_of(z[0, 0]).shape == (2, 2)
+
+
 def test_rank2_rigid_residues_spectra(rank2_oracle_system, rank2_weights):
     assert rank2_oracle_system.spectrum_residual() < 1e-12
     assert rank2_oracle_system.infinity_spectrum_residual() < 1e-12
@@ -849,7 +863,7 @@ def test_local_series_matches_fan_property(seed):
         rays = paths.RayFan(center, theta, np.log(ring), s_far)
         ray_ref = fuchs.transport_fan(pts, res, rays, ring_ref, stops, tol / 100).values
         rhos = np.exp(np.log(ring) + stops * (s_far - np.log(ring)))
-        got = series.values(0, np.concatenate([[ring], rhos])[:, None], theta[None, :], right)
+        got = series.values(0, np.concatenate([[ring], rhos]), theta, right)
         refs = np.concatenate([ring_ref[None], ray_ref])
         for k in range(len(refs)):
             for b in range(6):
@@ -886,23 +900,33 @@ def test_local_series_limits():
         series.values(0, 0.6, 0.0, np.eye(3))
 
 
-@pytest.mark.parametrize("table_bytes", [16 * 7, 1 << 20])
-def test_local_series_blocked_sum_matches_horner(monkeypatch, table_bytes):
-    # the frame from the blocked power table against Horner on the
-    # coefficients, with node blocks of 1 (16 * 7 bytes hold one row of
-    # powers at most) and of all nodes at once
+@pytest.mark.parametrize("at", [1, None], ids=["puncture", "infinity"])
+def test_local_series_grid_values_match_horner(at):
+    # Y0 K on a random rho x theta grid from the separable sum against
+    # Horner on the coefficients, with x^{-L} from one complex exp per node,
+    # at every node, for a puncture member and for the infinity member
     system = _n4_rank3_system(41)
-    series = fuchs.series_stack(system.points, system.residues[None], [1], [0.5], 1e-10)
+    radius = 0.5 if at is not None else 0.3
+    series = fuchs.series_stack(system.points, system.residues[None], [at], [radius], 1e-10)
     rng = np.random.default_rng(3)
-    rho, theta = rng.uniform(1e-3, 0.5, 37), rng.uniform(0.0, 2 * np.pi, 37)
-    monkeypatch.setattr(fuchs, "SERIES_TABLE_BYTES", table_bytes)
-    log_x, frame = series._nodes(0, rho, theta)
-    u = (np.exp(log_x) / series.scale[0])[:, None, None]
+    rho = rng.uniform(1e-3, radius, 37)
+    if at is None:
+        rho = 1.0 / rho
+    theta = rng.uniform(-4 * np.pi, 4 * np.pi, 23)
+    coords = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
+    got = series.values(0, rho, theta, coords)
+    assert got.shape == (37, 23, 3, 3)
+    log_x = np.log(rho)[:, None] + 1j * theta[None, :]
+    if at is None:
+        log_x = -log_x
+    u = (np.exp(log_x) / series.scale[0])[..., None, None]
     coefficients = series.coefficients[0]
-    want = np.broadcast_to(coefficients[-1], frame.shape).copy()
+    frame = np.broadcast_to(coefficients[-1], got.shape).copy()
     for c in coefficients[-2::-1]:
-        want = want * u + c
-    assert np.max(np.abs(frame - want)) <= 1e-14 * np.max(np.abs(want))
+        frame = frame * u + c
+    want = (frame * np.exp(-log_x[..., None] * series.exponents[0])[..., None, :]) @ coords
+    err = np.linalg.norm(got - want, axis=(-2, -1))
+    assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))
 
 
 def _n4_rank2_weights():

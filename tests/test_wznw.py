@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -368,6 +370,19 @@ def test_action_non_finite_total_raises(rank2_field):
     opts = wznw.QuadratureOptions(n_phi=8, gl_order=2)
     with pytest.raises(numcore.NumericalError, match="delta 1e-300"):
         wznw.action_regularized(rank2_field, (0.1, 0.05, 1e-300), opts)
+
+
+def test_web_node_limit_raises_before_any_transport(rank2_field, monkeypatch):
+    # delta 1e-300 at the default quadrature plans about 4 million nodes; it
+    # used to build a 771 MB web in 6.9 s before its total overflowed
+    def no_transport(*args, **kwargs):
+        raise AssertionError("transported past the node limit")
+
+    monkeypatch.setattr(fuchs, "transport_fan", no_transport)
+    start = time.process_time()
+    with pytest.raises(ValueError, match="WEB_NODE_LIMIT"):
+        wznw.action_regularized(rank2_field, (0.1, 0.05, 1e-300))
+    assert time.process_time() - start < 1.0
 
 
 def test_counterterm_annulus(rank2_field, rank2_weights):
