@@ -38,13 +38,16 @@ balancing lands on the unitary gauge when one exists), then align the
 diagonal torus by coordinate ascent with its seven starts as one more stack
 axis (B, 7, r).  :func:`rep_distance` is the mismatch it leaves.
 
-Transport has one integrator, an adaptive Dormand-Prince 5(4) loop over a
+Transport has one integrator, an adaptive Dormand-Prince 8(5,3) loop
+(DOP853: 12 stages, the last at the 8th-order solution, so FSAL) over a
 members-last stack (r, r, M), with the coefficients -A(z(t)) z'(t) of
-every member at all stage points of a step from one product and each
-stage one einsum over the members.  The step is shared: it is accepted
-when the largest scaled error over the members (per-member Frobenius
-norms) is <= 1, so every member meets the tolerance and the hardest
-member sets the pace.
+every member at all twelve stage points of a step from one product and
+each stage one einsum over the members.  A member's error is Hairer's
+combined estimate e5^2 / sqrt(e5^2 + 0.01 e3^2) from the per-member
+Frobenius norms of its 5th- and 3rd-order error estimates.  The step is
+shared: it is accepted when the largest scaled error over the members is
+<= 1, so every member meets the tolerance and the hardest member sets the
+pace.
 Values are recorded at stop times: a step that would pass the next stop is
 clipped to land on it, and the clip does not shrink the next step.  One
 builder makes the coefficients on a fan of L member paths, its point and
@@ -460,32 +463,78 @@ class StackTransport:
     error_estimates: np.ndarray  # ([S,] L) accumulated local error per member
 
 
-# Dormand-Prince 5(4) tableau; row s of _DP_A holds the stage-s weights.
-# The rows are stored complex so that products with the stage stack need
-# no cast.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = np.array(
+# Dormand-Prince 8(5,3) tableau (DOP853: Hairer, Norsett & Wanner, Solving
+# ODEs I, II.10), the coefficients of Hairer's dop853.f.  _DOP_C holds the 13
+# stage times and row s of _DOP_A the stage-s weights; row 12 is the 8th-order
+# solution b, so stage 12 is the next step's stage 0 (FSAL).  _DOP_E5 and
+# _DOP_E3 weight stages 0-11 into the embedded 5th- and 3rd-order error
+# estimates.  The rows are stored complex so that products with the stage
+# stack need no cast.
+_DOP_C = np.array(
     [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+        0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+        0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+        0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0,
+    ]
+)
+_DOP_A = np.array(
+    [row + [0.0] * (12 - len(row)) for row in [
+        [],
+        [0.05260015195876773],
+        [0.0197250569845379, 0.0591751709536137],
+        [0.02958758547680685, 0.0, 0.08876275643042054],
+        [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+        [
+            0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242,
+        ],
+        [
+            0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+            -0.017578125,
+        ],
+        [
+            0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+            -0.015319437748624402, 0.008273789163814023,
+        ],
+        [
+            0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+            27.59209969944671, 20.154067550477894, -43.48988418106996,
+        ],
+        [
+            0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+            21.230051448181193, 15.279233632882423, -33.28821096898486,
+            -0.020331201708508627,
+        ],
+        [
+            -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+            -8.149787010746927, -18.52006565999696, 22.739487099350505,
+            2.4936055526796523, -3.0467644718982196,
+        ],
+        [
+            2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+            -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+            -8.87285693353063, 12.360567175794303, 0.6433927460157636,
+        ],
+        [
+            0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+            1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+            -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+        ],
+    ]],
+    dtype=complex,
+)
+_DOP_E5 = np.array(
+    [
+        0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+        -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+        0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
     ],
     dtype=complex,
 )
-# the last row of _DP_A is the 5th-order solution (FSAL); _DP_E = b5 - b4
-_DP_E = np.array(
+_DOP_E3 = np.array(
     [
-        35 / 384 - 5179 / 57600,
-        0.0,
-        500 / 1113 - 7571 / 16695,
-        125 / 192 - 393 / 640,
-        -2187 / 6784 + 92097 / 339200,
-        11 / 84 - 187 / 2100,
-        -1 / 40,
+        -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+        -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
+        0.20136540080403034, 0.02265179219836082,
     ],
     dtype=complex,
 )
@@ -499,22 +548,26 @@ def _member_fro(a: np.ndarray) -> np.ndarray:
 
 
 def _integrate_stack(coefficients, y, tol: float, stats: dict, stops=(1.0,)) -> np.ndarray:
-    """Adaptive Dormand-Prince loop from t = 0 to stops[-1] for a members-last
-    (r, r, M) stack.
+    """Adaptive Dormand-Prince 8(5,3) loop (DOP853) from t = 0 to stops[-1]
+    for a members-last (r, r, M) stack.
 
     coefficients maps stage times (T,) to -A(z(t)) z'(t) of every member,
-    shape (T, r, r, M), so all six stage points of a step take one call.
+    shape (T, r, r, M), so all twelve stage points of a step take one call.
     Each stage is one einsum over the members, at every M: np.matmul would
-    multiply the tiny matrices one at a time.  One step is shared by the
-    stack and accepted when the largest scaled error over the members is
-    <= 1, so every member meets tol; PI control, FSAL.  A step that would
-    pass the next stop is clipped to land on it without shrinking the next
-    proposal.  Returns the values at the increasing stops, each in [0, 1],
-    shape (len(stops), r, r, M).
+    multiply the tiny matrices one at a time.  The 12 stages give the
+    8th-order solution, whose last stage is the next step's first (FSAL).
+    A member's error is Hairer's combined estimate
+    e5^2 / sqrt(e5^2 + 0.01 e3^2) from the Frobenius norms e5, e3 of its
+    5th- and 3rd-order error estimates, scaled by tol times its largest
+    norm so far.  One step is shared by the stack and accepted when the
+    largest scaled error over the members is <= 1, so every member meets
+    tol; PI control.  A step that would pass the next stop is clipped to
+    land on it without shrinking the next proposal.  Returns the values at
+    the increasing stops, each in [0, 1], shape (len(stops), r, r, M).
     """
     shape = y.shape
-    ks = np.empty((7,) + shape, dtype=complex)
-    kf = ks.reshape(7, -1)
+    ks = np.empty((13,) + shape, dtype=complex)
+    kf = ks.reshape(13, -1)
     out = np.empty((len(stops),) + shape, dtype=complex)
     t, h, k = 0.0, 0.1, 0
     yn = np.maximum(_member_fro(y), 1.0)
@@ -523,26 +576,29 @@ def _integrate_stack(coefficients, y, tol: float, stats: dict, stops=(1.0,)) -> 
     while k < len(stops):
         clipped = h >= stops[k] - t
         step = stops[k] - t if clipped else h
-        cs = coefficients(t + _DP_C[1:] * step)
-        ha = step * _DP_A
-        for s in range(1, 7):
+        cs = coefficients(t + _DOP_C[1:] * step)
+        ha = step * _DOP_A
+        for s in range(1, 13):
             ys = (ha[s, :s] @ kf[:s]).reshape(shape)
             ys += y
             np.einsum("ijm,jkm->ikm", cs[s - 1], ys, out=ks[s])
-        # the last stage is taken at the 5th-order solution
-        y5n = _member_fro(ys)
-        errs = _member_fro((step * (_DP_E @ kf)).reshape(shape))
-        errs /= tol * np.maximum(yn, y5n)
+        # the last stage is taken at the 8th-order solution
+        y8n = _member_fro(ys)
+        e5sq = _member_fro((step * (_DOP_E5 @ kf[:12])).reshape(shape)) ** 2
+        e3sq = _member_fro((step * (_DOP_E3 @ kf[:12])).reshape(shape)) ** 2
+        # e5 = e3 = 0 reads 0, not 0 / 0
+        errs = e5sq / np.maximum(np.sqrt(e5sq + 0.01 * e3sq), 1e-300)
+        errs /= tol * np.maximum(yn, y8n)
         err = float(errs.max())
         # NaN means a stage point hit a pole: reject and shrink
         err = np.inf if np.isnan(err) else max(err, 1e-16)
         if err <= 1.0:
             y = ys
-            ks[0] = ks[6]  # FSAL
-            yn = np.maximum(yn, y5n)
+            ks[0] = ks[12]  # FSAL
+            yn = np.maximum(yn, y8n)
             stats["steps"] += 1
             stats["err"] += np.maximum(errs, 1e-16) * tol * yn
-            factor = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
+            factor = 0.9 * err ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0)
             h_new = step * min(max(factor, 0.2), 5.0)
             if clipped:
                 # a short landing step says little about the next one: keep
@@ -556,7 +612,7 @@ def _integrate_stack(coefficients, y, tol: float, stats: dict, stops=(1.0,)) -> 
                 h = h_new
                 err_prev = err
         else:
-            h = step * min(max(0.9 * err ** (-0.2), 0.2), 5.0)
+            h = step * min(max(0.9 * err ** (-1.0 / 8.0), 0.2), 5.0)
         if h < 1e-13:
             raise StiffnessError("step size underflow during transport")
     return out

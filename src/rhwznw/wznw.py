@@ -49,7 +49,9 @@ of all patches as the members of one adaptive fan call
 (fuchs.transport_fan), with a stop at every Gauss-Legendre node.  The
 inward nodes of a patch and the outer region are rho x phi grids, each
 one separable series evaluation (fuchs.SeriesStack.values), and A at all
-nodes of a region is one product (FuchsianSystem.A_of).
+nodes of a region is one product.  A patch takes it from the nodes' offsets
+x = z - z_i, A_i / x + sum_{j != i} A_j / (x + z_i - z_j), which keep their
+digits however close to z_i; the outer region uses FuchsianSystem.A_of.
 """
 
 from __future__ import annotations
@@ -318,17 +320,28 @@ def _region_series(fld: MetricField, at: int | None):
 
 
 def _series_grid(fld: MetricField, at: int | None, radial, n_phi: int):
-    """Nodes z, radii, area weights and Y of one region (_region_series) on
-    the grid of the log-radius rule radial = (s, weights) by n_phi
-    trapezoid angles, each flattened in (rho, phi) order."""
+    """Node offsets x = z - center, radii, area weights and Y of one region
+    (_region_series) on the grid of the log-radius rule radial =
+    (s, weights) by n_phi trapezoid angles, each flattened in (rho, phi)
+    order."""
     s, w_s = radial
     phis = 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
     rho = np.exp(s)
-    center = 0j if at is None else complex(fld.system.points[at])
-    z = center + rho[:, None] * np.exp(1j * phis)[None, :]
-    wt = np.broadcast_to((w_s * np.exp(2 * s))[:, None] * (2 * np.pi / n_phi), z.shape)
+    x = rho[:, None] * np.exp(1j * phis)[None, :]
+    wt = np.broadcast_to((w_s * np.exp(2 * s))[:, None] * (2 * np.pi / n_phi), x.shape)
     y = _region_series(fld, at)(rho, phis)
-    return z.ravel(), np.repeat(rho, n_phi), wt.ravel(), y.reshape(-1, *y.shape[2:])
+    return x.ravel(), np.repeat(rho, n_phi), wt.ravel(), y.reshape(-1, *y.shape[2:])
+
+
+def _region_A(system: fuchs.FuchsianSystem, at: int | None, x: np.ndarray) -> np.ndarray:
+    """A at the nodes z = z_at + x of the patch at puncture `at`, from their
+    offsets x: A_at / x + sum_{j != at} A_j / (x + z_at - z_j).  Forming z
+    and then z - z_at would keep only about eps |z_at| / |x| of x's relative
+    accuracy.  The outer region (at = None) is centered at 0: A_of(x)."""
+    if at is None:
+        return system.A_of(x)
+    w = 1.0 / (x.reshape(-1, 1) + (system.points[at] - system.points))
+    return (w @ system.residues.reshape(w.shape[1], -1)).reshape(x.shape + system.residues.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +509,8 @@ class TransportWeb:
             in enumerate(zip(rays, angles, inward, np.split(y_out, ends, axis=1)))
         ]
         # the outer region from the series at infinity, out to 1 / delta_min
-        z, rho, wt, y = _series_grid(fld, None, outer, opts.n_phi)
-        self.regions.append(_WebRegion(z, rho, wt, *self._densities(z, y)))
+        x, rho, wt, y = _series_grid(fld, None, outer, opts.n_phi)
+        self.regions.append(_WebRegion(x, rho, wt, *self._densities(None, x, y)))
 
     # -- patches ------------------------------------------------------------
 
@@ -527,24 +540,27 @@ class TransportWeb:
         log-radius rule radial from delta_min to the ring, and its rays'
         values y_out (len(t_nodes), rays, r, r) at the stops t_nodes, w_rays
         their angular weights."""
-        z_in, rho_in, wt_in, y_in = _series_grid(self.field, i, radial, self.opts.n_phi)
-        center, phis, s0, s1 = rays
+        x_in, rho_in, wt_in, y_in = _series_grid(self.field, i, radial, self.opts.n_phi)
+        _, phis, s0, s1 = rays
         span = s1 - s0
         s_out = s0 + t_nodes[:, None] * span[None, :]
         rho_out = np.exp(s_out)
-        z_out = center + rho_out * np.exp(1j * phis)[None, :]
+        x_out = rho_out * np.exp(1j * phis)[None, :]
         wt_out = (t_weights[:, None] * span[None, :]) * np.exp(2 * s_out) * w_rays[None, :]
 
-        z = np.concatenate([z_in, z_out.ravel()])
+        x = np.concatenate([x_in, x_out.ravel()])
         y = np.concatenate([y_in, y_out.reshape(-1, *y_out.shape[2:])])
-        kin, top = self._densities(z, y, keep_sample=(i == 0))
-        return _WebRegion(z=z, rho=np.concatenate([rho_in, rho_out.ravel()]),
+        kin, top = self._densities(i, x, y, keep_sample=(i == 0))
+        return _WebRegion(z=self.field.system.points[i] + x,
+                          rho=np.concatenate([rho_in, rho_out.ravel()]),
                           weight=np.concatenate([wt_in, wt_out.ravel()]), kinetic=kin, topological=top)
 
-    def _densities(self, z: np.ndarray, y: np.ndarray, keep_sample: bool = False):
-        A = self.field.system.A_of(z)
+    def _densities(self, at: int | None, x: np.ndarray, y: np.ndarray, keep_sample: bool = False):
+        """Kinetic and topological densities at the nodes z_at + x of the
+        patch at puncture `at` (the outer region for at = None), Y there y."""
+        A = _region_A(self.field.system, at, x)
         if keep_sample:
-            idx = np.linspace(0, len(z) - 1, min(self.IMAG_SAMPLE, len(z))).astype(int)
+            idx = np.linspace(0, len(x) - 1, min(self.IMAG_SAMPLE, len(x))).astype(int)
             self.sample_h, self.sample_A = _metric_from_factor(y[idx]), A[idx]
         return densities(y, A)
 
@@ -699,8 +715,8 @@ def annulus_kinetic_integral(fld: MetricField, puncture_index: int, delta: float
     """
     opts = QuadratureOptions()
     radial = _log_panels(delta, ANNULUS_RATIO * delta, [], opts)
-    z, _, wt, y = _series_grid(fld, puncture_index, radial, opts.n_phi)
-    kin, _ = densities(y, fld.system.A_of(z))
+    x, _, wt, y = _series_grid(fld, puncture_index, radial, opts.n_phi)
+    kin, _ = densities(y, _region_A(fld.system, puncture_index, x))
     return float(np.sum(wt * kin))
 
 

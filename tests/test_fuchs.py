@@ -545,6 +545,135 @@ def test_transport_stack_stage_on_pole_raises():
 
 
 # ---------------------------------------------------------------------------
+# the DOP853 kernel: its tableau, its order and its global error
+
+
+def test_dop853_tableau_is_hairers():
+    # the literals are Hairer's dop853.f coefficients as scipy ships them,
+    # bit for bit; the error rows have no weight on the FSAL stage
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert np.array_equal(fuchs._DOP_C, ref.C[:13])
+    assert np.array_equal(fuchs._DOP_A, ref.A[:13, :12])
+    assert np.array_equal(fuchs._DOP_A[12], ref.B)
+    assert np.array_equal(fuchs._DOP_E5, ref.E5[:12]) and ref.E5[12] == 0
+    assert np.array_equal(fuchs._DOP_E3, ref.E3[:12]) and ref.E3[12] == 0
+
+
+def test_dop853_tableau_conditions():
+    c, a = fuchs._DOP_C, fuchs._DOP_A.real
+    assert np.all(fuchs._DOP_A.imag == 0) and np.all(np.triu(a) == 0)
+    assert np.max(np.abs(a.sum(axis=1) - c)) <= 1e-14
+    # row 12 is the 8th-order solution b, taken at t + h: FSAL
+    b = a[12]
+    assert c[12] == 1.0
+    for k in range(8):
+        assert abs(b @ c[:12] ** k - 1 / (k + 1)) <= 1e-14
+    assert abs(fuchs._DOP_E5.sum()) <= 1e-14 and abs(fuchs._DOP_E3.sum()) <= 1e-14
+
+
+def test_transport_order_on_closed_form_rank1():
+    # Y = prod (z - z_i)^{-alpha_i} relative to its start; the line crosses
+    # no branch cut of the principal powers.  An 8th-order pair meets tol
+    # globally, and its steps grow by about 100^(1/8) = 1.8 per factor 100
+    points = np.array([0.0, 1.0, 0.3 + 0.8j])
+    alphas = np.array([0.3, 0.45, 0.2])
+    line = paths.Line(2.5 + 1j, 0.2 + 0.1j)
+    exact = np.prod((line.end - points) ** -alphas) / np.prod((line.start - points) ** -alphas)
+    steps = []
+    for tol in (1e-8, 1e-10, 1e-12):
+        out = fuchs.transport_fan(points, alphas.reshape(3, 1, 1), paths.SegmentFan([line]),
+                                  np.ones((1, 1, 1)), tol=tol)
+        assert abs(out.values[-1, 0, 0, 0] - exact) <= tol * abs(exact)
+        steps.append(out.step_count)
+    assert steps[1] <= 2.2 * steps[0] and steps[2] <= 2.2 * steps[1]
+
+
+def _ivp_reference(points, residues, fan, starts, stops):
+    """One system along every member of a fan, from starts (L, r, r), by
+    scipy's DOP853 at rtol 1e-13: the values at the stops, (len(stops), L, r, r)."""
+    from scipy.integrate import solve_ivp
+
+    count, r = starts.shape[0], starts.shape[-1]
+
+    def rhs(t, y):
+        z, v = fan.point_and_velocity(np.array([t]))
+        a = np.einsum("lj,jab->lab", v[0][:, None] / (z[0][:, None] - points), residues)
+        return -(a @ y.reshape(count, r, r)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, stops[-1]), starts.astype(complex).ravel(), method="DOP853",
+                    t_eval=stops, rtol=1e-13, atol=1e-16)
+    return sol.y.T.reshape(len(stops), count, r, r)
+
+
+def test_transport_global_error_into_punctures(rank2_oracle_system, rank2_weights):
+    # lines from rho = 0.8 to 1e-3 into each fixture puncture: the global
+    # error, not only each step's local error, stays within tol
+    tol, worst = 1e-10, 0.0
+    for zi in rank2_weights.points:
+        for k in range(6):
+            turn = np.exp(2j * np.pi * (k + 0.5) / 6)
+            line = paths.Line(complex(zi + 0.8 * turn), complex(zi + 1e-3 * turn))
+            got = fuchs.transport(rank2_oracle_system, [line], tol=tol, precheck=False).value
+            ref = _ivp_reference(rank2_weights.points, rank2_oracle_system.residues,
+                                 paths.SegmentFan([line]), np.eye(2)[None], np.array([1.0]))[0, 0]
+            worst = max(worst, numcore.fro(got - ref) / numcore.fro(ref))
+    assert worst <= tol
+
+
+def test_fixture_transports_match_reference_in_few_steps(rank2_oracle_system, rank2_target,
+                                                         monkeypatch):
+    # the normalization's approach leg and the action's outward-ray fan on
+    # the fixture: few steps (one per Gauss-Legendre stop on the rays) and
+    # the fan within 1e-11 of the reference at every stop
+    from rhwznw import wznw
+
+    calls = []
+    fan_call = fuchs.transport_fan
+
+    def recorded(*args, **kwargs):
+        out = fan_call(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(fuchs, "transport_fan", recorded)
+    wznw.action_regularized(wznw.make_metric_field(rank2_oracle_system, rank2_target))
+    (leg_args, leg), (ray_args, rays) = calls
+    assert isinstance(leg_args[2], paths.SegmentFan) and leg.step_count <= 15
+    points, residues, fan, starts, stops = ray_args[:5]
+    assert isinstance(fan, paths.RayFan) and rays.step_count <= len(stops) == 16
+    ref = _ivp_reference(points, residues, fan, starts, stops)
+    rel = np.linalg.norm(rays.values - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+    assert rel.max() <= 1e-11
+
+
+def test_pipeline_does_not_import_scipy_integrate():
+    # the tableau is literal: a fixture field, its action and a cold solve,
+    # in a fresh interpreter, load no part of scipy.integrate (importing it
+    # raised the peak RSS of such a run by about a third)
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import sys
+from rhwznw import fuchs, rhsolve, wznw
+ws = fuchs.build_weight_system([0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
+target = fuchs.build_admissible_rep(ws, fuchs.rank2_closure_conjugators(ws))
+system = fuchs.FuchsianSystem(ws, fuchs.rank2_rigid_residues(ws))
+wznw.action_regularized(wznw.make_metric_field(system, target))
+assert rhsolve.solve(ws, target)[1].success
+print(sorted(m for m in sys.modules if m.startswith("scipy.integrate")))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fuchs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
 # fan paths: one system, B member paths sharing the steps
 
 

@@ -385,6 +385,19 @@ def test_web_node_limit_raises_before_any_transport(rank2_field, monkeypatch):
     assert time.process_time() - start < 1.0
 
 
+def test_totals_keep_their_digits_at_tiny_deltas(rank2_field, rank2_weights):
+    # A at a patch node comes from its offset x = z - z_i, not from z: at
+    # the puncture z_i = 1, z - z_i keeps only about eps / rho of x, and the
+    # totals at 1e-16 and 1e-20 used to read 9.09 and 1296
+    deltas = (1e-8, 1e-12, 1e-16, 1e-20)
+    k1, k2 = rank2_weights.counterterm_coefficients()
+    web = wznw.TransportWeb(rank2_field, deltas, wznw.QuadratureOptions())
+    totals = np.array([sum(web.integrals_at(d)) + 2 * np.pi * np.log(d) * (k1 + k2)
+                       for d in deltas])
+    assert np.max(np.abs(totals / totals[0] - 1)) <= 1e-9
+    assert np.isfinite(wznw.action_regularized(rank2_field, (0.1, 0.05, 0.025, 1e-30)).value)
+
+
 def test_counterterm_annulus(rank2_field, rank2_weights):
     for i in range(2):
         val = wznw.annulus_kinetic_integral(rank2_field, i, 1e-4)
