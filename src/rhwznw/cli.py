@@ -113,7 +113,7 @@ def _positive_float(value) -> float:
 # the delta schedule is checked as action_regularized checks it
 SOLVER_FIELDS = (
     ("tol", _positive_float), ("max_iter", _count), ("restarts", _count),
-    ("seed", _integer), ("transport_tol", _positive_float),
+    ("seed", _integer),
 )
 ACTION_FIELDS = (
     ("delta_schedule", wznw.checked_delta_schedule),
@@ -128,10 +128,15 @@ def _section_to_dict(obj, fields) -> dict:
 
 
 def _section_from_dict(data: dict, section: str, fields) -> dict:
-    """The fields present in data[section], read; absent ones keep their defaults."""
+    """The fields present in data[section], read; absent ones keep their
+    defaults, and a key that is not a field of the section is refused."""
     values = data.get(section, {})
     if not isinstance(values, dict):
         raise ConfigError(section, "expected an object")
+    known = {name for name, _ in fields}
+    for key in values:
+        if key not in known:
+            raise ConfigError(f"{section}.{key}", "unknown field")
     return {
         name: _read(f"{section}.{name}", convert, values[name])
         for name, convert in fields
@@ -264,7 +269,7 @@ def cmd_monodromy(cfg: ProblemConfig, out_dir: Path) -> int:
     ws = cfg.weight_system()
     if cfg.residues is not None:
         system = fuchs.FuchsianSystem(ws, cfg.residues)
-        mon = fuchs.monodromy_rep(system, tol=cfg.solver.transport_tol)
+        mon = fuchs.monodromy_rep(system)
         payload = {
             "source": "residues",
             "generators": [_matrix_to_json(m) for m in mon.generators],

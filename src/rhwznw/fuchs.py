@@ -93,6 +93,10 @@ TWO_PI_I = 2j * np.pi
 ADMISSIBLE_SPECTRUM_TOL = 1e-6
 # commutant_dimension counts the singular values up to this times the largest
 COMMUTANT_TOL = 1e-8
+# the transport and local-series tolerance of the normalization at infinity,
+# the metric field and its flatness stencil, the action's web and the CLI's
+# monodromy; the LM residuals use rhsolve.LM_TRANSPORT_TOL
+TRANSPORT_TOL = 1e-10
 
 
 class DegreeError(ValueError):
@@ -647,7 +651,7 @@ def transport_fan(
     fan: paths.SegmentFan | paths.RayFan,
     starts: np.ndarray,
     stops=(1.0,),
-    tol: float = 1e-10,
+    tol: float = TRANSPORT_TOL,
 ) -> StackTransport:
     """Transport systems along every member path of a fan: a SegmentFan of
     Line and Arc members or a RayFan of log-radial rays.
@@ -707,7 +711,7 @@ def transport(
     system: FuchsianSystem,
     path: list[paths.Segment],
     start: np.ndarray | None = None,
-    tol: float = 1e-10,
+    tol: float = TRANSPORT_TOL,
     precheck: bool = True,
 ) -> TransportResult:
     """Parallel transport of dY/dz = -A(z) Y along a piecewise path.
@@ -1095,7 +1099,7 @@ class MonodromyResult:
 def monodromy_rep(
     system: FuchsianSystem,
     basepoint: complex | None = None,
-    tol: float = 1e-10,
+    tol: float = TRANSPORT_TOL,
 ) -> MonodromyResult:
     """Representation generators of the system's monodromy.
 

@@ -1,14 +1,15 @@
 """Dimension counts, deformations of admissible tuples, action surfaces,
-and the finite-difference Levi form.
+and the finite-difference chart Laplacian of the action.
 
 Families here are charts on the representation variety: conjugators move
 along fixed anti-Hermitian directions with the real and imaginary parts
-of a complex parameter, a minimum-norm Newton correction spread over the
-conjugators restores the closure constraint (the spectrum of the implied
-generator at infinity), and the tuple is re-normalized.  This realizes a
-finite-dimensional stand-in for the analytic deformation families; the
-Levi-form check below therefore tests the positivity (Kahler) statement,
-not any particular normalization of the metric.
+of a complex parameter eps, a minimum-norm Newton correction spread over
+the conjugators restores the closure constraint (the spectrum of the
+implied generator at infinity), and the tuple is re-normalized.  eps is
+not a holomorphic coordinate on the moduli of parabolic bundles, so the
+stencil below (levi_form) is a Laplacian in the chart eps, not the Levi
+form of the Kahler potential: its value depends on the family's direction
+and can be negative, so its sign is a statement about the chart only.
 """
 
 from __future__ import annotations
@@ -285,10 +286,7 @@ def action_surface(
                 )
                 continue
             prev_system = system
-            fld = wznw.make_metric_field(
-                system, rep, transport_tol=min(1e-10, solve_opts.transport_tol),
-                normalization=report.normalization,
-            )
+            fld = wznw.make_metric_field(system, rep, normalization=report.normalization)
             if fld.monodromy_quality > wznw.MONODROMY_QUALITY_GATE:
                 message = f"monodromy quality {fld.monodromy_quality:.3e}: h is not single-valued"
                 out.append(SurfacePoint(eps, None, None, True, report.final_residual, False, message))
@@ -321,7 +319,9 @@ def levi_form(
     s_iminus: float,
     spacing: float,
 ) -> float:
-    """d^2 S / (d eps d epsbar) from the 5-point plus-stencil.
+    """d^2 S / (d eps d epsbar) from the 5-point plus-stencil: the chart
+    Laplacian in eps (module docstring), not a Levi form in a holomorphic
+    coordinate on the moduli.
 
     [S(e+a) + S(e-a) + S(e+ia) + S(e-ia) - 4 S(e)] / (4 a^2): one quarter
     of the standard Laplacian stencil, so the synthetic surface |eps|^2
@@ -329,8 +329,7 @@ def levi_form(
 
     Note the sign convention for action surfaces: the Kahler potential of
     the moduli metric is -S/2, so the regular-locus positivity statement
-    applies to the Levi form of -S/2, i.e. the raw Levi form of an action
-    surface is negative.
+    applies to the Levi form of -S/2 in a holomorphic coordinate.
     """
     num = s_plus + s_minus + s_iplus + s_iminus - 4.0 * s_center
     return float(num / (4.0 * spacing * spacing))
@@ -344,11 +343,12 @@ def potential_levi_form(
     s_iminus: float,
     spacing: float,
 ) -> float:
-    """Levi form of the Kahler potential -S/2 built from action values.
+    """The chart Laplacian (levi_form) of the potential -S/2, from action
+    values.
 
-    Strictly positive along one-parameter families through regular-locus
-    points; this is the numerically testable content of the
-    Kahler-potential property.
+    eps is not a holomorphic coordinate, so this is not the Levi form of
+    the Kahler potential: it depends on the family's direction and is
+    negative at some seeded centers.
     """
     return -0.5 * levi_form(s_center, s_plus, s_minus, s_iplus, s_iminus, spacing)
 

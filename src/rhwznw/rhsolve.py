@@ -43,6 +43,9 @@ class ReducibleTargetError(ValueError):
 INFINITY_WEIGHT = 10.0
 # relative step of the central-difference Jacobian, scaled by max(1, |x_j|)
 FD_STEP = 1e-6
+# transport and local-series tolerance of the LM residuals; (10 times it)^2
+# is the floor of the LM's target cost
+LM_TRANSPORT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +115,17 @@ def residual_stack(
     xs: np.ndarray,
     target: fuchs.AdmissibleRep,
     problem: fuchs.MonodromyLoops | None = None,
-    transport_tol: float = 1e-9,
 ) -> np.ndarray:
     """Residual vectors (B, m) of a (B, dim) stack of chart points.
 
-    Residues of the whole stack, its generators (MonodromyLoops.monodromy)
-    and their gauge alignment each come from one call; then the infinity
-    spectrum.
+    Residues of the whole stack, its generators (MonodromyLoops.monodromy at
+    LM_TRANSPORT_TOL) and their gauge alignment each come from one call;
+    then the infinity spectrum.
     """
     if problem is None:
         problem = fuchs.MonodromyLoops(parm.weights)
     residues = parm.residues(xs)
-    _, gens, _, _ = problem.monodromy(residues, transport_tol)
+    _, gens, _, _ = problem.monodromy(residues, LM_TRANSPORT_TOL)
     aligned = align_tuple_to_target(gens, target).generators
     diff = aligned - np.asarray(target.generators)
     # per generator: real parts, then imaginary parts
@@ -142,11 +144,10 @@ def residual_vector(
     x: np.ndarray,
     target: fuchs.AdmissibleRep,
     problem: fuchs.MonodromyLoops | None = None,
-    transport_tol: float = 1e-9,
 ) -> np.ndarray:
     """Concatenated gauge-aligned monodromy and infinity-spectrum residuals."""
     xs = np.asarray(x, dtype=float)[None, :]
-    return residual_stack(parm, xs, target, problem, transport_tol)[0]
+    return residual_stack(parm, xs, target, problem)[0]
 
 
 def central_jacobian(func_stack, x: np.ndarray) -> np.ndarray:
@@ -169,7 +170,6 @@ class SolveOptions:
     max_iter: int = 200
     restarts: int = 10
     seed: int = 0
-    transport_tol: float = 1e-9
 
 
 @dataclass
@@ -203,7 +203,7 @@ def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
     # cost is on the squared scale of the gauge distance; push well below the
     # acceptance tolerance so downstream single-valuedness of h is clean,
     # down to the noise floor set by the transport tolerance
-    target_cost = max(opts.tol**2, (10.0 * opts.transport_tol) ** 2)
+    target_cost = max(opts.tol**2, (10.0 * LM_TRANSPORT_TOL) ** 2)
     for n_iter in range(1, opts.max_iter + 1):
         if cost <= target_cost:
             break
@@ -283,14 +283,10 @@ def solve(
             parm = ResidueParametrization(weights, np.array(bases))
 
         def func(x, parm=parm):
-            return residual_vector(
-                parm, x, target, problem=problem, transport_tol=opts.transport_tol
-            )
+            return residual_vector(parm, x, target, problem=problem)
 
         def func_stack(xs, parm=parm):
-            return residual_stack(
-                parm, xs, target, problem=problem, transport_tol=opts.transport_tol
-            )
+            return residual_stack(parm, xs, target, problem=problem)
 
         x0 = np.zeros(parm.dim)
         if parm.dim == 0:
@@ -314,11 +310,8 @@ def solve(
     norm = None
     if success:
         try:
-            # at the tolerance make_metric_field normalizes with, so that a
-            # field built on this solve can take the result as it is
-            norm = normalize_at_infinity(
-                system, target, problem=problem, transport_tol=min(opts.transport_tol, 1e-10)
-            )
+            # make_metric_field takes the result as it is
+            norm = normalize_at_infinity(system, target, problem=problem)
         except NumericalError as exc:
             warnings.warn(f"normalization at infinity failed: {exc}")
     report = SolveReport(
@@ -393,10 +386,10 @@ def normalize_at_infinity(
     system: fuchs.FuchsianSystem,
     target: fuchs.AdmissibleRep,
     problem: fuchs.MonodromyLoops | None = None,
-    transport_tol: float = 1e-10,
 ) -> NormalizationResult:
     """Read the constant term at infinity from the local series and
-    renormalize to the canonical fundamental solution.
+    renormalize to the canonical fundamental solution, at
+    fuchs.TRANSPORT_TOL.
 
     The right conjugator W aligns the monodromy with the target unitary
     tuple (the aligned generators W^{-1} M_i W are kept).  Y W = Y0 K on
@@ -420,7 +413,7 @@ def normalize_at_infinity(
 
     if problem is None:
         problem = fuchs.MonodromyLoops(ws)
-    _, gens, series, legs = problem.monodromy(system.residues[None], transport_tol)
+    _, gens, series, legs = problem.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
     aligned = align_tuple_to_target(gens[0], target)
     W = aligned.conjugator
     z0 = problem.z0

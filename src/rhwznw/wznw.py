@@ -1,8 +1,10 @@
 """Singular Hermitian metric, WZNW densities, and the regularized action.
 
-The metric field h(z) = (Y(z) Y(z)*)^{-1} is evaluated by parallel
-transport of the canonically normalized fundamental solution.  The
-regularized action is
+The metric field h(z) = (Y(z) Y(z)*)^{-1} of the canonically normalized
+fundamental solution Y is read by the same rule as the action's web
+(Transport, below): from the local series inside a puncture's ring and
+beyond the basepoint's circle, and along one outward ray from the nearest
+puncture's ring everywhere else.  The regularized action is
 
     S = lim_{delta -> 0} [ int_{X_delta} (kinetic + topological) d2z
         + 2 pi log(delta) (K1 + K2) ]
@@ -196,32 +198,27 @@ def _metric_from_factor(y: np.ndarray) -> np.ndarray:
 # metric field
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricField:
-    """Canonically normalized solution with a transport cache.
+    """Canonically normalized solution, read by the action web's rule.
 
-    h(z) is path independent because the monodromy is unitary (to solver
-    tolerance); Y(z) itself is cached per evaluation point and reused as a
-    nearby seed for later points.  series and series_coords are the
-    normalization's loop series and Y's coordinates on each member
-    (NormalizationResult), which the action's web reads.
+    series and series_coords are the normalization's loop series and Y's
+    coordinates on each member (NormalizationResult).  y_at(z) depends on z
+    alone: with z_i the puncture nearest z, Y comes from z_i's member of the
+    series inside its ring (its loop circle), from the member at infinity
+    for |z| >= |z0|, and otherwise from one outward ray from the ring to z
+    (fuchs.transport_fan on a paths.RayFan), exactly as the web reaches its
+    nodes.  h(z) is path independent because the monodromy is unitary (to
+    solver tolerance).
     """
 
     system: fuchs.FuchsianSystem
     basepoint: complex
     basepoint_value: np.ndarray
+    series: fuchs.SeriesStack
+    series_coords: np.ndarray
     large_cell_flag: bool = True
-    transport_tol: float = 1e-10
     monodromy_quality: float = 0.0
-    series: fuchs.SeriesStack | None = None
-    series_coords: np.ndarray | None = None
-    _cache_z: list = field(default_factory=list)
-    _cache_y: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self._cache_z:
-            self._cache_z.append(complex(self.basepoint))
-            self._cache_y.append(np.asarray(self.basepoint_value, dtype=complex))
 
     @property
     def weights(self) -> fuchs.WeightSystem:
@@ -232,26 +229,20 @@ class MetricField:
 
     def y_at(self, z: complex) -> np.ndarray:
         z = complex(z)
-        d_here = self.min_distance_to_punctures(z)
-        if d_here < 1e-8:
+        pts = np.asarray(self.system.points)
+        i = int(np.argmin(np.abs(pts - z)))
+        x = z - pts[i]
+        rho, phi = abs(x), float(np.angle(x))
+        if rho < 1e-8:
             raise paths.ProximityError(f"evaluation point {z} too close to a puncture")
-        zs = np.asarray(self._cache_z)
-        k = int(np.argmin(np.abs(zs - z)))
-        znear, ynear = self._cache_z[k], self._cache_y[k]
-        if abs(znear - z) < 1e-14:
-            return ynear
-        keepouts = []
-        pts = self.system.points
-        cap = 0.45 * self.weights.min_pairwise_distance()
-        for w in pts:
-            r = min(0.92 * abs(z - w), 0.92 * abs(znear - w), cap)
-            if r > 0:
-                keepouts.append((complex(w), r))
-        route = paths.plan_route(znear, z, keepouts)
-        res = fuchs.transport(self.system, route, start=ynear, tol=self.transport_tol, precheck=False)
-        self._cache_z.append(z)
-        self._cache_y.append(res.value)
-        return res.value
+        ring = float(self.series.radius[i])
+        if rho <= ring:
+            return _region_series(self, i)(rho, phi)
+        if abs(z) >= abs(self.basepoint):
+            return _region_series(self, None)(abs(z), float(np.angle(z)))
+        fan = paths.RayFan(pts[i], np.array([phi]), np.log(ring), np.log(rho))
+        start = _region_series(self, i)(ring, phi)
+        return fuchs.transport_fan(pts, self.system.residues, fan, start).values[-1, 0]
 
     def h_at(self, z: complex) -> np.ndarray:
         return _metric_from_factor(self.y_at(z))
@@ -260,7 +251,6 @@ class MetricField:
 def make_metric_field(
     system: fuchs.FuchsianSystem,
     target: fuchs.AdmissibleRep,
-    transport_tol: float = 1e-10,
     normalization: rhsolve.NormalizationResult | None = None,
 ) -> MetricField:
     """Normalize a solved system at infinity and wrap it as a metric field.
@@ -271,9 +261,7 @@ def make_metric_field(
     of the canonical solution in the gauge of its basepoint value, where
     unitarity is what makes h single-valued.
     """
-    norm = normalization or rhsolve.normalize_at_infinity(
-        system, target, transport_tol=min(transport_tol, 1e-10)
-    )
+    norm = normalization or rhsolve.normalize_at_infinity(system, target)
     if not norm.large_cell_flag:
         raise RegularLocusError("constant term at infinity outside the large-cell coset")
     eye = np.eye(system.weights.rank)
@@ -283,7 +271,6 @@ def make_metric_field(
         basepoint=norm.basepoint,
         basepoint_value=norm.basepoint_value,
         large_cell_flag=norm.large_cell_flag,
-        transport_tol=transport_tol,
         monodromy_quality=float(quality),
         series=norm.series,
         series_coords=norm.series_coords,
@@ -501,7 +488,7 @@ class TransportWeb:
                              for i, (phi, _) in enumerate(angles)])
         fan = paths.RayFan(*map(np.concatenate, zip(*rays)))
         y_out = fuchs.transport_fan(pts, fld.system.residues, fan, np.concatenate(ring_y),
-                                    t_nodes, fld.transport_tol).values
+                                    t_nodes).values
         ends = np.cumsum([len(phi) for phi, _ in angles])[:-1]
         self.regions = [
             self._build_patch(i, ray, w_phi, radial, y, t_nodes, t_weights)
@@ -808,8 +795,7 @@ def flatness_residual(fld: MetricField, z: complex, step: float) -> float:
     others = list(dict.fromkeys(o for o in offsets if o != 0))
     y0 = fld.y_at(z)
     fan = paths.SegmentFan([paths.Line(z, z + o) for o in others])
-    ys = fuchs.transport_fan(fld.system.points, fld.system.residues, fan, y0,
-                             tol=fld.transport_tol).values[-1]
+    ys = fuchs.transport_fan(fld.system.points, fld.system.residues, fan, y0).values[-1]
     y_of = dict(zip(others, ys))
     y_of[0] = y0
     hs = _metric_from_factor(np.stack([y_of[o] for o in offsets])).reshape(4, 5, *y0.shape)

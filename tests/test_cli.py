@@ -252,8 +252,12 @@ def test_seed_and_tol_overrides(tmp_path):
         ({"residues": 5}, "residues"),
         ({"action": {"delta_schedule": 5}}, "action.delta_schedule"),
         ({"action": {"n_phi": 0}}, "action.n_phi"),
+        # a misspelt field must not leave its default in place silently
+        ({"solver": {"restart": 1}}, "solver.restart"),
+        ({"action": {"nphi": 8}}, "action.nphi"),
     ],
-    ids=["points", "solver", "representation", "residues", "delta_schedule", "n_phi"],
+    ids=["points", "solver", "representation", "residues", "delta_schedule", "n_phi",
+         "solver.restart", "action.nphi"],
 )
 def test_bad_config_field_exits_2(tmp_path, capsys, patch, fieldname):
     data = rank1_config().to_dict()
@@ -336,7 +340,8 @@ def test_action_monodromy_quality_gate(tmp_path, capsys):
 @pytest.mark.parametrize("value", [-1, 0])
 def test_non_positive_tolerance_exits_2(tmp_path, capsys, fieldname, value):
     # a tolerance <= 0 used to pass every transport step: monodromy on the
-    # fixture exited 0 with a relation residual of 0.42 at transport_tol -1
+    # fixture exited 0 with a relation residual of 0.42 at transport_tol -1;
+    # transport_tol is no longer a solver field, so it now exits 2 as unknown
     data = rank2_config().to_dict()
     data["solver"][fieldname] = value
     (tmp_path / "cfg.json").write_text(json.dumps(data))

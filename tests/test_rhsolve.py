@@ -153,8 +153,8 @@ def test_normalize_constant_term_is_the_richardson_limit(rank2_solved, rank2_tar
     # continuation of the basepoint ray at a tolerance 100 times tighter,
     # leave an R^-3 tail: they converge to the series' constant term
     system, _ = rank2_solved
-    tol = 1e-10
-    norm = rhsolve.normalize_at_infinity(system, rank2_target, transport_tol=tol)
+    tol = fuchs.TRANSPORT_TOL
+    norm = rhsolve.normalize_at_infinity(system, rank2_target)
     z0, lam = norm.basepoint, system.weights.infinity_exponents
     unit = z0 / abs(z0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -182,12 +183,61 @@ def test_h_at_matches_inverse_gram(rank2_field):
         y = rank2_field.y_at(z).copy()
         assert np.linalg.cond(y) < 1e3
         h = rank2_field.h_at(z)
-        # h_at works on a copy of the cached Y
+        # h_at leaves Y as it was: a second read is bit-equal to the first
         assert np.array_equal(rank2_field.y_at(z), y)
         want = np.linalg.inv(y @ y.conj().T)
         assert numcore.fro(h - want) <= 1e-13 * numcore.fro(want)
         assert numcore.fro(h - h.conj().T) <= 1e-15 * numcore.fro(h)
         done += 1
+
+
+# fixture points in each region of MetricField.y_at: inside puncture 0's
+# ring (radius 0.5), on outward rays from the rings of punctures 0 and 1,
+# and beyond the basepoint's circle |z| = 2
+Y_AT_POINTS = [0.3 + 0.2j, 0.2 + 1.1j, 1.3 - 0.8j, -1.5 + 2.5j]
+
+
+def test_y_at_is_independent_of_query_order(rank2_solved, rank2_target):
+    # Y depends on z alone: two fresh fields read in opposite orders agree
+    # to the last bit
+    system, _ = rank2_solved
+    first = wznw.make_metric_field(system, rank2_target)
+    second = wznw.make_metric_field(system, rank2_target)
+    forward = [first.y_at(z) for z in Y_AT_POINTS]
+    backward = [second.y_at(z) for z in Y_AT_POINTS[::-1]][::-1]
+    for z, a, b in zip(Y_AT_POINTS, forward, backward):
+        assert np.array_equal(a, b), z
+
+
+def _region_of(fld, z):
+    pts = np.asarray(fld.system.points)
+    i = int(np.argmin(np.abs(pts - z)))
+    if abs(z - pts[i]) <= fld.series.radius[i]:
+        return "ring"
+    return "outer" if abs(z) >= abs(fld.basepoint) else "ray"
+
+
+def test_h_at_matches_a_transported_reference(rank2_field):
+    # h from the series and the rays against h from a transport of the
+    # canonical solution from the basepoint along a plan_route path, at
+    # tol / 100, five points in each region
+    fld = rank2_field
+    tol = fuchs.TRANSPORT_TOL
+    pts = fld.system.points
+    cap = 0.45 * fld.weights.min_pairwise_distance()
+    rng = np.random.default_rng(11)
+    todo = {"ring": 5, "ray": 5, "outer": 5}
+    while any(todo.values()):
+        z = complex(rng.uniform(-3.0, 4.0), rng.uniform(-3.0, 3.0))
+        region = _region_of(fld, z)
+        if fld.min_distance_to_punctures(z) < 0.05 or todo[region] == 0:
+            continue
+        keepouts = [(complex(w), min(0.92 * abs(z - w), 0.92 * abs(fld.basepoint - w), cap)) for w in pts]
+        route = paths.plan_route(fld.basepoint, z, keepouts)
+        y = fuchs.transport(fld.system, route, start=fld.basepoint_value, tol=tol / 100, precheck=False).value
+        want = np.linalg.inv(y @ y.conj().T)
+        assert numcore.fro(fld.h_at(z) - want) <= 1e-9 * numcore.fro(want), (region, z)
+        todo[region] -= 1
 
 
 def test_three_form_antisymmetry():
@@ -230,11 +280,15 @@ def test_flatness_rank1(rank1_field):
 
 def test_flatness_constant_field():
     ws = fuchs.build_weight_system([0.0, 1.0], [[0.3], [0.8], [0.9]])
-    system = fuchs.FuchsianSystem(ws, np.zeros((2, 1, 1), dtype=complex))
+    zeros = np.zeros((2, 1, 1), dtype=complex)
+    system = fuchs.FuchsianSystem(ws, zeros)
+    loops = fuchs.MonodromyLoops(ws)
     fld = wznw.MetricField(
         system=system,
         basepoint=ws.default_basepoint(),
         basepoint_value=np.eye(1, dtype=complex),
+        series=fuchs.series_stack(ws.points, zeros[None], loops.at, loops.radii, fuchs.TRANSPORT_TOL),
+        series_coords=np.ones((ws.n, 1, 1), dtype=complex),
     )
     assert wznw.flatness_residual(fld, 0.5 + 0.4j, 1e-3) < 1e-10
 
@@ -340,12 +394,7 @@ def test_action_topological_term_delta_independent(rank2_field):
 
 
 def test_action_refuses_non_regular(rank2_field):
-    bad = wznw.MetricField(
-        system=rank2_field.system,
-        basepoint=rank2_field.basepoint,
-        basepoint_value=rank2_field.basepoint_value,
-        large_cell_flag=False,
-    )
+    bad = dataclasses.replace(rank2_field, large_cell_flag=False)
     with pytest.raises(wznw.RegularLocusError):
         wznw.action_regularized(bad)
 
@@ -530,10 +579,10 @@ def test_action_transports_only_the_outward_rays(rank2_field, monkeypatch):
 
 def test_flatness_reads_y_once_and_runs_one_fan(rank2_field, monkeypatch):
     # Y is read at the stencil's center, and the 12 other stencil points
-    # are the straight-line members of one fan from there; Y at the center
-    # is cached first, so every transport counted is the stencil's own
+    # are the straight-line members of one fan from there; the center lies
+    # inside puncture 0's ring, where y_at reads the series, so the one fan
+    # counted is the stencil's own
     z = 0.3 + 0.2j
-    rank2_field.y_at(z)
     calls = _count_calls(monkeypatch)
     wznw.flatness_residual(rank2_field, z, 0.01)
     assert calls["y_at"] == 1 and calls["transport"] == 0
