@@ -301,7 +301,7 @@ RHSOLVE_RESULT_FIELDS = (
 )
 ACTION_RESULT_FIELDS = (
     "value", "counterterm_k1", "counterterm_k2", "kappa", "extrapolation_error",
-    "kinetic_part", "topological_part", "imag_residual", "per_delta",
+    "kinetic_part", "topological_part", "imag_residual", "per_delta", "web_nodes",
 )
 
 

@@ -32,10 +32,12 @@ per finite puncture, bounded by Voronoi bisectors and the outer circle)
 plus a log-polar annulus reaching 1/delta.  Radial directions use
 Gauss-Legendre panels in log-radius with panel edges aligned to the
 delta schedule, so one transported web serves every delta at once.
-Full circles use the periodic trapezoid rule in the angle; the outward
-patch regions, whose radial extent is only piecewise smooth in the
-angle, use Gauss-Legendre panels split at the boundary kinks.  The web
-counts its nodes from these rules first and refuses more than
+Full circles use the periodic trapezoid rule in the angle, each with the
+fewest angles at which the local series' convergence ratio q on it
+leaves no aliased Fourier mode above ANGLE_ALIAS_TOL (_angle_counts); the
+outward patch regions, whose radial extent is only piecewise smooth in
+the angle, use Gauss-Legendre panels split at the boundary kinks.  The
+web counts its nodes from these rules first and refuses more than
 WEB_NODE_LIMIT of them.
 
 Transport: near each puncture and near infinity Y is a convergent
@@ -85,7 +87,10 @@ FIT_TOLERANCE = 1e-2
 OUTWARD_PANELS = 2
 # largest log-radius length of one radial Gauss-Legendre panel
 MAX_PANEL_SPAN = 0.8
-# most nodes of one quadrature web, 34 times the 29,440 of the default
+# largest q^N on a series-grid circle of N trapezoid angles, q the series'
+# convergence ratio there: the size of the first Fourier mode that aliases
+ANGLE_ALIAS_TOL = 1e-17
+# most nodes of one quadrature web, 153 times the 6,528 of the default
 # schedule at the default quadrature on the rank-2 fixture
 WEB_NODE_LIMIT = 1_000_000
 # outer over inner radius of annulus_kinetic_integral's annulus
@@ -306,18 +311,41 @@ def _region_series(fld: MetricField, at: int | None):
     return values
 
 
+def _angle_counts(series: fuchs.SeriesStack, at: int | None, rho: np.ndarray, n_phi: int) -> np.ndarray:
+    """Trapezoid angles of the series-grid circles of radii rho about the
+    center of region `at`: the fewest N, a multiple of 8 and at least 8,
+    with q^N <= ANGLE_ALIAS_TOL, and at most n_phi.  q = |x| / scale is the
+    series' convergence ratio on the circle, x = rho at a patch and 1 / rho
+    at infinity."""
+    q = (1.0 / rho if at is None else rho) / series.scale[-1 if at is None else at]
+    n = 8 * np.ceil(np.log(ANGLE_ALIAS_TOL) / (8 * np.log(q)))
+    return np.minimum(np.maximum(n, 8), n_phi).astype(int)
+
+
 def _series_grid(fld: MetricField, at: int | None, radial, n_phi: int):
     """Node offsets x = z - center, radii, area weights and Y of one region
-    (_region_series) on the grid of the log-radius rule radial =
-    (s, weights) by n_phi trapezoid angles, each flattened in (rho, phi)
-    order."""
+    (_region_series) on the circles of the log-radius rule radial =
+    (s, weights), each flattened circle by circle.
+
+    The circle of radius rho takes _angle_counts trapezoid angles.  The
+    densities there are periodic and analytic in the angle, with Fourier
+    modes decaying like q^|m| (q <= 1/2 at the ring and beyond the outer
+    circle), so N angles err only by the aliased modes, of size q^N.  The
+    circles of one count are one separable series evaluation.
+    """
     s, w_s = radial
-    phis = 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
     rho = np.exp(s)
-    x = rho[:, None] * np.exp(1j * phis)[None, :]
-    wt = np.broadcast_to((w_s * np.exp(2 * s))[:, None] * (2 * np.pi / n_phi), x.shape)
-    y = _region_series(fld, at)(rho, phis)
-    return x.ravel(), np.repeat(rho, n_phi), wt.ravel(), y.reshape(-1, *y.shape[2:])
+    counts = _angle_counts(fld.series, at, rho, n_phi)
+    series = _region_series(fld, at)
+    parts = []
+    for n in np.unique(counts):
+        rows = counts == n
+        phis = 2 * np.pi * (np.arange(n) + 0.5) / n
+        x = rho[rows, None] * np.exp(1j * phis)[None, :]
+        wt = np.broadcast_to((w_s[rows] * np.exp(2 * s[rows]))[:, None] * (2 * np.pi / n), x.shape)
+        y = series(rho[rows], phis)
+        parts.append((x.ravel(), np.repeat(rho[rows], n), wt.ravel(), y.reshape(-1, *y.shape[2:])))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _region_A(system: fuchs.FuchsianSystem, at: int | None, x: np.ndarray) -> np.ndarray:
@@ -337,6 +365,9 @@ def _region_A(system: fuchs.FuchsianSystem, at: int | None, x: np.ndarray) -> np
 
 @dataclass
 class QuadratureOptions:
+    """n_phi: the most trapezoid angles on one series-grid circle
+    (_angle_counts); gl_order: the order of every Gauss-Legendre panel."""
+
     n_phi: int = 192
     gl_order: int = 8
 
@@ -477,7 +508,8 @@ class TransportWeb:
         outer = _log_panels(self.r_out, 1.0 / delta_min, [1.0 / d for d in delta_schedule], opts)
         angles = [self._ray_angles(i) for i in range(len(pts))]
         t_nodes, t_weights = _gl_panels(np.linspace(0, 1, OUTWARD_PANELS + 1), 1.0, opts.gl_order)
-        nodes = (opts.n_phi * (sum(len(s_in) for s_in, _ in inward) + len(outer[0]))
+        nodes = (sum(int(_angle_counts(fld.series, at, np.exp(s), opts.n_phi).sum())
+                     for at, (s, _) in [*enumerate(inward), (None, outer)])
                  + len(t_nodes) * sum(len(phi) for phi, _ in angles))
         if nodes > WEB_NODE_LIMIT:
             raise ValueError(f"the quadrature web would have {nodes} nodes, "
@@ -584,6 +616,7 @@ class ActionResult:
     kinetic_part: float
     kappa: float
     imag_residual: float
+    web_nodes: int  # nodes of the quadrature web
     csv_rows: list[dict] = field(default_factory=list)
 
 
@@ -678,6 +711,7 @@ def action_regularized(
         kinetic_part=kin_last,
         kappa=kappa,
         imag_residual=imag_residual,
+        web_nodes=sum(len(region.z) for region in web.regions),
         csv_rows=rows,
     )
 

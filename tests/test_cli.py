@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,11 @@ def test_action_abelian_fixture(tmp_path):
     ws = fuchs.build_weight_system(cfg.points, cfg.weights)
     oracle = wznw.abelian_action_closed_form(ws)
     assert abs(rec["value"] - oracle) <= 1e-3 * abs(oracle)
+    # the record counts the nodes of the web that the action built
+    fld = wznw.make_metric_field(fuchs.FuchsianSystem(ws, cfg.residues), cli._target_rep(cfg, ws))
+    opts = wznw.QuadratureOptions(n_phi=cfg.n_phi, gl_order=cfg.gl_order)
+    web = wznw.TransportWeb(fld, tuple(sorted(cfg.delta_schedule, reverse=True)), opts)
+    assert rec["web_nodes"] == sum(len(r.z) for r in web.regions)
     lines = (tmp_path / "deltas.csv").read_text().splitlines()
     assert lines[0] == "delta,kinetic,topological,counterterm,total"
     assert len(lines) == 5
@@ -301,15 +307,30 @@ def test_bad_delta_schedule_exit(tmp_path, capsys, schedule, code):
 
 
 def test_web_node_limit_exit(tmp_path, capsys):
-    # a valid schedule whose web at the default quadrature would exceed
+    # a valid schedule whose web at Gauss-Legendre order 64 would exceed
     # wznw.WEB_NODE_LIMIT stops before the web is built
     data = rank2_config().to_dict()
-    data["action"].update(delta_schedule=[0.1, 0.05, 1e-300])
+    data["action"].update(delta_schedule=[0.1, 0.05, 1e-300], gl_order=64)
     (tmp_path / "cfg.json").write_text(json.dumps(data))
     rc = cli.main(["action", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_VALIDATION
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err and "WEB_NODE_LIMIT" in err
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
+def test_tiny_delta_at_the_default_quadrature_exit(tmp_path, capsys):
+    # delta 1e-300 plans a web within WEB_NODE_LIMIT, whose circles near the
+    # punctures take few angles: it is built, and its total overflows
+    data = rank2_config().to_dict()
+    data["action"].update(delta_schedule=[0.1, 0.05, 1e-300])
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    start = time.process_time()
+    rc = cli.main(["action", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+    assert time.process_time() - start < 2.0
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: NumericalError:") and "\n" not in err
     assert not (tmp_path / "out" / "result.json").exists()
 
 

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from rhwznw import factor, fuchs, numcore, paths, rhsolve, wznw
+from rhwznw import factor, fuchs, moduli, numcore, paths, rhsolve, wznw
 
 
 def test_metric_rank1_explicit(rank1_field, rank1_weights):
@@ -422,15 +422,16 @@ def test_action_non_finite_total_raises(rank2_field):
 
 
 def test_web_node_limit_raises_before_any_transport(rank2_field, monkeypatch):
-    # delta 1e-300 at the default quadrature plans about 4 million nodes; it
-    # used to build a 771 MB web in 6.9 s before its total overflowed
+    # delta 1e-300 at Gauss-Legendre order 64 plans about 1.6 million nodes;
+    # at the default quadrature such a web used to be built, 771 MB in 6.9 s,
+    # before its total overflowed
     def no_transport(*args, **kwargs):
         raise AssertionError("transported past the node limit")
 
     monkeypatch.setattr(fuchs, "transport_fan", no_transport)
     start = time.process_time()
     with pytest.raises(ValueError, match="WEB_NODE_LIMIT"):
-        wznw.action_regularized(rank2_field, (0.1, 0.05, 1e-300))
+        wznw.action_regularized(rank2_field, (0.1, 0.05, 1e-300), wznw.QuadratureOptions(gl_order=64))
     assert time.process_time() - start < 1.0
 
 
@@ -538,7 +539,105 @@ def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
     assert act.imag_residual <= 1e-8
     deltas = (0.1, 0.05, 0.025, 0.0125)
     web = wznw.TransportWeb(fld, deltas, wznw.QuadratureOptions())
-    assert sum(len(region.z) for region in web.regions) == 29440
+    assert sum(len(region.z) for region in web.regions) == 6528
+
+
+def _fixture_problem():
+    ws = fuchs.build_weight_system([0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
+    target = fuchs.build_admissible_rep(ws, fuchs.rank2_closure_conjugators(ws))
+    return [(fuchs.FuchsianSystem(ws, fuchs.rank2_rigid_residues(ws)), target)]
+
+
+def _rigid_draws(seed: int, count: int):
+    """Rank-2, n=3 weights in [0.05, 0.95] with a unitary closure, and their
+    closed-form residues: (system, target) pairs."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        w = np.sort(rng.uniform(0.0, 1.0, size=(3, 2)), axis=1)
+        w[2, 1] = 2.0 - (w.sum() - w[2, 1])
+        if w.min() < 0.05 or w.max() > 0.95:
+            continue
+        try:
+            ws = fuchs.build_weight_system([0.0, 1.0], w)
+            target = fuchs.build_admissible_rep(ws, fuchs.rank2_closure_conjugators(ws))
+            draws.append((fuchs.FuchsianSystem(ws, fuchs.rank2_rigid_residues(ws)), target))
+        except ValueError:  # out of order, or no closure
+            continue
+    return draws
+
+
+def _rank1_draws(seed: int, count: int):
+    """Rank-1, n=4: three points in |z| < 1.5 at least 0.6 apart, weights of
+    degree -2 in (0.05, 0.95): (system, target) pairs."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        pts = 1.5 * np.sqrt(rng.uniform(0, 1, 3)) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
+        alphas = rng.uniform(0.1, 0.9, 3)
+        if min(abs(pts[i] - pts[j]) for i in range(3) for j in range(i)) < 0.6:
+            continue
+        if not 0.05 < 2.0 - alphas.sum() < 0.95:
+            continue
+        ws = fuchs.build_weight_system(pts, [[a] for a in alphas] + [[2.0 - alphas.sum()]])
+        target = fuchs.build_admissible_rep(ws, [np.eye(1, dtype=complex)] * 3)
+        draws.append((fuchs.FuchsianSystem(ws, alphas.reshape(3, 1, 1).astype(complex)), target))
+    return draws
+
+
+def _criterion9_center():
+    ws = fuchs.build_weight_system(
+        [-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]]
+    )
+    center = moduli.random_admissible_rep(ws, seed=5)
+    system, report = rhsolve.solve(ws, center, opts=rhsolve.SolveOptions(seed=3))
+    assert report.success
+    return [(system, center)]
+
+
+@pytest.mark.parametrize(
+    "problems",
+    [
+        _fixture_problem,
+        lambda: _rigid_draws(11, 3),
+        lambda: _rank1_draws(12, 3),
+        _criterion9_center,
+    ],
+    ids=["fixture", "rigid", "rank1", "criterion9-center"],
+)
+def test_series_angle_counts_keep_the_totals(problems, monkeypatch):
+    # each series-grid circle takes the fewest angles whose first aliased
+    # Fourier mode, q^N, is below ANGLE_ALIAS_TOL; every per-delta total
+    # agrees with the same web at n_phi angles on every circle
+    fields = [wznw.make_metric_field(system, target) for system, target in problems()]
+    sized = [wznw.action_regularized(fld) for fld in fields]
+    monkeypatch.setattr(wznw, "_angle_counts", lambda series, at, rho, n_phi: np.full(len(rho), n_phi))
+    for fld, act in zip(fields, sized):
+        full = wznw.action_regularized(fld)
+        assert act.web_nodes < full.web_nodes
+        for (_, total), (_, want) in zip(act.per_delta, full.per_delta):
+            assert abs(total - want) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "deltas, opts, nodes",
+    [
+        (wznw.DELTA_SCHEDULE, wznw.QuadratureOptions(), 6528),
+        ((0.1, 0.05, 0.025, 1e-30), wznw.QuadratureOptions(), 22176),
+        (wznw.DELTA_SCHEDULE, wznw.QuadratureOptions(n_phi=40, gl_order=5), 3236),
+    ],
+    ids=["default", "1e-30", "n_phi-40-gl-5"],
+)
+def test_planned_web_nodes_equal_the_built_web(rank2_oracle_system, rank2_target, monkeypatch,
+                                               deltas, opts, nodes):
+    # the count checked against WEB_NODE_LIMIT before anything is evaluated
+    # is the count of the web that is then built
+    fld = wznw.make_metric_field(rank2_oracle_system, rank2_target)
+    built = sum(len(region.z) for region in wznw.TransportWeb(fld, deltas, opts).regions)
+    monkeypatch.setattr(wznw, "WEB_NODE_LIMIT", 0)
+    with pytest.raises(ValueError, match=f"would have {built} nodes"):
+        wznw.TransportWeb(fld, deltas, opts)
+    assert built == nodes
 
 
 def _count_calls(monkeypatch):
