@@ -98,7 +98,6 @@ def _integer(value, low: int | None = None) -> int:
 
 
 _count = partial(_integer, low=0)
-_positive_int = partial(_integer, low=1)
 
 
 def _positive_float(value) -> float:
@@ -115,10 +114,7 @@ SOLVER_FIELDS = (
     ("tol", _positive_float), ("max_iter", _count), ("restarts", _count),
     ("seed", _integer),
 )
-ACTION_FIELDS = (
-    ("delta_schedule", wznw.checked_delta_schedule),
-    ("n_phi", _positive_int), ("gl_order", _positive_int),
-)
+ACTION_FIELDS = (("delta_schedule", wznw.checked_delta_schedule),)
 
 
 def _section_to_dict(obj, fields) -> dict:
@@ -153,8 +149,6 @@ class ProblemConfig:
     residues: np.ndarray | None = None
     solver: rhsolve.SolveOptions = field(default_factory=rhsolve.SolveOptions)
     delta_schedule: tuple[float, ...] = wznw.DELTA_SCHEDULE
-    n_phi: int = wznw.QuadratureOptions.n_phi
-    gl_order: int = wznw.QuadratureOptions.gl_order
 
     def weight_system(self) -> fuchs.WeightSystem:
         return fuchs.build_weight_system(self.points, self.weights, self.degree)
@@ -332,8 +326,7 @@ def cmd_action(cfg: ProblemConfig, out_dir: Path) -> int:
             f"monodromy quality {fld.monodromy_quality:.3e} above {wznw.MONODROMY_QUALITY_GATE:g}: "
             "the monodromy is not unitary, so h is not single-valued"
         )
-    opts = wznw.QuadratureOptions(n_phi=cfg.n_phi, gl_order=cfg.gl_order)
-    act = wznw.action_regularized(fld, cfg.delta_schedule, opts=opts)
+    act = wznw.action_regularized(fld, cfg.delta_schedule)
     payload = {name: getattr(act, name) for name in ACTION_RESULT_FIELDS}
     _write_result(out_dir, _record(cfg, "action", payload))
     with open(out_dir / "deltas.csv", "w", newline="") as fh:

@@ -39,6 +39,9 @@ from .numcore import (
 CHOLESKY_MINOR_TOL = 1e-9
 # cholesky_differential warns above this condition number of h
 CONDITION_WARNING = 1e10
+# a corner singular value within this factor of the rank threshold, either
+# way, is ambiguous (AmbiguousCellError)
+RANK_DEAD_BAND = 50.0
 
 
 class SingularInputError(NumericalError):
@@ -116,14 +119,15 @@ def _corner_singular_values(g: np.ndarray, i: int, j: int) -> np.ndarray:
     return np.linalg.svd(block, compute_uv=False)
 
 
-def _rank_pattern(g: np.ndarray, threshold: float, band: float = 50.0):
-    """Ranks of all upper-right corners, with a dead-band ambiguity check."""
+def _rank_pattern(g: np.ndarray, threshold: float):
+    """Ranks of all upper-right corners, with a dead-band ambiguity check
+    (RANK_DEAD_BAND)."""
     r = g.shape[0]
     rho = np.zeros((r + 1, r + 2), dtype=int)
     for i in range(1, r + 1):
         for j in range(r):
             sv = _corner_singular_values(g, i, j)
-            inside = (sv > threshold / band) & (sv < threshold * band)
+            inside = (sv > threshold / RANK_DEAD_BAND) & (sv < threshold * RANK_DEAD_BAND)
             if np.any(inside):
                 raise AmbiguousCellError(
                     f"singular value {sv[inside][0]:.3e} within the dead band "

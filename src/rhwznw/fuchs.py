@@ -462,9 +462,8 @@ class TransportResult:
 class StackTransport:
     """Transported values of systems along the member paths of a fan."""
 
-    values: np.ndarray           # (len(stops), [S,] L, r, r)
-    step_count: int              # accepted shared steps
-    error_estimates: np.ndarray  # ([S,] L) accumulated local error per member
+    values: np.ndarray  # (len(stops), [S,] L, r, r)
+    step_count: int     # accepted shared steps
 
 
 # Dormand-Prince 8(5,3) tableau (DOP853: Hairer, Norsett & Wanner, Solving
@@ -551,7 +550,7 @@ def _member_fro(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("imc,imc->m", x, x))
 
 
-def _integrate_stack(coefficients, y, tol: float, stats: dict, stops=(1.0,)) -> np.ndarray:
+def _integrate_stack(coefficients, y, tol: float, stops) -> tuple[np.ndarray, int]:
     """Adaptive Dormand-Prince 8(5,3) loop (DOP853) from t = 0 to stops[-1]
     for a members-last (r, r, M) stack.
 
@@ -567,13 +566,14 @@ def _integrate_stack(coefficients, y, tol: float, stats: dict, stops=(1.0,)) -> 
     largest scaled error over the members is <= 1, so every member meets
     tol; PI control.  A step that would pass the next stop is clipped to
     land on it without shrinking the next proposal.  Returns the values at
-    the increasing stops, each in [0, 1], shape (len(stops), r, r, M).
+    the increasing stops, each in [0, 1], shape (len(stops), r, r, M), and
+    the number of accepted steps.
     """
     shape = y.shape
     ks = np.empty((13,) + shape, dtype=complex)
     kf = ks.reshape(13, -1)
     out = np.empty((len(stops),) + shape, dtype=complex)
-    t, h, k = 0.0, 0.1, 0
+    t, h, k, accepted = 0.0, 0.1, 0, 0
     yn = np.maximum(_member_fro(y), 1.0)
     np.einsum("ijm,jkm->ikm", coefficients(np.zeros(1))[0], y, out=ks[0])
     err_prev = 1.0
@@ -600,8 +600,7 @@ def _integrate_stack(coefficients, y, tol: float, stats: dict, stops=(1.0,)) -> 
             y = ys
             ks[0] = ks[12]  # FSAL
             yn = np.maximum(yn, y8n)
-            stats["steps"] += 1
-            stats["err"] += np.maximum(errs, 1e-16) * tol * yn
+            accepted += 1
             factor = 0.9 * err ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0)
             h_new = step * min(max(factor, 0.2), 5.0)
             if clipped:
@@ -619,24 +618,7 @@ def _integrate_stack(coefficients, y, tol: float, stats: dict, stops=(1.0,)) -> 
             h = step * min(max(0.9 * err ** (-1.0 / 8.0), 0.2), 5.0)
         if h < 1e-13:
             raise StiffnessError("step size underflow during transport")
-    return out
-
-
-def _march(points, residues, seg, y, tol: float, stats: dict, stops=(1.0,)) -> np.ndarray:
-    """The kernel on one fan: S systems (S, n-1, r, r), each along each of
-    the L member paths, from the members-last values y (r, r, S*L), members
-    ordered (system, fan member), to the values at the stops.
-    point_and_velocity(t) is read as (T, L), so the coefficients of all
-    members at all stage points are one product
-    (r*r*S, n-1) @ (T, n-1, L) -> (T, r, r, S*L) with the negated residues."""
-    res_t = -np.transpose(residues, (2, 3, 0, 1)).reshape(-1, residues.shape[1])
-
-    def coefficients(t):
-        z, v = seg.point_and_velocity(t)
-        w = v[:, None, :] / (z[:, None, :] - points[:, None])
-        return (res_t @ w).reshape((len(t),) + y.shape)
-
-    return _integrate_stack(coefficients, y, tol, stats, stops)
+    return out, accepted
 
 
 def _check_tol(tol: float) -> None:
@@ -662,10 +644,12 @@ def transport_fan(
     (S, L, r, r) for a stack.  All S*L members share the step sequence and
     the values are recorded at the increasing stop times in [0, 1]: values
     has shape (len(stops), L, r, r) for one system and
-    (len(stops), S, L, r, r) for a stack, error_estimates (L,) or (S, L).
-    The kernel runs them as one members-last stack (r, r, S*L) (_march);
-    the values are a view of it in these shapes.  No proximity check is
-    made.
+    (len(stops), S, L, r, r) for a stack.  The kernel (_integrate_stack)
+    runs them as one members-last stack (r, r, S*L); the values are a view
+    of it in these shapes.  fan.point_and_velocity(t) is read as (T, L), so
+    the coefficients of all members at all stage points are one product
+    (r*r*S, n-1) @ (T, n-1, L) -> (T, r, r, S*L) with the negated residues.
+    No proximity check is made.
     """
     _check_tol(tol)
     stops = np.asarray(stops, dtype=float)
@@ -680,14 +664,17 @@ def transport_fan(
     # the kernel's stack is members-last, (r, r, S*L) ordered (system, fan
     # member): the coefficient product's order
     y = np.ascontiguousarray(np.moveaxis(starts, (2, 3), (0, 1)).reshape(r, r, s * count))
-    stats = {"steps": 0, "err": np.zeros(s * count)}
-    pts = np.asarray(points, dtype=complex)
-    values = _march(pts, res, fan, y, tol, stats, stops)
+    pts = np.asarray(points, dtype=complex)[:, None]
+    res_t = -np.transpose(res, (2, 3, 0, 1)).reshape(-1, m)
+
+    def coefficients(t):
+        z, v = fan.point_and_velocity(t)
+        w = v[:, None, :] / (z[:, None, :] - pts)
+        return (res_t @ w).reshape((len(t),) + y.shape)
+
+    values, steps = _integrate_stack(coefficients, y, tol, stops)
     values = np.moveaxis(values.reshape(len(stops), r, r, s, count), (1, 2), (3, 4))
-    errs = stats["err"].reshape(s, count)
-    if single:
-        values, errs = values[:, 0], errs[0]
-    return StackTransport(values=values, step_count=stats["steps"], error_estimates=errs)
+    return StackTransport(values=values[:, 0] if single else values, step_count=steps)
 
 
 # paths keep this fraction of the minimal pairwise puncture distance away
@@ -1133,11 +1120,17 @@ def monodromy_rep(
 # gauge alignment
 
 
-def _balance_positive_diagonal(sq: np.ndarray, sweeps: int = 200) -> np.ndarray:
+# most sweeps of _balance_positive_diagonal and of _torus_ascent
+BALANCE_SWEEPS = 200
+TORUS_SWEEPS = 60
+
+
+def _balance_positive_diagonal(sq: np.ndarray) -> np.ndarray:
     """Positive diagonals D minimizing sum ||D M D^{-1}||_F^2 (Osborne sweeps).
 
     sq (B, r, r) holds sum_i |M_i|^2 of each member; returns d (B, r).  A
-    member stops moving once a sweep moves it by less than 1e-14.
+    member stops moving once a sweep moves it by less than 1e-14, or after
+    BALANCE_SWEEPS sweeps.
     """
     r = sq.shape[-1]
     # with the diagonal zeroed, row and column sums skip it (adding 0 is exact)
@@ -1145,7 +1138,7 @@ def _balance_positive_diagonal(sq: np.ndarray, sweeps: int = 200) -> np.ndarray:
     lam = np.zeros(sq.shape[:-1])
     active = np.ones(len(sq), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(sweeps):
+        for _ in range(BALANCE_SWEEPS):
             before = lam.copy()
             for j in range(r):
                 row = (off[:, j, :] * np.exp(-2 * lam)).sum(axis=-1)
@@ -1161,17 +1154,17 @@ def _balance_positive_diagonal(sq: np.ndarray, sweeps: int = 200) -> np.ndarray:
     return np.exp(lam)
 
 
-def _torus_ascent(c: np.ndarray, theta: np.ndarray, sweeps: int = 60) -> np.ndarray:
+def _torus_ascent(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Coordinate ascent of Re sum_jk g_j c_jk conj(g_k), g = e^{i theta}.
 
     c (B, r, r), theta (B, S, r) with S starts per member; each start stops
-    once a sweep moves it by less than 1e-14.  Every coordinate step is the
-    exact maximizer along its axis.
+    once a sweep moves it by less than 1e-14, or after TORUS_SWEEPS sweeps.
+    Every coordinate step is the exact maximizer along its axis.
     """
     r = theta.shape[-1]
     off = (c * (1 - np.eye(r)))[:, None]
     active = np.ones(theta.shape[:-1], dtype=bool)
-    for _ in range(sweeps):
+    for _ in range(TORUS_SWEEPS):
         before = theta.copy()
         for j in range(r):
             g = np.exp(1j * theta)

@@ -164,7 +164,7 @@ def project_conjugators(
     raise ChartRadiusError("closure Newton did not converge")
 
 
-def random_admissible_rep(weights: fuchs.WeightSystem, seed: int = 0) -> fuchs.AdmissibleRep:
+def random_admissible_rep(weights: fuchs.WeightSystem, seed: int) -> fuchs.AdmissibleRep:
     """Admissible tuple from random conjugators plus Newton projection."""
     from .numcore import random_unitary
 
@@ -196,7 +196,7 @@ class TangentDirection:
     xi_im: list[np.ndarray]
 
 
-def random_tangent_direction(weights: fuchs.WeightSystem, seed: int = 0) -> TangentDirection:
+def random_tangent_direction(weights: fuchs.WeightSystem, seed: int) -> TangentDirection:
     """Unit-norm random anti-Hermitian velocities for the Re and Im moves."""
     rng = np.random.default_rng(seed)
 

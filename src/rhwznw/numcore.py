@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+# largest ||m - m*||_F, relative to max(||m||_F, 1), of a Hermitian matrix
+HERMITIAN_TOL = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -40,18 +42,18 @@ def fro(m) -> float:
     return float(np.linalg.norm(m, "fro"))
 
 
-def is_hermitian(m, tol: float = 1e-12) -> bool:
+def is_hermitian(m) -> bool:
     m = np.asarray(m, dtype=complex)
-    scale = max(fro(m), 1.0)
-    return fro(m - m.conj().T) <= tol * scale
+    return fro(m - m.conj().T) <= HERMITIAN_TOL * max(fro(m), 1.0)
 
 
-def check_hermitian_pd(h, tol: float = 1e-12) -> np.ndarray:
-    """Validate that h is Hermitian positive-definite; return hermitized copy."""
+def check_hermitian_pd(h) -> np.ndarray:
+    """Validate that h is Hermitian positive-definite to HERMITIAN_TOL;
+    return a hermitized copy."""
     h = as_cmatrix(h, "h")
     if h.shape[0] != h.shape[1]:
         raise ValueError("h must be square")
-    if not is_hermitian(h, tol=tol):
+    if not is_hermitian(h):
         raise NotPositiveDefiniteError("matrix is not Hermitian to tolerance")
     h = 0.5 * (h + h.conj().T)
     w = np.linalg.eigvalsh(h)
@@ -73,8 +75,8 @@ def random_unitary(rng: np.random.Generator, r: int) -> np.ndarray:
     return q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
 
 
-def random_hpd(rng: np.random.Generator, r: int, spread: float = 1.0) -> np.ndarray:
+def random_hpd(rng: np.random.Generator, r: int) -> np.ndarray:
     """Random Hermitian positive-definite matrix with moderate conditioning."""
     m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-    h = m @ m.conj().T + (0.5 + spread) * np.eye(r)
+    h = m @ m.conj().T + 1.5 * np.eye(r)
     return 0.5 * (h + h.conj().T)

@@ -186,6 +186,10 @@ def plan_route(
     return route
 
 
+# pieces of a segment's first subdivision in path_log_increment
+LOG_INCREMENT_PIECES = 64
+
+
 def _segment_log_increment(seg: Segment, w: complex, pieces: int) -> complex:
     ts = np.linspace(0.0, 1.0, pieces + 1)
     pts = seg.point(ts) - w
@@ -197,11 +201,12 @@ def _segment_log_increment(seg: Segment, w: complex, pieces: int) -> complex:
     return complex(np.sum(np.log(ratios)))
 
 
-def path_log_increment(path: list[Segment], w: complex, pieces: int = 64) -> complex:
+def path_log_increment(path: list[Segment], w: complex) -> complex:
     """Continuous increment of log(z - w) along the path.
 
-    Each segment is subdivided finely enough that consecutive ratios stay
-    well away from the principal branch cut, so summing principal logs of
-    the ratios tracks the continuous branch exactly.
+    Each segment is subdivided, from LOG_INCREMENT_PIECES pieces up, finely
+    enough that consecutive ratios stay well away from the principal branch
+    cut, so summing principal logs of the ratios tracks the continuous
+    branch exactly.
     """
-    return sum((_segment_log_increment(seg, w, pieces) for seg in path), 0.0 + 0.0j)
+    return sum((_segment_log_increment(seg, w, LOG_INCREMENT_PIECES) for seg in path), 0.0 + 0.0j)

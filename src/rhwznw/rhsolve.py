@@ -174,6 +174,8 @@ class SolveOptions:
 
 @dataclass
 class SolveReport:
+    # the squared gauge distance of the best restart's monodromy from the
+    # target: success means final_residual <= tol**2
     final_residual: float
     iterations: int
     objective_history: list[float]
@@ -255,9 +257,10 @@ def solve(
     Levenberg-Marquardt from deterministic multi-starts: restart 0 starts
     from the chart of init when one is given; otherwise, and on every later
     restart, the chart basepoints are drawn from the restart's seed.
-    Success means the squared gauge distance between the solution's
-    monodromy and the target (the generator block of the last LM residual)
-    is at most opts.tol.  The returned report carries the normalization at
+    Success means the gauge distance between the solution's monodromy and
+    the target (the norm of the generator block of the last LM residual)
+    is at most opts.tol; the report's final_residual is its square.  The
+    returned report carries the normalization at
     infinity of a successful solution and its large-cell flag;
     make_metric_field accepts it as is.
     """
@@ -301,12 +304,13 @@ def solve(
         cand = (final, restart, parm, x, iters, history)
         if best is None or cand[0] < best[0]:
             best = cand
-        if final <= opts.tol:
+        # final is a squared distance, tol a distance
+        success = best[0] <= opts.tol**2
+        if success:
             break
 
     final, restart, parm, x, iters, history = best
     system = parm.system(x)
-    success = final <= opts.tol
     norm = None
     if success:
         try:

@@ -34,11 +34,13 @@ Gauss-Legendre panels in log-radius with panel edges aligned to the
 delta schedule, so one transported web serves every delta at once.
 Full circles use the periodic trapezoid rule in the angle, each with the
 fewest angles at which the local series' convergence ratio q on it
-leaves no aliased Fourier mode above ANGLE_ALIAS_TOL (_angle_counts); the
-outward patch regions, whose radial extent is only piecewise smooth in
-the angle, use Gauss-Legendre panels split at the boundary kinks.  The
-web counts its nodes from these rules first and refuses more than
-WEB_NODE_LIMIT of them.
+leaves no aliased Fourier mode above ANGLE_ALIAS_TOL (_angle_counts), at
+most 64 since q <= 1/2; the outward patch regions, whose radial extent is
+only piecewise smooth in the angle, use Gauss-Legendre panels split at
+the boundary kinks.  Every Gauss-Legendre panel has order GL_ORDER, so
+the quadrature follows from the points, the loop series and the delta
+schedule alone.  The web counts its nodes from these rules first and
+refuses more than WEB_NODE_LIMIT of them.
 
 Transport: near each puncture and near infinity Y is a convergent
 Frobenius series times a power.  The normalization at infinity already
@@ -60,7 +62,7 @@ digits however close to z_i; the outer region uses FuchsianSystem.A_of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -87,11 +89,15 @@ FIT_TOLERANCE = 1e-2
 OUTWARD_PANELS = 2
 # largest log-radius length of one radial Gauss-Legendre panel
 MAX_PANEL_SPAN = 0.8
+# equal angles on which _kink_angles locates the patch boundary's kinks
+KINK_SAMPLES = 4096
+# order of every Gauss-Legendre panel of the web: radial, outward and angular
+GL_ORDER = 8
 # largest q^N on a series-grid circle of N trapezoid angles, q the series'
 # convergence ratio there: the size of the first Fourier mode that aliases
 ANGLE_ALIAS_TOL = 1e-17
 # most nodes of one quadrature web, 153 times the 6,528 of the default
-# schedule at the default quadrature on the rank-2 fixture
+# schedule on the rank-2 fixture
 WEB_NODE_LIMIT = 1_000_000
 # outer over inner radius of annulus_kinetic_integral's annulus
 ANNULUS_RATIO = 2.0
@@ -222,8 +228,8 @@ class MetricField:
     basepoint_value: np.ndarray
     series: fuchs.SeriesStack
     series_coords: np.ndarray
-    large_cell_flag: bool = True
-    monodromy_quality: float = 0.0
+    large_cell_flag: bool
+    monodromy_quality: float
 
     @property
     def weights(self) -> fuchs.WeightSystem:
@@ -311,31 +317,32 @@ def _region_series(fld: MetricField, at: int | None):
     return values
 
 
-def _angle_counts(series: fuchs.SeriesStack, at: int | None, rho: np.ndarray, n_phi: int) -> np.ndarray:
+def _angle_counts(series: fuchs.SeriesStack, at: int | None, rho: np.ndarray) -> np.ndarray:
     """Trapezoid angles of the series-grid circles of radii rho about the
     center of region `at`: the fewest N, a multiple of 8 and at least 8,
-    with q^N <= ANGLE_ALIAS_TOL, and at most n_phi.  q = |x| / scale is the
-    series' convergence ratio on the circle, x = rho at a patch and 1 / rho
-    at infinity."""
+    with q^N <= ANGLE_ALIAS_TOL.  q = |x| / scale is the series' convergence
+    ratio on the circle, x = rho at a patch and 1 / rho at infinity; the
+    grids keep q <= 1/2, so N <= 64."""
     q = (1.0 / rho if at is None else rho) / series.scale[-1 if at is None else at]
     n = 8 * np.ceil(np.log(ANGLE_ALIAS_TOL) / (8 * np.log(q)))
-    return np.minimum(np.maximum(n, 8), n_phi).astype(int)
+    return np.maximum(n, 8).astype(int)
 
 
-def _series_grid(fld: MetricField, at: int | None, radial, n_phi: int):
+def _series_grid(fld: MetricField, at: int | None, radial):
     """Node offsets x = z - center, radii, area weights and Y of one region
     (_region_series) on the circles of the log-radius rule radial =
     (s, weights), each flattened circle by circle.
 
     The circle of radius rho takes _angle_counts trapezoid angles.  The
     densities there are periodic and analytic in the angle, with Fourier
-    modes decaying like q^|m| (q <= 1/2 at the ring and beyond the outer
-    circle), so N angles err only by the aliased modes, of size q^N.  The
-    circles of one count are one separable series evaluation.
+    modes decaying like q^|m| (q <= 1/2 on and inside the ring and on and
+    beyond the outer circle), so N angles err only by the aliased modes, of
+    size q^N, and no circle takes more than 64.  The circles of one count
+    are one separable series evaluation.
     """
     s, w_s = radial
     rho = np.exp(s)
-    counts = _angle_counts(fld.series, at, rho, n_phi)
+    counts = _angle_counts(fld.series, at, rho)
     series = _region_series(fld, at)
     parts = []
     for n in np.unique(counts):
@@ -361,15 +368,6 @@ def _region_A(system: fuchs.FuchsianSystem, at: int | None, x: np.ndarray) -> np
 
 # ---------------------------------------------------------------------------
 # quadrature web
-
-
-@dataclass
-class QuadratureOptions:
-    """n_phi: the most trapezoid angles on one series-grid circle
-    (_angle_counts); gl_order: the order of every Gauss-Legendre panel."""
-
-    n_phi: int = 192
-    gl_order: int = 8
 
 
 @dataclass
@@ -400,19 +398,19 @@ def _panel_edges(a: float, b: float, max_span: float) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
-def _gl_panels(edges, max_span: float, order: int):
+def _gl_panels(edges, max_span: float):
     """GL nodes and weights on [edges[0], edges[-1]] with a panel edge at
     every given edge and no panel longer than max_span."""
     fine = [_panel_edges(a, b, max_span) for a, b in zip(edges[:-1], edges[1:])]
-    parts = [_gl_nodes(a, b, order) for e in fine for a, b in zip(e[:-1], e[1:])]
+    parts = [_gl_nodes(a, b, GL_ORDER) for e in fine for a, b in zip(e[:-1], e[1:])]
     return np.concatenate([x for x, _ in parts]), np.concatenate([w for _, w in parts])
 
 
-def _log_panels(r_lo: float, r_hi: float, fixed: list[float], opts: QuadratureOptions):
+def _log_panels(r_lo: float, r_hi: float, fixed: list[float]):
     """GL nodes and weights in s = log rho on [log r_lo, log r_hi] with panel
     edges at every fixed radius in between."""
     edges = sorted({np.log(r_lo), np.log(r_hi), *[np.log(f) for f in fixed if r_lo < f < r_hi]})
-    return _gl_panels(edges, MAX_PANEL_SPAN, opts.gl_order)
+    return _gl_panels(edges, MAX_PANEL_SPAN)
 
 
 def _patch_constraints(points: np.ndarray, i: int, r_out: float):
@@ -453,23 +451,24 @@ def _voronoi_rho_max(points: np.ndarray, i: int, phis: np.ndarray, r_out: float)
     return np.min(_patch_constraints(points, i, r_out)(np.asarray(phis, dtype=float)), axis=0)
 
 
-def _kink_angles(points: np.ndarray, i: int, r_out: float, samples: int = 4096) -> np.ndarray:
+def _kink_angles(points: np.ndarray, i: int, r_out: float) -> np.ndarray:
     """Angles where the active patch constraint switches (boundary kinks),
-    read-only and cached per point set: every action at fixed points has the
-    same patches."""
+    located on KINK_SAMPLES equal angles and then bisected; read-only and
+    cached per point set: every action at fixed points has the same
+    patches."""
     key = tuple(np.asarray(points).ravel().tolist())
-    return _kink_angles_of(key, int(i), float(r_out), int(samples))
+    return _kink_angles_of(key, int(i), float(r_out))
 
 
 @lru_cache(maxsize=256)
-def _kink_angles_of(points: tuple, i: int, r_out: float, samples: int) -> np.ndarray:
+def _kink_angles_of(points: tuple, i: int, r_out: float) -> np.ndarray:
     bounds = _patch_constraints(np.asarray(points), i, r_out)
-    phis = 2 * np.pi * np.arange(samples) / samples
+    phis = 2 * np.pi * np.arange(KINK_SAMPLES) / KINK_SAMPLES
     active = np.argmin(bounds(phis), axis=0)
     ks = np.flatnonzero(active != np.roll(active, -1))
     # bisect every switching sample interval at once
     a_lo = active[ks]
-    lo, hi = phis[ks], phis[ks] + 2 * np.pi / samples
+    lo, hi = phis[ks], phis[ks] + 2 * np.pi / KINK_SAMPLES
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         below = np.argmin(bounds(mid), axis=0) == a_lo
@@ -491,9 +490,8 @@ class TransportWeb:
 
     IMAG_SAMPLE = 64
 
-    def __init__(self, fld: MetricField, delta_schedule: tuple, opts: QuadratureOptions):
+    def __init__(self, fld: MetricField, delta_schedule: tuple):
         self.field = fld
-        self.opts = opts
         pts = np.asarray(fld.system.points)
         self.r_out = _outer_radius(pts, fld.basepoint)
         if 1.0 / max(delta_schedule) <= 1.2 * self.r_out:
@@ -504,11 +502,11 @@ class TransportWeb:
             raise ValueError("largest delta must sit inside every puncture patch")
         delta_min = min(delta_schedule)
         fixed = sorted(set(delta_schedule))
-        inward = [_log_panels(delta_min, ring_r, fixed, opts) for ring_r in ring_radii]
-        outer = _log_panels(self.r_out, 1.0 / delta_min, [1.0 / d for d in delta_schedule], opts)
+        inward = [_log_panels(delta_min, ring_r, fixed) for ring_r in ring_radii]
+        outer = _log_panels(self.r_out, 1.0 / delta_min, [1.0 / d for d in delta_schedule])
         angles = [self._ray_angles(i) for i in range(len(pts))]
-        t_nodes, t_weights = _gl_panels(np.linspace(0, 1, OUTWARD_PANELS + 1), 1.0, opts.gl_order)
-        nodes = (sum(int(_angle_counts(fld.series, at, np.exp(s), opts.n_phi).sum())
+        t_nodes, t_weights = _gl_panels(np.linspace(0, 1, OUTWARD_PANELS + 1), 1.0)
+        nodes = (sum(int(_angle_counts(fld.series, at, np.exp(s)).sum())
                      for at, (s, _) in [*enumerate(inward), (None, outer)])
                  + len(t_nodes) * sum(len(phi) for phi, _ in angles))
         if nodes > WEB_NODE_LIMIT:
@@ -528,7 +526,7 @@ class TransportWeb:
             in enumerate(zip(rays, angles, inward, np.split(y_out, ends, axis=1)))
         ]
         # the outer region from the series at infinity, out to 1 / delta_min
-        x, rho, wt, y = _series_grid(fld, None, outer, opts.n_phi)
+        x, rho, wt, y = _series_grid(fld, None, outer)
         self.regions.append(_WebRegion(x, rho, wt, *self._densities(None, x, y)))
 
     # -- patches ------------------------------------------------------------
@@ -542,7 +540,7 @@ class TransportWeb:
         if len(kinks) == 0:
             kinks = np.array([0.0])
         edges = np.concatenate([kinks, [kinks[0] + 2 * np.pi]])
-        return _gl_panels(edges, 2 * np.pi / 12, self.opts.gl_order)
+        return _gl_panels(edges, 2 * np.pi / 12)
 
     def _patch_rays(self, i: int, ring_r: float, phi: np.ndarray):
         """The outward rays of the patch at puncture i at the angles phi, from
@@ -559,7 +557,7 @@ class TransportWeb:
         log-radius rule radial from delta_min to the ring, and its rays'
         values y_out (len(t_nodes), rays, r, r) at the stops t_nodes, w_rays
         their angular weights."""
-        x_in, rho_in, wt_in, y_in = _series_grid(self.field, i, radial, self.opts.n_phi)
+        x_in, rho_in, wt_in, y_in = _series_grid(self.field, i, radial)
         _, phis, s0, s1 = rays
         span = s1 - s0
         s_out = s0 + t_nodes[:, None] * span[None, :]
@@ -617,7 +615,7 @@ class ActionResult:
     kappa: float
     imag_residual: float
     web_nodes: int  # nodes of the quadrature web
-    csv_rows: list[dict] = field(default_factory=list)
+    csv_rows: list[dict]
 
 
 def decay_exponent(weights: fuchs.WeightSystem) -> float:
@@ -639,7 +637,6 @@ def checked_delta_schedule(schedule) -> tuple[float, ...]:
 def action_regularized(
     fld: MetricField,
     delta_schedule: tuple[float, ...] = DELTA_SCHEDULE,
-    opts: QuadratureOptions | None = None,
 ) -> ActionResult:
     """Regularized WZNW action with delta -> 0 extrapolation.
 
@@ -653,12 +650,11 @@ def action_regularized(
     if not fld.large_cell_flag:
         raise RegularLocusError("action is defined on the regular locus only")
     deltas = tuple(sorted(checked_delta_schedule(delta_schedule), reverse=True))
-    opts = opts or QuadratureOptions()
     k1, k2 = fld.weights.counterterm_coefficients()
     # a non-finite value at any node reaches the smallest delta's total,
     # which is checked below, so numpy's overflow warnings would only repeat it
     with np.errstate(all="ignore"):
-        web = TransportWeb(fld, deltas, opts)
+        web = TransportWeb(fld, deltas)
         integrals = [web.integrals_at(d) for d in deltas]
 
     rows, totals = [], []
@@ -726,7 +722,7 @@ def _imag_residual_sample(web: TransportWeb) -> float:
 
 def annulus_kinetic_integral(fld: MetricField, puncture_index: int, delta: float) -> float:
     """Kinetic integral over the annulus delta < |z - z_i| < ANNULUS_RATIO * delta,
-    at the default quadrature.
+    on the action web's quadrature.
 
     As delta -> 0 this tends to 2 pi log(ANNULUS_RATIO) * sum_j alpha_ij^2;
     used to check the counterterm coefficient.  Y at the nodes comes from
@@ -734,9 +730,8 @@ def annulus_kinetic_integral(fld: MetricField, puncture_index: int, delta: float
     web, so ANNULUS_RATIO * delta must not exceed its loop circle's radius
     (ValueError).
     """
-    opts = QuadratureOptions()
-    radial = _log_panels(delta, ANNULUS_RATIO * delta, [], opts)
-    x, _, wt, y = _series_grid(fld, puncture_index, radial, opts.n_phi)
+    radial = _log_panels(delta, ANNULUS_RATIO * delta, [])
+    x, _, wt, y = _series_grid(fld, puncture_index, radial)
     kin, _ = densities(y, _region_A(fld.system, puncture_index, x))
     return float(np.sum(wt * kin))
 

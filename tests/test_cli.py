@@ -151,8 +151,7 @@ def test_action_abelian_fixture(tmp_path):
     assert abs(rec["value"] - oracle) <= 1e-3 * abs(oracle)
     # the record counts the nodes of the web that the action built
     fld = wznw.make_metric_field(fuchs.FuchsianSystem(ws, cfg.residues), cli._target_rep(cfg, ws))
-    opts = wznw.QuadratureOptions(n_phi=cfg.n_phi, gl_order=cfg.gl_order)
-    web = wznw.TransportWeb(fld, tuple(sorted(cfg.delta_schedule, reverse=True)), opts)
+    web = wznw.TransportWeb(fld, tuple(sorted(cfg.delta_schedule, reverse=True)))
     assert rec["web_nodes"] == sum(len(r.z) for r in web.regions)
     lines = (tmp_path / "deltas.csv").read_text().splitlines()
     assert lines[0] == "delta,kinetic,topological,counterterm,total"
@@ -199,6 +198,20 @@ def test_rhsolve_non_convergence_exit(tmp_path):
     rec = json.loads((tmp_path / "result.json").read_text())
     assert not rec["success"]
     assert rec["final_residual"] > 0  # best iterate is still reported
+
+
+def test_rhsolve_short_of_the_tolerance_exit(tmp_path):
+    # three LM iterations end at a squared gauge distance of 1.5e-9, a
+    # distance 38 times tol: the solve fails and the command exits 3
+    cfg = rank2_config()
+    cfg.residues = None
+    cfg.solver.max_iter = 3
+    cfg.solver.restarts = 1
+    cli.save_config(cfg, tmp_path / "cfg.json")
+    rc = cli.main(["rhsolve", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    rec = json.loads((tmp_path / "result.json").read_text())
+    assert not rec["success"] and cfg.solver.tol**2 < rec["final_residual"] <= cfg.solver.tol
 
 
 @pytest.mark.parametrize(
@@ -257,13 +270,16 @@ def test_seed_and_tol_overrides(tmp_path):
         ({"representation": 5}, "representation"),
         ({"residues": 5}, "residues"),
         ({"action": {"delta_schedule": 5}}, "action.delta_schedule"),
-        ({"action": {"n_phi": 0}}, "action.n_phi"),
+        # the action's quadrature has no config field: a config that still
+        # carries one, as older saved configs do, exits 2
+        ({"action": {"n_phi": 192}}, "action.n_phi"),
+        ({"action": {"gl_order": 8}}, "action.gl_order"),
         # a misspelt field must not leave its default in place silently
         ({"solver": {"restart": 1}}, "solver.restart"),
         ({"action": {"nphi": 8}}, "action.nphi"),
     ],
     ids=["points", "solver", "representation", "residues", "delta_schedule", "n_phi",
-         "solver.restart", "action.nphi"],
+         "gl_order", "solver.restart", "action.nphi"],
 )
 def test_bad_config_field_exits_2(tmp_path, capsys, patch, fieldname):
     data = rank1_config().to_dict()
@@ -293,9 +309,9 @@ def test_bad_delta_schedule_exit(tmp_path, capsys, schedule, code):
     # each used to exit 0 with a wrong or NaN S, or with a traceback or an
     # unrelated code: a bad schedule stops at load (exit 2), one whose
     # quadrature overflows stops at the non-finite total (exit 3) without
-    # numpy's overflow warnings; the coarse quadrature keeps the web small
+    # numpy's overflow warnings
     data = rank2_config().to_dict()
-    data["action"].update(delta_schedule=schedule, n_phi=8, gl_order=2)
+    data["action"].update(delta_schedule=schedule)
     (tmp_path / "cfg.json").write_text(json.dumps(data))
     rc = cli.main(["action", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
     assert rc == code
@@ -307,10 +323,10 @@ def test_bad_delta_schedule_exit(tmp_path, capsys, schedule, code):
 
 
 def test_web_node_limit_exit(tmp_path, capsys):
-    # a valid schedule whose web at Gauss-Legendre order 64 would exceed
-    # wznw.WEB_NODE_LIMIT stops before the web is built
+    # a valid schedule of 6,000 deltas down to 1e-300, whose web would
+    # exceed wznw.WEB_NODE_LIMIT, stops before the web is built
     data = rank2_config().to_dict()
-    data["action"].update(delta_schedule=[0.1, 0.05, 1e-300], gl_order=64)
+    data["action"].update(delta_schedule=np.geomspace(0.1, 1e-300, 6000).tolist())
     (tmp_path / "cfg.json").write_text(json.dumps(data))
     rc = cli.main(["action", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_VALIDATION
@@ -396,7 +412,6 @@ def test_non_positive_tol_override_exits_2(tmp_path, capsys):
 
 INTEGER_FIELDS = [
     ("degree", None), ("max_iter", "solver"), ("restarts", "solver"), ("seed", "solver"),
-    ("n_phi", "action"), ("gl_order", "action"),
 ]
 
 

@@ -292,6 +292,16 @@ def test_cold_solve_fixture(rank2_weights, rank2_target):
     assert report.final_residual <= 1e-6
 
 
+def test_capped_solve_short_of_the_tolerance_fails(rank2_weights, rank2_target):
+    # three LM iterations stop the cold fixture solve at a squared gauge
+    # distance of 1.5e-9, a distance of 3.8e-5: 38 times tol, which used to
+    # count as success because the square was compared with tol
+    opts = rhsolve.SolveOptions(max_iter=3, restarts=1)
+    _, report = rhsolve.solve(rank2_weights, rank2_target, opts=opts)
+    assert opts.tol**2 < report.final_residual <= opts.tol
+    assert not report.success and report.normalization is None
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_cold_solve_seeded_centers_at_restart_0(seed):
     # restart 0 draws its chart basepoints as every later restart does: at

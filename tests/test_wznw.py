@@ -289,6 +289,8 @@ def test_flatness_constant_field():
         basepoint_value=np.eye(1, dtype=complex),
         series=fuchs.series_stack(ws.points, zeros[None], loops.at, loops.radii, fuchs.TRANSPORT_TOL),
         series_coords=np.ones((ws.n, 1, 1), dtype=complex),
+        large_cell_flag=True,
+        monodromy_quality=0.0,
     )
     assert wznw.flatness_residual(fld, 0.5 + 0.4j, 1e-3) < 1e-10
 
@@ -414,16 +416,14 @@ def test_action_rejects_a_bad_delta_schedule(rank2_field, schedule):
 
 def test_action_non_finite_total_raises(rank2_field):
     # delta 1e-300 puts the outer circle at 1e300, whose area weights
-    # overflow: the action used to return NaN; a coarse quadrature keeps
-    # the web small and overflows the same way
-    opts = wznw.QuadratureOptions(n_phi=8, gl_order=2)
+    # overflow: the action used to return NaN
     with pytest.raises(numcore.NumericalError, match="delta 1e-300"):
-        wznw.action_regularized(rank2_field, (0.1, 0.05, 1e-300), opts)
+        wznw.action_regularized(rank2_field, (0.1, 0.05, 1e-300))
 
 
 def test_web_node_limit_raises_before_any_transport(rank2_field, monkeypatch):
-    # delta 1e-300 at Gauss-Legendre order 64 plans about 1.6 million nodes;
-    # at the default quadrature such a web used to be built, 771 MB in 6.9 s,
+    # 6,000 deltas down to 1e-300 plan about 1.2 million nodes; before the
+    # node limit, a web of 4 million nodes was built, 771 MB in 6.9 s,
     # before its total overflowed
     def no_transport(*args, **kwargs):
         raise AssertionError("transported past the node limit")
@@ -431,7 +431,7 @@ def test_web_node_limit_raises_before_any_transport(rank2_field, monkeypatch):
     monkeypatch.setattr(fuchs, "transport_fan", no_transport)
     start = time.process_time()
     with pytest.raises(ValueError, match="WEB_NODE_LIMIT"):
-        wznw.action_regularized(rank2_field, (0.1, 0.05, 1e-300), wznw.QuadratureOptions(gl_order=64))
+        wznw.action_regularized(rank2_field, tuple(np.geomspace(0.1, 1e-300, 6000)))
     assert time.process_time() - start < 1.0
 
 
@@ -441,7 +441,7 @@ def test_totals_keep_their_digits_at_tiny_deltas(rank2_field, rank2_weights):
     # totals at 1e-16 and 1e-20 used to read 9.09 and 1296
     deltas = (1e-8, 1e-12, 1e-16, 1e-20)
     k1, k2 = rank2_weights.counterterm_coefficients()
-    web = wznw.TransportWeb(rank2_field, deltas, wznw.QuadratureOptions())
+    web = wznw.TransportWeb(rank2_field, deltas)
     totals = np.array([sum(web.integrals_at(d)) + 2 * np.pi * np.log(d) * (k1 + k2)
                        for d in deltas])
     assert np.max(np.abs(totals / totals[0] - 1)) <= 1e-9
@@ -538,7 +538,7 @@ def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
     assert abs(act.value / 0.0269422054119 - 1) <= 1e-8
     assert act.imag_residual <= 1e-8
     deltas = (0.1, 0.05, 0.025, 0.0125)
-    web = wznw.TransportWeb(fld, deltas, wznw.QuadratureOptions())
+    web = wznw.TransportWeb(fld, deltas)
     assert sum(len(region.z) for region in web.regions) == 6528
 
 
@@ -608,10 +608,10 @@ def _criterion9_center():
 def test_series_angle_counts_keep_the_totals(problems, monkeypatch):
     # each series-grid circle takes the fewest angles whose first aliased
     # Fourier mode, q^N, is below ANGLE_ALIAS_TOL; every per-delta total
-    # agrees with the same web at n_phi angles on every circle
+    # agrees with the same web at 192 angles on every circle
     fields = [wznw.make_metric_field(system, target) for system, target in problems()]
     sized = [wznw.action_regularized(fld) for fld in fields]
-    monkeypatch.setattr(wznw, "_angle_counts", lambda series, at, rho, n_phi: np.full(len(rho), n_phi))
+    monkeypatch.setattr(wznw, "_angle_counts", lambda series, at, rho: np.full(len(rho), 192))
     for fld, act in zip(fields, sized):
         full = wznw.action_regularized(fld)
         assert act.web_nodes < full.web_nodes
@@ -619,24 +619,40 @@ def test_series_angle_counts_keep_the_totals(problems, monkeypatch):
             assert abs(total - want) <= 1e-12
 
 
+def test_no_series_grid_circle_takes_more_than_64_angles(monkeypatch):
+    # the series' convergence ratio q is at most 1/2 on every series-grid
+    # circle, the ring and the annulus at the ring's largest delta included,
+    # so q^64 <= ANGLE_ALIAS_TOL and the angle count needs no cap
+    problems = [*_fixture_problem(), *_rigid_draws(11, 1), *_rank1_draws(12, 1),
+                *_criterion9_center()]
+    counts, angle_counts = [], wznw._angle_counts
+    monkeypatch.setattr(wznw, "_angle_counts", lambda *a: counts.append(angle_counts(*a)) or counts[-1])
+    for system, target in problems:
+        fld = wznw.make_metric_field(system, target)
+        wznw.action_regularized(fld)
+        for i, ring in enumerate(fld.series.radius[:-1]):
+            wznw.annulus_kinetic_integral(fld, i, ring / wznw.ANNULUS_RATIO)
+    assert len(counts) > 0 and max(int(c.max()) for c in counts) <= 64
+
+
 @pytest.mark.parametrize(
-    "deltas, opts, nodes",
+    "deltas, nodes",
     [
-        (wznw.DELTA_SCHEDULE, wznw.QuadratureOptions(), 6528),
-        ((0.1, 0.05, 0.025, 1e-30), wznw.QuadratureOptions(), 22176),
-        (wznw.DELTA_SCHEDULE, wznw.QuadratureOptions(n_phi=40, gl_order=5), 3236),
+        (wznw.DELTA_SCHEDULE, 6528),
+        ((0.1, 0.05, 0.025, 1e-30), 22176),
+        ((0.1, 0.07, 0.03, 0.01, 1e-3), 7968),
     ],
-    ids=["default", "1e-30", "n_phi-40-gl-5"],
+    ids=["default", "1e-30", "five-deltas"],
 )
 def test_planned_web_nodes_equal_the_built_web(rank2_oracle_system, rank2_target, monkeypatch,
-                                               deltas, opts, nodes):
+                                               deltas, nodes):
     # the count checked against WEB_NODE_LIMIT before anything is evaluated
     # is the count of the web that is then built
     fld = wznw.make_metric_field(rank2_oracle_system, rank2_target)
-    built = sum(len(region.z) for region in wznw.TransportWeb(fld, deltas, opts).regions)
+    built = sum(len(region.z) for region in wznw.TransportWeb(fld, deltas).regions)
     monkeypatch.setattr(wznw, "WEB_NODE_LIMIT", 0)
     with pytest.raises(ValueError, match=f"would have {built} nodes"):
-        wznw.TransportWeb(fld, deltas, opts)
+        wznw.TransportWeb(fld, deltas)
     assert built == nodes
 
 
