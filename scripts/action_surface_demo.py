@@ -1,11 +1,13 @@
-"""Sample the regularized action over a small disk in moduli and check the
-Levi form, i.e. the Kahler-potential property, numerically.
+"""Sample the regularized action over a small disk in a moduli family and
+take its chart Laplacian from the plus-stencil.
 
     python scripts/action_surface_demo.py --out surface_out --spacing 0.05
 
-Writes surface.csv with (Re eps, Im eps, S, fit error, flag) rows; the
-Levi form from the plus-stencil must come out positive on the regular
-locus.
+Writes surface.csv with (Re eps, Im eps, S, fit error, flag) rows, and
+prints the chart Laplacian of S and of the potential -S/2.  The family's
+parameter eps is not a holomorphic coordinate, so these values are
+Laplacians in the chart, not the Levi form of the Kahler potential, and
+their sign depends on the family's direction (rhwznw.moduli).
 """
 
 import argparse
@@ -45,8 +47,8 @@ def main() -> None:
     moduli.surface_to_csv(points, out / "surface.csv")
 
     levi_s = moduli.levi_from_surface(points, 0.0, a)
-    print(f"Levi form of S: {levi_s:.6f}; of the potential -S/2: {-0.5 * levi_s:.6f} "
-          "(the latter is positive on the regular locus)")
+    print(f"chart Laplacian of S: {levi_s:.6f}; of the potential -S/2: {-0.5 * levi_s:.6f} "
+          "(eps is not a holomorphic coordinate: not the Levi form)")
 
 
 if __name__ == "__main__":

@@ -78,13 +78,6 @@ class SplittingType:
             sizes.append(len(list(grp)))
         return tuple(sizes)
 
-    def block_slices(self) -> list[slice]:
-        out, start = [], 0
-        for size in self.partition:
-            out.append(slice(start, start + size))
-            start += size
-        return out
-
 
 @dataclass
 class BruhatFactors:

@@ -180,13 +180,17 @@ class SolveReport:
     iterations: int
     objective_history: list[float]
     infinity_spectrum_error: float
-    large_cell_flag: bool
     success: bool
     restart_index: int
     message: str = ""
     # the normalization at infinity of the solution, None when the solve
     # failed or the normalization raised
     normalization: NormalizationResult | None = None
+
+    @property
+    def large_cell_flag(self) -> bool:
+        """The normalization's large_cell_flag; False without a normalization."""
+        return self.normalization is not None and self.normalization.large_cell_flag
 
 
 def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
@@ -224,8 +228,13 @@ def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
                 nu *= 2
                 continue
             x_new = x + delta
-            f_new = func(x_new)
-            cost_new = float(f_new @ f_new)
+            try:
+                f_new = func(x_new)
+                cost_new = float(f_new @ f_new)
+            except NumericalError:
+                # a trial point whose residual cannot be evaluated is rejected
+                # like one that raises the cost
+                cost_new = np.inf
             predicted = float(delta @ (lam * delta - g))
             rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
             if cost_new < cost and rho > 0:
@@ -261,7 +270,7 @@ def solve(
     the target (the norm of the generator block of the last LM residual)
     is at most opts.tol; the report's final_residual is its square.  The
     returned report carries the normalization at
-    infinity of a successful solution and its large-cell flag;
+    infinity of a successful solution, whose large_cell_flag it reads;
     make_metric_field accepts it as is.
     """
     opts = opts or SolveOptions()
@@ -323,7 +332,6 @@ def solve(
         iterations=iters,
         objective_history=history,
         infinity_spectrum_error=system.infinity_spectrum_residual(),
-        large_cell_flag=norm is not None and norm.large_cell_flag,
         success=success,
         restart_index=restart,
         message="converged" if success else "no restart reached tolerance",
@@ -343,6 +351,8 @@ DISAGREEMENT_WARNING = 1e-3
 @dataclass
 class NormalizationResult:
     constant_term: np.ndarray
+    # whether the solution lies on the regular locus: a scalar splitting with
+    # an invertible constant term (normalize_at_infinity)
     large_cell_flag: bool
     canonical_system: fuchs.FuchsianSystem
     basepoint: complex
@@ -362,30 +372,6 @@ class NormalizationResult:
     series_coords: np.ndarray
 
 
-def _coset_flag(G: np.ndarray, splitting: factor.SplittingType) -> bool:
-    """Whether G lies in P_N Pi0 N(r): the Bruhat permutation of G must sit
-    in the W(i_1) x ... x W(i_s) coset of the antidiagonal.
-
-    Only the rank-pattern permutation is needed, never the full
-    factorization (whose triangular factors blow up near cell boundaries
-    that are interior to the coset).  For a single-block splitting the
-    coset is all of W(r) and invertibility decides.
-    """
-    r = G.shape[0]
-    if np.linalg.cond(G) > 1e10:
-        return False
-    if splitting.partition == (r,):
-        return True
-    pi = factor.bruhat_permutation(G)
-    pi0 = factor.antidiagonal_permutation(r)
-    w = pi @ pi0
-    for sl in splitting.block_slices():
-        block_sum = np.sum(w[sl, sl])
-        if abs(block_sum - (sl.stop - sl.start)) > 1e-9:
-            return False
-    return True
-
-
 def normalize_at_infinity(
     system: fuchs.FuchsianSystem,
     target: fuchs.AdmissibleRep,
@@ -402,9 +388,16 @@ def normalize_at_infinity(
     (P_i the approach leg's transport) and W at the basepoint on the big
     circle.  At infinity column b of Y W z^{-(N'+W_n)} tends to the
     constant term basis[:, pi(b)] C[pi(b), b], C = basis^{-1} K and pi
-    matching the series' exponents to N' + W_n.  When G Pi0-membership in
-    the large-cell coset holds, the solution is left-normalized so the
-    constant term becomes Pi0.  The series and the coordinates
+    matching the series' exponents to N' + W_n.  When G is invertible
+    (cond(G) <= 1e10) the solution is left-normalized so the constant term
+    becomes Pi0, whatever the splitting: the gauge A_i -> g A_i g^{-1}
+    sends G to g G, so this pins it.
+
+    The regular locus asks for G in the coset P_N Pi0 N(r).  For a scalar
+    splitting P_N is all of GL(r), so the coset is GL(r) and large_cell_flag
+    says that G is invertible.  For any other splitting the flag is False:
+    G -> g G can move G in and out of the coset, so no function of G alone
+    decides it.  The series and the coordinates
     basis^{-1} K of every member are kept for the canonical solution:
     its frame is left F, and the coordinates do not change.
     """
@@ -437,11 +430,12 @@ def normalize_at_infinity(
             "exponents at infinity drift from the weights; expansion unreliable"
         )
 
-    flag = bool(_coset_flag(G, ws.splitting))
-    if flag:
+    invertible = bool(np.linalg.cond(G) <= 1e10)
+    if invertible:
         left = factor.antidiagonal_permutation(ws.rank) @ np.linalg.inv(G)
     else:
         left = np.eye(ws.rank, dtype=complex)
+    flag = invertible and ws.splitting.partition == (ws.rank,)
     return NormalizationResult(
         constant_term=G,
         large_cell_flag=flag,

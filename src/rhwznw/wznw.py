@@ -220,7 +220,8 @@ class MetricField:
     for |z| >= |z0|, and otherwise from one outward ray from the ring to z
     (fuchs.transport_fan on a paths.RayFan), exactly as the web reaches its
     nodes.  h(z) is path independent because the monodromy is unitary (to
-    solver tolerance).
+    solver tolerance).  make_metric_field builds a field only on the
+    regular locus, so every field is regular.
     """
 
     system: fuchs.FuchsianSystem
@@ -228,7 +229,6 @@ class MetricField:
     basepoint_value: np.ndarray
     series: fuchs.SeriesStack
     series_coords: np.ndarray
-    large_cell_flag: bool
     monodromy_quality: float
 
     @property
@@ -267,21 +267,26 @@ def make_metric_field(
     """Normalize a solved system at infinity and wrap it as a metric field.
 
     normalization, when given, is the system's normalize_at_infinity result
-    (SolveReport.normalization) and is used as it is.  monodromy_quality is
+    (SolveReport.normalization) and is used as it is.  A normalization whose
+    large_cell_flag is False raises RegularLocusError, the one refusal of
+    the regular locus (rhsolve.normalize_at_infinity).  monodromy_quality is
     the largest ||M M* - I||_F over its aligned generators: the monodromy
     of the canonical solution in the gauge of its basepoint value, where
     unitarity is what makes h single-valued.
     """
     norm = normalization or rhsolve.normalize_at_infinity(system, target)
     if not norm.large_cell_flag:
-        raise RegularLocusError("constant term at infinity outside the large-cell coset")
+        raise RegularLocusError(
+            f"not on the regular locus (splitting {system.weights.splitting.m}): a scalar "
+            "splitting needs an invertible constant term at infinity, and a non-scalar "
+            "one is not decided"
+        )
     eye = np.eye(system.weights.rank)
     quality = max(fro(m @ m.conj().T - eye) for m in norm.aligned_generators)
     return MetricField(
         system=norm.canonical_system,
         basepoint=norm.basepoint,
         basepoint_value=norm.basepoint_value,
-        large_cell_flag=norm.large_cell_flag,
         monodromy_quality=float(quality),
         series=norm.series,
         series_coords=norm.series_coords,
@@ -647,8 +652,6 @@ def action_regularized(
     NumericalError.  The fit residual is reported and must stay below
     FIT_TOLERANCE * max(|S|, spread of the totals).
     """
-    if not fld.large_cell_flag:
-        raise RegularLocusError("action is defined on the regular locus only")
     deltas = tuple(sorted(checked_delta_schedule(delta_schedule), reverse=True))
     k1, k2 = fld.weights.counterterm_coefficients()
     # a non-finite value at any node reaches the smallest delta's total,

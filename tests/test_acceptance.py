@@ -7,6 +7,7 @@ criteria.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -75,9 +76,11 @@ def test_criterion_5_rank2_round_trip(solved_rank2, rank2_weights):
     lam = np.sort(np.linalg.eigvals(system.residue_at_infinity()).real)
     spec_err = np.max(np.abs(lam - np.sort(rank2_weights.infinity_exponents)))
     mon = fuchs.monodromy_rep(system, tol=1e-10)
+    # final_residual is a squared gauge distance; the gate is on the distance
+    distance = math.sqrt(report.final_residual)
     ok = (
         report.success
-        and report.final_residual <= 1e-6
+        and distance <= 1e-6
         and spec_err <= 1e-6
         and mon.relation_residual <= 1e-7
         and report.large_cell_flag
@@ -86,7 +89,7 @@ def test_criterion_5_rank2_round_trip(solved_rank2, rank2_weights):
         5,
         "rank-2 n=3 Riemann-Hilbert round trip",
         ok,
-        f"residual {report.final_residual:.2e}, spec(A_3) {spec_err:.2e}, "
+        f"gauge distance {distance:.2e}, spec(A_3) {spec_err:.2e}, "
         f"relation {mon.relation_residual:.2e}, large cell {report.large_cell_flag}",
         time.time() - t0,
         120.0,

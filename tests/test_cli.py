@@ -170,6 +170,28 @@ def test_action_non_regular_exit(tmp_path, monkeypatch):
     assert rc == cli.EXIT_REGULAR_LOCUS
 
 
+def test_odd_degree_rhsolve_then_action_exits_4(tmp_path, capsys):
+    # the splitting (-2, -1) is not scalar: the solve succeeds and saves its
+    # residues, and the action refuses them as off the regular locus
+    ws = fuchs.build_weight_system([0.0, 1.0], [[0.25, 0.6], [0.15, 0.8], [0.5, 0.7]])
+    cfg = cli.ProblemConfig(
+        points=[0.0, 1.0], weights=ws.weights, conjugators=fuchs.rank2_closure_conjugators(ws)
+    )
+    cli.save_config(cfg, tmp_path / "cfg.json")
+    rc = cli.main(["rhsolve", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "solve")])
+    assert rc == cli.EXIT_OK
+    rec = json.loads((tmp_path / "solve" / "result.json").read_text())
+    assert rec["success"] and rec["large_cell_flag"] is False
+    capsys.readouterr()
+    rc = cli.main(
+        ["action", "--config", str(tmp_path / "solve" / "residues.json"), "--out", str(tmp_path / "action")]
+    )
+    err = capsys.readouterr().err.strip()
+    assert rc == cli.EXIT_REGULAR_LOCUS
+    assert err.startswith("error: RegularLocusError:") and "\n" not in err
+    assert not (tmp_path / "action" / "result.json").exists()
+
+
 def test_action_deterministic(tmp_path):
     cfg = rank1_config()
     cli.save_config(cfg, tmp_path / "cfg.json")

@@ -233,6 +233,60 @@ def test_normalize_flag_invariant_under_left_gauge(rank2_solved, rank2_target):
     assert max(numcore.fro(a - b) for a, b in zip(y1, y2)) < 1e-5
 
 
+# the weights sum to 3, an odd degree, so the splitting (-2, -1) is not scalar
+ODD_DEGREE_ALPHAS = [[0.25, 0.6], [0.15, 0.8], [0.5, 0.7]]
+
+
+def _closed_form_rank2(alphas):
+    ws = fuchs.build_weight_system([0.0, 1.0], alphas)
+    target = fuchs.build_admissible_rep(ws, fuchs.rank2_closure_conjugators(ws))
+    return fuchs.FuchsianSystem(ws, fuchs.rank2_rigid_residues(ws)), target
+
+
+def _seeded_gauge():
+    rng = np.random.default_rng(3)
+    return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+
+@pytest.mark.parametrize(
+    "alphas", [[[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]], ODD_DEGREE_ALPHAS], ids=["rigid", "odd-degree"]
+)
+def test_normalize_is_gauge_invariant(alphas):
+    # A_i -> g A_i g^{-1} sends the constant term G to g G: the flag and the
+    # canonical residues must not follow g
+    system, target = _closed_form_rank2(alphas)
+    norm1 = rhsolve.normalize_at_infinity(system, target)
+    norm2 = rhsolve.normalize_at_infinity(system.conjugated(_seeded_gauge()), target)
+    scalar = system.weights.splitting.partition == (2,)
+    assert norm1.large_cell_flag == norm2.large_cell_flag == scalar
+    y1 = norm1.canonical_system.residues
+    y2 = norm2.canonical_system.residues
+    assert max(numcore.fro(a - b) for a, b in zip(y1, y2)) < 1e-8
+
+
+def test_odd_degree_solve_is_off_the_regular_locus():
+    # a non-scalar splitting is not decided from G: the solve succeeds with
+    # the flag False, and no field is built, whatever the gauge
+    system, target = _closed_form_rank2(ODD_DEGREE_ALPHAS)
+    _, report = rhsolve.solve(system.weights, target)
+    assert report.success and report.normalization is not None
+    assert not report.large_cell_flag
+    for s in (system, system.conjugated(_seeded_gauge())):
+        with pytest.raises(wznw.RegularLocusError, match=r"splitting \(-2, -1\)"):
+            wznw.make_metric_field(s, target)
+
+
+def test_lm_rejects_a_trial_step_whose_residual_raises():
+    # restart 1 of this solve tries a step whose local series has a NaN tail
+    # (NumericalError); the step is rejected like a rise in cost, and the
+    # restart goes on to converge
+    ws = fuchs.build_weight_system([0.0, 1.0], [[0.2, 0.6], [0.1, 0.8], [0.55, 0.75]])
+    target = fuchs.build_admissible_rep(ws, fuchs.rank2_closure_conjugators(ws))
+    with np.errstate(all="ignore"):
+        _, report = rhsolve.solve(ws, target, opts=rhsolve.SolveOptions(restarts=2))
+    assert report.success and report.restart_index == 1
+
+
 def test_normalize_resonant_rejected(rank2_target):
     # nearly equal weights at infinity make the exponents resonant
     eps = 4e-10

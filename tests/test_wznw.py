@@ -289,7 +289,6 @@ def test_flatness_constant_field():
         basepoint_value=np.eye(1, dtype=complex),
         series=fuchs.series_stack(ws.points, zeros[None], loops.at, loops.radii, fuchs.TRANSPORT_TOL),
         series_coords=np.ones((ws.n, 1, 1), dtype=complex),
-        large_cell_flag=True,
         monodromy_quality=0.0,
     )
     assert wznw.flatness_residual(fld, 0.5 + 0.4j, 1e-3) < 1e-10
@@ -395,10 +394,13 @@ def test_action_topological_term_delta_independent(rank2_field):
     assert max(tops) - min(tops) <= 5e-3 * (1 + abs(tops[-1]))
 
 
-def test_action_refuses_non_regular(rank2_field):
-    bad = dataclasses.replace(rank2_field, large_cell_flag=False)
-    with pytest.raises(wznw.RegularLocusError):
-        wznw.action_regularized(bad)
+def test_action_refuses_non_regular(rank2_solved, rank2_target):
+    # make_metric_field is the one refusal: a normalization off the regular
+    # locus builds no field, so no action is reached
+    system, report = rank2_solved
+    bad = dataclasses.replace(report.normalization, large_cell_flag=False)
+    with pytest.raises(wznw.RegularLocusError, match=r"splitting \(-1, -1\)"):
+        wznw.make_metric_field(system, rank2_target, normalization=bad)
 
 
 @pytest.mark.parametrize(
