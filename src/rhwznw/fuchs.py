@@ -65,7 +65,8 @@ each a one-member SegmentFan.
 Near a puncture and near infinity no march is needed: the Frobenius
 solution Y0 = G(x) x^{-L} (x = z - z_i, or 1/z at infinity) is summed to a
 tail below tol / 100, and every solution is Y0 K.  There is one recursion
-for G, :func:`series_stack`, over a stack of B systems at P points, the
+for G, :func:`series_stack`, over a members-last stack of B systems at P
+points, each order from running partial sums at the same cost, the
 hardest member setting the term count as it sets the shared step of the
 kernel, and one series type, :class:`SeriesStack`, which sums a grid of
 nodes rho x theta separably: a real power table in rho times a phase
@@ -731,8 +732,8 @@ class ResonanceError(NumericalError):
 # terms converges too slowly
 SERIES_MIN_DIVISOR = 1e-6
 SERIES_MAX_TERMS = 200
-# a series' B_k are computed, and its buffers grown, this many orders at a time
-SERIES_CHUNK = 64
+# orders of the local series between two tests of its tails
+SERIES_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -853,16 +854,21 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
     at z_i, L = A_i, t_i = 0 and t_j = R / (z_j - z_i); at infinity
     L = -sum_j A_j, R = 1 / max |z_j| and t_j = R z_j.  The coefficients
     solve m G_m + [L, G_m] = -sum_{k+l=m-1} B_k G_l, in the eigenbasis of L
-    an elementwise division by m + lam_a - lam_b.  The B_k of a member are
-    one row block (r, K r) and the G_l a column block in reverse order, so
-    each order is one batched product over a contiguous slice.
+    an elementwise division by m + lam_a - lam_b.  In scaled terms the
+    convolution is -sum_j A~_j H_j (A~_j the residues in the eigenbasis),
+    and the partial sums H_j = sum_{k<m} t_j^(k+1) G_{m-1-k} obey
+    H_j <- t_j (G_{m-1} + H_j) (|t_j| <= 1: stable), so every order is the
+    same few whole-array operations on the members-last stack (r, r, B P).
 
     Terms are added until every member's tail bound
     max ||G_m R^m|| q^(m+1) / (1 - q) over its last four terms (natural
-    basis, q = radius / R) is <= tol / 100: the hardest member sets the
-    count.  Raises ResonanceError on a divisor (or an eigenvalue gap of L)
-    below SERIES_MIN_DIVISOR and NumericalError when a tail is still above
-    tol / 100 after SERIES_MAX_TERMS terms, for the whole stack.
+    basis, q = radius / R) is <= tol / 100, tested SERIES_CHUNK orders at a
+    time: the first such order is the count, the hardest member's.  Raises
+    ResonanceError on an eigenvalue gap of L, or a divisor at an order up
+    to the count, below SERIES_MIN_DIVISOR, and NumericalError (naming the
+    tail) at the first order with non-finite coefficients or when a tail
+    is still above tol / 100 after SERIES_MAX_TERMS terms, for the whole
+    stack.
     """
     _check_tol(tol)
     pts = np.asarray(points, dtype=complex)
@@ -894,57 +900,73 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
     gaps = lam[:, :, None] - lam[:, None, :]
     if np.min(np.abs(gaps) + np.eye(r)) < SERIES_MIN_DIVISOR:
         raise ResonanceError("residue with a (near) repeated eigenvalue")
+    # the first order k whose divisor k + lam_a - lam_b is below
+    # SERIES_MIN_DIVISOR: only the integer nearest -Re(lam_a - lam_b) can be
+    near = np.rint(-gaps.real)
+    near = near[(near >= 1) & (np.abs(near + gaps) < SERIES_MIN_DIVISOR)]
+    resonant = int(near.min()) if near.size else SERIES_MAX_TERMS + 1
 
-    # the scaled B_k in each member's eigenbasis as the row block (S, r, K r)
-    # and the G_l as the column block (S, (K+1) r, r) with G_l in slot K - l,
-    # both grown SERIES_CHUNK orders at a time as the recursion reaches them:
-    # row a of B_k is sum_j t_j^(k+1) times row a of -A_j, one product per chunk
+    # members last, (r, r, S) as in the kernel, member s = b P + p: the
+    # residues A~_j in each member's eigenbasis as (r, (n-1) r, S), row a
+    # and column (j, c), the partial sums H_j as (n-1, r, r, S), G_m coef[m]
     s = b * p
-    res_e = basis_inv.reshape(b, p, 1, r, r) @ res[:, None] @ basis.reshape(b, p, 1, r, r)
-    rows_of = -np.swapaxes(res_e, 2, 3)
-    row = np.empty((s, r, 0), dtype=complex)
-    terms = np.broadcast_to(np.eye(r, dtype=complex), (s, r, r)).copy()
-    size = 0
+    v, v_inv = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in (basis, basis_inv))
+    res_s = np.repeat(np.moveaxis(res, 0, -1), p, axis=-1)
+    res_e = np.einsum("ajds,dbs->ajbs", np.einsum("acs,jcds->ajds", v_inv, res_s), v)
+    res_e = res_e.reshape(r, npts * r, s)
+    t_s = np.tile(t.T, b).reshape(npts, 1, 1, s)
+    partial = np.zeros((npts, r, r, s), dtype=complex)
+    coef = np.empty((SERIES_MAX_TERMS + 1, r, r, s), dtype=complex)
+    coef[0] = np.eye(r)[:, :, None]
+    gaps = np.moveaxis(gaps, 0, -1)
     # vec(basis G basis^-1) = kron(basis, basis^-T) vec(G) for the natural-basis norms
-    natural = np.einsum("sac,sdb->sabcd", basis, basis_inv).reshape(s, r * r, r * r)
-    lifted = np.empty((s, r * r, 1), dtype=complex)
-    norms = np.empty((SERIES_MAX_TERMS + 1, s))
-    norms[0] = np.sqrt(r)
-    q = np.tile(q, b)
-    decay = q / (1 - q)  # q^(m+1) / (1 - q) at m = 0
-    target = tol / 100
-    for m in range(1, SERIES_MAX_TERMS + 1):
-        divisor = -m - gaps
-        if np.min(np.abs(divisor)) < SERIES_MIN_DIVISOR:
-            raise ResonanceError(f"near-resonant divisor at order {m}")
-        if m > size:
-            k = np.arange(size + 1, min(size + SERIES_CHUNK, SERIES_MAX_TERMS) + 1)
-            chunk = (t[:, None, :] ** k[:, None])[:, None] @ rows_of
-            row = np.concatenate([row, chunk.reshape(s, r, len(k) * r)], axis=2)
-            terms = np.concatenate([np.zeros((s, len(k) * r, r), dtype=complex), terms], axis=1)
-            size = k[-1]
-        slot = terms[:, (size - m) * r : (size - m + 1) * r]
-        np.matmul(row[:, :, : m * r], terms[:, (size - m + 1) * r :], out=slot)
-        slot /= divisor
-        np.matmul(natural, slot.reshape(s, r * r, 1), out=lifted)
-        norms[m] = _member_fro(lifted[..., 0].T)
-        decay *= q
-        tail = np.max(norms[max(m - 3, 0) : m + 1], axis=0) * decay
-        if tail.max() <= target:
-            break
-    else:
+    natural = np.einsum("acs,dbs->abcds", v, v_inv).reshape(r * r, r * r, s)
+    # the norm of G_m in row m + 3, behind three zero rows: rows m .. m + 3
+    # are the last four terms at order m
+    norms = np.zeros((SERIES_MAX_TERMS + 4, s))
+    norms[3] = np.sqrt(r)
+    # q^(m+1) / (1 - q) of every point at every order m
+    decay = np.cumprod(np.vstack([q / (1 - q), np.broadcast_to(q, (SERIES_MAX_TERMS, p))]), axis=0)
+    target, stop, end = tol / 100, None, min(resonant, SERIES_MAX_TERMS + 1)
+    # a diverging member overflows: its first non-finite order ends the recursion
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m0 in range(1, end, SERIES_CHUNK):
+            m1 = min(m0 + SERIES_CHUNK, end)
+            for m, divisor in zip(range(m0, m1), np.arange(m0, m1)[:, None, None, None] + gaps):
+                # H_j <- t_j (G_{m-1} + H_j), G_m = sum_j A~_j H_j / divisor
+                partial += coef[m - 1]
+                partial *= t_s
+                np.einsum("aks,kbs->abs", res_e, partial.reshape(npts * r, r, s), out=coef[m])
+                coef[m] /= divisor
+            block = coef[m0:m1]
+            lifted = (natural * block.reshape(m1 - m0, 1, r * r, s)).sum(axis=2)
+            norms[m0 + 3 : m1 + 3] = np.sqrt((lifted.real**2 + lifted.imag**2).sum(axis=1))
+            window = np.max([norms[m0 + i : m1 + i] for i in range(4)], axis=0)
+            tails = (window.reshape(-1, b, p) * decay[m0:m1, None]).reshape(-1, s)
+            finite = np.isfinite(block).all(axis=(1, 2, 3))
+            hits = np.flatnonzero((tails.max(axis=1) <= target) | ~finite)
+            if hits.size:
+                k = hits[0]
+                if not finite[k]:
+                    raise NumericalError(f"local series tail not finite at order {m0 + k}")
+                stop, tail = m0 + k, tails[k]
+                break
+    if stop is None:
+        if resonant <= SERIES_MAX_TERMS:
+            raise ResonanceError(f"near-resonant divisor at order {resonant}")
         raise NumericalError(
-            f"local series tail {tail.max():.3e} above {target:.1e} after {SERIES_MAX_TERMS} terms"
+            f"local series tail {tails[-1].max():.3e} above {target:.1e} after {SERIES_MAX_TERMS} terms"
         )
-    # the frame's coefficients basis g_l in increasing order
-    g = terms[:, (size - m) * r :].reshape(s, m + 1, r, r)[:, ::-1]
+    # the frame's coefficients basis g_l in increasing order, all orders of
+    # a member in one product
+    frame = np.einsum("acs,lcbs->labs", v, coef[: stop + 1])
     return SeriesStack(
         at=tuple(at),
         scale=scale,
         radius=radius,
         exponents=lam,
         basis=basis,
-        coefficients=basis[:, None] @ g,
+        coefficients=np.ascontiguousarray(np.moveaxis(frame, -1, 0)),
         tail=tail,
     )
 

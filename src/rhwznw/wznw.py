@@ -109,28 +109,6 @@ THREE_FORM_STEP = 1e-5
 # densities
 
 
-def topological_density_from_differentials(h, A) -> float:
-    """Topological density through the Cholesky differential (cross-check path).
-
-    Builds b_z b^{-1} and b_zbar b^{-1} from the real directional
-    derivatives of the Cholesky factor along dh = h A + A* h and
-    i(h A - A* h).
-    """
-    h = as_cmatrix(h, "h")
-    A = as_cmatrix(A, "A")
-    b = factor.cholesky_upper(h)
-    binv = np.linalg.inv(b)
-    hx = h @ A + A.conj().T @ h
-    hy = 1j * (h @ A - A.conj().T @ h)
-    tx = factor.cholesky_differential(h, hx) @ binv
-    ty = factor.cholesky_differential(h, hy) @ binv
-    bz = 0.5 * (tx - 1j * ty)
-    bzb = 0.5 * (tx + 1j * ty)
-    return float(
-        np.sum(np.abs(bzb) ** 2) - np.sum(np.abs(bz) ** 2)
-    )
-
-
 def densities(y: np.ndarray, A: np.ndarray):
     """(kinetic, topological) densities of the metric h = (Y Y*)^{-1} and A,
     for one Y or a (..., r, r) stack; A broadcasts against it.

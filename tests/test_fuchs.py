@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from rhwznw import fuchs, moduli, numcore, paths
+from rhwznw import fuchs, moduli, numcore, paths, rhsolve
 
 
 def test_weight_system_stability_rejection():
@@ -1132,6 +1132,119 @@ def test_series_stack_tail_not_converging_raises():
     fuchs.series_stack(ws.points, residues, [0, None], [0.5, 0.5 / 1.2], 1e-10)
     with pytest.raises(numcore.NumericalError, match="tail"):
         fuchs.series_stack(ws.points, residues, [0, None], [0.5, 0.99 / 1.2], 1e-10)
+
+
+def _series_by_convolution(points, residues, series, tol):
+    """The reference for series_stack: the direct convolution
+    m G_m + [L, G_m] = -sum_{k+l=m-1} B_k G_l over all earlier orders, with
+    B_k = -sum_j t_j^(k+1) A~_j, on the members of series (its basis,
+    exponents and scales).  Returns the coefficients basis g_m up to the
+    first order whose tail bound is <= tol / 100 for every member, and the
+    tails there."""
+    pts, p = np.asarray(points, dtype=complex), len(series.at)
+    s, r = series.basis.shape[:2]
+    t = np.array([sc * pts if i is None else sc / np.where(np.arange(len(pts)) == i, np.inf, pts - pts[i])
+                  for i, sc in zip(series.at, series.scale)])[np.arange(s) % p]
+    v, v_inv = series.basis, np.linalg.inv(series.basis)
+    a_e = v_inv[:, None] @ np.asarray(residues)[np.arange(s) // p] @ v[:, None]
+    gaps = series.exponents[:, :, None] - series.exponents[:, None, :]
+    q = np.tile(series.radius / series.scale, s // p)
+    b_k, g, norms = [], [np.broadcast_to(np.eye(r), (s, r, r))], [np.full(s, np.sqrt(r))]
+    for m in range(1, fuchs.SERIES_MAX_TERMS + 1):
+        b_k.append(-np.einsum("sj,sjab->sab", t**m, a_e))
+        g.append(sum(b_k[k] @ g[m - 1 - k] for k in range(m)) / -(m + gaps))
+        norms.append(np.linalg.norm(v @ g[m] @ v_inv, axis=(1, 2)))
+        tail = np.max(norms[-4:], axis=0) * q ** (m + 1) / (1 - q)
+        if tail.max() <= tol / 100:
+            return v[:, None] @ np.stack(g, axis=1), tail
+    raise AssertionError("the reference series does not converge")
+
+
+def _fixture_series_input():
+    ws = fuchs.build_weight_system([0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
+    loops = fuchs.MonodromyLoops(ws)
+    residues = fuchs.rank2_rigid_residues(ws)[None]
+    return ws.points, residues, loops.at, loops.radii, fuchs.TRANSPORT_TOL
+
+
+def _rank3_series_input():
+    ws = _n4_rank3_weights()
+    residues = _random_residues(ws, np.random.default_rng(7), 3)
+    return ws.points, residues, [0, 1, 2, None], [0.4, 0.3, 0.5, 0.2], 1e-10
+
+
+def _criterion9_jacobian_series_input():
+    # the 2 dim = 24 chart points of the central-difference Jacobian at the
+    # solved criterion-9 center, as an LM step evaluates them
+    ws = _n4_rank2_weights()
+    center = moduli.random_admissible_rep(ws, seed=5)
+    system, report = rhsolve.solve(ws, center, opts=rhsolve.SolveOptions(seed=3))
+    assert report.success
+    parm = rhsolve.parametrization_from_system(system)
+    shift = np.diag(rhsolve.FD_STEP * np.ones(parm.dim))
+    residues = parm.residues(np.concatenate([shift, -shift]))
+    loops = fuchs.MonodromyLoops(ws)
+    return ws.points, residues, loops.at, loops.radii, rhsolve.LM_TRANSPORT_TOL
+
+
+@pytest.mark.parametrize(
+    "make_input",
+    [_fixture_series_input, _rank3_series_input, _criterion9_jacobian_series_input],
+    ids=["rank2-fixture", "rank3-stack", "criterion9-jacobian"],
+)
+def test_series_stack_matches_the_direct_convolution(make_input):
+    # the partial-sum recursion against the convolution over all earlier
+    # orders: the same count and tails, and coefficients that agree to
+    # 1e-13 of each member's largest
+    points, residues, at, radii, tol = make_input()
+    series = fuchs.series_stack(points, residues, at, radii, tol)
+    want, tail = _series_by_convolution(points, residues, series, tol)
+    assert series.coefficients.shape == want.shape
+    assert series.coefficients.shape[0] == len(residues) * len(at)
+    largest = np.abs(want).max(axis=(1, 2, 3))
+    err = np.abs(series.coefficients - want).max(axis=(1, 2, 3))
+    assert np.all(err <= 1e-13 * largest)
+    np.testing.assert_allclose(series.tail, tail, rtol=1e-12, atol=0)
+
+
+def _resonant_at_zero(gap):
+    """One system at 0 and 1 whose residue at 0 has eigenvalues 0.2 and 0.2 + gap."""
+    c = np.array([[1.0, 0.3], [0.2, 1.0]])
+    a0 = c @ np.diag([0.2, 0.2 + gap]) @ np.linalg.inv(c)
+    return np.array([[a0, np.diag([0.3, 0.6])]], dtype=complex)
+
+
+def test_series_stack_resonance_up_to_the_count_raises():
+    # eigenvalues 0.2 and 3.2 at 0: the divisor 3 + 0.2 - 3.2 vanishes at
+    # order 3, well below the count at q = 1/2
+    with pytest.raises(fuchs.ResonanceError, match="at order 3$"):
+        fuchs.series_stack([0.0, 1.0], _resonant_at_zero(3.0), [0], [0.5], 1e-10)
+
+
+def test_series_stack_resonance_beyond_the_count_is_not_reached():
+    # a gap of 12 + 1e-9: near-resonant at order 12; at q = 1/100 the tail
+    # is below tol / 100 before that order and the series is returned, at
+    # q = 1/2 the count would pass order 12, and the stack raises naming it
+    residues = _resonant_at_zero(12.0 + 1e-9)
+    series = fuchs.series_stack([0.0, 1.0], residues, [0], [0.01], 1e-10)
+    assert series.coefficients.shape[1] - 1 < 12
+    assert series.tail[0] <= 1e-12
+    with pytest.raises(fuchs.ResonanceError, match="at order 12$"):
+        fuchs.series_stack([0.0, 1.0], residues, [0], [0.5], 1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_series_stack_diverging_member_raises_without_warnings():
+    # a conjugator with an entry of 1e8 makes the coefficients overflow
+    # (first at order 77): the recursion stops at the first order
+    # that is not finite, with the tail NumericalError, and numpy warns of
+    # no overflow on the way
+    g = np.array([[1.0, 1e8], [0.0, 1.0]])
+    h = np.array([[1.0, 0.5], [-0.3, 1.0]])
+    residues = np.array([[g @ np.diag([0.2, 0.6]) @ np.linalg.inv(g),
+                          h @ np.diag([0.1, 0.8]) @ np.linalg.inv(h)]], dtype=complex)
+    with pytest.raises(numcore.NumericalError, match="tail not finite at order"):
+        fuchs.series_stack([0.0, 1.0], residues, [0, 1, None], [0.5, 0.5, 0.5], 1e-9)
 
 
 def test_monodromy_resonant_infinity_member_raises():
