@@ -72,9 +72,10 @@ kernel, and one series type, :class:`SeriesStack`, which sums a grid of
 nodes rho x theta separably: a real power table in rho times a phase
 table in theta, with no complex exp per node.  The loop set takes every
 circle from one stacked call and hands the stack, with the approach legs'
-transports, to the normalization at infinity.  That matches every member
-at its loop entry and keeps the stack, so the action's web builds no
-series of its own.
+transports, to the normalization at infinity.  That reads the frames at
+the loop entries once more (SeriesStack.frame at exp(entry_logs)), takes
+every member's coordinates from them in one product and keeps the stack,
+so the action's web builds no series of its own.
 """
 
 from __future__ import annotations
@@ -760,9 +761,10 @@ class SeriesStack:
 
     def frame(self, x) -> np.ndarray:
         """F of every member, (S, r, r), at one local coordinate x[p] per point."""
-        s = len(self.coefficients)
+        coef = self.coefficients
+        s, terms, r, _ = coef.shape
         u = np.tile(np.asarray(x, dtype=complex) / self.scale, s // len(self.scale))
-        return self._frames(np.arange(s), u)
+        return (_power_table(u, terms)[:, None] @ coef.reshape(s, terms, r * r)).reshape(s, r, r)
 
     def values(self, s: int, rho, theta, coords: np.ndarray) -> np.ndarray:
         """Y0 K of member s on the grid of nodes z = z_i + rho e^{i theta} (at
@@ -770,7 +772,7 @@ class SeriesStack:
         a scalar; the values have shape rho.shape + theta.shape + (r, r).
 
         coords = basis^{-1} K are the coordinates of K in the eigenbasis of
-        L, as matched returns them.  theta is the argument of z - z_i
+        L (rhsolve.normalize_at_infinity).  theta is the argument of z - z_i
         followed continuously along the caller's path; it picks the branch
         of x^{-L}.  The sum separates: u^m = (|x| / scale)^m e^{i m arg x}
         is a real (A, M) table times a (B, M) one, so F is one product
@@ -794,22 +796,6 @@ class SeriesStack:
         # only scaled, so none is swamped by a larger one
         return (frame.reshape(-1, r) @ coords).reshape(rho.shape + theta.shape + (r, r))
 
-    def matched(self, s: int, rho: float, theta: float, value: np.ndarray) -> np.ndarray:
-        """The coordinates basis^{-1} K of the constant K with Y0 K = value at
-        one node (rho, theta) of member s.
-
-        They are diag(x^{lam}) F^{-1} value: the power enters as a row
-        scaling, never inverted as a dense matrix, so components that x^{-L}
-        spreads over many orders of magnitude (exponents with imaginary
-        parts, far from the principal branch) keep their digits.
-        """
-        p = s % len(self.at)
-        sign, log_mod = self._log_modulus(p, np.array([rho], dtype=float))
-        log_x = log_mod[0] + sign * 1j * theta
-        frame = self._frames(np.array([s]), np.exp(log_x)[None] / self.scale[p])[0]
-        lifted = np.linalg.solve(frame, value)
-        return np.exp(log_x * self.exponents[s])[:, None] * lifted
-
     def _log_modulus(self, p: int, rho: np.ndarray):
         """The sign of log x = +-(log rho + i theta) at point p (x = z - z_i
         or 1/z) and log |x| at the radii rho; ValueError outside its radius."""
@@ -818,13 +804,6 @@ class SeriesStack:
         if np.any(np.exp(log_mod) > self.radius[p] * (1 + 1e-12)):
             raise ValueError(f"node outside the series radius {self.radius[p]:.6g}")
         return sign, log_mod
-
-    def _frames(self, members: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """F of the members (K,) at one scaled node u (K,) each, (K, r, r)."""
-        coef = self.coefficients[members]
-        k, terms, r, _ = coef.shape
-        powers = _power_table(u, terms)
-        return (powers[:, None] @ coef.reshape(k, terms, r * r)).reshape(k, r, r)
 
 
 def _power_table(u: np.ndarray, terms: int) -> np.ndarray:
@@ -1000,12 +979,6 @@ def _approach_leg(weights: WeightSystem, i: int, basepoint: complex):
     return approach, paths.circle(center, radius, float(np.angle(basepoint - center)))
 
 
-def puncture_loop(weights: WeightSystem, i: int, basepoint: complex) -> list[paths.Segment]:
-    """Basepoint loop around puncture i: approach, full circle, return."""
-    approach, circle = _approach_leg(weights, i, basepoint)
-    return approach + [circle] + paths.reversed_path(approach)
-
-
 class MonodromyLoops:
     """The monodromy loops of a weight system, built once and checked once.
 
@@ -1050,11 +1023,14 @@ class MonodromyLoops:
         padded = [[pad] * (depth - len(approach)) + approach for approach in self.approaches]
         self._leg_rounds = [paths.SegmentFan(round_) for round_ in zip(*padded)]
         # each circle's point, series radius and entry in the local coordinate
+        # x, and log x there: log rho + i theta0 at a puncture, -log z0 at infinity
         self.at = list(range(weights.n - 1)) + [None]
         self.radii = [c.radius for c in circles[:-1]] + [1.0 / abs(self.z0)]
         self.entries = np.array(
             [c.radius * np.exp(1j * c.angle0) for c in circles[:-1]] + [1.0 / self.z0]
         )
+        self.entry_logs = np.array([np.log(c.radius) + 1j * c.angle0 for c in circles[:-1]]
+                                   + [-(np.log(abs(self.z0)) + 1j * np.angle(self.z0))])
 
     def circle_transports(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack]:
         """Transports C once around every circle, each from I at its entry,

@@ -32,19 +32,12 @@ class Line:
     def point_and_velocity(self, t):
         return self.point(t), (self.end - self.start) * np.ones_like(np.asarray(t, dtype=float))
 
-    @property
-    def length(self) -> float:
-        return abs(self.end - self.start)
-
     def distance_to(self, w: complex) -> float:
         d = self.end - self.start
         if abs(d) == 0:
             return abs(self.start - w)
         t = np.clip(((w - self.start) / d).real, 0.0, 1.0)
         return abs(self.start + t * d - w)
-
-    def reversed(self) -> "Line":
-        return Line(self.end, self.start)
 
 
 @dataclass(frozen=True)
@@ -63,10 +56,6 @@ class Arc:
         e = np.exp(1j * ang)
         return self.center + self.radius * e, 1j * (self.angle1 - self.angle0) * self.radius * e
 
-    @property
-    def length(self) -> float:
-        return abs(self.angle1 - self.angle0) * self.radius
-
     def distance_to(self, w: complex) -> float:
         if abs(w - self.center) < 1e-300:
             return self.radius
@@ -78,9 +67,6 @@ class Arc:
         if ang <= hi:
             return abs(abs(w - self.center) - self.radius)
         return min(abs(self.point(0.0) - w), abs(self.point(1.0) - w))
-
-    def reversed(self) -> "Arc":
-        return Arc(self.center, self.radius, self.angle1, self.angle0)
 
 
 Segment = Line | Arc
@@ -132,10 +118,6 @@ def path_min_distance(path: list[Segment], w: complex) -> float:
     return min(seg.distance_to(w) for seg in path)
 
 
-def reversed_path(path: list[Segment]) -> list[Segment]:
-    return [seg.reversed() for seg in reversed(path)]
-
-
 def circle(center: complex, radius: float, start_angle: float) -> Arc:
     """The full counterclockwise circle entered at start_angle."""
     return Arc(center, radius, start_angle, start_angle + 2 * np.pi)
@@ -184,29 +166,3 @@ def plan_route(
     route.append(Arc(center, r, a1, a1 + sweep))
     route += plan_route(q2, b, [k for k in keepouts if k[0] != center], depth + 1)
     return route
-
-
-# pieces of a segment's first subdivision in path_log_increment
-LOG_INCREMENT_PIECES = 64
-
-
-def _segment_log_increment(seg: Segment, w: complex, pieces: int) -> complex:
-    ts = np.linspace(0.0, 1.0, pieces + 1)
-    pts = seg.point(ts) - w
-    ratios = pts[1:] / pts[:-1]
-    if np.any(np.abs(np.angle(ratios)) > 2.5):
-        if pieces > 1 << 16:
-            raise ProximityError("log increment cannot resolve the branch")
-        return _segment_log_increment(seg, w, 4 * pieces)
-    return complex(np.sum(np.log(ratios)))
-
-
-def path_log_increment(path: list[Segment], w: complex) -> complex:
-    """Continuous increment of log(z - w) along the path.
-
-    Each segment is subdivided, from LOG_INCREMENT_PIECES pieces up, finely
-    enough that consecutive ratios stay well away from the principal branch
-    cut, so summing principal logs of the ratios tracks the continuous
-    branch exactly.
-    """
-    return sum((_segment_log_increment(seg, w, LOG_INCREMENT_PIECES) for seg in path), 0.0 + 0.0j)

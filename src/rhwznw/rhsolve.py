@@ -114,16 +114,14 @@ def residual_stack(
     parm: ResidueParametrization,
     xs: np.ndarray,
     target: fuchs.AdmissibleRep,
-    problem: fuchs.MonodromyLoops | None = None,
+    problem: fuchs.MonodromyLoops,
 ) -> np.ndarray:
     """Residual vectors (B, m) of a (B, dim) stack of chart points.
 
-    Residues of the whole stack, its generators (MonodromyLoops.monodromy at
-    LM_TRANSPORT_TOL) and their gauge alignment each come from one call;
-    then the infinity spectrum.
+    Residues of the whole stack, its generators (the loop set problem's
+    monodromy at LM_TRANSPORT_TOL) and their gauge alignment each come from
+    one call; then the infinity spectrum.
     """
-    if problem is None:
-        problem = fuchs.MonodromyLoops(parm.weights)
     residues = parm.residues(xs)
     _, gens, _, _ = problem.monodromy(residues, LM_TRANSPORT_TOL)
     aligned = align_tuple_to_target(gens, target).generators
@@ -143,7 +141,7 @@ def residual_vector(
     parm: ResidueParametrization,
     x: np.ndarray,
     target: fuchs.AdmissibleRep,
-    problem: fuchs.MonodromyLoops | None = None,
+    problem: fuchs.MonodromyLoops,
 ) -> np.ndarray:
     """Concatenated gauge-aligned monodromy and infinity-spectrum residuals."""
     xs = np.asarray(x, dtype=float)[None, :]
@@ -383,12 +381,17 @@ def normalize_at_infinity(
 
     The right conjugator W aligns the monodromy with the target unitary
     tuple (the aligned generators W^{-1} M_i W are kept).  Y W = Y0 K on
-    every region of the loops' SeriesStack, Y0 the member's series: K is
-    matched at the member's loop entry, where Y W is P_i W at puncture i
-    (P_i the approach leg's transport) and W at the basepoint on the big
-    circle.  At infinity column b of Y W z^{-(N'+W_n)} tends to the
-    constant term basis[:, pi(b)] C[pi(b), b], C = basis^{-1} K and pi
-    matching the series' exponents to N' + W_n.  When G is invertible
+    every region of the loops' SeriesStack, Y0 = F(x) x^{-L} the member's
+    series.  The coordinates basis^{-1} K of all members are one product,
+    diag(x^lam) F(x)^{-1} (Y W), at the loop entries x, with log x =
+    log rho + i theta0 at a puncture (its loop circle's radius and entry
+    angle) and -(log |z0| + i arg z0) at infinity; there Y W is P_i W at
+    puncture i (P_i the approach leg's transport) and W at the basepoint.
+    The power is a row scaling, never a dense inverse, so components that
+    x^{-L} spreads over many orders of magnitude keep their digits.  At
+    infinity column b of Y W z^{-(N'+W_n)} tends to the constant term
+    basis[:, pi(b)] C[pi(b), b], C = basis^{-1} K and pi matching the
+    series' exponents to N' + W_n.  When G is invertible
     (cond(G) <= 1e10) the solution is left-normalized so the constant term
     becomes Pi0, whatever the splitting: the gauge A_i -> g A_i g^{-1}
     sends G to g G, so this pins it.
@@ -415,10 +418,12 @@ def normalize_at_infinity(
     W = aligned.conjugator
     z0 = problem.z0
 
-    # Y W at every loop entry: P_i W at puncture i, W at the basepoint on the big circle
+    # Y W at every loop entry: P_i W at puncture i, W at the basepoint on the big
+    # circle; its coordinates diag(x^lam) F(x)^{-1} Y W, the power a row scaling
     at_entry = np.concatenate([legs[0] @ W, W[None]])
-    entries = enumerate(zip(problem.circles, at_entry))
-    coords = np.stack([series.matched(s, c.radius, c.angle0, y) for s, (c, y) in entries])
+    logs = problem.entry_logs
+    frame = series.frame(np.exp(logs))
+    coords = np.exp(logs[:, None] * series.exponents)[:, :, None] * np.linalg.solve(frame, at_entry)
     inf = ws.n - 1  # the big circle's member: at infinity, radius 1/|z0|
     C = coords[inf]
     perm, _ = fuchs._match_to_targets(series.exponents[inf], ws.infinity_exponents)

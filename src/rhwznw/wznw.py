@@ -37,10 +37,11 @@ fewest angles at which the local series' convergence ratio q on it
 leaves no aliased Fourier mode above ANGLE_ALIAS_TOL (_angle_counts), at
 most 64 since q <= 1/2; the outward patch regions, whose radial extent is
 only piecewise smooth in the angle, use Gauss-Legendre panels split at
-the boundary kinks.  Every Gauss-Legendre panel has order GL_ORDER, so
-the quadrature follows from the points, the loop series and the delta
-schedule alone.  The web counts its nodes from these rules first and
-refuses more than WEB_NODE_LIMIT of them.
+the boundary kinks, the patch's corners, where its bisectors and the
+outer circle meet (_kink_angles).  Every Gauss-Legendre panel has order
+GL_ORDER, so the quadrature follows from the points, the loop series and
+the delta schedule alone.  The web counts its nodes from these rules
+first and refuses more than WEB_NODE_LIMIT of them.
 
 Transport: near each puncture and near infinity Y is a convergent
 Frobenius series times a power.  The normalization at infinity already
@@ -62,6 +63,7 @@ digits however close to z_i; the outer region uses FuchsianSystem.A_of.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,8 +91,6 @@ FIT_TOLERANCE = 1e-2
 OUTWARD_PANELS = 2
 # largest log-radius length of one radial Gauss-Legendre panel
 MAX_PANEL_SPAN = 0.8
-# equal angles on which _kink_angles locates the patch boundary's kinks
-KINK_SAMPLES = 4096
 # order of every Gauss-Legendre panel of the web: radial, outward and angular
 GL_ORDER = 8
 # largest q^N on a series-grid circle of N trapezoid angles, q the series'
@@ -435,30 +435,38 @@ def _voronoi_rho_max(points: np.ndarray, i: int, phis: np.ndarray, r_out: float)
 
 
 def _kink_angles(points: np.ndarray, i: int, r_out: float) -> np.ndarray:
-    """Angles where the active patch constraint switches (boundary kinks),
-    located on KINK_SAMPLES equal angles and then bisected; read-only and
-    cached per point set: every action at fixed points has the same
-    patches."""
-    key = tuple(np.asarray(points).ravel().tolist())
-    return _kink_angles_of(key, int(i), float(r_out))
+    """Angles about z_i of the corners of the patch at puncture i, its
+    Voronoi cell clipped by the outer circle, sorted in [0, 2 pi): the kinks
+    of its boundary, where the active constraint of _patch_constraints
+    switches.
 
-
-@lru_cache(maxsize=256)
-def _kink_angles_of(points: tuple, i: int, r_out: float) -> np.ndarray:
-    bounds = _patch_constraints(np.asarray(points), i, r_out)
-    phis = 2 * np.pi * np.arange(KINK_SAMPLES) / KINK_SAMPLES
-    active = np.argmin(bounds(phis), axis=0)
-    ks = np.flatnonzero(active != np.roll(active, -1))
-    # bisect every switching sample interval at once
-    a_lo = active[ks]
-    lo, hi = phis[ks], phis[ks] + 2 * np.pi / KINK_SAMPLES
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = np.argmin(bounds(mid), axis=0) == a_lo
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    kinks = np.sort(np.mod(0.5 * (lo + hi), 2 * np.pi))
-    kinks.flags.writeable = False
-    return kinks
+    In the offset x = z - z_i the bisector with z_j is Re(conj(d) x) =
+    |d|^2 / 2, d = z_j - z_i.  Every pair of bisectors and every bisector
+    with the outer circle meet in candidate points; the corners are those
+    on or inside every constraint, each taken once (cocircular punctures
+    give one corner from several pairs).  A handful of points: plain
+    Python on complex scalars is several times faster than numpy here."""
+    zi = complex(points[i])
+    ds = [complex(z) - zi for j, z in enumerate(points) if j != i]
+    xs = []
+    for a, da in enumerate(ds):
+        # two bisectors meet at i (|d_k|^2 d_j - |d_j|^2 d_k) / (2 Im(conj(d_j) d_k))
+        for db in ds[a + 1 :]:
+            det = (da.conjugate() * db).imag
+            if abs(det) > 1e-12 * abs(da * db):
+                xs.append(1j * (abs(db) ** 2 * da - abs(da) ** 2 * db) / (2 * det))
+        # the bisector through the midpoint m along u = i d / |d| meets the
+        # outer circle |z_i + m + t u| = r_out at t = -b -+ sqrt(...)
+        m, u = da / 2, 1j * da / abs(da)
+        b = (u.conjugate() * (zi + m)).real
+        t = math.sqrt(b * b - abs(zi + m) ** 2 + r_out**2)
+        xs += [m - (b + t) * u, m - (b - t) * u]
+    # on or inside the outer circle and every bisector, to rounding
+    slack = 1 + 1e-9
+    phi = sorted(math.atan2(x.imag, x.real) % (2 * np.pi) for x in xs if abs(zi + x) <= r_out * slack
+                 and all((d.conjugate() * x).real <= abs(d) ** 2 / 2 * slack for d in ds))
+    # a corner found more than once: keep the last of each run of equal angles
+    return np.array([p for p, q in zip(phi, phi[1:] + [phi[0] + 2 * np.pi]) if q - p > 1e-12])
 
 
 class TransportWeb:
@@ -516,12 +524,11 @@ class TransportWeb:
 
     def _ray_angles(self, i: int):
         """The angles of the outward rays of the patch at puncture i and their
-        weights.  The boundary rho_max(phi) has kinks where the active
-        Voronoi/circle constraint switches, so the angular rule is GL on
-        panels split at the kinks (uniform trapezoid would stall at N^-2)."""
+        weights.  The boundary rho_max(phi) has kinks at the corners of the
+        patch (_kink_angles), at least two since n >= 2, so the angular rule
+        is GL on panels split at the kinks (uniform trapezoid would stall at
+        N^-2)."""
         kinks = _kink_angles(np.asarray(self.field.system.points), i, self.r_out)
-        if len(kinks) == 0:
-            kinks = np.array([0.0])
         edges = np.concatenate([kinks, [kinks[0] + 2 * np.pi]])
         return _gl_panels(edges, 2 * np.pi / 12)
 

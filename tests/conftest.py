@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rhwznw import fuchs, rhsolve, wznw
+from rhwznw import fuchs, paths, rhsolve, wznw
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -13,6 +13,38 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def puncture_loop(weights, i, basepoint):
+    """The basepoint loop around puncture i: the loop set's approach leg,
+    its full circle, and the approach run back."""
+    approach, circle = fuchs._approach_leg(weights, i, basepoint)
+    back = [paths.Line(s.end, s.start) if isinstance(s, paths.Line)
+            else paths.Arc(s.center, s.radius, s.angle1, s.angle0) for s in reversed(approach)]
+    return approach + [circle] + back
+
+
+def _segment_log_increment(seg, w, pieces):
+    ts = np.linspace(0.0, 1.0, pieces + 1)
+    pts = seg.point(ts) - w
+    ratios = pts[1:] / pts[:-1]
+    if np.any(np.abs(np.angle(ratios)) > 2.5):
+        if pieces > 1 << 16:
+            raise paths.ProximityError("log increment cannot resolve the branch")
+        return _segment_log_increment(seg, w, 4 * pieces)
+    return complex(np.sum(np.log(ratios)))
+
+
+def path_log_increment(path, w):
+    """Continuous increment of log(z - w) along the path.
+
+    Each segment is subdivided, from 64 pieces up, finely enough that
+    consecutive ratios stay well away from the principal branch cut, so
+    summing principal logs of the ratios tracks the continuous branch
+    exactly.
+    """
+    return sum((_segment_log_increment(seg, w, 64) for seg in path), 0.0 + 0.0j)
+
 
 RANK2_POINTS = [0.0, 1.0]
 RANK2_ALPHAS = [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]]

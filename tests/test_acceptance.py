@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import puncture_loop
 from rhwznw import cli, fuchs, moduli, rhsolve, verify, wznw
 
 ACCEPTANCE_LINES: list[str] = []
@@ -63,7 +64,7 @@ def test_criterion_4_rank1_monodromy(rank1_system, rank1_weights):
     z0 = rank1_weights.default_basepoint()
     worst = 0.0
     for i, a in enumerate((0.3, 0.45, 0.8)):
-        loop = fuchs.puncture_loop(rank1_weights, i, z0)
+        loop = puncture_loop(rank1_weights, i, z0)
         value = fuchs.transport(rank1_system, loop, tol=1e-10).value[0, 0]
         worst = max(worst, abs(value - np.exp(-2j * np.pi * a)))
     ok = worst <= 1e-8

@@ -10,33 +10,34 @@ def test_residual_rank1_immediate(rank1_weights, rank1_target):
         rank1_weights, np.array([np.eye(1, dtype=complex)] * 3)
     )
     assert parm.dim == 0
-    f = rhsolve.residual_vector(parm, np.zeros(0), rank1_target)
+    f = rhsolve.residual_vector(parm, np.zeros(0), rank1_target, fuchs.MonodromyLoops(rank1_weights))
     assert np.linalg.norm(f) <= 1e-8
 
 
 def test_residual_at_rigid_oracle(rank2_weights, rank2_target, rank2_oracle_system):
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
-    f = rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target)
+    f = rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target, fuchs.MonodromyLoops(rank2_weights))
     assert float(f @ f) <= 1e-6
 
 
 def test_residual_fixed_point(rank2_solved, rank2_target):
     system, report = rank2_solved
     parm = rhsolve.parametrization_from_system(system)
-    f = rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target)
+    f = rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target, fuchs.MonodromyLoops(system.weights))
     assert float(f @ f) <= 10 * max(report.final_residual, 1e-12)
 
 
 def test_residual_gauge_invariance(rank2_weights, rank2_target, rank2_oracle_system):
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
-    f1 = rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target)
+    problem = fuchs.MonodromyLoops(rank2_weights)
+    f1 = rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target, problem)
     g = np.diag(np.exp(1j * np.array([0.7, -1.2])))
     conj_target = fuchs.AdmissibleRep(
         weights=rank2_target.weights,
         generators=[g @ m @ g.conj().T for m in rank2_target.generators],
         conjugators=[g @ u for u in rank2_target.conjugators],
     )
-    f2 = rhsolve.residual_vector(parm, np.zeros(parm.dim), conj_target)
+    f2 = rhsolve.residual_vector(parm, np.zeros(parm.dim), conj_target, problem)
     assert abs(np.linalg.norm(f1) - np.linalg.norm(f2)) < 1e-10
 
 
@@ -68,8 +69,9 @@ def test_residual_stack_rows_match_residual_vector_rank1(rank1_weights, rank1_ta
     parm = rhsolve.ResidueParametrization(
         rank1_weights, np.array([np.eye(1, dtype=complex)] * 3)
     )
-    f = rhsolve.residual_stack(parm, np.zeros((3, 0)), rank1_target)
-    one = rhsolve.residual_vector(parm, np.zeros(0), rank1_target)
+    problem = fuchs.MonodromyLoops(rank1_weights)
+    f = rhsolve.residual_stack(parm, np.zeros((3, 0)), rank1_target, problem)
+    one = rhsolve.residual_vector(parm, np.zeros(0), rank1_target, problem)
     assert f.shape == (3, len(one))
     assert np.max(np.abs(f - one)) <= 1e-13
 
@@ -285,6 +287,27 @@ def test_lm_rejects_a_trial_step_whose_residual_raises():
     with np.errstate(all="ignore"):
         _, report = rhsolve.solve(ws, target, opts=rhsolve.SolveOptions(restarts=2))
     assert report.success and report.restart_index == 1
+
+
+def test_lm_rejects_a_raising_trial_point_and_converges():
+    # a synthetic residual x - c whose first trial evaluation raises
+    # NumericalError: that step is rejected, the damping grows, so the next
+    # trial step is shorter, and that one is taken; the run still converges
+    c = np.array([0.7, -0.4, 0.2])
+    calls = []
+
+    def func(x):
+        calls.append(x.copy())
+        if len(calls) == 2:  # calls[0] is the start
+            raise numcore.NumericalError("trial residual not finite")
+        return x - c
+
+    x, f, _, history = rhsolve._levenberg_marquardt(
+        func, lambda xs: xs - c, np.zeros(3), rhsolve.SolveOptions())
+    rejected, taken = calls[1], calls[2]
+    assert np.linalg.norm(taken) < np.linalg.norm(rejected)
+    assert history[1] == float((taken - c) @ (taken - c)) < history[0]
+    assert float(f @ f) <= 1e-12 and np.allclose(x, c, atol=1e-6)
 
 
 def test_normalize_resonant_rejected(rank2_target):

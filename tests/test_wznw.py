@@ -499,7 +499,8 @@ def test_cholesky_exponents_at_infinity(rank2_field, rank2_weights):
 
 
 def _kink_angles_loop(points, i, r_out, samples=4096):
-    """The one-kink-at-a-time bisection that wznw._kink_angles vectorizes."""
+    """Kinks located one at a time: the switches of the active constraint on
+    equal angles, each bisected."""
     bounds = wznw._patch_constraints(points, i, r_out)
     phis = 2 * np.pi * np.arange(samples) / samples
     active = np.argmin(bounds(phis), axis=0)
@@ -527,18 +528,56 @@ def test_kink_angles_match_loop_bisection(points):
     for i in range(len(pts)):
         got = wznw._kink_angles(pts, i, r_out)
         want = _kink_angles_loop(pts, i, r_out)
-        assert len(got) > 0
-        assert np.array_equal(got, want)
+        assert len(got) == len(want) > 0
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_kink_angles_cached_read_only():
-    pts = np.array([-1.3, 0.0, 1.0])
-    first = wznw._kink_angles(pts, 1, 4.6)
-    again = wznw._kink_angles(pts.copy(), 1, 4.6)
-    assert again is first and not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = 0.0
-    assert wznw._kink_angles(pts, 0, 4.6) is not first
+def _normal_draw(k):
+    """Draw k (0-based) of rng.normal(size=4) + 1j rng.normal(size=4) from
+    default_rng(0)."""
+    rng = np.random.default_rng(0)
+    for _ in range(k + 1):
+        pts = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return pts
+
+
+@pytest.mark.parametrize(
+    "points, i, count",
+    [([1, 1j, -1, -1.001j], 0, 4), (_normal_draw(170), 3, 3), (_normal_draw(196), 3, 4),
+     ([1, 1j, -1, -1j], 2, 3)],
+    ids=["near-cocircular", "draw-170", "draw-196", "cocircular"],
+)
+def test_kink_angles_are_every_switch_of_the_active_constraint(points, i, count):
+    # the active constraint switches at every kink and nowhere between two
+    # of them.  The first three patches have two kinks closer than
+    # 2 pi / 4096, one of which a scan of 4096 equal angles misses; in the
+    # last, three pairs of bisectors meet at 0, a corner to be taken once
+    pts = np.asarray(points, dtype=complex)
+    r_out = 2.0 * float(np.max(np.abs(pts))) + 2.0
+    bounds = wznw._patch_constraints(pts, i, r_out)
+
+    def active(phis):
+        return np.argmin(bounds(np.asarray(phis)), axis=0)
+
+    kinks = wznw._kink_angles(pts, i, r_out)
+    assert len(kinks) == count
+    assert np.all(active(kinks - 1e-9) != active(kinks + 1e-9))
+    for a, b in zip(kinks, np.append(kinks[1:], kinks[0] + 2 * np.pi)):
+        between = active(np.linspace(a, b, 66)[1:-1])
+        assert np.all(between == between[0])
+
+
+def test_rank1_action_near_cocircular_matches_closed_form():
+    # -1.001i sits just off the circle through 1, i, -1, so the patch at 1
+    # has two corners 1e-3 apart; with every corner a panel edge, the action
+    # at a small delta schedule meets the closed form (3.9e-10 with the
+    # sampled kinks, which missed one)
+    ws = fuchs.build_weight_system([1, 1j, -1, -1.001j], [[0.3], [0.4], [0.35], [0.45], [0.5]])
+    residues = ws.weights[:-1, :, None].astype(complex)
+    target = fuchs.build_admissible_rep(ws, [np.eye(1, dtype=complex)] * 4)
+    fld = wznw.make_metric_field(fuchs.FuchsianSystem(ws, residues), target)
+    act = wznw.action_regularized(fld, (1e-3, 5e-4, 2.5e-4, 1.25e-4))
+    assert abs(act.value / wznw.abelian_action_closed_form(ws) - 1) <= 2e-10
 
 
 def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
