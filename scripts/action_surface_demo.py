@@ -32,13 +32,12 @@ def main() -> None:
     ws = fuchs.build_weight_system(POINTS, WEIGHTS)
     center = moduli.random_admissible_rep(ws, seed=args.seed)
     direction = moduli.random_tangent_direction(ws, seed=1)
-    family = moduli.RepFamily(center, direction)
 
     a = args.spacing
     grid = [0.0, a, -a, 1j * a, -1j * a]
     t0 = time.time()
     points = moduli.action_surface(
-        family, grid, solve_opts=rhsolve.SolveOptions(seed=3)
+        center, direction, grid, solve_opts=rhsolve.SolveOptions(seed=3)
     )
     print(f"surface of {len(points)} points in {time.time() - t0:.0f}s")
     for p in points:

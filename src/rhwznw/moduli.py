@@ -233,17 +233,6 @@ def deform_rep(
     return fuchs.build_admissible_rep(center.weights, us)
 
 
-@dataclass
-class RepFamily:
-    center: fuchs.AdmissibleRep
-    direction: TangentDirection
-
-    def member(self, eps: complex) -> fuchs.AdmissibleRep:
-        if eps == 0:
-            return self.center
-        return deform_rep(self.center, self.direction, eps)
-
-
 # ---------------------------------------------------------------------------
 # action over a family
 
@@ -260,16 +249,19 @@ class SurfacePoint:
 
 
 def action_surface(
-    family: RepFamily,
+    center: fuchs.AdmissibleRep,
+    direction: TangentDirection,
     grid: list[complex],
     solve_opts: rhsolve.SolveOptions | None = None,
 ) -> list[SurfacePoint]:
-    """Regularized action at every grid member at action_regularized's
-    defaults, each solve after the first success warm-started from the last.
+    """Regularized action at every member of the family eps ->
+    deform_rep(center, direction, eps) on the grid (center itself at
+    eps = 0), at action_regularized's defaults, each solve after the first
+    success warm-started from the last.
 
     Non-solving or non-regular members, and members whose field misses
-    wznw.MONODROMY_QUALITY_GATE, produce holes (ok=False) instead of
-    aborting the sweep.
+    wznw.MONODROMY_QUALITY_GATE (wznw.MonodromyQualityError), produce holes
+    (ok=False) instead of aborting the sweep.
     """
     solve_opts = solve_opts or rhsolve.SolveOptions()
     warm_opts = replace(solve_opts, restarts=max(2, solve_opts.restarts // 3))
@@ -277,7 +269,7 @@ def action_surface(
     prev_system: fuchs.FuchsianSystem | None = None
     for eps in grid:
         try:
-            rep = family.member(complex(eps))
+            rep = center if eps == 0 else deform_rep(center, direction, complex(eps))
             opts = solve_opts if prev_system is None else warm_opts
             system, report = rhsolve.solve(rep.weights, rep, init=prev_system, opts=opts)
             if not report.success:
@@ -287,11 +279,11 @@ def action_surface(
                 continue
             prev_system = system
             fld = wznw.make_metric_field(system, rep, normalization=report.normalization)
-            if fld.monodromy_quality > wznw.MONODROMY_QUALITY_GATE:
-                message = f"monodromy quality {fld.monodromy_quality:.3e}: h is not single-valued"
-                out.append(SurfacePoint(eps, None, None, True, report.final_residual, False, message))
+            try:
+                act = wznw.action_regularized(fld)
+            except wznw.MonodromyQualityError as exc:
+                out.append(SurfacePoint(eps, None, None, True, report.final_residual, False, str(exc)))
                 continue
-            act = wznw.action_regularized(fld)
             out.append(
                 SurfacePoint(
                     eps=complex(eps),

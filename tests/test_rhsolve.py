@@ -188,6 +188,18 @@ def test_normalize_builds_the_series_at_infinity_once(rank2_solved, rank2_target
     assert calls == [[0, 1, None]]
 
 
+def test_normalize_sums_the_series_frame_once(rank2_solved, rank2_target, monkeypatch):
+    # the loop set hands over every member's coordinates with the monodromy,
+    # so the frames at the loop entries are summed once per normalization,
+    # where the circles' transports read them
+    system, _ = rank2_solved
+    calls = []
+    frame = fuchs.SeriesStack.frame
+    monkeypatch.setattr(fuchs.SeriesStack, "frame", lambda self, x: calls.append(1) or frame(self, x))
+    rhsolve.normalize_at_infinity(system, rank2_target)
+    assert len(calls) == 1
+
+
 def test_normalize_keeps_the_matched_loop_series(rank2_solved, rank2_target):
     # the kept series is in the canonical gauge and matched on every member:
     # at each loop entry it gives the canonical solution, transported there

@@ -89,6 +89,18 @@ def test_monodromy_quality_gate(rank2_oracle_system, rank2_target):
     assert bad.monodromy_quality > 1e-6
 
 
+def test_action_refuses_a_field_above_the_quality_gate(rank2_field, monkeypatch):
+    # h is single-valued only for unitary monodromy: the action refuses the
+    # field before it builds a web, with a NumericalError (CLI exit 3)
+    built = []
+    web = wznw.TransportWeb
+    monkeypatch.setattr(wznw, "TransportWeb", lambda *a: built.append(1) or web(*a))
+    bad = dataclasses.replace(rank2_field, monodromy_quality=2 * wznw.MONODROMY_QUALITY_GATE)
+    with pytest.raises(numcore.NumericalError, match="monodromy quality"):
+        wznw.action_regularized(bad)
+    assert built == []
+
+
 def _y_of_metric(h):
     """A Y with (Y Y*)^{-1} = h: the inverse of h's upper Cholesky factor."""
     return np.linalg.inv(factor.cholesky_upper(h))
@@ -591,7 +603,7 @@ def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
     assert act.imag_residual <= 1e-8
     deltas = (0.1, 0.05, 0.025, 0.0125)
     web = wznw.TransportWeb(fld, deltas)
-    assert sum(len(region.z) for region in web.regions) == 6528
+    assert sum(len(region.rho) for region in web.regions) == 6528
 
 
 def _fixture_problem():
@@ -701,7 +713,7 @@ def test_planned_web_nodes_equal_the_built_web(rank2_oracle_system, rank2_target
     # the count checked against WEB_NODE_LIMIT before anything is evaluated
     # is the count of the web that is then built
     fld = wznw.make_metric_field(rank2_oracle_system, rank2_target)
-    built = sum(len(region.z) for region in wznw.TransportWeb(fld, deltas).regions)
+    built = sum(len(region.rho) for region in wznw.TransportWeb(fld, deltas).regions)
     monkeypatch.setattr(wznw, "WEB_NODE_LIMIT", 0)
     with pytest.raises(ValueError, match=f"would have {built} nodes"):
         wznw.TransportWeb(fld, deltas)
