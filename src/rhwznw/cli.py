@@ -377,8 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON problem config")
-        p.add_argument("--seed", type=int, default=None, help="override solver seed")
-        p.add_argument("--tol", type=float, default=None, help="override solver tolerance")
+        if name == "rhsolve":
+            # the one command that runs the solver
+            p.add_argument("--seed", type=int, default=None, help="override solver seed")
+            p.add_argument("--tol", type=float, default=None, help="override solver tolerance")
         p.add_argument("--out", default=".", help="output directory")
     v = sub.add_parser("verify", help="run a property-check suite")
     v.add_argument("suite", help=f"one of {sorted(verify.SUITES)}")
@@ -398,10 +400,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args.suite, args.seed, args.count, out_dir)
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.solver.seed = args.seed
-        if args.tol is not None:
-            cfg.solver.tol = _read("solver.tol", _positive_float, args.tol)
+        if args.command == "rhsolve":
+            if args.seed is not None:
+                cfg.solver.seed = args.seed
+            if args.tol is not None:
+                cfg.solver.tol = _read("solver.tol", _positive_float, args.tol)
         return COMMANDS[args.command][0](cfg, out_dir)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         code = next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

@@ -70,18 +70,21 @@ points, each order from running partial sums at the same cost, the
 hardest member setting the term count as it sets the shared step of the
 kernel, and one series type, :class:`SeriesStack`, which sums a grid of
 nodes rho x theta separably: a real power table in rho times a phase
-table in theta, with no complex exp per node.  The loop set takes every
-circle from one stacked call, reading the frames at the loop entries once,
-and hands the stack to the normalization at infinity with every member's
-coordinates: the inverse frame at the entry, times the entry's power,
-times the approach leg's transport.  The normalization keeps both, so the
-action's web builds no series of its own.
+table in theta, with no complex exp per node.  A SeriesStack carries the
+solution it describes: each member's coordinates and the entry angle where
+its branch starts.  The loop set takes every circle from one stacked call,
+reading the frames at the loop entries once, and the stack it hands to the
+normalization at infinity describes the solution that is I at the
+basepoint: the coordinates are the inverse frame at the entry, times the
+entry's power, times the approach leg's transport.  The normalization
+keeps the stack, so the action's web builds no series of its own and
+resolves no branch.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
@@ -749,6 +752,12 @@ class SeriesStack:
     frame F = G basis = sum_m coefficients[s, m] (x / scale[p])^m converges
     for |x| < scale[p], the distance to the nearest other singular point;
     tail bounds the truncation error of G for |x| <= radius[p].
+
+    The stack carries the solution it describes: member s is Y0 K with
+    coordinates coords[s] = basis^{-1} K, on the branch of x^{-L} that
+    starts at the argument entry_angle[p] of z - z_p (of z at infinity) and
+    runs counterclockwise once round the point.  series_stack describes Y0
+    itself on the principal branch: coords = basis^{-1}, entry_angle = -pi.
     """
 
     at: tuple                 # (P,) puncture indices, None for infinity
@@ -758,6 +767,8 @@ class SeriesStack:
     basis: np.ndarray         # (S, r, r)
     coefficients: np.ndarray  # (S, M + 1, r, r): basis g_m, g_0 = I
     tail: np.ndarray          # (S,)
+    coords: np.ndarray        # (S, r, r): basis^{-1} K
+    entry_angle: np.ndarray   # (P,)
 
     def frame(self, x) -> np.ndarray:
         """F of every member, (S, r, r), at one local coordinate x[p] per point."""
@@ -766,21 +777,24 @@ class SeriesStack:
         u = np.tile(np.asarray(x, dtype=complex) / self.scale, s // len(self.scale))
         return (_power_table(u, terms)[:, None] @ coef.reshape(s, terms, r * r)).reshape(s, r, r)
 
-    def values(self, s: int, rho, theta, coords: np.ndarray) -> np.ndarray:
-        """Y0 K of member s on the grid of nodes z = z_i + rho e^{i theta} (at
-        infinity z = rho e^{i theta}), rho (A,) by theta (B,), either of them
-        a scalar; the values have shape rho.shape + theta.shape + (r, r).
+    def values(self, s: int, rho, phi) -> np.ndarray:
+        """Y0 K of member s on the grid of nodes z = z_i + rho e^{i phi} (at
+        infinity z = rho e^{i phi}), rho (A,) by phi (B,), either of them a
+        scalar; the values have shape rho.shape + phi.shape + (r, r).
 
-        coords = basis^{-1} K are the coordinates of K in the eigenbasis of
-        L (rhsolve.normalize_at_infinity).  theta is the argument of z - z_i
-        followed continuously along the caller's path; it picks the branch
-        of x^{-L}.  The sum separates: u^m = (|x| / scale)^m e^{i m arg x}
-        is a real (A, M) table times a (B, M) one, so F is one product
-        (B, M) @ (A, M, r r) per rho row, and x^{-lam} is the outer product
-        of |x|^{-lam} and e^{-i lam arg x}.
+        K is the member's own (coords), and so is its branch: the argument
+        of z - z_i is taken as theta = a0 + mod(phi - a0, 2 pi), a0 its
+        point's entry_angle, the branch a transport from the entry
+        counterclockwise along a circle and then radially reaches.  The sum
+        separates: u^m = (|x| / scale)^m e^{i m arg x} is a real (A, M) table
+        times a (B, M) one, so F is one product (B, M) @ (A, M, r r) per rho
+        row, and x^{-lam} is the outer product of |x|^{-lam} and
+        e^{-i lam arg x}.
         """
         p = s % len(self.at)
-        rho, theta = np.asarray(rho, dtype=float), np.asarray(theta, dtype=float)
+        rho, phi = np.asarray(rho, dtype=float), np.asarray(phi, dtype=float)
+        a0 = self.entry_angle[p]
+        theta = a0 + np.mod(phi - a0, 2 * np.pi)
         sign, log_mod = self._log_modulus(p, rho.ravel())
         angle = sign * theta.ravel()  # arg x
         coef, lam = self.coefficients[s], self.exponents[s]
@@ -794,7 +808,7 @@ class SeriesStack:
         frame *= np.exp(-1j * angle[:, None] * lam)[:, None, :]
         # Y0 K = F diag(x^{-lam}) coords: one product, and each row of coords
         # only scaled, so none is swamped by a larger one
-        return (frame.reshape(-1, r) @ coords).reshape(rho.shape + theta.shape + (r, r))
+        return (frame.reshape(-1, r) @ self.coords[s]).reshape(rho.shape + phi.shape + (r, r))
 
     def _log_modulus(self, p: int, rho: np.ndarray):
         """The sign of log x = +-(log rho + i theta) at point p (x = z - z_i
@@ -847,7 +861,7 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
     to the count, below SERIES_MIN_DIVISOR, and NumericalError (naming the
     tail) at the first order with non-finite coefficients or when a tail
     is still above tol / 100 after SERIES_MAX_TERMS terms, for the whole
-    stack.
+    stack.  The stack describes Y0 on the principal branch (SeriesStack).
     """
     _check_tol(tol)
     pts = np.asarray(points, dtype=complex)
@@ -947,6 +961,8 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
         basis=basis,
         coefficients=np.ascontiguousarray(np.moveaxis(frame, -1, 0)),
         tail=tail,
+        coords=basis_inv,
+        entry_angle=np.full(p, -np.pi),
     )
 
 
@@ -1022,21 +1038,24 @@ class MonodromyLoops:
         pad = paths.Line(self.z0, self.z0)
         padded = [[pad] * (depth - len(approach)) + approach for approach in self.approaches]
         self._leg_rounds = [paths.SegmentFan(round_) for round_ in zip(*padded)]
-        # each circle's point, series radius and log x at its entry, x the
+        # each circle's point, series radius, entry angle (the argument of
+        # z - z_p, of z0 on the big circle) and log x at its entry, x the
         # local coordinate: log rho + i theta0 at a puncture, -log z0 at infinity
         self.at = list(range(weights.n - 1)) + [None]
         self.radii = [c.radius for c in circles[:-1]] + [1.0 / abs(self.z0)]
+        self.entry_angles = np.array([c.angle0 for c in circles])
         self.entry_logs = np.array([np.log(c.radius) + 1j * c.angle0 for c in circles[:-1]]
                                    + [-(np.log(abs(self.z0)) + 1j * np.angle(self.z0))])
 
-    def circle_transports(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack, np.ndarray]:
+    def circle_transports(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack]:
         """Transports C once around every circle, each from I at its entry,
         and their inverses, (B, n, r, r) each, of a (B, n-1, r, r) residue
-        stack, the one SeriesStack they come from and the coordinates
-        diag(x^lam) F(x)^{-1} of I at every entry x, (B, n, r, r): one
-        series_stack call, then F exp(-+2 pi i Lambda) F^{-1} (class
-        docstring).  C^{-1} takes the opposite phase, so no matrix but F is
-        inverted, and the power is a row scaling of that inverse."""
+        stack, and the one SeriesStack they come from, describing on every
+        member the solution that is I at its circle's entry x: coordinates
+        diag(x^lam) F(x)^{-1} and the entry's angle.  One series_stack call,
+        then F exp(-+2 pi i Lambda) F^{-1} (class docstring).  C^{-1} takes
+        the opposite phase, so no matrix but F is inverted, and the power is
+        a row scaling of that inverse."""
         res = np.asarray(residues, dtype=complex)
         b, n, r = len(res), self.weights.n, self.weights.rank
         series = series_stack(self.weights.points, res, self.at, self.radii, tol)
@@ -1050,29 +1069,32 @@ class MonodromyLoops:
         circ = (frame * np.exp(phase)[:, :, None, :]) @ frame_inv
         circ_inv = (frame * np.exp(-phase)[:, :, None, :]) @ frame_inv
         coords = np.exp(self.entry_logs[:, None] * exponents)[..., None] * frame_inv
-        return circ, circ_inv, series, coords
+        series = replace(series, coords=coords.reshape(b * n, r, r), entry_angle=self.entry_angles)
+        return circ, circ_inv, series
 
-    def monodromy(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack, np.ndarray]:
+    def monodromy(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack]:
         """Raw loop transports and representation generators, (B, n, r, r)
-        each, of a (B, n-1, r, r) residue stack, the circles' series
-        (member b n + p: system b at the loop point at[p]) and every
-        member's coordinates diag(x^lam) F(x)^{-1} Y_e, (B, n, r, r), of the
-        solution that is I at the basepoint: Y_e is its value at the circle's
-        entry x, the approach leg's transport P_i at puncture i and I on the
-        big circle.  The circles come in closed form (circle_transports), the
+        each, of a (B, n-1, r, r) residue stack, and the circles' series
+        (member b n + p: system b at the loop point at[p]) describing the
+        solution that is I at the basepoint: its coordinates are
+        diag(x^lam) F(x)^{-1} Y_e, Y_e its value at the circle's entry x,
+        the approach leg's transport P_i at puncture i and I on the big
+        circle.  The circles come in closed form (circle_transports), the
         legs of all systems as one fan per segment round, K transport_fan
         calls in all, then the puncture loops P^{-1} C P and their inverses
         P^{-1} C^{-1} P as generators; the big circle is kept as it is."""
         res = np.asarray(residues, dtype=complex)
-        circ, circ_inv, series, coords = self.circle_transports(res, tol)
+        circ, circ_inv, series = self.circle_transports(res, tol)
         legs = np.eye(self.weights.rank, dtype=complex)
         for fan in self._leg_rounds:
             legs = transport_fan(self.weights.points, res, fan, legs, tol=tol).values[-1]
         raw, gens = circ, circ.copy()
         raw[:, :-1] = np.linalg.solve(legs, circ[:, :-1] @ legs)
         gens[:, :-1] = np.linalg.solve(legs, circ_inv[:, :-1] @ legs)
+        # a view of the series' coordinates, which this call made
+        coords = series.coords.reshape(circ.shape)
         coords[:, :-1] = coords[:, :-1] @ legs
-        return raw, gens, series, coords
+        return raw, gens, series
 
 
 @dataclass
@@ -1099,7 +1121,7 @@ def monodromy_rep(
     """
     ws = system.weights
     loops = MonodromyLoops(ws, basepoint)
-    raw, gens, _, _ = loops.monodromy(system.residues[None], tol)
+    raw, gens, _ = loops.monodromy(system.residues[None], tol)
     transports, gens = raw[0], gens[0]
 
     order = np.lexsort((ws.points.imag, ws.points.real))

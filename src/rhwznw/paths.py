@@ -123,18 +123,18 @@ def circle(center: complex, radius: float, start_angle: float) -> Arc:
     return Arc(center, radius, start_angle, start_angle + 2 * np.pi)
 
 
-def plan_route(
-    a: complex,
-    b: complex,
-    keepouts: list[tuple[complex, float]],
-    depth: int = 0,
-) -> list[Segment]:
+def plan_route(a: complex, b: complex, keepouts: list[tuple[complex, float]]) -> list[Segment]:
     """Segments from a to b keeping distance r_k from each keepout center.
 
     Straight line if clear; otherwise detour around the most intruding
     keepout along its clearance circle, recursing on the two remaining
-    pieces.
+    pieces, at most eight levels deep (ProximityError beyond).
     """
+    return _route(a, b, keepouts, 0)
+
+
+def _route(a: complex, b: complex, keepouts: list[tuple[complex, float]], depth: int) -> list[Segment]:
+    """plan_route at recursion depth `depth`."""
     if depth > 8:
         raise ProximityError("route planning recursion limit; geometry too tight")
     seg = Line(a, b)
@@ -162,7 +162,7 @@ def plan_route(
     a1, a2 = np.angle(q1 - center), np.angle(q2 - center)
     sweep = np.angle(np.exp(1j * (a2 - a1)))
     route: list[Segment] = []
-    route += plan_route(a, q1, [k for k in keepouts if k[0] != center], depth + 1)
+    route += _route(a, q1, [k for k in keepouts if k[0] != center], depth + 1)
     route.append(Arc(center, r, a1, a1 + sweep))
-    route += plan_route(q2, b, [k for k in keepouts if k[0] != center], depth + 1)
+    route += _route(q2, b, [k for k in keepouts if k[0] != center], depth + 1)
     return route

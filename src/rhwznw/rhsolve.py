@@ -123,7 +123,7 @@ def residual_stack(
     one call; then the infinity spectrum.
     """
     residues = parm.residues(xs)
-    _, gens, _, _ = problem.monodromy(residues, LM_TRANSPORT_TOL)
+    _, gens, _ = problem.monodromy(residues, LM_TRANSPORT_TOL)
     aligned = align_tuple_to_target(gens, target).generators
     diff = aligned - np.asarray(target.generators)
     # per generator: real parts, then imaginary parts
@@ -359,15 +359,13 @@ class NormalizationResult:
     # z^{lam - Lambda} keeps Y W z^{-Lambda} from having a limit
     extrapolation_disagreement: float
     right_conjugator: np.ndarray
-    left_gauge: np.ndarray
     # the monodromy generators aligned to the target, W^{-1} M_i W: the
     # canonical solution's monodromy in the gauge of basepoint_value
     aligned_generators: np.ndarray  # (n, r, r)
     # the loops' series in the canonical gauge, member p at the loop point
-    # at[p], and the coordinates basis^{-1} K (n, r, r) of the canonical
-    # solution on each, matched at the loop entry at argument arg(z0 - z_p)
+    # at[p], describing the canonical solution: matched at the loop entry,
+    # at argument arg(z0 - z_p)
     series: fuchs.SeriesStack
-    series_coords: np.ndarray
 
 
 def normalize_at_infinity(
@@ -383,9 +381,10 @@ def normalize_at_infinity(
     tuple (the aligned generators W^{-1} M_i W are kept).  Y W = Y0 K on
     every region of the loops' SeriesStack, Y0 = F(x) x^{-L} the member's
     series, and the coordinates basis^{-1} K of all members are the loop
-    set's coordinates of Y times W (MonodromyLoops.monodromy), one product.
-    The loop set applies the power x^lam as a row scaling, never a dense
-    inverse, so components that x^{-L} spreads over many orders of
+    set's coordinates of Y times W (MonodromyLoops.monodromy), one product
+    inside the one replace that also moves the series to the canonical
+    gauge.  The loop set applies the power x^lam as a row scaling, never a
+    dense inverse, so components that x^{-L} spreads over many orders of
     magnitude keep their digits.  At infinity column b of Y W z^{-(N'+W_n)} tends to the constant term
     basis[:, pi(b)] C[pi(b), b], C = basis^{-1} K and pi matching the
     series' exponents to N' + W_n.  When G is invertible
@@ -397,8 +396,7 @@ def normalize_at_infinity(
     splitting P_N is all of GL(r), so the coset is GL(r) and large_cell_flag
     says that G is invertible.  For any other splitting the flag is False:
     G -> g G can move G in and out of the coset, so no function of G alone
-    decides it.  The series and the coordinates
-    basis^{-1} K of every member are kept for the canonical solution:
+    decides it.  The series is kept, describing the canonical solution:
     its frame is left F, and the coordinates do not change.
     """
     ws = system.weights
@@ -410,10 +408,10 @@ def normalize_at_infinity(
 
     if problem is None:
         problem = fuchs.MonodromyLoops(ws)
-    _, gens, series, coords = problem.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
+    _, gens, series = problem.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
     aligned = align_tuple_to_target(gens[0], target)
     W = aligned.conjugator
-    coords = coords[0] @ W
+    coords = series.coords @ W
     inf = ws.n - 1  # the big circle's member: at infinity, radius 1/|z0|
     C = coords[inf]
     perm, _ = fuchs._match_to_targets(series.exponents[inf], ws.infinity_exponents)
@@ -439,8 +437,7 @@ def normalize_at_infinity(
         basepoint_value=left @ W,
         extrapolation_disagreement=float(disagreement),
         right_conjugator=W,
-        left_gauge=left,
         aligned_generators=aligned.generators,
-        series=replace(series, basis=left @ series.basis, coefficients=left @ series.coefficients),
-        series_coords=coords,
+        series=replace(series, basis=left @ series.basis, coefficients=left @ series.coefficients,
+                       coords=coords),
     )

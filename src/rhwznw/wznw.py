@@ -1,10 +1,11 @@
 """Singular Hermitian metric, WZNW densities, and the regularized action.
 
 The metric field h(z) = (Y(z) Y(z)*)^{-1} of the canonically normalized
-fundamental solution Y is read by the same rule as the action's web
-(Transport, below): from the local series inside a puncture's ring and
-beyond the basepoint's circle, and along one outward ray from the nearest
-puncture's ring everywhere else.  The regularized action is
+fundamental solution Y is read much as the action's web reaches its nodes
+(Transport, below): from the local series inside a puncture's ring and on
+and beyond the basepoint's circle, and along one outward ray from the
+nearest puncture's ring everywhere else (MetricField: the web's outer
+region starts further out).  The regularized action is
 
     S = lim_{delta -> 0} [ int_{X_delta} (kinetic + topological) d2z
         + 2 pi log(delta) (K1 + K2) ]
@@ -45,10 +46,10 @@ first and refuses more than WEB_NODE_LIMIT of them.
 
 Transport: near each puncture and near infinity Y is a convergent
 Frobenius series times a power.  The normalization at infinity already
-holds both: the monodromy loops' one fuchs.SeriesStack over all n points,
-in the canonical gauge, and the coordinates of Y on every member, matched
-at the loop circle's entry to the approach leg's transport.  A patch's
-ring is its puncture's loop circle.  The series gives the ring values,
+holds it: the monodromy loops' one fuchs.SeriesStack over all n points, in
+the canonical gauge, which describes Y on every member, matched at the
+loop circle's entry to the approach leg's transport, on the branch that
+starts there.  A patch's ring is its puncture's loop circle.  The series gives the ring values,
 every inward node of a patch and the whole outer region, so the web
 builds no series and transports no ring entry; only the outward rays,
 from the ring to the Voronoi or outer boundary, are transported: the rays
@@ -193,24 +194,25 @@ def _metric_from_factor(y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Canonically normalized solution, read by the action web's rule.
+    """Canonically normalized solution, read much as the action's web reads it.
 
-    series and series_coords are the normalization's loop series and Y's
-    coordinates on each member (NormalizationResult).  y_at(z) depends on z
-    alone: with z_i the puncture nearest z, Y comes from z_i's member of the
-    series inside its ring (its loop circle), from the member at infinity
-    for |z| >= |z0|, and otherwise from one outward ray from the ring to z
-    (fuchs.transport_fan on a paths.RayFan), exactly as the web reaches its
-    nodes.  h(z) is path independent because the monodromy is unitary (to
-    solver tolerance).  make_metric_field builds a field only on the
-    regular locus, so every field is regular.
+    series is the normalization's loop series, describing Y on each member
+    (NormalizationResult).  y_at(z) depends on z alone: with z_i the
+    puncture nearest z, Y comes from z_i's member of the series inside its
+    ring (its loop circle), from the member at infinity for |z| >= |z0|,
+    and otherwise from one outward ray from the ring to z
+    (fuchs.transport_fan on a paths.RayFan), as the web reaches its nodes,
+    except at |z0| <= |z| < _outer_radius, where the web reads a ray: Y may
+    differ there by a unitary monodromy factor, h does not.  h(z) is path
+    independent because the monodromy is unitary (to solver tolerance).
+    make_metric_field builds a field only on the regular locus, so every
+    field is regular.
     """
 
     system: fuchs.FuchsianSystem
     basepoint: complex
     basepoint_value: np.ndarray
     series: fuchs.SeriesStack
-    series_coords: np.ndarray
     monodromy_quality: float
 
     @property
@@ -230,11 +232,12 @@ class MetricField:
             raise paths.ProximityError(f"evaluation point {z} too close to a puncture")
         ring = float(self.series.radius[i])
         if rho <= ring:
-            return _region_series(self, i)(rho, phi)
+            return self.series.values(i, rho, phi)
         if abs(z) >= abs(self.basepoint):
-            return _region_series(self, None)(abs(z), float(np.angle(z)))
+            # the member at infinity, last of the field's one-system stack
+            return self.series.values(-1, abs(z), float(np.angle(z)))
         fan = paths.RayFan(pts[i], np.array([phi]), np.log(ring), np.log(rho))
-        start = _region_series(self, i)(ring, phi)
+        start = self.series.values(i, ring, phi)
         return fuchs.transport_fan(pts, self.system.residues, fan, start).values[-1, 0]
 
     def h_at(self, z: complex) -> np.ndarray:
@@ -273,37 +276,11 @@ def make_metric_field(
         basepoint_value=norm.basepoint_value,
         monodromy_quality=float(quality),
         series=norm.series,
-        series_coords=norm.series_coords,
     )
 
 
 # ---------------------------------------------------------------------------
 # local series regions
-
-
-def _region_series(fld: MetricField, at: int | None):
-    """Y on one region from the field's loop series, as a function of
-    (rho, phi).
-
-    The region is the patch at puncture `at` (center z_at, ring at its loop
-    circle's radius, nodes on or inside the ring) or, for at = None, the
-    outer region (center 0, nodes on or beyond the outer circle).  Its
-    member was matched at the loop entry, at argument a0 = arg(z0 - center);
-    the argument of a node at angle phi is a0 + mod(phi - a0, 2 pi): the
-    branch a transport from the entry counterclockwise along the circle and
-    then radially reaches.  The returned function maps rho (A,) and phi
-    (B,), either of them a scalar, to Y on their grid, shape
-    rho.shape + phi.shape + (r, r) (fuchs.SeriesStack.values).
-    """
-    s = len(fld.series.at) - 1 if at is None else at
-    center = 0j if at is None else complex(fld.system.points[at])
-    a0 = float(np.angle(fld.basepoint - center))
-    coords = fld.series_coords[s]
-
-    def values(rho, phi) -> np.ndarray:
-        return fld.series.values(s, rho, a0 + np.mod(phi - a0, 2 * np.pi), coords)
-
-    return values
 
 
 def _angle_counts(series: fuchs.SeriesStack, at: int | None, rho: np.ndarray) -> np.ndarray:
@@ -318,9 +295,11 @@ def _angle_counts(series: fuchs.SeriesStack, at: int | None, rho: np.ndarray) ->
 
 
 def _series_grid(fld: MetricField, at: int | None, radial):
-    """Node offsets x = z - center, radii, area weights and Y of one region
-    (_region_series) on the circles of the log-radius rule radial =
-    (s, weights), each flattened circle by circle.
+    """Node offsets x = z - center, radii, area weights and Y of one region,
+    the patch at puncture `at` or, for at = None, the outer region (center
+    0), on the circles of the log-radius rule radial = (s, weights), each
+    flattened circle by circle.  Y comes from the region's member of the
+    field's loop series (fuchs.SeriesStack.values).
 
     The circle of radius rho takes _angle_counts trapezoid angles.  The
     densities there are periodic and analytic in the angle, with Fourier
@@ -332,14 +311,13 @@ def _series_grid(fld: MetricField, at: int | None, radial):
     s, w_s = radial
     rho = np.exp(s)
     counts = _angle_counts(fld.series, at, rho)
-    series = _region_series(fld, at)
     parts = []
     for n in np.unique(counts):
         rows = counts == n
         phis = 2 * np.pi * (np.arange(n) + 0.5) / n
         x = rho[rows, None] * np.exp(1j * phis)[None, :]
         wt = np.broadcast_to((w_s[rows] * np.exp(2 * s[rows]))[:, None] * (2 * np.pi / n), x.shape)
-        y = series(rho[rows], phis)
+        y = fld.series.values(-1 if at is None else at, rho[rows], phis)
         parts.append((x.ravel(), np.repeat(rho[rows], n), wt.ravel(), y.reshape(-1, *y.shape[2:])))
     return tuple(map(np.concatenate, zip(*parts)))
 
@@ -524,7 +502,7 @@ class TransportWeb:
         ]
         # the outer region from the series at infinity, out to 1 / delta_min
         x, rho, wt, y = _series_grid(fld, None, outer)
-        self.regions.append(_WebRegion(x, rho, wt, *self._densities(None, x, y)))
+        self.regions.append(_WebRegion(x, rho, wt, *densities(y, _region_A(fld.system, None, x))))
 
     # -- patches ------------------------------------------------------------
 
@@ -546,7 +524,7 @@ class TransportWeb:
         rho_max = _voronoi_rho_max(pts, i, phi, self.r_out)
         rays = (np.full(len(phi), complex(pts[i])), phi, np.full(len(phi), np.log(ring_r)),
                 np.log(np.maximum(rho_max, ring_r)))
-        return rays, _region_series(self.field, i)(ring_r, phi)
+        return rays, self.field.series.values(i, ring_r, phi)
 
     def _build_patch(self, i: int, rays, w_rays, radial, y_out, t_nodes, t_weights) -> _WebRegion:
         """The patch at puncture i: its inward nodes from the series, at the
@@ -563,19 +541,15 @@ class TransportWeb:
 
         x = np.concatenate([x_in, x_out.ravel()])
         y = np.concatenate([y_in, y_out.reshape(-1, *y_out.shape[2:])])
-        kin, top = self._densities(i, x, y, keep_sample=(i == 0))
+        A = _region_A(self.field.system, i, x)
+        if i == 0:
+            # the trace-form check's sample, spread evenly over the first patch
+            idx = np.linspace(0, len(x) - 1, min(self.IMAG_SAMPLE, len(x))).astype(int)
+            self.sample_h, self.sample_A = _metric_from_factor(y[idx]), A[idx]
+        kin, top = densities(y, A)
         return _WebRegion(z=self.field.system.points[i] + x,
                           rho=np.concatenate([rho_in, rho_out.ravel()]),
                           weight=np.concatenate([wt_in, wt_out.ravel()]), kinetic=kin, topological=top)
-
-    def _densities(self, at: int | None, x: np.ndarray, y: np.ndarray, keep_sample: bool = False):
-        """Kinetic and topological densities at the nodes z_at + x of the
-        patch at puncture `at` (the outer region for at = None), Y there y."""
-        A = _region_A(self.field.system, at, x)
-        if keep_sample:
-            idx = np.linspace(0, len(x) - 1, min(self.IMAG_SAMPLE, len(x))).astype(int)
-            self.sample_h, self.sample_A = _metric_from_factor(y[idx]), A[idx]
-        return densities(y, A)
 
     # -- assembly -----------------------------------------------------------
 

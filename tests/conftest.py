@@ -24,6 +24,15 @@ def puncture_loop(weights, i, basepoint):
     return approach + [circle] + back
 
 
+def off_curve_integrals(web, delta):
+    """A stand-in for TransportWeb.integrals_at whose totals, counterterm
+    included, are +1 and -1 in turn along the halving delta schedule: a
+    sawtooth that lies off every S + C delta^kappa + C2 delta^2 curve."""
+    k1, k2 = web.field.weights.counterterm_coefficients()
+    sign = (-1.0) ** round(np.log2(wznw.DELTA_SCHEDULE[0] / delta))
+    return sign - 2 * np.pi * np.log(delta) * (k1 + k2), 0.0
+
+
 def _segment_log_increment(seg, w, pieces):
     ts = np.linspace(0.0, 1.0, pieces + 1)
     pts = seg.point(ts) - w

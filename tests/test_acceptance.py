@@ -225,9 +225,9 @@ def test_criterion_10_determinism(tmp_path, rank2_weights):
     cli.save_config(cfg1, tmp_path / "cfg1.json")
 
     runs = {
-        "monodromy": ["monodromy", "--config", str(tmp_path / "cfg.json"), "--seed", "7"],
+        "monodromy": ["monodromy", "--config", str(tmp_path / "cfg.json")],
         "rhsolve": ["rhsolve", "--config", str(tmp_path / "cfg1.json"), "--seed", "7"],
-        "action": ["action", "--config", str(tmp_path / "cfg.json"), "--seed", "7"],
+        "action": ["action", "--config", str(tmp_path / "cfg.json")],
         "verify-bruhat": ["verify", "bruhat", "--seed", "7", "--count", "40"],
         "verify-cholesky": ["verify", "cholesky", "--seed", "7", "--count", "40"],
         "verify-three-form": ["verify", "three-form", "--seed", "7", "--count", "40"],

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import off_curve_integrals
 from rhwznw import cli, fuchs, rhsolve, wznw
 
 
@@ -170,6 +171,18 @@ def test_action_non_regular_exit(tmp_path, monkeypatch):
     assert rc == cli.EXIT_REGULAR_LOCUS
 
 
+def test_action_off_curve_totals_exit_3(tmp_path, capsys, monkeypatch):
+    # a delta fit the action refuses ends as a numerical failure: one error
+    # line and no result.json
+    cli.save_config(rank1_config(), tmp_path / "cfg.json")
+    monkeypatch.setattr(wznw.TransportWeb, "integrals_at", off_curve_integrals)
+    rc = cli.main(["action", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err.strip()
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    assert err.startswith("error: UnreliableExtrapolationError:") and "\n" not in err
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_odd_degree_rhsolve_then_action_exits_4(tmp_path, capsys):
     # the splitting (-2, -1) is not scalar: the solve succeeds and saves its
     # residues, and the action refuses them as off the regular locus
@@ -197,8 +210,7 @@ def test_action_deterministic(tmp_path):
     cli.save_config(cfg, tmp_path / "cfg.json")
     for sub in ("r1", "r2"):
         rc = cli.main(
-            ["action", "--config", str(tmp_path / "cfg.json"), "--seed", "3",
-             "--out", str(tmp_path / sub)]
+            ["action", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / sub)]
         )
         assert rc == 0
     assert (tmp_path / "r1" / "result.json").read_bytes() == (
@@ -425,7 +437,7 @@ def test_negative_solver_count_exits_2(tmp_path, capsys, fieldname, value):
 def test_non_positive_tol_override_exits_2(tmp_path, capsys):
     cli.save_config(rank2_config(), tmp_path / "cfg.json")
     rc = cli.main(
-        ["monodromy", "--config", str(tmp_path / "cfg.json"), "--tol=-1e-9", "--out", str(tmp_path)]
+        ["rhsolve", "--config", str(tmp_path / "cfg.json"), "--tol=-1e-9", "--out", str(tmp_path)]
     )
     assert rc == cli.EXIT_VALIDATION
     assert "config field 'solver.tol'" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -861,21 +863,24 @@ def test_monodromy_detour_legs_run_as_padded_rounds(monkeypatch):
     monkeypatch.setattr(fuchs, "transport_fan", counted_fan)
     monkeypatch.setattr(fuchs, "_integrate_stack", counted_kernel)
     tol = 1e-9
-    _, _, series, coords = loops.monodromy(residues, tol)
+    _, _, series = loops.monodromy(residues, tol)
     assert calls == {"fan": 3, "kernel": 3}
     monkeypatch.undo()
-    legs = _entry_values(loops, series, coords)
+    legs = _entry_values(loops, series)
     for i, approach in enumerate(loops.approaches):
         ref, _ = _transport_stack(ws.points, residues, approach, tol=tol / 100)
         for b in range(4):
             assert numcore.fro(legs[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
 
 
-def _entry_values(loops, series, coords):
+def _entry_values(loops, series):
     """The solution's values F(x) diag(x^-lam) coords at every loop entry x,
-    (B, n, r, r), from the coordinates that MonodromyLoops.monodromy returns:
-    the approach legs' transports at the punctures, I on the big circle."""
-    b, n, r, _ = coords.shape
+    (B, n, r, r), from the coordinates of the series that
+    MonodromyLoops.monodromy returns: the approach legs' transports at the
+    punctures, I on the big circle."""
+    n, r = len(series.at), series.coords.shape[-1]
+    b = len(series.coords) // n
+    coords = series.coords.reshape(b, n, r, r)
     frame = series.frame(np.exp(loops.entry_logs)).reshape(b, n, r, r)
     power = np.exp(-loops.entry_logs[:, None] * series.exponents.reshape(b, n, r))
     return (frame * power[:, :, None, :]) @ coords
@@ -936,8 +941,8 @@ def test_monodromy_loops_path_independence_property(seed):
     residues = _random_residues(ws, rng, 3)
     loops = fuchs.MonodromyLoops(ws)
     tol = 1e-9  # the solver's default transport tolerance
-    raw, gens, series, coords = loops.monodromy(residues, tol)
-    assert raw.shape == gens.shape == coords.shape == (3, 4, 3, 3)
+    raw, gens, series = loops.monodromy(residues, tol)
+    assert raw.shape == gens.shape == (3, 4, 3, 3) and series.coords.shape == (12, 3, 3)
     assert np.array_equal(gens[:, 3], raw[:, 3])
     # the circles' series: system b at point p is member 4 b + p, infinity last
     assert series.at == (0, 1, 2, None) and series.exponents.shape == (12, 3)
@@ -949,7 +954,7 @@ def test_monodromy_loops_path_independence_property(seed):
             assert numcore.fro(raw[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
     # the coordinates give the approach transports from I to each puncture
     # circle's entry, and I at the big circle's
-    legs = _entry_values(loops, series, coords)
+    legs = _entry_values(loops, series)
     assert np.allclose(legs[:, 3], np.eye(3), rtol=0.0, atol=1e-12)
     for i, approach in enumerate(loops.approaches):
         ref, _ = _transport_stack(ws.points, residues, approach, tol=tol / 100)
@@ -1003,14 +1008,17 @@ def test_local_series_matches_fan_property(seed):
         log_x = (-1.0 if at is None else 1.0) * (np.log(ring) + 1j * a0)
         lifted = np.linalg.solve(series.frame([np.exp(log_x)])[0], entry_value)
         right = np.exp(log_x * series.exponents[0])[:, None] * lifted
-        theta = a0 + np.mod(rng.uniform(0.0, 2 * np.pi, 6) - a0, 2 * np.pi)
+        # the series carries that solution, entered at a0
+        series = dataclasses.replace(series, coords=right[None], entry_angle=np.array([a0]))
+        phi = rng.uniform(0.0, 2 * np.pi, 6)
+        theta = a0 + np.mod(phi - a0, 2 * np.pi)
         arcs = paths.SegmentFan([paths.Arc(complex(center), ring, a0, a1) for a1 in theta])
         ring_ref = fuchs.transport_fan(pts, res, arcs, entry_value, tol=tol / 100).values[-1]
         stops = np.array([0.2, 0.6, 1.0])
         rays = paths.RayFan(center, theta, np.log(ring), s_far)
         ray_ref = fuchs.transport_fan(pts, res, rays, ring_ref, stops, tol / 100).values
         rhos = np.exp(np.log(ring) + stops * (s_far - np.log(ring)))
-        got = series.values(0, np.concatenate([[ring], rhos]), theta, right)
+        got = series.values(0, np.concatenate([[ring], rhos]), phi)
         refs = np.concatenate([ring_ref[None], ray_ref])
         for k in range(len(refs)):
             for b in range(6):
@@ -1044,7 +1052,7 @@ def test_local_series_limits():
         fuchs.series_stack(pts, res, [1], [0.99], 1e-10)
     series = fuchs.series_stack(pts, res, [1], [0.5], 1e-10)
     with pytest.raises(ValueError):
-        series.values(0, 0.6, 0.0, np.eye(3))
+        series.values(0, 0.6, 0.0)
 
 
 @pytest.mark.parametrize("at", [1, None], ids=["puncture", "infinity"])
@@ -1061,9 +1069,11 @@ def test_local_series_grid_values_match_horner(at):
         rho = 1.0 / rho
     theta = rng.uniform(-4 * np.pi, 4 * np.pi, 23)
     coords = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-    got = series.values(0, rho, theta, coords)
+    got = dataclasses.replace(series, coords=coords[None]).values(0, rho, theta)
     assert got.shape == (37, 23, 3, 3)
-    log_x = np.log(rho)[:, None] + 1j * theta[None, :]
+    # series_stack's principal branch: arg(z - z_i) in [-pi, pi)
+    branch = -np.pi + np.mod(theta + np.pi, 2 * np.pi)
+    log_x = np.log(rho)[:, None] + 1j * branch[None, :]
     if at is None:
         log_x = -log_x
     u = (np.exp(log_x) / series.scale[0])[..., None, None]
@@ -1104,7 +1114,7 @@ def test_circle_transports_match_fan(make_weights, seed):
     _set_infinity_exponents(residues[2], ws.infinity_exponents + shift, rng)
     loops = fuchs.MonodromyLoops(ws)
     tol = 1e-9
-    circ, circ_inv, _, _ = loops.circle_transports(residues, tol)
+    circ, circ_inv, _ = loops.circle_transports(residues, tol)
     assert circ.shape == circ_inv.shape == (4, ws.n, ws.rank, ws.rank)
     arcs = loops.circles
     for turn, got in ((2 * np.pi, circ), (-2 * np.pi, circ_inv)):

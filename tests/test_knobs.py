@@ -1,0 +1,51 @@
+"""The package's settable knobs, counted with ast: defaulted parameters and
+defaulted dataclass fields over src/rhwznw.  A tolerance, step or limit with
+one value in use is a module constant, not a parameter (README, "Numerical
+constants"), so the count only falls; a change that adds a knob raises
+KNOB_BOUND with it."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rhwznw"
+KNOB_BOUND = 30
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def count_knobs(root: Path) -> dict[str, int]:
+    """Defaulted parameters (functions and lambdas) plus defaulted dataclass
+    fields of every module under root, by file name."""
+    counts = {}
+    for path in sorted(root.glob("*.py")):
+        n = 0
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                n += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                n += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+        counts[path.name] = n
+    return counts
+
+
+def test_knob_count_does_not_grow():
+    counts = count_knobs(SRC)
+    assert sum(counts.values()) <= KNOB_BOUND, counts
+
+
+def test_knob_count_sees_parameters_and_fields(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "def f(a, b=1, *, c=2, d): pass\n"
+        "g = lambda x=0: x\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n    z: list = field(default_factory=list)\n"
+        "class B:\n    w: int = 3\n"
+    )
+    assert count_knobs(tmp_path) == {"m.py": 5}

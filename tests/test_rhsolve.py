@@ -207,10 +207,10 @@ def test_normalize_keeps_the_matched_loop_series(rank2_solved, rank2_target):
     system, _ = rank2_solved
     norm = rhsolve.normalize_at_infinity(system, rank2_target)
     loops = fuchs.MonodromyLoops(system.weights)
-    series, coords = norm.series, norm.series_coords
-    assert series.at == (0, 1, None) and coords.shape == (3, 2, 2)
+    series = norm.series
+    assert series.at == (0, 1, None) and series.coords.shape == (3, 2, 2)
     for s, circle in enumerate(loops.circles):
-        got = series.values(s, circle.radius, circle.angle0, coords[s])
+        got = series.values(s, circle.radius, circle.angle0)
         if s < len(loops.approaches):
             want = fuchs.transport(
                 norm.canonical_system, loops.approaches[s], start=norm.basepoint_value, tol=1e-12

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import off_curve_integrals
 from rhwznw import factor, fuchs, moduli, numcore, paths, rhsolve, wznw
 
 
@@ -101,6 +102,14 @@ def test_action_refuses_a_field_above_the_quality_gate(rank2_field, monkeypatch)
     assert built == []
 
 
+def test_action_refuses_totals_off_every_delta_fit(rank2_field, monkeypatch):
+    # totals that alternate along the schedule leave a fit residual far above
+    # FIT_TOLERANCE times their spread: the action refuses to extrapolate
+    monkeypatch.setattr(wznw.TransportWeb, "integrals_at", off_curve_integrals)
+    with pytest.raises(wznw.UnreliableExtrapolationError, match="delta-fit residual"):
+        wznw.action_regularized(rank2_field)
+
+
 def _y_of_metric(h):
     """A Y with (Y Y*)^{-1} = h: the inverse of h's upper Cholesky factor."""
     return np.linalg.inv(factor.cholesky_upper(h))
@@ -127,7 +136,7 @@ def test_kinetic_density_positive(rank2_field):
 def test_kinetic_asymptotics_near_puncture(rank2_field, rank2_weights):
     # density * |z - z_i|^2 -> sum_j alpha_ij^2 (to 1e-3 at rho = 1e-4)
     rhos = np.array([0.4, 0.1, 1e-2, 1e-3, 1e-4])
-    ys = wznw._region_series(rank2_field, 0)(rhos, 0.9)
+    ys = rank2_field.series.values(0, rhos, 0.9)
     z = rank2_weights.points[0] + 1e-4 * np.exp(0.9j)
     kin, _ = wznw.densities(ys[-1], rank2_field.system.A_of(z))
     target = float(np.sum(rank2_weights.weights[0] ** 2))
@@ -240,6 +249,29 @@ def _region_of(fld, z):
     return "outer" if abs(z) >= abs(fld.basepoint) else "ray"
 
 
+def test_y_at_in_the_outer_annulus_is_the_web_ray_times_a_unitary(rank2_field, monkeypatch):
+    # at |z0| <= |z| < _outer_radius y_at reads the series at infinity with
+    # no transport, where the web reaches its nodes by a ray from the nearest
+    # puncture's ring: the two Y differ by a unitary factor, so h agrees
+    fld = rank2_field
+    z = 2.5
+    assert abs(fld.basepoint) <= z < wznw._outer_radius(fld.system.points, fld.basepoint)
+    calls = []
+    fan = fuchs.transport_fan
+    monkeypatch.setattr(fuchs, "transport_fan", lambda *a, **k: calls.append(1) or fan(*a, **k))
+    y = fld.y_at(z)
+    assert calls == []
+    monkeypatch.undo()
+    ring = fld.series.radius[1]
+    start = fld.series.values(1, ring, 0.0)
+    ray = paths.RayFan(fld.system.points[1], np.array([0.0]), np.log(ring), np.log(z - 1.0))
+    y_ray = fuchs.transport_fan(fld.system.points, fld.system.residues, ray, start).values[-1, 0]
+    u = np.linalg.solve(y, y_ray)
+    assert numcore.fro(u @ u.conj().T - np.eye(2)) <= 1e-9
+    h, h_ray = fld.h_at(z), np.linalg.inv(y_ray @ y_ray.conj().T)
+    assert numcore.fro(h - h_ray) <= 1e-9 * numcore.fro(h_ray)
+
+
 def test_h_at_matches_a_transported_reference(rank2_field):
     # h from the series and the rays against h from a transport of the
     # canonical solution from the basepoint along a plan_route path, at
@@ -310,8 +342,8 @@ def test_flatness_constant_field():
         system=system,
         basepoint=ws.default_basepoint(),
         basepoint_value=np.eye(1, dtype=complex),
+        # Y0 = 1 on every member: series_stack's coordinates describe Y0
         series=fuchs.series_stack(ws.points, zeros[None], loops.at, loops.radii, fuchs.TRANSPORT_TOL),
-        series_coords=np.ones((ws.n, 1, 1), dtype=complex),
         monodromy_quality=0.0,
     )
     assert wznw.flatness_residual(fld, 0.5 + 0.4j, 1e-3) < 1e-10
@@ -483,7 +515,7 @@ def test_counterterm_annulus(rank2_field, rank2_weights):
 def test_cholesky_exponents_along_ray(rank2_field, rank2_weights):
     # local log-log slope of the Cholesky diagonal recovers 2 alpha_ij
     rhos = np.array([0.4, 1e-3, 1e-4])
-    ys = wznw._region_series(rank2_field, 0)(rhos, 1.3)
+    ys = rank2_field.series.values(0, rhos, 1.3)
     a_vals = []
     for y in ys[-2:]:
         h = np.linalg.inv(y @ y.conj().T)
