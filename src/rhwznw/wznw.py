@@ -1,11 +1,11 @@
 """Singular Hermitian metric, WZNW densities, and the regularized action.
 
 The metric field h(z) = (Y(z) Y(z)*)^{-1} of the canonically normalized
-fundamental solution Y is read much as the action's web reaches its nodes
-(Transport, below): from the local series inside a puncture's ring and on
-and beyond the basepoint's circle, and along one outward ray from the
-nearest puncture's ring everywhere else (MetricField: the web's outer
-region starts further out).  The regularized action is
+fundamental solution Y is read as the action's web reaches its nodes
+(Transport, below), by the loop series' one region rule: from the local
+series inside a puncture's ring and on and beyond the basepoint's circle
+|z| = |z0|, and along one outward ray from the nearest puncture's ring
+everywhere else.  The regularized action is
 
     S = lim_{delta -> 0} [ int_{X_delta} (kinetic + topological) d2z
         + 2 pi log(delta) (K1 + K2) ]
@@ -29,17 +29,17 @@ Y Y* is formed, so cond(Y), not its square, sets the rounding error.
 MetricField.h_at builds h = b* b from the same R.
 
 Quadrature: the plane is tiled exactly by star-shaped polar patches (one
-per finite puncture, bounded by Voronoi bisectors and the outer circle)
-plus a log-polar annulus reaching 1/delta.  Radial directions use
-Gauss-Legendre panels in log-radius with panel edges aligned to the
-delta schedule, so one transported web serves every delta at once.
-Full circles use the periodic trapezoid rule in the angle, each with the
-fewest angles at which the local series' convergence ratio q on it
-leaves no aliased Fourier mode above ANGLE_ALIAS_TOL (_angle_counts), at
-most 64 since q <= 1/2; the outward patch regions, whose radial extent is
-only piecewise smooth in the angle, use Gauss-Legendre panels split at
-the boundary kinks, the patch's corners, where its bisectors and the
-outer circle meet (_kink_angles).  Every Gauss-Legendre panel has order
+per finite puncture, bounded by Voronoi bisectors and the outer circle
+|z| = |z0|) plus a log-polar annulus from there to 1/delta.  Radial
+directions use Gauss-Legendre panels in log-radius with panel edges
+aligned to the delta schedule, so one transported web serves every delta
+at once.  Full circles use the periodic trapezoid rule in the angle, each
+with the fewest angles at which the local series' convergence ratio q on
+it leaves no aliased Fourier mode above ANGLE_ALIAS_TOL (_angle_counts),
+at most 64 since q <= 1/2 at the default basepoint; the outward patch
+regions, whose radial extent is only piecewise smooth in the angle, use
+Gauss-Legendre panels split at the boundary kinks, the patch's corners,
+where its bisectors and the outer circle meet (_kink_angles).  Every Gauss-Legendre panel has order
 GL_ORDER, so the quadrature follows from the points, the loop series and
 the delta schedule alone.  The web counts its nodes from these rules
 first and refuses more than WEB_NODE_LIMIT of them.
@@ -101,7 +101,7 @@ GL_ORDER = 8
 # largest q^N on a series-grid circle of N trapezoid angles, q the series'
 # convergence ratio there: the size of the first Fourier mode that aliases
 ANGLE_ALIAS_TOL = 1e-17
-# most nodes of one quadrature web, 153 times the 6,528 of the default
+# most nodes of one quadrature web, 144 times the 6,904 of the default
 # schedule on the rank-2 fixture
 WEB_NODE_LIMIT = 1_000_000
 # outer over inner radius of annulus_kinetic_integral's annulus
@@ -194,17 +194,16 @@ def _metric_from_factor(y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Canonically normalized solution, read much as the action's web reads it.
+    """Canonically normalized solution, read as the action's web reads it.
 
     series is the normalization's loop series, describing Y on each member
     (NormalizationResult).  y_at(z) depends on z alone: with z_i the
     puncture nearest z, Y comes from z_i's member of the series inside its
     ring (its loop circle), from the member at infinity for |z| >= |z0|,
     and otherwise from one outward ray from the ring to z
-    (fuchs.transport_fan on a paths.RayFan), as the web reaches its nodes,
-    except at |z0| <= |z| < _outer_radius, where the web reads a ray: Y may
-    differ there by a unitary monodromy factor, h does not.  h(z) is path
-    independent because the monodromy is unitary (to solver tolerance).
+    (fuchs.transport_fan on a paths.RayFan), the rule by which the web
+    reaches its nodes.  h(z) is path independent because the monodromy is
+    unitary (to solver tolerance).
     make_metric_field builds a field only on the regular locus, so every
     field is regular.
     """
@@ -287,8 +286,8 @@ def _angle_counts(series: fuchs.SeriesStack, at: int | None, rho: np.ndarray) ->
     """Trapezoid angles of the series-grid circles of radii rho about the
     center of region `at`: the fewest N, a multiple of 8 and at least 8,
     with q^N <= ANGLE_ALIAS_TOL.  q = |x| / scale is the series' convergence
-    ratio on the circle, x = rho at a patch and 1 / rho at infinity; the
-    grids keep q <= 1/2, so N <= 64."""
+    ratio on the circle, x = rho at a patch and 1 / rho at infinity; at the
+    default basepoint the grids keep q <= 1/2, so N <= 64."""
     q = (1.0 / rho if at is None else rho) / series.scale[-1 if at is None else at]
     n = 8 * np.ceil(np.log(ANGLE_ALIAS_TOL) / (8 * np.log(q)))
     return np.maximum(n, 8).astype(int)
@@ -303,10 +302,10 @@ def _series_grid(fld: MetricField, at: int | None, radial):
 
     The circle of radius rho takes _angle_counts trapezoid angles.  The
     densities there are periodic and analytic in the angle, with Fourier
-    modes decaying like q^|m| (q <= 1/2 on and inside the ring and on and
-    beyond the outer circle), so N angles err only by the aliased modes, of
-    size q^N, and no circle takes more than 64.  The circles of one count
-    are one separable series evaluation.
+    modes decaying like q^|m| (q <= 1/2 on and inside the ring, and on and
+    beyond the outer circle |z| = |z0| at the default basepoint), so N angles
+    err only by the aliased modes, of size q^N, and no circle takes more
+    than 64.  The circles of one count are one separable series evaluation.
     """
     s, w_s = radial
     rho = np.exp(s)
@@ -406,13 +405,6 @@ def _patch_constraints(points: np.ndarray, i: int, r_out: float):
     return bounds
 
 
-def _outer_radius(points: np.ndarray, basepoint: complex) -> float:
-    """Radius of the outer circle, where the patches end and the outer region
-    starts: 2 max |z_j| + 2, or |z0| if larger, since the loops' series at
-    infinity is summed for |z| >= |z0| only."""
-    return max(2.0 * float(np.max(np.abs(points))) + 2.0, abs(basepoint))
-
-
 def _voronoi_rho_max(points: np.ndarray, i: int, phis: np.ndarray, r_out: float) -> np.ndarray:
     """Star-shaped patch boundary: nearest Voronoi bisector or outer circle."""
     return np.min(_patch_constraints(points, i, r_out)(np.asarray(phis, dtype=float)), axis=0)
@@ -461,6 +453,10 @@ class TransportWeb:
     trace form stays real.  The web spans the smallest delta of the schedule.
     Its nodes are counted from its radial and angular rules before anything
     is evaluated: a web of more than WEB_NODE_LIMIT nodes raises ValueError.
+
+    The patches end and the outer region starts on |z| = |z0|, as in y_at;
+    a ring that crosses that circle (a basepoint close to the punctures)
+    would be counted twice and raises ValueError.
     """
 
     IMAG_SAMPLE = 64
@@ -468,11 +464,13 @@ class TransportWeb:
     def __init__(self, fld: MetricField, delta_schedule: tuple):
         self.field = fld
         pts = np.asarray(fld.system.points)
-        self.r_out = _outer_radius(pts, fld.basepoint)
+        self.r_out = abs(fld.basepoint)
         if 1.0 / max(delta_schedule) <= 1.2 * self.r_out:
             raise ValueError("largest delta too coarse for the outer region")
         # each patch's ring is its puncture's loop circle
         ring_radii = fld.series.radius[:-1]
+        if np.any(np.abs(pts) + ring_radii > self.r_out * (1 + 1e-12)):
+            raise ValueError("a puncture's ring crosses the basepoint's circle |z| = |z0|")
         if max(delta_schedule) >= 0.8 * min(ring_radii):
             raise ValueError("largest delta must sit inside every puncture patch")
         delta_min = min(delta_schedule)

@@ -249,27 +249,21 @@ def _region_of(fld, z):
     return "outer" if abs(z) >= abs(fld.basepoint) else "ray"
 
 
-def test_y_at_in_the_outer_annulus_is_the_web_ray_times_a_unitary(rank2_field, monkeypatch):
-    # at |z0| <= |z| < _outer_radius y_at reads the series at infinity with
-    # no transport, where the web reaches its nodes by a ray from the nearest
-    # puncture's ring: the two Y differ by a unitary factor, so h agrees
+def test_y_at_and_the_web_switch_to_the_series_at_infinity_at_z0(rank2_field, monkeypatch):
+    # one region rule: for |z| >= |z0| y_at reads the series at infinity with
+    # no transport, and the web's outer region, read from the same series,
+    # starts on that circle (its first Gauss-Legendre node lies just beyond
+    # it), so no node of the web beyond |z0| is reached by a ray
     fld = rank2_field
-    z = 2.5
-    assert abs(fld.basepoint) <= z < wznw._outer_radius(fld.system.points, fld.basepoint)
     calls = []
     fan = fuchs.transport_fan
     monkeypatch.setattr(fuchs, "transport_fan", lambda *a, **k: calls.append(1) or fan(*a, **k))
-    y = fld.y_at(z)
+    fld.y_at(2.5)
     assert calls == []
     monkeypatch.undo()
-    ring = fld.series.radius[1]
-    start = fld.series.values(1, ring, 0.0)
-    ray = paths.RayFan(fld.system.points[1], np.array([0.0]), np.log(ring), np.log(z - 1.0))
-    y_ray = fuchs.transport_fan(fld.system.points, fld.system.residues, ray, start).values[-1, 0]
-    u = np.linalg.solve(y, y_ray)
-    assert numcore.fro(u @ u.conj().T - np.eye(2)) <= 1e-9
-    h, h_ray = fld.h_at(z), np.linalg.inv(y_ray @ y_ray.conj().T)
-    assert numcore.fro(h - h_ray) <= 1e-9 * numcore.fro(h_ray)
+    web = wznw.TransportWeb(fld, wznw.DELTA_SCHEDULE)
+    r0 = abs(fld.basepoint)
+    assert r0 <= web.regions[-1].rho.min() < 1.05 * r0
 
 
 def test_h_at_matches_a_transported_reference(rank2_field):
@@ -611,14 +605,22 @@ def test_kink_angles_are_every_switch_of_the_active_constraint(points, i, count)
         assert np.all(between == between[0])
 
 
-def test_rank1_action_near_cocircular_matches_closed_form():
-    # -1.001i sits just off the circle through 1, i, -1, so the patch at 1
-    # has two corners 1e-3 apart; with every corner a panel edge, the action
-    # at a small delta schedule meets the closed form (3.9e-10 with the
-    # sampled kinks, which missed one)
-    ws = fuchs.build_weight_system([1, 1j, -1, -1.001j], [[0.3], [0.4], [0.35], [0.45], [0.5]])
+@pytest.mark.parametrize(
+    "points, weights",
+    [([1, 1j, -1, -1.001j], [[0.3], [0.4], [0.35], [0.45], [0.5]]),
+     ([-1, 0, 1], [[0.3], [0.4], [0.35], [0.95]])],
+    ids=["near-cocircular", "collinear"],
+)
+def test_rank1_action_at_a_fine_schedule_matches_closed_form(points, weights):
+    # near-cocircular: -1.001i sits just off the circle through 1, i, -1, so
+    # the patch at 1 has two corners 1e-3 apart; with every corner a panel
+    # edge, the action at a small delta schedule meets the closed form (3.9e-10
+    # with the sampled kinks, which missed one).  collinear: 5.9e-8 while the
+    # patches reached out to 2 max|z_j| + 2 = 4 and the rays covered
+    # 2 <= |z| < 4, where the series at infinity now reads Y
+    ws = fuchs.build_weight_system(points, weights)
     residues = ws.weights[:-1, :, None].astype(complex)
-    target = fuchs.build_admissible_rep(ws, [np.eye(1, dtype=complex)] * 4)
+    target = fuchs.build_admissible_rep(ws, [np.eye(1, dtype=complex)] * (ws.n - 1))
     fld = wznw.make_metric_field(fuchs.FuchsianSystem(ws, residues), target)
     act = wznw.action_regularized(fld, (1e-3, 5e-4, 2.5e-4, 1.25e-4))
     assert abs(act.value / wznw.abelian_action_closed_form(ws) - 1) <= 2e-10
@@ -631,11 +633,11 @@ def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
     # residues stays where those put it
     fld = wznw.make_metric_field(rank2_oracle_system, rank2_target)
     act = wznw.action_regularized(fld)
-    assert abs(act.value / 0.0269422054119 - 1) <= 1e-8
+    assert abs(act.value / 0.0269422224011 - 1) <= 1e-8
     assert act.imag_residual <= 1e-8
     deltas = (0.1, 0.05, 0.025, 0.0125)
     web = wznw.TransportWeb(fld, deltas)
-    assert sum(len(region.rho) for region in web.regions) == 6528
+    assert sum(len(region.rho) for region in web.regions) == 6904
 
 
 def _fixture_problem():
@@ -734,9 +736,9 @@ def test_no_series_grid_circle_takes_more_than_64_angles(monkeypatch):
 @pytest.mark.parametrize(
     "deltas, nodes",
     [
-        (wznw.DELTA_SCHEDULE, 6528),
-        ((0.1, 0.05, 0.025, 1e-30), 22176),
-        ((0.1, 0.07, 0.03, 0.01, 1e-3), 7968),
+        (wznw.DELTA_SCHEDULE, 6904),
+        ((0.1, 0.05, 0.025, 1e-30), 22552),
+        ((0.1, 0.07, 0.03, 0.01, 1e-3), 8344),
     ],
     ids=["default", "1e-30", "five-deltas"],
 )
@@ -830,14 +832,26 @@ def test_action_rings_are_the_loop_circles(monkeypatch):
 
 
 def test_action_with_a_far_basepoint(rank1_system, rank1_target, rank1_weights):
-    # the series at infinity is summed for |z| >= |z0| only: with z0 = 6i
-    # beyond the default outer circle (4.6) the outer region starts at |z0|
+    # the series at infinity is summed for |z| >= |z0| only, and the outer
+    # region starts there: with z0 = 6i at 6, not at the default |z0| = 2.6
     loops = fuchs.MonodromyLoops(rank1_weights, 6j)
     norm = rhsolve.normalize_at_infinity(rank1_system, rank1_target, problem=loops)
     fld = wznw.make_metric_field(rank1_system, rank1_target, normalization=norm)
     act = wznw.action_regularized(fld)
     exact = wznw.abelian_action_closed_form(rank1_weights)
     assert abs(act.value - exact) <= 1e-3 * abs(exact)
+
+
+def test_web_refuses_a_ring_across_the_basepoint_circle(rank1_system, rank1_target, rank1_weights):
+    # z0 = 1.6i lies outside the punctures' disk, but the ring at -1.3
+    # (radius 0.65) reaches |z| = 1.95: the patch and the outer region would
+    # both cover the part beyond |z0| (S then read 14 % off), so the web
+    # refuses it
+    loops = fuchs.MonodromyLoops(rank1_weights, 1.6j)
+    norm = rhsolve.normalize_at_infinity(rank1_system, rank1_target, problem=loops)
+    fld = wznw.make_metric_field(rank1_system, rank1_target, normalization=norm)
+    with pytest.raises(ValueError, match="ring crosses the basepoint's circle"):
+        wznw.action_regularized(fld)
 
 
 def test_gl_rule_cached_and_bit_identical():
