@@ -249,18 +249,35 @@ def _region_of(fld, z):
     return "outer" if abs(z) >= abs(fld.basepoint) else "ray"
 
 
-def test_y_at_and_the_web_switch_to_the_series_at_infinity_at_z0(rank2_field, monkeypatch):
-    # one region rule: for |z| >= |z0| y_at reads the series at infinity with
-    # no transport, and the web's outer region, read from the same series,
-    # starts on that circle (its first Gauss-Legendre node lies just beyond
-    # it), so no node of the web beyond |z0| is reached by a ray
+def test_y_at_in_the_outer_annulus_is_the_web_ray_times_a_unitary(rank2_field, monkeypatch):
+    # at |z| >= |z0| y_at reads the series at infinity with no transport; a
+    # ray from the nearest puncture's ring reaches the same point with a Y
+    # that differs by a unitary factor, so h agrees
     fld = rank2_field
+    z = 2.5
+    assert abs(fld.basepoint) <= z
     calls = []
     fan = fuchs.transport_fan
     monkeypatch.setattr(fuchs, "transport_fan", lambda *a, **k: calls.append(1) or fan(*a, **k))
-    fld.y_at(2.5)
+    y = fld.y_at(z)
     assert calls == []
     monkeypatch.undo()
+    ring = fld.series.radius[1]
+    start = fld.series.values(1, ring, 0.0)
+    ray = paths.RayFan(fld.system.points[1], np.array([0.0]), np.log(ring), np.log(z - 1.0))
+    y_ray = fuchs.transport_fan(fld.system.points, fld.system.residues, ray, start).values[-1, 0]
+    u = np.linalg.solve(y, y_ray)
+    assert numcore.fro(u @ u.conj().T - np.eye(2)) <= 1e-9
+    h, h_ray = fld.h_at(z), np.linalg.inv(y_ray @ y_ray.conj().T)
+    assert numcore.fro(h - h_ray) <= 1e-9 * numcore.fro(h_ray)
+
+
+def test_y_at_and_the_web_switch_to_the_series_at_infinity_at_z0(rank2_field):
+    # one region rule: for |z| >= |z0| y_at reads the series at infinity (see
+    # above), and the web's outer region, read from the same series, starts
+    # on that circle (its first Gauss-Legendre node lies just beyond it), so
+    # no node of the web beyond |z0| is reached by a ray
+    fld = rank2_field
     web = wznw.TransportWeb(fld, wznw.DELTA_SCHEDULE)
     r0 = abs(fld.basepoint)
     assert r0 <= web.regions[-1].rho.min() < 1.05 * r0
@@ -605,25 +622,29 @@ def test_kink_angles_are_every_switch_of_the_active_constraint(points, i, count)
         assert np.all(between == between[0])
 
 
-@pytest.mark.parametrize(
-    "points, weights",
-    [([1, 1j, -1, -1.001j], [[0.3], [0.4], [0.35], [0.45], [0.5]]),
-     ([-1, 0, 1], [[0.3], [0.4], [0.35], [0.95]])],
-    ids=["near-cocircular", "collinear"],
-)
-def test_rank1_action_at_a_fine_schedule_matches_closed_form(points, weights):
-    # near-cocircular: -1.001i sits just off the circle through 1, i, -1, so
-    # the patch at 1 has two corners 1e-3 apart; with every corner a panel
-    # edge, the action at a small delta schedule meets the closed form (3.9e-10
-    # with the sampled kinks, which missed one).  collinear: 5.9e-8 while the
-    # patches reached out to 2 max|z_j| + 2 = 4 and the rays covered
-    # 2 <= |z| < 4, where the series at infinity now reads Y
+def _rank1_action_at_a_fine_schedule_rel_error(points, weights):
     ws = fuchs.build_weight_system(points, weights)
     residues = ws.weights[:-1, :, None].astype(complex)
     target = fuchs.build_admissible_rep(ws, [np.eye(1, dtype=complex)] * (ws.n - 1))
     fld = wznw.make_metric_field(fuchs.FuchsianSystem(ws, residues), target)
     act = wznw.action_regularized(fld, (1e-3, 5e-4, 2.5e-4, 1.25e-4))
-    assert abs(act.value / wznw.abelian_action_closed_form(ws) - 1) <= 2e-10
+    return abs(act.value / wznw.abelian_action_closed_form(ws) - 1)
+
+
+def test_rank1_action_near_cocircular_matches_closed_form():
+    # -1.001i sits just off the circle through 1, i, -1, so the patch at 1
+    # has two corners 1e-3 apart; with every corner a panel edge, the action
+    # at a small delta schedule meets the closed form (3.9e-10 with the
+    # sampled kinks, which missed one)
+    points, weights = [1, 1j, -1, -1.001j], [[0.3], [0.4], [0.35], [0.45], [0.5]]
+    assert _rank1_action_at_a_fine_schedule_rel_error(points, weights) <= 2e-10
+
+
+def test_rank1_action_collinear_matches_closed_form():
+    # 5.9e-8 while the patches reached out to 2 max|z_j| + 2 = 4 and the rays
+    # covered 2 <= |z| < 4, where the series at infinity now reads Y
+    points, weights = [-1, 0, 1], [[0.3], [0.4], [0.35], [0.95]]
+    assert _rank1_action_at_a_fine_schedule_rel_error(points, weights) <= 2e-10
 
 
 def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
