@@ -998,12 +998,16 @@ def _approach_leg(weights: WeightSystem, i: int, basepoint: complex):
 class MonodromyLoops:
     """The monodromy loops of a weight system, built once and checked once.
 
-    Loop i < n-1 runs from the basepoint (default:
-    WeightSystem.default_basepoint) along its approach leg P_i to the
-    circle around puncture i, once around that circle counterclockwise and
-    back along P_i; loop n is the big counterclockwise circle through the
-    basepoint, outside the disk |z| <= max |z_j| (ValueError otherwise).
-    Each loop passes check_clearance when the set is built.
+    Loop i < n-1 runs from the basepoint z0 =
+    WeightSystem.default_basepoint() = 2i max(1, max |z_j|) along its
+    approach leg P_i to the circle around puncture i, once around that
+    circle counterclockwise and back along P_i; loop n is the big
+    counterclockwise circle |z| = |z0|.  At z0 the series at infinity
+    converges with q = max |z_j| / |z0| <= 1/2 on and beyond that circle,
+    and every loop circle lies inside |z| <= |z0| (a ring is at most half
+    the distance to another puncture, so |z_i| + ring_i <= 2 max |z_j|); a
+    ring may touch the big circle.  Each loop passes check_clearance when
+    the set is built.
 
     A monodromy evaluation marches the approach legs of all systems as one
     fan per segment round: K transport_fan calls, K the longest leg's
@@ -1020,12 +1024,9 @@ class MonodromyLoops:
     the raw loop transport is P_i^{-1} C_i P_i with C_i the circle's.
     """
 
-    def __init__(self, weights: WeightSystem, basepoint: complex | None = None):
+    def __init__(self, weights: WeightSystem):
         self.weights = weights
-        self.z0 = weights.default_basepoint() if basepoint is None else complex(basepoint)
-        disk = float(np.max(np.abs(weights.points)))
-        if abs(self.z0) <= disk:
-            raise ValueError(f"basepoint {self.z0} inside the punctures' disk |z| <= {disk:.6g}")
+        self.z0 = weights.default_basepoint()
         legs = [_approach_leg(weights, i, self.z0) for i in range(weights.n - 1)]
         self.approaches = [approach for approach, _ in legs]
         circles = [circle for _, circle in legs]
@@ -1106,11 +1107,7 @@ class MonodromyResult:
     order: np.ndarray                  # puncture indices in relation order
 
 
-def monodromy_rep(
-    system: FuchsianSystem,
-    basepoint: complex | None = None,
-    tol: float = TRANSPORT_TOL,
-) -> MonodromyResult:
+def monodromy_rep(system: FuchsianSystem, tol: float = TRANSPORT_TOL) -> MonodromyResult:
     """Representation generators of the system's monodromy.
 
     The loops of :class:`MonodromyLoops` with one member.  The relation
@@ -1120,7 +1117,7 @@ def monodromy_rep(
     approach legs nor on the puncture series.
     """
     ws = system.weights
-    loops = MonodromyLoops(ws, basepoint)
+    loops = MonodromyLoops(ws)
     raw, gens, _ = loops.monodromy(system.residues[None], tol)
     transports, gens = raw[0], gens[0]
 

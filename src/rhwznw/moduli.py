@@ -252,7 +252,7 @@ def action_surface(
     center: fuchs.AdmissibleRep,
     direction: TangentDirection,
     grid: list[complex],
-    solve_opts: rhsolve.SolveOptions | None = None,
+    solve_opts: rhsolve.SolveOptions,
 ) -> list[SurfacePoint]:
     """Regularized action at every member of the family eps ->
     deform_rep(center, direction, eps) on the grid (center itself at
@@ -263,7 +263,6 @@ def action_surface(
     wznw.MONODROMY_QUALITY_GATE (wznw.MonodromyQualityError), produce holes
     (ok=False) instead of aborting the sweep.
     """
-    solve_opts = solve_opts or rhsolve.SolveOptions()
     warm_opts = replace(solve_opts, restarts=max(2, solve_opts.restarts // 3))
     out: list[SurfacePoint] = []
     prev_system: fuchs.FuchsianSystem | None = None

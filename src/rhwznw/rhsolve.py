@@ -292,10 +292,10 @@ def solve(
                 bases.append(scipy.linalg.expm(k))
             parm = ResidueParametrization(weights, np.array(bases))
 
-        def func(x, parm=parm):
+        def func(x):
             return residual_vector(parm, x, target, problem=problem)
 
-        def func_stack(xs, parm=parm):
+        def func_stack(xs):
             return residual_stack(parm, xs, target, problem=problem)
 
         x0 = np.zeros(parm.dim)

@@ -36,7 +36,7 @@ aligned to the delta schedule, so one transported web serves every delta
 at once.  Full circles use the periodic trapezoid rule in the angle, each
 with the fewest angles at which the local series' convergence ratio q on
 it leaves no aliased Fourier mode above ANGLE_ALIAS_TOL (_angle_counts),
-at most 64 since q <= 1/2 at the default basepoint; the outward patch
+at most 64 since q <= 1/2 there (fuchs.MonodromyLoops); the outward patch
 regions, whose radial extent is only piecewise smooth in the angle, use
 Gauss-Legendre panels split at the boundary kinks, the patch's corners,
 where its bisectors and the outer circle meet (_kink_angles).  Every Gauss-Legendre panel has order
@@ -286,8 +286,8 @@ def _angle_counts(series: fuchs.SeriesStack, at: int | None, rho: np.ndarray) ->
     """Trapezoid angles of the series-grid circles of radii rho about the
     center of region `at`: the fewest N, a multiple of 8 and at least 8,
     with q^N <= ANGLE_ALIAS_TOL.  q = |x| / scale is the series' convergence
-    ratio on the circle, x = rho at a patch and 1 / rho at infinity; at the
-    default basepoint the grids keep q <= 1/2, so N <= 64."""
+    ratio on the circle, x = rho at a patch and 1 / rho at infinity; the
+    grids keep q <= 1/2, so N <= 64."""
     q = (1.0 / rho if at is None else rho) / series.scale[-1 if at is None else at]
     n = 8 * np.ceil(np.log(ANGLE_ALIAS_TOL) / (8 * np.log(q)))
     return np.maximum(n, 8).astype(int)
@@ -303,7 +303,7 @@ def _series_grid(fld: MetricField, at: int | None, radial):
     The circle of radius rho takes _angle_counts trapezoid angles.  The
     densities there are periodic and analytic in the angle, with Fourier
     modes decaying like q^|m| (q <= 1/2 on and inside the ring, and on and
-    beyond the outer circle |z| = |z0| at the default basepoint), so N angles
+    beyond the outer circle |z| = |z0|), so N angles
     err only by the aliased modes, of size q^N, and no circle takes more
     than 64.  The circles of one count are one separable series evaluation.
     """
@@ -454,9 +454,9 @@ class TransportWeb:
     Its nodes are counted from its radial and angular rules before anything
     is evaluated: a web of more than WEB_NODE_LIMIT nodes raises ValueError.
 
-    The patches end and the outer region starts on |z| = |z0|, as in y_at;
-    a ring that crosses that circle (a basepoint close to the punctures)
-    would be counted twice and raises ValueError.
+    The patches end and the outer region starts on |z| = |z0|, as in y_at.
+    Every ring lies inside that circle (fuchs.MonodromyLoops); a ring that
+    touches it has outward rays of zero length there (_patch_rays).
     """
 
     IMAG_SAMPLE = 64
@@ -469,8 +469,6 @@ class TransportWeb:
             raise ValueError("largest delta too coarse for the outer region")
         # each patch's ring is its puncture's loop circle
         ring_radii = fld.series.radius[:-1]
-        if np.any(np.abs(pts) + ring_radii > self.r_out * (1 + 1e-12)):
-            raise ValueError("a puncture's ring crosses the basepoint's circle |z| = |z0|")
         if max(delta_schedule) >= 0.8 * min(ring_radii):
             raise ValueError("largest delta must sit inside every puncture patch")
         delta_min = min(delta_schedule)

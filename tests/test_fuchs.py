@@ -193,14 +193,24 @@ def test_monodromy_local_exponents(rank2_oracle_system, rank2_weights):
     assert mon.relation_residual <= 1e-7
 
 
-@pytest.mark.parametrize("basepoint", [0.5 + 0.5j, 1.0j, -1.0])
-def test_loop_basepoint_inside_punctures_disk_rejected(rank2_oracle_system, basepoint):
-    # the big circle through 0.5+0.5j misses puncture 1: M_n came out with
-    # phases 0.65/0.85 instead of 0.30/0.55 and relation residual 6.7
-    with pytest.raises(ValueError, match="inside the punctures. disk"):
-        fuchs.MonodromyLoops(rank2_oracle_system.weights, basepoint)
-    with pytest.raises(ValueError, match="inside the punctures. disk"):
-        fuchs.monodromy_rep(rank2_oracle_system, basepoint=basepoint)
+def _distinct_points(pts):
+    return all(abs(a - b) > 1e-2 for i, a in enumerate(pts) for b in pts[i + 1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)), min_size=2, max_size=5)
+       .filter(_distinct_points))
+def test_loop_geometry_at_the_one_basepoint_property(pts):
+    # the loop set takes z0 = 2i max(1, max|z_j|): every loop circle lies
+    # inside |z| <= |z0| (a ring may touch it), and the series at infinity
+    # runs at q = max|z_j| / |z0| <= 1/2
+    m = len(pts)
+    ws = fuchs.build_weight_system(pts, [[1 / (m + 1)]] * (m + 1))
+    loops = fuchs.MonodromyLoops(ws)
+    zmax = float(np.max(np.abs(ws.points)))
+    assert loops.z0 == 2j * max(1.0, zmax)
+    assert np.all(np.abs(ws.points) + np.asarray(loops.radii[:-1]) <= abs(loops.z0) * (1 + 1e-12))
+    assert zmax * loops.radii[-1] <= 0.5 * (1 + 1e-12)
 
 
 def test_monodromy_path_independence(rank2_oracle_system, rank2_weights):

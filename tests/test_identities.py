@@ -4,7 +4,8 @@ They hold at every solution, reach the kinetic and WZ terms, the
 regularization and the normalization at once, and need no closed form
 (Jimbo, Miwa & Ueno, Physica D 2, 1981).  The symmetries are read at the
 delta schedule FINE, where the web's bias is below 1e-9 on the rigid
-fixture.
+fixture; a triangular frame change keeps every density, so it is read at
+the default schedule.
 """
 
 import dataclasses
@@ -18,12 +19,25 @@ from rhwznw import fuchs, moduli, rhsolve, wznw
 FINE = (1e-3, 5e-4, 2.5e-4, 1.25e-4)
 
 
-def _rigid_action(points):
-    """S at FINE of the rigid fixture's closed-form residues at two points."""
+def _rigid_field(points):
+    """The metric field of the rigid fixture's closed-form residues at two points."""
     ws = fuchs.build_weight_system(points, RANK2_ALPHAS)
     target = fuchs.build_admissible_rep(ws, fuchs.rank2_closure_conjugators(ws))
-    fld = wznw.make_metric_field(fuchs.FuchsianSystem(ws, fuchs.rank2_rigid_residues(ws)), target)
-    return wznw.action_regularized(fld, FINE).value
+    return wznw.make_metric_field(fuchs.FuchsianSystem(ws, fuchs.rank2_rigid_residues(ws)), target)
+
+
+def _rigid_action(points):
+    """S at FINE of the rigid fixture at two points."""
+    return wznw.action_regularized(_rigid_field(points), FINE).value
+
+
+def _criterion9_center_field(seed):
+    """The criterion-9 family's center at this seed, solved cold, and its field."""
+    ws = fuchs.build_weight_system([-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]])
+    center = moduli.random_admissible_rep(ws, seed)
+    system, report = rhsolve.solve(ws, center, opts=rhsolve.SolveOptions(seed=3))
+    assert report.success
+    return center, report, wznw.make_metric_field(system, center, normalization=report.normalization)
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +80,8 @@ def test_action_moves_with_the_punctures_by_the_schlesinger_hamiltonians(seed):
     # relative, at the default schedule); d/dz = (d/dx - i d/dy) / 2 from
     # central differences of step h, each moved point re-solved warm from
     # the center's canonical residues
-    ws = fuchs.build_weight_system([-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]])
-    center = moduli.random_admissible_rep(ws, seed)
-    _, report = rhsolve.solve(ws, center, opts=rhsolve.SolveOptions(seed=3))
-    assert report.success
+    center, report, _ = _criterion9_center_field(seed)
+    ws = center.weights
     canonical = report.normalization.canonical_system
     hamiltonians = _schlesinger_hamiltonians(canonical)
     h = 1e-3
@@ -90,3 +102,67 @@ def test_action_moves_with_the_punctures_by_the_schlesinger_hamiltonians(seed):
         dy = (moved_action(i, 1j * h) - moved_action(i, -1j * h)) / (2 * h)
         dz = 0.5 * (dx - 1j * dy)
         assert abs(dz + 2 * np.pi * hamiltonian) <= 1e-4 * abs(2 * np.pi * hamiltonian), i
+
+
+def _framed(fld, P):
+    """The same field in the constant frame P: A -> P A P^-1 and Y -> P Y,
+    so the series' frame F = G basis becomes P F with the same coordinates."""
+    series = fld.series
+    return dataclasses.replace(
+        fld,
+        system=fld.system.conjugated(P),
+        basepoint_value=P @ fld.basepoint_value,
+        series=dataclasses.replace(series, basis=P @ series.basis, coefficients=P @ series.coefficients),
+    )
+
+
+@pytest.fixture(scope="module")
+def frame_fields():
+    return {"fixture": _rigid_field([0.0, 1.0]), "criterion 9": _criterion9_center_field(5)[2]}
+
+
+TRIANGULAR_FRAMES = {
+    "upper": np.array([[2.0, 0.5 + 0.3j], [0.0, 0.7]]),
+    "diagonal": np.diag([2.0, 0.5j]),
+}
+GENERAL_FRAMES = {
+    "lower": np.array([[1.0, 0.0], [0.5, 1.0]]),
+    "unitary": np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2),
+    "random": np.random.default_rng(0).standard_normal((2, 2, 2)) @ np.array([1.0, 1j]),
+}
+
+
+@pytest.mark.parametrize("field", ["fixture", "criterion 9"])
+@pytest.mark.parametrize("frame", list(TRIANGULAR_FRAMES))
+def test_action_is_unchanged_by_a_triangular_frame_change(frame_fields, field, frame):
+    # Y = R Q with R upper triangular: P Y = (P R D^-1)(D Q), D the phases
+    # of P's diagonal, so K = R^-1 A R only turns into D K D^-1 and every
+    # density is kept, node by node (measured 0 at the default schedule on
+    # both fields)
+    fld = frame_fields[field]
+    framed = _framed(fld, TRIANGULAR_FRAMES[frame])
+    assert abs(wznw.action_regularized(framed).value - wznw.action_regularized(fld).value) <= 1e-13
+
+
+@pytest.mark.parametrize("field", ["fixture", "criterion 9"])
+@pytest.mark.parametrize("frame", list(GENERAL_FRAMES))
+def test_action_is_invariant_under_a_constant_frame_change(frame_fields, field, frame):
+    # another frame changes the WZ density by an exact form, so only the
+    # per-delta totals move (by 1.2e-7 to 2.9e-6 at delta 1.25e-4) and S does
+    # not (fixture 1.1e-9, 2.2e-10, 9.1e-10; criterion 9 1.4e-9, 2.2e-9,
+    # 4.1e-9).  Some frames move the totals by a term close to delta^1, for
+    # which the fit has no column: see the next test
+    fld = frame_fields[field]
+    framed = _framed(fld, GENERAL_FRAMES[frame])
+    assert abs(wznw.action_regularized(framed, FINE).value - wznw.action_regularized(fld, FINE).value) <= 5e-9
+
+
+def test_action_frame_change_with_a_delta_one_term_resolves_at_a_finer_schedule(frame_fields):
+    # the rotation by 0.1 moves the fixture's totals by 4.2e-7, 2.3e-7,
+    # 1.2e-7, 5.4e-8 along FINE, halving with delta, so S at FINE moves by
+    # 1.8e-8; a decade further down the same frame reads 3.5e-10
+    c, s = np.cos(0.1), np.sin(0.1)
+    fld = frame_fields["fixture"]
+    framed = _framed(fld, np.array([[c, -s], [s, c]]))
+    finer = tuple(d / 10 for d in FINE)
+    assert abs(wznw.action_regularized(framed, finer).value - wznw.action_regularized(fld, finer).value) <= 5e-9

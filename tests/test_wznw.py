@@ -647,6 +647,15 @@ def test_rank1_action_collinear_matches_closed_form():
     assert _rank1_action_at_a_fine_schedule_rel_error(points, weights) <= 2e-10
 
 
+def test_rank1_action_with_rings_touching_the_basepoint_circle_matches_closed_form():
+    # z0 = 2i: both rings (radius 1, half the distance to the other point)
+    # touch |z| = |z0| at -2 and 2, where their outward rays have zero length
+    points, weights = [-1, 1], [[0.3], [0.45], [0.25]]
+    ws = fuchs.build_weight_system(points, weights)
+    assert np.abs(ws.points) + fuchs.MonodromyLoops(ws).radii[:-1] == pytest.approx([2.0, 2.0], rel=1e-15)
+    assert _rank1_action_at_a_fine_schedule_rel_error(points, weights) <= 2e-10
+
+
 def test_web_regression_on_fixture_residues(rank2_oracle_system, rank2_target):
     # the local series and the outward fan marches reach the same quadrature
     # nodes as the fixed-step RK4 marches and the per-angle ring transports
@@ -850,29 +859,6 @@ def test_action_rings_are_the_loop_circles(monkeypatch):
     assert all(np.all(ring == ring[0]) for ring in rings)
     exact = wznw.abelian_action_closed_form(ws)
     assert abs(act.value - exact) <= 1e-3 * abs(exact)
-
-
-def test_action_with_a_far_basepoint(rank1_system, rank1_target, rank1_weights):
-    # the series at infinity is summed for |z| >= |z0| only, and the outer
-    # region starts there: with z0 = 6i at 6, not at the default |z0| = 2.6
-    loops = fuchs.MonodromyLoops(rank1_weights, 6j)
-    norm = rhsolve.normalize_at_infinity(rank1_system, rank1_target, problem=loops)
-    fld = wznw.make_metric_field(rank1_system, rank1_target, normalization=norm)
-    act = wznw.action_regularized(fld)
-    exact = wznw.abelian_action_closed_form(rank1_weights)
-    assert abs(act.value - exact) <= 1e-3 * abs(exact)
-
-
-def test_web_refuses_a_ring_across_the_basepoint_circle(rank1_system, rank1_target, rank1_weights):
-    # z0 = 1.6i lies outside the punctures' disk, but the ring at -1.3
-    # (radius 0.65) reaches |z| = 1.95: the patch and the outer region would
-    # both cover the part beyond |z0| (S then read 14 % off), so the web
-    # refuses it
-    loops = fuchs.MonodromyLoops(rank1_weights, 1.6j)
-    norm = rhsolve.normalize_at_infinity(rank1_system, rank1_target, problem=loops)
-    fld = wznw.make_metric_field(rank1_system, rank1_target, normalization=norm)
-    with pytest.raises(ValueError, match="ring crosses the basepoint's circle"):
-        wznw.action_regularized(fld)
 
 
 def test_gl_rule_cached_and_bit_identical():
