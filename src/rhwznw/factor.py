@@ -318,8 +318,6 @@ def cholesky_differential(h, dh) -> np.ndarray:
     solution is db = (strict_upper(S) + diag(S)/2) b.  Warns when the
     condition number of h exceeds CONDITION_WARNING.
     """
-    import scipy.linalg
-
     h = check_hermitian_pd(h)
     dh = as_cmatrix(dh, "dh")
     cond = np.linalg.cond(h)
@@ -328,8 +326,8 @@ def cholesky_differential(h, dh) -> np.ndarray:
 
         warnings.warn(f"h condition number {cond:.2e}; db may lose accuracy")
     b = cholesky_upper(h)
-    # S = b^{-*} dh b^{-1} via two triangular solves
-    tmp = scipy.linalg.solve_triangular(b.conj().T, dh, lower=True)
-    S = scipy.linalg.solve_triangular(b.conj().T, tmp.conj().T, lower=True).conj().T
+    # S = b^{-*} dh b^{-1}, as (b^{-*} (b^{-*} dh)^*)^*
+    tmp = np.linalg.solve(b.conj().T, dh)
+    S = np.linalg.solve(b.conj().T, tmp.conj().T).conj().T
     theta = np.triu(S, 1) + 0.5 * np.diag(np.diag(S).real)
     return theta @ b

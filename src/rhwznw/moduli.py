@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import fuchs, rhsolve, wznw
-from .numcore import fro
+from .numcore import expm, fro
 
 
 # closure residual (max norm) at which project_conjugators stops
@@ -158,9 +157,9 @@ def project_conjugators(
         coef = Vt[keep].T @ ((U_[:, keep].T @ (-res)) / sv[keep])
         if np.linalg.norm(coef) > 2.0:
             coef = coef * (2.0 / np.linalg.norm(coef))
-        for i in range(len(us)):
-            gen = sum(c * bmat for c, bmat in zip(coef[i * per : (i + 1) * per], basis))
-            us[i] = us[i] @ scipy.linalg.expm(gen)
+        gens = [sum(c * bmat for c, bmat in zip(coef[i * per : (i + 1) * per], basis))
+                for i in range(len(us))]
+        us = list(np.array(us) @ expm(np.array(gens)))
     raise ChartRadiusError("closure Newton did not converge")
 
 
@@ -225,10 +224,8 @@ def deform_rep(
     if abs(eps) > CHART_RADIUS:
         raise ChartRadiusError(f"|eps| = {abs(eps):.3f} beyond chart radius {CHART_RADIUS}")
     x, y = float(np.real(eps)), float(np.imag(eps))
-    us = []
-    for i in range(center.n - 1):
-        gen = x * direction.xi_re[i] + y * direction.xi_im[i]
-        us.append(center.conjugators[i] @ scipy.linalg.expm(gen))
+    gens = x * np.array(direction.xi_re) + y * np.array(direction.xi_im)
+    us = list(np.array(center.conjugators[:-1]) @ expm(gens))
     us = project_conjugators(center.weights, us)
     return fuchs.build_admissible_rep(center.weights, us)
 

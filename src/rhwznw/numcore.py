@@ -4,8 +4,8 @@ Everything in this package works with explicit dense complex matrices of
 small size (ranks of interest are r <= 4).  This module collects the few
 helpers shared across modules: input coercion, the Frobenius norm,
 deterministically ordered eigenvalues, Hermitian positive-definite
-validation, random unitary and HPD samples, and the NumericalError base
-class.
+validation, random unitary and HPD samples, the batched matrix
+exponential expm, and the NumericalError base class.
 
 Tolerances are relative to the Frobenius norm throughout; the master
 default is ``DEFAULT_TOL = 1e-10``.
@@ -80,3 +80,47 @@ def random_hpd(rng: np.random.Generator, r: int) -> np.ndarray:
     m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     h = m @ m.conj().T + 1.5 * np.eye(r)
     return 0.5 * (h + h.conj().T)
+
+
+# Pade-13 numerator coefficients b_0 .. b_13 (Higham 2005, table 10.4) over
+# b_0, so that exp(0) solves I x = I exactly, and the largest 1-norm at which
+# the degree-13 approximant is accurate to eps
+_PADE13_B = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+))
+_PADE13_THETA = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of a (..., r, r) stack by scaling and squaring.
+
+    Every member takes the degree-13 Pade approximant of A / 2^s with its
+    own s = max(0, ceil(log2(||A||_1 / theta_13))) and is then squared
+    s times (N. J. Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193),
+    so that a member of a stack equals the same matrix taken alone, bit for
+    bit.  Raises NumericalError on non-finite input or result.
+    """
+    a = np.asarray(a, dtype=complex)
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    if not np.all(np.isfinite(norm)):
+        raise NumericalError("expm of a matrix with non-finite entries")
+    b = _PADE13_B
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.maximum(0.0, np.ceil(np.log2(norm / _PADE13_THETA))).astype(int)
+        a = a * (2.0 ** -s)[..., None, None]
+        eye = np.eye(a.shape[-1])
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + eye)
+        x = np.linalg.solve(v - u, v + u)
+        for k in range(int(s.max(initial=0))):
+            x = np.where((k < s)[..., None, None], x @ x, x)
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("expm overflowed: the exponential is not finite")
+    return x

@@ -12,7 +12,7 @@ tuple entrywise and adds a penalty, weighted by INFINITY_WEIGHT, on the
 spectrum of the residue at infinity, which pins the splitting type.
 Residuals are evaluated for stacks of chart points: the central-difference Jacobian of
 one LM iteration is a single stack of 2 dim points, mapped to residues by
-one batched expm, taken through the loop set (every loop circle in closed
+one batched numcore.expm, taken through the loop set (every loop circle in closed
 form from one stacked local-series recursion, one kernel call per
 approach leg), and gauge-aligned in one call.
 
@@ -27,12 +27,11 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import factor, fuchs
 # called by this name, so that a wrapper of rhsolve.align_tuple_to_target sees every call
 from .fuchs import ResonanceError, align_tuple_to_target
-from .numcore import NumericalError
+from .numcore import NumericalError, expm
 
 
 class ReducibleTargetError(ValueError):
@@ -80,7 +79,7 @@ class ResidueParametrization:
     def conjugators(self, x: np.ndarray) -> np.ndarray:
         """C_i of chart points x (..., dim) as (..., n-1, r, r)."""
         ks = self._unpack(np.asarray(x, dtype=float))
-        return self.basepoints @ scipy.linalg.expm(ks)
+        return self.basepoints @ expm(ks)
 
     def residues(self, x: np.ndarray) -> np.ndarray:
         """A_i of chart points x (..., dim) as (..., n-1, r, r)."""
@@ -285,12 +284,12 @@ def solve(
         if restart == 0 and init is not None:
             parm = parametrization_from_system(init)
         else:
-            bases = []
+            ks = []
             for _ in range(n - 1):
                 k = 0.6 * (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
                 np.fill_diagonal(k, 0.0)
-                bases.append(scipy.linalg.expm(k))
-            parm = ResidueParametrization(weights, np.array(bases))
+                ks.append(k)
+            parm = ResidueParametrization(weights, expm(np.array(ks)))
 
         def func(x):
             return residual_vector(parm, x, target, problem=problem)

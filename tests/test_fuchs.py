@@ -686,6 +686,38 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.integrate")))
     assert out.stdout.strip() == "[]"
 
 
+def test_pipeline_does_not_import_scipy():
+    # the library is numpy only: a fixture field and its action, a cold solve,
+    # a deformed tuple with a warm solve and a CLI verify pass, in a fresh
+    # interpreter, load no module of scipy (importing scipy.linalg alone
+    # raised the peak RSS of such a run by 28 MB)
+    import os
+    import subprocess
+    import sys
+    import tempfile
+
+    script = """
+import sys
+from rhwznw import cli, fuchs, moduli, rhsolve, wznw
+ws = fuchs.build_weight_system([0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
+target = fuchs.build_admissible_rep(ws, fuchs.rank2_closure_conjugators(ws))
+system = fuchs.FuchsianSystem(ws, fuchs.rank2_rigid_residues(ws))
+wznw.action_regularized(wznw.make_metric_field(system, target))
+assert rhsolve.solve(ws, target)[1].success
+moved = moduli.deform_rep(target, moduli.random_tangent_direction(ws, 1), 0.05)
+assert rhsolve.solve(ws, moved, init=system)[1].success
+assert cli.main(["verify", "cholesky", "--count", "3", "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fuchs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with tempfile.TemporaryDirectory() as out_dir:
+        out = subprocess.run([sys.executable, "-c", script, out_dir], env=env,
+                             capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
 # fan paths: one system, B member paths sharing the steps
 

@@ -23,3 +23,62 @@ def test_as_cmatrix_takes_a_non_contiguous_last_axis():
     g[1, 0] = np.nan
     with pytest.raises(numcore.NumericalError):
         numcore.as_cmatrix(g)
+
+
+# ---------------------------------------------------------------------------
+# expm: scaling-and-squaring Pade 13 against scipy's
+
+
+def _expm_stack(rank, seed=0):
+    # members of every scale share one stack, so their squaring counts differ
+    rng = np.random.default_rng(seed + rank)
+    sigmas = np.repeat([1e-8, 1e-3, 0.1, 0.6, 1.0, 3.0, 10.0], 4)
+    z = rng.standard_normal((len(sigmas), rank, rank)) + 1j * rng.standard_normal(
+        (len(sigmas), rank, rank)
+    )
+    return sigmas[:, None, None] * z
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_expm_matches_scipy(rank):
+    import scipy.linalg
+
+    a = _expm_stack(rank)
+    got = numcore.expm(a)
+    want = scipy.linalg.expm(a)
+    rel = np.linalg.norm(got - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
+    assert rel.max() <= 1e-13
+
+
+def test_expm_of_zero_is_the_identity_exactly():
+    got = numcore.expm(np.zeros((5, 3, 3)))
+    assert np.array_equal(got, np.broadcast_to(np.eye(3), (5, 3, 3)))
+
+
+def test_expm_of_a_jordan_block():
+    j = np.array([[2.0, 1.0], [0.0, 2.0]])
+    want = np.exp(2.0) * np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert np.linalg.norm(numcore.expm(j) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_expm_takes_any_stack_shape_and_each_member_equals_its_single_call():
+    a = _expm_stack(2, seed=7)
+    assert numcore.expm(a[0]).shape == (2, 2)
+    stacked = numcore.expm(a)
+    assert stacked.shape == a.shape
+    for member, single in zip(stacked, a):
+        assert np.array_equal(member, numcore.expm(single))
+    # a (B, n - 1) stack of conjugators, as the LM's Jacobian stack lays them out
+    grid = a.reshape(4, 7, 2, 2)
+    assert np.array_equal(numcore.expm(grid), stacked.reshape(4, 7, 2, 2))
+
+
+def test_expm_overflow_raises_numerical_error_without_warning():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(numcore.NumericalError):
+            numcore.expm([[800.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(numcore.NumericalError):
+            numcore.expm([[np.nan, 0.0], [0.0, 0.0]])

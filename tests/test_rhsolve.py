@@ -61,8 +61,18 @@ def test_parametrization_stack_matches_points(rank2_weights):
     cs, res = parm.conjugators(xs), parm.residues(xs)
     assert cs.shape == res.shape == (5, 2, 2, 2)
     for k, x in enumerate(xs):
-        assert np.allclose(cs[k], parm.conjugators(x), rtol=1e-14, atol=1e-15)
+        assert np.array_equal(cs[k], parm.conjugators(x))
         assert np.allclose(res[k], parm.residues(x), rtol=1e-14, atol=1e-15)
+
+
+def test_chart_point_whose_exponential_overflows_raises(rank2_weights):
+    # the LM rejects a trial point whose residual raises NumericalError; a
+    # chart exponential of norm e^800 must end there, not as inf residues
+    parm = rhsolve.ResidueParametrization(
+        rank2_weights, np.array([np.eye(2, dtype=complex)] * 2)
+    )
+    with pytest.raises(numcore.NumericalError):
+        parm.residues(np.full(parm.dim, 800.0))
 
 
 def test_residual_stack_rows_match_residual_vector_rank1(rank1_weights, rank1_target):
