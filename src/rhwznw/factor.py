@@ -21,6 +21,7 @@ their non-vanishing characterizes ``B(r) Pi0 N(r)``.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,8 @@ from .numcore import (
 )
 
 
-# relative reconstruction tolerance of cholesky_minors (its Gram floor is 1e-6 of it)
+# relative reconstruction tolerance of cholesky_minors (1e-6 of it times
+# ||h||_F^j is the floor of its order-j Gram quantity)
 CHOLESKY_MINOR_TOL = 1e-9
 # cholesky_differential warns above this condition number of h
 CONDITION_WARNING = 1e10
@@ -229,23 +231,19 @@ def bruhat_large_cell_minors(g) -> BruhatFactors:
         raise SingularInputError("matrix is not in the large Bruhat cell")
     Pi0 = antidiagonal_permutation(r)
     S = g @ Pi0
-    minors = [np.linalg.det(S[:k, :k]) for k in range(0, r + 1)]
-    minors[0] = 1.0
     U = np.eye(r, dtype=complex)
     B = np.zeros((r, r), dtype=complex)
+    prev = 1.0  # det S[:k-1, :k-1]
     for k in range(1, r + 1):
-        for j in range(k + 1, r + 1):
-            cols = list(range(k - 1)) + [j - 1]
-            U[k - 1, j - 1] = np.linalg.det(S[np.ix_(range(k), cols)]) / minors[k]
-        for i in range(k, r + 1):
-            rows = list(range(k - 1)) + [i - 1]
-            B[i - 1, k - 1] = np.linalg.det(S[np.ix_(rows, range(k))]) / minors[k - 1]
+        # index sets (1..k-1, m) for m = k..r: B-minor rows, then U-minor columns
+        idx = np.column_stack([np.tile(np.arange(k - 1), (r - k + 1, 1)), np.arange(k - 1, r)])
+        stack = [S[idx[:, :, None], np.arange(k)], S[np.arange(k)[:, None], idx[1:, None, :]]]
+        d = np.linalg.det(np.concatenate(stack))
+        B[k - 1 :, k - 1] = d[: r - k + 1] / prev
+        U[k - 1, k:] = d[r - k + 1 :] / d[0]
+        prev = d[0]
     L = Pi0 @ U @ Pi0
     return BruhatFactors(P=B, Pi=Pi0, L=L)
-
-
-def _minor_det(M: np.ndarray, rows, cols) -> complex:
-    return np.linalg.det(M[np.ix_(rows, cols)])
 
 
 def cholesky_minors(h, M) -> CholeskyFactors:
@@ -258,56 +256,57 @@ def cholesky_minors(h, M) -> CholeskyFactors:
 
     give a_j = Q_jj / Q_{j-1,j-1} and c_jk = Q_jk / Q_jj (with Q_00 = 1),
     essentially the Gram-Schmidt orthogonalization of the columns of M.
-    The sums are evaluated by direct enumeration; intended for r <= 4.
+    For each order j all C(r, j) row subsets times r - j + 1 column sets
+    are indexed at once and their minors taken by one stacked determinant;
+    intended for r <= 4.  Q_jj = det h[:j, :j] is homogeneous of degree j
+    in h, so its positivity floor is 1e-6 CHOLESKY_MINOR_TOL ||h||_F^j.
     """
     h = check_hermitian_pd(h)
     M = as_cmatrix(M, "M")
     r = h.shape[0]
     if M.shape != (r, r):
         raise ValueError("M must be square of the same size as h")
-    if fro(M.conj().T @ M - h) > 1e-8 * max(fro(h), 1e-300):
+    hnorm = max(fro(h), 1e-300)
+    if fro(M.conj().T @ M - h) > 1e-8 * hnorm:
         raise ValueError("M* M does not reproduce h")
 
     Q = np.zeros((r + 1, r + 1), dtype=complex)
     Q[0, 0] = 1.0
     for j in range(1, r + 1):
-        lead = list(range(j - 1))
-        for k in range(j, r + 1):
-            total = 0.0 + 0.0j
-            for rows in itertools.combinations(range(r), j):
-                total += np.conj(_minor_det(M, rows, lead + [j - 1])) * _minor_det(
-                    M, rows, lead + [k - 1]
-                )
-            Q[j, k] = total
+        rows = np.array(list(itertools.combinations(range(r), j)))
+        cols = np.column_stack([np.tile(np.arange(j - 1), (r - j + 1, 1)), np.arange(j - 1, r)])
+        d = np.linalg.det(M[rows[:, None, :, None], cols[None, :, None, :]])
+        Q[j, j:] = np.conj(d[:, 0]) @ d
 
     a = np.zeros(r)
     c = np.eye(r, dtype=complex)
     for j in range(1, r + 1):
         qjj = Q[j, j]
-        if not (qjj.real > CHOLESKY_MINOR_TOL * 1e-6 and abs(qjj.imag) <= 1e-8 * max(qjj.real, 1.0)):
+        if not (qjj.real > CHOLESKY_MINOR_TOL * 1e-6 * hnorm**j and abs(qjj.imag) <= 1e-8 * qjj.real):
             raise NotPositiveDefiniteError(
                 f"leading Gram quantity Q_{j}{j} = {qjj:.3e} not positive"
             )
-        a[j - 1] = qjj.real / (Q[j - 1, j - 1].real if j > 1 else 1.0)
-        for k in range(j + 1, r + 1):
-            c[j - 1, k - 1] = Q[j, k] / qjj.real
+        a[j - 1] = qjj.real / Q[j - 1, j - 1].real
+        c[j - 1, j:] = Q[j, j + 1 :] / qjj.real
 
     b = np.diag(np.sqrt(a)) @ c
     factors = CholeskyFactors(b=b, a=a, c=c)
     resid = fro(factors.reconstruct() - h)
-    if resid > CHOLESKY_MINOR_TOL * max(fro(h), 1e-300):
+    if resid > CHOLESKY_MINOR_TOL * hnorm:
         raise NumericalError(f"Cholesky reconstruction residual {resid:.3e}")
     return factors
 
 
 def cholesky_upper(h) -> np.ndarray:
-    """Upper-triangular b with positive real diagonal and h = b* b."""
-    h = 0.5 * (np.asarray(h, dtype=complex) + np.asarray(h, dtype=complex).conj().T)
+    """Upper-triangular b with positive real diagonal and h = b* b, for h
+    or every member of a (..., r, r) stack."""
+    h = np.asarray(h, dtype=complex)
+    h = 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
     try:
         low = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    return low.conj().T
+    return np.swapaxes(low.conj(), -1, -2)
 
 
 def cholesky_differential(h, dh) -> np.ndarray:
@@ -315,19 +314,22 @@ def cholesky_differential(h, dh) -> np.ndarray:
 
     For Hermitian dh, db is the unique upper-triangular matrix with real
     diagonal satisfying db* b + b* db = dh.  With S = b^{-*} dh b^{-1} the
-    solution is db = (strict_upper(S) + diag(S)/2) b.  Warns when the
-    condition number of h exceeds CONDITION_WARNING.
+    solution is db = (strict_upper(S) + diag(S)/2) b.  h and dh may be
+    (..., r, r) stacks, each member taken alone.  Warns once, for the
+    worst member, when the condition number of h exceeds CONDITION_WARNING.
     """
     h = check_hermitian_pd(h)
-    dh = as_cmatrix(dh, "dh")
-    cond = np.linalg.cond(h)
+    dh = np.asarray(dh, dtype=complex)
+    if not np.all(np.isfinite(dh)):
+        raise NumericalError("dh contains non-finite entries")
+    cond = np.max(np.linalg.cond(h))
     if cond > CONDITION_WARNING:
-        import warnings
-
         warnings.warn(f"h condition number {cond:.2e}; db may lose accuracy")
     b = cholesky_upper(h)
+    bh = np.swapaxes(b.conj(), -1, -2)
     # S = b^{-*} dh b^{-1}, as (b^{-*} (b^{-*} dh)^*)^*
-    tmp = np.linalg.solve(b.conj().T, dh)
-    S = np.linalg.solve(b.conj().T, tmp.conj().T).conj().T
-    theta = np.triu(S, 1) + 0.5 * np.diag(np.diag(S).real)
+    tmp = np.linalg.solve(bh, dh)
+    S = np.swapaxes(np.linalg.solve(bh, np.swapaxes(tmp.conj(), -1, -2)).conj(), -1, -2)
+    diag = np.diagonal(S, axis1=-2, axis2=-1).real
+    theta = np.triu(S, 1) + 0.5 * diag[..., None] * np.eye(h.shape[-1])
     return theta @ b

@@ -43,19 +43,23 @@ def fro(m) -> float:
 
 
 def is_hermitian(m) -> bool:
+    """Whether m, or every member of a (..., r, r) stack, is Hermitian."""
     m = np.asarray(m, dtype=complex)
-    return fro(m - m.conj().T) <= HERMITIAN_TOL * max(fro(m), 1.0)
+    skew = np.linalg.norm(m - np.swapaxes(m.conj(), -1, -2), axis=(-2, -1))
+    return bool(np.all(skew <= HERMITIAN_TOL * np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1.0)))
 
 
 def check_hermitian_pd(h) -> np.ndarray:
-    """Validate that h is Hermitian positive-definite to HERMITIAN_TOL;
-    return a hermitized copy."""
-    h = as_cmatrix(h, "h")
-    if h.shape[0] != h.shape[1]:
-        raise ValueError("h must be square")
+    """Validate that h, or every member of a (..., r, r) stack, is finite and
+    Hermitian positive-definite to HERMITIAN_TOL; return a hermitized copy."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"h must be square or a stack of square matrices, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise NumericalError("h contains non-finite entries")
     if not is_hermitian(h):
         raise NotPositiveDefiniteError("matrix is not Hermitian to tolerance")
-    h = 0.5 * (h + h.conj().T)
+    h = 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
     w = np.linalg.eigvalsh(h)
     if w.min() <= 0.0:
         raise NotPositiveDefiniteError(f"minimal eigenvalue {w.min():.3e} <= 0")

@@ -4,7 +4,9 @@ Each suite takes a seed and a sample count and returns a list of
 ``(check name, passed, detail)`` triples:
 
 * ``bruhat``: reconstruction of the Bruhat factorization, agreement with
-  the exhaustive-permutation oracle, and uniqueness on the large cell;
+  the exhaustive-permutation oracle (least-squares column solves taken
+  once per (row, column) pair, all r! candidates checked as one stack),
+  and uniqueness on the large cell;
 * ``cholesky``: the minor formulas against the textbook factor, and
   their invariance under a unitary change of square root;
 * ``three-form``: the identity Theta = 3 dOmega behind the antiderivative
@@ -32,39 +34,32 @@ from . import factor, fuchs, numcore, wznw
 def oracle_bruhat_permutation(g: np.ndarray) -> tuple[int, ...]:
     """Exhaustive-permutation factorization oracle.
 
-    Tries every permutation, solving the triangular column system by
-    Gaussian elimination, and accepts when the reconstruction holds with a
-    lower-triangular P; exactly one permutation may be accepted.
+    For a candidate permutation, column c of X = L^{-1} (lower unipotent)
+    is the least-squares solution that makes column c of g X vanish above
+    row k = perm^{-1}(c).  It depends only on (k, c), so each of the
+    (r-1)^2 column solves (np.linalg.lstsq) is taken once and placed in the
+    X of every permutation with perm(k) = c.  All r! candidates are then
+    checked as one stack: P = g X Pi^T must be lower triangular and
+    P Pi X^{-1} must reproduce g, both to 1e-8 relative.  Exactly one
+    permutation may be accepted.  The rank pattern of bruhat_factor is
+    never read.
     """
     r = g.shape[0]
-    accepted = []
-    for perm in permutations(range(r)):
-        Pi = np.zeros((r, r))
-        for i, c in enumerate(perm):
-            Pi[i, c] = 1.0
-        inv_perm = np.argsort(np.asarray(perm))
-        X = np.eye(r, dtype=complex)
-        ok = True
-        for c in range(r):
-            k = int(inv_perm[c])
-            if k == 0 or c == r - 1:
-                continue
-            Amat = g[:k, c + 1 :]
-            rhs = -g[:k, c]
-            sol, res, rank, _ = np.linalg.lstsq(Amat, rhs, rcond=None)
-            X[c + 1 :, c] = sol
-        gx = g @ X
-        P = gx @ Pi.T
-        if numcore.fro(np.triu(P, 1)) > 1e-8 * max(numcore.fro(P), 1e-300):
-            ok = False
-        L = np.linalg.inv(X)
-        if numcore.fro(P @ Pi @ L - g) > 1e-8 * max(numcore.fro(g), 1e-300):
-            ok = False
-        if ok:
-            accepted.append(perm)
+    perms = np.array(list(permutations(range(r))))
+    Pi = np.eye(r)[perms]
+    X = np.tile(np.eye(r, dtype=complex), (len(perms), 1, 1))
+    for k in range(1, r):
+        for c in range(r - 1):
+            sol = np.linalg.lstsq(g[:k, c + 1 :], -g[:k, c], rcond=None)[0]
+            X[perms[:, k] == c, c + 1 :, c] = sol
+    P = g @ X @ np.swapaxes(Pi, -1, -2)
+    upper = np.linalg.norm(np.triu(P, 1), axis=(-2, -1))
+    lower = upper <= 1e-8 * np.maximum(np.linalg.norm(P, axis=(-2, -1)), 1e-300)
+    resid = np.linalg.norm(P @ Pi @ np.linalg.inv(X) - g, axis=(-2, -1))
+    accepted = perms[lower & (resid <= 1e-8 * max(numcore.fro(g), 1e-300))]
     if len(accepted) != 1:
         raise numcore.NumericalError(f"oracle accepted {len(accepted)} permutations")
-    return accepted[0]
+    return tuple(int(c) for c in accepted[0])
 
 
 def _suite_bruhat(seed: int, count: int) -> list[tuple[str, bool, str]]:

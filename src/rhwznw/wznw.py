@@ -67,6 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -729,45 +730,39 @@ def abelian_action_closed_form(weights: fuchs.WeightSystem) -> float:
 # three-form identity
 
 
-def _theta_eval(h: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """theta_1(V) = db(V) b^{-1} for the upper Cholesky factor."""
-    b = factor.cholesky_upper(h)
-    db = factor.cholesky_differential(h, V)
-    return db @ np.linalg.inv(b)
-
-
-def _omega_eval(h: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> float:
-    ty, tz = _theta_eval(h, Y), _theta_eval(h, Z)
-    val = np.trace(ty @ tz.conj().T - tz @ ty.conj().T)
-    return complex(val)
-
-
 def three_form_pair(h, X, Y, Z):
     """(Theta(X,Y,Z), 3 dOmega(X,Y,Z)) on the space of positive metrics.
 
     Theta is the alternating sum over the six permutations of
     tr(h^{-1} X h^{-1} Y h^{-1} Z); the second entry differentiates the
-    2-form omega(Y,Z) = tr(theta1(Y) theta1(Z)* - theta1(Z) theta1(Y)*)
-    by central differences of step THREE_FORM_STEP, so their agreement is
-    a genuine two-route check of the antiderivative identity.
+    2-form omega(Y,Z) = tr(theta1(Y) theta1(Z)* - theta1(Z) theta1(Y)*),
+    theta1(V) = db(V) b^{-1} for the upper Cholesky factor b, by central
+    differences of step THREE_FORM_STEP, so their agreement is a genuine
+    two-route check of the antiderivative identity.  The twelve theta1
+    values (the metrics h +- t X, h +- t Y, h +- t Z, two directions each)
+    are taken as one stack.
     """
     h = as_cmatrix(h, "h")
     mats = [as_cmatrix(m, name) for m, name in ((X, "X"), (Y, "Y"), (Z, "Z"))]
     hinv = np.linalg.inv(h)
     theta3 = 0.0 + 0.0j
-    from itertools import permutations as _perms
-
-    for perm, sign in zip(_perms((0, 1, 2)), (1, -1, -1, 1, 1, -1)):
+    for perm, sign in zip(permutations((0, 1, 2)), (1, -1, -1, 1, 1, -1)):
         a, b_, c = (mats[k] for k in perm)
         theta3 += sign * np.trace(hinv @ a @ hinv @ b_ @ hinv @ c)
 
-    def d_omega(direction, v1, v2):
-        t = THREE_FORM_STEP
-        return (_omega_eval(h + t * direction, v1, v2) - _omega_eval(h - t * direction, v1, v2)) / (2 * t)
-
-    X_, Y_, Z_ = mats
-    d_omega_total = d_omega(X_, Y_, Z_) - d_omega(Y_, X_, Z_) + d_omega(Z_, X_, Y_)
-    return complex(theta3), complex(3.0 * d_omega_total)
+    t = THREE_FORM_STEP
+    # omega(v1, v2) at h + t d and h - t d, for (d; v1, v2) = (X; Y, Z), (Y; X, Z), (Z; X, Y)
+    x, y, z = mats
+    terms = ((x, y, z), (y, x, z), (z, x, y))
+    hs = np.stack([h + s * t * d for d, _, _ in terms for s in (1, -1) for _ in range(2)])
+    vs = np.stack([v for _, v1, v2 in terms for _ in range(2) for v in (v1, v2)])
+    theta1 = factor.cholesky_differential(hs, vs) @ np.linalg.inv(factor.cholesky_upper(hs))
+    ty, tz = theta1[0::2], theta1[1::2]
+    prod = ty @ np.swapaxes(tz.conj(), -1, -2) - tz @ np.swapaxes(ty.conj(), -1, -2)
+    omega = np.trace(prod, axis1=-2, axis2=-1)
+    # divided as Python complex, part by part (numpy would divide by t + 0j)
+    dx, dy, dz = (complex(omega[i] - omega[i + 1]) / (2 * t) for i in (0, 2, 4))
+    return complex(theta3), complex(3.0 * (dx - dy + dz))
 
 
 # ---------------------------------------------------------------------------

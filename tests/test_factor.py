@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +191,120 @@ def test_cholesky_differential_conditioning_warning():
     h = np.diag([1.0, 1e-11])
     with pytest.warns(UserWarning):
         factor.cholesky_differential(h, np.eye(2))
+
+
+def _cell_member(rng, perm):
+    """g = B Pi L with B lower triangular plus 2I and L lower unipotent."""
+    r = len(perm)
+    pi = np.zeros((r, r))
+    pi[np.arange(r), perm] = 1.0
+    b = np.tril(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))) + 2 * np.eye(r)
+    low = np.tril(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)), -1) + np.eye(r)
+    return b @ pi @ low
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_oracle_and_bruhat_factor_on_every_cell(r):
+    # generic draws almost always land in the large cell; here every one of
+    # the r! cells is drawn, so the oracle's column solves are reused across
+    # permutations whose rows vanish at different heights
+    rng = np.random.default_rng([17, r])
+    for perm in itertools.permutations(range(r)):
+        for _ in range(5):
+            g = _cell_member(rng, perm)
+            assert oracle_bruhat_permutation(g) == perm
+            assert factor.bruhat_factor(g).permutation == perm
+
+
+def _gram_reference(M):
+    """Q_jk by direct enumeration: one determinant per row subset and column set."""
+    r = M.shape[0]
+    Q = np.zeros((r + 1, r + 1), dtype=complex)
+    Q[0, 0] = 1.0
+    for j in range(1, r + 1):
+        lead = list(range(j - 1))
+        for k in range(j, r + 1):
+            for rows in itertools.combinations(range(r), j):
+                Q[j, k] += np.conj(np.linalg.det(M[np.ix_(rows, lead + [j - 1])])) * np.linalg.det(
+                    M[np.ix_(rows, lead + [k - 1])]
+                )
+    return Q
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_cholesky_minors_match_direct_enumeration(r):
+    # Q_jj = a_1 ... a_j and Q_jk = c_jk Q_jj, compared per order j
+    rng = np.random.default_rng([23, r])
+    for _ in range(20):
+        m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        f = factor.cholesky_minors(m.conj().T @ m, m)
+        ref = _gram_reference(m)
+        for j in range(1, r + 1):
+            qjj = np.prod(f.a[:j])
+            got = np.concatenate([[qjj], qjj * f.c[j - 1, j:]])
+            assert np.linalg.norm(got - ref[j, j:]) <= 1e-13 * np.linalg.norm(ref[j, j:])
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-3, 1.0, 1e4, 1e8])
+def test_cholesky_minors_is_scale_covariant(scale):
+    # Q_jj is homogeneous of degree j in h: a scaled well-conditioned h
+    # (condition number 59) must factor like h
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = scale * (m.conj().T @ m + 0.1 * np.eye(4))
+    f = factor.cholesky_minors(h, hpd_sqrt(h))
+    b_ref = factor.cholesky_upper(h)
+    assert numcore.fro(f.b - b_ref) <= 1e-12 * numcore.fro(b_ref)
+
+
+def _hpd_stack(rng, r, n):
+    hs = np.stack([numcore.random_hpd(rng, r) for _ in range(n)])
+    dh = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
+    return hs, dh + np.swapaxes(dh.conj(), -1, -2)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_stacked_cholesky_equals_member_calls(r):
+    hs, dhs = _hpd_stack(np.random.default_rng([29, r]), r, 12)
+    b = factor.cholesky_upper(hs)
+    db = factor.cholesky_differential(hs, dhs)
+    assert b.shape == db.shape == (12, r, r)
+    for i in range(12):
+        assert np.array_equal(b[i], factor.cholesky_upper(hs[i]))
+        assert np.array_equal(db[i], factor.cholesky_differential(hs[i], dhs[i]))
+
+
+def test_stacked_cholesky_differential_warns_once_for_the_worst_member():
+    hs, dhs = _hpd_stack(np.random.default_rng(31), 2, 12)
+    hs[4] = np.diag([1.0, 1e-11])
+    hs[7] = np.diag([1.0, 1e-12])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        factor.cholesky_differential(hs, dhs)
+    assert len(caught) == 1 and issubclass(caught[0].category, UserWarning)
+    assert "1.00e+12" in str(caught[0].message)
+
+
+def test_stacked_cholesky_refuses_a_bad_member():
+    hs, dhs = _hpd_stack(np.random.default_rng(37), 3, 12)
+    bad = hs.copy()
+    bad[5, 0, 1] += 1e-3  # not Hermitian
+    with pytest.raises(numcore.NotPositiveDefiniteError, match="not Hermitian"):
+        factor.cholesky_differential(bad, dhs)
+    bad = hs.copy()
+    bad[9] = -bad[9]  # Hermitian, negative definite
+    with pytest.raises(numcore.NotPositiveDefiniteError, match="minimal eigenvalue"):
+        factor.cholesky_differential(bad, dhs)
+    with pytest.raises(numcore.NotPositiveDefiniteError):
+        factor.cholesky_upper(bad)
+    bad = hs.copy()
+    bad[2, 1, 1] = np.nan
+    with pytest.raises(numcore.NumericalError, match="non-finite"):
+        factor.cholesky_differential(bad, dhs)
+    nan_dh = dhs.copy()
+    nan_dh[11, 0, 0] = np.inf
+    with pytest.raises(numcore.NumericalError, match="non-finite"):
+        factor.cholesky_differential(hs, nan_dh)
 
 
 @settings(max_examples=40, deadline=None)

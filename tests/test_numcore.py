@@ -13,6 +13,23 @@ def test_hermitian_pd_check():
     assert h.shape == (2, 2)
 
 
+def test_hermitian_pd_check_takes_stacks():
+    rng = np.random.default_rng(3)
+    hs = np.stack([numcore.random_hpd(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+    out = numcore.check_hermitian_pd(hs)
+    assert out.shape == hs.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(out[idx], numcore.check_hermitian_pd(hs[idx]))
+    bad = hs.copy()
+    bad[1, 2] = np.diag([1.0, -2.0, 3.0])
+    with pytest.raises(numcore.NotPositiveDefiniteError, match="minimal eigenvalue"):
+        numcore.check_hermitian_pd(bad)
+    with pytest.raises(ValueError):
+        numcore.check_hermitian_pd(np.ones(3))
+    with pytest.raises(ValueError):
+        numcore.check_hermitian_pd(np.ones((4, 2, 3)))
+
+
 def test_as_cmatrix_takes_a_non_contiguous_last_axis():
     # columns permuted and scaled, as the constant term at infinity is laid out
     b = np.array([[1.0, 2.0 + 1j], [3.0 - 2j, 4.0]])
