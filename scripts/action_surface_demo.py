@@ -45,9 +45,9 @@ def main() -> None:
         print(f"  eps = {p.eps:+.4f}: {tag}")
     moduli.surface_to_csv(points, out / "surface.csv")
 
-    levi_s = moduli.levi_from_surface(points, 0.0, a)
-    print(f"chart Laplacian of S: {levi_s:.6f}; of the potential -S/2: {-0.5 * levi_s:.6f} "
-          "(eps is not a holomorphic coordinate: not the Levi form)")
+    levi_potential = moduli.levi_from_surface(points, 0.0, a)
+    print(f"chart Laplacian of S: {-2.0 * levi_potential:.6f}; of the potential -S/2: "
+          f"{levi_potential:.6f} (eps is not a holomorphic coordinate: not the Levi form)")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 # BLAS is pinned to one thread before numpy is imported: threads on 2x2 to
@@ -85,19 +84,22 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[_complex_to_pair(x) for x in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _integer(value, low: int | None = None) -> int:
+def _integer(value) -> int:
     """An integral number as an int: 3 and 3.0 are read, -2.7, true and "3"
-    are not, nor one below low."""
+    are not."""
     if isinstance(value, bool) or not (
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     ):
         raise ValueError(f"expected an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"must be at least {low}, got {int(value)}")
     return int(value)
 
 
-_count = partial(_integer, low=0)
+def _count(value) -> int:
+    """An integer that is at least 0."""
+    n = _integer(value)
+    if n < 0:
+        raise ValueError(f"must be at least 0, got {n}")
+    return n
 
 
 def _positive_float(value) -> float:

@@ -59,8 +59,8 @@ centers and windows.  Every transport stage is one call: the approach legs
 of a monodromy evaluation (the solver stacks the 2 dim perturbed systems of
 its central-difference Jacobian) one per segment round, all outward rays
 of the action's web, and the flatness stencil's twelve lines.
-:func:`transport` runs a piecewise path of one system segment by segment,
-each a one-member SegmentFan.
+:func:`transport` runs a piecewise path of one system from a given start
+segment by segment, each a one-member SegmentFan, with no clearance check.
 
 Near a puncture and near infinity no march is needed: the Frobenius
 solution Y0 = G(x) x^{-L} (x = z - z_i, or 1/z at infinity) is summed to a
@@ -700,21 +700,15 @@ def check_clearance(weights: WeightSystem, path: list[paths.Segment]) -> None:
 
 
 def transport(
-    system: FuchsianSystem,
-    path: list[paths.Segment],
-    start: np.ndarray | None = None,
-    tol: float = TRANSPORT_TOL,
-    precheck: bool = True,
+    system: FuchsianSystem, path: list[paths.Segment], start: np.ndarray, tol: float
 ) -> TransportResult:
-    """Parallel transport of dY/dz = -A(z) Y along a piecewise path.
+    """Parallel transport of dY/dz = -A(z) Y from start along a piecewise
+    path.
 
     Each segment is one :func:`transport_fan` call on a one-member
-    SegmentFan; step_count sums their steps.  With precheck the path must
-    pass :func:`check_clearance`.
+    SegmentFan; step_count sums their steps.  No proximity check is made.
     """
-    y = np.eye(system.rank, dtype=complex) if start is None else as_cmatrix(start, "start")
-    if precheck:
-        check_clearance(system.weights, path)
+    y = as_cmatrix(start, "start")
     steps = 0
     for seg in path:
         out = transport_fan(system.points, system.residues, paths.SegmentFan([seg]), y, tol=tol)

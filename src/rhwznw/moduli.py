@@ -7,9 +7,10 @@ of a complex parameter eps, a minimum-norm Newton correction spread over
 the conjugators restores the closure constraint (the spectrum of the
 implied generator at infinity), and the tuple is re-normalized.  eps is
 not a holomorphic coordinate on the moduli of parabolic bundles, so the
-stencil below (levi_form) is a Laplacian in the chart eps, not the Levi
-form of the Kahler potential: its value depends on the family's direction
-and can be negative, so its sign is a statement about the chart only.
+stencil below (potential_levi_form) is a Laplacian in the chart eps of the
+potential -S/2, not the Levi form of the Kahler potential: its value
+depends on the family's direction and can be negative, so its sign is a
+statement about the chart only.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ class SurfacePoint:
     large_cell_flag: bool
     solve_residual: float | None
     ok: bool
-    message: str = ""
+    message: str
 
 
 def action_surface(
@@ -288,6 +289,7 @@ def action_surface(
                     large_cell_flag=True,
                     solve_residual=report.final_residual,
                     ok=True,
+                    message="",
                 )
             )
         except (wznw.RegularLocusError, ChartRadiusError, fuchs.NotAdmissibleError) as exc:
@@ -299,30 +301,6 @@ def action_surface(
 # Levi form
 
 
-def levi_form(
-    s_center: float,
-    s_plus: float,
-    s_minus: float,
-    s_iplus: float,
-    s_iminus: float,
-    spacing: float,
-) -> float:
-    """d^2 S / (d eps d epsbar) from the 5-point plus-stencil: the chart
-    Laplacian in eps (module docstring), not a Levi form in a holomorphic
-    coordinate on the moduli.
-
-    [S(e+a) + S(e-a) + S(e+ia) + S(e-ia) - 4 S(e)] / (4 a^2): one quarter
-    of the standard Laplacian stencil, so the synthetic surface |eps|^2
-    evaluates to 1 at any spacing.
-
-    Note the sign convention for action surfaces: the Kahler potential of
-    the moduli metric is -S/2, so the regular-locus positivity statement
-    applies to the Levi form of -S/2 in a holomorphic coordinate.
-    """
-    num = s_plus + s_minus + s_iplus + s_iminus - 4.0 * s_center
-    return float(num / (4.0 * spacing * spacing))
-
-
 def potential_levi_form(
     s_center: float,
     s_plus: float,
@@ -331,14 +309,21 @@ def potential_levi_form(
     s_iminus: float,
     spacing: float,
 ) -> float:
-    """The chart Laplacian (levi_form) of the potential -S/2, from action
-    values.
+    """d^2 (-S/2) / (d eps d epsbar) from the 5-point plus-stencil of action
+    values: the chart Laplacian in eps of the potential -S/2 (module
+    docstring), not a Levi form in a holomorphic coordinate on the moduli.
 
-    eps is not a holomorphic coordinate, so this is not the Levi form of
-    the Kahler potential: it depends on the family's direction and is
-    negative at some seeded centers.
+    -1/2 [S(e+a) + S(e-a) + S(e+ia) + S(e-ia) - 4 S(e)] / (4 a^2): the
+    potential's share of one quarter of the standard Laplacian stencil, so
+    the synthetic surface S = |eps|^2 evaluates to -1/2 at any spacing.
+
+    The Kahler potential of the moduli metric is -S/2, so the regular-locus
+    positivity statement applies to its Levi form in a holomorphic
+    coordinate.  eps is not one: this value depends on the family's
+    direction and is negative at some seeded centers.
     """
-    return -0.5 * levi_form(s_center, s_plus, s_minus, s_iplus, s_iminus, spacing)
+    num = s_plus + s_minus + s_iplus + s_iminus - 4.0 * s_center
+    return -0.5 * float(num / (4.0 * spacing * spacing))
 
 
 def surface_to_csv(points: list[SurfacePoint], path) -> None:
@@ -361,7 +346,8 @@ def surface_to_csv(points: list[SurfacePoint], path) -> None:
 
 
 def levi_from_surface(points: list[SurfacePoint], center: complex, spacing: float) -> float:
-    """Levi form out of an action_surface table containing the plus-stencil."""
+    """The potential's chart Laplacian (potential_levi_form) out of an
+    action_surface table containing the plus-stencil."""
     table = {}
     for p in points:
         if not p.ok:
@@ -372,7 +358,7 @@ def levi_from_surface(points: list[SurfacePoint], center: complex, spacing: floa
         if key not in table:
             raise ChartRadiusError(f"stencil point {e} is a hole in the surface")
         return table[key]
-    return levi_form(
+    return potential_levi_form(
         get(center),
         get(center + spacing),
         get(center - spacing),

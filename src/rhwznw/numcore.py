@@ -28,7 +28,7 @@ class NotPositiveDefiniteError(NumericalError):
     """Hermitian matrix failed a positive-definiteness check."""
 
 
-def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
+def as_cmatrix(m, name: str) -> np.ndarray:
     """Coerce to a finite complex 2d array."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
@@ -68,7 +68,7 @@ def check_hermitian_pd(h) -> np.ndarray:
 
 def sorted_eigvals(m) -> np.ndarray:
     """Eigenvalues only, in the deterministic (real, imag) lexicographic order."""
-    lam = np.linalg.eigvals(as_cmatrix(m))
+    lam = np.linalg.eigvals(as_cmatrix(m, "matrix"))
     return lam[np.lexsort((lam.imag, lam.real))]
 
 

@@ -299,7 +299,8 @@ def solve(
 
         x0 = np.zeros(parm.dim)
         if parm.dim == 0:
-            x, f, iters, history = x0, func(x0), 0, []
+            f = func(x0)
+            x, iters, history = x0, 0, [float(f @ f)]
         else:
             x, f, iters, history = _levenberg_marquardt(func, func_stack, x0, opts)
 
@@ -321,7 +322,7 @@ def solve(
     if success:
         try:
             # make_metric_field takes the result as it is
-            norm = normalize_at_infinity(system, target, problem=problem)
+            norm = normalize_at_infinity(system, target)
         except NumericalError as exc:
             warnings.warn(f"normalization at infinity failed: {exc}")
     report = SolveReport(
@@ -368,13 +369,11 @@ class NormalizationResult:
 
 
 def normalize_at_infinity(
-    system: fuchs.FuchsianSystem,
-    target: fuchs.AdmissibleRep,
-    problem: fuchs.MonodromyLoops | None = None,
+    system: fuchs.FuchsianSystem, target: fuchs.AdmissibleRep
 ) -> NormalizationResult:
     """Read the constant term at infinity from the local series and
     renormalize to the canonical fundamental solution, at
-    fuchs.TRANSPORT_TOL.
+    fuchs.TRANSPORT_TOL, on the loop set of the system's weights.
 
     The right conjugator W aligns the monodromy with the target unitary
     tuple (the aligned generators W^{-1} M_i W are kept).  Y W = Y0 K on
@@ -405,9 +404,8 @@ def normalize_at_infinity(
     if ws.rank > 1 and np.min(off[mask]) < 1e-6:
         raise ResonanceError("infinity exponents have (near) integer differences")
 
-    if problem is None:
-        problem = fuchs.MonodromyLoops(ws)
-    _, gens, series = problem.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
+    loops = fuchs.MonodromyLoops(ws)
+    _, gens, series = loops.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
     aligned = align_tuple_to_target(gens[0], target)
     W = aligned.conjugator
     coords = series.coords @ W
@@ -432,7 +430,7 @@ def normalize_at_infinity(
         constant_term=G,
         large_cell_flag=flag,
         canonical_system=system.conjugated(left),
-        basepoint=problem.z0,
+        basepoint=loops.z0,
         basepoint_value=left @ W,
         extrapolation_disagreement=float(disagreement),
         right_conjugator=W,

@@ -100,6 +100,9 @@ def test_rhsolve_rank1(tmp_path):
     assert rc == 0
     rec = json.loads((tmp_path / "result.json").read_text())
     assert rec["success"] and rec["final_residual"] <= 1e-8
+    # the chart has dimension 0: the history holds the one cost evaluated
+    assert rec["iterations"] == 0 and len(rec["objective_history"]) == 1
+    assert np.isfinite(rec["objective_history"][0])
     # the residues file loads back as a valid config
     out_cfg = cli.load_config(tmp_path / "residues.json")
     assert out_cfg.residues is not None

@@ -134,29 +134,31 @@ def test_transport_zero_residues():
     ws = fuchs.build_weight_system([0.0, 1.0], [[0.3], [0.8], [0.9]])
     system = fuchs.FuchsianSystem(ws, np.zeros((2, 1, 1), dtype=complex))
     loop = puncture_loop(ws, 0, ws.default_basepoint())
-    res = fuchs.transport(system, loop, tol=1e-12)
+    res = fuchs.transport(system, loop, np.eye(1), tol=1e-12)
     assert abs(res.value[0, 0] - 1.0) < 1e-11
 
 
 def test_transport_rank1_loop(rank1_system, rank1_weights):
     z0 = rank1_weights.default_basepoint()
     loop = puncture_loop(rank1_weights, 0, z0)
-    res = fuchs.transport(rank1_system, loop, tol=1e-10)
+    res = fuchs.transport(rank1_system, loop, np.eye(1), tol=1e-10)
     assert abs(res.value[0, 0] - np.exp(-2j * np.pi * 0.3)) < 1e-8
     assert _det_identity_residual(rank1_system, loop, np.eye(1), res.value) < 1e-8
 
 
-def test_transport_proximity_error(rank1_system, rank1_weights):
+def test_check_clearance_refuses_a_grazing_path(rank1_weights):
+    # the clearance check lives with the loop set (MonodromyLoops), not in
+    # transport
     path = [paths.Line(rank1_weights.default_basepoint(), 0.001 + 0.001j)]
     with pytest.raises(paths.ProximityError):
-        fuchs.transport(rank1_system, path, tol=1e-8)
+        fuchs.check_clearance(rank1_weights, path)
 
 
 def test_transport_tolerance_halving(rank2_oracle_system, rank2_weights):
     z0 = rank2_weights.default_basepoint()
     loop = puncture_loop(rank2_weights, 0, z0)
-    a = fuchs.transport(rank2_oracle_system, loop, tol=1e-8).value
-    b = fuchs.transport(rank2_oracle_system, loop, tol=5e-9).value
+    a = fuchs.transport(rank2_oracle_system, loop, np.eye(2), tol=1e-8).value
+    b = fuchs.transport(rank2_oracle_system, loop, np.eye(2), tol=5e-9).value
     assert numcore.fro(a - b) < 1e-7
     lam = np.linalg.eigvals(a)
     want = np.exp(-2j * np.pi * rank2_weights.weights[0])
@@ -225,8 +227,8 @@ def test_monodromy_path_independence(rank2_oracle_system, rank2_weights):
     square = [paths.Line(z0, corners[0])]
     square += [paths.Line(corners[k], corners[k + 1]) for k in range(4)]
     square += [paths.Line(corners[0], z0)]
-    a = fuchs.transport(rank2_oracle_system, circle_loop, tol=tol).value
-    b = fuchs.transport(rank2_oracle_system, square, tol=tol).value
+    a = fuchs.transport(rank2_oracle_system, circle_loop, np.eye(2), tol=tol).value
+    b = fuchs.transport(rank2_oracle_system, square, np.eye(2), tol=tol).value
     assert numcore.fro(a - b) <= 10 * 1e-7
 
 
@@ -242,7 +244,7 @@ def _det_identity_residual(system, path, start, value):
 def test_transport_det_identity(rank2_oracle_system, rank2_weights):
     z0 = rank2_weights.default_basepoint()
     loop = puncture_loop(rank2_weights, 1, z0)
-    res = fuchs.transport(rank2_oracle_system, loop, tol=1e-10)
+    res = fuchs.transport(rank2_oracle_system, loop, np.eye(2), tol=1e-10)
     assert _det_identity_residual(rank2_oracle_system, loop, np.eye(2), res.value) < 1e-8
 
 
@@ -492,7 +494,7 @@ def test_transport_stack_matches_members():
     stacked, _ = _transport_stack(ws.points, residues, loop, tol=1e-12)
     assert stacked.shape == (6, 3, 3)
     for b in range(6):
-        solo = fuchs.transport(fuchs.FuchsianSystem(ws, residues[b]), loop, tol=1e-12)
+        solo = fuchs.transport(fuchs.FuchsianSystem(ws, residues[b]), loop, np.eye(3), tol=1e-12)
         rel = numcore.fro(stacked[b] - solo.value) / numcore.fro(solo.value)
         assert rel <= 1e-12
 
@@ -522,7 +524,7 @@ def test_transport_stack_shared_step_follows_hardest():
 
     def solo(residues, tol):
         system = fuchs.FuchsianSystem(ws, residues)
-        return fuchs.transport(system, line, tol=tol, precheck=False)
+        return fuchs.transport(system, line, np.eye(3), tol=tol)
 
     hard_solo = solo(hard, tol)
     assert steps == hard_solo.step_count
@@ -627,7 +629,7 @@ def test_transport_global_error_into_punctures(rank2_oracle_system, rank2_weight
         for k in range(6):
             turn = np.exp(2j * np.pi * (k + 0.5) / 6)
             line = paths.Line(complex(zi + 0.8 * turn), complex(zi + 1e-3 * turn))
-            got = fuchs.transport(rank2_oracle_system, [line], tol=tol, precheck=False).value
+            got = fuchs.transport(rank2_oracle_system, [line], np.eye(2), tol=tol).value
             ref = _ivp_reference(rank2_weights.points, rank2_oracle_system.residues,
                                  paths.SegmentFan([line]), np.eye(2)[None], np.array([1.0]))[0, 0]
             worst = max(worst, numcore.fro(got - ref) / numcore.fro(ref))
@@ -766,8 +768,8 @@ def _member(fan, b):
     return paths.Line(c + np.exp(s0 + 1j * phi), c + np.exp(s1 + 1j * phi))
 
 
-def _solo(system, segment, tol, start=None):
-    return fuchs.transport(system, [segment], start=start, tol=tol, precheck=False).value
+def _solo(system, segment, tol, start):
+    return fuchs.transport(system, [segment], start, tol).value
 
 
 @pytest.mark.parametrize("make_fan", [_arc_fan, _ray_fan, _arc_fan_centers, _ray_fan_centers])
@@ -799,7 +801,7 @@ def test_transport_fan_stops_match_truncated_transports():
         for k, t in enumerate(stops):
             part = paths.Arc(arc.center, arc.radius, arc.angle0,
                              arc.angle0 + t * (arc.angle1 - arc.angle0))
-            solo = _solo(system, part, tol / 100)
+            solo = _solo(system, part, tol / 100, np.eye(3))
             assert numcore.fro(out.values[k, b] - solo) <= 2 * tol * numcore.fro(solo)
 
 
@@ -1014,7 +1016,7 @@ def test_transports_reject_non_positive_tol(tol):
         fan = paths.SegmentFan([paths.Line(2j, 1j)])
         fuchs.transport_fan(system.points, system.residues[None], fan, np.eye(3), tol=tol)
     with pytest.raises(ValueError):
-        fuchs.transport(system, [paths.Line(2j, 1j)], tol=tol)
+        fuchs.transport(system, [paths.Line(2j, 1j)], np.eye(3), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rhwznw"
-KNOB_BOUND = 25
+KNOB_BOUND = 18
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

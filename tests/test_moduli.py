@@ -65,21 +65,21 @@ def test_deform_members_admissible(n4_center, n4_direction):
 
 
 def test_levi_constant_surface():
-    assert moduli.levi_form(1.0, 1.0, 1.0, 1.0, 1.0, 0.1) == 0.0
+    assert moduli.potential_levi_form(1.0, 1.0, 1.0, 1.0, 1.0, 0.1) == 0.0
 
 
 def test_levi_quadratic_exact():
     fun = lambda e: abs(e) ** 2
     c = 0.37 - 0.21j
     for a in (0.1, 0.05, 0.3):
-        val = moduli.levi_form(fun(c), fun(c + a), fun(c - a), fun(c + 1j * a), fun(c - 1j * a), a)
-        assert abs(val - 1.0) < 1e-10
+        val = moduli.potential_levi_form(fun(c), fun(c + a), fun(c - a), fun(c + 1j * a), fun(c - 1j * a), a)
+        assert abs(val + 0.5) < 1e-10
 
 
 def test_levi_pluriharmonic_zero():
     c, a = 0.2 + 0.1j, 0.05
     for fun in (lambda e: (e * e).real, lambda e: (e * e).imag, lambda e: e.real):
-        val = moduli.levi_form(fun(c), fun(c + a), fun(c - a), fun(c + 1j * a), fun(c - 1j * a), a)
+        val = moduli.potential_levi_form(fun(c), fun(c + a), fun(c - a), fun(c + 1j * a), fun(c - 1j * a), a)
         assert abs(val) < 1e-9
 
 
@@ -89,10 +89,10 @@ def test_levi_from_surface_table():
         pts.append(
             moduli.SurfacePoint(
                 eps=eps, action=abs(eps) ** 2, extrapolation_error=0.0,
-                large_cell_flag=True, solve_residual=0.0, ok=True,
+                large_cell_flag=True, solve_residual=0.0, ok=True, message="",
             )
         )
-    assert abs(moduli.levi_from_surface(pts, 0.0, 0.1) - 1.0) < 1e-12
+    assert abs(moduli.levi_from_surface(pts, 0.0, 0.1) + 0.5) < 1e-12
     with pytest.raises(moduli.ChartRadiusError):
         moduli.levi_from_surface(pts, 0.05, 0.1)
 
@@ -103,7 +103,7 @@ def test_surface_to_csv(tmp_path):
     pts = [
         moduli.SurfacePoint(
             eps=0.1 + 0.2 - 1j / 3, action=2 / 3, extrapolation_error=1.1e-17,
-            large_cell_flag=True, solve_residual=0.0, ok=True,
+            large_cell_flag=True, solve_residual=0.0, ok=True, message="",
         ),
         moduli.SurfacePoint(
             eps=0.25 - 0.7j, action=None, extrapolation_error=None,

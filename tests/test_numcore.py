@@ -35,11 +35,11 @@ def test_as_cmatrix_takes_a_non_contiguous_last_axis():
     b = np.array([[1.0, 2.0 + 1j], [3.0 - 2j, 4.0]])
     g = b[:, [1, 0]] * np.array([2.0, 0.5j])
     assert not g.flags.c_contiguous
-    assert np.array_equal(numcore.as_cmatrix(g), g)
+    assert np.array_equal(numcore.as_cmatrix(g, "g"), g)
     assert factor.in_large_cell(g)
     g[1, 0] = np.nan
     with pytest.raises(numcore.NumericalError):
-        numcore.as_cmatrix(g)
+        numcore.as_cmatrix(g, "g")
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,19 @@ def test_solve_rank1(rank1_weights, rank1_target):
                        rank1_weights.weights[:-1, 0])
 
 
+def test_solve_rank1_records_its_one_cost(rank1_weights, rank1_target):
+    # a chart of dimension 0 takes no LM step: its history is the one cost
+    # it evaluated, as every LM history starts with its initial cost
+    _, report = rhsolve.solve(
+        rank1_weights, rank1_target, opts=rhsolve.SolveOptions(seed=0, restarts=1)
+    )
+    parm = rhsolve.ResidueParametrization(rank1_weights, np.array([np.eye(1, dtype=complex)] * 3))
+    f = rhsolve.residual_vector(parm, np.zeros(0), rank1_target, fuchs.MonodromyLoops(rank1_weights))
+    assert report.iterations == 0
+    assert report.objective_history == [float(f @ f)]
+    assert np.isfinite(report.objective_history[0])
+
+
 def test_solve_rank2_rigid(rank2_solved, rank2_weights, rank2_target):
     system, report = rank2_solved
     assert report.final_residual <= 1e-6

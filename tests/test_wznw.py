@@ -300,7 +300,7 @@ def test_h_at_matches_a_transported_reference(rank2_field):
             continue
         keepouts = [(complex(w), min(0.92 * abs(z - w), 0.92 * abs(fld.basepoint - w), cap)) for w in pts]
         route = paths.plan_route(fld.basepoint, z, keepouts)
-        y = fuchs.transport(fld.system, route, start=fld.basepoint_value, tol=tol / 100, precheck=False).value
+        y = fuchs.transport(fld.system, route, start=fld.basepoint_value, tol=tol / 100).value
         want = np.linalg.inv(y @ y.conj().T)
         assert numcore.fro(fld.h_at(z) - want) <= 1e-9 * numcore.fro(want), (region, z)
         todo[region] -= 1
@@ -741,14 +741,40 @@ def _rank1_draws(seed: int, count: int):
     return draws
 
 
-def _criterion9_center():
+def _solved_criterion9_center():
     ws = fuchs.build_weight_system(
         [-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]]
     )
     center = moduli.random_admissible_rep(ws, seed=5)
     system, report = rhsolve.solve(ws, center, opts=rhsolve.SolveOptions(seed=3))
     assert report.success
+    return (system, report), center
+
+
+def _criterion9_center():
+    (system, _), center = _solved_criterion9_center()
     return [(system, center)]
+
+
+@pytest.mark.parametrize("problem", ["fixture", "criterion9-center"])
+def test_field_does_not_depend_on_the_normalization_source(problem, request):
+    # the solve's normalization and one built afresh from the solution give
+    # the same field, bit for bit: the loop set is a function of the weights
+    if problem == "fixture":
+        solved, target = request.getfixturevalue("rank2_solved"), request.getfixturevalue("rank2_target")
+    else:
+        solved, target = _solved_criterion9_center()
+    system, report = solved
+    fresh = wznw.make_metric_field(system, target)
+    handed = wznw.make_metric_field(system, target, normalization=report.normalization)
+    assert np.array_equal(fresh.system.residues, handed.system.residues)
+    assert np.array_equal(fresh.basepoint_value, handed.basepoint_value)
+    assert fresh.basepoint == handed.basepoint
+    assert fresh.monodromy_quality == handed.monodromy_quality
+    assert fresh.series.at == handed.series.at
+    for f in dataclasses.fields(fuchs.SeriesStack):
+        if f.name != "at":
+            assert np.array_equal(getattr(fresh.series, f.name), getattr(handed.series, f.name)), f.name
 
 
 @pytest.mark.parametrize(
