@@ -15,7 +15,13 @@ Conventions (fixed throughout the package, see README):
 The cell membership test works on upper-right corner minors
 ``det g[:k, r-k:]``: these are exactly the minors that are invariant
 under ``g -> B g L`` with lower-triangular B and lower-unipotent L, and
-their non-vanishing characterizes ``B(r) Pi0 N(r)``.
+their non-vanishing characterizes ``B(r) Pi0 N(r)``.  The Bruhat
+permutation comes from the ranks of all r^2 upper-right corners, taken
+as one stacked SVD of the corners zero-padded to r x r.
+
+The Cholesky routines (cholesky_minors, cholesky_upper,
+cholesky_differential) take an r x r matrix or a (..., r, r) stack, each
+member taken alone with its own checks.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from .numcore import (
     DEFAULT_TOL,
     NotPositiveDefiniteError,
     NumericalError,
+    adjoint,
     as_cmatrix,
+    as_cstack,
     check_hermitian_pd,
     fro,
 )
@@ -103,32 +111,31 @@ class CholeskyFactors:
     c: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return self.c.conj().T @ np.diag(self.a) @ self.c
-
-
-def _corner_singular_values(g: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Singular values of the upper-right corner block rows < i, cols >= j."""
-    block = g[:i, j:]
-    if block.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(block, compute_uv=False)
+        return adjoint(self.c) @ (self.a[..., None] * self.c)
 
 
 def _rank_pattern(g: np.ndarray, threshold: float):
     """Ranks of all upper-right corners, with a dead-band ambiguity check
-    (RANK_DEAD_BAND)."""
+    (RANK_DEAD_BAND).
+
+    Corner (i, j) is g[:i, j:], i = 1..r, j = 0..r-1, zero-padded in place
+    to r x r; the r^2 padded corners take one stacked SVD, and the padding
+    only adds zero singular values.  A dead-band refusal names the first
+    ambiguous singular value, corners in (i, j) order.
+    """
     r = g.shape[0]
+    i, j = np.divmod(np.arange(r * r), r)
+    idx = np.arange(r)
+    keep = (idx[:, None] <= i[:, None, None]) & (idx >= j[:, None, None])
+    sv = np.linalg.svd(np.where(keep, g, 0), compute_uv=False)
+    inside = (sv > threshold / RANK_DEAD_BAND) & (sv < threshold * RANK_DEAD_BAND)
+    if np.any(inside):
+        raise AmbiguousCellError(
+            f"singular value {sv[inside][0]:.3e} within the dead band "
+            f"around threshold {threshold:.3e}"
+        )
     rho = np.zeros((r + 1, r + 2), dtype=int)
-    for i in range(1, r + 1):
-        for j in range(r):
-            sv = _corner_singular_values(g, i, j)
-            inside = (sv > threshold / RANK_DEAD_BAND) & (sv < threshold * RANK_DEAD_BAND)
-            if np.any(inside):
-                raise AmbiguousCellError(
-                    f"singular value {sv[inside][0]:.3e} within the dead band "
-                    f"around threshold {threshold:.3e}"
-                )
-            rho[i, j + 1] = int(np.sum(sv > threshold))
+    rho[1:, 1:-1] = np.sum(sv > threshold, axis=1).reshape(r, r)
     return rho
 
 
@@ -260,40 +267,46 @@ def cholesky_minors(h, M) -> CholeskyFactors:
     are indexed at once and their minors taken by one stacked determinant;
     intended for r <= 4.  Q_jj = det h[:j, :j] is homogeneous of degree j
     in h, so its positivity floor is 1e-6 CHOLESKY_MINOR_TOL ||h||_F^j.
+
+    h and M may be (..., r, r) stacks of one shape, each member taken alone:
+    every check is the member's own, and a stack raises the refusal of its
+    first failing member.
     """
     h = check_hermitian_pd(h)
-    M = as_cmatrix(M, "M")
-    r = h.shape[0]
-    if M.shape != (r, r):
-        raise ValueError("M must be square of the same size as h")
-    hnorm = max(fro(h), 1e-300)
-    if fro(M.conj().T @ M - h) > 1e-8 * hnorm:
+    M = as_cstack(M, "M")
+    if M.shape != h.shape:
+        raise ValueError(f"M has shape {M.shape}, h has shape {h.shape}")
+    r = h.shape[-1]
+    hnorm = np.maximum(np.linalg.norm(h, axis=(-2, -1)), 1e-300)
+    gram = np.linalg.norm(adjoint(M) @ M - h, axis=(-2, -1))
+    if np.any(gram > 1e-8 * hnorm):
         raise ValueError("M* M does not reproduce h")
 
-    Q = np.zeros((r + 1, r + 1), dtype=complex)
-    Q[0, 0] = 1.0
+    Q = np.zeros(h.shape[:-2] + (r + 1, r + 1), dtype=complex)
+    Q[..., 0, 0] = 1.0
     for j in range(1, r + 1):
         rows = np.array(list(itertools.combinations(range(r), j)))
         cols = np.column_stack([np.tile(np.arange(j - 1), (r - j + 1, 1)), np.arange(j - 1, r)])
-        d = np.linalg.det(M[rows[:, None, :, None], cols[None, :, None, :]])
-        Q[j, j:] = np.conj(d[:, 0]) @ d
+        d = np.linalg.det(M[..., rows[:, None, :, None], cols[None, :, None, :]])
+        Q[..., j, j:] = (np.conj(d[..., None, :, 0]) @ d)[..., 0, :]
 
-    a = np.zeros(r)
-    c = np.eye(r, dtype=complex)
-    for j in range(1, r + 1):
-        qjj = Q[j, j]
-        if not (qjj.real > CHOLESKY_MINOR_TOL * 1e-6 * hnorm**j and abs(qjj.imag) <= 1e-8 * qjj.real):
-            raise NotPositiveDefiniteError(
-                f"leading Gram quantity Q_{j}{j} = {qjj:.3e} not positive"
-            )
-        a[j - 1] = qjj.real / Q[j - 1, j - 1].real
-        c[j - 1, j:] = Q[j, j + 1 :] / qjj.real
+    q = np.diagonal(Q, axis1=-2, axis2=-1)
+    floor = CHOLESKY_MINOR_TOL * 1e-6 * hnorm[..., None] ** np.arange(1, r + 1)
+    good = (q[..., 1:].real > floor) & (np.abs(q[..., 1:].imag) <= 1e-8 * q[..., 1:].real)
+    if not np.all(good):
+        member, j = np.argwhere(~good.reshape(-1, r))[0]
+        raise NotPositiveDefiniteError(
+            f"leading Gram quantity Q_{j + 1}{j + 1} = {q.reshape(-1, r + 1)[member, j + 1]:.3e} "
+            "not positive"
+        )
+    a = q[..., 1:].real / q[..., :-1].real
+    c = np.triu(Q[..., 1:, 1:] / q[..., 1:, None].real, 1) + np.eye(r)
 
-    b = np.diag(np.sqrt(a)) @ c
-    factors = CholeskyFactors(b=b, a=a, c=c)
-    resid = fro(factors.reconstruct() - h)
-    if resid > CHOLESKY_MINOR_TOL * hnorm:
-        raise NumericalError(f"Cholesky reconstruction residual {resid:.3e}")
+    factors = CholeskyFactors(b=np.sqrt(a)[..., None] * c, a=a, c=c)
+    resid = np.linalg.norm(factors.reconstruct() - h, axis=(-2, -1))
+    bad = resid > CHOLESKY_MINOR_TOL * hnorm
+    if np.any(bad):
+        raise NumericalError(f"Cholesky reconstruction residual {resid[bad][0]:.3e}")
     return factors
 
 
@@ -301,12 +314,12 @@ def cholesky_upper(h) -> np.ndarray:
     """Upper-triangular b with positive real diagonal and h = b* b, for h
     or every member of a (..., r, r) stack."""
     h = np.asarray(h, dtype=complex)
-    h = 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
+    h = 0.5 * (h + adjoint(h))
     try:
         low = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    return np.swapaxes(low.conj(), -1, -2)
+    return adjoint(low)
 
 
 def cholesky_differential(h, dh) -> np.ndarray:
@@ -326,10 +339,10 @@ def cholesky_differential(h, dh) -> np.ndarray:
     if cond > CONDITION_WARNING:
         warnings.warn(f"h condition number {cond:.2e}; db may lose accuracy")
     b = cholesky_upper(h)
-    bh = np.swapaxes(b.conj(), -1, -2)
+    bh = adjoint(b)
     # S = b^{-*} dh b^{-1}, as (b^{-*} (b^{-*} dh)^*)^*
     tmp = np.linalg.solve(bh, dh)
-    S = np.swapaxes(np.linalg.solve(bh, np.swapaxes(tmp.conj(), -1, -2)).conj(), -1, -2)
+    S = adjoint(np.linalg.solve(bh, adjoint(tmp)))
     diag = np.diagonal(S, axis1=-2, axis2=-1).real
     theta = np.triu(S, 1) + 0.5 * diag[..., None] * np.eye(h.shape[-1])
     return theta @ b

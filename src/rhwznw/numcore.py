@@ -2,10 +2,11 @@
 
 Everything in this package works with explicit dense complex matrices of
 small size (ranks of interest are r <= 4).  This module collects the few
-helpers shared across modules: input coercion, the Frobenius norm,
-deterministically ordered eigenvalues, Hermitian positive-definite
-validation, random unitary and HPD samples, the batched matrix
-exponential expm, and the NumericalError base class.
+helpers shared across modules: input coercion of a matrix or a stack,
+the conjugate transpose of a stack, the Frobenius norm, deterministically
+ordered eigenvalues, Hermitian positive-definite validation, random
+unitary and HPD samples, the batched matrix exponential expm, and the
+NumericalError base class.
 
 Tolerances are relative to the Frobenius norm throughout; the master
 default is ``DEFAULT_TOL = 1e-10``.
@@ -38,6 +39,21 @@ def as_cmatrix(m, name: str) -> np.ndarray:
     return a
 
 
+def as_cstack(m, name: str) -> np.ndarray:
+    """Coerce to a finite complex square matrix or (..., r, r) stack of them."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{name} must be square or a stack of square matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NumericalError(f"{name} contains non-finite entries")
+    return a
+
+
+def adjoint(m) -> np.ndarray:
+    """The conjugate transpose of m, or of every member of a (..., r, r) stack."""
+    return np.swapaxes(np.conj(m), -1, -2)
+
+
 def fro(m) -> float:
     return float(np.linalg.norm(m, "fro"))
 
@@ -45,21 +61,17 @@ def fro(m) -> float:
 def is_hermitian(m) -> bool:
     """Whether m, or every member of a (..., r, r) stack, is Hermitian."""
     m = np.asarray(m, dtype=complex)
-    skew = np.linalg.norm(m - np.swapaxes(m.conj(), -1, -2), axis=(-2, -1))
+    skew = np.linalg.norm(m - adjoint(m), axis=(-2, -1))
     return bool(np.all(skew <= HERMITIAN_TOL * np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1.0)))
 
 
 def check_hermitian_pd(h) -> np.ndarray:
     """Validate that h, or every member of a (..., r, r) stack, is finite and
     Hermitian positive-definite to HERMITIAN_TOL; return a hermitized copy."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise ValueError(f"h must be square or a stack of square matrices, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise NumericalError("h contains non-finite entries")
+    h = as_cstack(h, "h")
     if not is_hermitian(h):
         raise NotPositiveDefiniteError("matrix is not Hermitian to tolerance")
-    h = 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
+    h = 0.5 * (h + adjoint(h))
     w = np.linalg.eigvalsh(h)
     if w.min() <= 0.0:
         raise NotPositiveDefiniteError(f"minimal eigenvalue {w.min():.3e} <= 0")

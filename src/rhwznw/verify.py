@@ -17,6 +17,15 @@ Each suite takes a seed and a sample count and returns a list of
   fixture against 2 pi log(wznw.ANNULUS_RATIO) sum_j alpha_ij^2.  Its
   checks are one per finite puncture, so it ignores the count.
 
+The cholesky, three-form and flatness suites draw their samples in the
+order of a per-sample loop, so a seed gives the same samples, and hand
+them to the library as stacks of at most STACK_SAMPLES samples: per
+chunk, one cholesky_upper and two cholesky_minors calls, one
+three_form_pair call per rank, and one flatness_residual call for every
+center at both steps.  Every check stays per sample, so the worst figure
+of a chunk is the worst of its members.  The bruhat suite factors one
+matrix per call.
+
 The library is called through module attributes (``factor.bruhat_factor``,
 ``wznw.flatness_residual``, ...), so that a wrapper installed on those
 attributes sees every call.
@@ -29,6 +38,21 @@ from itertools import permutations
 import numpy as np
 
 from . import factor, fuchs, numcore, wznw
+
+
+# most samples that a suite hands to one library call: the stacked suites
+# take their samples in chunks of this many, so memory stays flat in the count
+STACK_SAMPLES = 64
+
+
+def _chunks(count: int) -> list[range]:
+    """The sample indices 0 .. count - 1 in chunks of at most STACK_SAMPLES."""
+    return [range(lo, min(lo + STACK_SAMPLES, count)) for lo in range(0, count, STACK_SAMPLES)]
+
+
+def _fro(m: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of every member of a (..., r, r) stack."""
+    return np.linalg.norm(m, axis=(-2, -1))
 
 
 def oracle_bruhat_permutation(g: np.ndarray) -> tuple[int, ...]:
@@ -91,16 +115,19 @@ def _suite_bruhat(seed: int, count: int) -> list[tuple[str, bool, str]]:
 def _suite_cholesky(seed: int, count: int) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(seed)
     worst_ref, worst_inv = 0.0, 0.0
-    for _ in range(count):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = m.conj().T @ m + 0.1 * np.eye(4)
+    for chunk in _chunks(count):
+        ms, us = [], []
+        for _ in chunk:
+            ms.append(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            us.append(numcore.random_unitary(rng, 4))
+        m = np.stack(ms)
+        h = numcore.adjoint(m) @ m + 0.1 * np.eye(4)
         msq = hpd_sqrt(h)
         f = factor.cholesky_minors(h, msq)
         b_ref = factor.cholesky_upper(h)
-        worst_ref = max(worst_ref, numcore.fro(f.b - b_ref) / numcore.fro(b_ref))
-        u = numcore.random_unitary(rng, 4)
-        f2 = factor.cholesky_minors(h, u @ msq)
-        worst_inv = max(worst_inv, numcore.fro(f.b - f2.b) / numcore.fro(f.b))
+        f2 = factor.cholesky_minors(h, np.stack(us) @ msq)
+        worst_ref = max(worst_ref, float(np.max(_fro(f.b - b_ref) / _fro(b_ref))))
+        worst_inv = max(worst_inv, float(np.max(_fro(f.b - f2.b) / _fro(f.b))))
     return [
         ("textbook agreement <= 1e-9", worst_ref <= 1e-9, f"worst {worst_ref:.3e}"),
         ("U-invariance <= 1e-9", worst_inv <= 1e-9, f"worst {worst_inv:.3e}"),
@@ -108,23 +135,29 @@ def _suite_cholesky(seed: int, count: int) -> list[tuple[str, bool, str]]:
 
 
 def hpd_sqrt(h: np.ndarray) -> np.ndarray:
-    """The Hermitian positive square root of a Hermitian positive matrix."""
-    lam, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return (v * np.sqrt(lam)) @ v.conj().T
+    """The Hermitian positive square root of a Hermitian positive matrix,
+    or of every member of a (..., r, r) stack."""
+    lam, v = np.linalg.eigh(0.5 * (h + numcore.adjoint(h)))
+    return (v * np.sqrt(lam)[..., None, :]) @ numcore.adjoint(v)
 
 
 def _suite_three_form(seed: int, count: int) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for k in range(count):
-        r = 2 if k % 2 == 0 else 3
-        h = numcore.random_hpd(rng, r)
-        xs = []
-        for _ in range(3):
-            m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-            xs.append(0.5 * (m + m.conj().T))
-        t3, dw = wznw.three_form_pair(h, *xs)
-        worst = max(worst, abs(t3 - dw) / (1 + abs(t3)))
+    for chunk in _chunks(count):
+        # samples alternate between ranks 2 and 3: one stack per rank
+        by_rank = {}
+        for k in chunk:
+            r = 2 if k % 2 == 0 else 3
+            h = numcore.random_hpd(rng, r)
+            xs = []
+            for _ in range(3):
+                m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+                xs.append(0.5 * (m + m.conj().T))
+            by_rank.setdefault(r, []).append((h, *xs))
+        for samples in by_rank.values():
+            t3, dw = wznw.three_form_pair(*map(np.stack, zip(*samples)))
+            worst = max(worst, float(np.max(np.abs(t3 - dw) / (1 + np.abs(t3)))))
     return [("three-form identity <= 1e-5", worst <= 1e-5, f"worst {worst:.3e}")]
 
 
@@ -140,13 +173,15 @@ def _suite_flatness(seed: int, count: int) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(seed)
     fld = rigid_fixture_field()
     ratios = []
-    for _ in range(count):
-        ang = rng.uniform(0, 2 * np.pi)
-        rad = rng.uniform(0.25, 0.45)
-        z = rad * np.exp(1j * ang)
-        r1 = wznw.flatness_residual(fld, z, 0.02)
-        r2 = wznw.flatness_residual(fld, z, 0.01)
-        ratios.append(r1 / r2)
+    for chunk in _chunks(count):
+        zs = []
+        for _ in chunk:
+            ang = rng.uniform(0, 2 * np.pi)
+            rad = rng.uniform(0.25, 0.45)
+            zs.append(rad * np.exp(1j * ang))
+        # every center at both steps, as one stack of stencils
+        r1, r2 = wznw.flatness_residual(fld, np.array(zs), np.array([[0.02], [0.01]]))
+        ratios.extend(r1 / r2)
     med = float(np.median(ratios))
     return [("Richardson ratio in [3.5, 4.5]", 3.5 <= med <= 4.5, f"median {med:.3f}")]
 

@@ -60,6 +60,11 @@ one separable series evaluation (fuchs.SeriesStack.values), and A at all
 nodes of a region is one product.  A patch takes it from the nodes' offsets
 x = z - z_i, A_i / x + sum_{j != i} A_j / (x + z_i - z_j), which keep their
 digits however close to z_i; the outer region uses FuchsianSystem.A_of.
+
+The two identity checks take stacks: three_form_pair a (..., r, r) stack
+of metrics and directions, all their Cholesky differentials one call, and
+flatness_residual a broadcast stack of stencil centers and steps, all
+their lines one fan.  A single input is a stack of one.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from itertools import permutations
 import numpy as np
 
 from . import factor, fuchs, paths, rhsolve
-from .numcore import NumericalError, as_cmatrix, fro
+from .numcore import NumericalError, adjoint, as_cstack, fro
 
 
 class RegularLocusError(RuntimeError):
@@ -105,6 +110,13 @@ ANGLE_ALIAS_TOL = 1e-17
 # most nodes of one quadrature web, 144 times the 6,904 of the default
 # schedule on the rank-2 fixture
 WEB_NODE_LIMIT = 1_000_000
+# largest delta_min^(-g) of an action schedule, g the largest exponent gap
+# of the weights and at infinity: Y's condition number grows like it at the
+# web's innermost and outermost circles.  On the rigid rank-2 fixture
+# (g = 1/4) S at delta_min 1e-36 (1e9) agrees with delta_min 1e-20 to
+# 1.8e-12, at 1e-44 (1e11) reads 1.5e-10 off, at 1e-50 (3.2e12) 1.6e-7 and
+# at 1e-60 1.6e-2: the error grows like the square of delta_min^(-g).
+DELTA_CONDITION_LIMIT = 1e10
 # outer over inner radius of annulus_kinetic_integral's annulus
 ANNULUS_RATIO = 2.0
 # central-difference step of three_form_pair's d omega
@@ -185,7 +197,7 @@ def _metric_from_factor(y: np.ndarray) -> np.ndarray:
     R = _upper_factor(_entries(y))
     b = _back_substitute(R, np.repeat(np.eye(len(R), dtype=complex)[:, :, None], R.shape[-1], axis=2))
     h = np.einsum("kin,kjn->nij", b.conj(), b)
-    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+    h = 0.5 * (h + adjoint(h))
     return h.reshape(np.shape(y))
 
 
@@ -454,6 +466,9 @@ class TransportWeb:
     trace form stays real.  The web spans the smallest delta of the schedule.
     Its nodes are counted from its radial and angular rules before anything
     is evaluated: a web of more than WEB_NODE_LIMIT nodes raises ValueError.
+    Then, still before any node is evaluated, a smallest delta with
+    delta^(-g) above DELTA_CONDITION_LIMIT, g the largest exponent gap of
+    the weight rows and at infinity, raises NumericalError.
 
     The patches end and the outer region starts on |z| = |z0|, as in y_at.
     Every ring lies inside that circle (fuchs.MonodromyLoops); a ring that
@@ -484,6 +499,14 @@ class TransportWeb:
         if nodes > WEB_NODE_LIMIT:
             raise ValueError(f"the quadrature web would have {nodes} nodes, "
                              f"more than WEB_NODE_LIMIT = {WEB_NODE_LIMIT}")
+        ws = fld.weights
+        gap = max(float(np.max(np.ptp(ws.weights, axis=1))), float(np.ptp(ws.infinity_exponents)))
+        if -gap * np.log(delta_min) > np.log(DELTA_CONDITION_LIMIT):
+            raise NumericalError(
+                f"the smallest delta {delta_min:g} is below {DELTA_CONDITION_LIMIT ** (-1 / gap):.3g}, "
+                f"the floor DELTA_CONDITION_LIMIT^(-1/g) for the exponent gap g = {gap:.3g}: "
+                "Y is too ill-conditioned there for h"
+            )
         # every patch's outward rays are the members of one fan call, with a
         # stop at every Gauss-Legendre node in t
         rays, ring_y = zip(*[self._patch_rays(i, ring_radii[i], phi)
@@ -687,7 +710,7 @@ def action_regularized(
 def _imag_residual_sample(web: TransportWeb) -> float:
     """max |Im tr(A h^{-1} A* h)| / |Re ...| over the web's sample nodes."""
     h, A = web.sample_h, web.sample_A
-    Ah = np.conj(np.swapaxes(A, -1, -2))
+    Ah = adjoint(A)
     val = np.trace(A @ np.linalg.solve(h, Ah @ h), axis1=-2, axis2=-1)
     return float(np.max(np.abs(val.imag) / np.maximum(np.abs(val.real), 1e-300)))
 
@@ -741,35 +764,53 @@ def three_form_pair(h, X, Y, Z):
     two-route check of the antiderivative identity.  The twelve theta1
     values (the metrics h +- t X, h +- t Y, h +- t Z, two directions each)
     are taken as one stack.
+
+    h, X, Y and Z may be (..., r, r) stacks of one shape, each member taken
+    alone, and every member's twelve theta1 values join the one stack.  A
+    single h gives two complex numbers, a stack two complex arrays of its
+    leading shape.
     """
-    h = as_cmatrix(h, "h")
-    mats = [as_cmatrix(m, name) for m, name in ((X, "X"), (Y, "Y"), (Z, "Z"))]
+    h = as_cstack(h, "h")
+    mats = [as_cstack(m, name) for m, name in ((X, "X"), (Y, "Y"), (Z, "Z"))]
+    if any(m.shape != h.shape for m in mats):
+        raise ValueError(f"X, Y and Z must have the shape {h.shape} of h")
     hinv = np.linalg.inv(h)
-    theta3 = 0.0 + 0.0j
+    theta3 = 0
     for perm, sign in zip(permutations((0, 1, 2)), (1, -1, -1, 1, 1, -1)):
         a, b_, c = (mats[k] for k in perm)
-        theta3 += sign * np.trace(hinv @ a @ hinv @ b_ @ hinv @ c)
+        theta3 = theta3 + sign * np.trace(hinv @ a @ hinv @ b_ @ hinv @ c, axis1=-2, axis2=-1)
 
     t = THREE_FORM_STEP
     # omega(v1, v2) at h + t d and h - t d, for (d; v1, v2) = (X; Y, Z), (Y; X, Z), (Z; X, Y)
     x, y, z = mats
     terms = ((x, y, z), (y, x, z), (z, x, y))
-    hs = np.stack([h + s * t * d for d, _, _ in terms for s in (1, -1) for _ in range(2)])
-    vs = np.stack([v for _, v1, v2 in terms for _ in range(2) for v in (v1, v2)])
+    hs = np.stack([h + s * t * d for d, _, _ in terms for s in (1, -1) for _ in range(2)], axis=-3)
+    vs = np.stack([v for _, v1, v2 in terms for _ in range(2) for v in (v1, v2)], axis=-3)
     theta1 = factor.cholesky_differential(hs, vs) @ np.linalg.inv(factor.cholesky_upper(hs))
-    ty, tz = theta1[0::2], theta1[1::2]
-    prod = ty @ np.swapaxes(tz.conj(), -1, -2) - tz @ np.swapaxes(ty.conj(), -1, -2)
+    ty, tz = theta1[..., 0::2, :, :], theta1[..., 1::2, :, :]
+    prod = ty @ adjoint(tz) - tz @ adjoint(ty)
     omega = np.trace(prod, axis1=-2, axis2=-1)
-    # divided as Python complex, part by part (numpy would divide by t + 0j)
-    dx, dy, dz = (complex(omega[i] - omega[i + 1]) / (2 * t) for i in (0, 2, 4))
-    return complex(theta3), complex(3.0 * (dx - dy + dz))
+    # divided as floats, part by part, as Python divides a complex by a
+    # float (numpy would divide by t + 0j and move the last bit)
+    dw = (np.ascontiguousarray(omega[..., 0::2] - omega[..., 1::2]).view(float) / (2 * t)).view(complex)
+    dw = 3.0 * (dw[..., 0] - dw[..., 1] + dw[..., 2])
+    if h.ndim == 2:
+        return complex(theta3), complex(dw)
+    return theta3, dw
 
 
 # ---------------------------------------------------------------------------
 # flatness of the transported metric
 
 
-def flatness_residual(fld: MetricField, z: complex, step: float) -> float:
+# the compact stencil in units of its step: h^{-1} h_z at each w = z + arm
+# needs h at w + arm and at w, and the 20 offsets hold 12 distinct nonzero ones
+_ARMS = (1, -1, 1j, -1j)
+_OFFSETS = tuple(complex(a + o) for a in _ARMS for o in (*_ARMS, 0))
+_LINES = tuple(dict.fromkeys(o for o in _OFFSETS if o != 0))
+
+
+def flatness_residual(fld: MetricField, z, step):
     """|| d/dzbar (h^{-1} h_z) || from a compact finite-difference stencil.
 
     Y is read at z once (MetricField.y_at) and transported from there to
@@ -779,24 +820,30 @@ def flatness_residual(fld: MetricField, z: complex, step: float) -> float:
     comes from one factorisation; the inner central differences form
     h^{-1} h_z, the outer one differentiates it in zbar.  Decays like
     step^2 down to the transport tolerance floor.
+
+    z and step broadcast against each other, one stencil per member: Y is
+    read once per distinct center, the 12 lines of every stencil are the
+    members of the one fan, and h^{-1} h_z of all stencils is one stacked
+    solve.  Each stencil is refused alone (ProximityError).  Scalar z and
+    step give a float, otherwise an array of their broadcast shape.
     """
-    z = complex(z)
-    if fld.min_distance_to_punctures(z) < 8 * step:
-        raise paths.ProximityError("stencil too close to a puncture")
-    s = step
-    arms = (s, -s, 1j * s, -1j * s)
-    # h^{-1} h_z at each w = z + arm needs h at w + arm and at w
-    offsets = [a + o for a in arms for o in (*arms, 0)]
-    others = list(dict.fromkeys(o for o in offsets if o != 0))
-    y0 = fld.y_at(z)
-    fan = paths.SegmentFan([paths.Line(z, z + o) for o in others])
-    ys = fuchs.transport_fan(fld.system.points, fld.system.residues, fan, y0).values[-1]
-    y_of = dict(zip(others, ys))
-    y_of[0] = y0
-    hs = _metric_from_factor(np.stack([y_of[o] for o in offsets])).reshape(4, 5, *y0.shape)
-    g = [
-        np.linalg.solve(h, 0.5 * ((hp - hm) / (2 * s) - 1j * (hq - hr) / (2 * s)))
-        for hp, hm, hq, hr, h in hs
-    ]
-    gz = 0.5 * ((g[0] - g[1]) / (2 * s) + 1j * (g[2] - g[3]) / (2 * s))
-    return float(fro(gz))
+    zs, steps = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(step, dtype=float))
+    shape = zs.shape
+    zs, s = zs.ravel(), steps.ravel()
+    for w, sw in zip(zs, s):
+        if fld.min_distance_to_punctures(w) < 8 * sw:
+            raise paths.ProximityError(f"stencil at {complex(w)} of step {sw:g} too close to a puncture")
+    y_of = {w: fld.y_at(w) for w in dict.fromkeys(zs.tolist())}
+    y0 = np.stack([y_of[w] for w in zs.tolist()])
+    fan = paths.SegmentFan([paths.Line(w, w + sw * o) for w, sw in zip(zs, s) for o in _LINES])
+    ys = fuchs.transport_fan(fld.system.points, fld.system.residues, fan, np.repeat(y0, len(_LINES), axis=0))
+    # each stencil's 12 line ends, then its center
+    ends = np.concatenate([ys.values[-1].reshape(len(zs), len(_LINES), *y0.shape[1:]), y0[:, None]], axis=1)
+    take = [_LINES.index(o) if o != 0 else len(_LINES) for o in _OFFSETS]
+    hs = _metric_from_factor(ends[:, take]).reshape(len(zs), 4, 5, *y0.shape[1:])
+    s2 = 2 * s[:, None, None]
+    hp, hm, hq, hr, h = np.moveaxis(hs, 2, 0)
+    g = np.linalg.solve(h, 0.5 * ((hp - hm) / s2[:, None] - 1j * (hq - hr) / s2[:, None]))
+    gz = 0.5 * ((g[:, 0] - g[:, 1]) / s2 + 1j * (g[:, 2] - g[:, 3]) / s2)
+    res = np.linalg.norm(gz, axis=(-2, -1)).reshape(shape)
+    return float(res) if res.ndim == 0 else res

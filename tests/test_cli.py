@@ -343,9 +343,9 @@ BAD_SCHEDULES = [
 )
 def test_bad_delta_schedule_exit(tmp_path, capsys, schedule, code):
     # each used to exit 0 with a wrong or NaN S, or with a traceback or an
-    # unrelated code: a bad schedule stops at load (exit 2), one whose
-    # quadrature overflows stops at the non-finite total (exit 3) without
-    # numpy's overflow warnings
+    # unrelated code: a bad schedule stops at load (exit 2), one down to
+    # 1e-300, whose quadrature would overflow, stops at the delta floor
+    # (exit 3) without numpy's overflow warnings
     data = rank2_config().to_dict()
     data["action"].update(delta_schedule=schedule)
     (tmp_path / "cfg.json").write_text(json.dumps(data))
@@ -373,7 +373,9 @@ def test_web_node_limit_exit(tmp_path, capsys):
 
 def test_tiny_delta_at_the_default_quadrature_exit(tmp_path, capsys):
     # delta 1e-300 plans a web within WEB_NODE_LIMIT, whose circles near the
-    # punctures take few angles: it is built, and its total overflows
+    # punctures take few angles; it lies below the delta floor
+    # (wznw.DELTA_CONDITION_LIMIT), which refuses it before any node is
+    # evaluated
     data = rank2_config().to_dict()
     data["action"].update(delta_schedule=[0.1, 0.05, 1e-300])
     (tmp_path / "cfg.json").write_text(json.dumps(data))

@@ -216,6 +216,60 @@ def test_oracle_and_bruhat_factor_on_every_cell(r):
             assert factor.bruhat_factor(g).permutation == perm
 
 
+def _rank_pattern_per_corner(g, threshold):
+    """The rank pattern by one SVD per upper-right corner g[:i, j:], with
+    the dead band checked corner by corner."""
+    r = g.shape[0]
+    rho = np.zeros((r + 1, r + 2), dtype=int)
+    for i in range(1, r + 1):
+        for j in range(r):
+            sv = np.linalg.svd(g[:i, j:], compute_uv=False)
+            inside = (sv > threshold / factor.RANK_DEAD_BAND) & (sv < threshold * factor.RANK_DEAD_BAND)
+            if np.any(inside):
+                raise factor.AmbiguousCellError(f"singular value {sv[inside][0]:.3e}")
+            rho[i, j + 1] = int(np.sum(sv > threshold))
+    return rho
+
+
+def _both_rank_patterns(g):
+    threshold = numcore.DEFAULT_TOL * numcore.fro(g)
+    return factor._rank_pattern(g, threshold), _rank_pattern_per_corner(g, threshold)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_rank_pattern_equals_per_corner_svds_on_every_cell(r):
+    # the one stacked SVD of the zero-padded corners decides every rank as
+    # one SVD per corner does, on the cases of the every-cell oracle test
+    rng = np.random.default_rng([17, r])
+    for perm in itertools.permutations(range(r)):
+        for _ in range(5):
+            got, want = _both_rank_patterns(_cell_member(rng, perm))
+            assert np.array_equal(got, want)
+
+
+def test_rank_pattern_equals_per_corner_svds_on_seeded_draws():
+    rng = np.random.default_rng(41)
+    for k in range(400):
+        r = 2 + k % 4
+        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        if k % 2:
+            g = _cell_member(rng, tuple(rng.permutation(r)))
+        got, want = _both_rank_patterns(g)
+        assert np.array_equal(got, want)
+
+
+def test_rank_pattern_dead_band_names_the_per_corner_value():
+    # the corner entry 1e-10 sits inside the dead band of the threshold
+    # 1e-10 ||g||: both routes refuse it, naming the same singular value
+    g = np.array([[1.0, 1e-10], [1.0, 1.0]], dtype=complex)
+    threshold = numcore.DEFAULT_TOL * numcore.fro(g)
+    with pytest.raises(factor.AmbiguousCellError) as want:
+        _rank_pattern_per_corner(g, threshold)
+    with pytest.raises(factor.AmbiguousCellError, match="singular value 1.000e-10 within the dead band") as got:
+        factor._rank_pattern(g, threshold)
+    assert str(want.value) in str(got.value)
+
+
 def _gram_reference(M):
     """Q_jk by direct enumeration: one determinant per row subset and column set."""
     r = M.shape[0]
@@ -255,6 +309,56 @@ def test_cholesky_minors_is_scale_covariant(scale):
     f = factor.cholesky_minors(h, hpd_sqrt(h))
     b_ref = factor.cholesky_upper(h)
     assert numcore.fro(f.b - b_ref) <= 1e-12 * numcore.fro(b_ref)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_stacked_cholesky_minors_equal_member_calls(r):
+    # a (3, 4) stack of metrics and square roots, each member factored alone
+    rng = np.random.default_rng([43, r])
+    m = rng.standard_normal((3, 4, r, r)) + 1j * rng.standard_normal((3, 4, r, r))
+    h = numcore.adjoint(m) @ m + 0.1 * np.eye(r)
+    msq = hpd_sqrt(h)
+    f = factor.cholesky_minors(h, msq)
+    assert f.b.shape == f.c.shape == (3, 4, r, r) and f.a.shape == (3, 4, r)
+    for idx in np.ndindex(3, 4):
+        one = factor.cholesky_minors(h[idx], msq[idx])
+        for got, want in ((f.b[idx], one.b), (f.a[idx], one.a), (f.c[idx], one.c)):
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_stacked_cholesky_minors_refuse_a_bad_member():
+    # each refusal of one member alone is the refusal of the stack it is in
+    rng = np.random.default_rng(47)
+    m = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+    h = numcore.adjoint(m) @ m + 0.1 * np.eye(3)
+    msq = hpd_sqrt(h)
+    factor.cholesky_minors(h, msq)
+
+    def refusals(h, msq, member, kind):
+        with pytest.raises(kind) as alone:
+            factor.cholesky_minors(h[member], msq[member])
+        with pytest.raises(kind) as stacked:
+            factor.cholesky_minors(h, msq)
+        assert str(stacked.value) == str(alone.value)
+
+    bad = msq.copy()
+    bad[4] = 2 * bad[4]  # M* M is not h
+    refusals(h, bad, 4, ValueError)
+    bad = h.copy()
+    bad[1] = -bad[1]  # Hermitian, negative definite
+    refusals(bad, msq, 1, numcore.NotPositiveDefiniteError)
+    bad = h.copy()
+    bad[3, 0, 2] += 1e-3  # not Hermitian
+    refusals(bad, msq, 3, numcore.NotPositiveDefiniteError)
+    bad = msq.copy()
+    bad[5, 1, 1] = np.nan
+    refusals(h, bad, 5, numcore.NumericalError)
+    # positive definite, but Q_33 = 1e-17 lies below the floor 1e-15 ||h||^3
+    bad_h, bad_m = h.copy(), msq.copy()
+    bad_h[2], bad_m[2] = np.diag([1.0, 1.0, 1e-17]), np.diag([1.0, 1.0, np.sqrt(1e-17)])
+    refusals(bad_h, bad_m, 2, numcore.NotPositiveDefiniteError)
+    with pytest.raises(numcore.NotPositiveDefiniteError, match="Q_33"):
+        factor.cholesky_minors(bad_h, bad_m)
 
 
 def _hpd_stack(rng, r, n):

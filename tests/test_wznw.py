@@ -363,6 +363,22 @@ def test_three_form_stack_equals_the_per_metric_route():
         assert wznw.three_form_pair(h, *xs)[1] == want
 
 
+def test_three_form_stack_equals_member_calls():
+    # a (2, 5) stack at each rank: 3 dOmega bit for bit, Theta to rounding
+    rng = np.random.default_rng(9)
+    for r in (2, 3):
+        h = np.stack([numcore.random_hpd(rng, r) for _ in range(10)]).reshape(2, 5, r, r)
+        m = rng.standard_normal((3, 2, 5, r, r)) + 1j * rng.standard_normal((3, 2, 5, r, r))
+        xs = 0.5 * (m + numcore.adjoint(m))
+        t3, dw = wznw.three_form_pair(h, *xs)
+        assert t3.shape == dw.shape == (2, 5)
+        for idx in np.ndindex(2, 5):
+            one = wznw.three_form_pair(h[idx], *(x[idx] for x in xs))
+            assert abs(t3[idx] - one[0]) <= 1e-14 * abs(one[0]) and dw[idx] == one[1]
+    with pytest.raises(ValueError, match="shape"):
+        wznw.three_form_pair(h, xs[0], xs[1], xs[2][0])
+
+
 def test_flatness_rank1(rank1_field):
     # scalar case: residual is pure stencil truncation, C step^2 with a
     # moderate constant, and dies quadratically
@@ -512,7 +528,9 @@ def test_action_rejects_a_bad_delta_schedule(rank2_field, schedule):
 
 def test_action_non_finite_total_raises(rank2_field):
     # delta 1e-300 puts the outer circle at 1e300, whose area weights
-    # overflow: the action used to return NaN
+    # overflow: the action used to return NaN.  At rank 2 the delta floor
+    # (DELTA_CONDITION_LIMIT) now refuses it first, naming the same delta;
+    # test_action_non_finite_total_raises_at_rank_1 reaches the total
     with pytest.raises(numcore.NumericalError, match="delta 1e-300"):
         wznw.action_regularized(rank2_field, (0.1, 0.05, 1e-300))
 
@@ -542,6 +560,36 @@ def test_totals_keep_their_digits_at_tiny_deltas(rank2_field, rank2_weights):
                        for d in deltas])
     assert np.max(np.abs(totals / totals[0] - 1)) <= 1e-9
     assert np.isfinite(wznw.action_regularized(rank2_field, (0.1, 0.05, 0.025, 1e-30)).value)
+
+
+def test_action_refuses_a_delta_below_the_condition_floor(rank2_oracle_system, rank2_target,
+                                                         monkeypatch):
+    # on the closed-form fixture (exponent gap g = 1/4) delta_min 1e-60
+    # used to return S = 0.0273706, 1.6% off 0.0269508, with no error;
+    # delta^(-g) = 1e15 lies above DELTA_CONDITION_LIMIT, and the schedule is
+    # refused before any node is evaluated
+    fld = wznw.make_metric_field(rank2_oracle_system, rank2_target)
+
+    def no_transport(*args, **kwargs):
+        raise AssertionError("transported below the delta floor")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fuchs, "transport_fan", no_transport)
+        with pytest.raises(numcore.NumericalError, match="smallest delta 1e-60"):
+            wznw.action_regularized(fld, (0.1, 0.05, 0.025, 1e-60))
+        with pytest.raises(numcore.NumericalError, match="smallest delta 1e-50"):
+            wznw.TransportWeb(fld, (0.1, 0.05, 0.025, 1e-50))
+    # 1e-30 (delta^(-g) = 3.2e7) is accepted and agrees with 1e-20
+    values = [wznw.action_regularized(fld, (0.1, 0.05, 0.025, d)).value for d in (1e-20, 1e-30)]
+    assert abs(values[1] / values[0] - 1) <= 1e-10
+
+
+def test_action_non_finite_total_raises_at_rank_1(rank1_field):
+    # rank 1 has no exponent gap, so no delta is below the condition floor:
+    # at delta 1e-300 the outer region's area weights overflow, and the
+    # total that is not finite raises
+    with pytest.raises(numcore.NumericalError, match="total at delta 1e-300 is nan"):
+        wznw.action_regularized(rank1_field, (0.1, 0.05, 1e-300))
 
 
 def test_counterterm_annulus(rank2_field, rank2_weights):
@@ -887,6 +935,37 @@ def test_flatness_reads_y_once_and_runs_one_fan(rank2_field, monkeypatch):
     assert isinstance(fan, paths.SegmentFan) and len(fan.segments) == 12
     assert all(seg.start == z for seg in fan.segments)
     assert len({seg.end for seg in fan.segments}) == 12
+
+
+def _suite_centers(count):
+    rng = np.random.default_rng(7)
+    return np.array([rng.uniform(0.25, 0.45) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                     for _ in range(count)])
+
+
+def test_flatness_stack_equals_per_stencil_calls(rank2_field, monkeypatch):
+    # 10 centers at two steps, 20 stencils: Y read once per center, and the
+    # 240 lines of all stencils the members of one fan, whose shared steps
+    # move each residual by at most 1e-9 relative
+    zs, steps = _suite_centers(10), np.array([[0.02], [0.01]])
+    want = np.array([[wznw.flatness_residual(rank2_field, z, s) for z in zs] for s in steps[:, 0]])
+    calls = _count_calls(monkeypatch)
+    got = wznw.flatness_residual(rank2_field, zs, steps)
+    assert got.shape == (2, 10)
+    assert np.max(np.abs(got / want - 1)) <= 1e-9
+    assert calls["y_at"] == 10 and calls["transport"] == 0
+    (fan,) = calls["fans"]
+    assert isinstance(fan, paths.SegmentFan) and len(fan.segments) == 240
+    assert isinstance(wznw.flatness_residual(rank2_field, zs[0], 0.01), float)
+
+
+def test_flatness_stack_refuses_each_stencil_alone(rank2_field):
+    # one stencil of step 0.1 at 0.3 + 0.2j comes within 8 steps of the
+    # puncture at 0; the others are fine
+    zs = np.array([0.5 + 0.4j, 0.3 + 0.2j, -0.3 + 0.4j])
+    with pytest.raises(paths.ProximityError, match=r"0\.3\+0\.2j"):
+        wznw.flatness_residual(rank2_field, zs, np.array([0.01, 0.1, 0.01]))
+    assert wznw.flatness_residual(rank2_field, zs, 0.01).shape == (3,)
 
 
 def test_annulus_integral_builds_and_transports_nothing(rank2_field, monkeypatch):
