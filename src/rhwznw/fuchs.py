@@ -48,8 +48,10 @@ Frobenius norms of its 5th- and 3rd-order error estimates.  The step is
 shared: it is accepted when the largest scaled error over the members is
 <= 1, so every member meets the tolerance and the hardest member sets the
 pace.
-Values are recorded at stop times: a step that would pass the next stop is
-clipped to land on it, and the clip does not shrink the next step.  One
+Values are recorded at stop times: only the last stop is landed on, by a
+clipped step, and the others are read off DOP853's 7th-order dense output
+of the step that passes them (three more stages and one weight product), so
+the stops never change the steps.  One
 builder makes the coefficients on a fan of L member paths, its point and
 velocity read from one call as (T, L).  The one kernel entry is
 :func:`transport_fan`: one system, or a stack of S systems, each along
@@ -68,9 +70,9 @@ tail below tol / 100, and every solution is Y0 K.  There is one recursion
 for G, :func:`series_stack`, over a members-last stack of B systems at P
 points, each order from running partial sums at the same cost, the
 hardest member setting the term count as it sets the shared step of the
-kernel, and one series type, :class:`SeriesStack`, which sums a grid of
-nodes rho x theta separably: a real power table in rho times a phase
-table in theta, with no complex exp per node.  A SeriesStack carries the
+kernel, and one series type, :class:`SeriesStack`, which sums any set of
+nodes pointwise in one call: one power table of all nodes and one product
+with the coefficients.  A SeriesStack carries the
 solution it describes: each member's coordinates and the entry angle where
 its branch starts.  The loop set takes every circle from one stacked call,
 reading the frames at the loop entries once, and the stack it hands to the
@@ -546,6 +548,66 @@ _DOP_E3 = np.array(
     ],
     dtype=complex,
 )
+# DOP853's dense output (dop853.f, CONTD8): three more stages at _DOP_C_EXTRA,
+# row s of _DOP_A_EXTRA weighting stages 0..12+s, and the rows _DOP_D of the
+# interpolant's last four terms.  With stage 12 the one at the new solution,
+# y(t + theta h) = y + sum_i p_i(theta) F_i, p_i the products of i + 1
+# alternating factors theta, 1 - theta, F_0 = dy, F_1 = h k_0 - dy,
+# F_2 = 2 dy - h (k_0 + k_12) and F_3..F_6 = h _DOP_D k, dy = h b k; _DOP_DENSE
+# holds the F_i / h as weights of the 16 stages.
+_DOP_C_EXTRA = np.array([0.1, 0.2, 0.7777777777777778])
+_DOP_A_EXTRA = np.array(
+    [row + [0.0] * (15 - len(row)) for row in [
+        [
+            0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+            -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+            0.00820105229563469, 0.007567897660545699, -0.008298,
+        ],
+        [
+            0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+            0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+            -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+            0.1413124436746325,
+        ],
+        [
+            -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+            7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+            -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+        ],
+    ]],
+    dtype=complex,
+)
+_DOP_D = np.array(
+    [
+        [
+            -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+            2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+            0.6315787787694688, -0.08899033645133331, 18.148505520854727,
+            -9.194632392478356, -4.436036387594894,
+        ],
+        [
+            10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+            -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+            -9.332130526430229, 15.697238121770845, -31.139403219565178,
+            -9.35292435884448, 35.81684148639408,
+        ],
+        [
+            19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+            527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+            0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+            11.99229113618279,
+        ],
+        [
+            -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+            357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+            29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+            -149.72683625798564,
+        ],
+    ]
+)
+_DOP_B = np.concatenate([_DOP_A[12].real, np.zeros(4)])
+_K0, _K12 = np.eye(16)[[0, 12]]
+_DOP_DENSE = np.vstack([_DOP_B, _K0 - _DOP_B, 2 * _DOP_B - _K0 - _K12, _DOP_D])
 
 
 def _member_fro(a: np.ndarray) -> np.ndarray:
@@ -569,22 +631,28 @@ def _integrate_stack(coefficients, y, tol: float, stops) -> tuple[np.ndarray, in
     5th- and 3rd-order error estimates, scaled by tol times its largest
     norm so far.  One step is shared by the stack and accepted when the
     largest scaled error over the members is <= 1, so every member meets
-    tol; PI control.  A step that would pass the next stop is clipped to
-    land on it without shrinking the next proposal.  Returns the values at
-    the increasing stops, each in [0, 1], shape (len(stops), r, r, M), and
-    the number of accepted steps.
+    tol; PI control.  Only the last stop is landed on, by a clipped step;
+    the steps never depend on the other stops, so a fan with stops takes
+    the steps of the same fan with the last stop alone.  An accepted step
+    that passes earlier stops reads them off DOP853's 7th-order dense
+    output: three more stages (a second coefficients call, made only on
+    such steps), then one (stops, 16) real weight matrix times the stage
+    stack.  Returns the values at the increasing stops, each in [0, 1],
+    shape (len(stops), r, r, M), and the number of accepted steps.
     """
     shape = y.shape
-    ks = np.empty((13,) + shape, dtype=complex)
-    kf = ks.reshape(13, -1)
+    ks = np.empty((16,) + shape, dtype=complex)
+    kf = ks.reshape(16, -1)
     out = np.empty((len(stops),) + shape, dtype=complex)
+    marks = [float(s) for s in stops]
+    end, last = marks[-1], len(marks) - 1
     t, h, k, accepted = 0.0, 0.1, 0, 0
     yn = np.maximum(_member_fro(y), 1.0)
     np.einsum("ijm,jkm->ikm", coefficients(np.zeros(1))[0], y, out=ks[0])
     err_prev = 1.0
-    while k < len(stops):
-        clipped = h >= stops[k] - t
-        step = stops[k] - t if clipped else h
+    while k < len(marks):
+        clipped = h >= end - t
+        step = end - t if clipped else h
         cs = coefficients(t + _DOP_C[1:] * step)
         ha = step * _DOP_A
         for s in range(1, 13):
@@ -602,23 +670,35 @@ def _integrate_stack(coefficients, y, tol: float, stops) -> tuple[np.ndarray, in
         # NaN means a stage point hit a pole: reject and shrink
         err = np.inf if np.isnan(err) else max(err, 1e-16)
         if err <= 1.0:
+            t_new = end if clipped else t + step
+            inside = k
+            while inside < last and marks[inside] < t_new:
+                inside += 1
+            if inside > k:
+                # the dense output's three stages, then each stop's weights
+                # of the 16 stages: p(theta) @ _DOP_DENSE, times the step
+                cs = coefficients(t + _DOP_C_EXTRA * step)
+                ha = step * _DOP_A_EXTRA
+                for s in range(13, 16):
+                    yd = (ha[s - 13, :s] @ kf[:s]).reshape(shape)
+                    yd += y
+                    np.einsum("ijm,jkm->ikm", cs[s - 13], yd, out=ks[s])
+                theta = (np.array(marks[k:inside]) - t) / step
+                p = np.cumprod([theta, 1 - theta, theta, 1 - theta, theta, 1 - theta, theta], axis=0)
+                dense = (p.T @ (step * _DOP_DENSE)) @ kf
+                out[k:inside] = dense.reshape((inside - k,) + shape) + y
+                k = inside
             y = ys
             ks[0] = ks[12]  # FSAL
             yn = np.maximum(yn, y8n)
             accepted += 1
             factor = 0.9 * err ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0)
-            h_new = step * min(max(factor, 0.2), 5.0)
-            if clipped:
-                # a short landing step says little about the next one: keep
-                # the proposal and the controller's memory
-                t = stops[k]
+            h = step * min(max(factor, 0.2), 5.0)
+            err_prev = err
+            t = t_new
+            while k < len(marks) and marks[k] <= t:
                 out[k] = y
                 k += 1
-                h = max(h_new, h)
-            else:
-                t += step
-                h = h_new
-                err_prev = err
         else:
             h = step * min(max(0.9 * err ** (-1.0 / 8.0), 0.2), 5.0)
         if h < 1e-13:
@@ -769,62 +849,58 @@ class SeriesStack:
         coef = self.coefficients
         s, terms, r, _ = coef.shape
         u = np.tile(np.asarray(x, dtype=complex) / self.scale, s // len(self.scale))
-        return (_power_table(u, terms)[:, None] @ coef.reshape(s, terms, r * r)).reshape(s, r, r)
+        # rows of powers, contiguous: a strided operand changes how matmul
+        # sums, and the loop circles' last bits with it
+        table = np.ascontiguousarray(_power_table(u, terms).T)
+        return (table[:, None] @ coef.reshape(s, terms, r * r)).reshape(s, r, r)
 
     def values(self, s: int, rho, phi) -> np.ndarray:
-        """Y0 K of member s on the grid of nodes z = z_i + rho e^{i phi} (at
-        infinity z = rho e^{i phi}), rho (A,) by phi (B,), either of them a
-        scalar; the values have shape rho.shape + phi.shape + (r, r).
+        """Y0 K of member s at the nodes z = z_i + rho e^{i phi} (at infinity
+        z = rho e^{i phi}); rho and phi broadcast to the nodes' shape
+        (ValueError if they do not), and the values have that shape + (r, r).
 
         K is the member's own (coords), and so is its branch: the argument
         of z - z_i is taken as theta = a0 + mod(phi - a0, 2 pi), a0 its
         point's entry_angle, the branch a transport from the entry
-        counterclockwise along a circle and then radially reaches.  The sum
-        separates: u^m = (|x| / scale)^m e^{i m arg x} is a real (A, M) table
-        times a (B, M) one, so F is one product (B, M) @ (A, M, r r) per rho
-        row, and x^{-lam} is the outer product of |x|^{-lam} and
-        e^{-i lam arg x}.
+        counterclockwise along a circle and then radially reaches.  Each
+        node is summed on its own, so any set of nodes is one call: the
+        powers of u = x / scale as one (M, N) table, F of all N nodes one
+        product with the (M, r r) coefficients, and x^{-lam} as
+        exp(-lam log x) per node.  A node outside the member's radius raises
+        ValueError.
         """
         p = s % len(self.at)
-        rho, phi = np.asarray(rho, dtype=float), np.asarray(phi, dtype=float)
+        rho, phi = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(phi, dtype=float))
         a0 = self.entry_angle[p]
-        theta = a0 + np.mod(phi - a0, 2 * np.pi)
-        sign, log_mod = self._log_modulus(p, rho.ravel())
-        angle = sign * theta.ravel()  # arg x
+        theta = a0 + np.mod(phi.ravel() - a0, 2 * np.pi)
+        # log x = +-(log rho + i theta), x = z - z_i or 1/z
+        log_x = np.log(rho.ravel()) + 1j * theta
+        if self.at[p] is None:
+            log_x = -log_x
+        if np.any(np.exp(log_x.real) > self.radius[p] * (1 + 1e-12)):
+            raise ValueError(f"node outside the series radius {self.radius[p]:.6g}")
         coef, lam = self.coefficients[s], self.exponents[s]
         terms, r, _ = coef.shape
-        # F diag(|x|^{-lam}) on each rho row: the radial powers and factor
-        # enter the coefficients, the angular powers the one product
-        radial = _power_table(np.exp(log_mod) / self.scale[p], terms)
-        table = radial[:, :, None, None] * coef * np.exp(-log_mod[:, None] * lam)[:, None, None, :]
-        frame = _power_table(np.exp(1j * angle), terms) @ table.reshape(len(table), terms, r * r)
-        frame = frame.reshape(len(table), len(angle), r, r)
-        frame *= np.exp(-1j * angle[:, None] * lam)[:, None, :]
-        # Y0 K = F diag(x^{-lam}) coords: one product, and each row of coords
-        # only scaled, so none is swamped by a larger one
-        return (frame.reshape(-1, r) @ self.coords[s]).reshape(rho.shape + phi.shape + (r, r))
-
-    def _log_modulus(self, p: int, rho: np.ndarray):
-        """The sign of log x = +-(log rho + i theta) at point p (x = z - z_i
-        or 1/z) and log |x| at the radii rho; ValueError outside its radius."""
-        sign = -1.0 if self.at[p] is None else 1.0
-        log_mod = sign * np.log(rho)
-        if np.any(np.exp(log_mod) > self.radius[p] * (1 + 1e-12)):
-            raise ValueError(f"node outside the series radius {self.radius[p]:.6g}")
-        return sign, log_mod
+        powers = _power_table(np.exp(log_x) / self.scale[p], terms)
+        frame = (powers.T @ coef.reshape(terms, r * r)).reshape(-1, r, r)
+        frame *= np.exp(-log_x[:, None] * lam)[:, None, :]
+        # Y0 K = F diag(x^{-lam}) coords: one 2-D product over all nodes (a
+        # stacked (N, r, r) matmul is many times slower), and each row of
+        # coords only scaled, so none is swamped by a larger one
+        return (frame.reshape(-1, r) @ self.coords[s]).reshape(rho.shape + (r, r))
 
 
 def _power_table(u: np.ndarray, terms: int) -> np.ndarray:
-    """The powers u^m, m < terms, of a real or complex u (N,), (N, terms):
-    by doubling, columns m.. are columns 0.. times u^m, so the table takes
-    about log2(terms) products (np.cumprod is slower on complex)."""
-    powers = np.empty((len(u), terms), dtype=u.dtype)
-    powers[:, 0] = 1.0
-    powers[:, 1] = u
+    """The powers u^m, m < terms, of u (N,), as a (terms, N) table:
+    by doubling, rows m.. are rows 0.. times u^m, so the table takes about
+    log2(terms) products (np.cumprod is slower on complex)."""
+    powers = np.empty((terms, len(u)), dtype=u.dtype)
+    powers[0] = 1.0
+    powers[1] = u
     m = 2
     while m < terms:
         c = min(m, terms - m)
-        np.multiply(powers[:, :c], (powers[:, m - 1] * u)[:, None], out=powers[:, m : m + c])
+        np.multiply(powers[:c], powers[m - 1] * u, out=powers[m : m + c])
         m += c
     return powers
 

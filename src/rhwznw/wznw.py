@@ -54,10 +54,12 @@ every inward node of a patch and the whole outer region, so the web
 builds no series and transports no ring entry; only the outward rays,
 from the ring to the Voronoi or outer boundary, are transported: the rays
 of all patches as the members of one adaptive fan call
-(fuchs.transport_fan), with a stop at every Gauss-Legendre node.  The
-inward nodes of a patch and the outer region are rho x phi grids, each
-one separable series evaluation (fuchs.SeriesStack.values), and A at all
-nodes of a region is one product.  A patch takes it from the nodes' offsets
+(fuchs.transport_fan), with a stop at every Gauss-Legendre node, read
+off the kernel's dense output, so the stops cost no steps.  The inward
+nodes of a patch and the outer region lie on circles, each circle at its
+own angle count; all nodes of a region are one pointwise series
+evaluation (fuchs.SeriesStack.values), and A at all nodes of a region is
+one product.  A patch takes it from the nodes' offsets
 x = z - z_i, A_i / x + sum_{j != i} A_j / (x + z_i - z_j), which keep their
 digits however close to z_i; the outer region uses FuchsianSystem.A_of.
 
@@ -318,20 +320,21 @@ def _series_grid(fld: MetricField, at: int | None, radial):
     modes decaying like q^|m| (q <= 1/2 on and inside the ring, and on and
     beyond the outer circle |z| = |z0|), so N angles
     err only by the aliased modes, of size q^N, and no circle takes more
-    than 64.  The circles of one count are one separable series evaluation.
+    than 64.  The nodes of all circles, each circle at its own count, are
+    one pointwise series evaluation.
     """
     s, w_s = radial
     rho = np.exp(s)
     counts = _angle_counts(fld.series, at, rho)
-    parts = []
-    for n in np.unique(counts):
-        rows = counts == n
-        phis = 2 * np.pi * (np.arange(n) + 0.5) / n
-        x = rho[rows, None] * np.exp(1j * phis)[None, :]
-        wt = np.broadcast_to((w_s[rows] * np.exp(2 * s[rows]))[:, None] * (2 * np.pi / n), x.shape)
-        y = fld.series.values(-1 if at is None else at, rho[rows], phis)
-        parts.append((x.ravel(), np.repeat(rho[rows], n), wt.ravel(), y.reshape(-1, *y.shape[2:])))
-    return tuple(map(np.concatenate, zip(*parts)))
+    circle = np.repeat(np.arange(len(rho)), counts)
+    # each node's position on its circle, and its circle's angle count
+    k = np.arange(len(circle)) - np.repeat(np.cumsum(counts) - counts, counts)
+    n = counts[circle]
+    phis = 2 * np.pi * (k + 0.5) / n
+    x = rho[circle] * np.exp(1j * phis)
+    wt = (w_s * np.exp(2 * s) * (2 * np.pi / counts))[circle]
+    y = fld.series.values(-1 if at is None else at, rho[circle], phis)
+    return x, rho[circle], wt, y
 
 
 def _region_A(system: fuchs.FuchsianSystem, at: int | None, x: np.ndarray) -> np.ndarray:

@@ -639,8 +639,9 @@ def test_transport_global_error_into_punctures(rank2_oracle_system, rank2_weight
 def test_fixture_transports_match_reference_in_few_steps(rank2_oracle_system, rank2_target,
                                                          monkeypatch):
     # the normalization's approach leg and the action's outward-ray fan on
-    # the fixture: few steps (one per Gauss-Legendre stop on the rays) and
-    # the fan within 1e-11 of the reference at every stop
+    # the fixture: few steps (the rays' Gauss-Legendre stops cost none: the
+    # fan takes the steps of the same fan run to t = 1 without them) and the
+    # fan within 1e-11 of the reference at every stop
     from rhwznw import wznw
 
     calls = []
@@ -656,7 +657,8 @@ def test_fixture_transports_match_reference_in_few_steps(rank2_oracle_system, ra
     (leg_args, leg), (ray_args, rays) = calls
     assert isinstance(leg_args[2], paths.SegmentFan) and leg.step_count <= 15
     points, residues, fan, starts, stops = ray_args[:5]
-    assert isinstance(fan, paths.RayFan) and rays.step_count <= len(stops) == 16
+    assert isinstance(fan, paths.RayFan) and len(stops) == 16
+    assert rays.step_count == fan_call(points, residues, fan, starts, (1.0,)).step_count
     ref = _ivp_reference(points, residues, fan, starts, stops)
     rel = np.linalg.norm(rays.values - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
     assert rel.max() <= 1e-11
@@ -759,13 +761,18 @@ def _ray_fan_centers(rng, count):
                         np.log(rng.uniform(1e-3, 0.1, count)))
 
 
-def _member(fan, b):
-    """Member b of a fan as a plain segment: the same path, parametrized anew."""
+def _member(fan, b, t=1.0):
+    """Member b of a fan from its start to time t (an Arc of a SegmentFan
+    or a ray) as a plain segment: the same path, parametrized anew."""
     if isinstance(fan, paths.SegmentFan):
-        return fan.segments[b]
+        seg = fan.segments[b]
+        if t == 1.0:
+            return seg
+        return paths.Arc(seg.center, seg.radius, seg.angle0, seg.angle0 + t * (seg.angle1 - seg.angle0))
     c, phi, s0, s1 = np.broadcast_arrays(fan.center, fan.phis, fan.s0, fan.s1)
     c, phi, s0, s1 = complex(c[b]), float(phi[b].real), float(s0[b].real), float(s1[b].real)
-    return paths.Line(c + np.exp(s0 + 1j * phi), c + np.exp(s1 + 1j * phi))
+    end = s1 if t == 1.0 else s0 + t * (s1 - s0)
+    return paths.Line(c + np.exp(s0 + 1j * phi), c + np.exp(end + 1j * phi))
 
 
 def _solo(system, segment, tol, start):
@@ -788,20 +795,20 @@ def test_transport_fan_matches_members(make_fan):
         assert numcore.fro(out.values[0, b] - solo) <= 2 * tol * numcore.fro(solo)
 
 
-def test_transport_fan_stops_match_truncated_transports():
+@pytest.mark.parametrize("make_fan", [_arc_fan, _ray_fan])
+def test_transport_fan_stops_match_truncated_transports(make_fan):
+    # the stops inside a step are read off the dense output: each agrees
+    # with a transport that ends there
     system = _n4_rank3_system(31)
     rng = np.random.default_rng(32)
-    fan = _arc_fan(rng, 3)
+    fan = make_fan(rng, 3)
     stops = np.sort(rng.uniform(0.0, 1.0, 40))
     tol = 1e-10
     out = fuchs.transport_fan(system.points, system.residues, fan, np.eye(3), stops, tol)
     assert out.values.shape == (40, 3, 3, 3)
     for b in range(3):
-        arc = _member(fan, b)
         for k, t in enumerate(stops):
-            part = paths.Arc(arc.center, arc.radius, arc.angle0,
-                             arc.angle0 + t * (arc.angle1 - arc.angle0))
-            solo = _solo(system, part, tol / 100, np.eye(3))
+            solo = _solo(system, _member(fan, b, t), tol / 100, np.eye(3))
             assert numcore.fro(out.values[k, b] - solo) <= 2 * tol * numcore.fro(solo)
 
 
@@ -827,14 +834,16 @@ def test_transport_fan_residue_stack_matches_single_systems():
 
 @pytest.mark.parametrize("make_fan", [_arc_fan, _ray_fan])
 def test_transport_fan_stops_keep_step_size(make_fan):
-    # a step clipped to land on a stop must not shrink the steps after it
+    # stops are free: only the last is landed on, so a fan with 40 stops
+    # takes the steps of the same fan without them, bit for bit
     system = _n4_rank3_system(41)
     fan = make_fan(np.random.default_rng(42), 8)
     stops = np.sort(np.random.default_rng(43).uniform(0.0, 1.0, 40))
     stops[-1] = 1.0
     free = fuchs.transport_fan(system.points, system.residues, fan, np.eye(3))
     stopped = fuchs.transport_fan(system.points, system.residues, fan, np.eye(3), stops)
-    assert stopped.step_count <= free.step_count + 40 + 5
+    assert stopped.step_count == free.step_count
+    assert np.array_equal(stopped.values[-1], free.values[-1])
 
 
 @pytest.mark.parametrize("stops", [[0.5, 0.2], [-0.1, 0.5], [0.5, 1.5]])
@@ -1062,7 +1071,7 @@ def test_local_series_matches_fan_property(seed):
         rays = paths.RayFan(center, theta, np.log(ring), s_far)
         ray_ref = fuchs.transport_fan(pts, res, rays, ring_ref, stops, tol / 100).values
         rhos = np.exp(np.log(ring) + stops * (s_far - np.log(ring)))
-        got = series.values(0, np.concatenate([[ring], rhos]), phi)
+        got = series.values(0, np.concatenate([[ring], rhos])[:, None], phi[None, :])
         refs = np.concatenate([ring_ref[None], ray_ref])
         for k in range(len(refs)):
             for b in range(6):
@@ -1101,9 +1110,10 @@ def test_local_series_limits():
 
 @pytest.mark.parametrize("at", [1, None], ids=["puncture", "infinity"])
 def test_local_series_grid_values_match_horner(at):
-    # Y0 K on a random rho x theta grid from the separable sum against
-    # Horner on the coefficients, with x^{-L} from one complex exp per node,
-    # at every node, for a puncture member and for the infinity member
+    # Y0 K on a random rho x theta grid (broadcast nodes) from the power
+    # table against Horner on the coefficients, with x^{-L} from one complex
+    # exp per node, at every node, for a puncture member and for the
+    # infinity member
     system = _n4_rank3_system(41)
     radius = 0.5 if at is not None else 0.3
     series = fuchs.series_stack(system.points, system.residues[None], [at], [radius], 1e-10)
@@ -1113,7 +1123,7 @@ def test_local_series_grid_values_match_horner(at):
         rho = 1.0 / rho
     theta = rng.uniform(-4 * np.pi, 4 * np.pi, 23)
     coords = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-    got = dataclasses.replace(series, coords=coords[None]).values(0, rho, theta)
+    got = dataclasses.replace(series, coords=coords[None]).values(0, rho[:, None], theta[None, :])
     assert got.shape == (37, 23, 3, 3)
     # series_stack's principal branch: arg(z - z_i) in [-pi, pi)
     branch = -np.pi + np.mod(theta + np.pi, 2 * np.pi)
@@ -1128,6 +1138,28 @@ def test_local_series_grid_values_match_horner(at):
     want = (frame * np.exp(-log_x[..., None] * series.exponents[0])[..., None, :]) @ coords
     err = np.linalg.norm(got - want, axis=(-2, -1))
     assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))
+
+
+def test_local_series_values_are_pointwise():
+    # values takes rho and phi that broadcast to the nodes' shape: (N,)
+    # arrays are the diagonal of the grid they span, a scalar pair gives one
+    # (r, r) value, and shapes that do not broadcast raise; agreement is to
+    # rounding, as BLAS may sum a product of another size in another order
+    system = _n4_rank3_system(41)
+    series = fuchs.series_stack(system.points, system.residues[None], [1], [0.5], 1e-10)
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(1e-3, 0.5, 29)
+    phi = rng.uniform(-4 * np.pi, 4 * np.pi, 29)
+    nodes = series.values(0, rho, phi)
+    grid = series.values(0, rho[:, None], phi[None, :])
+    assert nodes.shape == (29, 3, 3) and grid.shape == (29, 29, 3, 3)
+    scale = np.linalg.norm(nodes, axis=(-2, -1))
+    diagonal = grid[np.arange(29), np.arange(29)]
+    assert np.all(np.linalg.norm(nodes - diagonal, axis=(-2, -1)) <= 1e-15 * scale)
+    single = series.values(0, rho[3], phi[3])
+    assert single.shape == (3, 3) and numcore.fro(single - nodes[3]) <= 1e-15 * scale[3]
+    with pytest.raises(ValueError):
+        series.values(0, rho, phi[:5])
 
 
 def _n4_rank2_weights():

@@ -849,6 +849,31 @@ def test_series_angle_counts_keep_the_totals(problems, monkeypatch):
             assert abs(total - want) <= 1e-12
 
 
+@pytest.mark.parametrize("at", [0, None], ids=["patch", "outer"])
+def test_series_grid_matches_per_circle_values(rank2_oracle_system, rank2_target, at):
+    # the one pointwise call over every circle of a region, each circle at
+    # its own angle count, matches the circles evaluated one at a time
+    fld = wznw.make_metric_field(rank2_oracle_system, rank2_target)
+    deltas = list(wznw.DELTA_SCHEDULE)
+    if at is None:
+        radial = wznw._log_panels(abs(fld.basepoint), 1 / min(deltas), [1 / d for d in deltas])
+    else:
+        radial = wznw._log_panels(min(deltas), float(fld.series.radius[at]), deltas)
+    x, rho, wt, y = wznw._series_grid(fld, at, radial)
+    radii = np.exp(radial[0])
+    counts = wznw._angle_counts(fld.series, at, radii)
+    assert len(np.unique(counts)) > 1 and len(x) == len(y) == counts.sum()
+    for c, n in enumerate(counts):
+        part = slice(counts[:c].sum(), counts[: c + 1].sum())
+        phis = 2 * np.pi * (np.arange(n) + 0.5) / n
+        want = fld.series.values(-1 if at is None else at, radii[c], phis)
+        err = np.linalg.norm(y[part] - want, axis=(-2, -1))
+        assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))
+        assert np.array_equal(x[part], radii[c] * np.exp(1j * phis))
+        assert np.all(rho[part] == radii[c])
+        assert np.isclose(wt[part].sum(), 2 * np.pi * radial[1][c] * radii[c] ** 2, rtol=1e-14)
+
+
 def test_no_series_grid_circle_takes_more_than_64_angles(monkeypatch):
     # the series' convergence ratio q is at most 1/2 on every series-grid
     # circle, the ring and the annulus at the ring's largest delta included,
