@@ -17,17 +17,17 @@ Orientation conventions (documented once, used everywhere):
   through the basepoint (no inversion: seen from infinity that circle is
   already the inverted loop).
 
-One loop set (:class:`MonodromyLoops`: the puncture loops and the big
-circle, clearance-checked once) serves every monodromy evaluation.  Each
-puncture loop is an approach leg P_i from the basepoint, a full circle and
-the approach run back.  The circles of all loops and all systems of a stack
-are not marched: each is F exp(-+2 pi i Lambda) F^{-1} from the local
-series at its entry (below), all from one stacked recursion; the approach
-legs of all systems run as one fan per segment round, padded at the front
-with zero-length segments to the longest leg; the return leg is never
-integrated, since its transport is P_i^{-1}, and the raw loop transport is
-assembled as P_i^{-1} C_i P_i from the circle's transport C_i.
-:func:`monodromy_rep` is the loop set with one member.
+One loop set per weight system (WeightSystem.loops, a
+:class:`MonodromyLoops` built and clearance-checked on first access) serves
+every monodromy evaluation of its systems: the solver's residuals, the
+normalization at infinity and :func:`monodromy_rep`, which is the loop set
+with one member.  Each puncture loop is an approach leg P_i from the
+basepoint, a full circle and the approach run back.  The circles of all
+loops and all systems of a stack are not marched: each is
+F exp(-+2 pi i Lambda) F^{-1} from the local series at its entry (below),
+all from one stacked recursion; the approach legs of all systems run as
+one fan per segment round; the return leg is never integrated, since its
+transport is P_i^{-1} (MonodromyLoops).
 One gauge alignment (:func:`align_tuple_to_target`) brings computed tuples,
 one (n, r, r) or a stack (B, n, r, r), to a normalized target, each step on
 the whole stack: conjugate by the ordered eigenbasis of the last generator
@@ -72,9 +72,9 @@ points, each order from running partial sums at the same cost, the
 hardest member setting the term count as it sets the shared step of the
 kernel, and one series type, :class:`SeriesStack`, which sums any set of
 nodes pointwise in one call: one power table of all nodes and one product
-with the coefficients.  A SeriesStack carries the
-solution it describes: each member's coordinates and the entry angle where
-its branch starts.  The loop set takes every circle from one stacked call,
+with the coefficients.  A SeriesStack carries the solution it describes:
+each member's coordinates and the entry angle where its branch starts.
+The loop set takes every circle from one stacked call,
 reading the frames at the loop entries once, and the stack it hands to the
 normalization at infinity describes the solution that is I at the
 basepoint: the coordinates are the inverse frame at the entry, times the
@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -132,7 +133,8 @@ class WeightSystem:
 
     points holds the n-1 finite punctures; the n-th is infinity.  weights
     has one strictly increasing row in (0,1) per puncture, the last row
-    belonging to infinity.
+    belonging to infinity.  loops is the one loop set (MonodromyLoops) that
+    every monodromy evaluation of these weights reads, built on first access.
     """
 
     points: np.ndarray
@@ -162,6 +164,10 @@ class WeightSystem:
 
     def default_basepoint(self) -> complex:
         return 2j * max(1.0, float(np.max(np.abs(self.points))))
+
+    @cached_property
+    def loops(self) -> MonodromyLoops:
+        return MonodromyLoops(self)
 
     def counterterm_coefficients(self) -> tuple[float, float]:
         """(K1, K2) = (sum of squared finite weights, squared infinity exponents)."""
@@ -729,16 +735,18 @@ def transport_fan(
     (S, L, r, r) for a stack.  All S*L members share the step sequence and
     the values are recorded at the increasing stop times in [0, 1]: values
     has shape (len(stops), L, r, r) for one system and
-    (len(stops), S, L, r, r) for a stack.  The kernel (_integrate_stack)
-    runs them as one members-last stack (r, r, S*L); the values are a view
-    of it in these shapes.  fan.point_and_velocity(t) is read as (T, L), so
+    (len(stops), S, L, r, r) for a stack; no stops, or a non-finite one,
+    raise ValueError.  The kernel (_integrate_stack) runs them as one
+    members-last stack (r, r, S*L); the values are a view of it in these
+    shapes.  fan.point_and_velocity(t) is read as (T, L), so
     the coefficients of all members at all stage points are one product
     (r*r*S, n-1) @ (T, n-1, L) -> (T, r, r, S*L) with the negated residues.
     No proximity check is made.
     """
     _check_tol(tol)
     stops = np.asarray(stops, dtype=float)
-    if stops.ndim != 1 or np.any(np.diff(stops, prepend=0.0, append=1.0) < 0):
+    # NaN fails every comparison, so ">= 0" refuses it where "< 0" would not
+    if stops.ndim != 1 or not stops.size or not np.all(np.diff(stops, prepend=0.0, append=1.0) >= 0):
         raise ValueError("stops must be increasing times in [0, 1]")
     res = np.asarray(residues, dtype=complex)
     single = res.ndim == 3
@@ -821,27 +829,26 @@ class SeriesStack:
     Member s = b P + p is system b at the point at[p]: a puncture index, or
     None for infinity, with the local coordinate x = z - z_i at the puncture
     z_i and x = 1/z at infinity.  Its Frobenius solution is
-    Y0(x) = G(x) x^{-L}, L = basis diag(exponents) basis^{-1} the residue
-    there, and every solution near the point is Y0 K for a constant K.  The
-    frame F = G basis = sum_m coefficients[s, m] (x / scale[p])^m converges
-    for |x| < scale[p], the distance to the nearest other singular point;
-    tail bounds the truncation error of G for |x| <= radius[p].
+    Y0(x) = G(x) x^{-L}, L = V diag(exponents) V^{-1} the residue there,
+    and every solution near the point is Y0 K for a constant K.  The frame
+    F = G V = sum_m coefficients[s, m] (x / scale[p])^m (order 0: V, as
+    G(0) = I) converges for |x| < scale[p], the distance to the nearest
+    other singular point; tail bounds G's truncation error for |x| <= radius[p].
 
     The stack carries the solution it describes: member s is Y0 K with
-    coordinates coords[s] = basis^{-1} K, on the branch of x^{-L} that
-    starts at the argument entry_angle[p] of z - z_p (of z at infinity) and
-    runs counterclockwise once round the point.  series_stack describes Y0
-    itself on the principal branch: coords = basis^{-1}, entry_angle = -pi.
+    coordinates coords[s] = V^{-1} K, on the branch of x^{-L} that starts
+    at the argument entry_angle[p] of z - z_p (of z at infinity) and runs
+    counterclockwise once round the point.  series_stack describes Y0
+    itself on the principal branch: coords = V^{-1}, entry_angle = -pi.
     """
 
     at: tuple                 # (P,) puncture indices, None for infinity
     scale: np.ndarray         # (P,)
     radius: np.ndarray        # (P,)
     exponents: np.ndarray     # (S, r)
-    basis: np.ndarray         # (S, r, r)
-    coefficients: np.ndarray  # (S, M + 1, r, r): basis g_m, g_0 = I
+    coefficients: np.ndarray  # (S, M + 1, r, r): V g_m, g_0 = I
     tail: np.ndarray          # (S,)
-    coords: np.ndarray        # (S, r, r): basis^{-1} K
+    coords: np.ndarray        # (S, r, r): V^{-1} K
     entry_angle: np.ndarray   # (P,)
 
     def frame(self, x) -> np.ndarray:
@@ -1028,7 +1035,6 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
         scale=scale,
         radius=radius,
         exponents=lam,
-        basis=basis,
         coefficients=np.ascontiguousarray(np.moveaxis(frame, -1, 0)),
         tail=tail,
         coords=basis_inv,
@@ -1066,7 +1072,7 @@ def _approach_leg(weights: WeightSystem, i: int, basepoint: complex):
 
 
 class MonodromyLoops:
-    """The monodromy loops of a weight system, built once and checked once.
+    """The monodromy loops of a weight system, built and checked once, by WeightSystem.loops.
 
     Loop i < n-1 runs from the basepoint z0 =
     WeightSystem.default_basepoint() = 2i max(1, max |z_j|) along its
@@ -1126,7 +1132,8 @@ class MonodromyLoops:
         diag(x^lam) F(x)^{-1} and the entry's angle.  One series_stack call,
         then F exp(-+2 pi i Lambda) F^{-1} (class docstring).  C^{-1} takes
         the opposite phase, so no matrix but F is inverted, and the power is
-        a row scaling of that inverse."""
+        a row scaling of that inverse, never a dense inverse of x^{-L}: rows
+        it spreads over many orders of magnitude keep their digits."""
         res = np.asarray(residues, dtype=complex)
         b, n, r = len(res), self.weights.n, self.weights.rank
         series = series_stack(self.weights.points, res, self.at, self.radii, tol)
@@ -1180,15 +1187,14 @@ class MonodromyResult:
 def monodromy_rep(system: FuchsianSystem, tol: float = TRANSPORT_TOL) -> MonodromyResult:
     """Representation generators of the system's monodromy.
 
-    The loops of :class:`MonodromyLoops` with one member.  The relation
+    The weights' loop set (WeightSystem.loops) with one member.  The relation
     residual multiplies the generators with the finite punctures taken in
     order of increasing real part.  It is a genuine check: the big circle
     comes from the series at infinity, which depends neither on the
     approach legs nor on the puncture series.
     """
     ws = system.weights
-    loops = MonodromyLoops(ws)
-    raw, gens, _ = loops.monodromy(system.residues[None], tol)
+    raw, gens, _ = ws.loops.monodromy(system.residues[None], tol)
     transports, gens = raw[0], gens[0]
 
     order = np.lexsort((ws.points.imag, ws.points.real))
@@ -1201,7 +1207,7 @@ def monodromy_rep(system: FuchsianSystem, tol: float = TRANSPORT_TOL) -> Monodro
         generators=list(gens),
         loop_transports=list(transports),
         relation_residual=float(residual),
-        basepoint=loops.z0,
+        basepoint=ws.loops.z0,
         order=order,
     )
 

@@ -12,19 +12,21 @@ tuple entrywise and adds a penalty, weighted by INFINITY_WEIGHT, on the
 spectrum of the residue at infinity, which pins the splitting type.
 Residuals are evaluated for stacks of chart points: the central-difference Jacobian of
 one LM iteration is a single stack of 2 dim points, mapped to residues by
-one batched numcore.expm, taken through the loop set (every loop circle in closed
-form from one stacked local-series recursion, one kernel call per
-approach leg), and gauge-aligned in one call.
+one batched numcore.expm, taken through the weights' loop set (every loop
+circle in closed form from one stacked local-series recursion, one kernel
+call per approach leg), and gauge-aligned in one call.
 
-The monodromy loops and the gauge alignment live in fuchs (MonodromyLoops,
-align_tuple_to_target).  A restart's final residual is the squared norm of
-the generator block of its last LM residual: nothing is transported again.
+The loops and the gauge alignment live in fuchs (WeightSystem.loops,
+align_tuple_to_target); nothing here builds or passes a loop set.  A
+restart's final residual is the squared norm of the generator block of
+its last LM residual: nothing is transported again.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -110,19 +112,16 @@ def parametrization_from_system(system: fuchs.FuchsianSystem) -> ResidueParametr
 
 
 def residual_stack(
-    parm: ResidueParametrization,
-    xs: np.ndarray,
-    target: fuchs.AdmissibleRep,
-    problem: fuchs.MonodromyLoops,
+    parm: ResidueParametrization, xs: np.ndarray, target: fuchs.AdmissibleRep
 ) -> np.ndarray:
     """Residual vectors (B, m) of a (B, dim) stack of chart points.
 
-    Residues of the whole stack, its generators (the loop set problem's
-    monodromy at LM_TRANSPORT_TOL) and their gauge alignment each come from
-    one call; then the infinity spectrum.
+    Residues of the whole stack, its generators (the monodromy of the
+    chart's loop set, parm.weights.loops, at LM_TRANSPORT_TOL) and their
+    gauge alignment each come from one call; then the infinity spectrum.
     """
     residues = parm.residues(xs)
-    _, gens, _ = problem.monodromy(residues, LM_TRANSPORT_TOL)
+    _, gens, _ = parm.weights.loops.monodromy(residues, LM_TRANSPORT_TOL)
     aligned = align_tuple_to_target(gens, target).generators
     diff = aligned - np.asarray(target.generators)
     # per generator: real parts, then imaginary parts
@@ -137,14 +136,10 @@ def residual_stack(
 
 
 def residual_vector(
-    parm: ResidueParametrization,
-    x: np.ndarray,
-    target: fuchs.AdmissibleRep,
-    problem: fuchs.MonodromyLoops,
+    parm: ResidueParametrization, x: np.ndarray, target: fuchs.AdmissibleRep
 ) -> np.ndarray:
     """Concatenated gauge-aligned monodromy and infinity-spectrum residuals."""
-    xs = np.asarray(x, dtype=float)[None, :]
-    return residual_stack(parm, xs, target, problem)[0]
+    return residual_stack(parm, np.asarray(x, dtype=float)[None, :], target)[0]
 
 
 def central_jacobian(func_stack, x: np.ndarray) -> np.ndarray:
@@ -262,7 +257,8 @@ def solve(
 
     Levenberg-Marquardt from deterministic multi-starts: restart 0 starts
     from the chart of init when one is given; otherwise, and on every later
-    restart, the chart basepoints are drawn from the restart's seed.
+    restart, the chart basepoints are drawn from the restart's seed.  An
+    init of other points or weight rows than weights raises ValueError.
     Success means the gauge distance between the solution's monodromy and
     the target (the norm of the generator block of the last LM residual)
     is at most opts.tol; the report's final_residual is its square.  The
@@ -274,7 +270,12 @@ def solve(
     if not target.is_irreducible():
         raise ReducibleTargetError("target representation is reducible")
     n, r = weights.n, weights.rank
-    problem = fuchs.MonodromyLoops(weights)
+    if init is not None:
+        if not (np.array_equal(init.points, weights.points)
+                and np.array_equal(init.weights.weights, weights.weights)):
+            raise ValueError("init has other points or weights than the system solved for")
+        # its chart then reads the loop set of weights, as every restart's does
+        init = fuchs.FuchsianSystem(weights, init.residues)
 
     best = None
     rng_master = np.random.default_rng(opts.seed)
@@ -291,12 +292,8 @@ def solve(
                 ks.append(k)
             parm = ResidueParametrization(weights, expm(np.array(ks)))
 
-        def func(x):
-            return residual_vector(parm, x, target, problem=problem)
-
-        def func_stack(xs):
-            return residual_stack(parm, xs, target, problem=problem)
-
+        func = partial(residual_vector, parm, target=target)
+        func_stack = partial(residual_stack, parm, target=target)
         x0 = np.zeros(parm.dim)
         if parm.dim == 0:
             f = func(x0)
@@ -373,22 +370,21 @@ def normalize_at_infinity(
 ) -> NormalizationResult:
     """Read the constant term at infinity from the local series and
     renormalize to the canonical fundamental solution, at
-    fuchs.TRANSPORT_TOL, on the loop set of the system's weights.
+    fuchs.TRANSPORT_TOL, on the weights' loop set (WeightSystem.loops).
 
     The right conjugator W aligns the monodromy with the target unitary
     tuple (the aligned generators W^{-1} M_i W are kept).  Y W = Y0 K on
     every region of the loops' SeriesStack, Y0 = F(x) x^{-L} the member's
-    series, and the coordinates basis^{-1} K of all members are the loop
-    set's coordinates of Y times W (MonodromyLoops.monodromy), one product
-    inside the one replace that also moves the series to the canonical
-    gauge.  The loop set applies the power x^lam as a row scaling, never a
-    dense inverse, so components that x^{-L} spreads over many orders of
-    magnitude keep their digits.  At infinity column b of Y W z^{-(N'+W_n)} tends to the constant term
-    basis[:, pi(b)] C[pi(b), b], C = basis^{-1} K and pi matching the
-    series' exponents to N' + W_n.  When G is invertible
-    (cond(G) <= 1e10) the solution is left-normalized so the constant term
-    becomes Pi0, whatever the splitting: the gauge A_i -> g A_i g^{-1}
-    sends G to g G, so this pins it.
+    series (F's order-0 coefficient V the eigenbasis of L), and the
+    coordinates V^{-1} K of all members are the loop set's coordinates of
+    Y times W (MonodromyLoops.monodromy), one product inside the one
+    replace that also moves the series to the canonical gauge.  At
+    infinity column b of Y W z^{-(N'+W_n)} tends to the constant term
+    V[:, pi(b)] C[pi(b), b], C = V^{-1} K and pi matching the series'
+    exponents to N' + W_n.  When G is invertible (cond(G) <= 1e10) the
+    solution is left-normalized so the constant term becomes Pi0, whatever
+    the splitting: the gauge A_i -> g A_i g^{-1} sends G to g G, so this
+    pins it.
 
     The regular locus asks for G in the coset P_N Pi0 N(r).  For a scalar
     splitting P_N is all of GL(r), so the coset is GL(r) and large_cell_flag
@@ -404,15 +400,14 @@ def normalize_at_infinity(
     if ws.rank > 1 and np.min(off[mask]) < 1e-6:
         raise ResonanceError("infinity exponents have (near) integer differences")
 
-    loops = fuchs.MonodromyLoops(ws)
-    _, gens, series = loops.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
+    _, gens, series = ws.loops.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
     aligned = align_tuple_to_target(gens[0], target)
     W = aligned.conjugator
     coords = series.coords @ W
     inf = ws.n - 1  # the big circle's member: at infinity, radius 1/|z0|
     C = coords[inf]
     perm, _ = fuchs._match_to_targets(series.exponents[inf], ws.infinity_exponents)
-    G = series.basis[inf][:, perm] * np.diagonal(C[perm])
+    G = series.coefficients[inf, 0][:, perm] * np.diagonal(C[perm])
     disagreement = system.infinity_spectrum_residual()
     if disagreement > DISAGREEMENT_WARNING:
         warnings.warn(
@@ -430,11 +425,10 @@ def normalize_at_infinity(
         constant_term=G,
         large_cell_flag=flag,
         canonical_system=system.conjugated(left),
-        basepoint=loops.z0,
+        basepoint=ws.loops.z0,
         basepoint_value=left @ W,
         extrapolation_disagreement=float(disagreement),
         right_conjugator=W,
         aligned_generators=aligned.generators,
-        series=replace(series, basis=left @ series.basis, coefficients=left @ series.coefficients,
-                       coords=coords),
+        series=replace(series, coefficients=left @ series.coefficients, coords=coords),
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import path_log_increment, puncture_loop
 from rhwznw import fuchs, moduli, numcore, paths, rhsolve
@@ -846,7 +846,7 @@ def test_transport_fan_stops_keep_step_size(make_fan):
     assert np.array_equal(stopped.values[-1], free.values[-1])
 
 
-@pytest.mark.parametrize("stops", [[0.5, 0.2], [-0.1, 0.5], [0.5, 1.5]])
+@pytest.mark.parametrize("stops", [[0.5, 0.2], [-0.1, 0.5], [0.5, 1.5], [], [np.nan], [0.5, np.nan]])
 def test_transport_fan_rejects_bad_stops(stops):
     system = _n4_rank3_system(41)
     fan = _arc_fan(np.random.default_rng(42), 2)
@@ -1034,12 +1034,15 @@ def test_transports_reject_non_positive_tol(tol):
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+# at this draw the series read 5.8 tol off a tol / 100 reference, 1.93 tol off tol / 1e4
+@example(34764)
 def test_local_series_matches_fan_property(seed):
     # at every puncture and at infinity the series, matched to the value at
-    # a ring entry, agrees with tol / 100 fan transports from that entry:
+    # a ring entry, agrees with tol / 1e4 fan transports from that entry:
     # counterclockwise along the ring, then along rays into the puncture (at
     # infinity: out to 20 ring radii), with the branch of the power
-    # following the sweep
+    # following the sweep; the reference's own error stays well below the
+    # 2 tol gate
     rng = np.random.default_rng(seed)
     system = _admissible_n4_rank3(rng)
     pts, res = system.points, system.residues
@@ -1066,10 +1069,10 @@ def test_local_series_matches_fan_property(seed):
         phi = rng.uniform(0.0, 2 * np.pi, 6)
         theta = a0 + np.mod(phi - a0, 2 * np.pi)
         arcs = paths.SegmentFan([paths.Arc(complex(center), ring, a0, a1) for a1 in theta])
-        ring_ref = fuchs.transport_fan(pts, res, arcs, entry_value, tol=tol / 100).values[-1]
+        ring_ref = fuchs.transport_fan(pts, res, arcs, entry_value, tol=tol / 1e4).values[-1]
         stops = np.array([0.2, 0.6, 1.0])
         rays = paths.RayFan(center, theta, np.log(ring), s_far)
-        ray_ref = fuchs.transport_fan(pts, res, rays, ring_ref, stops, tol / 100).values
+        ray_ref = fuchs.transport_fan(pts, res, rays, ring_ref, stops, tol / 1e4).values
         rhos = np.exp(np.log(ring) + stops * (s_far - np.log(ring)))
         got = series.values(0, np.concatenate([[ring], rhos])[:, None], phi[None, :])
         refs = np.concatenate([ring_ref[None], ray_ref])
@@ -1224,9 +1227,9 @@ def test_series_stack_members_match_local_series():
                 assert alone.tail[0] <= tol / 100
                 u = x[p] / alone.scale[0]
                 f_alone = sum(c * u**m for m, c in enumerate(alone.coefficients[0]))
-                g_alone = f_alone @ np.linalg.inv(alone.basis[0])
+                g_alone = f_alone @ np.linalg.inv(alone.coefficients[0, 0])
                 s = 4 * b + p
-                g_stack = frame[s] @ np.linalg.inv(stack.basis[s])
+                g_stack = frame[s] @ np.linalg.inv(stack.coefficients[s, 0])
                 assert numcore.fro(g_stack - g_alone) <= tol / 100
 
 
@@ -1242,15 +1245,16 @@ def test_series_stack_tail_not_converging_raises():
 def _series_by_convolution(points, residues, series, tol):
     """The reference for series_stack: the direct convolution
     m G_m + [L, G_m] = -sum_{k+l=m-1} B_k G_l over all earlier orders, with
-    B_k = -sum_j t_j^(k+1) A~_j, on the members of series (its basis,
-    exponents and scales).  Returns the coefficients basis g_m up to the
-    first order whose tail bound is <= tol / 100 for every member, and the
-    tails there."""
+    B_k = -sum_j t_j^(k+1) A~_j, on the members of series (its eigenbasis
+    V = coefficients[:, 0], exponents and scales).  Returns the coefficients
+    V g_m up to the first order whose tail bound is <= tol / 100 for every
+    member, and the tails there."""
     pts, p = np.asarray(points, dtype=complex), len(series.at)
-    s, r = series.basis.shape[:2]
+    v = series.coefficients[:, 0]
+    s, r = v.shape[:2]
     t = np.array([sc * pts if i is None else sc / np.where(np.arange(len(pts)) == i, np.inf, pts - pts[i])
                   for i, sc in zip(series.at, series.scale)])[np.arange(s) % p]
-    v, v_inv = series.basis, np.linalg.inv(series.basis)
+    v_inv = np.linalg.inv(v)
     a_e = v_inv[:, None] @ np.asarray(residues)[np.arange(s) // p] @ v[:, None]
     gaps = series.exponents[:, :, None] - series.exponents[:, None, :]
     q = np.tile(series.radius / series.scale, s // p)

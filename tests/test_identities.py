@@ -106,13 +106,13 @@ def test_action_moves_with_the_punctures_by_the_schlesinger_hamiltonians(seed):
 
 def _framed(fld, P):
     """The same field in the constant frame P: A -> P A P^-1 and Y -> P Y,
-    so the series' frame F = G basis becomes P F with the same coordinates."""
+    so the series' frame F = G V becomes P F with the same coordinates."""
     series = fld.series
     return dataclasses.replace(
         fld,
         system=fld.system.conjugated(P),
         basepoint_value=P @ fld.basepoint_value,
-        series=dataclasses.replace(series, basis=P @ series.basis, coefficients=P @ series.coefficients),
+        series=dataclasses.replace(series, coefficients=P @ series.coefficients),
     )
 
 

@@ -2,7 +2,8 @@
 defaulted dataclass fields over src/rhwznw.  A tolerance, step or limit with
 one value in use is a module constant, not a parameter (README, "Numerical
 constants"), so the count only falls; a change that adds a knob raises
-KNOB_BOUND with it."""
+KNOB_BOUND with it.  The decision when a loop set is built has one owner
+too: WeightSystem.loops is the one place that calls MonodromyLoops."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,29 @@ def test_knob_count_sees_parameters_and_fields(tmp_path):
         "class B:\n    w: int = 3\n"
     )
     assert count_knobs(tmp_path) == {"m.py": 5}
+
+
+def loop_set_builds(root: Path) -> list[tuple[str, int]]:
+    """(file name, line) of every MonodromyLoops(...) call under root, by
+    plain name or as an attribute."""
+    sites = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "MonodromyLoops":
+                    sites.append((path.name, node.lineno))
+    return sites
+
+
+def test_one_place_builds_loop_sets():
+    assert len(loop_set_builds(SRC)) == 1, loop_set_builds(SRC)
+
+
+def test_loop_set_builds_see_both_spellings(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from . import fuchs\nfrom .fuchs import MonodromyLoops\n"
+        "a = fuchs.MonodromyLoops(w)\nb = MonodromyLoops(w)\nc = fuchs.MonodromyLoops\n"
+    )
+    assert loop_set_builds(tmp_path) == [("m.py", 3), ("m.py", 4)]

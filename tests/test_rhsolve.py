@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,34 +12,33 @@ def test_residual_rank1_immediate(rank1_weights, rank1_target):
         rank1_weights, np.array([np.eye(1, dtype=complex)] * 3)
     )
     assert parm.dim == 0
-    f = rhsolve.residual_vector(parm, np.zeros(0), rank1_target, fuchs.MonodromyLoops(rank1_weights))
+    f = rhsolve.residual_vector(parm, np.zeros(0), rank1_target)
     assert np.linalg.norm(f) <= 1e-8
 
 
 def test_residual_at_rigid_oracle(rank2_weights, rank2_target, rank2_oracle_system):
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
-    f = rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target, fuchs.MonodromyLoops(rank2_weights))
+    f = rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target)
     assert float(f @ f) <= 1e-6
 
 
 def test_residual_fixed_point(rank2_solved, rank2_target):
     system, report = rank2_solved
     parm = rhsolve.parametrization_from_system(system)
-    f = rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target, fuchs.MonodromyLoops(system.weights))
+    f = rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target)
     assert float(f @ f) <= 10 * max(report.final_residual, 1e-12)
 
 
 def test_residual_gauge_invariance(rank2_weights, rank2_target, rank2_oracle_system):
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
-    problem = fuchs.MonodromyLoops(rank2_weights)
-    f1 = rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target, problem)
+    f1 = rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target)
     g = np.diag(np.exp(1j * np.array([0.7, -1.2])))
     conj_target = fuchs.AdmissibleRep(
         weights=rank2_target.weights,
         generators=[g @ m @ g.conj().T for m in rank2_target.generators],
         conjugators=[g @ u for u in rank2_target.conjugators],
     )
-    f2 = rhsolve.residual_vector(parm, np.zeros(parm.dim), conj_target, problem)
+    f2 = rhsolve.residual_vector(parm, np.zeros(parm.dim), conj_target)
     assert abs(np.linalg.norm(f1) - np.linalg.norm(f2)) < 1e-10
 
 
@@ -79,20 +80,18 @@ def test_residual_stack_rows_match_residual_vector_rank1(rank1_weights, rank1_ta
     parm = rhsolve.ResidueParametrization(
         rank1_weights, np.array([np.eye(1, dtype=complex)] * 3)
     )
-    problem = fuchs.MonodromyLoops(rank1_weights)
-    f = rhsolve.residual_stack(parm, np.zeros((3, 0)), rank1_target, problem)
-    one = rhsolve.residual_vector(parm, np.zeros(0), rank1_target, problem)
+    f = rhsolve.residual_stack(parm, np.zeros((3, 0)), rank1_target)
+    one = rhsolve.residual_vector(parm, np.zeros(0), rank1_target)
     assert f.shape == (3, len(one))
     assert np.max(np.abs(f - one)) <= 1e-13
 
 
 def test_residual_stack_rows_match_residual_vector_rank2(rank2_target, rank2_oracle_system):
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
-    problem = fuchs.MonodromyLoops(parm.weights)
     xs = 0.1 * np.random.default_rng(9).standard_normal((4, parm.dim))
-    f = rhsolve.residual_stack(parm, xs, rank2_target, problem=problem)
+    f = rhsolve.residual_stack(parm, xs, rank2_target)
     for row, x in zip(f, xs):
-        one = rhsolve.residual_vector(parm, x, rank2_target, problem=problem)
+        one = rhsolve.residual_vector(parm, x, rank2_target)
         # the stack shares its transport steps, so rows agree to the transport tolerance
         assert np.max(np.abs(row - one)) <= 1e-8
 
@@ -114,7 +113,7 @@ def test_solve_rank1_records_its_one_cost(rank1_weights, rank1_target):
         rank1_weights, rank1_target, opts=rhsolve.SolveOptions(seed=0, restarts=1)
     )
     parm = rhsolve.ResidueParametrization(rank1_weights, np.array([np.eye(1, dtype=complex)] * 3))
-    f = rhsolve.residual_vector(parm, np.zeros(0), rank1_target, fuchs.MonodromyLoops(rank1_weights))
+    f = rhsolve.residual_vector(parm, np.zeros(0), rank1_target)
     assert report.iterations == 0
     assert report.objective_history == [float(f @ f)]
     assert np.isfinite(report.objective_history[0])
@@ -371,12 +370,11 @@ def test_canonical_constant_term_is_antidiagonal(rank2_solved, rank2_target):
 
 def test_stacked_jacobian_matches_columns(rank2_target, rank2_oracle_system):
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
-    problem = fuchs.MonodromyLoops(parm.weights)
     x = 0.05 * np.random.default_rng(4).standard_normal(parm.dim)
     fd_step = rhsolve.FD_STEP
 
     def func_stack(xs):
-        return rhsolve.residual_stack(parm, xs, rank2_target, problem=problem)
+        return rhsolve.residual_stack(parm, xs, rank2_target)
 
     J = rhsolve.central_jacobian(func_stack, x)
     columns = []
@@ -385,14 +383,14 @@ def test_stacked_jacobian_matches_columns(rank2_target, rank2_oracle_system):
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        fp = rhsolve.residual_vector(parm, xp, rank2_target, problem=problem)
-        fm = rhsolve.residual_vector(parm, xm, rank2_target, problem=problem)
+        fp = rhsolve.residual_vector(parm, xp, rank2_target)
+        fm = rhsolve.residual_vector(parm, xm, rank2_target)
         columns.append((fp - fm) / (2 * h))
     J_cols = np.stack(columns, axis=1)
     assert J.shape == J_cols.shape
     assert numcore.fro(J - J_cols) <= 1e-6 * numcore.fro(J_cols)
     # the residual at one point is the stacked residual of a one-member stack
-    f = rhsolve.residual_vector(parm, x, rank2_target, problem=problem)
+    f = rhsolve.residual_vector(parm, x, rank2_target)
     assert np.array_equal(f, func_stack(x[None, :])[0])
 
 
@@ -429,3 +427,45 @@ def test_cold_solve_seeded_centers_at_restart_0(seed):
     assert report.iterations <= 9
     assert report.final_residual <= 1e-6
     assert system.spectrum_residual() < 1e-10
+
+
+def test_one_weight_system_plans_its_loops_once(monkeypatch):
+    # the loop set belongs to the weight system (WeightSystem.loops): a cold
+    # solve, its normalization, a second normalization, monodromy_rep and a
+    # warm solve plan the n-1 approach legs once, at the first build
+    calls = []
+    plan_route = paths.plan_route
+    monkeypatch.setattr(paths, "plan_route", lambda *a: calls.append(a) or plan_route(*a))
+    ws = fuchs.build_weight_system(
+        [-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]]
+    )
+    center = moduli.random_admissible_rep(ws, seed=5)
+    assert calls == []
+    system, report = rhsolve.solve(ws, center)
+    assert report.success and report.normalization is not None
+    assert len(calls) == ws.n - 1 == 3
+    rhsolve.normalize_at_infinity(system, center)
+    fuchs.monodromy_rep(system)
+    # an init on an equal copy of the weights still reads the solve's loop set
+    init = fuchs.FuchsianSystem(dataclasses.replace(ws), system.residues)
+    _, warm = rhsolve.solve(ws, center, init=init, opts=rhsolve.SolveOptions(restarts=3))
+    assert warm.success
+    assert len(calls) == 3
+    assert ws.loops is ws.loops
+    # a copy of the weights owns a loop set of its own
+    copy = dataclasses.replace(ws)
+    assert copy.loops is not ws.loops and len(calls) == 6
+
+
+@pytest.mark.parametrize(
+    "points, weights",
+    [([0.0, 2.0], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]]),
+     ([0.0, 1.0], [[0.1, 0.4], [0.2, 0.45], [0.3, 0.55]])],
+    ids=["points", "weights"],
+)
+def test_solve_refuses_an_init_of_other_weights(points, weights, rank2_weights, rank2_target):
+    # such an init would mix its spectra with the other system's loops
+    other = fuchs.build_weight_system(points, weights)
+    init = fuchs.FuchsianSystem(other, fuchs.rank2_rigid_residues(other))
+    with pytest.raises(ValueError, match="init"):
+        rhsolve.solve(rank2_weights, rank2_target, init=init)
