@@ -19,9 +19,14 @@ their non-vanishing characterizes ``B(r) Pi0 N(r)``.  The Bruhat
 permutation comes from the ranks of all r^2 upper-right corners, taken
 as one stacked SVD of the corners zero-padded to r x r.
 
-The Cholesky routines (cholesky_minors, cholesky_upper,
-cholesky_differential) take an r x r matrix or a (..., r, r) stack, each
-member taken alone with its own checks.
+Every factorization and cell test takes an r x r matrix or a (..., r, r)
+stack, one code path for both (a single matrix is a stack of one), each
+member taken alone with its own checks and thresholds.  The checks run in
+the order a member alone meets them, each raising the refusal of the first
+member that fails it, with that member's own message.  The Bruhat routines
+take all members at once: one SVD of every member's corners, one
+pseudo-inverse per column group of the elimination, one determinant per
+minor order.
 """
 
 from __future__ import annotations
@@ -37,10 +42,8 @@ from .numcore import (
     NotPositiveDefiniteError,
     NumericalError,
     adjoint,
-    as_cmatrix,
     as_cstack,
     check_hermitian_pd,
-    fro,
 )
 
 
@@ -91,6 +94,9 @@ class SplittingType:
 
 @dataclass
 class BruhatFactors:
+    """Factors g = P Pi L of one matrix, (r, r) each, or of every member of
+    a stack, (..., r, r) each."""
+
     P: np.ndarray
     Pi: np.ndarray
     L: np.ndarray
@@ -99,9 +105,11 @@ class BruhatFactors:
         return self.P @ self.Pi @ self.L
 
     @property
-    def permutation(self) -> tuple[int, ...]:
-        """Row index i maps to column perm[i] (0-based)."""
-        return tuple(int(np.argmax(self.Pi[i])) for i in range(self.Pi.shape[0]))
+    def permutation(self):
+        """Row index i maps to column perm[i] (0-based): a tuple for one
+        matrix, an (..., r) integer array for a stack."""
+        perm = np.argmax(self.Pi, axis=-1)
+        return tuple(int(c) for c in perm) if perm.ndim == 1 else perm
 
 
 @dataclass
@@ -114,55 +122,72 @@ class CholeskyFactors:
         return adjoint(self.c) @ (self.a[..., None] * self.c)
 
 
-def _rank_pattern(g: np.ndarray, threshold: float):
-    """Ranks of all upper-right corners, with a dead-band ambiguity check
-    (RANK_DEAD_BAND).
+def _members(g) -> np.ndarray:
+    """g coerced to a finite (B, r, r) stack, B = 1 for one matrix."""
+    g = as_cstack(g, "g")
+    return g.reshape((-1,) + g.shape[-2:])
+
+
+def _norms(g: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of every member, floored at 1e-300."""
+    return np.maximum(np.linalg.norm(g, axis=(-2, -1)), 1e-300)
+
+
+def _rank_pattern(g, threshold):
+    """Ranks of all upper-right corners of g, or of every member of a
+    (..., r, r) stack with its own threshold (shape (...)), with a dead-band
+    ambiguity check (RANK_DEAD_BAND).
 
     Corner (i, j) is g[:i, j:], i = 1..r, j = 0..r-1, zero-padded in place
-    to r x r; the r^2 padded corners take one stacked SVD, and the padding
-    only adds zero singular values.  A dead-band refusal names the first
-    ambiguous singular value, corners in (i, j) order.
+    to r x r; the r^2 padded corners of all members take one stacked SVD,
+    and the padding only adds zero singular values.  Returns rho
+    (..., r + 1, r + 2) with rho[..., i, j + 1] the rank of corner (i, j).
+    A dead-band refusal names the first ambiguous singular value, members
+    in order and then corners in (i, j) order.
     """
-    r = g.shape[0]
+    g = np.asarray(g)
+    lead, r = g.shape[:-2], g.shape[-1]
+    threshold = np.broadcast_to(threshold, lead).reshape(-1, 1, 1)
     i, j = np.divmod(np.arange(r * r), r)
     idx = np.arange(r)
     keep = (idx[:, None] <= i[:, None, None]) & (idx >= j[:, None, None])
-    sv = np.linalg.svd(np.where(keep, g, 0), compute_uv=False)
+    sv = np.linalg.svd(np.where(keep, g.reshape(-1, 1, r, r), 0), compute_uv=False)
     inside = (sv > threshold / RANK_DEAD_BAND) & (sv < threshold * RANK_DEAD_BAND)
     if np.any(inside):
+        member, corner, k = np.argwhere(inside)[0]
         raise AmbiguousCellError(
-            f"singular value {sv[inside][0]:.3e} within the dead band "
-            f"around threshold {threshold:.3e}"
+            f"singular value {sv[member, corner, k]:.3e} within the dead band "
+            f"around threshold {threshold[member, 0, 0]:.3e}"
         )
-    rho = np.zeros((r + 1, r + 2), dtype=int)
-    rho[1:, 1:-1] = np.sum(sv > threshold, axis=1).reshape(r, r)
-    return rho
+    rho = np.zeros((len(sv), r + 1, r + 2), dtype=int)
+    rho[:, 1:, 1:-1] = np.sum(sv > threshold, axis=-1).reshape(-1, r, r)
+    return rho.reshape(lead + (r + 1, r + 2))
 
 
 def bruhat_permutation(g) -> np.ndarray:
-    """Permutation factor of the Bruhat decomposition g = B Pi L.
+    """Permutation factor of the Bruhat decomposition g = B Pi L, of g or of
+    every member of a (..., r, r) stack.
 
     Determined from the rank pattern of upper-right corner submatrices,
     which is a complete invariant of the double coset B(r) g N(r); a
-    singular value counts towards a rank above DEFAULT_TOL * ||g||.
+    singular value counts towards a rank above DEFAULT_TOL * ||g_b|| of its
+    own member.  All members' corners take one stacked SVD (_rank_pattern),
+    and the jumps of the rank array give Pi.  A member in the dead band
+    raises AmbiguousCellError, one whose pattern is no permutation
+    SingularInputError, each for the first member that fails it.
     """
-    g = as_cmatrix(g, "g")
-    r = g.shape[0]
-    threshold = DEFAULT_TOL * max(fro(g), 1e-300)
-    rho = _rank_pattern(g, threshold)
-    Pi = np.zeros((r, r))
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            jump = rho[i, j] - rho[i - 1, j] - rho[i, j + 1] + rho[i - 1, j + 1]
-            if jump == 1:
-                Pi[i - 1, j - 1] = 1.0
-    if not (np.all(Pi.sum(axis=0) == 1) and np.all(Pi.sum(axis=1) == 1)):
+    gs = _members(g)
+    rho = _rank_pattern(gs, DEFAULT_TOL * _norms(gs))
+    jump = rho[:, 1:, 1:-1] - rho[:, :-1, 1:-1] - rho[:, 1:, 2:] + rho[:, :-1, 2:]
+    Pi = (jump == 1).astype(float)
+    if not (np.all(Pi.sum(axis=-2) == 1) and np.all(Pi.sum(axis=-1) == 1)):
         raise SingularInputError("rank pattern is not a permutation; input singular?")
-    return Pi
+    return Pi.reshape(np.shape(g))
 
 
 def bruhat_factor(g) -> BruhatFactors:
-    """Factor g = P Pi L with lower-triangular P, permutation Pi, lower-unipotent L.
+    """Factor g = P Pi L with lower-triangular P, permutation Pi, lower-unipotent L,
+    for g or for every member of a (..., r, r) stack.
 
     The factorization is the classical one with P in the Borel subgroup
     B(r); since B(r) is contained in every block-lower parabolic P_N, the
@@ -170,87 +195,93 @@ def bruhat_factor(g) -> BruhatFactors:
     rank-pattern one, so the output is deterministic; for a splitting it
     is a representative of the W(i_1) x ... x W(i_s) coset of admissible
     permutations.
+
+    X = L^{-1} is filled column by column: column c of g X must vanish
+    above row k = perm^{-1}(c), a minimum-norm least-squares solve on
+    g[:k, c+1:].  The members with one k at column c are one stacked
+    pseudo-inverse, whose cutoff max(k, r-c-1) eps max(sv) is lstsq's at
+    rcond=None; a QR solve would fail on the rank-deficient blocks of the
+    small cells (g = I has g[:k, c+1:] = 0).  The determinant, the
+    permutation and the reconstruction are checked per member, in that
+    order, each raising for the first member that fails it.
     """
-    g = as_cmatrix(g, "g")
-    r = g.shape[0]
-    if g.shape[0] != g.shape[1]:
-        raise ValueError("g must be square")
-    scale = max(fro(g), 1e-300)
-    det = np.linalg.det(g)
-    if abs(det) <= 1e-12 * scale**r:
-        raise SingularInputError(f"|det g| = {abs(det):.3e} below threshold")
+    gs = _members(g)
+    r = gs.shape[-1]
+    scale = _norms(gs)
+    det = np.abs(np.linalg.det(gs))
+    low = det <= 1e-12 * scale**r
+    if np.any(low):
+        raise SingularInputError(f"|det g| = {det[low][0]:.3e} below threshold")
 
-    Pi = bruhat_permutation(g)
-    perm = [int(np.argmax(Pi[i])) for i in range(r)]   # row i -> column perm[i]
-    inv_perm = np.argsort(perm)                        # column c -> row inv_perm[c]
+    Pi = bruhat_permutation(gs)
+    inv_perm = np.argmax(Pi, axis=-2)  # column c -> row inv_perm[c]
 
-    # Solve for X = L^{-1} (lower unipotent): column pi(k) of g@X must vanish
-    # above row k.  The conditions decouple per column of X.
-    X = np.eye(r, dtype=complex)
-    for c in range(r):
-        k = int(inv_perm[c])
-        if k == 0 or c == r - 1:
-            continue
-        rows = slice(0, k)
-        Amat = g[rows, c + 1 :]
-        rhs = -g[rows, c]
-        sol, *_ = np.linalg.lstsq(Amat, rhs, rcond=None)
-        X[c + 1 :, c] = sol
+    X = np.broadcast_to(np.eye(r, dtype=complex), gs.shape).copy()
+    for c in range(r - 1):
+        for k in set(inv_perm[:, c].tolist()) - {0}:
+            rows = inv_perm[:, c] == k
+            sol = np.linalg.pinv(gs[rows, :k, c + 1 :], rtol=None) @ -gs[rows, :k, c, None]
+            X[rows, c + 1 :, c] = sol[..., 0]
     L = np.linalg.inv(X)
-    P = g @ X @ Pi.T
+    P = gs @ X @ np.swapaxes(Pi, -1, -2)
 
-    factors = BruhatFactors(P=P, Pi=Pi, L=L)
-    resid = fro(factors.reconstruct() - g)
-    if resid > 1e-10 * scale:
-        raise NumericalError(f"Bruhat reconstruction residual {resid:.3e}")
-    return factors
+    resid = np.linalg.norm(P @ Pi @ L - gs, axis=(-2, -1))
+    bad = resid > 1e-10 * scale
+    if np.any(bad):
+        raise NumericalError(f"Bruhat reconstruction residual {resid[bad][0]:.3e}")
+    shape = np.shape(g)
+    return BruhatFactors(P=P.reshape(shape), Pi=Pi.reshape(shape), L=L.reshape(shape))
 
 
-def in_large_cell(g) -> bool:
-    """Whether g lies in the large Bruhat cell B(r) Pi0 N(r).
+def in_large_cell(g):
+    """Whether g lies in the large Bruhat cell B(r) Pi0 N(r): a bool for one
+    matrix, a bool array (...) for a (..., r, r) stack.
 
     Tested through the corner minors det g[:k, r-k:], k = 1..r, which for
-    this convention are nonzero exactly on the large cell.  The decision
-    threshold is ``DEFAULT_TOL * ||g||^k`` (scale covariance of a k x k
-    minor), with ||g|| = ||g||_F / sqrt(r).
+    this convention are nonzero exactly on the large cell, one stacked
+    determinant per order k.  The decision threshold is
+    ``DEFAULT_TOL * ||g||^k`` (scale covariance of a k x k minor), with
+    ||g|| = ||g||_F / sqrt(r) of each member.
     """
-    g = as_cmatrix(g, "g")
-    r = g.shape[0]
-    gnorm = max(fro(g) / np.sqrt(r), 1e-300)
+    g = as_cstack(g, "g")
+    r = g.shape[-1]
+    gnorm = np.maximum(np.linalg.norm(g, axis=(-2, -1)) / np.sqrt(r), 1e-300)
+    inside = np.ones(g.shape[:-2], dtype=bool)
     for k in range(1, r + 1):
-        minor = np.linalg.det(g[:k, r - k :])
-        if abs(minor) <= DEFAULT_TOL * gnorm**k:
-            return False
-    return True
+        inside &= np.abs(np.linalg.det(g[..., :k, r - k :])) > DEFAULT_TOL * gnorm**k
+    return bool(inside) if g.ndim == 2 else inside
 
 
 def bruhat_large_cell_minors(g) -> BruhatFactors:
-    """Large-cell factorization g = B Pi0 L through explicit minor ratios.
+    """Large-cell factorization g = B Pi0 L through explicit minor ratios,
+    of g or of every member of a (..., r, r) stack.
 
     Uses the Crout decomposition of g@Pi0 = B U (B lower with diagonal, U
-    upper unipotent) written as determinant ratios, then L = Pi0 U Pi0.
+    upper unipotent) written as determinant ratios, then L = Pi0 U Pi0; the
+    minors of order k of all members are one stacked determinant.
     Independent of the elimination path in :func:`bruhat_factor`; used to
-    cross-check uniqueness on the large cell.
+    cross-check uniqueness on the large cell.  A stack with any member
+    outside the cell is refused.
     """
-    g = as_cmatrix(g, "g")
-    r = g.shape[0]
-    if not in_large_cell(g):
+    g = as_cstack(g, "g")
+    r = g.shape[-1]
+    if not np.all(in_large_cell(g)):
         raise SingularInputError("matrix is not in the large Bruhat cell")
     Pi0 = antidiagonal_permutation(r)
     S = g @ Pi0
-    U = np.eye(r, dtype=complex)
-    B = np.zeros((r, r), dtype=complex)
+    U = np.broadcast_to(np.eye(r, dtype=complex), g.shape).copy()
+    B = np.zeros(g.shape, dtype=complex)
     prev = 1.0  # det S[:k-1, :k-1]
     for k in range(1, r + 1):
         # index sets (1..k-1, m) for m = k..r: B-minor rows, then U-minor columns
         idx = np.column_stack([np.tile(np.arange(k - 1), (r - k + 1, 1)), np.arange(k - 1, r)])
-        stack = [S[idx[:, :, None], np.arange(k)], S[np.arange(k)[:, None], idx[1:, None, :]]]
-        d = np.linalg.det(np.concatenate(stack))
-        B[k - 1 :, k - 1] = d[: r - k + 1] / prev
-        U[k - 1, k:] = d[r - k + 1 :] / d[0]
-        prev = d[0]
+        stack = [S[..., idx[:, :, None], np.arange(k)], S[..., np.arange(k)[:, None], idx[1:, None, :]]]
+        d = np.linalg.det(np.concatenate(stack, axis=-3))
+        B[..., k - 1 :, k - 1] = d[..., : r - k + 1] / prev
+        U[..., k - 1, k:] = d[..., r - k + 1 :] / d[..., :1]
+        prev = d[..., :1]
     L = Pi0 @ U @ Pi0
-    return BruhatFactors(P=B, Pi=Pi0, L=L)
+    return BruhatFactors(P=B, Pi=np.broadcast_to(Pi0, g.shape).copy(), L=L)
 
 
 def cholesky_minors(h, M) -> CholeskyFactors:
@@ -277,7 +308,7 @@ def cholesky_minors(h, M) -> CholeskyFactors:
     if M.shape != h.shape:
         raise ValueError(f"M has shape {M.shape}, h has shape {h.shape}")
     r = h.shape[-1]
-    hnorm = np.maximum(np.linalg.norm(h, axis=(-2, -1)), 1e-300)
+    hnorm = _norms(h)
     gram = np.linalg.norm(adjoint(M) @ M - h, axis=(-2, -1))
     if np.any(gram > 1e-8 * hnorm):
         raise ValueError("M* M does not reproduce h")

@@ -1133,12 +1133,16 @@ class MonodromyLoops:
         then F exp(-+2 pi i Lambda) F^{-1} (class docstring).  C^{-1} takes
         the opposite phase, so no matrix but F is inverted, and the power is
         a row scaling of that inverse, never a dense inverse of x^{-L}: rows
-        it spreads over many orders of magnitude keep their digits."""
+        it spreads over many orders of magnitude keep their digits.  A frame
+        that np.linalg.inv finds singular raises NumericalError naming it."""
         res = np.asarray(residues, dtype=complex)
         b, n, r = len(res), self.weights.n, self.weights.rank
         series = series_stack(self.weights.points, res, self.at, self.radii, tol)
         frame = series.frame(np.exp(self.entry_logs)).reshape(b, n, r, r)
-        frame_inv = np.linalg.inv(frame)
+        try:
+            frame_inv = np.linalg.inv(frame)
+        except np.linalg.LinAlgError:
+            raise NumericalError(_singular_member(frame, "series frame at the entry of loop circle")) from None
         exponents = series.exponents.reshape(b, n, r)
         # x^{-L} gains exp(-2 pi i L) counterclockwise around a puncture and
         # w^{-L} exp(2 pi i L) counterclockwise around infinity
@@ -1160,19 +1164,37 @@ class MonodromyLoops:
         circle.  The circles come in closed form (circle_transports), the
         legs of all systems as one fan per segment round, K transport_fan
         calls in all, then the puncture loops P^{-1} C P and their inverses
-        P^{-1} C^{-1} P as generators; the big circle is kept as it is."""
+        P^{-1} C^{-1} P as generators; the big circle is kept as it is.  A
+        leg transport that np.linalg.solve finds singular, or a singular
+        circle frame, raises NumericalError naming it, so that the LM
+        rejects such a trial point as it rejects one whose series tail is
+        not finite."""
         res = np.asarray(residues, dtype=complex)
         circ, circ_inv, series = self.circle_transports(res, tol)
         legs = np.eye(self.weights.rank, dtype=complex)
         for fan in self._leg_rounds:
             legs = transport_fan(self.weights.points, res, fan, legs, tol=tol).values[-1]
         raw, gens = circ, circ.copy()
-        raw[:, :-1] = np.linalg.solve(legs, circ[:, :-1] @ legs)
-        gens[:, :-1] = np.linalg.solve(legs, circ_inv[:, :-1] @ legs)
+        try:
+            raw[:, :-1] = np.linalg.solve(legs, circ[:, :-1] @ legs)
+            gens[:, :-1] = np.linalg.solve(legs, circ_inv[:, :-1] @ legs)
+        except np.linalg.LinAlgError:
+            raise NumericalError(_singular_member(legs, "transport along the approach leg of puncture")) from None
         # a view of the series' coordinates, which this call made
         coords = series.coords.reshape(circ.shape)
         coords[:, :-1] = coords[:, :-1] @ legs
         return raw, gens, series
+
+
+def _singular_member(stack: np.ndarray, what: str) -> str:
+    """Names the first member (b, i) of a (B, m, r, r) stack that
+    np.linalg.inv finds singular: the what at loop i of system b."""
+    for b, i in np.ndindex(stack.shape[:2]):
+        try:
+            np.linalg.inv(stack[b, i])
+        except np.linalg.LinAlgError:
+            return f"the {what} {i} of system {b} is singular"
+    return f"a {what} is singular"
 
 
 @dataclass

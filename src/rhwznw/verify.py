@@ -5,8 +5,8 @@ Each suite takes a seed and a sample count and returns a list of
 
 * ``bruhat``: reconstruction of the Bruhat factorization, agreement with
   the exhaustive-permutation oracle (least-squares column solves taken
-  once per (row, column) pair, all r! candidates checked as one stack),
-  and uniqueness on the large cell;
+  once per (row, column) pair over all members, all r! candidates of all
+  members checked as one stack), and uniqueness on the large cell;
 * ``cholesky``: the minor formulas against the textbook factor, and
   their invariance under a unitary change of square root;
 * ``three-form``: the identity Theta = 3 dOmega behind the antiderivative
@@ -17,14 +17,15 @@ Each suite takes a seed and a sample count and returns a list of
   fixture against 2 pi log(wznw.ANNULUS_RATIO) sum_j alpha_ij^2.  Its
   checks are one per finite puncture, so it ignores the count.
 
-The cholesky, three-form and flatness suites draw their samples in the
-order of a per-sample loop, so a seed gives the same samples, and hand
-them to the library as stacks of at most STACK_SAMPLES samples: per
-chunk, one cholesky_upper and two cholesky_minors calls, one
-three_form_pair call per rank, and one flatness_residual call for every
-center at both steps.  Every check stays per sample, so the worst figure
-of a chunk is the worst of its members.  The bruhat suite factors one
-matrix per call.
+The bruhat, cholesky, three-form and flatness suites draw their samples
+in the order of a per-sample loop, so a seed gives the same samples, and
+hand them to the library as stacks of at most STACK_SAMPLES samples: per
+chunk, one bruhat_factor, oracle, in_large_cell and
+bruhat_large_cell_minors (on the large-cell members) call per rank, one
+cholesky_upper and two cholesky_minors calls, one three_form_pair call
+per rank, and one flatness_residual call for every center at both steps.
+Every check stays per sample, so the worst figure of a chunk is the
+worst of its members.
 
 The library is called through module attributes (``factor.bruhat_factor``,
 ``wznw.flatness_residual``, ...), so that a wrapper installed on those
@@ -55,61 +56,72 @@ def _fro(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, axis=(-2, -1))
 
 
-def oracle_bruhat_permutation(g: np.ndarray) -> tuple[int, ...]:
-    """Exhaustive-permutation factorization oracle.
+def oracle_bruhat_permutation(g: np.ndarray):
+    """Exhaustive-permutation factorization oracle, for g or for every member
+    of a (..., r, r) stack: a tuple for one matrix, an (..., r) integer
+    array for a stack.
 
     For a candidate permutation, column c of X = L^{-1} (lower unipotent)
     is the least-squares solution that makes column c of g X vanish above
     row k = perm^{-1}(c).  It depends only on (k, c), so each of the
-    (r-1)^2 column solves (np.linalg.lstsq) is taken once and placed in the
-    X of every permutation with perm(k) = c.  All r! candidates are then
-    checked as one stack: P = g X Pi^T must be lower triangular and
-    P Pi X^{-1} must reproduce g, both to 1e-8 relative.  Exactly one
-    permutation may be accepted.  The rank pattern of bruhat_factor is
-    never read.
+    (r-1)^2 column solves is taken once, as one minimum-norm solve over the
+    members (a stacked pseudo-inverse with lstsq's rcond=None cutoff), and
+    placed in the X of every permutation with perm(k) = c.  All r!
+    candidates of all members are then checked as one (B, r!, r, r) stack:
+    P = g X Pi^T must be lower triangular and P Pi X^{-1} must reproduce g,
+    both to 1e-8 relative.  Exactly one permutation per member may be
+    accepted.  The rank pattern of bruhat_factor is never read.
     """
-    r = g.shape[0]
+    g = np.asarray(g, dtype=complex)
+    r = g.shape[-1]
+    gs = g.reshape(-1, r, r)
     perms = np.array(list(permutations(range(r))))
-    Pi = np.eye(r)[perms]
-    X = np.tile(np.eye(r, dtype=complex), (len(perms), 1, 1))
+    X = np.tile(np.eye(r, dtype=complex), (len(gs), len(perms), 1, 1))
     for k in range(1, r):
         for c in range(r - 1):
-            sol = np.linalg.lstsq(g[:k, c + 1 :], -g[:k, c], rcond=None)[0]
-            X[perms[:, k] == c, c + 1 :, c] = sol
-    P = g @ X @ np.swapaxes(Pi, -1, -2)
-    upper = np.linalg.norm(np.triu(P, 1), axis=(-2, -1))
-    lower = upper <= 1e-8 * np.maximum(np.linalg.norm(P, axis=(-2, -1)), 1e-300)
-    resid = np.linalg.norm(P @ Pi @ np.linalg.inv(X) - g, axis=(-2, -1))
-    accepted = perms[lower & (resid <= 1e-8 * max(numcore.fro(g), 1e-300))]
-    if len(accepted) != 1:
-        raise numcore.NumericalError(f"oracle accepted {len(accepted)} permutations")
-    return tuple(int(c) for c in accepted[0])
+            sol = np.linalg.pinv(gs[:, :k, c + 1 :], rtol=None) @ -gs[:, :k, c, None]
+            column = X[..., c]
+            column[:, perms[:, k] == c, c + 1 :] = sol[:, None, :, 0]
+    # with M = g X, P = M Pi^T takes column perm(j) of M as its column j,
+    # and P Pi = M: both exactly, as products with Pi would give them
+    gx = gs[:, None] @ X
+    P = np.take_along_axis(gx, perms[None, :, None, :], axis=-1)
+    lower = _fro(np.triu(P, 1)) <= 1e-8 * np.maximum(_fro(P), 1e-300)
+    resid = _fro(gx @ np.linalg.inv(X) - gs[:, None])
+    accepted = lower & (resid <= 1e-8 * np.maximum(_fro(gs), 1e-300)[:, None])
+    counts = accepted.sum(axis=1)
+    if np.any(counts != 1):
+        raise numcore.NumericalError(f"oracle accepted {counts[counts != 1][0]} permutations")
+    found = perms[np.argmax(accepted, axis=1)]
+    if g.ndim == 2:
+        return tuple(int(c) for c in found[0])
+    return found.reshape(g.shape[:-2] + (r,))
 
 
 def _suite_bruhat(seed: int, count: int) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(seed)
-    checks = []
     worst_recon, worst_unique, mismatches = 0.0, 0.0, 0
-    for k in range(count):
-        r = 3 if k % 2 == 0 else 4
-        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        f = factor.bruhat_factor(g)
-        worst_recon = max(
-            worst_recon, numcore.fro(f.reconstruct() - g) / numcore.fro(g)
-        )
-        if f.permutation != oracle_bruhat_permutation(g):
-            mismatches += 1
-        if factor.in_large_cell(g):
-            f2 = factor.bruhat_large_cell_minors(g)
-            worst_unique = max(
-                worst_unique,
-                numcore.fro(f.P - f2.P) / max(numcore.fro(f.P), 1.0),
-                numcore.fro(f.L - f2.L) / max(numcore.fro(f.L), 1.0),
-            )
-    checks.append(("reconstruction <= 1e-10", worst_recon <= 1e-10, f"worst {worst_recon:.3e}"))
-    checks.append(("oracle agreement 100%", mismatches == 0, f"{mismatches} mismatches"))
-    checks.append(("large-cell uniqueness <= 1e-9", worst_unique <= 1e-9, f"worst {worst_unique:.3e}"))
-    return checks
+    for chunk in _chunks(count):
+        # samples alternate between ranks 3 and 4: one stack per rank
+        by_rank = {}
+        for k in chunk:
+            r = 3 if k % 2 == 0 else 4
+            by_rank.setdefault(r, []).append(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+        for samples in by_rank.values():
+            g = np.stack(samples)
+            f = factor.bruhat_factor(g)
+            worst_recon = max(worst_recon, float(np.max(_fro(f.reconstruct() - g) / _fro(g))))
+            mismatches += int(np.sum(np.any(f.permutation != oracle_bruhat_permutation(g), axis=-1)))
+            large = factor.in_large_cell(g)
+            if np.any(large):
+                f2 = factor.bruhat_large_cell_minors(g[large])
+                for one, two in ((f.P[large], f2.P), (f.L[large], f2.L)):
+                    worst_unique = max(worst_unique, float(np.max(_fro(one - two) / np.maximum(_fro(one), 1.0))))
+    return [
+        ("reconstruction <= 1e-10", worst_recon <= 1e-10, f"worst {worst_recon:.3e}"),
+        ("oracle agreement 100%", mismatches == 0, f"{mismatches} mismatches"),
+        ("large-cell uniqueness <= 1e-9", worst_unique <= 1e-9, f"worst {worst_unique:.3e}"),
+    ]
 
 
 def _suite_cholesky(seed: int, count: int) -> list[tuple[str, bool, str]]:

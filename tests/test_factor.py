@@ -420,3 +420,135 @@ def test_bruhat_reconstruction_property(seed):
     f = factor.bruhat_factor(g)
     assert numcore.fro(f.reconstruct() - g) <= 1e-10 * numcore.fro(g)
     assert np.allclose(f.Pi.sum(axis=0), 1.0) and np.allclose(f.Pi.sum(axis=1), 1.0)
+
+
+def _assert_stack_equals_members(g):
+    # one bruhat_factor call on a (B, r, r) stack against B member calls
+    f = factor.bruhat_factor(g)
+    assert f.P.shape == f.Pi.shape == f.L.shape == g.shape
+    assert f.permutation.shape == g.shape[:-1]
+    for b in range(len(g)):
+        one = factor.bruhat_factor(g[b])
+        assert tuple(f.permutation[b]) == one.permutation
+        assert np.array_equal(f.Pi[b], one.Pi)
+        for got, want in ((f.P[b], one.P), (f.L[b], one.L)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_stacked_bruhat_factor_equals_member_calls_on_every_cell(r):
+    # every cell of the every-cell oracle test in one stack, so its column
+    # solves fall into several row-count groups per column
+    rng = np.random.default_rng([17, r])
+    g = np.stack([_cell_member(rng, perm) for perm in itertools.permutations(range(r)) for _ in range(5)])
+    _assert_stack_equals_members(g)
+
+
+def test_stacked_bruhat_factor_equals_member_calls_on_seeded_draws():
+    # the seeded draws of the rank-pattern test, half of them B Pi L
+    # products, as one stack per rank
+    rng = np.random.default_rng(41)
+    by_rank = {}
+    for k in range(400):
+        r = 2 + k % 3
+        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        if k % 2:
+            g = _cell_member(rng, tuple(rng.permutation(r)))
+        by_rank.setdefault(r, []).append(g)
+    for samples in by_rank.values():
+        _assert_stack_equals_members(np.stack(samples))
+
+
+def test_stacked_bruhat_factor_keeps_leading_axes():
+    rng = np.random.default_rng(53)
+    g = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    f = factor.bruhat_factor(g)
+    assert f.P.shape == g.shape and f.permutation.shape == (2, 3, 4)
+    assert np.array_equal(factor.bruhat_permutation(g), f.Pi)
+    for idx in np.ndindex(2, 3):
+        assert tuple(f.permutation[idx]) == factor.bruhat_factor(g[idx]).permutation
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_stacked_large_cell_routines_equal_member_calls(r):
+    # every cell, so the stack holds members in and out of the large cell
+    rng = np.random.default_rng([59, r])
+    g = np.stack([_cell_member(rng, perm) for perm in itertools.permutations(range(r)) for _ in range(3)])
+    inside = factor.in_large_cell(g)
+    assert inside.dtype == bool and inside.shape == (len(g),)
+    assert list(inside) == [factor.in_large_cell(m) for m in g]
+    assert 0 < np.sum(inside) < len(g)
+    f = factor.bruhat_large_cell_minors(g[inside])
+    for got_P, got_L, m in zip(f.P, f.L, g[inside]):
+        one = factor.bruhat_large_cell_minors(m)
+        assert np.linalg.norm(got_P - one.P) <= 1e-13 * np.linalg.norm(one.P)
+        assert np.linalg.norm(got_L - one.L) <= 1e-13 * np.linalg.norm(one.L)
+    assert np.array_equal(f.Pi, np.broadcast_to(factor.antidiagonal_permutation(r), f.Pi.shape))
+
+
+def test_stacked_bruhat_routines_refuse_a_bad_member():
+    # each refusal of one member alone is the refusal of the stack it is in
+    rng = np.random.default_rng(61)
+    g = np.stack([random_gl(rng, 2) for _ in range(6)])
+    factor.bruhat_factor(g)
+
+    def refusals(call, g, member, kind):
+        with pytest.raises(kind) as alone:
+            call(g[member])
+        with pytest.raises(kind) as stacked:
+            call(g)
+        assert str(stacked.value) == str(alone.value)
+
+    bad = g.copy()
+    bad[4] = np.ones((2, 2))  # singular: the determinant check refuses it
+    refusals(factor.bruhat_factor, bad, 4, factor.SingularInputError)
+    refusals(factor.bruhat_permutation, bad, 4, factor.SingularInputError)
+    # the corner entry 1e-10 sits in the dead band of a threshold 1e-10 ||g||,
+    # and the member's own threshold is named
+    bad = g.copy()
+    bad[2] = [[1.0, 1e-10], [1.0, 1.0]]
+    refusals(factor.bruhat_factor, bad, 2, factor.AmbiguousCellError)
+    refusals(factor.bruhat_permutation, bad, 2, factor.AmbiguousCellError)
+    with pytest.raises(factor.AmbiguousCellError, match="around threshold 1.732e-10"):
+        factor.bruhat_permutation(bad)
+    bad = g.copy()
+    bad[3] = np.eye(2)  # invertible, but in the small cell
+    assert not factor.in_large_cell(bad)[3] and np.sum(factor.in_large_cell(bad)) == 5
+    refusals(factor.bruhat_large_cell_minors, bad, 3, factor.SingularInputError)
+    bad = g.copy()
+    bad[5, 0, 1] = np.nan
+    refusals(factor.bruhat_factor, bad, 5, numcore.NumericalError)
+
+
+def _oracle_per_matrix(g):
+    """The oracle one matrix at a time: one np.linalg.lstsq per (k, c) column
+    solve and one check per candidate permutation."""
+    r = g.shape[0]
+    accepted = []
+    for perm in itertools.permutations(range(r)):
+        pi = np.eye(r)[list(perm)]
+        x = np.eye(r, dtype=complex)
+        for k in range(1, r):
+            c = perm[k]
+            if c < r - 1:
+                x[c + 1 :, c] = np.linalg.lstsq(g[:k, c + 1 :], -g[:k, c], rcond=None)[0]
+        p = g @ x @ pi.T
+        if (numcore.fro(np.triu(p, 1)) <= 1e-8 * numcore.fro(p)
+                and numcore.fro(p @ pi @ np.linalg.inv(x) - g) <= 1e-8 * numcore.fro(g)):
+            accepted.append(perm)
+    assert len(accepted) == 1
+    return accepted[0]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_stacked_oracle_equals_per_matrix_reference(r):
+    rng = np.random.default_rng([67, r])
+    cells = [_cell_member(rng, perm) for perm in itertools.permutations(range(r)) for _ in range(2)]
+    draws = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for _ in range(10)]
+    g = np.stack(cells + draws)
+    got = oracle_bruhat_permutation(g)
+    assert got.shape == (len(g), r)
+    want = [_oracle_per_matrix(m) for m in g]
+    assert [tuple(p) for p in got] == want
+    assert [oracle_bruhat_permutation(m) for m in g] == want
+    assert np.array_equal(got, factor.bruhat_factor(g).permutation)

@@ -344,6 +344,63 @@ def test_lm_rejects_a_raising_trial_point_and_converges():
     assert float(f @ f) <= 1e-12 and np.allclose(x, c, atol=1e-6)
 
 
+@pytest.mark.parametrize("where", ["leg", "circle"])
+def test_lm_rejects_a_trial_point_whose_loop_matrix_is_singular(
+    monkeypatch, where, rank2_weights, rank2_target, rank2_oracle_system
+):
+    # a singular approach-leg transport or circle frame raises NumericalError
+    # from the monodromy, not LinAlgError, so the LM rejects that trial point
+    # and goes on; here the first trial's leg 0 or the frame of circle 1 is
+    # zeroed, on every system of the stack
+    armed = [False]
+    if where == "leg":
+        real, owner, name = fuchs.transport_fan, fuchs, "transport_fan"
+        message = "transport along the approach leg of puncture 0 of system 0"
+
+        def corrupt(out):
+            values = out.values.copy()
+            values[..., 0, :, :] = 0.0
+            return dataclasses.replace(out, values=values)
+    else:
+        real, owner, name = fuchs.SeriesStack.frame, fuchs.SeriesStack, "frame"
+        message = "series frame at the entry of loop circle 1 of system 0"
+
+        def corrupt(out):
+            out = out.reshape(-1, rank2_weights.n, 2, 2).copy()
+            out[:, 1] = 0.0
+            return out.reshape(-1, 2, 2)
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return corrupt(out) if armed[0] else out
+
+    monkeypatch.setattr(owner, name, patched)
+    armed[0] = True
+    with pytest.raises(numcore.NumericalError, match=message):
+        rank2_weights.loops.monodromy(rank2_oracle_system.residues[None], rhsolve.LM_TRANSPORT_TOL)
+
+    parm = rhsolve.parametrization_from_system(rank2_oracle_system)
+    x0 = 0.05 * np.random.default_rng(4).standard_normal(parm.dim)
+    calls = []
+
+    def func(x):
+        calls.append(x.copy())
+        armed[0] = len(calls) == 2  # calls[0] is the start
+        try:
+            return rhsolve.residual_vector(parm, x, rank2_target)
+        finally:
+            armed[0] = False
+
+    def func_stack(xs):
+        return rhsolve.residual_stack(parm, xs, rank2_target)
+
+    x, f, _, history = rhsolve._levenberg_marquardt(func, func_stack, x0, rhsolve.SolveOptions())
+    rejected, taken = calls[1] - x0, calls[2] - x0
+    assert np.linalg.norm(taken) < np.linalg.norm(rejected)
+    assert history[1] < history[0]
+    assert float(f[:-4] @ f[:-4]) <= rhsolve.SolveOptions().tol ** 2
+
+
 def test_normalize_resonant_rejected(rank2_target):
     # nearly equal weights at infinity make the exponents resonant
     eps = 4e-10
