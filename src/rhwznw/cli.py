@@ -147,7 +147,7 @@ class ProblemConfig:
     points: list[complex]
     weights: np.ndarray
     degree: int | None = None
-    conjugators: list[np.ndarray] | None = None
+    conjugators: np.ndarray | None = None  # (n-1, r, r)
     residues: np.ndarray | None = None
     solver: rhsolve.SolveOptions = field(default_factory=rhsolve.SolveOptions)
     delta_schedule: tuple[float, ...] = wznw.DELTA_SCHEDULE
@@ -195,7 +195,7 @@ class ProblemConfig:
                 raise ConfigError("representation", "expected an object")
             if "conjugators" not in rep:
                 raise ConfigError("representation.conjugators", "missing required field")
-            cfg.conjugators = list(_complex_array(rep["conjugators"], "representation.conjugators", 3))
+            cfg.conjugators = _complex_array(rep["conjugators"], "representation.conjugators", 3)
         if "residues" in data:
             cfg.residues = _complex_array(data["residues"], "residues", 3)
         return cfg
@@ -250,14 +250,19 @@ def _target_rep(cfg: ProblemConfig, ws: fuchs.WeightSystem) -> fuchs.AdmissibleR
     return fuchs.build_admissible_rep(ws, cfg.conjugators)
 
 
-def _spectra_payload(mats: list[np.ndarray]) -> list[dict]:
+def _spectra_payload(mats: np.ndarray) -> list[dict]:
+    """Per generator of an (n, r, r) stack its eigenvalues, from one batched
+    eigvals, in numcore.sorted_eigvals' (real, imag) order, and its sorted
+    phases."""
+    lam = np.linalg.eigvals(mats)
+    lam = np.take_along_axis(lam, np.lexsort((lam.imag, lam.real)), axis=-1)
     return [
         {
             "index": i + 1,
-            "eigenvalues": [_complex_to_pair(x) for x in lam],
-            "phases": sorted(float(np.angle(x) / (2 * np.pi) % 1.0) for x in lam),
+            "eigenvalues": [_complex_to_pair(x) for x in row],
+            "phases": sorted(float(np.angle(x) / (2 * np.pi) % 1.0) for x in row),
         }
-        for i, lam in enumerate(map(numcore.sorted_eigvals, mats))
+        for i, row in enumerate(lam)
     ]
 
 

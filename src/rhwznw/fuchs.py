@@ -17,6 +17,14 @@ Orientation conventions (documented once, used everywhere):
   through the basepoint (no inversion: seen from infinity that circle is
   already the inverted loop).
 
+Tuples are stacks: the generators and conjugators of an
+:class:`AdmissibleRep`, the conjugators U_1 .. U_{n-1} that
+:func:`build_admissible_rep` closes and the generators and loop transports
+of a :class:`MonodromyResult` are (m, r, r) complex arrays, and every tuple
+computation (closing, conjugating, unitarity, the commutant) takes the whole
+stack in one call.  The one loop over a tuple multiplies its relation in
+order, left to right from I (_ordered_product).
+
 One loop set per weight system (WeightSystem.loops, a
 :class:`MonodromyLoops` built and clearance-checked on first access) serves
 every monodromy evaluation of its systems: the solver's residuals, the
@@ -94,7 +102,7 @@ import numpy as np
 
 from . import paths
 from .factor import SplittingType
-from .numcore import NumericalError, as_cmatrix, fro, sorted_eigvals
+from .numcore import NumericalError, adjoint, as_cmatrix, diag_stack, fro, sorted_eigvals
 
 TWO_PI_I = 2j * np.pi
 # build_admissible_rep's largest distance of M_n's spectrum from the infinity phases
@@ -155,12 +163,7 @@ class WeightSystem:
         return int(sum(self.splitting.m))
 
     def min_pairwise_distance(self) -> float:
-        pts = self.points
-        if len(pts) < 2:
-            return 1.0
-        return min(
-            abs(pts[i] - pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))
-        )
+        return _min_pairwise_distance(self.points)
 
     def default_basepoint(self) -> complex:
         return 2j * max(1.0, float(np.max(np.abs(self.points))))
@@ -174,6 +177,15 @@ class WeightSystem:
         k1 = float(np.sum(self.weights[:-1] ** 2))
         k2 = float(np.sum(self.infinity_exponents**2))
         return k1, k2
+
+
+def _min_pairwise_distance(pts: np.ndarray) -> float:
+    """Least |z_i - z_j| over the pairs i < j of two or more points, each
+    distance by np.hypot, which abs() of a complex scalar also takes (np.abs
+    of a complex array differs from it in the last bit)."""
+    a, b = np.triu_indices(len(pts), 1)
+    d = pts[a] - pts[b]
+    return float(np.min(np.hypot(d.real, d.imag)))
 
 
 def build_weight_system(points, weights, degree: int | None = None) -> WeightSystem:
@@ -198,10 +210,8 @@ def build_weight_system(points, weights, degree: int | None = None) -> WeightSys
         raise ValueError(f"expected {n - 1} finite points for {n} weight rows")
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"marked points must be finite, got {pts[~np.isfinite(pts)][0]}")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < 1e-12:
-                raise ValueError("marked points must be distinct")
+    if _min_pairwise_distance(pts) < 1e-12:
+        raise ValueError("marked points must be distinct")
     inside = (w > 0.0) & (w < 1.0)  # false for NaN
     if not np.all(inside):
         raise ValueError(f"weights must lie strictly inside (0, 1), got {w[~inside][0]}")
@@ -233,13 +243,16 @@ def build_weight_system(points, weights, degree: int | None = None) -> WeightSys
 # admissible representations
 
 
-def commutant_dimension(mats: list[np.ndarray]) -> int:
-    """Dimension of {X : [X, M_i] = 0 for all i} via one SVD."""
-    r = mats[0].shape[0]
+def commutant_dimension(mats) -> int:
+    """Dimension of {X : [X, M_i] = 0 for all i} of an (m, r, r) stack: one
+    SVD of the rows kron(M_i^T, I) - kron(I, M_i) of all members, stacked."""
+    m = np.asarray(mats, dtype=complex)
+    r = m.shape[-1]
     eye = np.eye(r)
-    rows = [np.kron(m.T, eye) - np.kron(eye, m) for m in mats]
-    big = np.vstack(rows)
-    sv = np.linalg.svd(big, compute_uv=False)
+    # big[k, a, i, b, j] = M_k[b, a] delta_ij - delta_ab M_k[i, j]
+    big = (np.swapaxes(m, -1, -2)[:, :, None, :, None] * eye[:, None, :]
+           - eye[:, None, :, None] * m[:, None, :, None, :])
+    sv = np.linalg.svd(big.reshape(-1, r * r), compute_uv=False)
     return int(np.sum(sv <= COMMUTANT_TOL * max(sv[0], 1.0)))
 
 
@@ -247,14 +260,22 @@ def commutant_dimension(mats: list[np.ndarray]) -> int:
 class AdmissibleRep:
     """Normalized admissible unitary tuple M_1 ... M_n with product I.
 
-    Each generator is U_i exp(2 pi i W_i) U_i^{-1}; after normalization the
-    last generator is diagonal (U_n = I) with phases given by the last
-    weight row.
+    generators and conjugators are (n, r, r) complex arrays; any array-like
+    of that shape is coerced, as FuchsianSystem's residues are.  Each
+    generator is U_i exp(2 pi i W_i) U_i^{-1}; after normalization the last
+    generator is diagonal (U_n = I) with phases given by the last weight row.
     """
 
     weights: WeightSystem
-    generators: list[np.ndarray]
-    conjugators: list[np.ndarray]
+    generators: np.ndarray  # (n, r, r)
+    conjugators: np.ndarray  # (n, r, r)
+
+    def __post_init__(self):
+        self.generators = np.asarray(self.generators, dtype=complex)
+        self.conjugators = np.asarray(self.conjugators, dtype=complex)
+        shape = (self.weights.n, self.weights.rank, self.weights.rank)
+        if self.generators.shape != shape or self.conjugators.shape != shape:
+            raise ValueError(f"generators and conjugators must have shape {shape}")
 
     @property
     def n(self) -> int:
@@ -265,40 +286,41 @@ class AdmissibleRep:
         return self.weights.rank
 
     def relation_residual(self) -> float:
-        prod = np.eye(self.rank, dtype=complex)
-        for m in self.generators:
-            prod = prod @ m
-        return fro(prod - np.eye(self.rank))
+        return fro(_ordered_product(self.generators) - np.eye(self.rank))
 
     def unitarity_residual(self) -> float:
+        """The largest ||M_i M_i^* - I||_F, over the whole stack at once."""
         eye = np.eye(self.rank)
-        return max(fro(m @ m.conj().T - eye) for m in self.generators)
+        return float(np.max(fro(self.generators @ adjoint(self.generators) - eye)))
 
     def is_irreducible(self) -> bool:
         return commutant_dimension(self.generators) == 1
 
     def conjugated(self, V: np.ndarray) -> "AdmissibleRep":
+        """The tuple V^* M_i V with conjugators V^* U_i, each stack in one product."""
         Vh = V.conj().T
         return AdmissibleRep(
             weights=self.weights,
-            generators=[Vh @ m @ V for m in self.generators],
-            conjugators=[Vh @ u for u in self.conjugators],
+            generators=Vh @ self.generators @ V,
+            conjugators=Vh @ self.conjugators,
         )
 
 
-def local_generator(weights: WeightSystem, i: int, U: np.ndarray) -> np.ndarray:
-    phases = np.exp(TWO_PI_I * weights.weights[i])
-    return U @ np.diag(phases) @ U.conj().T
-
-
-def closing_generator(weights: WeightSystem, conjugators) -> tuple[list[np.ndarray], np.ndarray]:
-    """The local generators of U_1 .. U_{n-1} and M_n, the inverse of their
-    (unitary) product."""
-    gens = [local_generator(weights, i, u) for i, u in enumerate(conjugators)]
-    prod = np.eye(weights.rank, dtype=complex)
-    for m in gens:
+def _ordered_product(mats: np.ndarray) -> np.ndarray:
+    """The product M_1 M_2 ... M_m of an (m, r, r) stack, multiplied left to
+    right starting from I: the one ordered-product loop of tuples."""
+    prod = np.eye(mats.shape[-1], dtype=complex)
+    for m in mats:
         prod = prod @ m
-    return gens, prod.conj().T
+    return prod
+
+
+def closing_generator(weights: WeightSystem, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The local generators U_i diag(exp(2 pi i W_i)) U_i^* of an (n-1, r, r)
+    conjugator stack, as one (n-1, r, r) product, and M_n, the inverse of
+    their (unitary) ordered product."""
+    gens = us @ diag_stack(np.exp(TWO_PI_I * weights.weights[:-1])) @ adjoint(us)
+    return gens, _ordered_product(gens).conj().T
 
 
 def _match_to_targets(lam: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,21 +343,27 @@ def unitary_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, Q
 
 
-def build_admissible_rep(weights: WeightSystem, conjugators: list[np.ndarray]) -> AdmissibleRep:
-    """Close U_1 .. U_{n-1} into a normalized admissible tuple.
+def build_admissible_rep(weights: WeightSystem, conjugators) -> AdmissibleRep:
+    """Close U_1 .. U_{n-1}, any array-like of shape (n-1, r, r), into a
+    normalized admissible tuple.
 
-    M_n is the inverse of the product of the first n-1 generators; it is
-    accepted when its spectrum matches the infinity weight phases to
+    Another shape raises ValueError naming the expected one.  M_n is the
+    inverse of the product of the first n-1 generators; it is accepted when
+    its spectrum matches the infinity weight phases to
     ADMISSIBLE_SPECTRUM_TOL, then the whole tuple is conjugated so M_n is
     diagonal in the weight order.
     """
     n, r = weights.n, weights.rank
-    if len(conjugators) != n - 1:
-        raise ValueError(f"expected {n - 1} conjugators")
-    us = [as_cmatrix(u, f"U_{i + 1}") for i, u in enumerate(conjugators)]
-    for u in us:
-        if fro(u @ u.conj().T - np.eye(r)) > 1e-10:
-            raise ValueError("conjugators must be unitary")
+    us = np.asarray(conjugators, dtype=complex)
+    if us.shape != (n - 1, r, r):
+        raise ValueError(
+            f"expected the {n - 1} conjugators U_1 .. U_{n - 1} as an array of shape "
+            f"{(n - 1, r, r)}, got shape {us.shape}"
+        )
+    if not np.all(np.isfinite(us)):
+        raise NumericalError("conjugators contain non-finite entries")
+    if np.any(fro(us @ adjoint(us) - np.eye(r)) > 1e-10):
+        raise ValueError("conjugators must be unitary")
     gens, m_last = closing_generator(weights, us)
 
     targets = np.exp(TWO_PI_I * weights.weights[-1])
@@ -346,19 +374,21 @@ def build_admissible_rep(weights: WeightSystem, conjugators: list[np.ndarray]) -
             f"spectrum at infinity misses the weights by {mismatch:.3e}"
         )
     V = V[:, perm]
+    eye = np.eye(r, dtype=complex)
     rep = AdmissibleRep(
         weights=weights,
-        generators=gens + [m_last],
-        conjugators=us + [np.eye(r, dtype=complex)],
+        generators=np.concatenate([gens, m_last[None]]),
+        conjugators=np.concatenate([us, eye[None]]),
     ).conjugated(V)
-    rep.conjugators[-1] = np.eye(r, dtype=complex)
+    rep.conjugators[-1] = eye
     if not rep.is_irreducible():
         warnings.warn("admissible tuple is reducible")
     return rep
 
 
-def rank2_closure_conjugators(weights: WeightSystem) -> list[np.ndarray]:
-    """The rigid rank-2, n=3 closure: U_1 = I and a real rotation U_2.
+def rank2_closure_conjugators(weights: WeightSystem) -> np.ndarray:
+    """The rigid rank-2, n=3 closure (U_1, U_2) as a (2, 2, 2) array: U_1 = I
+    and a real rotation U_2.
 
     With M_1 diagonal and U_2 a rotation by angle t, the trace of M_1 M_2
     moves on a straight segment in the complex plane as sin^2 t goes from
@@ -382,7 +412,7 @@ def rank2_closure_conjugators(weights: WeightSystem) -> list[np.ndarray]:
     s = np.sqrt(min(max(lam.real, 0.0), 1.0))
     c = np.sqrt(1.0 - s * s)
     u2 = np.array([[c, -s], [s, c]], dtype=complex)
-    return [np.eye(2, dtype=complex), u2]
+    return np.array([np.eye(2, dtype=complex), u2])
 
 
 def rank2_rigid_residues(weights: WeightSystem) -> np.ndarray:
@@ -448,11 +478,10 @@ class FuchsianSystem:
         return (w @ self.residues.reshape(w.shape[1], -1)).reshape(z.shape + self.residues.shape[1:])
 
     def spectrum_residual(self) -> float:
-        worst = 0.0
-        for i in range(self.weights.n - 1):
-            lam = np.sort(sorted_eigvals(self.residues[i]).real)
-            worst = max(worst, float(np.max(np.abs(lam - self.weights.weights[i]))))
-        return worst
+        """The largest distance of a residue's sorted real eigenvalue parts
+        from its weight row, from one batched eigvals."""
+        lam = np.sort(np.linalg.eigvals(self.residues).real, axis=-1)
+        return float(np.max(np.abs(lam - self.weights.weights[:-1])))
 
     def infinity_spectrum_residual(self) -> float:
         lam = sorted_eigvals(self.residue_at_infinity())
@@ -461,8 +490,7 @@ class FuchsianSystem:
         return float(max(re_err, np.max(np.abs(lam.imag))))
 
     def conjugated(self, g: np.ndarray) -> "FuchsianSystem":
-        ginv = np.linalg.inv(g)
-        return FuchsianSystem(self.weights, np.array([g @ a @ ginv for a in self.residues]))
+        return FuchsianSystem(self.weights, g @ self.residues @ np.linalg.inv(g))
 
 
 @dataclass
@@ -1199,11 +1227,11 @@ def _singular_member(stack: np.ndarray, what: str) -> str:
 
 @dataclass
 class MonodromyResult:
-    generators: list[np.ndarray]      # representation convention, product = I
-    loop_transports: list[np.ndarray]  # raw CCW transports, loop i and big circle
+    generators: np.ndarray       # (n, r, r) representation convention, product = I
+    loop_transports: np.ndarray  # (n, r, r) raw CCW transports, loop i and big circle
     relation_residual: float
     basepoint: complex
-    order: np.ndarray                  # puncture indices in relation order
+    order: np.ndarray            # puncture indices in relation order
 
 
 def monodromy_rep(system: FuchsianSystem, tol: float = TRANSPORT_TOL) -> MonodromyResult:
@@ -1220,15 +1248,11 @@ def monodromy_rep(system: FuchsianSystem, tol: float = TRANSPORT_TOL) -> Monodro
     transports, gens = raw[0], gens[0]
 
     order = np.lexsort((ws.points.imag, ws.points.real))
-    prod = np.eye(ws.rank, dtype=complex)
-    for i in order:
-        prod = prod @ gens[i]
-    prod = prod @ gens[-1]
-    residual = fro(prod - np.eye(ws.rank))
+    residual = fro(_ordered_product(gens[np.append(order, ws.n - 1)]) - np.eye(ws.rank))
     return MonodromyResult(
-        generators=list(gens),
-        loop_transports=list(transports),
-        relation_residual=float(residual),
+        generators=gens,
+        loop_transports=transports,
+        relation_residual=residual,
         basepoint=ws.loops.z0,
         order=order,
     )
@@ -1312,7 +1336,7 @@ def align_tuple_to_target(computed, target: AdmissibleRep) -> TupleAlignment:
     m = np.asarray(computed, dtype=complex)
     lead, (n, r) = m.shape[:-3], m.shape[-3:-1]
     m = m.reshape(-1, n, r, r)
-    tgt = np.asarray(target.generators, dtype=complex)
+    tgt = target.generators
 
     lam, v = np.linalg.eig(m[:, -1])
     perm, _ = _match_to_targets(lam, np.exp(TWO_PI_I * target.weights.weights[-1]))

@@ -5,10 +5,16 @@ Families here are charts on the representation variety: conjugators move
 along fixed anti-Hermitian directions with the real and imaginary parts
 of a complex parameter eps, a minimum-norm Newton correction spread over
 the conjugators restores the closure constraint (the spectrum of the
-implied generator at infinity), and the tuple is re-normalized.  eps is
-not a holomorphic coordinate on the moduli of parabolic bundles, so the
-stencil below (potential_levi_form) is a Laplacian in the chart eps of the
-potential -S/2, not the Levi form of the Kahler potential: its value
+implied generator at infinity), and the tuple is re-normalized.  The
+conjugators are an (n-1, r, r) array and a direction a (2, n-1, r, r)
+array, its index 0 moving Re eps and its index 1 Im eps.  Each Newton step
+takes the closure residual and its Jacobian from one call, every Jacobian
+block one stacked product over the su(r) basis, and moves all conjugators
+by one einsum and one batched expm.
+
+eps is not a holomorphic coordinate on the moduli of parabolic bundles, so
+the stencil below (potential_levi_form) is a Laplacian in the chart eps of
+the potential -S/2, not the Levi form of the Kahler potential: its value
 depends on the family's direction and can be negative, so its sign is a
 statement about the chart only.
 """
@@ -20,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fuchs, rhsolve, wznw
-from .numcore import expm, fro
+from .numcore import adjoint, diag_stack, expm, fro, random_unitary
 
 
 # closure residual (max norm) at which project_conjugators stops
@@ -55,123 +61,100 @@ def expected_dims(r: int, n: int) -> tuple[float, float]:
 # Newton projection onto the closure constraint
 
 
-def _su_basis(r: int) -> list[np.ndarray]:
-    """Anti-Hermitian basis of su(r)."""
-    out = []
-    for a in range(r):
-        for b in range(a + 1, r):
-            m = np.zeros((r, r), dtype=complex)
-            m[a, b], m[b, a] = 1.0, -1.0
-            out.append(m)
-            m = np.zeros((r, r), dtype=complex)
-            m[a, b] = 1j
-            m[b, a] = 1j
-            out.append(m)
-    for a in range(r - 1):
-        m = np.zeros((r, r), dtype=complex)
-        m[a, a] = 1j
-        m[a + 1, a + 1] = -1j
-        out.append(m)
+def _su_basis(r: int) -> np.ndarray:
+    """Anti-Hermitian basis of su(r) as an (r^2 - 1, r, r) stack: for each
+    pair a < b in row-major order E_ab - E_ba and i (E_ab + E_ba), then
+    i (E_aa - E_{a+1,a+1}) for a = 0 .. r-2."""
+    a, b = np.triu_indices(r, 1)
+    k, d = 2 * np.arange(len(a)), np.arange(r - 1)
+    out = np.zeros((r * r - 1, r, r), dtype=complex)
+    out[k, a, b], out[k, b, a] = 1.0, -1.0
+    out[k + 1, a, b] = out[k + 1, b, a] = 1j
+    out[2 * len(a) + d, d, d], out[2 * len(a) + d, d + 1, d + 1] = 1j, -1j
     return out
 
 
-def _closure_residual(weights: fuchs.WeightSystem, conjugators: list[np.ndarray]) -> np.ndarray:
-    """Real residual of power sums tr(M_n^j), j = 1..r-1.
+def _closure_system(
+    weights: fuchs.WeightSystem, conjugators: np.ndarray, basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The closure residual and its analytic Jacobian along the su-moves
+    U_i exp(t B), from one closing_generator call of the (n-1, r, r)
+    conjugators.
 
-    Power sums plus the automatically matched determinant pin the spectrum
-    of the implied generator at infinity.
+    The residual is the real, then the imaginary parts of the power sums
+    tr(M_n^j) - tr(T^j), j = 1 .. r-1, T the diagonal of infinity phases:
+    with the automatically matched determinant they pin the spectrum of the
+    implied generator at infinity.  With dM_i = U_i [B, D_i] U_i^{-1} and M_n
+    the conjugate transpose of the generator product,
+    d tr(M_n^j) = j tr(M_n^{j-1} dM_n).  The Jacobian's columns, conjugator
+    major and basis element minor, come from one stacked product over all
+    (i, B), between the prefix and suffix products of the generators.
     """
     r = weights.rank
-    _, m_last = fuchs.closing_generator(weights, conjugators)
-    target = np.diag(np.exp(fuchs.TWO_PI_I * weights.weights[-1]))
-    diffs = []
-    mp, tp = m_last.copy(), target.copy()
-    for _ in range(r - 1):
-        diffs.append(np.trace(mp) - np.trace(tp))
-        mp, tp = mp @ m_last, tp @ target
-    diff = np.asarray(diffs)
-    return np.concatenate([diff.real, diff.imag])
-
-
-def _closure_jacobian(
-    weights: fuchs.WeightSystem, conjugators: list[np.ndarray], basis: list[np.ndarray]
-) -> np.ndarray:
-    """Analytic derivative of the closure residual along su-moves U_i exp(t B).
-
-    With dM_i = U_i [B, D_i] U_i^{-1} and M_n the conjugate transpose of
-    the generator product, d tr(M_n^j) = j tr(M_n^{j-1} dM_n).
-    """
-    r = weights.rank
-    n1 = len(conjugators)
     gens, m_last = fuchs.closing_generator(weights, conjugators)
     powers = [np.eye(r, dtype=complex)]
-    for _ in range(r - 2):
+    for _ in range(r - 1):
         powers.append(powers[-1] @ m_last)
-    ds = [np.diag(np.exp(fuchs.TWO_PI_I * weights.weights[i])) for i in range(n1)]
+    powers = np.array(powers)
+    target = np.diag(np.exp(fuchs.TWO_PI_I * weights.weights[-1]))
+    tp, diffs = target, []
+    for mp in powers[1:]:
+        diffs.append(np.trace(mp) - np.trace(tp))
+        tp = tp @ target
+    diff = np.asarray(diffs)
+
     pre = [np.eye(r, dtype=complex)]
-    for i in range(n1 - 1):
-        pre.append(pre[-1] @ gens[i])
+    for g in gens[:-1]:
+        pre.append(pre[-1] @ g)
     post = [np.eye(r, dtype=complex)]
-    for i in range(n1 - 1, 0, -1):
-        post.append(gens[i] @ post[-1])
-    post = post[::-1]
-
-    cols = []
-    for i in range(n1):
-        ui = conjugators[i]
-        for bmat in basis:
-            dmi = ui @ (bmat @ ds[i] - ds[i] @ bmat) @ ui.conj().T
-            dprod = pre[i] @ dmi @ post[i]
-            dmn = dprod.conj().T
-            col = []
-            for j in range(1, r):
-                dtr = j * np.trace(powers[j - 1] @ dmn)
-                col.append(dtr)
-            col = np.asarray(col)
-            cols.append(np.concatenate([col.real, col.imag]))
-    return np.asarray(cols).T
+    for g in gens[:0:-1]:
+        post.append(g @ post[-1])
+    pre, post = np.array(pre)[:, None], np.array(post[::-1])[:, None]
+    ds = diag_stack(np.exp(fuchs.TWO_PI_I * weights.weights[:-1]))[:, None]
+    dm = conjugators[:, None] @ (basis @ ds - ds @ basis) @ adjoint(conjugators)[:, None]
+    dmn = adjoint(pre @ dm @ post)
+    dtr = np.arange(1, r)[:, None, None] * np.trace(
+        powers[:-1, None, None] @ dmn, axis1=-2, axis2=-1
+    )
+    jac = np.concatenate([dtr.real, dtr.imag]).reshape(2 * (r - 1), -1)
+    return np.concatenate([diff.real, diff.imag]), jac
 
 
-def project_conjugators(
-    weights: fuchs.WeightSystem, conjugators: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Newton-correct the conjugators so the tuple closes admissibly.
+def project_conjugators(weights: fuchs.WeightSystem, conjugators) -> np.ndarray:
+    """Newton-correct the conjugators, an (n-1, r, r) array-like, so the
+    tuple closes admissibly; returns a new (n-1, r, r) array.
 
     The correction is spread over all conjugators in minimum norm.  The
     constraint differential is rank deficient (the determinant direction
     is rigid), so the step solves through a truncated SVD; without the
     truncation the null rows inject noise and the chart loses smoothness.
+    Each step moves U_i to U_i exp(sum_k c_ik B_k), all conjugators in one
+    einsum and one batched expm.
     """
-    us = [np.array(u, dtype=complex) for u in conjugators]
+    us = np.array(conjugators, dtype=complex)
     r = weights.rank
     if r == 1:
         return us  # the only closure constraint is the automatic determinant
     basis = _su_basis(r)
-    per = len(basis)
     for _ in range(PROJECTION_MAX_ITER):
-        res = _closure_residual(weights, us)
+        res, J = _closure_system(weights, us, basis)
         if np.linalg.norm(res, np.inf) < PROJECTION_TOL:
             return us
-        J = _closure_jacobian(weights, us, basis)
         U_, sv, Vt = np.linalg.svd(J, full_matrices=False)
         keep = sv > 1e-8 * sv[0]
         coef = Vt[keep].T @ ((U_[:, keep].T @ (-res)) / sv[keep])
         if np.linalg.norm(coef) > 2.0:
             coef = coef * (2.0 / np.linalg.norm(coef))
-        gens = [sum(c * bmat for c, bmat in zip(coef[i * per : (i + 1) * per], basis))
-                for i in range(len(us))]
-        us = list(np.array(us) @ expm(np.array(gens)))
+        us = us @ expm(np.einsum("ik,kab->iab", coef.reshape(len(us), -1), basis))
     raise ChartRadiusError("closure Newton did not converge")
 
 
 def random_admissible_rep(weights: fuchs.WeightSystem, seed: int) -> fuchs.AdmissibleRep:
     """Admissible tuple from random conjugators plus Newton projection."""
-    from .numcore import random_unitary
-
     rng = np.random.default_rng(seed)
     last_err: Exception | None = None
     for _ in range(ADMISSIBLE_ATTEMPTS):
-        us = [random_unitary(rng, weights.rank) for _ in range(weights.n - 1)]
+        us = np.array([random_unitary(rng, weights.rank) for _ in range(weights.n - 1)])
         try:
             us = project_conjugators(weights, us)
             rep = fuchs.build_admissible_rep(weights, us)
@@ -188,36 +171,26 @@ def random_admissible_rep(weights: fuchs.WeightSystem, seed: int) -> fuchs.Admis
 # deformation families
 
 
-@dataclass
-class TangentDirection:
-    """Pair of anti-Hermitian conjugator velocities for Re and Im moves."""
+def random_tangent_direction(weights: fuchs.WeightSystem, seed: int) -> np.ndarray:
+    """Unit-norm random anti-Hermitian conjugator velocities as a
+    (2, n-1, r, r) array: index 0 moves Re eps, index 1 moves Im eps.
 
-    xi_re: list[np.ndarray]
-    xi_im: list[np.ndarray]
-
-
-def random_tangent_direction(weights: fuchs.WeightSystem, seed: int) -> TangentDirection:
-    """Unit-norm random anti-Hermitian velocities for the Re and Im moves."""
-    rng = np.random.default_rng(seed)
-
-    def anti_hermitian() -> np.ndarray:
-        m = rng.standard_normal((weights.rank,) * 2) + 1j * rng.standard_normal(
-            (weights.rank,) * 2
-        )
-        a = 0.5 * (m - m.conj().T)
-        return a / max(fro(a), 1e-12)
-
-    n = weights.n
-    return TangentDirection(
-        xi_re=[anti_hermitian() for _ in range(n - 1)],
-        xi_im=[anti_hermitian() for _ in range(n - 1)],
-    )
+    One standard_normal draw of shape (2, n-1, 2, r, r) holds the real and
+    imaginary parts of each member in the order of one draw per part and
+    member, the Re members first; each member is scaled to unit numcore.fro.
+    """
+    r = weights.rank
+    g = np.random.default_rng(seed).standard_normal((2, weights.n - 1, 2, r, r))
+    m = g[:, :, 0] + 1j * g[:, :, 1]
+    a = 0.5 * (m - adjoint(m))
+    return a / np.maximum(fro(a), 1e-12)[..., None, None]
 
 
 def deform_rep(
-    center: fuchs.AdmissibleRep, direction: TangentDirection, eps: complex
+    center: fuchs.AdmissibleRep, direction: np.ndarray, eps: complex
 ) -> fuchs.AdmissibleRep:
-    """Move the conjugators along the direction and re-close the tuple.
+    """Move the conjugators along the (2, n-1, r, r) direction (its Re and
+    Im members) and re-close the tuple.
 
     The chart is valid while the Newton correction converges; beyond
     CHART_RADIUS a ChartRadiusError is raised without trying.
@@ -225,8 +198,7 @@ def deform_rep(
     if abs(eps) > CHART_RADIUS:
         raise ChartRadiusError(f"|eps| = {abs(eps):.3f} beyond chart radius {CHART_RADIUS}")
     x, y = float(np.real(eps)), float(np.imag(eps))
-    gens = x * np.array(direction.xi_re) + y * np.array(direction.xi_im)
-    us = list(np.array(center.conjugators[:-1]) @ expm(gens))
+    us = center.conjugators[:-1] @ expm(x * direction[0] + y * direction[1])
     us = project_conjugators(center.weights, us)
     return fuchs.build_admissible_rep(center.weights, us)
 
@@ -248,7 +220,7 @@ class SurfacePoint:
 
 def action_surface(
     center: fuchs.AdmissibleRep,
-    direction: TangentDirection,
+    direction: np.ndarray,
     grid: list[complex],
     solve_opts: rhsolve.SolveOptions,
 ) -> list[SurfacePoint]:

@@ -33,7 +33,7 @@ import numpy as np
 from . import factor, fuchs
 # called by this name, so that a wrapper of rhsolve.align_tuple_to_target sees every call
 from .fuchs import ResonanceError, align_tuple_to_target
-from .numcore import NumericalError, expm
+from .numcore import NumericalError, diag_stack, expm
 
 
 class ReducibleTargetError(ValueError):
@@ -86,25 +86,23 @@ class ResidueParametrization:
     def residues(self, x: np.ndarray) -> np.ndarray:
         """A_i of chart points x (..., dim) as (..., n-1, r, r)."""
         cs = self.conjugators(x)
-        spectra = np.array([np.diag(w) for w in self.weights.weights[:-1]])
-        return cs @ spectra @ np.linalg.inv(cs)
+        return cs @ diag_stack(self.weights.weights[:-1]) @ np.linalg.inv(cs)
 
     def system(self, x: np.ndarray) -> fuchs.FuchsianSystem:
         return fuchs.FuchsianSystem(self.weights, self.residues(x))
 
 
 def parametrization_from_system(system: fuchs.FuchsianSystem) -> ResidueParametrization:
-    """Chart centered at an existing system (eigenvector basepoints)."""
-    bases = []
-    for i in range(system.weights.n - 1):
-        lam, v = np.linalg.eig(system.residues[i])
-        order = np.argsort(lam.real)
-        v = v[:, order]
-        lam = lam[order]
-        if np.max(np.abs(lam.real - system.weights.weights[i])) > 1e-6:
-            warnings.warn("system spectra deviate from the weights; chart recentered")
-        bases.append(v / np.linalg.norm(v, axis=0, keepdims=True))
-    return ResidueParametrization(system.weights, np.array(bases))
+    """Chart centered at an existing system: its basepoints are the residues'
+    unit eigenvectors in the order of increasing real eigenvalue parts, from
+    one batched eig."""
+    lam, v = np.linalg.eig(system.residues)
+    order = np.argsort(lam.real, axis=-1)
+    lam = np.take_along_axis(lam, order, axis=-1)
+    v = np.take_along_axis(v, order[:, None, :], axis=-1)
+    if np.max(np.abs(lam.real - system.weights.weights[:-1])) > 1e-6:
+        warnings.warn("system spectra deviate from the weights; chart recentered")
+    return ResidueParametrization(system.weights, v / np.linalg.norm(v, axis=-2, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +121,7 @@ def residual_stack(
     residues = parm.residues(xs)
     _, gens, _ = parm.weights.loops.monodromy(residues, LM_TRANSPORT_TOL)
     aligned = align_tuple_to_target(gens, target).generators
-    diff = aligned - np.asarray(target.generators)
+    diff = aligned - target.generators
     # per generator: real parts, then imaginary parts
     d = np.stack([diff.real, diff.imag], axis=2).reshape(len(gens), -1)
     lam = np.linalg.eigvals(-np.sum(residues, axis=1))
@@ -285,12 +283,11 @@ def solve(
         if restart == 0 and init is not None:
             parm = parametrization_from_system(init)
         else:
-            ks = []
-            for _ in range(n - 1):
-                k = 0.6 * (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
-                np.fill_diagonal(k, 0.0)
-                ks.append(k)
-            parm = ResidueParametrization(weights, expm(np.array(ks)))
+            # one draw: per conjugator its real, then its imaginary part
+            g = rng.standard_normal((n - 1, 2, r, r))
+            ks = 0.6 * (g[:, 0] + 1j * g[:, 1])
+            ks[:, np.arange(r), np.arange(r)] = 0.0
+            parm = ResidueParametrization(weights, expm(ks))
 
         func = partial(residual_vector, parm, target=target)
         func_stack = partial(residual_stack, parm, target=target)

@@ -282,8 +282,8 @@ def make_metric_field(
             "splitting needs an invertible constant term at infinity, and a non-scalar "
             "one is not decided"
         )
-    eye = np.eye(system.weights.rank)
-    quality = max(fro(m @ m.conj().T - eye) for m in norm.aligned_generators)
+    gens = norm.aligned_generators
+    quality = np.max(fro(gens @ adjoint(gens) - np.eye(system.weights.rank)))
     return MetricField(
         system=norm.canonical_system,
         basepoint=norm.basepoint,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,34 @@ def test_monodromy_solved_fixture(tmp_path):
     assert rc == 0
     rec = json.loads((tmp_path / "result.json").read_text())
     assert rec["relation_residual"] <= 1e-7
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2, 3)], ids=["3x3", "2x3"])
+def test_monodromy_refuses_a_conjugator_shape(tmp_path, capsys, shape):
+    # a representation whose conjugators do not fit the rank exits 2 with the
+    # shape it expects, not with numpy's broadcast or matmul-signature message
+    cfg = replace(rank2_config(), residues=None, conjugators=np.ones(shape, dtype=complex))
+    cli.save_config(cfg, tmp_path / "cfg.json")
+    rc = cli.main(["monodromy", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err.strip()
+    assert rc == cli.EXIT_VALIDATION
+    assert err == (
+        "error: ValueError: expected the 2 conjugators U_1 .. U_2 as an array of shape "
+        f"(2, 2, 2), got shape {shape}"
+    )
+
+
+def test_monodromy_from_a_representation(tmp_path):
+    # the "representation" source: the closed tuple's generators, spectra and relation
+    cfg = replace(rank2_config(), residues=None)
+    cli.save_config(cfg, tmp_path / "cfg.json")
+    rc = cli.main(["monodromy", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == 0
+    rec = json.loads((tmp_path / "result.json").read_text())
+    assert rec["source"] == "representation" and rec["irreducible"] is True
+    assert rec["relation_residual"] <= 1e-12
+    phases = [s["phases"] for s in rec["spectra"]]
+    assert np.allclose(phases, [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]], rtol=0, atol=1e-12)
 
 
 def test_rhsolve_rank1(tmp_path):

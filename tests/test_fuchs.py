@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,24 @@ def test_weight_system_rejects_non_finite_data(points, weights, match):
         fuchs.build_weight_system(points, weights)
 
 
+def test_min_pairwise_distance_is_the_least_pair_abs():
+    # one pairwise computation serves the distinctness check and the method;
+    # its minimum equals the per-pair abs() of complex scalars bit for bit
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 6, 9):
+        for _ in range(40):
+            pts = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+            ws = fuchs.build_weight_system(pts, [[1.0 / n]] * n)
+            pairs = [abs(p - q) for k, p in enumerate(ws.points) for q in ws.points[k + 1:]]
+            assert ws.min_pairwise_distance() == min(pairs)
+
+
+@pytest.mark.parametrize("gap", [0.0, 5e-13])
+def test_weight_system_refuses_coincident_points(gap):
+    with pytest.raises(ValueError, match="must be distinct"):
+        fuchs.build_weight_system([0.0, 1.0, 1.0 + gap], [[0.25]] * 4)
+
+
 def test_admissible_rank1():
     ws = fuchs.build_weight_system([0.0, 1.0], [[0.3], [0.8], [0.9]])
     rep = fuchs.build_admissible_rep(ws, [np.eye(1, dtype=complex)] * 2)
@@ -119,6 +138,19 @@ def test_not_admissible_diagonal_conjugators():
     ws = fuchs.build_weight_system([0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
     with pytest.raises(fuchs.NotAdmissibleError):
         fuchs.build_admissible_rep(ws, [np.eye(2, dtype=complex)] * 2)
+
+
+@pytest.mark.parametrize(
+    "conjugators",
+    [[np.eye(3, dtype=complex)] * 2, np.ones((2, 2, 3))],
+    ids=["3x3", "2x3"],
+)
+def test_build_admissible_rep_refuses_a_conjugator_shape(rank2_weights, conjugators):
+    # numpy's broadcast (3x3) and matmul-signature (2x3) messages used to
+    # surface here; the refusal names the (n-1, r, r) shape it expects
+    expected = f"as an array of shape (2, 2, 2), got shape {np.shape(conjugators)}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        fuchs.build_admissible_rep(rank2_weights, conjugators)
 
 
 def test_reducible_warning():

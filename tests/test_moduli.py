@@ -2,9 +2,10 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from rhwznw import fuchs, moduli
+from rhwznw import fuchs, moduli, numcore
 
 
 def test_expected_dims_examples():
@@ -24,17 +25,37 @@ def test_expected_dims_formula(r, n):
     assert dc == 0.5 * n * (r * r - r) - r * r + 1
 
 
+# (points, weights) of the criterion-9 family (rank 2), of W3 (rank 3) and of a
+# rank-4 system at n = 4 whose rows each sum to 2 (all exponents at infinity -2)
+N4 = ([-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]])
+W3 = ([-1.0, 0.0, 1.0], [[0.1, 0.2, 0.4], [0.15, 0.3, 0.55], [0.2, 0.3, 0.45], [0.05, 0.1, 0.2]])
+W4 = (
+    [-1.0, 0.0, 1.0],
+    [[0.1, 0.4, 0.6, 0.9], [0.2, 0.4, 0.6, 0.8], [0.15, 0.35, 0.65, 0.85], [0.05, 0.45, 0.55, 0.95]],
+)
+
+
 @pytest.fixture(scope="module")
 def n4_center():
-    ws = fuchs.build_weight_system(
-        [-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]]
-    )
-    return moduli.random_admissible_rep(ws, seed=5)
+    return moduli.random_admissible_rep(fuchs.build_weight_system(*N4), seed=5)
 
 
 @pytest.fixture(scope="module")
 def n4_direction(n4_center):
     return moduli.random_tangent_direction(n4_center.weights, seed=1)
+
+
+@pytest.fixture(scope="module")
+def w3_center():
+    return moduli.random_admissible_rep(fuchs.build_weight_system(*W3), seed=1)
+
+
+@pytest.fixture(scope="module", params=["n4_center", "w3_center"])
+def chart(request):
+    """A center of the criterion-9 family (rank 2) or of W3 (rank 3), with
+    the direction of seed 1."""
+    center = request.getfixturevalue(request.param)
+    return center, moduli.random_tangent_direction(center.weights, seed=1)
 
 
 def test_deform_zero_is_center(n4_center, n4_direction):
@@ -55,13 +76,14 @@ def test_deform_radius_error(n4_center, n4_direction):
         moduli.deform_rep(n4_center, n4_direction, 1.5)
 
 
-def test_deform_members_admissible(n4_center, n4_direction):
+def test_deform_members_admissible(chart):
+    center, direction = chart
+    off_diagonal = ~np.eye(center.rank, dtype=bool)
     for eps in (0.02, 0.02j, -0.015 + 0.01j):
-        rep = moduli.deform_rep(n4_center, n4_direction, eps)
+        rep = moduli.deform_rep(center, direction, eps)
         assert rep.relation_residual() < 1e-8
         assert rep.unitarity_residual() < 1e-8
-        m_last = rep.generators[-1]
-        assert abs(m_last[0, 1]) + abs(m_last[1, 0]) < 1e-8
+        assert np.sum(np.abs(rep.generators[-1][off_diagonal])) < 1e-8
 
 
 def test_levi_constant_surface():
@@ -197,7 +219,115 @@ def test_action_surface_order_reversal(rank2_weights, rank2_target):
         assert abs(table_f[eps] - table_r[eps]) <= 1e-8
 
 
-def test_project_conjugators_is_projection(n4_center):
-    us = [u.copy() for u in n4_center.conjugators[:-1]]
-    out = moduli.project_conjugators(n4_center.weights, us)
-    assert max(np.max(np.abs(a - b)) for a, b in zip(us, out)) < 1e-10
+def test_project_conjugators_is_projection(chart):
+    center, _ = chart
+    us = center.conjugators[:-1].copy()
+    out = moduli.project_conjugators(center.weights, us)
+    assert np.array_equal(us, center.conjugators[:-1])
+    assert np.max(np.abs(out - us)) < 1e-10
+
+
+def _su_basis_per_matrix(r):
+    """The su(r) basis as a list, built one matrix at a time."""
+    out = []
+    for a in range(r):
+        for b in range(a + 1, r):
+            m = np.zeros((r, r), dtype=complex)
+            m[a, b], m[b, a] = 1.0, -1.0
+            out.append(m)
+            m = np.zeros((r, r), dtype=complex)
+            m[a, b] = 1j
+            m[b, a] = 1j
+            out.append(m)
+    for a in range(r - 1):
+        m = np.zeros((r, r), dtype=complex)
+        m[a, a] = 1j
+        m[a + 1, a + 1] = -1j
+        out.append(m)
+    return out
+
+
+def _closure_per_matrix(weights, conjugators, basis):
+    """The closure residual and Jacobian by one loop iteration per
+    generator, basis element and power."""
+    r, n1 = weights.rank, len(conjugators)
+    ds = [np.diag(np.exp(fuchs.TWO_PI_I * weights.weights[i])) for i in range(n1)]
+    gens = [u @ d @ u.conj().T for u, d in zip(conjugators, ds)]
+    prod = np.eye(r, dtype=complex)
+    for m in gens:
+        prod = prod @ m
+    m_last = prod.conj().T
+
+    target = np.diag(np.exp(fuchs.TWO_PI_I * weights.weights[-1]))
+    diffs = []
+    mp, tp = m_last.copy(), target.copy()
+    for _ in range(r - 1):
+        diffs.append(np.trace(mp) - np.trace(tp))
+        mp, tp = mp @ m_last, tp @ target
+    diff = np.asarray(diffs)
+
+    powers = [np.eye(r, dtype=complex)]
+    for _ in range(r - 2):
+        powers.append(powers[-1] @ m_last)
+    pre = [np.eye(r, dtype=complex)]
+    for i in range(n1 - 1):
+        pre.append(pre[-1] @ gens[i])
+    post = [np.eye(r, dtype=complex)]
+    for i in range(n1 - 1, 0, -1):
+        post.append(gens[i] @ post[-1])
+    post = post[::-1]
+    cols = []
+    for i in range(n1):
+        ui = conjugators[i]
+        for bmat in basis:
+            dmi = ui @ (bmat @ ds[i] - ds[i] @ bmat) @ ui.conj().T
+            dmn = (pre[i] @ dmi @ post[i]).conj().T
+            col = np.asarray([j * np.trace(powers[j - 1] @ dmn) for j in range(1, r)])
+            cols.append(np.concatenate([col.real, col.imag]))
+    return np.concatenate([diff.real, diff.imag]), np.asarray(cols).T
+
+
+def test_su_basis_keeps_the_per_matrix_order():
+    for r in range(1, 6):
+        assert np.array_equal(moduli._su_basis(r), np.array(_su_basis_per_matrix(r)).reshape(-1, r, r))
+
+
+@pytest.mark.parametrize("weights", [N4, W3, W4], ids=["rank2", "rank3", "rank4"])
+def test_closure_system_equals_per_matrix_closure(weights):
+    # bit for bit at rank 2; above it the gate leaves room for a BLAS that
+    # sums the products of the power sums in another order
+    ws = fuchs.build_weight_system(*weights)
+    r = ws.rank
+    basis = moduli._su_basis(r)
+    rng = np.random.default_rng([29, r])
+    for _ in range(20):
+        us = np.array([numcore.random_unitary(rng, r) for _ in range(ws.n - 1)])
+        got = moduli._closure_system(ws, us, basis)
+        want = _closure_per_matrix(ws, list(us), _su_basis_per_matrix(r))
+        for a, b in zip(got, want):
+            if r == 2:
+                assert np.array_equal(a, b)
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("weights", [N4, W3, W4], ids=["rank2", "rank3", "rank4"])
+def test_closure_jacobian_matches_central_differences(weights):
+    # column (i, k) is d/dt of the residual at U_i -> U_i expm(t B_k), t = 0
+    ws = fuchs.build_weight_system(*weights)
+    r = ws.rank
+    basis = moduli._su_basis(r)
+    rng = np.random.default_rng([37, r])
+    us = np.array([numcore.random_unitary(rng, r) for _ in range(ws.n - 1)])
+    _, jac = moduli._closure_system(ws, us, basis)
+    h = 1e-5
+    fd = np.empty_like(jac)
+    for i in range(ws.n - 1):
+        for k, bmat in enumerate(basis):
+            plus, minus = us.copy(), us.copy()
+            plus[i] = us[i] @ scipy.linalg.expm(h * bmat)
+            minus[i] = us[i] @ scipy.linalg.expm(-h * bmat)
+            res_plus = moduli._closure_system(ws, plus, basis)[0]
+            res_minus = moduli._closure_system(ws, minus, basis)[0]
+            fd[:, i * len(basis) + k] = (res_plus - res_minus) / (2 * h)
+    assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))
