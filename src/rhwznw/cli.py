@@ -251,11 +251,9 @@ def _target_rep(cfg: ProblemConfig, ws: fuchs.WeightSystem) -> fuchs.AdmissibleR
 
 
 def _spectra_payload(mats: np.ndarray) -> list[dict]:
-    """Per generator of an (n, r, r) stack its eigenvalues, from one batched
-    eigvals, in numcore.sorted_eigvals' (real, imag) order, and its sorted
-    phases."""
-    lam = np.linalg.eigvals(mats)
-    lam = np.take_along_axis(lam, np.lexsort((lam.imag, lam.real)), axis=-1)
+    """Per generator of an (n, r, r) stack its eigenvalues, in
+    numcore.sorted_eigvals' (real, imag) order, and its sorted phases."""
+    lam = numcore.sorted_eigvals(mats)
     return [
         {
             "index": i + 1,

@@ -479,8 +479,8 @@ class FuchsianSystem:
 
     def spectrum_residual(self) -> float:
         """The largest distance of a residue's sorted real eigenvalue parts
-        from its weight row, from one batched eigvals."""
-        lam = np.sort(np.linalg.eigvals(self.residues).real, axis=-1)
+        from its weight row, from one batched sorted_eigvals."""
+        lam = sorted_eigvals(self.residues).real
         return float(np.max(np.abs(lam - self.weights.weights[:-1])))
 
     def infinity_spectrum_residual(self) -> float:

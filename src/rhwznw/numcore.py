@@ -63,7 +63,7 @@ def fro(m):
     imaginary parts, as np.linalg.norm takes them of a single matrix, so a
     member's norm equals that of the member taken alone, bit for bit
     (np.linalg.norm(axis=(-2, -1)) differs in the last bit on about a fifth
-    of small matrices).
+    of small matrices).  np.vecdot is why the package needs NumPy 2.0.
     """
     x = np.asarray(m, dtype=complex)
     x = x.reshape(*x.shape[:-2], -1)
@@ -84,8 +84,7 @@ def diag_stack(v) -> np.ndarray:
 def is_hermitian(m) -> bool:
     """Whether m, or every member of a (..., r, r) stack, is Hermitian."""
     m = np.asarray(m, dtype=complex)
-    skew = np.linalg.norm(m - adjoint(m), axis=(-2, -1))
-    return bool(np.all(skew <= HERMITIAN_TOL * np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1.0)))
+    return bool(np.all(fro(m - adjoint(m)) <= HERMITIAN_TOL * np.maximum(fro(m), 1.0)))
 
 
 def check_hermitian_pd(h) -> np.ndarray:
@@ -102,9 +101,11 @@ def check_hermitian_pd(h) -> np.ndarray:
 
 
 def sorted_eigvals(m) -> np.ndarray:
-    """Eigenvalues only, in the deterministic (real, imag) lexicographic order."""
-    lam = np.linalg.eigvals(as_cmatrix(m, "matrix"))
-    return lam[np.lexsort((lam.imag, lam.real))]
+    """Eigenvalues only, in the deterministic (real, imag) lexicographic
+    order: an (r,) array for a matrix, an (..., r) array for a (..., r, r)
+    stack, from one batched eigvals.  Non-finite input is refused."""
+    lam = np.linalg.eigvals(as_cstack(m, "matrix"))
+    return np.take_along_axis(lam, np.lexsort((lam.imag, lam.real)), axis=-1)
 
 
 def random_unitary(rng: np.random.Generator, r: int) -> np.ndarray:

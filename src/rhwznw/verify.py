@@ -51,11 +51,6 @@ def _chunks(count: int) -> list[range]:
     return [range(lo, min(lo + STACK_SAMPLES, count)) for lo in range(0, count, STACK_SAMPLES)]
 
 
-def _fro(m: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of every member of a (..., r, r) stack."""
-    return np.linalg.norm(m, axis=(-2, -1))
-
-
 def oracle_bruhat_permutation(g: np.ndarray):
     """Exhaustive-permutation factorization oracle, for g or for every member
     of a (..., r, r) stack: a tuple for one matrix, an (..., r) integer
@@ -86,9 +81,9 @@ def oracle_bruhat_permutation(g: np.ndarray):
     # and P Pi = M: both exactly, as products with Pi would give them
     gx = gs[:, None] @ X
     P = np.take_along_axis(gx, perms[None, :, None, :], axis=-1)
-    lower = _fro(np.triu(P, 1)) <= 1e-8 * np.maximum(_fro(P), 1e-300)
-    resid = _fro(gx @ np.linalg.inv(X) - gs[:, None])
-    accepted = lower & (resid <= 1e-8 * np.maximum(_fro(gs), 1e-300)[:, None])
+    lower = numcore.fro(np.triu(P, 1)) <= 1e-8 * np.maximum(numcore.fro(P), 1e-300)
+    resid = numcore.fro(gx @ np.linalg.inv(X) - gs[:, None])
+    accepted = lower & (resid <= 1e-8 * np.maximum(numcore.fro(gs), 1e-300)[:, None])
     counts = accepted.sum(axis=1)
     if np.any(counts != 1):
         raise numcore.NumericalError(f"oracle accepted {counts[counts != 1][0]} permutations")
@@ -110,13 +105,13 @@ def _suite_bruhat(seed: int, count: int) -> list[tuple[str, bool, str]]:
         for samples in by_rank.values():
             g = np.stack(samples)
             f = factor.bruhat_factor(g)
-            worst_recon = max(worst_recon, float(np.max(_fro(f.reconstruct() - g) / _fro(g))))
+            worst_recon = max(worst_recon, float(np.max(numcore.fro(f.reconstruct() - g) / numcore.fro(g))))
             mismatches += int(np.sum(np.any(f.permutation != oracle_bruhat_permutation(g), axis=-1)))
             large = factor.in_large_cell(g)
             if np.any(large):
                 f2 = factor.bruhat_large_cell_minors(g[large])
                 for one, two in ((f.P[large], f2.P), (f.L[large], f2.L)):
-                    worst_unique = max(worst_unique, float(np.max(_fro(one - two) / np.maximum(_fro(one), 1.0))))
+                    worst_unique = max(worst_unique, float(np.max(numcore.fro(one - two) / np.maximum(numcore.fro(one), 1.0))))
     return [
         ("reconstruction <= 1e-10", worst_recon <= 1e-10, f"worst {worst_recon:.3e}"),
         ("oracle agreement 100%", mismatches == 0, f"{mismatches} mismatches"),
@@ -138,8 +133,8 @@ def _suite_cholesky(seed: int, count: int) -> list[tuple[str, bool, str]]:
         f = factor.cholesky_minors(h, msq)
         b_ref = factor.cholesky_upper(h)
         f2 = factor.cholesky_minors(h, np.stack(us) @ msq)
-        worst_ref = max(worst_ref, float(np.max(_fro(f.b - b_ref) / _fro(b_ref))))
-        worst_inv = max(worst_inv, float(np.max(_fro(f.b - f2.b) / _fro(f.b))))
+        worst_ref = max(worst_ref, float(np.max(numcore.fro(f.b - b_ref) / numcore.fro(b_ref))))
+        worst_inv = max(worst_inv, float(np.max(numcore.fro(f.b - f2.b) / numcore.fro(f.b))))
     return [
         ("textbook agreement <= 1e-9", worst_ref <= 1e-9, f"worst {worst_ref:.3e}"),
         ("U-invariance <= 1e-9", worst_inv <= 1e-9, f"worst {worst_inv:.3e}"),

@@ -99,3 +99,39 @@ def test_expm_overflow_raises_numerical_error_without_warning():
             numcore.expm([[800.0, 0.0], [0.0, 0.0]])
         with pytest.raises(numcore.NumericalError):
             numcore.expm([[np.nan, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_fro_of_a_stack_is_each_members_norm_bit_for_bit(rank):
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((3, 5, rank, rank)) + 1j * rng.standard_normal((3, 5, rank, rank))
+    stacked = numcore.fro(m)
+    assert stacked.shape == (3, 5)
+    single = numcore.fro(m[1, 2])
+    assert isinstance(single, float)
+    for idx in np.ndindex(3, 5):
+        # the arithmetic of np.linalg.norm of one matrix, so a member reads as itself
+        assert stacked[idx] == numcore.fro(m[idx]) == np.linalg.norm(m[idx])
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_sorted_eigvals_of_a_stack_equals_member_calls(rank):
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((6, rank, rank)) + 1j * rng.standard_normal((6, rank, rank))
+    # members with a repeated real part, so the imaginary part orders them
+    m[0] = np.diag(np.arange(rank) * 1j + 1.0)[::-1, ::-1]
+    stacked = numcore.sorted_eigvals(m)
+    assert stacked.shape == (6, rank)
+    for member, single in zip(stacked, m):
+        lam = np.linalg.eigvals(single)
+        assert np.array_equal(member, lam[np.lexsort((lam.imag, lam.real))])
+    assert np.array_equal(stacked[0], 1.0 + np.arange(rank) * 1j)
+
+
+def test_sorted_eigvals_refuses_non_finite_and_non_square_input():
+    m = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    m[1, 0, 1] = np.inf
+    with pytest.raises(numcore.NumericalError):
+        numcore.sorted_eigvals(m)
+    with pytest.raises(ValueError):
+        numcore.sorted_eigvals(np.zeros((2, 3)))
