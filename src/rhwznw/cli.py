@@ -76,12 +76,11 @@ def _complex_array(value, fieldname: str, ndim: int) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[_complex_to_pair(x) for x in row] for row in np.asarray(m, dtype=complex)]
+def _complex_to_json(a) -> list:
+    """A complex scalar or array of any shape as nested [re, im] lists, the
+    form _complex_array reads back."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _integer(value) -> int:
@@ -158,7 +157,7 @@ class ProblemConfig:
     def to_dict(self) -> dict:
         out = {
             "schema_version": SCHEMA_VERSION,
-            "points": [_complex_to_pair(z) for z in self.points],
+            "points": _complex_to_json(self.points),
             "weights": [[float(x) for x in row] for row in np.asarray(self.weights)],
             "solver": _section_to_dict(self.solver, SOLVER_FIELDS),
             "action": _section_to_dict(self, ACTION_FIELDS),
@@ -166,9 +165,9 @@ class ProblemConfig:
         if self.degree is not None:
             out["degree"] = self.degree
         if self.conjugators is not None:
-            out["representation"] = {"conjugators": [_matrix_to_json(u) for u in self.conjugators]}
+            out["representation"] = {"conjugators": _complex_to_json(self.conjugators)}
         if self.residues is not None:
-            out["residues"] = [_matrix_to_json(a) for a in self.residues]
+            out["residues"] = _complex_to_json(self.residues)
         return out
 
     @staticmethod
@@ -257,7 +256,7 @@ def _spectra_payload(mats: np.ndarray) -> list[dict]:
     return [
         {
             "index": i + 1,
-            "eigenvalues": [_complex_to_pair(x) for x in row],
+            "eigenvalues": _complex_to_json(row),
             "phases": sorted(float(np.angle(x) / (2 * np.pi) % 1.0) for x in row),
         }
         for i, row in enumerate(lam)
@@ -271,18 +270,18 @@ def cmd_monodromy(cfg: ProblemConfig, out_dir: Path) -> int:
         mon = fuchs.monodromy_rep(system)
         payload = {
             "source": "residues",
-            "generators": [_matrix_to_json(m) for m in mon.generators],
-            "loop_transports": [_matrix_to_json(m) for m in mon.loop_transports],
+            "generators": _complex_to_json(mon.generators),
+            "loop_transports": _complex_to_json(mon.loop_transports),
             "spectra": _spectra_payload(mon.generators),
             "relation_residual": mon.relation_residual,
-            "basepoint": _complex_to_pair(mon.basepoint),
-            "relation_order": [int(i) for i in mon.order],
+            "basepoint": _complex_to_json(ws.loops.z0),
+            "relation_order": ws.relation_order.tolist(),
         }
     elif cfg.conjugators is not None:
         rep = _target_rep(cfg, ws)
         payload = {
             "source": "representation",
-            "generators": [_matrix_to_json(m) for m in rep.generators],
+            "generators": _complex_to_json(rep.generators),
             "spectra": _spectra_payload(rep.generators),
             "relation_residual": rep.relation_residual(),
             "irreducible": rep.is_irreducible(),

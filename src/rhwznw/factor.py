@@ -44,6 +44,7 @@ from .numcore import (
     adjoint,
     as_cstack,
     check_hermitian_pd,
+    fro,
 )
 
 
@@ -128,11 +129,6 @@ def _members(g) -> np.ndarray:
     return g.reshape((-1,) + g.shape[-2:])
 
 
-def _norms(g: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of every member, floored at 1e-300."""
-    return np.maximum(np.linalg.norm(g, axis=(-2, -1)), 1e-300)
-
-
 def _rank_pattern(g, threshold):
     """Ranks of all upper-right corners of g, or of every member of a
     (..., r, r) stack with its own threshold (shape (...)), with a dead-band
@@ -177,7 +173,7 @@ def bruhat_permutation(g) -> np.ndarray:
     SingularInputError, each for the first member that fails it.
     """
     gs = _members(g)
-    rho = _rank_pattern(gs, DEFAULT_TOL * _norms(gs))
+    rho = _rank_pattern(gs, DEFAULT_TOL * np.maximum(fro(gs), 1e-300))
     jump = rho[:, 1:, 1:-1] - rho[:, :-1, 1:-1] - rho[:, 1:, 2:] + rho[:, :-1, 2:]
     Pi = (jump == 1).astype(float)
     if not (np.all(Pi.sum(axis=-2) == 1) and np.all(Pi.sum(axis=-1) == 1)):
@@ -207,7 +203,7 @@ def bruhat_factor(g) -> BruhatFactors:
     """
     gs = _members(g)
     r = gs.shape[-1]
-    scale = _norms(gs)
+    scale = np.maximum(fro(gs), 1e-300)
     det = np.abs(np.linalg.det(gs))
     low = det <= 1e-12 * scale**r
     if np.any(low):
@@ -225,7 +221,7 @@ def bruhat_factor(g) -> BruhatFactors:
     L = np.linalg.inv(X)
     P = gs @ X @ np.swapaxes(Pi, -1, -2)
 
-    resid = np.linalg.norm(P @ Pi @ L - gs, axis=(-2, -1))
+    resid = fro(P @ Pi @ L - gs)
     bad = resid > 1e-10 * scale
     if np.any(bad):
         raise NumericalError(f"Bruhat reconstruction residual {resid[bad][0]:.3e}")
@@ -245,7 +241,7 @@ def in_large_cell(g):
     """
     g = as_cstack(g, "g")
     r = g.shape[-1]
-    gnorm = np.maximum(np.linalg.norm(g, axis=(-2, -1)) / np.sqrt(r), 1e-300)
+    gnorm = np.maximum(fro(g) / np.sqrt(r), 1e-300)
     inside = np.ones(g.shape[:-2], dtype=bool)
     for k in range(1, r + 1):
         inside &= np.abs(np.linalg.det(g[..., :k, r - k :])) > DEFAULT_TOL * gnorm**k
@@ -308,8 +304,8 @@ def cholesky_minors(h, M) -> CholeskyFactors:
     if M.shape != h.shape:
         raise ValueError(f"M has shape {M.shape}, h has shape {h.shape}")
     r = h.shape[-1]
-    hnorm = _norms(h)
-    gram = np.linalg.norm(adjoint(M) @ M - h, axis=(-2, -1))
+    hnorm = np.maximum(fro(h), 1e-300)
+    gram = fro(adjoint(M) @ M - h)
     if np.any(gram > 1e-8 * hnorm):
         raise ValueError("M* M does not reproduce h")
 
@@ -334,7 +330,7 @@ def cholesky_minors(h, M) -> CholeskyFactors:
     c = np.triu(Q[..., 1:, 1:] / q[..., 1:, None].real, 1) + np.eye(r)
 
     factors = CholeskyFactors(b=np.sqrt(a)[..., None] * c, a=a, c=c)
-    resid = np.linalg.norm(factors.reconstruct() - h, axis=(-2, -1))
+    resid = np.asarray(fro(factors.reconstruct() - h))
     bad = resid > CHOLESKY_MINOR_TOL * hnorm
     if np.any(bad):
         raise NumericalError(f"Cholesky reconstruction residual {resid[bad][0]:.3e}")

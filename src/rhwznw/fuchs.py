@@ -10,9 +10,13 @@ Orientation conventions (documented once, used everywhere):
 * The *representation generators* returned by :func:`monodromy_rep` are the
   inverses of those loop transports.  Loop inversion turns the transport
   anti-homomorphism into a homomorphism, so the generators satisfy
-  M_1 ... M_{n-1} M_n = I when the finite punctures are indexed by
-  increasing real part, and spec(M_i) = exp(2 pi i spec(A_i)), matching
-  admissible tuples built from the weights.
+  M_i1 ... M_i(n-1) M_n = I with (i1, ..., i(n-1)) the order in which the
+  loops leave the basepoint z0 counterclockwise,
+  WeightSystem.relation_order (increasing arg(z_i - z0)), and
+  spec(M_i) = exp(2 pi i spec(A_i)), matching admissible tuples built from
+  the weights.  The points may be listed in any order: member i of every
+  tuple belongs to point i, and every relation product (closing M_n,
+  relation residuals, the closure Newton of moduli) reads that one order.
 * M_n is the plain transport around a large counterclockwise circle
   through the basepoint (no inversion: seen from infinity that circle is
   already the inverted loop).
@@ -23,7 +27,7 @@ Tuples are stacks: the generators and conjugators of an
 of a :class:`MonodromyResult` are (m, r, r) complex arrays, and every tuple
 computation (closing, conjugating, unitarity, the commutant) takes the whole
 stack in one call.  The one loop over a tuple multiplies its relation in
-order, left to right from I (_ordered_product).
+relation order, left to right from I (_relation_product).
 
 One loop set per weight system (WeightSystem.loops, a
 :class:`MonodromyLoops` built and clearance-checked on first access) serves
@@ -95,7 +99,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import permutations
 
 import numpy as np
@@ -142,7 +146,8 @@ class WeightSystem:
     points holds the n-1 finite punctures; the n-th is infinity.  weights
     has one strictly increasing row in (0,1) per puncture, the last row
     belonging to infinity.  loops is the one loop set (MonodromyLoops) that
-    every monodromy evaluation of these weights reads, built on first access.
+    every monodromy evaluation of these weights reads, built on first access;
+    relation_order is the one order that every relation product reads.
     """
 
     points: np.ndarray
@@ -171,6 +176,28 @@ class WeightSystem:
     @cached_property
     def loops(self) -> MonodromyLoops:
         return MonodromyLoops(self)
+
+    @cached_property
+    def relation_order(self) -> np.ndarray:
+        """The finite punctures' indices in the order of the relation
+        M_i1 ... M_i(n-1) M_n = I: the order in which the loops of the loop
+        set leave the basepoint z0 = default_basepoint() counterclockwise.
+
+        Every z_i lies strictly below z0 = 2i max(1, max |z_j|), so the
+        angles arg(z_i - z0) lie in (-pi, 0) and never wrap, and the loops
+        leave z0 by increasing angle.  Two angles within 1e-6 belong to
+        points (nearly) collinear with z0: the farther point's approach leg
+        detours round the nearer point's circle, and the side it takes
+        decides, read off the legs (MonodromyLoops.departure_order); on an
+        exact tie the detour is clockwise and the nearer point comes first.
+        Apart from such ties the order comes from the points alone, and no
+        loop is planned for it.
+        """
+        angle = np.angle(self.points - self.default_basepoint())
+        order = np.argsort(angle, kind="stable")
+        if np.all(np.diff(angle[order]) > 1e-6):
+            return order
+        return self.loops.departure_order()
 
     def counterterm_coefficients(self) -> tuple[float, float]:
         """(K1, K2) = (sum of squared finite weights, squared infinity exponents)."""
@@ -286,7 +313,7 @@ class AdmissibleRep:
         return self.weights.rank
 
     def relation_residual(self) -> float:
-        return fro(_ordered_product(self.generators) - np.eye(self.rank))
+        return _relation_residual(self.weights, self.generators)
 
     def unitarity_residual(self) -> float:
         """The largest ||M_i M_i^* - I||_F, over the whole stack at once."""
@@ -306,21 +333,27 @@ class AdmissibleRep:
         )
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """The product M_1 M_2 ... M_m of an (m, r, r) stack, multiplied left to
-    right starting from I: the one ordered-product loop of tuples."""
-    prod = np.eye(mats.shape[-1], dtype=complex)
-    for m in mats:
+def _relation_product(weights: WeightSystem, gens: np.ndarray) -> np.ndarray:
+    """M_i1 ... M_i(n-1) of the n-1 finite generators, an (n-1, r, r) stack
+    whose member i belongs to point i, in weights.relation_order, multiplied
+    left to right starting from I: the one ordered-product loop of tuples."""
+    prod = np.eye(gens.shape[-1], dtype=complex)
+    for m in gens[weights.relation_order]:
         prod = prod @ m
     return prod
 
 
+def _relation_residual(weights: WeightSystem, gens: np.ndarray) -> float:
+    """||M_i1 ... M_i(n-1) M_n - I||_F of an (n, r, r) generator stack."""
+    return fro(_relation_product(weights, gens[:-1]) @ gens[-1] - np.eye(weights.rank))
+
+
 def closing_generator(weights: WeightSystem, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The local generators U_i diag(exp(2 pi i W_i)) U_i^* of an (n-1, r, r)
-    conjugator stack, as one (n-1, r, r) product, and M_n, the inverse of
-    their (unitary) ordered product."""
+    conjugator stack, as one (n-1, r, r) product in the conjugators' order,
+    and M_n, the inverse of their (unitary) product in relation order."""
     gens = us @ diag_stack(np.exp(TWO_PI_I * weights.weights[:-1])) @ adjoint(us)
-    return gens, _ordered_product(gens).conj().T
+    return gens, _relation_product(weights, gens).conj().T
 
 
 def _match_to_targets(lam: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +381,8 @@ def build_admissible_rep(weights: WeightSystem, conjugators) -> AdmissibleRep:
     normalized admissible tuple.
 
     Another shape raises ValueError naming the expected one.  M_n is the
-    inverse of the product of the first n-1 generators; it is accepted when
+    inverse of the product of the first n-1 generators in
+    weights.relation_order (closing_generator); it is accepted when
     its spectrum matches the infinity weight phases to
     ADMISSIBLE_SPECTRUM_TOL, then the whole tuple is conjugated so M_n is
     diagonal in the weight order.
@@ -486,7 +520,7 @@ class FuchsianSystem:
     def infinity_spectrum_residual(self) -> float:
         lam = sorted_eigvals(self.residue_at_infinity())
         target = np.sort(self.weights.infinity_exponents)
-        re_err = np.max(np.abs(np.sort(lam.real) - target))
+        re_err = np.max(np.abs(lam.real - target))
         return float(max(re_err, np.max(np.abs(lam.imag))))
 
     def conjugated(self, g: np.ndarray) -> "FuchsianSystem":
@@ -1152,6 +1186,20 @@ class MonodromyLoops:
         self.entry_logs = np.array([np.log(c.radius) + 1j * c.angle0 for c in circles[:-1]]
                                    + [-(np.log(abs(self.z0)) + 1j * np.angle(self.z0))])
 
+    def departure_order(self) -> np.ndarray:
+        """The punctures in the order their loops leave z0 counterclockwise,
+        read off the approach legs: leg i, run on to z_i, comes before leg j
+        when arg(z - z_j) turns more along it than arg(z - z_i) turns along
+        leg j (paths.arg_change).  For straight legs that is the order of
+        increasing arg(z_i - z0); a detour passes a point on one side or the
+        other and turns by about pi round it."""
+        pts, m = [complex(z) for z in self.weights.points], self.weights.n - 1
+        legs = [leg + [paths.Line(leg[-1].point(1.0), z)] for leg, z in zip(self.approaches, pts)]
+        turn = np.zeros((m, m))
+        for i, j in permutations(range(m), 2):
+            turn[i, j] = paths.arg_change(legs[i], pts[j])
+        return np.array(sorted(range(m), key=cmp_to_key(lambda i, j: turn[j, i] - turn[i, j])))
+
     def circle_transports(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack]:
         """Transports C once around every circle, each from I at its entry,
         and their inverses, (B, n, r, r) each, of a (B, n-1, r, r) residue
@@ -1230,31 +1278,23 @@ class MonodromyResult:
     generators: np.ndarray       # (n, r, r) representation convention, product = I
     loop_transports: np.ndarray  # (n, r, r) raw CCW transports, loop i and big circle
     relation_residual: float
-    basepoint: complex
-    order: np.ndarray            # puncture indices in relation order
 
 
 def monodromy_rep(system: FuchsianSystem, tol: float = TRANSPORT_TOL) -> MonodromyResult:
     """Representation generators of the system's monodromy.
 
     The weights' loop set (WeightSystem.loops) with one member.  The relation
-    residual multiplies the generators with the finite punctures taken in
-    order of increasing real part.  It is a genuine check: the big circle
+    residual multiplies the generators in WeightSystem.relation_order, as
+    every relation product does.  It is a genuine check: the big circle
     comes from the series at infinity, which depends neither on the
     approach legs nor on the puncture series.
     """
     ws = system.weights
     raw, gens, _ = ws.loops.monodromy(system.residues[None], tol)
-    transports, gens = raw[0], gens[0]
-
-    order = np.lexsort((ws.points.imag, ws.points.real))
-    residual = fro(_ordered_product(gens[np.append(order, ws.n - 1)]) - np.eye(ws.rank))
     return MonodromyResult(
-        generators=gens,
-        loop_transports=transports,
-        relation_residual=residual,
-        basepoint=ws.loops.z0,
-        order=order,
+        generators=gens[0],
+        loop_transports=raw[0],
+        relation_residual=_relation_residual(ws, gens[0]),
     )
 
 

@@ -6,8 +6,11 @@ along fixed anti-Hermitian directions with the real and imaginary parts
 of a complex parameter eps, a minimum-norm Newton correction spread over
 the conjugators restores the closure constraint (the spectrum of the
 implied generator at infinity), and the tuple is re-normalized.  The
-conjugators are an (n-1, r, r) array and a direction a (2, n-1, r, r)
-array, its index 0 moving Re eps and its index 1 Im eps.  Each Newton step
+conjugators are an (n-1, r, r) array, member i at point i however the
+points are listed, and a direction a (2, n-1, r, r) array, its index 0
+moving Re eps and its index 1 Im eps.  The generator at infinity is the
+inverse of the product in the weights' one relation order
+(fuchs.WeightSystem.relation_order), as everywhere in fuchs.  Each Newton step
 takes the closure residual and its Jacobian from one call, every Jacobian
 block one stacked product over the su(r) basis, and moves all conjugators
 by one einsum and one batched expm.
@@ -88,7 +91,9 @@ def _closure_system(
     the conjugate transpose of the generator product,
     d tr(M_n^j) = j tr(M_n^{j-1} dM_n).  The Jacobian's columns, conjugator
     major and basis element minor, come from one stacked product over all
-    (i, B), between the prefix and suffix products of the generators.
+    (i, B), between the prefix and suffix products of the generators in
+    relation order (WeightSystem.relation_order), which are then put back
+    in the conjugators' order.
     """
     r = weights.rank
     gens, m_last = fuchs.closing_generator(weights, conjugators)
@@ -103,13 +108,15 @@ def _closure_system(
         tp = tp @ target
     diff = np.asarray(diffs)
 
+    order = weights.relation_order
     pre = [np.eye(r, dtype=complex)]
-    for g in gens[:-1]:
+    for g in gens[order[:-1]]:
         pre.append(pre[-1] @ g)
     post = [np.eye(r, dtype=complex)]
-    for g in gens[:0:-1]:
+    for g in gens[order[:0:-1]]:
         post.append(g @ post[-1])
-    pre, post = np.array(pre)[:, None], np.array(post[::-1])[:, None]
+    back = np.argsort(order)
+    pre, post = np.array(pre)[back, None], np.array(post[::-1])[back, None]
     ds = diag_stack(np.exp(fuchs.TWO_PI_I * weights.weights[:-1]))[:, None]
     dm = conjugators[:, None] @ (basis @ ds - ds @ basis) @ adjoint(conjugators)[:, None]
     dmn = adjoint(pre @ dm @ post)

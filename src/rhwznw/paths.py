@@ -118,6 +118,23 @@ def path_min_distance(path: list[Segment], w: complex) -> float:
     return min(seg.distance_to(w) for seg in path)
 
 
+def arg_change(path: list[Segment], w: complex) -> float:
+    """The continuous change of arg(z - w) along a path clear of w, w
+    outside every Arc's circle or at its center.
+
+    A Line, and an Arc that w lies outside of, subtends less than pi from
+    w, so each turns by the principal argument of (end - w) / (start - w);
+    an Arc centered at w turns by its own sweep.
+    """
+    total = 0.0
+    for seg in path:
+        if isinstance(seg, Arc) and seg.center == w:
+            total += seg.angle1 - seg.angle0
+        else:
+            total += float(np.angle((seg.point(1.0) - w) / (seg.point(0.0) - w)))
+    return total
+
+
 def circle(center: complex, radius: float, start_angle: float) -> Arc:
     """The full counterclockwise circle entered at start_angle."""
     return Arc(center, radius, start_angle, start_angle + 2 * np.pi)
@@ -127,8 +144,9 @@ def plan_route(a: complex, b: complex, keepouts: list[tuple[complex, float]]) ->
     """Segments from a to b keeping distance r_k from each keepout center.
 
     Straight line if clear; otherwise detour around the most intruding
-    keepout along its clearance circle, recursing on the two remaining
-    pieces, at most eight levels deep (ProximityError beyond).
+    keepout along its clearance circle, by the shorter arc (the clockwise
+    one when the line runs through the keepout's center), recursing on the
+    two remaining pieces, at most eight levels deep (ProximityError beyond).
     """
     return _route(a, b, keepouts, 0)
 
@@ -156,11 +174,15 @@ def _route(a: complex, b: complex, keepouts: list[tuple[complex, float]], depth:
     half = np.sqrt(max(h2, 0.0)) / abs(d)
     t1, t2 = np.clip(t0 - half, 0.0, 1.0), np.clip(t0 + half, 0.0, 1.0)
     p1, p2 = a + t1 * d, a + t2 * d
-    # project entry/exit onto the circle and connect by the shorter arc
+    # project entry/exit onto the circle and connect by the shorter arc; a
+    # line through the center (to rounding) has none, and takes the clockwise
+    # half, so that legs along one line all pass a center on the same side
     q1 = center + r * (p1 - center) / abs(p1 - center)
     q2 = center + r * (p2 - center) / abs(p2 - center)
     a1, a2 = np.angle(q1 - center), np.angle(q2 - center)
     sweep = np.angle(np.exp(1j * (a2 - a1)))
+    if np.pi - abs(sweep) < 1e-9:
+        sweep = -abs(sweep)
     route: list[Segment] = []
     route += _route(a, q1, [k for k in keepouts if k[0] != center], depth + 1)
     route.append(Arc(center, r, a1, a1 + sweep))

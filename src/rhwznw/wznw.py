@@ -848,5 +848,5 @@ def flatness_residual(fld: MetricField, z, step):
     hp, hm, hq, hr, h = np.moveaxis(hs, 2, 0)
     g = np.linalg.solve(h, 0.5 * ((hp - hm) / s2[:, None] - 1j * (hq - hr) / s2[:, None]))
     gz = 0.5 * ((g[:, 0] - g[:, 1]) / s2 + 1j * (g[:, 2] - g[:, 3]) / s2)
-    res = np.linalg.norm(gz, axis=(-2, -1)).reshape(shape)
+    res = fro(gz).reshape(shape)
     return float(res) if res.ndim == 0 else res

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import off_curve_integrals
-from rhwznw import cli, fuchs, rhsolve, wznw
+from rhwznw import cli, fuchs, numcore, rhsolve, wznw
 
 
 def rank1_config():
@@ -106,6 +106,24 @@ def test_monodromy_refuses_a_conjugator_shape(tmp_path, capsys, shape):
         "error: ValueError: expected the 2 conjugators U_1 .. U_2 as an array of shape "
         f"(2, 2, 2), got shape {shape}"
     )
+
+
+def test_monodromy_relation_order_off_the_axis(tmp_path):
+    # seen from z0 = 2i |z_0| the loops leave in the order 1, 0, 2, which is not
+    # the order of the real parts: the relation holds in the reported order
+    points = [-1 - 1.9j, -0.9 + 1.9j, 0.5 + 0.2j]
+    ws = fuchs.build_weight_system(points, [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]])
+    rng = np.random.default_rng(3)
+    c = np.eye(2) + 0.3 * (rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
+    residues = c @ numcore.diag_stack(ws.weights[:-1]) @ np.linalg.inv(c)
+    cfg = cli.ProblemConfig(points=points, weights=ws.weights, residues=residues)
+    cli.save_config(cfg, tmp_path / "cfg.json")
+    rc = cli.main(["monodromy", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == 0
+    rec = json.loads((tmp_path / "result.json").read_text())
+    assert rec["relation_order"] == [1, 0, 2]
+    assert rec["basepoint"] == [0.0, ws.default_basepoint().imag]
+    assert rec["relation_residual"] <= 1e-8
 
 
 def test_monodromy_from_a_representation(tmp_path):

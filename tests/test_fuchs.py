@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -231,9 +232,13 @@ def _distinct_points(pts):
     return all(abs(a - b) > 1e-2 for i, a in enumerate(pts) for b in pts[i + 1:])
 
 
+# two to five distinct points in [-3, 3]^2, in any listing
+POINT_LISTS = (st.lists(st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)), min_size=2, max_size=5)
+               .filter(_distinct_points))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)), min_size=2, max_size=5)
-       .filter(_distinct_points))
+@given(POINT_LISTS)
 def test_loop_geometry_at_the_one_basepoint_property(pts):
     # the loop set takes z0 = 2i max(1, max|z_j|): every loop circle lies
     # inside |z| <= |z0| (a ring may touch it), and the series at infinity
@@ -956,6 +961,60 @@ def test_monodromy_detour_legs_run_as_padded_rounds(monkeypatch):
         ref, _ = _transport_stack(ws.points, residues, approach, tol=tol / 100)
         for b in range(4):
             assert numcore.fro(legs[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
+
+
+def _relation_residuals(ws, gens):
+    """||M_p1 ... M_p(n-1) M_n - I||_F of an (n, r, r) generator stack for
+    every order p of the finite punctures."""
+    out = {}
+    for p in itertools.permutations(range(ws.n - 1)):
+        prod = np.eye(ws.rank, dtype=complex)
+        for g in gens[list(p) + [ws.n - 1]]:
+            prod = prod @ g
+        out[p] = numcore.fro(prod - np.eye(ws.rank))
+    return out
+
+
+def _least_order_margin(ws, gens):
+    """The relation residual in ws.relation_order and the least residual of
+    any other order."""
+    res = _relation_residuals(ws, gens)
+    order = tuple(ws.relation_order.tolist())
+    return res[order], min(v for p, v in res.items() if p != order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(POINT_LISTS, st.integers(0, 2**31 - 1))
+# a point 1.2e-13 west of the line from z0 through 1j: its leg detours round 1j
+@example(pts=[1j, -1.187333468784054e-13 + 0j], seed=0)
+# points on the line to z0, behind a detour round a point off it
+@example(pts=[0j, 0.125j, -1j, 0.125 + 1j], seed=0)
+@example(pts=[-2j, -2.5j, -2.875j, 1 + 2j], seed=0)
+def test_relation_order_is_the_least_residual_order_property(pts, seed):
+    # the loops leave z0 = 2i max(1, max|z_j|) counterclockwise by
+    # arg(z_i - z0): in that order the relation holds, in every other order
+    # it misses by at least 1e4 times as much, whatever the points' listing
+    m = len(pts)
+    last = [0.4, 0.6] if m % 2 == 0 else [0.2, 0.3]  # integer total weight
+    ws = fuchs.build_weight_system(pts, [[0.15, 0.35]] * m + [last])
+    residues = _random_residues(ws, np.random.default_rng(seed), 1)[0]
+    mon = fuchs.monodromy_rep(fuchs.FuchsianSystem(ws, residues))
+    best, other = _least_order_margin(ws, mon.generators)
+    assert mon.relation_residual == best
+    assert other >= 1e4 * best
+
+
+@pytest.mark.parametrize("pts, order", [([0.0, 1j], [1, 0]), ([1j, 0.0], [0, 1])])
+def test_relation_order_on_a_tie_puts_the_nearer_point_first(pts, order):
+    # both points lie straight below z0 = 2i: the angles tie, and the leg to 0
+    # detours round the circle at 1j, so the relation takes 1j first
+    ws = fuchs.build_weight_system(pts, [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
+    assert ws.relation_order.tolist() == order
+    residues = _random_residues(ws, np.random.default_rng(71), 1)[0]
+    mon = fuchs.monodromy_rep(fuchs.FuchsianSystem(ws, residues))
+    best, other = _least_order_margin(ws, mon.generators)
+    assert mon.relation_residual == best <= 1e-9
+    assert other >= 1e4 * best
 
 
 def _entry_values(loops, series):

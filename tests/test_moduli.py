@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from rhwznw import fuchs, moduli, numcore
+from rhwznw import fuchs, moduli, numcore, rhsolve, wznw
 
 
 def test_expected_dims_examples():
@@ -33,6 +33,10 @@ W4 = (
     [-1.0, 0.0, 1.0],
     [[0.1, 0.4, 0.6, 0.9], [0.2, 0.4, 0.6, 0.8], [0.15, 0.35, 0.65, 0.85], [0.05, 0.45, 0.55, 0.95]],
 )
+
+
+# the criterion-9 family listed right to left: points 1, 0, -1, each with its weight row
+N4_REVERSED = ([1.0, 0.0, -1.0], N4[1][2::-1] + N4[1][3:])
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +88,36 @@ def test_deform_members_admissible(chart):
         assert rep.relation_residual() < 1e-8
         assert rep.unitarity_residual() < 1e-8
         assert np.sum(np.abs(rep.generators[-1][off_diagonal])) < 1e-8
+
+
+def test_reversed_listing_solves_cold():
+    # the relation takes the points by their angle at z0, not by their index:
+    # the criterion-9 family listed right to left closes, solves cold at
+    # restart 0 and gives a field inside the quality gate
+    ws = fuchs.build_weight_system(*N4_REVERSED)
+    assert ws.relation_order.tolist() == [2, 1, 0]
+    center = moduli.random_admissible_rep(ws, seed=5)
+    system, report = rhsolve.solve(ws, center, opts=rhsolve.SolveOptions(seed=3))
+    assert report.success and report.restart_index == 0
+    fld = wznw.make_metric_field(system, center, normalization=report.normalization)
+    assert fld.monodromy_quality <= 1e-6
+
+
+def test_relabelled_target_is_the_same_tuple(n4_center):
+    # the seed-5 center's conjugators listed right to left close to the same
+    # tuple, relabelled, and its action is the same S
+    ws = fuchs.build_weight_system(*N4_REVERSED)
+    rep = fuchs.build_admissible_rep(ws, n4_center.conjugators[2::-1])
+    flip = [2, 1, 0, 3]
+    assert np.max(np.abs(rep.generators - n4_center.generators[flip])) <= 1e-14
+    assert np.max(np.abs(rep.conjugators - n4_center.conjugators[flip])) <= 1e-14
+    actions = []
+    for target in (n4_center, rep):
+        system, report = rhsolve.solve(target.weights, target, opts=rhsolve.SolveOptions(seed=3))
+        assert report.success
+        fld = wznw.make_metric_field(system, target, normalization=report.normalization)
+        actions.append(wznw.action_regularized(fld).value)
+    assert abs(actions[1] / actions[0] - 1) <= 1e-9
 
 
 def test_levi_constant_surface():
