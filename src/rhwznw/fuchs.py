@@ -479,9 +479,13 @@ def rank2_rigid_residues(weights: WeightSystem) -> np.ndarray:
 # Fuchsian systems and transport
 
 
-@dataclass
+@dataclass(eq=False)
 class FuchsianSystem:
-    """Residues A_1 .. A_{n-1} at the finite punctures of a weight system."""
+    """Residues A_1 .. A_{n-1} at the finite punctures of a weight system.
+
+    Compared and hashed by identity (an elementwise == of the residue arrays
+    has no truth value), so that rhsolve can key its warm start records on
+    the system object."""
 
     weights: WeightSystem
     residues: np.ndarray  # (n-1, r, r)

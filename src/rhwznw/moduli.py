@@ -10,10 +10,11 @@ conjugators are an (n-1, r, r) array, member i at point i however the
 points are listed, and a direction a (2, n-1, r, r) array, its index 0
 moving Re eps and its index 1 Im eps.  The generator at infinity is the
 inverse of the product in the weights' one relation order
-(fuchs.WeightSystem.relation_order), as everywhere in fuchs.  Each Newton step
-takes the closure residual and its Jacobian from one call, every Jacobian
-block one stacked product over the su(r) basis, and moves all conjugators
-by one einsum and one batched expm.
+(fuchs.WeightSystem.relation_order), as everywhere in fuchs.  Each Newton
+iterate forms the closure residual; only one that misses the tolerance
+forms its Jacobian too, from the residual's generators and powers, every
+Jacobian block one stacked product over the su(r) basis, and the step
+moves all conjugators by one einsum and one batched expm.
 
 eps is not a holomorphic coordinate on the moduli of parabolic bundles, so
 the stencil below (potential_levi_form) is a Laplacian in the chart eps of
@@ -77,23 +78,17 @@ def _su_basis(r: int) -> np.ndarray:
     return out
 
 
-def _closure_system(
-    weights: fuchs.WeightSystem, conjugators: np.ndarray, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The closure residual and its analytic Jacobian along the su-moves
-    U_i exp(t B), from one closing_generator call of the (n-1, r, r)
-    conjugators.
+def _closure_residual(
+    weights: fuchs.WeightSystem, conjugators: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closure residual of the (n-1, r, r) conjugators, from one
+    closing_generator call, with the generators and the powers M_n^j,
+    j = 0 .. r-1, that its Jacobian (_closure_jacobian) reads.
 
     The residual is the real, then the imaginary parts of the power sums
     tr(M_n^j) - tr(T^j), j = 1 .. r-1, T the diagonal of infinity phases:
     with the automatically matched determinant they pin the spectrum of the
-    implied generator at infinity.  With dM_i = U_i [B, D_i] U_i^{-1} and M_n
-    the conjugate transpose of the generator product,
-    d tr(M_n^j) = j tr(M_n^{j-1} dM_n).  The Jacobian's columns, conjugator
-    major and basis element minor, come from one stacked product over all
-    (i, B), between the prefix and suffix products of the generators in
-    relation order (WeightSystem.relation_order), which are then put back
-    in the conjugators' order.
+    implied generator at infinity.
     """
     r = weights.rank
     gens, m_last = fuchs.closing_generator(weights, conjugators)
@@ -107,7 +102,27 @@ def _closure_system(
         diffs.append(np.trace(mp) - np.trace(tp))
         tp = tp @ target
     diff = np.asarray(diffs)
+    return np.concatenate([diff.real, diff.imag]), gens, powers
 
+
+def _closure_jacobian(
+    weights: fuchs.WeightSystem,
+    conjugators: np.ndarray,
+    basis: np.ndarray,
+    gens: np.ndarray,
+    powers: np.ndarray,
+) -> np.ndarray:
+    """The analytic Jacobian of the closure residual along the su-moves
+    U_i exp(t B), from the generators and powers of _closure_residual.
+
+    With dM_i = U_i [B, D_i] U_i^{-1} and M_n the conjugate transpose of
+    the generator product, d tr(M_n^j) = j tr(M_n^{j-1} dM_n).  The
+    columns, conjugator major and basis element minor, come from one
+    stacked product over all (i, B), between the prefix and suffix products
+    of the generators in relation order (WeightSystem.relation_order),
+    which are then put back in the conjugators' order.
+    """
+    r = weights.rank
     order = weights.relation_order
     pre = [np.eye(r, dtype=complex)]
     for g in gens[order[:-1]]:
@@ -123,8 +138,7 @@ def _closure_system(
     dtr = np.arange(1, r)[:, None, None] * np.trace(
         powers[:-1, None, None] @ dmn, axis1=-2, axis2=-1
     )
-    jac = np.concatenate([dtr.real, dtr.imag]).reshape(2 * (r - 1), -1)
-    return np.concatenate([diff.real, diff.imag]), jac
+    return np.concatenate([dtr.real, dtr.imag]).reshape(2 * (r - 1), -1)
 
 
 def project_conjugators(weights: fuchs.WeightSystem, conjugators) -> np.ndarray:
@@ -144,9 +158,10 @@ def project_conjugators(weights: fuchs.WeightSystem, conjugators) -> np.ndarray:
         return us  # the only closure constraint is the automatic determinant
     basis = _su_basis(r)
     for _ in range(PROJECTION_MAX_ITER):
-        res, J = _closure_system(weights, us, basis)
+        res, gens, powers = _closure_residual(weights, us)
         if np.linalg.norm(res, np.inf) < PROJECTION_TOL:
             return us
+        J = _closure_jacobian(weights, us, basis, gens, powers)
         U_, sv, Vt = np.linalg.svd(J, full_matrices=False)
         keep = sv > 1e-8 * sv[0]
         coef = Vt[keep].T @ ((U_[:, keep].T @ (-res)) / sv[keep])

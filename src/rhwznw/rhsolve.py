@@ -20,11 +20,23 @@ The loops and the gauge alignment live in fuchs (WeightSystem.loops,
 align_tuple_to_target); nothing here builds or passes a loop set.  A
 restart's final residual is the squared norm of the generator block of
 its last LM residual: nothing is transported again.
+
+A warm solve's restart 0 runs on the chart of its init, and LM's first two
+stacks there, the chart center x0 = 0 and the central-difference stack at
+x0, depend on init alone up to the gauge alignment to the target.  Each
+init object given to solve owns one warm start record (_WarmStart, held
+weakly, so it dies with init): the chart, and the residues and loop
+generators of those two stacks, read-only, kept as LM first evaluates
+them.  A later warm solve from the same init, its residues unchanged and
+on the same weights object, aligns them to its own target without
+transporting them again, and takes the same LM steps to the same bits.
+Cold solves and restarts after the first never read a record.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -91,6 +103,15 @@ class ResidueParametrization:
     def system(self, x: np.ndarray) -> fuchs.FuchsianSystem:
         return fuchs.FuchsianSystem(self.weights, self.residues(x))
 
+    def loop_generators(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The target-free part of the residuals of a (B, dim) stack of chart
+        points: its residues (B, n-1, r, r) and their monodromy generators
+        (B, n, r, r) on the weights' loop set at LM_TRANSPORT_TOL, each from
+        one call."""
+        residues = self.residues(xs)
+        _, gens, _ = self.weights.loops.monodromy(residues, LM_TRANSPORT_TOL)
+        return residues, gens
+
 
 def parametrization_from_system(system: fuchs.FuchsianSystem) -> ResidueParametrization:
     """Chart centered at an existing system: its basepoints are the residues'
@@ -105,6 +126,56 @@ def parametrization_from_system(system: fuchs.FuchsianSystem) -> ResidueParametr
     return ResidueParametrization(system.weights, v / np.linalg.norm(v, axis=-2, keepdims=True))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(eq=False)
+class _WarmStart(ResidueParametrization):
+    """The warm start record of one init system: its chart, and the residues
+    and generators (loop_generators) of the two stacks that LM evaluates
+    first at the chart center x0 = 0, the point itself and the
+    central-difference stack of _central_points(x0).  Each is kept when it is
+    first evaluated, read-only, and handed to every later evaluation of the
+    same stack; any other stack is evaluated afresh.
+    """
+
+    # read-only copy of the init's residues that the chart was built from
+    init_residues: np.ndarray
+    # [points, (residues, generators) or None] of the two first stacks
+    first: list
+
+    def loop_generators(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        for entry in self.first:
+            if np.array_equal(xs, entry[0]):
+                if entry[1] is None:
+                    entry[1] = tuple(map(_read_only, super().loop_generators(xs)))
+                return entry[1]
+        return super().loop_generators(xs)
+
+
+# the warm start record of each init object solve was given, dropped with it
+_WARM_STARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _warm_start(weights: fuchs.WeightSystem, init: fuchs.FuchsianSystem) -> _WarmStart:
+    """The warm start record of init on weights: the saved one while init's
+    residues equal the saved copy and it was made for these weights (the
+    same object, so the same loop set), else a new one in its place."""
+    rec = _WARM_STARTS.get(init)
+    if rec is not None and rec.weights is weights and np.array_equal(init.residues, rec.init_residues):
+        return rec
+    chart = parametrization_from_system(fuchs.FuchsianSystem(weights, init.residues))
+    x0 = np.zeros(chart.dim)
+    rec = _WarmStart(
+        weights, chart.basepoints, _read_only(np.array(init.residues, dtype=complex)),
+        [[_read_only(x0[None]), None], [_read_only(_central_points(x0)[1]), None]],
+    )
+    _WARM_STARTS[init] = rec
+    return rec
+
+
 # ---------------------------------------------------------------------------
 # residual
 
@@ -114,12 +185,11 @@ def residual_stack(
 ) -> np.ndarray:
     """Residual vectors (B, m) of a (B, dim) stack of chart points.
 
-    Residues of the whole stack, its generators (the monodromy of the
-    chart's loop set, parm.weights.loops, at LM_TRANSPORT_TOL) and their
-    gauge alignment each come from one call; then the infinity spectrum.
+    The target-free residues and generators of the whole stack come from
+    the chart (ResidueParametrization.loop_generators), their gauge
+    alignment to the target from one call; then the infinity spectrum.
     """
-    residues = parm.residues(xs)
-    _, gens, _ = parm.weights.loops.monodromy(residues, LM_TRANSPORT_TOL)
+    residues, gens = parm.loop_generators(xs)
     aligned = align_tuple_to_target(gens, target).generators
     diff = aligned - target.generators
     # per generator: real parts, then imaginary parts
@@ -140,12 +210,19 @@ def residual_vector(
     return residual_stack(parm, np.asarray(x, dtype=float)[None, :], target)[0]
 
 
-def central_jacobian(func_stack, x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian from one stacked evaluation of 2 dim points,
-    step FD_STEP * max(1, |x_j|) in coordinate j."""
+def _central_points(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steps FD_STEP * max(1, |x_j|) and the (2 dim, dim) stack of the
+    central-difference Jacobian at x: x plus each step, then x minus each."""
     steps = FD_STEP * np.maximum(1.0, np.abs(x))
     shift = np.diag(steps)
-    f = func_stack(np.concatenate([x + shift, x - shift]))
+    return steps, np.concatenate([x + shift, x - shift])
+
+
+def central_jacobian(func_stack, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian from one stacked evaluation of the 2 dim
+    points of _central_points(x)."""
+    steps, points = _central_points(x)
+    f = func_stack(points)
     n = len(x)
     return ((f[:n] - f[n:]) / (2 * steps[:, None])).T
 
@@ -255,7 +332,10 @@ def solve(
 
     Levenberg-Marquardt from deterministic multi-starts: restart 0 starts
     from the chart of init when one is given; otherwise, and on every later
-    restart, the chart basepoints are drawn from the restart's seed.  An
+    restart, the chart basepoints are drawn from the restart's seed.  A
+    warm restart 0 reads init's warm start record (module docstring): a
+    repeat solve from one unchanged init transports its first residual and
+    first Jacobian stack once, whatever the target.  An
     init of other points or weight rows than weights raises ValueError.
     Success means the gauge distance between the solution's monodromy and
     the target (the norm of the generator block of the last LM residual)
@@ -272,8 +352,8 @@ def solve(
         if not (np.array_equal(init.points, weights.points)
                 and np.array_equal(init.weights.weights, weights.weights)):
             raise ValueError("init has other points or weights than the system solved for")
-        # its chart then reads the loop set of weights, as every restart's does
-        init = fuchs.FuchsianSystem(weights, init.residues)
+        # its chart reads the loop set of weights, as every restart's does
+        warm = _warm_start(weights, init)
 
     best = None
     rng_master = np.random.default_rng(opts.seed)
@@ -281,7 +361,7 @@ def solve(
     for restart, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         if restart == 0 and init is not None:
-            parm = parametrization_from_system(init)
+            parm = warm
         else:
             # one draw: per conjugator its real, then its imaginary part
             g = rng.standard_normal((n - 1, 2, r, r))

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rhwznw import fuchs, paths, rhsolve, wznw
+
+# HYPOTHESIS_PROFILE=ci draws every property test's examples from a fixed
+# seed, so that two runs of one tree test the same inputs
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -176,7 +176,7 @@ def test_criterion_9_kahler_positivity():
         rep = center if eps == 0 else moduli.deform_rep(center, direction, eps)
         system, report = rhsolve.solve(ws, rep, init=sys_c, opts=warm_opts)
         assert report.success, f"solve failed at eps={eps}"
-        fld = wznw.make_metric_field(system, rep)
+        fld = wznw.make_metric_field(system, rep, normalization=report.normalization)
         return wznw.action_regularized(fld).value
 
     offsets = [0.0]

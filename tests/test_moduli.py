@@ -336,7 +336,8 @@ def test_closure_system_equals_per_matrix_closure(weights):
     rng = np.random.default_rng([29, r])
     for _ in range(20):
         us = np.array([numcore.random_unitary(rng, r) for _ in range(ws.n - 1)])
-        got = moduli._closure_system(ws, us, basis)
+        res, gens, powers = moduli._closure_residual(ws, us)
+        got = (res, moduli._closure_jacobian(ws, us, basis, gens, powers))
         want = _closure_per_matrix(ws, list(us), _su_basis_per_matrix(r))
         for a, b in zip(got, want):
             if r == 2:
@@ -353,7 +354,7 @@ def test_closure_jacobian_matches_central_differences(weights):
     basis = moduli._su_basis(r)
     rng = np.random.default_rng([37, r])
     us = np.array([numcore.random_unitary(rng, r) for _ in range(ws.n - 1)])
-    _, jac = moduli._closure_system(ws, us, basis)
+    jac = moduli._closure_jacobian(ws, us, basis, *moduli._closure_residual(ws, us)[1:])
     h = 1e-5
     fd = np.empty_like(jac)
     for i in range(ws.n - 1):
@@ -361,7 +362,7 @@ def test_closure_jacobian_matches_central_differences(weights):
             plus, minus = us.copy(), us.copy()
             plus[i] = us[i] @ scipy.linalg.expm(h * bmat)
             minus[i] = us[i] @ scipy.linalg.expm(-h * bmat)
-            res_plus = moduli._closure_system(ws, plus, basis)[0]
-            res_minus = moduli._closure_system(ws, minus, basis)[0]
+            res_plus = moduli._closure_residual(ws, plus)[0]
+            res_minus = moduli._closure_residual(ws, minus)[0]
             fd[:, i * len(basis) + k] = (res_plus - res_minus) / (2 * h)
     assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -526,3 +528,125 @@ def test_solve_refuses_an_init_of_other_weights(points, weights, rank2_weights, 
     init = fuchs.FuchsianSystem(other, fuchs.rank2_rigid_residues(other))
     with pytest.raises(ValueError, match="init"):
         rhsolve.solve(rank2_weights, rank2_target, init=init)
+
+
+# warm start records (rhsolve module docstring)
+
+WARM_OPTS = rhsolve.SolveOptions(restarts=3)
+
+
+@pytest.fixture(scope="module")
+def warm_family():
+    """The criterion-9 family: its weights, a stencil point's target and the
+    cold-solved center system that warm solves start from."""
+    ws = fuchs.build_weight_system(
+        [-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]]
+    )
+    center = moduli.random_admissible_rep(ws, seed=5)
+    system, report = rhsolve.solve(ws, center, opts=rhsolve.SolveOptions(seed=3))
+    assert report.success
+    target = moduli.deform_rep(center, moduli.random_tangent_direction(ws, seed=1), 0.025)
+    return ws, target, system
+
+
+@pytest.fixture
+def monodromy_calls(monkeypatch):
+    """The residue stack size of every MonodromyLoops.monodromy call."""
+    calls = []
+    real = fuchs.MonodromyLoops.monodromy
+
+    def counted(self, *args):
+        calls.append(len(args[0]))
+        return real(self, *args)
+
+    monkeypatch.setattr(fuchs.MonodromyLoops, "monodromy", counted)
+    return calls
+
+
+def _warm_solve(calls, weights, target, init):
+    """A warm solve and the number of MonodromyLoops.monodromy calls it made."""
+    before = len(calls)
+    system, report = rhsolve.solve(weights, target, init=init, opts=WARM_OPTS)
+    assert report.success
+    return system, report, len(calls) - before
+
+
+def _assert_same_solve(a, b):
+    (sa, ra, _), (sb, rb, _) = a, b
+    assert np.array_equal(sa.residues, sb.residues)
+    assert np.array_equal(ra.objective_history, rb.objective_history)
+    assert ra.iterations == rb.iterations
+    assert np.array_equal(ra.normalization.basepoint_value, rb.normalization.basepoint_value)
+
+
+def test_warm_repeat_from_one_init_is_bit_identical_with_two_fewer_transports(
+    warm_family, monodromy_calls
+):
+    ws, target, center = warm_family
+    init = fuchs.FuchsianSystem(ws, center.residues.copy())
+    first = _warm_solve(monodromy_calls, ws, target, init)
+    again = _warm_solve(monodromy_calls, ws, target, init)
+    fresh = _warm_solve(monodromy_calls, ws, target, fuchs.FuchsianSystem(ws, init.residues.copy()))
+    _assert_same_solve(again, first)
+    _assert_same_solve(fresh, first)
+    # the repeat reuses the one-point stack at x0 and the Jacobian stack at x0
+    assert again[2] == first[2] - 2
+    assert fresh[2] == first[2]
+    # a cold solve neither reads nor makes a record
+    records = len(rhsolve._WARM_STARTS)
+    rhsolve.solve(ws, target, opts=WARM_OPTS)
+    assert len(rhsolve._WARM_STARTS) == records
+
+
+def test_warm_record_misses_on_other_residues_or_weights(warm_family, monodromy_calls):
+    ws, target, center = warm_family
+    init = fuchs.FuchsianSystem(ws, center.residues.copy())
+    first = _warm_solve(monodromy_calls, ws, target, init)
+    rng = np.random.default_rng(11)
+
+    def conjugated(residues):
+        g = scipy.linalg.expm(0.01 * rng.standard_normal((2, 2)))
+        return g @ residues @ np.linalg.inv(g)
+
+    def assert_miss(weights, start):
+        got = _warm_solve(monodromy_calls, weights, target, start)
+        want = _warm_solve(
+            monodromy_calls, weights, target, fuchs.FuchsianSystem(weights, start.residues.copy())
+        )
+        _assert_same_solve(got, want)
+        assert got[2] == want[2]
+        assert not np.array_equal(got[0].residues, first[0].residues)
+
+    # an in-place edit of the residues
+    init.residues[...] = conjugated(init.residues)
+    assert_miss(ws, init)
+    # a reassignment
+    init.residues = conjugated(init.residues)
+    assert_miss(ws, init)
+    # an equal copy of the weights, which owns a loop set of its own
+    other = dataclasses.replace(ws)
+    got = _warm_solve(monodromy_calls, other, target, init)
+    want = _warm_solve(
+        monodromy_calls, other, target, fuchs.FuchsianSystem(other, init.residues.copy())
+    )
+    _assert_same_solve(got, want)
+    assert got[2] == want[2]
+
+
+def test_warm_record_is_read_only_and_dies_with_its_init(warm_family):
+    ws, target, center = warm_family
+    init = fuchs.FuchsianSystem(ws, center.residues.copy())
+    rhsolve.solve(ws, target, init=init, opts=WARM_OPTS)
+    rec = rhsolve._WARM_STARTS[init]
+    kept = [rec.init_residues]
+    for points, saved in rec.first:
+        kept += [points, *saved]
+    assert len(kept) == 7
+    for a in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    assert np.array_equal(rec.init_residues, init.residues)
+    ref = weakref.ref(rec)
+    del rec, kept, init
+    gc.collect()
+    assert ref() is None
