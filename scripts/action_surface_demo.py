@@ -11,6 +11,7 @@ their sign depends on the family's direction (rhwznw.moduli).
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
@@ -45,7 +46,11 @@ def main() -> None:
         print(f"  eps = {p.eps:+.4f}: {tag}")
     moduli.surface_to_csv(points, out / "surface.csv")
 
-    levi_potential = moduli.levi_from_surface(points, 0.0, a)
+    holes = [p for p in points if not p.ok]
+    if holes:
+        sys.exit(f"stencil point eps = {holes[0].eps:+.4f} is a hole in the surface: no Laplacian")
+    # the five actions in grid order: center, +a, -a, +ia, -ia
+    levi_potential = moduli.potential_levi_form(*(p.action for p in points), a)
     print(f"chart Laplacian of S: {-2.0 * levi_potential:.6f}; of the potential -S/2: "
           f"{levi_potential:.6f} (eps is not a holomorphic coordinate: not the Levi form)")
 

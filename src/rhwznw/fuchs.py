@@ -34,12 +34,14 @@ One loop set per weight system (WeightSystem.loops, a
 every monodromy evaluation of its systems: the solver's residuals, the
 normalization at infinity and :func:`monodromy_rep`, which is the loop set
 with one member.  Each puncture loop is an approach leg P_i from the
-basepoint, a full circle and the approach run back.  The circles of all
-loops and all systems of a stack are not marched: each is
-F exp(-+2 pi i Lambda) F^{-1} from the local series at its entry (below),
-all from one stacked recursion; the approach legs of all systems run as
-one fan per segment round; the return leg is never integrated, since its
-transport is P_i^{-1} (MonodromyLoops).
+basepoint, a full circle and the approach run back.  The loop set computes
+generators only, one formula for all n loops:
+M_i = P_i^{-1} F exp(2 pi i Lambda) F^{-1} P_i, F the local series at the
+circle's entry (below) and P = I on the big circle.  The circles of all
+loops and all systems of a stack are not marched, all come from one
+stacked recursion; the approach legs of all systems run as one fan per
+segment round; the return leg is never integrated (MonodromyLoops).
+:func:`monodromy_rep` forms the loop transports from the generators.
 One gauge alignment (:func:`align_tuple_to_target`) brings computed tuples,
 one (n, r, r) or a stack (B, n, r, r), to a normalized target, each step on
 the whole stack: conjugate by the ordered eigenbasis of the last generator
@@ -1159,11 +1161,13 @@ class MonodromyLoops:
     is taken in closed form from one series_stack call over all
     (system, point) members, the n-1 punctures and infinity.  With
     F = G(x) V the series at the circle's entry x, V the eigenbasis of the
-    point's residue L = V Lambda V^{-1}, the circle's transport is
-    F exp(-2 pi i Lambda) F^{-1} at a puncture and F exp(2 pi i Lambda) F^{-1}
-    on the big circle (counterclockwise in z is clockwise in w = 1/z).  The
-    return leg is never integrated: its transport is exactly P_i^{-1}, so
-    the raw loop transport is P_i^{-1} C_i P_i with C_i the circle's.
+    point's residue L = V Lambda V^{-1}, every generator is
+    M_i = P_i^{-1} F exp(2 pi i Lambda) F^{-1} P_i, with P = I on the big
+    circle.  One phase sign serves every circle: a counterclockwise circle
+    in z is clockwise in w = 1/z, and that sign at infinity cancels the
+    generator's inversion of the counterclockwise transport
+    F exp(-2 pi i Lambda) F^{-1} at a puncture.  The return leg is never
+    integrated: its transport is exactly P_i^{-1}.
     """
 
     def __init__(self, weights: WeightSystem):
@@ -1204,17 +1208,15 @@ class MonodromyLoops:
             turn[i, j] = paths.arg_change(legs[i], pts[j])
         return np.array(sorted(range(m), key=cmp_to_key(lambda i, j: turn[j, i] - turn[i, j])))
 
-    def circle_transports(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack]:
-        """Transports C once around every circle, each from I at its entry,
-        and their inverses, (B, n, r, r) each, of a (B, n-1, r, r) residue
-        stack, and the one SeriesStack they come from, describing on every
-        member the solution that is I at its circle's entry x: coordinates
-        diag(x^lam) F(x)^{-1} and the entry's angle.  One series_stack call,
-        then F exp(-+2 pi i Lambda) F^{-1} (class docstring).  C^{-1} takes
-        the opposite phase, so no matrix but F is inverted, and the power is
-        a row scaling of that inverse, never a dense inverse of x^{-L}: rows
-        it spreads over many orders of magnitude keep their digits.  A frame
-        that np.linalg.inv finds singular raises NumericalError naming it."""
+    def circle_transports(self, residues, tol: float) -> tuple[np.ndarray, SeriesStack]:
+        """The generator circles F exp(2 pi i Lambda) F^{-1}, (B, n, r, r),
+        of a (B, n-1, r, r) residue stack (class docstring), and the one
+        SeriesStack they come from, describing on every member the solution
+        that is I at its circle's entry x: coordinates diag(x^lam) F(x)^{-1}
+        and the entry's angle.  One series_stack call; the power is a row
+        scaling of F^{-1}, never a dense inverse of x^{-L}: rows it spreads
+        over many orders of magnitude keep their digits.  A frame that
+        np.linalg.inv finds singular raises NumericalError naming it."""
         res = np.asarray(residues, dtype=complex)
         b, n, r = len(res), self.weights.n, self.weights.rank
         series = series_stack(self.weights.points, res, self.at, self.radii, tol)
@@ -1224,46 +1226,35 @@ class MonodromyLoops:
         except np.linalg.LinAlgError:
             raise NumericalError(_singular_member(frame, "series frame at the entry of loop circle")) from None
         exponents = series.exponents.reshape(b, n, r)
-        # x^{-L} gains exp(-2 pi i L) counterclockwise around a puncture and
-        # w^{-L} exp(2 pi i L) counterclockwise around infinity
-        sign = np.array([-1.0] * (n - 1) + [1.0])[:, None]
-        phase = TWO_PI_I * sign * exponents
-        circ = (frame * np.exp(phase)[:, :, None, :]) @ frame_inv
-        circ_inv = (frame * np.exp(-phase)[:, :, None, :]) @ frame_inv
+        circles = (frame * np.exp(TWO_PI_I * exponents)[:, :, None, :]) @ frame_inv
         coords = np.exp(self.entry_logs[:, None] * exponents)[..., None] * frame_inv
         series = replace(series, coords=coords.reshape(b * n, r, r), entry_angle=self.entry_angles)
-        return circ, circ_inv, series
+        return circles, series
 
-    def monodromy(self, residues, tol: float) -> tuple[np.ndarray, np.ndarray, SeriesStack]:
-        """Raw loop transports and representation generators, (B, n, r, r)
-        each, of a (B, n-1, r, r) residue stack, and the circles' series
-        (member b n + p: system b at the loop point at[p]) describing the
-        solution that is I at the basepoint: its coordinates are
-        diag(x^lam) F(x)^{-1} Y_e, Y_e its value at the circle's entry x,
-        the approach leg's transport P_i at puncture i and I on the big
+    def monodromy(self, residues, tol: float) -> tuple[np.ndarray, SeriesStack]:
+        """Representation generators, (B, n, r, r), of a (B, n-1, r, r)
+        residue stack, and the circles' series (member b n + p: system b at
+        the loop point at[p]) describing the solution that is I at the
+        basepoint: its coordinates are diag(x^lam) F(x)^{-1} P_i, P_i the
+        approach leg's transport to the circle's entry x, I on the big
         circle.  The circles come in closed form (circle_transports), the
         legs of all systems as one fan per segment round, K transport_fan
-        calls in all, then the puncture loops P^{-1} C P and their inverses
-        P^{-1} C^{-1} P as generators; the big circle is kept as it is.  A
-        leg transport that np.linalg.solve finds singular, or a singular
-        circle frame, raises NumericalError naming it, so that the LM
-        rejects such a trial point as it rejects one whose series tail is
-        not finite."""
+        calls in all, and every generator is P_i^{-1} (F exp(2 pi i Lambda)
+        F^{-1}) P_i.  A leg transport that np.linalg.solve finds singular,
+        or a singular circle frame, raises NumericalError naming it, so that
+        the LM rejects such a trial point as it rejects one whose series
+        tail is not finite."""
         res = np.asarray(residues, dtype=complex)
-        circ, circ_inv, series = self.circle_transports(res, tol)
-        legs = np.eye(self.weights.rank, dtype=complex)
+        circles, series = self.circle_transports(res, tol)
+        legs = np.broadcast_to(np.eye(self.weights.rank, dtype=complex), circles.shape).copy()
         for fan in self._leg_rounds:
-            legs = transport_fan(self.weights.points, res, fan, legs, tol=tol).values[-1]
-        raw, gens = circ, circ.copy()
+            legs[:, :-1] = transport_fan(self.weights.points, res, fan, legs[:, :-1], tol=tol).values[-1]
         try:
-            raw[:, :-1] = np.linalg.solve(legs, circ[:, :-1] @ legs)
-            gens[:, :-1] = np.linalg.solve(legs, circ_inv[:, :-1] @ legs)
+            gens = np.linalg.solve(legs, circles @ legs)
         except np.linalg.LinAlgError:
             raise NumericalError(_singular_member(legs, "transport along the approach leg of puncture")) from None
-        # a view of the series' coordinates, which this call made
-        coords = series.coords.reshape(circ.shape)
-        coords[:, :-1] = coords[:, :-1] @ legs
-        return raw, gens, series
+        series = replace(series, coords=series.coords @ legs.reshape(series.coords.shape))
+        return gens, series
 
 
 def _singular_member(stack: np.ndarray, what: str) -> str:
@@ -1280,25 +1271,28 @@ def _singular_member(stack: np.ndarray, what: str) -> str:
 @dataclass
 class MonodromyResult:
     generators: np.ndarray       # (n, r, r) representation convention, product = I
-    loop_transports: np.ndarray  # (n, r, r) raw CCW transports, loop i and big circle
+    loop_transports: np.ndarray  # (n, r, r) CCW transports, loop i and big circle
     relation_residual: float
 
 
 def monodromy_rep(system: FuchsianSystem, tol: float = TRANSPORT_TOL) -> MonodromyResult:
-    """Representation generators of the system's monodromy.
+    """Representation generators of the system's monodromy, and the loop
+    transports they come from.
 
-    The weights' loop set (WeightSystem.loops) with one member.  The relation
-    residual multiplies the generators in WeightSystem.relation_order, as
-    every relation product does.  It is a genuine check: the big circle
-    comes from the series at infinity, which depends neither on the
-    approach legs nor on the puncture series.
+    The weights' loop set (WeightSystem.loops) with one member.  The loop
+    transports are formed here: the inverse of each puncture generator,
+    and the big circle's generator as it is.  The relation residual
+    multiplies the generators in WeightSystem.relation_order, as every
+    relation product does.  It is a genuine check: the big circle comes
+    from the series at infinity, which depends neither on the approach
+    legs nor on the puncture series.
     """
     ws = system.weights
-    raw, gens, _ = ws.loops.monodromy(system.residues[None], tol)
+    gens = ws.loops.monodromy(system.residues[None], tol)[0][0]
     return MonodromyResult(
-        generators=gens[0],
-        loop_transports=raw[0],
-        relation_residual=_relation_residual(ws, gens[0]),
+        generators=gens,
+        loop_transports=np.concatenate([np.linalg.inv(gens[:-1]), gens[-1:]]),
+        relation_residual=_relation_residual(ws, gens),
     )
 
 

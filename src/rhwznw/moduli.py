@@ -338,25 +338,3 @@ def surface_to_csv(points: list[SurfacePoint], path) -> None:
                 ]
             )
 
-
-def levi_from_surface(points: list[SurfacePoint], center: complex, spacing: float) -> float:
-    """The potential's chart Laplacian (potential_levi_form) out of an
-    action_surface table containing the plus-stencil."""
-    table = {}
-    for p in points:
-        if not p.ok:
-            continue
-        table[complex(np.round(p.eps.real, 12) + 1j * np.round(p.eps.imag, 12))] = p.action
-    def get(e):
-        key = complex(np.round(e.real, 12) + 1j * np.round(e.imag, 12))
-        if key not in table:
-            raise ChartRadiusError(f"stencil point {e} is a hole in the surface")
-        return table[key]
-    return potential_levi_form(
-        get(center),
-        get(center + spacing),
-        get(center - spacing),
-        get(center + 1j * spacing),
-        get(center - 1j * spacing),
-        spacing,
-    )

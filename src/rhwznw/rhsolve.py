@@ -109,7 +109,7 @@ class ResidueParametrization:
         (B, n, r, r) on the weights' loop set at LM_TRANSPORT_TOL, each from
         one call."""
         residues = self.residues(xs)
-        _, gens, _ = self.weights.loops.monodromy(residues, LM_TRANSPORT_TOL)
+        gens, _ = self.weights.loops.monodromy(residues, LM_TRANSPORT_TOL)
         return residues, gens
 
 
@@ -477,7 +477,7 @@ def normalize_at_infinity(
     if ws.rank > 1 and np.min(off[mask]) < 1e-6:
         raise ResonanceError("infinity exponents have (near) integer differences")
 
-    _, gens, series = ws.loops.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
+    gens, series = ws.loops.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
     aligned = align_tuple_to_target(gens[0], target)
     W = aligned.conjugator
     coords = series.coords @ W

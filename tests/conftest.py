@@ -23,13 +23,17 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def reversed_path(path):
+    """The path of Line and Arc segments run backwards."""
+    return [paths.Line(s.end, s.start) if isinstance(s, paths.Line)
+            else paths.Arc(s.center, s.radius, s.angle1, s.angle0) for s in reversed(path)]
+
+
 def puncture_loop(weights, i, basepoint):
     """The basepoint loop around puncture i: the loop set's approach leg,
     its full circle, and the approach run back."""
     approach, circle = fuchs._approach_leg(weights, i, basepoint)
-    back = [paths.Line(s.end, s.start) if isinstance(s, paths.Line)
-            else paths.Arc(s.center, s.radius, s.angle1, s.angle0) for s in reversed(approach)]
-    return approach + [circle] + back
+    return approach + [circle] + reversed_path(approach)
 
 
 def off_curve_integrals(web, delta):
@@ -62,6 +66,33 @@ def path_log_increment(path, w):
     """
     return sum((_segment_log_increment(seg, w, 64) for seg in path), 0.0 + 0.0j)
 
+
+def direct_sum(points, components):
+    """A direct sum of rank-1 systems on the points: (system, target, S).
+
+    components holds r rank-1 weight rows, each one weight per point and a
+    last one at infinity.  The residues are diag(c_k) at every puncture, the
+    target's conjugators the permutations that sort each puncture's row
+    (build_admissible_rep warns that the tuple is reducible), and S the sum
+    of the components' closed-form actions: every density of the action is
+    a trace, so S is additive on block-diagonal metrics."""
+    comps = np.asarray(components, dtype=float)
+    ws = fuchs.build_weight_system(points, np.sort(comps.T, axis=1))
+    order = np.argsort(comps.T[:-1], axis=1)
+    eye = np.eye(len(comps), dtype=complex)
+    with pytest.warns(UserWarning, match="reducible"):
+        target = fuchs.build_admissible_rep(ws, eye[:, order].transpose(1, 0, 2))
+    residues = np.stack([np.diag(row) for row in comps.T[:-1]]).astype(complex)
+    closed = sum(wznw.abelian_action_closed_form(fuchs.build_weight_system(points, c[:, None]))
+                 for c in comps)
+    return fuchs.FuchsianSystem(ws, residues), target, closed
+
+
+# (points, weights) of W3, a rank-3 system at n = 4
+W3 = ([-1.0, 0.0, 1.0], [[0.1, 0.2, 0.4], [0.15, 0.3, 0.55], [0.2, 0.3, 0.45], [0.05, 0.1, 0.2]])
+# a delta schedule finer than wznw.DELTA_SCHEDULE, where the web's bias is
+# below 1e-9 on the rigid fixture and on the direct sums
+FINE = (1e-3, 5e-4, 2.5e-4, 1.25e-4)
 
 RANK2_POINTS = [0.0, 1.0]
 RANK2_ALPHAS = [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]]

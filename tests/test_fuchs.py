@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import path_log_increment, puncture_loop
+from conftest import path_log_increment, puncture_loop, reversed_path
 from rhwznw import fuchs, moduli, numcore, paths, rhsolve
 
 
@@ -953,7 +953,7 @@ def test_monodromy_detour_legs_run_as_padded_rounds(monkeypatch):
     monkeypatch.setattr(fuchs, "transport_fan", counted_fan)
     monkeypatch.setattr(fuchs, "_integrate_stack", counted_kernel)
     tol = 1e-9
-    _, _, series = loops.monodromy(residues, tol)
+    _, series = loops.monodromy(residues, tol)
     assert calls == {"fan": 3, "kernel": 3}
     monkeypatch.undo()
     legs = _entry_values(loops, series)
@@ -1075,27 +1075,27 @@ def test_transport_fan_det_identity_property(seed):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_monodromy_loops_path_independence_property(seed):
-    # the loop set assembles each puncture loop as P^-1 C P from its approach
-    # leg P and its circle C, without the return leg; it must agree with a
-    # transport along the whole loop (approach, circle, return), and its big
-    # circle with a transport around that circle alone.  The reference is
-    # the transport kernel with the three systems stacked, at tol / 100.
+    # the loop set assembles each puncture generator as P^-1 C P from its
+    # approach leg P and its circle C, without the return leg; it must agree
+    # with a transport along the whole loop run backwards (approach, circle
+    # clockwise, return), and its big circle with a transport once around
+    # that circle counterclockwise.  The reference is the transport kernel
+    # with the three systems stacked, at tol / 100.
     rng = np.random.default_rng(seed)
     ws = _admissible_n4_rank3(rng).weights
     residues = _random_residues(ws, rng, 3)
     loops = fuchs.MonodromyLoops(ws)
     tol = 1e-9  # the solver's default transport tolerance
-    raw, gens, series = loops.monodromy(residues, tol)
-    assert raw.shape == gens.shape == (3, 4, 3, 3) and series.coords.shape == (12, 3, 3)
-    assert np.array_equal(gens[:, 3], raw[:, 3])
+    gens, series = loops.monodromy(residues, tol)
+    assert gens.shape == (3, 4, 3, 3) and series.coords.shape == (12, 3, 3)
     # the circles' series: system b at point p is member 4 b + p, infinity last
     assert series.at == (0, 1, 2, None) and series.exponents.shape == (12, 3)
     big = paths.circle(0.0, abs(loops.z0), float(np.angle(loops.z0)))
-    refs = [puncture_loop(ws, i, loops.z0) for i in range(3)] + [[big]]
+    refs = [reversed_path(puncture_loop(ws, i, loops.z0)) for i in range(3)] + [[big]]
     for i, loop in enumerate(refs):
         ref, _ = _transport_stack(ws.points, residues, loop, tol=tol / 100)
         for b in range(3):
-            assert numcore.fro(raw[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
+            assert numcore.fro(gens[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
     # the coordinates give the approach transports from I to each puncture
     # circle's entry, and I at the big circle's
     legs = _entry_values(loops, series)
@@ -1274,8 +1274,8 @@ def _set_infinity_exponents(residues, exponents, rng):
 @pytest.mark.parametrize("make_weights, seed", [(_n4_rank2_weights, 1), (_n4_rank3_weights, 2)])
 def test_circle_transports_match_fan(make_weights, seed):
     # every loop circle of a 4-system stack in closed form from the series,
-    # against tol / 10^4 fan transports once around it counterclockwise
-    # (the circle) and clockwise (its inverse)
+    # against tol / 10^4 fan transports once around it: clockwise round a
+    # puncture and counterclockwise on the big circle, the generator's sense
     ws = make_weights()
     rng = np.random.default_rng(seed)
     residues = _random_residues(ws, rng, 4)
@@ -1284,17 +1284,16 @@ def test_circle_transports_match_fan(make_weights, seed):
     _set_infinity_exponents(residues[2], ws.infinity_exponents + shift, rng)
     loops = fuchs.MonodromyLoops(ws)
     tol = 1e-9
-    circ, circ_inv, _ = loops.circle_transports(residues, tol)
-    assert circ.shape == circ_inv.shape == (4, ws.n, ws.rank, ws.rank)
-    arcs = loops.circles
-    for turn, got in ((2 * np.pi, circ), (-2 * np.pi, circ_inv)):
-        fan = paths.SegmentFan([paths.Arc(a.center, a.radius, a.angle0, a.angle0 + turn)
-                                for a in arcs])
-        ref = fuchs.transport_fan(ws.points, residues, fan, np.eye(ws.rank), tol=tol / 1e4)
-        for b in range(4):
-            for i in range(ws.n):
-                scale = numcore.fro(ref.values[-1, b, i])
-                assert numcore.fro(got[b, i] - ref.values[-1, b, i]) <= tol / 10 * scale
+    got, _ = loops.circle_transports(residues, tol)
+    assert got.shape == (4, ws.n, ws.rank, ws.rank)
+    turns = [-2 * np.pi] * (ws.n - 1) + [2 * np.pi]
+    fan = paths.SegmentFan([paths.Arc(a.center, a.radius, a.angle0, a.angle0 + turn)
+                            for a, turn in zip(loops.circles, turns)])
+    ref = fuchs.transport_fan(ws.points, residues, fan, np.eye(ws.rank), tol=tol / 1e4)
+    for b in range(4):
+        for i in range(ws.n):
+            scale = numcore.fro(ref.values[-1, b, i])
+            assert numcore.fro(got[b, i] - ref.values[-1, b, i]) <= tol / 10 * scale
 
 
 def test_series_stack_members_match_local_series():

@@ -13,10 +13,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import RANK2_ALPHAS
+from conftest import FINE, RANK2_ALPHAS
 from rhwznw import fuchs, moduli, rhsolve, wznw
-
-FINE = (1e-3, 5e-4, 2.5e-4, 1.25e-4)
 
 
 def _rigid_field(points):

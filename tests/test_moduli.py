@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from conftest import W3
 from rhwznw import fuchs, moduli, numcore, rhsolve, wznw
 
 
@@ -25,10 +26,10 @@ def test_expected_dims_formula(r, n):
     assert dc == 0.5 * n * (r * r - r) - r * r + 1
 
 
-# (points, weights) of the criterion-9 family (rank 2), of W3 (rank 3) and of a
-# rank-4 system at n = 4 whose rows each sum to 2 (all exponents at infinity -2)
+# (points, weights) of the criterion-9 family (rank 2) and of a rank-4 system
+# at n = 4 whose rows each sum to 2 (all exponents at infinity -2); W3, the
+# rank-3 one, is conftest's
 N4 = ([-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]])
-W3 = ([-1.0, 0.0, 1.0], [[0.1, 0.2, 0.4], [0.15, 0.3, 0.55], [0.2, 0.3, 0.45], [0.05, 0.1, 0.2]])
 W4 = (
     [-1.0, 0.0, 1.0],
     [[0.1, 0.4, 0.6, 0.9], [0.2, 0.4, 0.6, 0.8], [0.15, 0.35, 0.65, 0.85], [0.05, 0.45, 0.55, 0.95]],
@@ -137,20 +138,6 @@ def test_levi_pluriharmonic_zero():
     for fun in (lambda e: (e * e).real, lambda e: (e * e).imag, lambda e: e.real):
         val = moduli.potential_levi_form(fun(c), fun(c + a), fun(c - a), fun(c + 1j * a), fun(c - 1j * a), a)
         assert abs(val) < 1e-9
-
-
-def test_levi_from_surface_table():
-    pts = []
-    for eps in (0.0, 0.1, -0.1, 0.1j, -0.1j):
-        pts.append(
-            moduli.SurfacePoint(
-                eps=eps, action=abs(eps) ** 2, extrapolation_error=0.0,
-                large_cell_flag=True, solve_residual=0.0, ok=True, message="",
-            )
-        )
-    assert abs(moduli.levi_from_surface(pts, 0.0, 0.1) + 0.5) < 1e-12
-    with pytest.raises(moduli.ChartRadiusError):
-        moduli.levi_from_surface(pts, 0.05, 0.1)
 
 
 def test_surface_to_csv(tmp_path):

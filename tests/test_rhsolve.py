@@ -1,11 +1,13 @@
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import W3
 from rhwznw import factor, fuchs, moduli, numcore, paths, rhsolve, wznw
 
 
@@ -314,15 +316,32 @@ def test_odd_degree_solve_is_off_the_regular_locus():
             wznw.make_metric_field(s, target)
 
 
-def test_lm_rejects_a_trial_step_whose_residual_raises():
-    # restart 1 of this solve tries a step whose local series has a NaN tail
-    # (NumericalError); the step is rejected like a rise in cost, and the
-    # restart goes on to converge
-    ws = fuchs.build_weight_system([0.0, 1.0], [[0.2, 0.6], [0.1, 0.8], [0.55, 0.75]])
-    target = fuchs.build_admissible_rep(ws, fuchs.rank2_closure_conjugators(ws))
+def test_lm_rejects_a_trial_step_whose_residual_raises(monkeypatch, rank2_weights, rank2_target):
+    # the cold fixture solve converges at restart 0; its first trial point is
+    # evaluated with residues scaled by 1e4, so that the local series
+    # overflows and raises the real NumericalError.  That step is rejected
+    # like a rise in cost, and the restart goes on to converge
+    real = fuchs.MonodromyLoops.monodromy
+    singles, raised = [], []
+
+    def scaled_first_trial(self, residues, tol):
+        if len(residues) == 1:
+            singles.append(residues)
+            if len(singles) == 2:  # singles[0] is the start
+                try:
+                    return real(self, 1e4 * residues, tol)
+                except numcore.NumericalError as exc:
+                    raised.append(exc)
+                    raise
+        return real(self, residues, tol)
+
+    monkeypatch.setattr(fuchs.MonodromyLoops, "monodromy", scaled_first_trial)
     with np.errstate(all="ignore"):
-        _, report = rhsolve.solve(ws, target, opts=rhsolve.SolveOptions(restarts=2))
-    assert report.success and report.restart_index == 1
+        _, report = rhsolve.solve(rank2_weights, rank2_target)
+    assert len(raised) == 1 and re.search("tail not finite|tail above", str(raised[0]))
+    assert len(singles) > 2
+    assert np.all(np.diff(report.objective_history) < 0)
+    assert report.success and report.restart_index == 0
 
 
 def test_lm_rejects_a_raising_trial_point_and_converges():
@@ -459,6 +478,23 @@ def test_cold_solve_fixture(rank2_weights, rank2_target):
     assert report.restart_index == 0
     assert report.iterations <= 9
     assert report.final_residual <= 1e-6
+
+
+def test_cold_solve_rank3():
+    # W3 at target seed 3 solves cold at restart 0 in 14 LM iterations, and
+    # meets criterion 5's figures at rank 3: gauge distance 1.4e-8, spec(A_4)
+    # 6.6e-11, relation 1.6e-12, field quality 1.4e-8
+    ws = fuchs.build_weight_system(*W3)
+    target = moduli.random_admissible_rep(ws, seed=3)
+    system, report = rhsolve.solve(ws, target, opts=rhsolve.SolveOptions(restarts=3))
+    assert report.success and report.restart_index == 0
+    assert np.sqrt(report.final_residual) <= 1e-6
+    lam = np.sort(np.linalg.eigvals(system.residue_at_infinity()).real)
+    assert np.max(np.abs(lam - np.sort(ws.infinity_exponents))) <= 1e-6
+    assert fuchs.monodromy_rep(system, tol=1e-10).relation_residual <= 1e-7
+    assert report.large_cell_flag
+    fld = wznw.make_metric_field(system, target, normalization=report.normalization)
+    assert fld.monodromy_quality <= 1e-6
 
 
 def test_capped_solve_short_of_the_tolerance_fails(rank2_weights, rank2_target):

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import off_curve_integrals
+from conftest import FINE, direct_sum, off_curve_integrals
 from rhwznw import factor, fuchs, moduli, numcore, paths, rhsolve, wznw
 
 
@@ -420,6 +420,36 @@ def test_action_abelian_oracle(rank1_field, rank1_weights):
     exact = wznw.abelian_action_closed_form(rank1_weights)
     assert abs(act.value - exact) <= 1e-3 * abs(exact)
     assert act.imag_residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "points, components",
+    [
+        ([-1.0, 0.0, 1.0], [[0.15, 0.2, 0.1, 0.55], [0.35, 0.45, 0.05, 0.15]]),
+        # the leg to 1 detours round the circle at 0.5+1j
+        ([-1.0, 0.0, 1.0, 0.5 + 1j], [[0.25, 0.3, 0.2, 0.35, 0.9], [0.45, 0.55, 0.4, 0.5, 0.1]]),
+        ([-1.0, 0.0, 1.0], [[0.1, 0.2, 0.3, 0.4], [0.15, 0.35, 0.2, 0.3], [0.4, 0.25, 0.1, 0.25]]),
+    ],
+    ids=["rank2-n4", "rank2-n5", "rank3-n4"],
+)
+def test_direct_sum_action_matches_closed_form(points, components):
+    # a direct sum of rank-1 systems reaches the series, the normalization
+    # at infinity, the web and the counterterms with no solve, and its S is
+    # the sum of the rank-1 closed forms: measured 1.1e-10 to 2.4e-10 off at
+    # FINE, with monodromy quality at most 9e-16
+    system, target, closed = direct_sum(points, components)
+    fld = wznw.make_metric_field(system, target)
+    assert fld.monodromy_quality <= 1e-14
+    act = wznw.action_regularized(fld, FINE)
+    assert abs(act.value - closed) <= 1e-9 * abs(closed)
+
+
+def test_direct_sum_with_unequal_component_sums_is_refused():
+    # component sums 1 and 2 split the bundle as (-2, -1): not a scalar
+    # splitting, so the regular locus is not decided and no field is built
+    system, target, _ = direct_sum([-1.0, 0.0, 1.0], [[0.15, 0.2, 0.1, 0.55], [0.35, 0.45, 0.3, 0.9]])
+    with pytest.raises(wznw.RegularLocusError, match=r"splitting \(-2, -1\)"):
+        wznw.make_metric_field(system, target)
 
 
 def test_action_abelian_scaling():
