@@ -68,15 +68,13 @@ of the step that passes them (three more stages and one weight product), so
 the stops never change the steps.  One
 builder makes the coefficients on a fan of L member paths, its point and
 velocity read from one call as (T, L).  The one kernel entry is
-:func:`transport_fan`: one system, or a stack of S systems, each along
+:func:`transport`: one system, or a stack of S systems, each along
 every member of a fan, with stops.  A paths.SegmentFan holds arbitrary
 Line and Arc members, a paths.RayFan log-radial rays with per-member
 centers and windows.  Every transport stage is one call: the approach legs
 of a monodromy evaluation (the solver stacks the 2 dim perturbed systems of
 its central-difference Jacobian) one per segment round, all outward rays
 of the action's web, and the flatness stencil's twelve lines.
-:func:`transport` runs a piecewise path of one system from a given start
-segment by segment, each a one-member SegmentFan, with no clearance check.
 
 Near a puncture and near infinity no march is needed: the Frobenius
 solution Y0 = G(x) x^{-L} (x = z - z_i, or 1/z at infinity) is summed to a
@@ -108,7 +106,7 @@ import numpy as np
 
 from . import paths
 from .factor import SplittingType
-from .numcore import NumericalError, adjoint, as_cmatrix, diag_stack, fro, sorted_eigvals
+from .numcore import NumericalError, adjoint, diag_stack, fro, sorted_eigvals
 
 TWO_PI_I = 2j * np.pi
 # build_admissible_rep's largest distance of M_n's spectrum from the infinity phases
@@ -317,11 +315,6 @@ class AdmissibleRep:
     def relation_residual(self) -> float:
         return _relation_residual(self.weights, self.generators)
 
-    def unitarity_residual(self) -> float:
-        """The largest ||M_i M_i^* - I||_F, over the whole stack at once."""
-        eye = np.eye(self.rank)
-        return float(np.max(fro(self.generators @ adjoint(self.generators) - eye)))
-
     def is_irreducible(self) -> bool:
         return commutant_dimension(self.generators) == 1
 
@@ -517,12 +510,6 @@ class FuchsianSystem:
         w = 1.0 / (z.reshape(-1, 1) - self.points)
         return (w @ self.residues.reshape(w.shape[1], -1)).reshape(z.shape + self.residues.shape[1:])
 
-    def spectrum_residual(self) -> float:
-        """The largest distance of a residue's sorted real eigenvalue parts
-        from its weight row, from one batched sorted_eigvals."""
-        lam = sorted_eigvals(self.residues).real
-        return float(np.max(np.abs(lam - self.weights.weights[:-1])))
-
     def infinity_spectrum_residual(self) -> float:
         lam = sorted_eigvals(self.residue_at_infinity())
         target = np.sort(self.weights.infinity_exponents)
@@ -531,12 +518,6 @@ class FuchsianSystem:
 
     def conjugated(self, g: np.ndarray) -> "FuchsianSystem":
         return FuchsianSystem(self.weights, g @ self.residues @ np.linalg.inv(g))
-
-
-@dataclass
-class TransportResult:
-    value: np.ndarray
-    step_count: int
 
 
 @dataclass
@@ -786,7 +767,7 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
-def transport_fan(
+def transport(
     points: np.ndarray,
     residues: np.ndarray,
     fan: paths.SegmentFan | paths.RayFan,
@@ -853,23 +834,6 @@ def check_clearance(weights: WeightSystem, path: list[paths.Segment]) -> None:
             raise paths.ProximityError(
                 f"path comes within {d:.3e} of puncture {w} (limit {r_min:.3e})"
             )
-
-
-def transport(
-    system: FuchsianSystem, path: list[paths.Segment], start: np.ndarray, tol: float
-) -> TransportResult:
-    """Parallel transport of dY/dz = -A(z) Y from start along a piecewise
-    path.
-
-    Each segment is one :func:`transport_fan` call on a one-member
-    SegmentFan; step_count sums their steps.  No proximity check is made.
-    """
-    y = as_cmatrix(start, "start")
-    steps = 0
-    for seg in path:
-        out = transport_fan(system.points, system.residues, paths.SegmentFan([seg]), y, tol=tol)
-        y, steps = out.values[-1, 0], steps + out.step_count
-    return TransportResult(value=y, step_count=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -1154,7 +1118,7 @@ class MonodromyLoops:
     the set is built.
 
     A monodromy evaluation marches the approach legs of all systems as one
-    fan per segment round: K transport_fan calls, K the longest leg's
+    fan per segment round: K transport calls, K the longest leg's
     segment count, each leg padded at the front with zero-length segments
     at the basepoint, on which it does not move (a leg is one Line unless
     plan_route detours it round another puncture's circle).  Every circle
@@ -1238,7 +1202,7 @@ class MonodromyLoops:
         basepoint: its coordinates are diag(x^lam) F(x)^{-1} P_i, P_i the
         approach leg's transport to the circle's entry x, I on the big
         circle.  The circles come in closed form (circle_transports), the
-        legs of all systems as one fan per segment round, K transport_fan
+        legs of all systems as one fan per segment round, K transport
         calls in all, and every generator is P_i^{-1} (F exp(2 pi i Lambda)
         F^{-1}) P_i.  A leg transport that np.linalg.solve finds singular,
         or a singular circle frame, raises NumericalError naming it, so that
@@ -1247,8 +1211,9 @@ class MonodromyLoops:
         res = np.asarray(residues, dtype=complex)
         circles, series = self.circle_transports(res, tol)
         legs = np.broadcast_to(np.eye(self.weights.rank, dtype=complex), circles.shape).copy()
+        # called by its module name, so that a wrapper of fuchs.transport sees every round
         for fan in self._leg_rounds:
-            legs[:, :-1] = transport_fan(self.weights.points, res, fan, legs[:, :-1], tol=tol).values[-1]
+            legs[:, :-1] = transport(self.weights.points, res, fan, legs[:, :-1], tol=tol).values[-1]
         try:
             gens = np.linalg.solve(legs, circles @ legs)
         except np.linalg.LinAlgError:

@@ -1,5 +1,5 @@
-"""Dimension counts, deformations of admissible tuples, action surfaces,
-and the finite-difference chart Laplacian of the action.
+"""Deformations of admissible tuples, action surfaces, and the
+finite-difference chart Laplacian of the action.
 
 Families here are charts on the representation variety: conjugators move
 along fixed anti-Hermitian directions with the real and imaginary parts
@@ -45,20 +45,6 @@ CHART_RADIUS = 0.35
 
 class ChartRadiusError(RuntimeError):
     """Newton projection failed: parameter outside the chart radius."""
-
-
-def expected_dims(r: int, n: int) -> tuple[float, float]:
-    """(moduli dimension, cotangent dimension) by the count formulas.
-
-    Returned raw: for small (r, n) the first formula can be non-integral
-    (e.g. r=2, n=3 gives 1.5), which simply signals an empty or
-    exceptional stratum rather than an honest chart dimension.
-    """
-    if r < 1 or n < 3:
-        raise ValueError("need r >= 1 and n >= 3")
-    dim_moduli = 0.5 * n * (r * r - 1) - r * r + 1
-    dim_cotangent = 0.5 * n * (r * r - r) - r * r + 1
-    return dim_moduli, dim_cotangent
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Everything in this package works with explicit dense complex matrices of
 small size (ranks of interest are r <= 4).  This module collects the few
-helpers shared across modules: input coercion of a matrix or a stack,
+helpers shared across modules: input coercion of a stack of matrices,
 the conjugate transpose of a stack, the diagonal matrices of a stack of
 rows, the Frobenius norm of a matrix or of every member of a stack,
 deterministically ordered eigenvalues, Hermitian positive-definite
@@ -28,16 +28,6 @@ class NumericalError(RuntimeError):
 
 class NotPositiveDefiniteError(NumericalError):
     """Hermitian matrix failed a positive-definiteness check."""
-
-
-def as_cmatrix(m, name: str) -> np.ndarray:
-    """Coerce to a finite complex 2d array."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NumericalError(f"{name} contains non-finite entries")
-    return a
 
 
 def as_cstack(m, name: str) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 from . import factor, fuchs
 # called by this name, so that a wrapper of rhsolve.align_tuple_to_target sees every call
 from .fuchs import ResonanceError, align_tuple_to_target
-from .numcore import NumericalError, diag_stack, expm
+from .numcore import NumericalError, diag_stack, expm, sorted_eigvals
 
 
 class ReducibleTargetError(ValueError):
@@ -194,8 +194,7 @@ def residual_stack(
     diff = aligned - target.generators
     # per generator: real parts, then imaginary parts
     d = np.stack([diff.real, diff.imag], axis=2).reshape(len(gens), -1)
-    lam = np.linalg.eigvals(-np.sum(residues, axis=1))
-    lam = np.take_along_axis(lam, np.argsort(lam.real, axis=-1), axis=-1)
+    lam = sorted_eigvals(-np.sum(residues, axis=1))
     tgt = np.sort(parm.weights.infinity_exponents)
     return np.concatenate(
         [d, INFINITY_WEIGHT * (lam.real - tgt), INFINITY_WEIGHT * lam.imag],
@@ -427,7 +426,6 @@ class NormalizationResult:
     # an invertible constant term (normalize_at_infinity)
     large_cell_flag: bool
     canonical_system: fuchs.FuchsianSystem
-    basepoint: complex
     basepoint_value: np.ndarray  # canonical fundamental solution at the basepoint
     # the spectrum at infinity's drift from the exponents Lambda, whose power
     # z^{lam - Lambda} keeps Y W z^{-Lambda} from having a limit
@@ -502,7 +500,6 @@ def normalize_at_infinity(
         constant_term=G,
         large_cell_flag=flag,
         canonical_system=system.conjugated(left),
-        basepoint=ws.loops.z0,
         basepoint_value=left @ W,
         extrapolation_disagreement=float(disagreement),
         right_conjugator=W,

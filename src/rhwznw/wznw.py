@@ -54,7 +54,7 @@ every inward node of a patch and the whole outer region, so the web
 builds no series and transports no ring entry; only the outward rays,
 from the ring to the Voronoi or outer boundary, are transported: the rays
 of all patches as the members of one adaptive fan call
-(fuchs.transport_fan), with a stop at every Gauss-Legendre node, read
+(fuchs.transport), with a stop at every Gauss-Legendre node, read
 off the kernel's dense output, so the stops cost no steps.  The inward
 nodes of a patch and the outer region lie on circles, each circle at its
 own angle count; all nodes of a region are one pointwise series
@@ -216,7 +216,7 @@ class MetricField:
     puncture nearest z, Y comes from z_i's member of the series inside its
     ring (its loop circle), from the member at infinity for |z| >= |z0|,
     and otherwise from one outward ray from the ring to z
-    (fuchs.transport_fan on a paths.RayFan), the rule by which the web
+    (fuchs.transport on a paths.RayFan), the rule by which the web
     reaches its nodes.  h(z) is path independent because the monodromy is
     unitary (to solver tolerance).
     make_metric_field builds a field only on the regular locus, so every
@@ -224,7 +224,6 @@ class MetricField:
     """
 
     system: fuchs.FuchsianSystem
-    basepoint: complex
     basepoint_value: np.ndarray
     series: fuchs.SeriesStack
     monodromy_quality: float
@@ -232,6 +231,11 @@ class MetricField:
     @property
     def weights(self) -> fuchs.WeightSystem:
         return self.system.weights
+
+    @property
+    def basepoint(self) -> complex:
+        """z0 of the weights' loop set, where Y is basepoint_value."""
+        return self.weights.loops.z0
 
     def min_distance_to_punctures(self, z: complex) -> float:
         return float(np.min(np.abs(np.asarray(self.system.points) - z)))
@@ -252,7 +256,7 @@ class MetricField:
             return self.series.values(-1, abs(z), float(np.angle(z)))
         fan = paths.RayFan(pts[i], np.array([phi]), np.log(ring), np.log(rho))
         start = self.series.values(i, ring, phi)
-        return fuchs.transport_fan(pts, self.system.residues, fan, start).values[-1, 0]
+        return fuchs.transport(pts, self.system.residues, fan, start).values[-1, 0]
 
     def h_at(self, z: complex) -> np.ndarray:
         return _metric_from_factor(self.y_at(z))
@@ -286,7 +290,6 @@ def make_metric_field(
     quality = np.max(fro(gens @ adjoint(gens) - np.eye(system.weights.rank)))
     return MetricField(
         system=norm.canonical_system,
-        basepoint=norm.basepoint,
         basepoint_value=norm.basepoint_value,
         monodromy_quality=float(quality),
         series=norm.series,
@@ -515,8 +518,7 @@ class TransportWeb:
         rays, ring_y = zip(*[self._patch_rays(i, ring_radii[i], phi)
                              for i, (phi, _) in enumerate(angles)])
         fan = paths.RayFan(*map(np.concatenate, zip(*rays)))
-        y_out = fuchs.transport_fan(pts, fld.system.residues, fan, np.concatenate(ring_y),
-                                    t_nodes).values
+        y_out = fuchs.transport(pts, fld.system.residues, fan, np.concatenate(ring_y), t_nodes).values
         ends = np.cumsum([len(phi) for phi, _ in angles])[:-1]
         self.regions = [
             self._build_patch(i, ray, w_phi, radial, y, t_nodes, t_weights)
@@ -818,7 +820,7 @@ def flatness_residual(fld: MetricField, z, step):
 
     Y is read at z once (MetricField.y_at) and transported from there to
     the 12 other distinct stencil points along straight lines, as the
-    members of one fan (fuchs.transport_fan); every line stays within
+    members of one fan (fuchs.transport); every line stays within
     2 step of z, at least 6 step from every puncture.  h at all 13 points
     comes from one factorisation; the inner central differences form
     h^{-1} h_z, the outer one differentiates it in zbar.  Decays like
@@ -839,7 +841,7 @@ def flatness_residual(fld: MetricField, z, step):
     y_of = {w: fld.y_at(w) for w in dict.fromkeys(zs.tolist())}
     y0 = np.stack([y_of[w] for w in zs.tolist()])
     fan = paths.SegmentFan([paths.Line(w, w + sw * o) for w, sw in zip(zs, s) for o in _LINES])
-    ys = fuchs.transport_fan(fld.system.points, fld.system.residues, fan, np.repeat(y0, len(_LINES), axis=0))
+    ys = fuchs.transport(fld.system.points, fld.system.residues, fan, np.repeat(y0, len(_LINES), axis=0))
     # each stencil's 12 line ends, then its center
     ends = np.concatenate([ys.values[-1].reshape(len(zs), len(_LINES), *y0.shape[1:]), y0[:, None]], axis=1)
     take = [_LINES.index(o) if o != 0 else len(_LINES) for o in _OFFSETS]

@@ -29,6 +29,18 @@ def reversed_path(path):
             else paths.Arc(s.center, s.radius, s.angle1, s.angle0) for s in reversed(path)]
 
 
+def transport_path(points, residues, path, start, tol):
+    """One system (n-1, r, r) or a stack (S, n-1, r, r) from start along a
+    piecewise path: one fuchs.transport call per segment on a one-member
+    SegmentFan.  Returns the end values, (r, r) or (S, r, r), and the
+    summed step count.  No clearance check is made."""
+    y, steps = start, 0
+    for seg in path:
+        out = fuchs.transport(points, residues, paths.SegmentFan([seg]), y, tol=tol)
+        y, steps = out.values[-1], steps + out.step_count
+    return y[..., 0, :, :], steps
+
+
 def puncture_loop(weights, i, basepoint):
     """The basepoint loop around puncture i: the loop set's approach leg,
     its full circle, and the approach run back."""

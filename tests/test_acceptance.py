@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import puncture_loop
+from conftest import puncture_loop, transport_path
 from rhwznw import cli, fuchs, moduli, rhsolve, verify, wznw
 
 ACCEPTANCE_LINES: list[str] = []
@@ -65,7 +65,7 @@ def test_criterion_4_rank1_monodromy(rank1_system, rank1_weights):
     worst = 0.0
     for i, a in enumerate((0.3, 0.45, 0.8)):
         loop = puncture_loop(rank1_weights, i, z0)
-        value = fuchs.transport(rank1_system, loop, np.eye(1), tol=1e-10).value[0, 0]
+        value = transport_path(rank1_system.points, rank1_system.residues, loop, np.eye(1), 1e-10)[0][0, 0]
         worst = max(worst, abs(value - np.exp(-2j * np.pi * a)))
     ok = worst <= 1e-8
     _report(4, "rank-1 monodromy", ok, f"worst loop error {worst:.2e}", time.time() - t0, 5.0)

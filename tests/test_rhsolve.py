@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import W3
+from conftest import W3, transport_path
 from rhwznw import factor, fuchs, moduli, numcore, paths, rhsolve, wznw
 
 
@@ -54,7 +54,8 @@ def test_parametrization_preserves_spectra(rank2_weights):
     for _ in range(10):
         x = rng.standard_normal(parm.dim)
         system = parm.system(x)
-        assert system.spectrum_residual() < 1e-10
+        lam = numcore.sorted_eigvals(system.residues).real
+        assert np.max(np.abs(lam - rank2_weights.weights[:-1])) < 1e-10
 
 
 def test_parametrization_stack_matches_points(rank2_weights):
@@ -78,6 +79,30 @@ def test_chart_point_whose_exponential_overflows_raises(rank2_weights):
     )
     with pytest.raises(numcore.NumericalError):
         parm.residues(np.full(parm.dim, 800.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_trial_point_raises_numerical_error(monkeypatch, rank2_target, rank2_oracle_system, bad):
+    # the LM rejects a trial point whose residual raises NumericalError: a
+    # non-finite chart point ends there at the chart's expm, and non-finite
+    # residues that reached the infinity spectrum would end there too, at
+    # sorted_eigvals, where np.linalg.eigvals raised LinAlgError
+    parm = rhsolve.parametrization_from_system(rank2_oracle_system)
+    x = np.zeros(parm.dim)
+    x[0] = bad
+    with pytest.raises(numcore.NumericalError, match="expm"):
+        rhsolve.residual_vector(parm, x, rank2_target)
+    real = parm.loop_generators
+
+    def non_finite_residues(xs):
+        residues, gens = real(xs)
+        residues = residues.copy()
+        residues[:, 0, 0, 0] = bad
+        return residues, gens
+
+    monkeypatch.setattr(parm, "loop_generators", non_finite_residues)
+    with pytest.raises(numcore.NumericalError, match="non-finite"):
+        rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target)
 
 
 def test_residual_stack_rows_match_residual_vector_rank1(rank1_weights, rank1_target):
@@ -183,14 +208,14 @@ def test_normalize_constant_term_is_the_richardson_limit(rank2_solved, rank2_tar
     system, _ = rank2_solved
     tol = fuchs.TRANSPORT_TOL
     norm = rhsolve.normalize_at_infinity(system, rank2_target)
-    z0, lam = norm.basepoint, system.weights.infinity_exponents
+    z0, lam = system.weights.loops.z0, system.weights.infinity_exponents
     unit = z0 / abs(z0)
 
     radii = 20.0 * 2.0 ** np.arange(6)
     g, start, y = {}, z0, np.eye(2, dtype=complex)
     for radius in radii:
         end = radius * unit
-        y = fuchs.transport(system, [paths.Line(start, end)], start=y, tol=tol / 100).value
+        y, _ = transport_path(system.points, system.residues, [paths.Line(start, end)], y, tol / 100)
         g[radius] = (y @ norm.right_conjugator) * np.exp(-lam[None, :] * np.log(end))
         start = end
 
@@ -238,9 +263,8 @@ def test_normalize_keeps_the_matched_loop_series(rank2_solved, rank2_target):
     for s, circle in enumerate(loops.circles):
         got = series.values(s, circle.radius, circle.angle0)
         if s < len(loops.approaches):
-            want = fuchs.transport(
-                norm.canonical_system, loops.approaches[s], start=norm.basepoint_value, tol=1e-12
-            ).value
+            want, _ = transport_path(norm.canonical_system.points, norm.canonical_system.residues,
+                                     loops.approaches[s], norm.basepoint_value, 1e-12)
         else:
             want = norm.basepoint_value
         assert numcore.fro(got - want) <= 1e-9 * numcore.fro(want)
@@ -375,7 +399,7 @@ def test_lm_rejects_a_trial_point_whose_loop_matrix_is_singular(
     # zeroed, on every system of the stack
     armed = [False]
     if where == "leg":
-        real, owner, name = fuchs.transport_fan, fuchs, "transport_fan"
+        real, owner, name = fuchs.transport, fuchs, "transport"
         message = "transport along the approach leg of puncture 0 of system 0"
 
         def corrupt(out):
@@ -521,7 +545,8 @@ def test_cold_solve_seeded_centers_at_restart_0(seed):
     assert report.restart_index == 0
     assert report.iterations <= 9
     assert report.final_residual <= 1e-6
-    assert system.spectrum_residual() < 1e-10
+    lam = numcore.sorted_eigvals(system.residues).real
+    assert np.max(np.abs(lam - ws.weights[:-1])) < 1e-10
 
 
 def test_one_weight_system_plans_its_loops_once(monkeypatch):

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FINE, direct_sum, off_curve_integrals
+from conftest import FINE, direct_sum, off_curve_integrals, transport_path
 from rhwznw import factor, fuchs, moduli, numcore, paths, rhsolve, wznw
 
 
@@ -56,18 +56,13 @@ def test_metric_positive_and_single_valued(rank2_field):
         assert np.linalg.eigvalsh(h).min() > 0
     # two homotopically distinct routes to the same point
     zt = 0.5 - 0.9j
-    y_direct = fuchs.transport(
-        rank2_field.system,
-        paths.plan_route(z0, zt, [(0.0, 0.4), (1.0, 0.4)]),
-        start=rank2_field.basepoint_value,
-        tol=1e-11,
-    ).value
+    pts, res, y0 = rank2_field.system.points, rank2_field.system.residues, rank2_field.basepoint_value
+    route1 = paths.plan_route(z0, zt, [(0.0, 0.4), (1.0, 0.4)])
+    y_direct, _ = transport_path(pts, res, route1, y0, 1e-11)
     detour_mid = -1.6 + 0.0j
     route2 = paths.plan_route(z0, detour_mid, [(0.0, 0.4), (1.0, 0.4)])
     route2 += paths.plan_route(detour_mid, zt, [(0.0, 0.4), (1.0, 0.4)])
-    y_detour = fuchs.transport(
-        rank2_field.system, route2, start=rank2_field.basepoint_value, tol=1e-11
-    ).value
+    y_detour, _ = transport_path(pts, res, route2, y0, 1e-11)
     h1 = np.linalg.inv(y_direct @ y_direct.conj().T)
     h2 = np.linalg.inv(y_detour @ y_detour.conj().T)
     assert numcore.fro(h1 - h2) <= 10 * (
@@ -257,15 +252,15 @@ def test_y_at_in_the_outer_annulus_is_the_web_ray_times_a_unitary(rank2_field, m
     z = 2.5
     assert abs(fld.basepoint) <= z
     calls = []
-    fan = fuchs.transport_fan
-    monkeypatch.setattr(fuchs, "transport_fan", lambda *a, **k: calls.append(1) or fan(*a, **k))
+    fan = fuchs.transport
+    monkeypatch.setattr(fuchs, "transport", lambda *a, **k: calls.append(1) or fan(*a, **k))
     y = fld.y_at(z)
     assert calls == []
     monkeypatch.undo()
     ring = fld.series.radius[1]
     start = fld.series.values(1, ring, 0.0)
     ray = paths.RayFan(fld.system.points[1], np.array([0.0]), np.log(ring), np.log(z - 1.0))
-    y_ray = fuchs.transport_fan(fld.system.points, fld.system.residues, ray, start).values[-1, 0]
+    y_ray = fuchs.transport(fld.system.points, fld.system.residues, ray, start).values[-1, 0]
     u = np.linalg.solve(y, y_ray)
     assert numcore.fro(u @ u.conj().T - np.eye(2)) <= 1e-9
     h, h_ray = fld.h_at(z), np.linalg.inv(y_ray @ y_ray.conj().T)
@@ -300,7 +295,7 @@ def test_h_at_matches_a_transported_reference(rank2_field):
             continue
         keepouts = [(complex(w), min(0.92 * abs(z - w), 0.92 * abs(fld.basepoint - w), cap)) for w in pts]
         route = paths.plan_route(fld.basepoint, z, keepouts)
-        y = fuchs.transport(fld.system, route, start=fld.basepoint_value, tol=tol / 100).value
+        y, _ = transport_path(pts, fld.system.residues, route, fld.basepoint_value, tol / 100)
         want = np.linalg.inv(y @ y.conj().T)
         assert numcore.fro(fld.h_at(z) - want) <= 1e-9 * numcore.fro(want), (region, z)
         todo[region] -= 1
@@ -395,7 +390,6 @@ def test_flatness_constant_field():
     loops = fuchs.MonodromyLoops(ws)
     fld = wznw.MetricField(
         system=system,
-        basepoint=ws.default_basepoint(),
         basepoint_value=np.eye(1, dtype=complex),
         # Y0 = 1 on every member: series_stack's coordinates describe Y0
         series=fuchs.series_stack(ws.points, zeros[None], loops.at, loops.radii, fuchs.TRANSPORT_TOL),
@@ -429,13 +423,15 @@ def test_action_abelian_oracle(rank1_field, rank1_weights):
         # the leg to 1 detours round the circle at 0.5+1j
         ([-1.0, 0.0, 1.0, 0.5 + 1j], [[0.25, 0.3, 0.2, 0.35, 0.9], [0.45, 0.55, 0.4, 0.5, 0.1]]),
         ([-1.0, 0.0, 1.0], [[0.1, 0.2, 0.3, 0.4], [0.15, 0.35, 0.2, 0.3], [0.4, 0.25, 0.1, 0.25]]),
+        ([-1.0, 0.0, 1.0, 0.5 + 1j, -0.5 - 1j],
+         [[0.15, 0.2, 0.1, 0.25, 0.5, 0.8], [0.35, 0.45, 0.3, 0.4, 0.2, 0.3]]),
     ],
-    ids=["rank2-n4", "rank2-n5", "rank3-n4"],
+    ids=["rank2-n4", "rank2-n5", "rank3-n4", "rank2-n6"],
 )
 def test_direct_sum_action_matches_closed_form(points, components):
     # a direct sum of rank-1 systems reaches the series, the normalization
     # at infinity, the web and the counterterms with no solve, and its S is
-    # the sum of the rank-1 closed forms: measured 1.1e-10 to 2.4e-10 off at
+    # the sum of the rank-1 closed forms: measured 3.1e-12 to 2.4e-10 off at
     # FINE, with monodromy quality at most 9e-16
     system, target, closed = direct_sum(points, components)
     fld = wznw.make_metric_field(system, target)
@@ -572,7 +568,7 @@ def test_web_node_limit_raises_before_any_transport(rank2_field, monkeypatch):
     def no_transport(*args, **kwargs):
         raise AssertionError("transported past the node limit")
 
-    monkeypatch.setattr(fuchs, "transport_fan", no_transport)
+    monkeypatch.setattr(fuchs, "transport", no_transport)
     start = time.process_time()
     with pytest.raises(ValueError, match="WEB_NODE_LIMIT"):
         wznw.action_regularized(rank2_field, tuple(np.geomspace(0.1, 1e-300, 6000)))
@@ -604,7 +600,7 @@ def test_action_refuses_a_delta_below_the_condition_floor(rank2_oracle_system, r
         raise AssertionError("transported below the delta floor")
 
     with monkeypatch.context() as patch:
-        patch.setattr(fuchs, "transport_fan", no_transport)
+        patch.setattr(fuchs, "transport", no_transport)
         with pytest.raises(numcore.NumericalError, match="smallest delta 1e-60"):
             wznw.action_regularized(fld, (0.1, 0.05, 0.025, 1e-60))
         with pytest.raises(numcore.NumericalError, match="smallest delta 1e-50"):
@@ -644,12 +640,8 @@ def test_cholesky_exponents_along_ray(rank2_field, rank2_weights):
 
 def test_cholesky_exponents_at_infinity(rank2_field, rank2_weights):
     zbig = rank2_field.basepoint * (2e3 / abs(rank2_field.basepoint))
-    y = fuchs.transport(
-        rank2_field.system,
-        [paths.Line(rank2_field.basepoint, zbig)],
-        start=rank2_field.basepoint_value,
-        tol=1e-11,
-    ).value
+    y, _ = transport_path(rank2_field.system.points, rank2_field.system.residues,
+                          [paths.Line(rank2_field.basepoint, zbig)], rank2_field.basepoint_value, 1e-11)
     h = np.linalg.inv(y @ y.conj().T)
     a = np.abs(np.diag(factor.cholesky_upper(0.5 * (h + h.conj().T)))) ** 2
     m = rank2_field.weights.splitting.m
@@ -942,9 +934,9 @@ def test_planned_web_nodes_equal_the_built_web(rank2_oracle_system, rank2_target
 
 
 def _count_calls(monkeypatch):
-    """Record the fans of transport_fan and count series_stack, transport
-    and MetricField.y_at calls."""
-    calls = {"fans": [], "series_stack": 0, "transport": 0, "y_at": 0}
+    """Record the fans of fuchs.transport and count series_stack and
+    MetricField.y_at calls."""
+    calls = {"fans": [], "series_stack": 0, "y_at": 0}
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -955,17 +947,17 @@ def _count_calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((fuchs, "series_stack"), (fuchs, "transport"), (wznw.MetricField, "y_at")):
+    for owner, name in ((fuchs, "series_stack"), (wznw.MetricField, "y_at")):
         counted(owner, name)
-    fan = fuchs.transport_fan
-    monkeypatch.setattr(fuchs, "transport_fan", lambda *a, **k: calls["fans"].append(a[2]) or fan(*a, **k))
+    fan = fuchs.transport
+    monkeypatch.setattr(fuchs, "transport", lambda *a, **k: calls["fans"].append(a[2]) or fan(*a, **k))
     return calls
 
 
 def test_action_transports_only_the_outward_rays(rank2_field, monkeypatch):
     # rings, inward nodes and the outer region come from the field's loop
     # series, matched by the normalization: no series is built and no ring
-    # entry transported, and one transport_fan call is left, for the
+    # entry transported, and one fuchs.transport call is left, for the
     # outward rays of every patch
     calls = _count_calls(monkeypatch)
     wznw.action_regularized(rank2_field)
@@ -974,7 +966,7 @@ def test_action_transports_only_the_outward_rays(rank2_field, monkeypatch):
     # its members run out of every finite puncture
     centers = np.broadcast_to(calls["fans"][0].center, calls["fans"][0].phis.shape)
     assert set(centers.tolist()) == set(rank2_field.system.points.tolist())
-    assert calls["series_stack"] == calls["transport"] == calls["y_at"] == 0
+    assert calls["series_stack"] == calls["y_at"] == 0
 
 
 def test_flatness_reads_y_once_and_runs_one_fan(rank2_field, monkeypatch):
@@ -985,7 +977,7 @@ def test_flatness_reads_y_once_and_runs_one_fan(rank2_field, monkeypatch):
     z = 0.3 + 0.2j
     calls = _count_calls(monkeypatch)
     wznw.flatness_residual(rank2_field, z, 0.01)
-    assert calls["y_at"] == 1 and calls["transport"] == 0
+    assert calls["y_at"] == 1
     (fan,) = calls["fans"]
     assert isinstance(fan, paths.SegmentFan) and len(fan.segments) == 12
     assert all(seg.start == z for seg in fan.segments)
@@ -1008,7 +1000,7 @@ def test_flatness_stack_equals_per_stencil_calls(rank2_field, monkeypatch):
     got = wznw.flatness_residual(rank2_field, zs, steps)
     assert got.shape == (2, 10)
     assert np.max(np.abs(got / want - 1)) <= 1e-9
-    assert calls["y_at"] == 10 and calls["transport"] == 0
+    assert calls["y_at"] == 10
     (fan,) = calls["fans"]
     assert isinstance(fan, paths.SegmentFan) and len(fan.segments) == 240
     assert isinstance(wznw.flatness_residual(rank2_field, zs[0], 0.01), float)
@@ -1026,7 +1018,7 @@ def test_flatness_stack_refuses_each_stencil_alone(rank2_field):
 def test_annulus_integral_builds_and_transports_nothing(rank2_field, monkeypatch):
     calls = _count_calls(monkeypatch)
     wznw.annulus_kinetic_integral(rank2_field, 1, 1e-3)
-    assert calls == {"fans": [], "series_stack": 0, "transport": 0, "y_at": 0}
+    assert calls == {"fans": [], "series_stack": 0, "y_at": 0}
 
 
 def test_action_rings_are_the_loop_circles(monkeypatch):
