@@ -10,11 +10,12 @@ central-difference Jacobian is rounding noise.  The merit function
 compares gauge-aligned computed monodromy generators with the target
 tuple entrywise and adds a penalty, weighted by INFINITY_WEIGHT, on the
 spectrum of the residue at infinity, which pins the splitting type.
-Residuals are evaluated for stacks of chart points: the central-difference Jacobian of
-one LM iteration is a single stack of 2 dim points, mapped to residues by
-one batched numcore.expm, taken through the weights' loop set (every loop
-circle in closed form from one stacked local-series recursion, one kernel
-call per approach leg), and gauge-aligned in one call.
+One entry, residual_vector, takes a chart point or a stack: LM's points
+and each iteration's central-difference Jacobian, a single stack of 2 dim
+points, mapped to residues by one batched numcore.expm, taken through the
+weights' loop set (every loop circle in closed form from one stacked
+local-series recursion, one kernel call per approach leg), and
+gauge-aligned in one call.
 
 The loops and the gauge alignment live in fuchs (WeightSystem.loops,
 align_tuple_to_target); nothing here builds or passes a loop set.  A
@@ -180,15 +181,16 @@ def _warm_start(weights: fuchs.WeightSystem, init: fuchs.FuchsianSystem) -> _War
 # residual
 
 
-def residual_stack(
-    parm: ResidueParametrization, xs: np.ndarray, target: fuchs.AdmissibleRep
+def residual_vector(
+    parm: ResidueParametrization, x: np.ndarray, target: fuchs.AdmissibleRep
 ) -> np.ndarray:
-    """Residual vectors (B, m) of a (B, dim) stack of chart points.
-
-    The target-free residues and generators of the whole stack come from
-    the chart (ResidueParametrization.loop_generators), their gauge
-    alignment to the target from one call; then the infinity spectrum.
-    """
+    """Concatenated gauge-aligned monodromy and infinity-spectrum residuals:
+    (m,) at a chart point x (dim,), (B, m) for a (B, dim) stack; a point
+    runs as a stack of one.  The stack's target-free residues and generators
+    come from the chart (ResidueParametrization.loop_generators), their gauge
+    alignment to the target from one call; then the infinity spectrum."""
+    x = np.asarray(x, dtype=float)
+    xs = x[None] if x.ndim == 1 else x
     residues, gens = parm.loop_generators(xs)
     aligned = align_tuple_to_target(gens, target).generators
     diff = aligned - target.generators
@@ -196,17 +198,11 @@ def residual_stack(
     d = np.stack([diff.real, diff.imag], axis=2).reshape(len(gens), -1)
     lam = sorted_eigvals(-np.sum(residues, axis=1))
     tgt = np.sort(parm.weights.infinity_exponents)
-    return np.concatenate(
+    f = np.concatenate(
         [d, INFINITY_WEIGHT * (lam.real - tgt), INFINITY_WEIGHT * lam.imag],
         axis=1,
     )
-
-
-def residual_vector(
-    parm: ResidueParametrization, x: np.ndarray, target: fuchs.AdmissibleRep
-) -> np.ndarray:
-    """Concatenated gauge-aligned monodromy and infinity-spectrum residuals."""
-    return residual_stack(parm, np.asarray(x, dtype=float)[None, :], target)[0]
+    return f[0] if x.ndim == 1 else f
 
 
 def _central_points(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,11 +213,11 @@ def _central_points(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return steps, np.concatenate([x + shift, x - shift])
 
 
-def central_jacobian(func_stack, x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian from one stacked evaluation of the 2 dim
-    points of _central_points(x)."""
+def central_jacobian(residuals, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian from one call of residuals (residual_vector
+    with parm and target bound) on the 2 dim points of _central_points(x)."""
     steps, points = _central_points(x)
-    f = func_stack(points)
+    f = residuals(points)
     n = len(x)
     return ((f[:n] - f[n:]) / (2 * steps[:, None])).T
 
@@ -259,15 +255,16 @@ class SolveReport:
         return self.normalization is not None and self.normalization.large_cell_flag
 
 
-def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
+def _levenberg_marquardt(residuals, x0: np.ndarray, opts: SolveOptions):
     """Small dense LM with central-difference Jacobian and Nielsen damping.
 
-    func(x) is the residual at one point; func_stack evaluates a stack of
-    points and builds each iteration's Jacobian in one call.  Returns the
-    final point, its residual, the iteration count and the cost history.
+    residuals takes one point (dim,) or a stack (B, dim), as residual_vector
+    does: LM calls it at its start and trial points, and on one stack for
+    each iteration's Jacobian (central_jacobian).  Returns the final point,
+    its residual, the iteration count and the cost history.
     """
     x = x0.copy()
-    f = func(x)
+    f = residuals(x)
     cost = float(f @ f)
     history = [cost]
     lam, nu = 1e-3, 2.0
@@ -280,7 +277,7 @@ def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
         if cost <= target_cost:
             break
         n = len(x)
-        J = central_jacobian(func_stack, x)
+        J = central_jacobian(residuals, x)
         g = J.T @ f
         if np.linalg.norm(g, np.inf) < 1e-14:
             break
@@ -295,7 +292,7 @@ def _levenberg_marquardt(func, func_stack, x0: np.ndarray, opts: SolveOptions):
                 continue
             x_new = x + delta
             try:
-                f_new = func(x_new)
+                f_new = residuals(x_new)
                 cost_new = float(f_new @ f_new)
             except NumericalError:
                 # a trial point whose residual cannot be evaluated is rejected
@@ -368,14 +365,14 @@ def solve(
             ks[:, np.arange(r), np.arange(r)] = 0.0
             parm = ResidueParametrization(weights, expm(ks))
 
-        func = partial(residual_vector, parm, target=target)
-        func_stack = partial(residual_stack, parm, target=target)
+        # the module-global name: a wrapper of rhsolve.residual_vector sees every call
+        residuals = partial(residual_vector, parm, target=target)
         x0 = np.zeros(parm.dim)
         if parm.dim == 0:
-            f = func(x0)
+            f = residuals(x0)
             x, iters, history = x0, 0, [float(f @ f)]
         else:
-            x, f, iters, history = _levenberg_marquardt(func, func_stack, x0, opts)
+            x, f, iters, history = _levenberg_marquardt(residuals, x0, opts)
 
         # the generator block of the residual is aligned - target; the last
         # 2r entries are the infinity-spectrum penalty
@@ -421,15 +418,15 @@ DISAGREEMENT_WARNING = 1e-3
 
 @dataclass
 class NormalizationResult:
+    """The canonical solution at infinity.  The spectrum's drift there is
+    SolveReport.infinity_spectrum_error; normalize_at_infinity warns on it."""
+
     constant_term: np.ndarray
     # whether the solution lies on the regular locus: a scalar splitting with
     # an invertible constant term (normalize_at_infinity)
     large_cell_flag: bool
     canonical_system: fuchs.FuchsianSystem
     basepoint_value: np.ndarray  # canonical fundamental solution at the basepoint
-    # the spectrum at infinity's drift from the exponents Lambda, whose power
-    # z^{lam - Lambda} keeps Y W z^{-Lambda} from having a limit
-    extrapolation_disagreement: float
     right_conjugator: np.ndarray
     # the monodromy generators aligned to the target, W^{-1} M_i W: the
     # canonical solution's monodromy in the gauge of basepoint_value
@@ -501,7 +498,6 @@ def normalize_at_infinity(
         large_cell_flag=flag,
         canonical_system=system.conjugated(left),
         basepoint_value=left @ W,
-        extrapolation_disagreement=float(disagreement),
         right_conjugator=W,
         aligned_generators=aligned.generators,
         series=replace(series, coefficients=left @ series.coefficients, coords=coords),

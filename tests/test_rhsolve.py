@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import re
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -105,24 +106,27 @@ def test_non_finite_trial_point_raises_numerical_error(monkeypatch, rank2_target
         rhsolve.residual_vector(parm, np.zeros(parm.dim), rank2_target)
 
 
-def test_residual_stack_rows_match_residual_vector_rank1(rank1_weights, rank1_target):
+def test_residual_vector_stack_rows_match_points_rank1(rank1_weights, rank1_target):
     parm = rhsolve.ResidueParametrization(
         rank1_weights, np.array([np.eye(1, dtype=complex)] * 3)
     )
-    f = rhsolve.residual_stack(parm, np.zeros((3, 0)), rank1_target)
+    f = rhsolve.residual_vector(parm, np.zeros((3, 0)), rank1_target)
     one = rhsolve.residual_vector(parm, np.zeros(0), rank1_target)
     assert f.shape == (3, len(one))
     assert np.max(np.abs(f - one)) <= 1e-13
 
 
-def test_residual_stack_rows_match_residual_vector_rank2(rank2_target, rank2_oracle_system):
+def test_residual_vector_stack_rows_match_points_rank2(rank2_target, rank2_oracle_system):
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
     xs = 0.1 * np.random.default_rng(9).standard_normal((4, parm.dim))
-    f = rhsolve.residual_stack(parm, xs, rank2_target)
+    f = rhsolve.residual_vector(parm, xs, rank2_target)
     for row, x in zip(f, xs):
         one = rhsolve.residual_vector(parm, x, rank2_target)
         # the stack shares its transport steps, so rows agree to the transport tolerance
         assert np.max(np.abs(row - one)) <= 1e-8
+    # a point runs as a stack of one
+    one = rhsolve.residual_vector(parm, xs[0], rank2_target)
+    assert np.array_equal(rhsolve.residual_vector(parm, xs[:1], rank2_target), one[None])
 
 
 def test_solve_rank1(rank1_weights, rank1_target):
@@ -198,7 +202,7 @@ def test_normalize_rank1(rank1_system, rank1_target):
     norm = rhsolve.normalize_at_infinity(rank1_system, rank1_target)
     assert norm.large_cell_flag
     assert abs(norm.constant_term[0, 0]) > 1e-8
-    assert norm.extrapolation_disagreement < 1e-3
+    assert rank1_system.infinity_spectrum_residual() < 1e-3
 
 
 def test_normalize_constant_term_is_the_richardson_limit(rank2_solved, rank2_target):
@@ -371,18 +375,19 @@ def test_lm_rejects_a_trial_step_whose_residual_raises(monkeypatch, rank2_weight
 def test_lm_rejects_a_raising_trial_point_and_converges():
     # a synthetic residual x - c whose first trial evaluation raises
     # NumericalError: that step is rejected, the damping grows, so the next
-    # trial step is shorter, and that one is taken; the run still converges
+    # trial step is shorter, and that one is taken; the run still converges.
+    # One callable takes points and Jacobian stacks; only points are counted
     c = np.array([0.7, -0.4, 0.2])
     calls = []
 
-    def func(x):
-        calls.append(x.copy())
-        if len(calls) == 2:  # calls[0] is the start
-            raise numcore.NumericalError("trial residual not finite")
+    def residuals(x):
+        if x.ndim == 1:
+            calls.append(x.copy())
+            if len(calls) == 2:  # calls[0] is the start
+                raise numcore.NumericalError("trial residual not finite")
         return x - c
 
-    x, f, _, history = rhsolve._levenberg_marquardt(
-        func, lambda xs: xs - c, np.zeros(3), rhsolve.SolveOptions())
+    x, f, _, history = rhsolve._levenberg_marquardt(residuals, np.zeros(3), rhsolve.SolveOptions())
     rejected, taken = calls[1], calls[2]
     assert np.linalg.norm(taken) < np.linalg.norm(rejected)
     assert history[1] == float((taken - c) @ (taken - c)) < history[0]
@@ -428,18 +433,17 @@ def test_lm_rejects_a_trial_point_whose_loop_matrix_is_singular(
     x0 = 0.05 * np.random.default_rng(4).standard_normal(parm.dim)
     calls = []
 
-    def func(x):
-        calls.append(x.copy())
-        armed[0] = len(calls) == 2  # calls[0] is the start
+    def residuals(x):
+        # armed on points only: the Jacobian stacks are never corrupted
+        if x.ndim == 1:
+            calls.append(x.copy())
+            armed[0] = len(calls) == 2  # calls[0] is the start
         try:
             return rhsolve.residual_vector(parm, x, rank2_target)
         finally:
             armed[0] = False
 
-    def func_stack(xs):
-        return rhsolve.residual_stack(parm, xs, rank2_target)
-
-    x, f, _, history = rhsolve._levenberg_marquardt(func, func_stack, x0, rhsolve.SolveOptions())
+    x, f, _, history = rhsolve._levenberg_marquardt(residuals, x0, rhsolve.SolveOptions())
     rejected, taken = calls[1] - x0, calls[2] - x0
     assert np.linalg.norm(taken) < np.linalg.norm(rejected)
     assert history[1] < history[0]
@@ -474,11 +478,7 @@ def test_stacked_jacobian_matches_columns(rank2_target, rank2_oracle_system):
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
     x = 0.05 * np.random.default_rng(4).standard_normal(parm.dim)
     fd_step = rhsolve.FD_STEP
-
-    def func_stack(xs):
-        return rhsolve.residual_stack(parm, xs, rank2_target)
-
-    J = rhsolve.central_jacobian(func_stack, x)
+    J = rhsolve.central_jacobian(partial(rhsolve.residual_vector, parm, target=rank2_target), x)
     columns = []
     for j in range(parm.dim):
         h = fd_step * max(1.0, abs(x[j]))
@@ -493,7 +493,7 @@ def test_stacked_jacobian_matches_columns(rank2_target, rank2_oracle_system):
     assert numcore.fro(J - J_cols) <= 1e-6 * numcore.fro(J_cols)
     # the residual at one point is the stacked residual of a one-member stack
     f = rhsolve.residual_vector(parm, x, rank2_target)
-    assert np.array_equal(f, func_stack(x[None, :])[0])
+    assert np.array_equal(f, rhsolve.residual_vector(parm, x[None, :], rank2_target)[0])
 
 
 def test_cold_solve_fixture(rank2_weights, rank2_target):
@@ -504,12 +504,16 @@ def test_cold_solve_fixture(rank2_weights, rank2_target):
     assert report.final_residual <= 1e-6
 
 
-def test_cold_solve_rank3():
-    # W3 at target seed 3 solves cold at restart 0 in 14 LM iterations, and
-    # meets criterion 5's figures at rank 3: gauge distance 1.4e-8, spec(A_4)
-    # 6.6e-11, relation 1.6e-12, field quality 1.4e-8
+@pytest.mark.parametrize("seed", [3, 1])
+def test_cold_solve_rank3(seed):
+    # W3 solves cold at restart 0 and meets criterion 5's figures at rank 3,
+    # then takes its action. At target seed 3: 14 LM iterations, gauge
+    # distance 1.4e-8, spec(A_4) 6.6e-11, relation 1.6e-12, field quality
+    # 1.4e-8. At seed 1: 20 iterations, distance 2.0e-7, spec(A_4) 2.5e-9,
+    # relation 5.2e-13, quality 1.9e-7, delta-fit residual 4.6e-6, |Im S|
+    # 2.3e-16 and S -1.774089358
     ws = fuchs.build_weight_system(*W3)
-    target = moduli.random_admissible_rep(ws, seed=3)
+    target = moduli.random_admissible_rep(ws, seed=seed)
     system, report = rhsolve.solve(ws, target, opts=rhsolve.SolveOptions(restarts=3))
     assert report.success and report.restart_index == 0
     assert np.sqrt(report.final_residual) <= 1e-6
@@ -519,6 +523,9 @@ def test_cold_solve_rank3():
     assert report.large_cell_flag
     fld = wznw.make_metric_field(system, target, normalization=report.normalization)
     assert fld.monodromy_quality <= 1e-6
+    # the delta-fit passes, or action_regularized raises
+    act = wznw.action_regularized(fld)
+    assert act.imag_residual <= 1e-8
 
 
 def test_capped_solve_short_of_the_tolerance_fails(rank2_weights, rank2_target):
