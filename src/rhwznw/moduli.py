@@ -16,6 +16,9 @@ forms its Jacobian too, from the residual's generators and powers, every
 Jacobian block one stacked product over the su(r) basis, and the step
 moves all conjugators by one einsum and one batched expm.
 
+action_surface warm-starts every grid point from one solve of the center,
+so a point's value depends on its eps alone, not on the grid's order.
+
 eps is not a holomorphic coordinate on the moduli of parabolic bundles, so
 the stencil below (potential_levi_form) is a Laplacian in the chart eps of
 the potential -S/2, not the Levi form of the Kahler potential: its value
@@ -30,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fuchs, rhsolve, wznw
-from .numcore import adjoint, diag_stack, expm, fro, random_unitary
+from .numcore import NumericalError, adjoint, diag_stack, expm, fro, random_unitary
 
 
 # closure residual (max norm) at which project_conjugators stops
@@ -222,8 +225,12 @@ class SurfacePoint:
     extrapolation_error: float | None
     large_cell_flag: bool
     solve_residual: float | None
-    ok: bool
     message: str
+
+    @property
+    def ok(self) -> bool:
+        """Whether the point carries an action; a hole's message says why not."""
+        return self.action is not None
 
 
 def action_surface(
@@ -233,47 +240,39 @@ def action_surface(
     solve_opts: rhsolve.SolveOptions,
 ) -> list[SurfacePoint]:
     """Regularized action at every member of the family eps ->
-    deform_rep(center, direction, eps) on the grid (center itself at
-    eps = 0), at action_regularized's defaults, each solve after the first
-    success warm-started from the last.
+    deform_rep(center, direction, eps) on the grid, at action_regularized's
+    defaults, in grid order.
 
-    Non-solving or non-regular members, and members whose field misses
-    wznw.MONODROMY_QUALITY_GATE (wznw.MonodromyQualityError), produce holes
-    (ok=False) instead of aborting the sweep.
+    The center's one cold solve (solve_opts) serves eps = 0 and is the init
+    of every other member's warm solve (restarts cut to a third); when it
+    fails, the members solve cold with solve_opts.  Non-solving or
+    non-regular members, and members whose field or action raises
+    NumericalError (wznw.MonodromyQualityError above
+    wznw.MONODROMY_QUALITY_GATE, among others), are holes carrying the
+    reason in message instead of aborting the sweep.
     """
     warm_opts = replace(solve_opts, restarts=max(2, solve_opts.restarts // 3))
+    center_solve = rhsolve.solve(center.weights, center, opts=solve_opts)
+    init, opts = (center_solve[0], warm_opts) if center_solve[1].success else (None, solve_opts)
     out: list[SurfacePoint] = []
-    prev_system: fuchs.FuchsianSystem | None = None
-    for eps in grid:
+    for eps in map(complex, grid):
         try:
-            rep = center if eps == 0 else deform_rep(center, direction, complex(eps))
-            opts = solve_opts if prev_system is None else warm_opts
-            system, report = rhsolve.solve(rep.weights, rep, init=prev_system, opts=opts)
+            rep = center if eps == 0 else deform_rep(center, direction, eps)
+            solved = center_solve if eps == 0 else rhsolve.solve(rep.weights, rep, init=init, opts=opts)
+            system, report = solved
+            flag, residual = report.large_cell_flag, report.final_residual
             if not report.success:
-                out.append(
-                    SurfacePoint(eps, None, None, report.large_cell_flag, report.final_residual, False, "solve failed")
-                )
+                out.append(SurfacePoint(eps, None, None, flag, residual, "solve failed"))
                 continue
-            prev_system = system
-            fld = wznw.make_metric_field(system, rep, normalization=report.normalization)
             try:
+                fld = wznw.make_metric_field(system, rep, normalization=report.normalization)
                 act = wznw.action_regularized(fld)
-            except wznw.MonodromyQualityError as exc:
-                out.append(SurfacePoint(eps, None, None, True, report.final_residual, False, str(exc)))
+            except NumericalError as exc:
+                out.append(SurfacePoint(eps, None, None, flag, residual, str(exc)))
                 continue
-            out.append(
-                SurfacePoint(
-                    eps=complex(eps),
-                    action=act.value,
-                    extrapolation_error=act.extrapolation_error,
-                    large_cell_flag=True,
-                    solve_residual=report.final_residual,
-                    ok=True,
-                    message="",
-                )
-            )
+            out.append(SurfacePoint(eps, act.value, act.extrapolation_error, flag, residual, ""))
         except (wznw.RegularLocusError, ChartRadiusError, fuchs.NotAdmissibleError) as exc:
-            out.append(SurfacePoint(complex(eps), None, None, False, None, False, str(exc)))
+            out.append(SurfacePoint(eps, None, None, False, None, str(exc)))
     return out
 
 

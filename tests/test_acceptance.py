@@ -165,37 +165,22 @@ def test_criterion_9_kahler_positivity():
     )
     center = moduli.random_admissible_rep(ws, seed=5)
     direction = moduli.random_tangent_direction(ws, seed=1)
-    sys_c, rep_c = rhsolve.solve(ws, center, opts=rhsolve.SolveOptions(seed=3))
-    assert rep_c.success and rep_c.large_cell_flag
 
+    # the center, then the plus-stencils at the spacing and at half of it
     spacing = 0.05
-    values = {}
-    warm_opts = rhsolve.SolveOptions(seed=3, restarts=3)
-
-    def action_at(eps: complex) -> float:
-        rep = center if eps == 0 else moduli.deform_rep(center, direction, eps)
-        system, report = rhsolve.solve(ws, rep, init=sys_c, opts=warm_opts)
-        assert report.success, f"solve failed at eps={eps}"
-        fld = wznw.make_metric_field(system, rep, normalization=report.normalization)
-        return wznw.action_regularized(fld).value
-
     offsets = [0.0]
     for a in (spacing, spacing / 2):
         offsets += [a, -a, 1j * a, -1j * a]
-    for eps in offsets:
-        values[eps] = action_at(eps)
+    points = moduli.action_surface(center, direction, offsets, rhsolve.SolveOptions(seed=3))
+    holes = [f"eps={p.eps}: {p.message}" for p in points if not p.ok]
+    assert not holes, holes
+    assert all(p.large_cell_flag for p in points)
+    values = [p.action for p in points]
 
     # positivity holds for the potential -S/2 (the raw action surface has
     # the opposite-sign Levi form)
-    levi_a = moduli.potential_levi_form(
-        values[0.0], values[spacing], values[-spacing],
-        values[1j * spacing], values[-1j * spacing], spacing,
-    )
-    half = spacing / 2
-    levi_b = moduli.potential_levi_form(
-        values[0.0], values[half], values[-half],
-        values[1j * half], values[-1j * half], half,
-    )
+    levi_a = moduli.potential_levi_form(*values[:5], spacing)
+    levi_b = moduli.potential_levi_form(values[0], *values[5:], spacing / 2)
     rel_change = abs(levi_a - levi_b) / max(abs(levi_a), abs(levi_b))
     ok = levi_a > 0 and levi_b > 0 and rel_change <= 0.2
     _report(

@@ -128,13 +128,14 @@ def test_surface_to_csv(tmp_path):
     pts = [
         moduli.SurfacePoint(
             eps=0.1 + 0.2 - 1j / 3, action=2 / 3, extrapolation_error=1.1e-17,
-            large_cell_flag=True, solve_residual=0.0, ok=True, message="",
+            large_cell_flag=True, solve_residual=0.0, message="",
         ),
         moduli.SurfacePoint(
             eps=0.25 - 0.7j, action=None, extrapolation_error=None,
-            large_cell_flag=False, solve_residual=None, ok=False, message="hole",
+            large_cell_flag=False, solve_residual=None, message="hole",
         ),
     ]
+    assert [p.ok for p in pts] == [True, False]
     moduli.surface_to_csv(pts, tmp_path / "surface.csv")
     with open(tmp_path / "surface.csv", newline="") as fh:
         header, full, hole = list(csv.reader(fh))
@@ -206,20 +207,67 @@ def test_action_surface_rank1_family_matches_oracle(rank1_weights, rank1_target)
 
 
 def test_action_surface_order_reversal(rank2_weights, rank2_target):
-    # warm starting must not bias the values (the solution gauge couples to
-    # the log-divergent part of the integrand)
-    from rhwznw import rhsolve
-
+    # every point warm-starts from the one center solve, so its value does
+    # not depend on where it stands in the grid: a plus-stencil and its
+    # reverse give the same points, bit for bit
     direction = moduli.random_tangent_direction(rank2_weights, seed=4)
-    grid = [0.0, 0.02]
+    a = 0.02
+    grid = [0.0, a, -a, 1j * a, -1j * a]
     opts = rhsolve.SolveOptions(seed=2, restarts=4, tol=1e-9)
     fwd = moduli.action_surface(rank2_target, direction, grid, solve_opts=opts)
     rev = moduli.action_surface(rank2_target, direction, grid[::-1], solve_opts=opts)
-    table_f = {p.eps: p.action for p in fwd if p.ok}
-    table_r = {p.eps: p.action for p in rev if p.ok}
-    assert set(table_f) == set(table_r) == set(grid)
-    for eps in grid:
-        assert abs(table_f[eps] - table_r[eps]) <= 1e-8
+    assert all(p.ok for p in fwd)
+    assert fwd == rev[::-1]
+
+
+def test_action_surface_warm_starts_every_point_from_the_center(rank1_weights, rank1_target, monkeypatch):
+    # one cold solve of the center, whether or not the grid holds 0, and
+    # its solved system is the init of every other point's solve
+    calls = []
+    solve = rhsolve.solve
+
+    def recorded(weights, target, init=None, opts=None):
+        system, report = solve(weights, target, init=init, opts=opts)
+        calls.append((target, init, system))
+        return system, report
+
+    monkeypatch.setattr(rhsolve, "solve", recorded)
+    direction = moduli.random_tangent_direction(rank1_weights, 3)
+    opts = rhsolve.SolveOptions(restarts=1)
+    for grid in ([0.0, 0.02, -0.02j], [0.02, -0.02j, 0.01]):
+        calls.clear()
+        pts = moduli.action_surface(rank1_target, direction, grid, solve_opts=opts)
+        assert all(p.ok for p in pts)
+        (target, init, center_system), *warm = calls
+        assert target is rank1_target and init is None
+        assert len(warm) == sum(eps != 0 for eps in grid)
+        assert all(t is not rank1_target and i is center_system for t, i, _ in warm)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [wznw.UnreliableExtrapolationError("delta fit residual"), numcore.NumericalError("non-finite total")],
+)
+def test_action_surface_numerical_error_is_a_hole(rank1_weights, rank1_target, monkeypatch, error):
+    # a NumericalError from one point's action leaves a hole with its
+    # message; the points before and after it still carry actions
+    action = wznw.action_regularized
+    calls = []
+
+    def failing_second(fld, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error
+        return action(fld, *args, **kwargs)
+
+    monkeypatch.setattr(wznw, "action_regularized", failing_second)
+    direction = moduli.random_tangent_direction(rank1_weights, 3)
+    grid = [0.0, 0.02, -0.02j]
+    pts = moduli.action_surface(rank1_target, direction, grid, solve_opts=rhsolve.SolveOptions(restarts=1))
+    assert [p.eps for p in pts] == grid
+    assert [p.ok for p in pts] == [True, False, True]
+    assert pts[1].action is None and pts[1].message == str(error)
+    assert pts[1].large_cell_flag and pts[1].solve_residual is not None
 
 
 def test_project_conjugators_is_projection(chart):
