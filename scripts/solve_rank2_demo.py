@@ -37,7 +37,7 @@ def main() -> None:
     print(f"solve: residual {report.final_residual:.3e} in {report.iterations} iterations "
           f"({time.time() - t0:.1f}s), large cell: {report.large_cell_flag}")
 
-    fld = wznw.make_metric_field(system, target, normalization=report.normalization)
+    fld = wznw.make_metric_field(system, target)
     act = wznw.action_regularized(fld)
     print(f"action: S = {act.value:.8f}  (fit residual {act.extrapolation_error:.2e}, "
           f"kappa = {act.kappa})")

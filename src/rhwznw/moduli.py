@@ -265,7 +265,7 @@ def action_surface(
                 out.append(SurfacePoint(eps, None, None, flag, residual, "solve failed"))
                 continue
             try:
-                fld = wznw.make_metric_field(system, rep, normalization=report.normalization)
+                fld = wznw.make_metric_field(system, rep)
                 act = wznw.action_regularized(fld)
             except NumericalError as exc:
                 out.append(SurfacePoint(eps, None, None, flag, residual, str(exc)))

@@ -20,7 +20,9 @@ gauge-aligned in one call.
 The loops and the gauge alignment live in fuchs (WeightSystem.loops,
 align_tuple_to_target); nothing here builds or passes a loop set.  A
 restart's final residual is the squared norm of the generator block of
-its last LM residual: nothing is transported again.
+its last LM residual: nothing is transported again.  Nor is the
+solution after its one normalization: normalize_at_infinity hands it back
+for the system that solve returned (_NORMALIZATIONS, held weakly).
 
 A warm solve's restart 0 runs on the chart of its init, and LM's first two
 stacks there, the chart center x0 = 0 and the central-difference stack at
@@ -336,9 +338,9 @@ def solve(
     Success means the gauge distance between the solution's monodromy and
     the target (the norm of the generator block of the last LM residual)
     is at most opts.tol; the report's final_residual is its square.  The
-    returned report carries the normalization at
-    infinity of a successful solution, whose large_cell_flag it reads;
-    make_metric_field accepts it as is.
+    returned report carries the normalization at infinity of a successful
+    solution, whose large_cell_flag it reads, and normalize_at_infinity
+    hands it back for the returned system (module docstring).
     """
     opts = opts or SolveOptions()
     if not target.is_irreducible():
@@ -391,8 +393,8 @@ def solve(
     norm = None
     if success:
         try:
-            # make_metric_field takes the result as it is
             norm = normalize_at_infinity(system, target)
+            _NORMALIZATIONS[system] = (target, _read_only(system.residues.copy()), norm)
         except NumericalError as exc:
             warnings.warn(f"normalization at infinity failed: {exc}")
     report = SolveReport(
@@ -414,6 +416,9 @@ def solve(
 
 # normalize_at_infinity warns above this exponent drift at infinity
 DISAGREEMENT_WARNING = 1e-3
+
+# solve's (target, read-only residues, normalization) of each system it returned
+_NORMALIZATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -442,7 +447,9 @@ def normalize_at_infinity(
 ) -> NormalizationResult:
     """Read the constant term at infinity from the local series and
     renormalize to the canonical fundamental solution, at
-    fuchs.TRANSPORT_TOL, on the weights' loop set (WeightSystem.loops).
+    fuchs.TRANSPORT_TOL, on the weights' loop set (WeightSystem.loops).  A
+    system that solve returned gets the solve's normalization back while
+    its residues and the target object are the solve's.
 
     The right conjugator W aligns the monodromy with the target unitary
     tuple (the aligned generators W^{-1} M_i W are kept).  Y W = Y0 K on
@@ -465,6 +472,9 @@ def normalize_at_infinity(
     decides it.  The series is kept, describing the canonical solution:
     its frame is left F, and the coordinates do not change.
     """
+    rec = _NORMALIZATIONS.get(system)
+    if rec is not None and rec[0] is target and np.array_equal(system.residues, rec[1]):
+        return rec[2]
     ws = system.weights
     diffs = ws.infinity_exponents[:, None] - ws.infinity_exponents[None, :]
     off = np.abs(diffs - np.round(diffs))

@@ -262,24 +262,20 @@ class MetricField:
         return _metric_from_factor(self.y_at(z))
 
 
-def make_metric_field(
-    system: fuchs.FuchsianSystem,
-    target: fuchs.AdmissibleRep,
-    normalization: rhsolve.NormalizationResult | None = None,
-) -> MetricField:
+def make_metric_field(system: fuchs.FuchsianSystem, target: fuchs.AdmissibleRep) -> MetricField:
     """Normalize a solved system at infinity and wrap it as a metric field.
 
-    normalization, when given, is the system's normalize_at_infinity result
-    (SolveReport.normalization) and is used as it is.  A normalization whose
-    large_cell_flag is False raises RegularLocusError, the one refusal of
-    the regular locus (rhsolve.normalize_at_infinity).  monodromy_quality is
+    A system that rhsolve.solve returned gets its SolveReport.normalization
+    back, transporting nothing.  A normalization whose large_cell_flag is
+    False raises RegularLocusError, the one refusal of the regular locus
+    (rhsolve.normalize_at_infinity).  monodromy_quality is
     the largest ||M M* - I||_F over its aligned generators: the monodromy
     of the canonical solution in the gauge of its basepoint value, where
     unitarity is what makes h single-valued.  A field above
     MONODROMY_QUALITY_GATE is still built, so that its quality can be read;
     action_regularized refuses it.
     """
-    norm = normalization or rhsolve.normalize_at_infinity(system, target)
+    norm = rhsolve.normalize_at_infinity(system, target)
     if not norm.large_cell_flag:
         raise RegularLocusError(
             f"not on the regular locus (splitting {system.weights.splitting.m}): a scalar "

@@ -35,7 +35,7 @@ def _criterion9_center_field(seed):
     center = moduli.random_admissible_rep(ws, seed)
     system, report = rhsolve.solve(ws, center, opts=rhsolve.SolveOptions(seed=3))
     assert report.success
-    return center, report, wznw.make_metric_field(system, center, normalization=report.normalization)
+    return center, report, wznw.make_metric_field(system, center)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,7 @@ def test_action_moves_with_the_punctures_by_the_schlesinger_hamiltonians(seed):
         init = fuchs.FuchsianSystem(moved, canonical.residues)
         system, rep = rhsolve.solve(moved, target, init=init, opts=rhsolve.SolveOptions(seed=3))
         assert rep.success
-        fld = wznw.make_metric_field(system, target, normalization=rep.normalization)
+        fld = wznw.make_metric_field(system, target)
         return wznw.action_regularized(fld).value
 
     for i, hamiltonian in enumerate(hamiltonians):

@@ -9,7 +9,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rhwznw"
-KNOB_BOUND = 18
+KNOB_BOUND = 17
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -82,7 +82,7 @@ def test_reversed_listing_solves_cold():
     center = moduli.random_admissible_rep(ws, seed=5)
     system, report = rhsolve.solve(ws, center, opts=rhsolve.SolveOptions(seed=3))
     assert report.success and report.restart_index == 0
-    fld = wznw.make_metric_field(system, center, normalization=report.normalization)
+    fld = wznw.make_metric_field(system, center)
     assert fld.monodromy_quality <= 1e-6
 
 
@@ -98,7 +98,7 @@ def test_relabelled_target_is_the_same_tuple(n4_center):
     for target in (n4_center, rep):
         system, report = rhsolve.solve(target.weights, target, opts=rhsolve.SolveOptions(seed=3))
         assert report.success
-        fld = wznw.make_metric_field(system, target, normalization=report.normalization)
+        fld = wznw.make_metric_field(system, target)
         actions.append(wznw.action_regularized(fld).value)
     assert abs(actions[1] / actions[0] - 1) <= 1e-9
 
@@ -156,23 +156,25 @@ def test_action_surface_single_point(rank1_weights, rank1_target, rank1_field):
 
 
 def test_action_surface_normalizes_each_point_once(rank1_weights, rank1_target, monkeypatch):
-    # the field takes the normalization the solve already computed
-    from rhwznw import rhsolve
+    # on a rank-1 chart of dimension 0 each point's solve evaluates its one
+    # chart point at the LM's tolerance and normalizes it once at the
+    # normalization's, and the field reads that normalization back
+    from rhwznw import fuchs, rhsolve
 
     calls = []
-    normalize = rhsolve.normalize_at_infinity
+    monodromy = fuchs.MonodromyLoops.monodromy
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return normalize(*args, **kwargs)
+    def counted(self, residues, tol):
+        calls.append((len(residues), tol))
+        return monodromy(self, residues, tol)
 
-    monkeypatch.setattr(rhsolve, "normalize_at_infinity", counted)
+    monkeypatch.setattr(fuchs.MonodromyLoops, "monodromy", counted)
     direction = moduli.random_tangent_direction(rank1_weights, 3)
     pts = moduli.action_surface(
         rank1_target, direction, [0.0, 0.02], solve_opts=rhsolve.SolveOptions(restarts=1)
     )
     assert all(p.ok for p in pts)
-    assert len(calls) == 2
+    assert calls == [(1, rhsolve.LM_TRANSPORT_TOL), (1, fuchs.TRANSPORT_TOL)] * 2
 
 
 def test_action_surface_hole_above_monodromy_quality_gate(rank1_weights, rank1_target, monkeypatch):

@@ -234,24 +234,28 @@ def test_normalize_constant_term_is_the_richardson_limit(rank2_solved, rank2_tar
 
 def test_normalize_builds_the_series_at_infinity_once(rank2_solved, rank2_target, monkeypatch):
     # the constant term reads the infinity member of the series the loop
-    # circles came from: one series_stack call per normalization
+    # circles came from: one series_stack call per normalization of a system
+    # that solve did not normalize already
     system, _ = rank2_solved
+    copy = fuchs.FuchsianSystem(system.weights, system.residues.copy())
     calls = []
     series_stack = fuchs.series_stack
     monkeypatch.setattr(fuchs, "series_stack", lambda *a: calls.append(a[2]) or series_stack(*a))
-    rhsolve.normalize_at_infinity(system, rank2_target)
+    rhsolve.normalize_at_infinity(copy, rank2_target)
     assert calls == [[0, 1, None]]
 
 
 def test_normalize_sums_the_series_frame_once(rank2_solved, rank2_target, monkeypatch):
     # the loop set hands over every member's coordinates with the monodromy,
     # so the frames at the loop entries are summed once per normalization,
-    # where the circles' transports read them
+    # where the circles' transports read them; a fresh copy of the solved
+    # system, as solve's own normalization of it is handed back
     system, _ = rank2_solved
+    copy = fuchs.FuchsianSystem(system.weights, system.residues.copy())
     calls = []
     frame = fuchs.SeriesStack.frame
     monkeypatch.setattr(fuchs.SeriesStack, "frame", lambda self, x: calls.append(1) or frame(self, x))
-    rhsolve.normalize_at_infinity(system, rank2_target)
+    rhsolve.normalize_at_infinity(copy, rank2_target)
     assert len(calls) == 1
 
 
@@ -275,13 +279,16 @@ def test_normalize_keeps_the_matched_loop_series(rank2_solved, rank2_target):
 
 
 def test_solve_hands_over_normalization(rank2_solved, rank2_target):
-    # the field built from the solve's own normalization is the field built
-    # from a fresh one
+    # the solve's own normalization, handed back for the solved system, has
+    # the bits of a fresh one of a copy, and so has the field built from it
     system, report = rank2_solved
     assert report.normalization is not None
     assert report.large_cell_flag == report.normalization.large_cell_flag
-    handed = wznw.make_metric_field(system, rank2_target, normalization=report.normalization)
-    fresh = wznw.make_metric_field(system, rank2_target)
+    assert rhsolve.normalize_at_infinity(system, rank2_target) is report.normalization
+    copy = fuchs.FuchsianSystem(system.weights, system.residues.copy())
+    _assert_same_normalization(report.normalization, rhsolve.normalize_at_infinity(copy, rank2_target))
+    handed = wznw.make_metric_field(system, rank2_target)
+    fresh = wznw.make_metric_field(copy, rank2_target)
     y0 = fresh.basepoint_value
     assert numcore.fro(handed.basepoint_value - y0) <= 1e-12 * numcore.fro(y0)
     assert handed.monodromy_quality == pytest.approx(fresh.monodromy_quality, abs=1e-12)
@@ -521,7 +528,7 @@ def test_cold_solve_rank3(seed):
     assert np.max(np.abs(lam - np.sort(ws.infinity_exponents))) <= 1e-6
     assert fuchs.monodromy_rep(system, tol=1e-10).relation_residual <= 1e-7
     assert report.large_cell_flag
-    fld = wznw.make_metric_field(system, target, normalization=report.normalization)
+    fld = wznw.make_metric_field(system, target)
     assert fld.monodromy_quality <= 1e-6
     # the delta-fit passes, or action_regularized raises
     act = wznw.action_regularized(fld)
@@ -718,3 +725,49 @@ def test_warm_record_is_read_only_and_dies_with_its_init(warm_family):
     del rec, kept, init
     gc.collect()
     assert ref() is None
+
+
+def _assert_same_normalization(got, want):
+    for name in ("constant_term", "basepoint_value", "aligned_generators"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("coefficients", "coords"):
+        assert np.array_equal(getattr(got.series, name), getattr(want.series, name)), name
+
+
+def test_field_after_a_solve_transports_nothing(warm_family, monodromy_calls):
+    ws, target, center = warm_family
+    system, report = rhsolve.solve(ws, target, init=center, opts=WARM_OPTS)
+    before = len(monodromy_calls)
+    fld = wznw.make_metric_field(system, target)
+    assert len(monodromy_calls) == before
+    assert fld.basepoint_value is report.normalization.basepoint_value
+    # an equal but distinct target object normalizes afresh, to the solve's bits
+    again = rhsolve.normalize_at_infinity(system, dataclasses.replace(target))
+    assert len(monodromy_calls) == before + 1
+    _assert_same_normalization(again, report.normalization)
+    # so do residues written after the solve
+    g = np.diag([1.0, 2.0]).astype(complex)
+    system.residues[...] = g @ system.residues @ np.linalg.inv(g)
+    wznw.make_metric_field(system, target)
+    assert len(monodromy_calls) == before + 2
+    # the record dies with the system
+    ref = weakref.ref(report.normalization)
+    records = len(rhsolve._NORMALIZATIONS)
+    del system, report, fld
+    gc.collect()
+    assert ref() is None and len(rhsolve._NORMALIZATIONS) == records - 1
+
+
+def test_zero_step_warm_solve_owns_writable_residues(warm_family):
+    # re-solving the center from its own solution stops at the warm record's
+    # x0 without a step, where LM's evaluation is the record's read-only
+    # one: the returned system owns writable residues of its own
+    ws, _, center = warm_family
+    rep = moduli.random_admissible_rep(ws, seed=5)
+    system, report = rhsolve.solve(ws, rep, init=center, opts=WARM_OPTS)
+    assert report.success and len(report.objective_history) == 1
+    saved = rhsolve._WARM_STARTS[center].first[0][1][0]
+    assert not saved.flags.writeable
+    assert system.residues.flags.writeable and not np.shares_memory(system.residues, saved)
+    system.residues[...] = 0
+    assert np.any(saved != 0)

@@ -535,13 +535,14 @@ def test_action_topological_term_delta_independent(rank2_field):
     assert max(tops) - min(tops) <= 5e-3 * (1 + abs(tops[-1]))
 
 
-def test_action_refuses_non_regular(rank2_solved, rank2_target):
+def test_action_refuses_non_regular(rank2_solved, rank2_target, monkeypatch):
     # make_metric_field is the one refusal: a normalization off the regular
     # locus builds no field, so no action is reached
     system, report = rank2_solved
     bad = dataclasses.replace(report.normalization, large_cell_flag=False)
+    monkeypatch.setattr(rhsolve, "normalize_at_infinity", lambda *a: bad)
     with pytest.raises(wznw.RegularLocusError, match=r"splitting \(-1, -1\)"):
-        wznw.make_metric_field(system, rank2_target, normalization=bad)
+        wznw.make_metric_field(system, rank2_target)
 
 
 @pytest.mark.parametrize(
@@ -833,15 +834,16 @@ def _criterion9_center():
 
 @pytest.mark.parametrize("problem", ["fixture", "criterion9-center"])
 def test_field_does_not_depend_on_the_normalization_source(problem, request):
-    # the solve's normalization and one built afresh from the solution give
-    # the same field, bit for bit: the loop set is a function of the weights
+    # the solve's normalization, which the field of the solved system reads,
+    # and one built afresh from a copy of the solution give the same field,
+    # bit for bit: the loop set is a function of the weights
     if problem == "fixture":
         solved, target = request.getfixturevalue("rank2_solved"), request.getfixturevalue("rank2_target")
     else:
         solved, target = _solved_criterion9_center()
-    system, report = solved
-    fresh = wznw.make_metric_field(system, target)
-    handed = wznw.make_metric_field(system, target, normalization=report.normalization)
+    system, _ = solved
+    fresh = wznw.make_metric_field(fuchs.FuchsianSystem(system.weights, system.residues.copy()), target)
+    handed = wznw.make_metric_field(system, target)
     assert np.array_equal(fresh.system.residues, handed.system.residues)
     assert np.array_equal(fresh.basepoint_value, handed.basepoint_value)
     assert fresh.basepoint == handed.basepoint
