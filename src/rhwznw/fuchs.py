@@ -29,6 +29,11 @@ computation (closing, conjugating, unitarity, the commutant) takes the whole
 stack in one call.  The one loop over a tuple multiplies its relation in
 relation order, left to right from I (_relation_product).
 
+The problem types WeightSystem, AdmissibleRep and FuchsianSystem are
+values: frozen dataclasses that own read-only copies of their arrays
+(_own).  Whatever is kept per object, such as the loop set below, holds
+for as long as the object lives.
+
 One loop set per weight system (WeightSystem.loops, a
 :class:`MonodromyLoops` built and clearance-checked on first access) serves
 every monodromy evaluation of its systems: the solver's residuals, the
@@ -106,7 +111,7 @@ import numpy as np
 
 from . import paths
 from .factor import SplittingType
-from .numcore import NumericalError, adjoint, diag_stack, fro, sorted_eigvals
+from .numcore import NumericalError, adjoint, diag_stack, fro, read_only, sorted_eigvals
 
 TWO_PI_I = 2j * np.pi
 # build_admissible_rep's largest distance of M_n's spectrum from the infinity phases
@@ -135,6 +140,14 @@ class StiffnessError(NumericalError):
     """Step size underflow in the transport integrator."""
 
 
+def _own(obj, **dtypes) -> None:
+    """Store read-only copies (numcore.read_only), as the given dtypes, of the
+    named array fields of a frozen dataclass: a problem value owns its
+    arrays, and a write into them raises ValueError."""
+    for name, dtype in dtypes.items():
+        object.__setattr__(obj, name, read_only(np.asarray(getattr(obj, name), dtype)))
+
+
 # ---------------------------------------------------------------------------
 # weight systems
 
@@ -147,13 +160,17 @@ class WeightSystem:
     has one strictly increasing row in (0,1) per puncture, the last row
     belonging to infinity.  loops is the one loop set (MonodromyLoops) that
     every monodromy evaluation of these weights reads, built on first access;
-    relation_order is the one order that every relation product reads.
+    relation_order is the one order that every relation product reads.  A
+    value: the arrays are read-only copies, so neither goes stale.
     """
 
     points: np.ndarray
     weights: np.ndarray
     splitting: SplittingType
     infinity_exponents: np.ndarray
+
+    def __post_init__(self):
+        _own(self, points=complex, weights=float, infinity_exponents=float)
 
     @property
     def n(self) -> int:
@@ -283,14 +300,15 @@ def commutant_dimension(mats) -> int:
     return int(np.sum(sv <= COMMUTANT_TOL * max(sv[0], 1.0)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmissibleRep:
     """Normalized admissible unitary tuple M_1 ... M_n with product I.
 
     generators and conjugators are (n, r, r) complex arrays; any array-like
-    of that shape is coerced, as FuchsianSystem's residues are.  Each
-    generator is U_i exp(2 pi i W_i) U_i^{-1}; after normalization the last
-    generator is diagonal (U_n = I) with phases given by the last weight row.
+    of that shape is copied, read-only, as FuchsianSystem's residues are.
+    Each generator is U_i exp(2 pi i W_i) U_i^{-1}; after normalization the
+    last generator is diagonal (U_n = I) with phases given by the last
+    weight row.
     """
 
     weights: WeightSystem
@@ -298,8 +316,7 @@ class AdmissibleRep:
     conjugators: np.ndarray  # (n, r, r)
 
     def __post_init__(self):
-        self.generators = np.asarray(self.generators, dtype=complex)
-        self.conjugators = np.asarray(self.conjugators, dtype=complex)
+        _own(self, generators=complex, conjugators=complex)
         shape = (self.weights.n, self.weights.rank, self.weights.rank)
         if self.generators.shape != shape or self.conjugators.shape != shape:
             raise ValueError(f"generators and conjugators must have shape {shape}")
@@ -317,15 +334,6 @@ class AdmissibleRep:
 
     def is_irreducible(self) -> bool:
         return commutant_dimension(self.generators) == 1
-
-    def conjugated(self, V: np.ndarray) -> "AdmissibleRep":
-        """The tuple V^* M_i V with conjugators V^* U_i, each stack in one product."""
-        Vh = V.conj().T
-        return AdmissibleRep(
-            weights=self.weights,
-            generators=Vh @ self.generators @ V,
-            conjugators=Vh @ self.conjugators,
-        )
 
 
 def _relation_product(weights: WeightSystem, gens: np.ndarray) -> np.ndarray:
@@ -379,8 +387,9 @@ def build_admissible_rep(weights: WeightSystem, conjugators) -> AdmissibleRep:
     inverse of the product of the first n-1 generators in
     weights.relation_order (closing_generator); it is accepted when
     its spectrum matches the infinity weight phases to
-    ADMISSIBLE_SPECTRUM_TOL, then the whole tuple is conjugated so M_n is
-    diagonal in the weight order.
+    ADMISSIBLE_SPECTRUM_TOL, then the whole tuple is conjugated by the
+    eigenbasis V of M_n, in one construction: generators V^* M_i V, with M_n
+    diagonal in the weight order, and conjugators V^* U_i, with U_n = I.
     """
     n, r = weights.n, weights.rank
     us = np.asarray(conjugators, dtype=complex)
@@ -403,13 +412,12 @@ def build_admissible_rep(weights: WeightSystem, conjugators) -> AdmissibleRep:
             f"spectrum at infinity misses the weights by {mismatch:.3e}"
         )
     V = V[:, perm]
-    eye = np.eye(r, dtype=complex)
+    Vh = V.conj().T
     rep = AdmissibleRep(
         weights=weights,
-        generators=np.concatenate([gens, m_last[None]]),
-        conjugators=np.concatenate([us, eye[None]]),
-    ).conjugated(V)
-    rep.conjugators[-1] = eye
+        generators=Vh @ np.concatenate([gens, m_last[None]]) @ V,
+        conjugators=np.concatenate([Vh @ us, np.eye(r, dtype=complex)[None]]),
+    )
     if not rep.is_irreducible():
         warnings.warn("admissible tuple is reducible")
     return rep
@@ -474,19 +482,21 @@ def rank2_rigid_residues(weights: WeightSystem) -> np.ndarray:
 # Fuchsian systems and transport
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FuchsianSystem:
     """Residues A_1 .. A_{n-1} at the finite punctures of a weight system.
 
-    Compared and hashed by identity (an elementwise == of the residue arrays
-    has no truth value), so that rhsolve can key its warm start records on
-    the system object."""
+    A value: residues is a read-only copy of any array-like of that shape,
+    and no field can be reassigned.  Compared and hashed by identity (an
+    elementwise == of the residue arrays has no truth value), so that
+    rhsolve can key its records on the system object, each of which holds
+    as long as the object lives."""
 
     weights: WeightSystem
     residues: np.ndarray  # (n-1, r, r)
 
     def __post_init__(self):
-        self.residues = np.asarray(self.residues, dtype=complex)
+        _own(self, residues=complex)
         n, r = self.weights.n, self.weights.rank
         if self.residues.shape != (n - 1, r, r):
             raise ValueError(f"residues must have shape {(n - 1, r, r)}")

@@ -3,9 +3,9 @@
 Everything in this package works with explicit dense complex matrices of
 small size (ranks of interest are r <= 4).  This module collects the few
 helpers shared across modules: input coercion of a stack of matrices,
-the conjugate transpose of a stack, the diagonal matrices of a stack of
-rows, the Frobenius norm of a matrix or of every member of a stack,
-deterministically ordered eigenvalues, Hermitian positive-definite
+read-only copies, the conjugate transpose of a stack, the diagonal
+matrices of a stack of rows, the Frobenius norm of a matrix or of every
+member of a stack, deterministically ordered eigenvalues, Hermitian positive-definite
 validation, random unitary and HPD samples, the batched matrix exponential
 expm, and the NumericalError base class.
 
@@ -38,6 +38,14 @@ def as_cstack(m, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NumericalError(f"{name} contains non-finite entries")
     return a
+
+
+def read_only(a) -> np.ndarray:
+    """A read-only copy of a: the caller's array stays writable, and a later
+    write to it does not reach the copy."""
+    out = np.array(a)
+    out.flags.writeable = False
+    return out
 
 
 def adjoint(m) -> np.ndarray:

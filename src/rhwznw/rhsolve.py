@@ -22,7 +22,13 @@ align_tuple_to_target); nothing here builds or passes a loop set.  A
 restart's final residual is the squared norm of the generator block of
 its last LM residual: nothing is transported again.  Nor is the
 solution after its one normalization: normalize_at_infinity hands it back
-for the system that solve returned (_NORMALIZATIONS, held weakly).
+for the system that solve returned and its target object
+(_NORMALIZATIONS, held weakly).
+
+Both records are keyed on objects of the problem types, which are values
+(fuchs.WeightSystem, AdmissibleRep and FuchsianSystem: frozen, with
+read-only copies of their arrays).  What a record was made from cannot
+change, so it holds for as long as its key lives and is never checked.
 
 A warm solve's restart 0 runs on the chart of its init, and LM's first two
 stacks there, the chart center x0 = 0 and the central-difference stack at
@@ -30,9 +36,9 @@ x0, depend on init alone up to the gauge alignment to the target.  Each
 init object given to solve owns one warm start record (_WarmStart, held
 weakly, so it dies with init): the chart, and the residues and loop
 generators of those two stacks, read-only, kept as LM first evaluates
-them.  A later warm solve from the same init, its residues unchanged and
-on the same weights object, aligns them to its own target without
-transporting them again, and takes the same LM steps to the same bits.
+them.  A later warm solve from the same init on the same weights object
+aligns them to its own target without transporting them again, and takes
+the same LM steps to the same bits.
 Cold solves and restarts after the first never read a record.
 """
 
@@ -48,7 +54,7 @@ import numpy as np
 from . import factor, fuchs
 # called by this name, so that a wrapper of rhsolve.align_tuple_to_target sees every call
 from .fuchs import ResonanceError, align_tuple_to_target
-from .numcore import NumericalError, diag_stack, expm, sorted_eigvals
+from .numcore import NumericalError, diag_stack, expm, read_only, sorted_eigvals
 
 
 class ReducibleTargetError(ValueError):
@@ -129,11 +135,6 @@ def parametrization_from_system(system: fuchs.FuchsianSystem) -> ResidueParametr
     return ResidueParametrization(system.weights, v / np.linalg.norm(v, axis=-2, keepdims=True))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(eq=False)
 class _WarmStart(ResidueParametrization):
     """The warm start record of one init system: its chart, and the residues
@@ -141,11 +142,10 @@ class _WarmStart(ResidueParametrization):
     first at the chart center x0 = 0, the point itself and the
     central-difference stack of _central_points(x0).  Each is kept when it is
     first evaluated, read-only, and handed to every later evaluation of the
-    same stack; any other stack is evaluated afresh.
+    same stack; any other stack is evaluated afresh.  The init is a value
+    (fuchs.FuchsianSystem), so the record holds for as long as it lives.
     """
 
-    # read-only copy of the init's residues that the chart was built from
-    init_residues: np.ndarray
     # [points, (residues, generators) or None] of the two first stacks
     first: list
 
@@ -153,7 +153,7 @@ class _WarmStart(ResidueParametrization):
         for entry in self.first:
             if np.array_equal(xs, entry[0]):
                 if entry[1] is None:
-                    entry[1] = tuple(map(_read_only, super().loop_generators(xs)))
+                    entry[1] = tuple(map(read_only, super().loop_generators(xs)))
                 return entry[1]
         return super().loop_generators(xs)
 
@@ -163,18 +163,16 @@ _WARM_STARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _warm_start(weights: fuchs.WeightSystem, init: fuchs.FuchsianSystem) -> _WarmStart:
-    """The warm start record of init on weights: the saved one while init's
-    residues equal the saved copy and it was made for these weights (the
-    same object, so the same loop set), else a new one in its place."""
+    """The warm start record of init on weights: the saved one when it was
+    made for these weights (the same object, so the same loop set), else a
+    new one in its place."""
     rec = _WARM_STARTS.get(init)
-    if rec is not None and rec.weights is weights and np.array_equal(init.residues, rec.init_residues):
+    if rec is not None and rec.weights is weights:
         return rec
     chart = parametrization_from_system(fuchs.FuchsianSystem(weights, init.residues))
     x0 = np.zeros(chart.dim)
-    rec = _WarmStart(
-        weights, chart.basepoints, _read_only(np.array(init.residues, dtype=complex)),
-        [[_read_only(x0[None]), None], [_read_only(_central_points(x0)[1]), None]],
-    )
+    first = [[read_only(x0[None]), None], [read_only(_central_points(x0)[1]), None]]
+    rec = _WarmStart(weights, chart.basepoints, first)
     _WARM_STARTS[init] = rec
     return rec
 
@@ -332,8 +330,8 @@ def solve(
     from the chart of init when one is given; otherwise, and on every later
     restart, the chart basepoints are drawn from the restart's seed.  A
     warm restart 0 reads init's warm start record (module docstring): a
-    repeat solve from one unchanged init transports its first residual and
-    first Jacobian stack once, whatever the target.  An
+    repeat solve from one init transports its first residual and first
+    Jacobian stack once, whatever the target.  An
     init of other points or weight rows than weights raises ValueError.
     Success means the gauge distance between the solution's monodromy and
     the target (the norm of the generator block of the last LM residual)
@@ -394,7 +392,7 @@ def solve(
     if success:
         try:
             norm = normalize_at_infinity(system, target)
-            _NORMALIZATIONS[system] = (target, _read_only(system.residues.copy()), norm)
+            _NORMALIZATIONS[system] = (target, norm)
         except NumericalError as exc:
             warnings.warn(f"normalization at infinity failed: {exc}")
     report = SolveReport(
@@ -417,7 +415,7 @@ def solve(
 # normalize_at_infinity warns above this exponent drift at infinity
 DISAGREEMENT_WARNING = 1e-3
 
-# solve's (target, read-only residues, normalization) of each system it returned
+# solve's (target, normalization) of each system it returned
 _NORMALIZATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -448,8 +446,9 @@ def normalize_at_infinity(
     """Read the constant term at infinity from the local series and
     renormalize to the canonical fundamental solution, at
     fuchs.TRANSPORT_TOL, on the weights' loop set (WeightSystem.loops).  A
-    system that solve returned gets the solve's normalization back while
-    its residues and the target object are the solve's.
+    system that solve returned gets the solve's normalization back when
+    the target is the solve's object; an equal but distinct target
+    normalizes afresh.  Only solve writes that record.
 
     The right conjugator W aligns the monodromy with the target unitary
     tuple (the aligned generators W^{-1} M_i W are kept).  Y W = Y0 K on
@@ -473,8 +472,8 @@ def normalize_at_infinity(
     its frame is left F, and the coordinates do not change.
     """
     rec = _NORMALIZATIONS.get(system)
-    if rec is not None and rec[0] is target and np.array_equal(system.residues, rec[1]):
-        return rec[2]
+    if rec is not None and rec[0] is target:
+        return rec[1]
     ws = system.weights
     diffs = ws.infinity_exponents[:, None] - ws.infinity_exponents[None, :]
     off = np.abs(diffs - np.round(diffs))

@@ -266,7 +266,8 @@ def make_metric_field(system: fuchs.FuchsianSystem, target: fuchs.AdmissibleRep)
     """Normalize a solved system at infinity and wrap it as a metric field.
 
     A system that rhsolve.solve returned gets its SolveReport.normalization
-    back, transporting nothing.  A normalization whose large_cell_flag is
+    back for the solve's target object, transporting nothing; both are
+    values (fuchs), so that record cannot describe another system or tuple.  A normalization whose large_cell_flag is
     False raises RegularLocusError, the one refusal of the regular locus
     (rhsolve.normalize_at_infinity).  monodromy_quality is
     the largest ||M M* - I||_F over its aligned generators: the monodromy

@@ -163,6 +163,76 @@ def test_reducible_warning():
     assert not rep.is_irreducible()
 
 
+# problem data are values: WeightSystem, AdmissibleRep and FuchsianSystem
+
+
+def _problem_values():
+    """A fresh rigid rank-2 weight system, its target and its closed-form system."""
+    ws = fuchs.build_weight_system([0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
+    target = fuchs.build_admissible_rep(ws, fuchs.rank2_closure_conjugators(ws))
+    return {"ws": ws, "target": target, "system": fuchs.FuchsianSystem(ws, fuchs.rank2_rigid_residues(ws))}
+
+
+@pytest.mark.parametrize(
+    "owner, field",
+    [("ws", "points"), ("ws", "weights"), ("ws", "infinity_exponents"),
+     ("target", "generators"), ("target", "conjugators"), ("system", "residues")],
+)
+def test_problem_values_refuse_writes(owner, field):
+    obj = _problem_values()[owner]
+    kept = getattr(obj, field).copy()
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(obj, field)[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, kept + 1)
+    assert np.array_equal(getattr(obj, field), kept)
+
+
+def test_problem_values_own_a_copy_of_the_callers_arrays():
+    points = np.array([0.0, 1.0], dtype=complex)
+    weights = np.array([[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
+    ws = fuchs.build_weight_system(points, weights)
+    residues = fuchs.rank2_rigid_residues(ws)
+    system = fuchs.FuchsianSystem(ws, residues)
+    target = fuchs.build_admissible_rep(ws, fuchs.rank2_closure_conjugators(ws))
+    gens, conj = target.generators.copy(), target.conjugators.copy()
+    rep = fuchs.AdmissibleRep(ws, gens, conj)
+    for callers, owned in [(points, ws.points), (weights, ws.weights), (residues, system.residues),
+                           (gens, rep.generators), (conj, rep.conjugators)]:
+        kept = owned.copy()
+        assert callers.flags.writeable and not np.shares_memory(callers, owned)
+        callers[...] = 0
+        assert np.array_equal(owned, kept)
+
+
+def test_problem_values_take_dataclasses_replace():
+    values = _problem_values()
+    ws, target, system = values["ws"], values["target"], values["system"]
+    moved = dataclasses.replace(ws, points=ws.points + 1)
+    assert np.array_equal(moved.points, [1, 2]) and not moved.points.flags.writeable
+    assert np.array_equal(ws.points, [0, 1])
+    other = dataclasses.replace(target, weights=moved)
+    assert other.weights is moved and np.array_equal(other.generators, target.generators)
+    assert not np.shares_memory(other.generators, target.generators)
+    flipped = dataclasses.replace(system, residues=-system.residues)
+    assert np.array_equal(flipped.residues, -system.residues) and not flipped.residues.flags.writeable
+
+
+def test_written_points_cannot_stale_the_loop_set():
+    # the loop set and the relation order are cached on the weight system; a
+    # write to its points would leave them on the old points (relation
+    # residual 0.93 where a fresh system reads 2.4e-12), so it is refused
+    values = _problem_values()
+    ws, system = values["ws"], values["system"]
+    before = fuchs.monodromy_rep(system).relation_residual
+    assert before <= 1e-10
+    with pytest.raises(ValueError, match="read-only"):
+        ws.points[1] = 1.5
+    assert fuchs.monodromy_rep(system).relation_residual == before
+    moved = fuchs.FuchsianSystem(dataclasses.replace(ws, points=[0.0, 1.5]), system.residues)
+    assert fuchs.monodromy_rep(moved).relation_residual <= 1e-10
+
+
 def test_transport_zero_residues():
     ws = fuchs.build_weight_system([0.0, 1.0], [[0.3], [0.8], [0.9]])
     system = fuchs.FuchsianSystem(ws, np.zeros((2, 1, 1), dtype=complex))
