@@ -84,10 +84,11 @@ of the action's web, and the flatness stencil's twelve lines.
 Near a puncture and near infinity no march is needed: the Frobenius
 solution Y0 = G(x) x^{-L} (x = z - z_i, or 1/z at infinity) is summed to a
 tail below tol / 100, and every solution is Y0 K.  There is one recursion
-for G, :func:`series_stack`, over a members-last stack of B systems at P
-points, each order from running partial sums at the same cost, the
-hardest member setting the term count as it sets the shared step of the
-kernel, and one series type, :class:`SeriesStack`, which sums any set of
+for G, :func:`series_stack`, over a members-last stack of B systems at
+all n points (infinity is point n-1, as in WeightSystem.weights), each
+order from running partial sums at the same cost, the hardest member
+setting the term count as it sets the shared step of the kernel, and
+one series type, :class:`SeriesStack`, which sums any set of
 nodes pointwise in one call: one power table of all nodes and one product
 with the coefficients.  A SeriesStack carries the solution it describes:
 each member's coordinates and the entry angle where its branch starts.
@@ -866,13 +867,14 @@ SERIES_CHUNK = 8
 
 @dataclass(frozen=True)
 class SeriesStack:
-    """Local series of B systems at P points each, from one recursion.
+    """Local series of B systems at all n points, from one recursion.
 
-    Member s = b P + p is system b at the point at[p]: a puncture index, or
-    None for infinity, with the local coordinate x = z - z_i at the puncture
-    z_i and x = 1/z at infinity.  Its Frobenius solution is
-    Y0(x) = G(x) x^{-L}, L = V diag(exponents) V^{-1} the residue there,
-    and every solution near the point is Y0 K for a constant K.  The frame
+    Member s = b n + p is system b at point p: the puncture z_p for
+    p < n-1, with the local coordinate x = z - z_p, and infinity for
+    p = n-1, with x = 1/z, as WeightSystem.weights indexes them.  Its
+    Frobenius solution is Y0(x) = G(x) x^{-L}, L = V diag(exponents) V^{-1}
+    the residue there, and every solution near the point is Y0 K for a
+    constant K.  The frame
     F = G V = sum_m coefficients[s, m] (x / scale[p])^m (order 0: V, as
     G(0) = I) converges for |x| < scale[p], the distance to the nearest
     other singular point; tail bounds G's truncation error for |x| <= radius[p].
@@ -884,14 +886,13 @@ class SeriesStack:
     itself on the principal branch: coords = V^{-1}, entry_angle = -pi.
     """
 
-    at: tuple                 # (P,) puncture indices, None for infinity
-    scale: np.ndarray         # (P,)
-    radius: np.ndarray        # (P,)
+    scale: np.ndarray         # (n,), infinity last
+    radius: np.ndarray        # (n,)
     exponents: np.ndarray     # (S, r)
     coefficients: np.ndarray  # (S, M + 1, r, r): V g_m, g_0 = I
     tail: np.ndarray          # (S,)
     coords: np.ndarray        # (S, r, r): V^{-1} K
-    entry_angle: np.ndarray   # (P,)
+    entry_angle: np.ndarray   # (n,)
 
     def frame(self, x) -> np.ndarray:
         """F of every member, (S, r, r), at one local coordinate x[p] per point."""
@@ -904,8 +905,8 @@ class SeriesStack:
         return (table[:, None] @ coef.reshape(s, terms, r * r)).reshape(s, r, r)
 
     def values(self, s: int, rho, phi) -> np.ndarray:
-        """Y0 K of member s at the nodes z = z_i + rho e^{i phi} (at infinity
-        z = rho e^{i phi}); rho and phi broadcast to the nodes' shape
+        """Y0 K of member s at the nodes z = z_p + rho e^{i phi} (at infinity,
+        p = n-1, z = rho e^{i phi}); rho and phi broadcast to the nodes' shape
         (ValueError if they do not), and the values have that shape + (r, r).
 
         K is the member's own (coords), and so is its branch: the argument
@@ -918,13 +919,14 @@ class SeriesStack:
         exp(-lam log x) per node.  A node outside the member's radius raises
         ValueError.
         """
-        p = s % len(self.at)
+        n = len(self.scale)
+        p = s % n
         rho, phi = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(phi, dtype=float))
         a0 = self.entry_angle[p]
         theta = a0 + np.mod(phi.ravel() - a0, 2 * np.pi)
         # log x = +-(log rho + i theta), x = z - z_i or 1/z
         log_x = np.log(rho.ravel()) + 1j * theta
-        if self.at[p] is None:
+        if p == n - 1:
             log_x = -log_x
         if np.any(np.exp(log_x.real) > self.radius[p] * (1 + 1e-12)):
             raise ValueError(f"node outside the series radius {self.radius[p]:.6g}")
@@ -954,13 +956,14 @@ def _power_table(u: np.ndarray, terms: int) -> np.ndarray:
     return powers
 
 
-def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
-    """Frobenius series Y0 = G(x) x^{-L} of a stack of systems at a list of
+def series_stack(points, residues, radius, tol: float) -> SeriesStack:
+    """Frobenius series Y0 = G(x) x^{-L} of a stack of systems at all n
     points, every member summed to tol / 100 for |x| <= its radius.
 
-    residues (B, n-1, r, r); at lists P points (a puncture index, None for
-    infinity) and radius their P radii; member b P + p is system b at at[p].
-    x = z - z_i at the puncture z_i and x = 1/z at infinity.  In x the
+    residues (B, n-1, r, r) at the n-1 points, radius the n radii, infinity
+    last; member b n + p is system b at point p, the puncture z_p for
+    p < n-1 and infinity for p = n-1.  x = z - z_p at the puncture z_p and
+    x = 1/z at infinity.  In x the
     system reads dY/dx = -(L/x + sum_k B_k x^k) Y.  With R the distance to
     the nearest other singular point, B_k R^{k+1} = -sum_j A_j t_j^{k+1}:
     at z_i, L = A_i, t_i = 0 and t_j = R / (z_j - z_i); at infinity
@@ -970,7 +973,7 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
     convolution is -sum_j A~_j H_j (A~_j the residues in the eigenbasis),
     and the partial sums H_j = sum_{k<m} t_j^(k+1) G_{m-1-k} obey
     H_j <- t_j (G_{m-1} + H_j) (|t_j| <= 1: stable), so every order is the
-    same few whole-array operations on the members-last stack (r, r, B P).
+    same few whole-array operations on the members-last stack (r, r, B n).
 
     Terms are added until every member's tail bound
     max ||G_m R^m|| q^(m+1) / (1 - q) over its last four terms (natural
@@ -986,18 +989,16 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
     pts = np.asarray(points, dtype=complex)
     res = np.asarray(residues, dtype=complex)
     b, npts, r, _ = res.shape
-    p = len(at)
+    p = npts + 1
     scale = np.empty(p)
     t = np.zeros((p, npts), dtype=complex)
-    for k, i in enumerate(at):
-        if i is None:
-            scale[k] = 1.0 / float(np.max(np.abs(pts)))
-            t[k] = scale[k] * pts
-        else:
-            others = np.arange(npts) != i
-            d = pts[others] - pts[i]
-            scale[k] = float(np.min(np.abs(d)))
-            t[k, others] = scale[k] / d
+    for i in range(npts):
+        others = np.arange(npts) != i
+        d = pts[others] - pts[i]
+        scale[i] = float(np.min(np.abs(d)))
+        t[i, others] = scale[i] / d
+    scale[-1] = 1.0 / float(np.max(np.abs(pts)))
+    t[-1] = scale[-1] * pts
     radius = np.asarray(radius, dtype=float)
     q = radius / scale
     outside = np.flatnonzero(~((q > 0) & (q < 1)))
@@ -1005,8 +1006,7 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
         k = outside[0]
         raise ValueError(f"radius {radius[k]:.6g} outside the convergence radius {scale[k]:.6g}")
 
-    lead_index = [npts if i is None else i for i in at]
-    lead = np.concatenate([res, -np.sum(res, axis=1, keepdims=True)], axis=1)[:, lead_index]
+    lead = np.concatenate([res, -np.sum(res, axis=1, keepdims=True)], axis=1)
     lam, basis = np.linalg.eig(lead.reshape(b * p, r, r))
     basis_inv = np.linalg.inv(basis)
     gaps = lam[:, :, None] - lam[:, None, :]
@@ -1018,7 +1018,7 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
     near = near[(near >= 1) & (np.abs(near + gaps) < SERIES_MIN_DIVISOR)]
     resonant = int(near.min()) if near.size else SERIES_MAX_TERMS + 1
 
-    # members last, (r, r, S) as in the kernel, member s = b P + p: the
+    # members last, (r, r, S) as in the kernel, member s = b n + p: the
     # residues A~_j in each member's eigenbasis as (r, (n-1) r, S), row a
     # and column (j, c), the partial sums H_j as (n-1, r, r, S), G_m coef[m]
     s = b * p
@@ -1073,7 +1073,6 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
     # a member in one product
     frame = np.einsum("acs,lcbs->labs", v, coef[: stop + 1])
     return SeriesStack(
-        at=tuple(at),
         scale=scale,
         radius=radius,
         exponents=lam,
@@ -1088,24 +1087,27 @@ def series_stack(points, residues, at, radius, tol: float) -> SeriesStack:
 # monodromy
 
 
-def loop_radius(weights: WeightSystem, i: int, basepoint: complex) -> float:
+def loop_radius(weights: WeightSystem, i: int) -> float:
+    """The radius of puncture i's loop circle: half the distance to the
+    nearest other puncture or to the basepoint default_basepoint()."""
     pts = weights.points
     others = [abs(pts[i] - pts[j]) for j in range(len(pts)) if j != i]
-    others.append(abs(pts[i] - basepoint))
+    others.append(abs(pts[i] - weights.default_basepoint()))
     return 0.5 * min(others)
 
 
-def _approach_leg(weights: WeightSystem, i: int, basepoint: complex):
-    """The approach leg from the basepoint to the circle around puncture i
-    (a plan_route path around the other punctures' circles) and that full
-    counterclockwise circle, entered where the leg ends: on the ray from
-    z_i to the basepoint, at the argument arg(basepoint - z_i)."""
-    pts = weights.points
-    radius = loop_radius(weights, i, basepoint)
+def _approach_leg(weights: WeightSystem, i: int):
+    """The approach leg from the basepoint default_basepoint() to the
+    circle around puncture i (a plan_route path around the other
+    punctures' circles) and that full counterclockwise circle, entered
+    where the leg ends: on the ray from z_i to the basepoint, at the
+    argument arg(basepoint - z_i)."""
+    pts, basepoint = weights.points, weights.default_basepoint()
+    radius = loop_radius(weights, i)
     center = complex(pts[i])
     entry = center + radius * (basepoint - center) / abs(basepoint - center)
     keepouts = [
-        (complex(pts[j]), 0.8 * loop_radius(weights, j, basepoint))
+        (complex(pts[j]), 0.8 * loop_radius(weights, j))
         for j in range(len(pts))
         if j != i
     ]
@@ -1147,7 +1149,7 @@ class MonodromyLoops:
     def __init__(self, weights: WeightSystem):
         self.weights = weights
         self.z0 = weights.default_basepoint()
-        legs = [_approach_leg(weights, i, self.z0) for i in range(weights.n - 1)]
+        legs = [_approach_leg(weights, i) for i in range(weights.n - 1)]
         self.approaches = [approach for approach, _ in legs]
         circles = [circle for _, circle in legs]
         circles.append(paths.circle(0.0, abs(self.z0), float(np.angle(self.z0))))
@@ -1159,10 +1161,9 @@ class MonodromyLoops:
         pad = paths.Line(self.z0, self.z0)
         padded = [[pad] * (depth - len(approach)) + approach for approach in self.approaches]
         self._leg_rounds = [paths.SegmentFan(round_) for round_ in zip(*padded)]
-        # each circle's point, series radius, entry angle (the argument of
-        # z - z_p, of z0 on the big circle) and log x at its entry, x the
-        # local coordinate: log rho + i theta0 at a puncture, -log z0 at infinity
-        self.at = list(range(weights.n - 1)) + [None]
+        # each point's series radius, entry angle (the argument of z - z_p,
+        # of z0 on the big circle) and log x at its entry, x the local
+        # coordinate: log rho + i theta0 at a puncture, -log z0 at infinity
         self.radii = [c.radius for c in circles[:-1]] + [1.0 / abs(self.z0)]
         self.entry_angles = np.array([c.angle0 for c in circles])
         self.entry_logs = np.array([np.log(c.radius) + 1j * c.angle0 for c in circles[:-1]]
@@ -1193,7 +1194,7 @@ class MonodromyLoops:
         np.linalg.inv finds singular raises NumericalError naming it."""
         res = np.asarray(residues, dtype=complex)
         b, n, r = len(res), self.weights.n, self.weights.rank
-        series = series_stack(self.weights.points, res, self.at, self.radii, tol)
+        series = series_stack(self.weights.points, res, self.radii, tol)
         frame = series.frame(np.exp(self.entry_logs)).reshape(b, n, r, r)
         try:
             frame_inv = np.linalg.inv(frame)
@@ -1208,7 +1209,7 @@ class MonodromyLoops:
     def monodromy(self, residues, tol: float) -> tuple[np.ndarray, SeriesStack]:
         """Representation generators, (B, n, r, r), of a (B, n-1, r, r)
         residue stack, and the circles' series (member b n + p: system b at
-        the loop point at[p]) describing the solution that is I at the
+        point p, infinity last) describing the solution that is I at the
         basepoint: its coordinates are diag(x^lam) F(x)^{-1} P_i, P_i the
         approach leg's transport to the circle's entry x, I on the big
         circle.  The circles come in closed form (circle_transports), the

@@ -269,9 +269,10 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, opts: SolveOptions):
     history = [cost]
     lam, nu = 1e-3, 2.0
     n_iter = 0
-    # cost is on the squared scale of the gauge distance; push well below the
-    # acceptance tolerance so downstream single-valuedness of h is clean,
-    # down to the noise floor set by the transport tolerance
+    # cost is on the squared scale of the gauge distance; stop at the
+    # acceptance bound tol^2, floored at the noise level (10
+    # LM_TRANSPORT_TOL)^2 that the transport tolerance sets, which binds
+    # only for tol below 1e-8
     target_cost = max(opts.tol**2, (10.0 * LM_TRANSPORT_TOL) ** 2)
     for n_iter in range(1, opts.max_iter + 1):
         if cost <= target_cost:
@@ -434,9 +435,9 @@ class NormalizationResult:
     # the monodromy generators aligned to the target, W^{-1} M_i W: the
     # canonical solution's monodromy in the gauge of basepoint_value
     aligned_generators: np.ndarray  # (n, r, r)
-    # the loops' series in the canonical gauge, member p at the loop point
-    # at[p], describing the canonical solution: matched at the loop entry,
-    # at argument arg(z0 - z_p)
+    # the loops' series in the canonical gauge, member p at point p
+    # (infinity n-1), describing the canonical solution: matched at the
+    # loop entry, at argument arg(z0 - z_p)
     series: fuchs.SeriesStack
 
 

@@ -10,9 +10,10 @@ everywhere else.  The regularized action is
     S = lim_{delta -> 0} [ int_{X_delta} (kinetic + topological) d2z
         + 2 pi log(delta) (K1 + K2) ]
 
-with X_delta the plane minus delta-disks at the finite punctures minus
-the outside of the 1/delta circle, K1 the sum of squared finite weights
-and K2 the sum of squared exponents at infinity.  With K = b A b^{-1}
+with X_delta the plane minus a delta-disk about each of the n points, the
+one at infinity in the coordinate 1/z (the outside of the 1/delta
+circle), K1 the sum of squared finite weights and K2 the sum of squared
+exponents at infinity.  With K = b A b^{-1}
 (b the upper Cholesky factor of h) split into strict upper u, diagonal
 d, strict lower l parts,
 
@@ -41,8 +42,12 @@ regions, whose radial extent is only piecewise smooth in the angle, use
 Gauss-Legendre panels split at the boundary kinks, the patch's corners,
 where its bisectors and the outer circle meet (_kink_angles).  Every Gauss-Legendre panel has order
 GL_ORDER, so the quadrature follows from the points, the loop series and
-the delta schedule alone.  The web counts its nodes from these rules
-first and refuses more than WEB_NODE_LIMIT of them.
+the delta schedule alone.  Every point p = 0 .. n-1, infinity last as
+in WeightSystem.weights, has one region and one ring, the radius of its
+loop series in its local coordinate (x = z - z_p, or 1/z at infinity);
+the web first checks that the largest delta fits inside every ring
+(RING_MARGIN), then counts its nodes from these rules and refuses more
+than WEB_NODE_LIMIT of them.
 
 Transport: near each puncture and near infinity Y is a convergent
 Frobenius series times a power.  The normalization at infinity already
@@ -59,9 +64,9 @@ off the kernel's dense output, so the stops cost no steps.  The inward
 nodes of a patch and the outer region lie on circles, each circle at its
 own angle count; all nodes of a region are one pointwise series
 evaluation (fuchs.SeriesStack.values), and A at all nodes of a region is
-one product.  A patch takes it from the nodes' offsets
-x = z - z_i, A_i / x + sum_{j != i} A_j / (x + z_i - z_j), which keep their
-digits however close to z_i; the outer region uses FuchsianSystem.A_of.
+one product.  A region takes it from the nodes' offsets x = z - c from
+its center c (z_i at a puncture, 0 at infinity),
+sum_j A_j / (x + c - z_j), which keep their digits however close to z_i.
 
 The two identity checks take stacks: three_form_pair a (..., r, r) stack
 of metrics and directions, all their Cholesky differentials one call, and
@@ -98,6 +103,9 @@ class MonodromyQualityError(NumericalError):
 MONODROMY_QUALITY_GATE = 1e-6
 # the default delta schedule of the action's extrapolation
 DELTA_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
+# the web refuses a schedule unless RING_MARGIN times its largest delta is
+# below every point's ring (TransportWeb)
+RING_MARGIN = 1.2
 # largest delta-fit residual, relative to max(|S|, spread of the totals)
 FIT_TOLERANCE = 1e-2
 # Gauss-Legendre panels along every outward ray of the web
@@ -297,22 +305,24 @@ def make_metric_field(system: fuchs.FuchsianSystem, target: fuchs.AdmissibleRep)
 # local series regions
 
 
-def _angle_counts(series: fuchs.SeriesStack, at: int | None, rho: np.ndarray) -> np.ndarray:
-    """Trapezoid angles of the series-grid circles of radii rho about the
-    center of region `at`: the fewest N, a multiple of 8 and at least 8,
-    with q^N <= ANGLE_ALIAS_TOL.  q = |x| / scale is the series' convergence
-    ratio on the circle, x = rho at a patch and 1 / rho at infinity; the
-    grids keep q <= 1/2, so N <= 64."""
-    q = (1.0 / rho if at is None else rho) / series.scale[-1 if at is None else at]
-    n = 8 * np.ceil(np.log(ANGLE_ALIAS_TOL) / (8 * np.log(q)))
+def _angle_counts(series: fuchs.SeriesStack, p: int, rho: np.ndarray) -> np.ndarray:
+    """Trapezoid angles of the series-grid circles |z - z_p| = rho about
+    point p (|z| = rho at infinity, p = n-1): the fewest N, a multiple of 8
+    and at least 8, with q^N <= ANGLE_ALIAS_TOL.  q = |x| / scale is the
+    series' convergence ratio on the circle, |x| = rho at a puncture and
+    1 / rho at infinity; the grids keep q <= 1/2, so N <= 64."""
+    x = 1.0 / rho if p == len(series.scale) - 1 else rho
+    n = 8 * np.ceil(np.log(ANGLE_ALIAS_TOL) / (8 * np.log(x / series.scale[p])))
     return np.maximum(n, 8).astype(int)
 
 
-def _series_grid(fld: MetricField, at: int | None, radial):
-    """Node offsets x = z - center, radii, area weights and Y of one region,
-    the patch at puncture `at` or, for at = None, the outer region (center
-    0), on the circles of the log-radius rule radial = (s, weights), each
-    flattened circle by circle.  Y comes from the region's member of the
+def _series_grid(fld: MetricField, p: int, radial):
+    """Node offsets x = z - c, radii |x| in point p's local coordinate, area
+    weights and Y of the series region at point p: the inward part of the
+    patch at the puncture c = z_p, or the outer region about c = 0 at
+    infinity (p = n-1), whose radius is 1 / |z|.  The nodes lie on the
+    circles |z - c| = e^s of the log-radius rule radial = (s, weights),
+    flattened circle by circle.  Y comes from point p's member of the
     field's loop series (fuchs.SeriesStack.values).
 
     The circle of radius rho takes _angle_counts trapezoid angles.  The
@@ -325,7 +335,7 @@ def _series_grid(fld: MetricField, at: int | None, radial):
     """
     s, w_s = radial
     rho = np.exp(s)
-    counts = _angle_counts(fld.series, at, rho)
+    counts = _angle_counts(fld.series, p, rho)
     circle = np.repeat(np.arange(len(rho)), counts)
     # each node's position on its circle, and its circle's angle count
     k = np.arange(len(circle)) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -333,18 +343,18 @@ def _series_grid(fld: MetricField, at: int | None, radial):
     phis = 2 * np.pi * (k + 0.5) / n
     x = rho[circle] * np.exp(1j * phis)
     wt = (w_s * np.exp(2 * s) * (2 * np.pi / counts))[circle]
-    y = fld.series.values(-1 if at is None else at, rho[circle], phis)
-    return x, rho[circle], wt, y
+    y = fld.series.values(p, rho[circle], phis)
+    local = 1.0 / rho if p == fld.weights.n - 1 else rho
+    return x, local[circle], wt, y
 
 
-def _region_A(system: fuchs.FuchsianSystem, at: int | None, x: np.ndarray) -> np.ndarray:
-    """A at the nodes z = z_at + x of the patch at puncture `at`, from their
-    offsets x: A_at / x + sum_{j != at} A_j / (x + z_at - z_j).  Forming z
-    and then z - z_at would keep only about eps |z_at| / |x| of x's relative
-    accuracy.  The outer region (at = None) is centered at 0: A_of(x)."""
-    if at is None:
-        return system.A_of(x)
-    w = 1.0 / (x.reshape(-1, 1) + (system.points[at] - system.points))
+def _region_A(system: fuchs.FuchsianSystem, p: int, x: np.ndarray) -> np.ndarray:
+    """A at the nodes z = c + x of the region at point p from their offsets
+    x, c = z_p at a puncture and 0 at infinity (p = n-1):
+    sum_j A_j / (x + c - z_j), A_p / x at a puncture.  Forming z and then
+    z - z_p would keep only about eps |z_p| / |x| of x's relative accuracy."""
+    center = system.points[p] if p < len(system.points) else 0.0
+    w = 1.0 / (x.reshape(-1, 1) + (center - system.points))
     return (w @ system.residues.reshape(w.shape[1], -1)).reshape(x.shape + system.residues.shape[1:])
 
 
@@ -355,7 +365,7 @@ def _region_A(system: fuchs.FuchsianSystem, at: int | None, x: np.ndarray) -> np
 @dataclass
 class _WebRegion:
     z: np.ndarray        # nodes; only counted, by bench/tracing.py
-    rho: np.ndarray      # distance to the governing center
+    rho: np.ndarray      # |x|, the local coordinate of the region's point: 1 / |z| at infinity
     weight: np.ndarray   # area weights (already include rho^2 ds dphi)
     kinetic: np.ndarray
     topological: np.ndarray
@@ -464,11 +474,22 @@ def _kink_angles(points: np.ndarray, i: int, r_out: float) -> np.ndarray:
 class TransportWeb:
     """Transported solution values and densities on the full quadrature web.
 
-    Besides the densities, the web keeps h and A at IMAG_SAMPLE nodes of the
-    first patch, spread evenly over its node list, for the check that the
-    trace form stays real.  The web spans the smallest delta of the schedule.
-    Its nodes are counted from its radial and angular rules before anything
-    is evaluated: a web of more than WEB_NODE_LIMIT nodes raises ValueError.
+    One region per point, in point order, infinity last: a patch per
+    puncture and the outer region.  Each region stores its nodes' radius in
+    its point's local coordinate, |z - z_i| at a puncture and 1 / |z| at
+    infinity, so that X_delta keeps the nodes at radius delta or more in
+    every region alike (integrals_at).  Besides the densities, the web
+    keeps h and A at IMAG_SAMPLE nodes of the first patch, spread evenly
+    over its node list, for the check that the trace form stays real.  The
+    web spans the smallest delta of the schedule.
+
+    Every point's ring, in its local coordinate, is the radius of its loop
+    series: a puncture's loop circle, and 1 / |z0| at infinity.  A schedule
+    whose largest delta times RING_MARGIN reaches a ring raises ValueError
+    naming the point of the smallest ring and the bound ring / RING_MARGIN
+    that every delta must stay below.  Then the web's nodes are counted
+    from its radial and angular rules before anything is evaluated: a web
+    of more than WEB_NODE_LIMIT nodes raises ValueError.
     Then, still before any node is evaluated, a smallest delta with
     delta^(-g) above DELTA_CONDITION_LIMIT, g the largest exponent gap of
     the weight rows and at infinity, raises NumericalError.
@@ -484,20 +505,24 @@ class TransportWeb:
         self.field = fld
         pts = np.asarray(fld.system.points)
         self.r_out = abs(fld.basepoint)
-        if 1.0 / max(delta_schedule) <= 1.2 * self.r_out:
-            raise ValueError("largest delta too coarse for the outer region")
-        # each patch's ring is its puncture's loop circle
-        ring_radii = fld.series.radius[:-1]
-        if max(delta_schedule) >= 0.8 * min(ring_radii):
-            raise ValueError("largest delta must sit inside every puncture patch")
+        # every point's ring in its local coordinate: a puncture's loop
+        # circle, and 1 / |z0| at infinity
+        rings = fld.series.radius
+        tight = int(np.argmin(rings))
+        if RING_MARGIN * max(delta_schedule) >= rings[tight]:
+            where = "infinity" if tight == len(pts) else f"puncture {tight}"
+            raise ValueError(f"largest delta {max(delta_schedule):g} does not fit the ring {rings[tight]:.6g} "
+                             f"of {where}: every delta must be below {rings[tight] / RING_MARGIN:.6g}")
         delta_min = min(delta_schedule)
         fixed = sorted(set(delta_schedule))
-        inward = [_log_panels(delta_min, ring_r, fixed) for ring_r in ring_radii]
-        outer = _log_panels(self.r_out, 1.0 / delta_min, [1.0 / d for d in delta_schedule])
+        # the series regions' log-radius rules: each patch's inward part from
+        # delta_min to its ring, and the outer region in log |z| from |z0|
+        # to 1 / delta_min
+        radial = [_log_panels(delta_min, ring_r, fixed) for ring_r in rings[:-1]]
+        radial.append(_log_panels(self.r_out, 1.0 / delta_min, [1.0 / d for d in delta_schedule]))
         angles = [self._ray_angles(i) for i in range(len(pts))]
         t_nodes, t_weights = _gl_panels(np.linspace(0, 1, OUTWARD_PANELS + 1), 1.0)
-        nodes = (sum(int(_angle_counts(fld.series, at, np.exp(s)).sum())
-                     for at, (s, _) in [*enumerate(inward), (None, outer)])
+        nodes = (sum(int(_angle_counts(fld.series, p, np.exp(s)).sum()) for p, (s, _) in enumerate(radial))
                  + len(t_nodes) * sum(len(phi) for phi, _ in angles))
         if nodes > WEB_NODE_LIMIT:
             raise ValueError(f"the quadrature web would have {nodes} nodes, "
@@ -512,19 +537,19 @@ class TransportWeb:
             )
         # every patch's outward rays are the members of one fan call, with a
         # stop at every Gauss-Legendre node in t
-        rays, ring_y = zip(*[self._patch_rays(i, ring_radii[i], phi)
+        rays, ring_y = zip(*[self._patch_rays(i, rings[i], phi)
                              for i, (phi, _) in enumerate(angles)])
         fan = paths.RayFan(*map(np.concatenate, zip(*rays)))
         y_out = fuchs.transport(pts, fld.system.residues, fan, np.concatenate(ring_y), t_nodes).values
         ends = np.cumsum([len(phi) for phi, _ in angles])[:-1]
         self.regions = [
-            self._build_patch(i, ray, w_phi, radial, y, t_nodes, t_weights)
-            for i, (ray, (_, w_phi), radial, y)
-            in enumerate(zip(rays, angles, inward, np.split(y_out, ends, axis=1)))
+            self._build_patch(i, ray, w_phi, rule, y, t_nodes, t_weights)
+            for i, (ray, (_, w_phi), rule, y)
+            in enumerate(zip(rays, angles, radial, np.split(y_out, ends, axis=1)))
         ]
         # the outer region from the series at infinity, out to 1 / delta_min
-        x, rho, wt, y = _series_grid(fld, None, outer)
-        self.regions.append(_WebRegion(x, rho, wt, *densities(y, _region_A(fld.system, None, x))))
+        x, rho, wt, y = _series_grid(fld, len(pts), radial[-1])
+        self.regions.append(_WebRegion(x, rho, wt, *densities(y, _region_A(fld.system, len(pts), x))))
 
     # -- patches ------------------------------------------------------------
 
@@ -576,18 +601,13 @@ class TransportWeb:
     # -- assembly -----------------------------------------------------------
 
     def integrals_at(self, delta: float) -> tuple[float, float]:
-        """(kinetic, topological) integrals over X_delta."""
+        """(kinetic, topological) integrals over X_delta: every region's nodes
+        whose local radius (1 / |z| at infinity) is at least delta."""
         kin = top = 0.0
-        n_patches = len(self.regions) - 1
-        eps = 1e-12
-        for region in self.regions[:n_patches]:
-            mask = region.rho >= delta * (1 - eps)
+        for region in self.regions:
+            mask = region.rho >= delta * (1 - 1e-12)
             kin += float(np.sum(region.weight[mask] * region.kinetic[mask]))
             top += float(np.sum(region.weight[mask] * region.topological[mask]))
-        outer = self.regions[-1]
-        mask = outer.rho <= (1.0 / delta) * (1 + eps)
-        kin += float(np.sum(outer.weight[mask] * outer.kinetic[mask]))
-        top += float(np.sum(outer.weight[mask] * outer.topological[mask]))
         return kin, top
 
 

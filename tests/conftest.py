@@ -41,10 +41,10 @@ def transport_path(points, residues, path, start, tol):
     return y[..., 0, :, :], steps
 
 
-def puncture_loop(weights, i, basepoint):
-    """The basepoint loop around puncture i: the loop set's approach leg,
-    its full circle, and the approach run back."""
-    approach, circle = fuchs._approach_leg(weights, i, basepoint)
+def puncture_loop(weights, i):
+    """The loop around puncture i from the basepoint default_basepoint():
+    the loop set's approach leg, its full circle, and the approach run back."""
+    approach, circle = fuchs._approach_leg(weights, i)
     return approach + [circle] + reversed_path(approach)
 
 

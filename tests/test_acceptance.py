@@ -61,10 +61,9 @@ def test_criterion_3_three_form():
 
 def test_criterion_4_rank1_monodromy(rank1_system, rank1_weights):
     t0 = time.time()
-    z0 = rank1_weights.default_basepoint()
     worst = 0.0
     for i, a in enumerate((0.3, 0.45, 0.8)):
-        loop = puncture_loop(rank1_weights, i, z0)
+        loop = puncture_loop(rank1_weights, i)
         value = transport_path(rank1_system.points, rank1_system.residues, loop, np.eye(1), 1e-10)[0][0, 0]
         worst = max(worst, abs(value - np.exp(-2j * np.pi * a)))
     ok = worst <= 1e-8

@@ -209,6 +209,23 @@ def test_action_abelian_fixture(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize(
+    "points, where",
+    [([-0.3, 0.0, 0.2], "puncture 1"), ([-6.5, 0.0, 5.0], "infinity")],
+    ids=["close-pair", "far-point"],
+)
+def test_action_delta_outside_a_ring_exits_2(tmp_path, capsys, points, where):
+    # the default schedule's 0.1 does not fit the ring of puncture 1 (0.1)
+    # or of infinity (1/13): a validation error naming the point and the bound
+    cli.save_config(replace(rank1_config(), points=points), tmp_path / "cfg.json")
+    rc = cli.main(["action", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert f"of {where}: every delta must be below" in err
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
 def test_action_non_regular_exit(tmp_path, monkeypatch):
     cfg = rank2_config()
     cli.save_config(cfg, tmp_path / "cfg.json")

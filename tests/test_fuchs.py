@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import path_log_increment, puncture_loop, reversed_path, transport_path
 from rhwznw import fuchs, moduli, numcore, paths, rhsolve
@@ -236,14 +236,13 @@ def test_written_points_cannot_stale_the_loop_set():
 def test_transport_zero_residues():
     ws = fuchs.build_weight_system([0.0, 1.0], [[0.3], [0.8], [0.9]])
     system = fuchs.FuchsianSystem(ws, np.zeros((2, 1, 1), dtype=complex))
-    loop = puncture_loop(ws, 0, ws.default_basepoint())
+    loop = puncture_loop(ws, 0)
     value, _ = transport_path(system.points, system.residues, loop, np.eye(1), 1e-12)
     assert abs(value[0, 0] - 1.0) < 1e-11
 
 
 def test_transport_rank1_loop(rank1_system, rank1_weights):
-    z0 = rank1_weights.default_basepoint()
-    loop = puncture_loop(rank1_weights, 0, z0)
+    loop = puncture_loop(rank1_weights, 0)
     value, _ = transport_path(rank1_system.points, rank1_system.residues, loop, np.eye(1), 1e-10)
     assert abs(value[0, 0] - np.exp(-2j * np.pi * 0.3)) < 1e-8
     assert _det_identity_residual(rank1_system, loop, np.eye(1), value) < 1e-8
@@ -258,8 +257,7 @@ def test_check_clearance_refuses_a_grazing_path(rank1_weights):
 
 
 def test_transport_tolerance_halving(rank2_oracle_system, rank2_weights):
-    z0 = rank2_weights.default_basepoint()
-    loop = puncture_loop(rank2_weights, 0, z0)
+    loop = puncture_loop(rank2_weights, 0)
     pts, res = rank2_oracle_system.points, rank2_oracle_system.residues
     a, _ = transport_path(pts, res, loop, np.eye(2), 1e-8)
     b, _ = transport_path(pts, res, loop, np.eye(2), 5e-9)
@@ -328,8 +326,8 @@ def test_monodromy_path_independence(rank2_oracle_system, rank2_weights):
     ws = rank2_weights
     z0 = ws.default_basepoint()
     tol = 1e-10
-    circle_loop = puncture_loop(ws, 0, z0)
-    r = fuchs.loop_radius(ws, 0, z0)
+    circle_loop = puncture_loop(ws, 0)
+    r = fuchs.loop_radius(ws, 0)
     c = complex(ws.points[0])
     corners = [c + r * np.exp(1j * (np.pi / 2 + k * np.pi / 2)) for k in range(5)]
     square = [paths.Line(z0, corners[0])]
@@ -351,8 +349,7 @@ def _det_identity_residual(system, path, start, value):
 
 
 def test_transport_det_identity(rank2_oracle_system, rank2_weights):
-    z0 = rank2_weights.default_basepoint()
-    loop = puncture_loop(rank2_weights, 1, z0)
+    loop = puncture_loop(rank2_weights, 1)
     value, _ = transport_path(rank2_oracle_system.points, rank2_oracle_system.residues, loop, np.eye(2), 1e-10)
     assert _det_identity_residual(rank2_oracle_system, loop, np.eye(2), value) < 1e-8
 
@@ -589,7 +586,7 @@ def _random_residues(ws, rng, count):
 def test_transport_stack_matches_members():
     ws = _n4_rank3_weights()
     residues = _random_residues(ws, np.random.default_rng(11), 6)
-    loop = puncture_loop(ws, 1, ws.default_basepoint())
+    loop = puncture_loop(ws, 1)
     stacked, _ = transport_path(ws.points, residues, loop, np.eye(ws.rank), 1e-12)
     assert stacked.shape == (6, 3, 3)
     for b in range(6):
@@ -601,7 +598,7 @@ def test_transport_stack_matches_members():
 def test_transport_stack_det_identity():
     ws = _n4_rank3_weights()
     residues = _random_residues(ws, np.random.default_rng(5), 6)
-    loop = puncture_loop(ws, 0, ws.default_basepoint())
+    loop = puncture_loop(ws, 0)
     stacked, _ = transport_path(ws.points, residues, loop, np.eye(ws.rank), 1e-10)
     logs = np.array([path_log_increment(loop, complex(w)) for w in ws.points])
     for b in range(6):
@@ -1078,12 +1075,42 @@ def test_relation_order_on_a_tie_puts_the_nearer_point_first(pts, order):
     assert other >= 1e4 * best
 
 
+@st.composite
+def _loop_point_lists(draw):
+    """Three to six points in [-3, 3]^2, more than 1e-2 apart; in a third of
+    the draws the last lies near the line from z0 through the first,
+    0.05 to 0.5 beyond it and 1e-8 to 1e-2 off it, with z0 unchanged."""
+    cell = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+    pts = draw(st.lists(cell, min_size=3, max_size=6).filter(_distinct_points))
+    if draw(st.integers(0, 2)) == 0:
+        z0 = 2j * max(1.0, max(abs(z) for z in pts))
+        u = (pts[0] - z0) / abs(pts[0] - z0)
+        off = draw(st.sampled_from([-1, 1])) * 10 ** draw(st.floats(-8, -2))
+        near = pts[0] + u * (draw(st.floats(0.05, 0.5)) + 1j * off)
+        pts[-1] = near
+        assume(abs(near) < abs(z0) / 2 and _distinct_points(pts))
+    return pts
+
+
+@settings(max_examples=80, deadline=None)
+@given(_loop_point_lists())
+def test_departure_order_is_the_angle_order_off_ties_property(pts):
+    # off the 1e-6 tie band of relation_order, the order read off the legs
+    # (MonodromyLoops.departure_order) is the order of increasing
+    # arg(z_i - z0), however near the band two points' angles come
+    ws = fuchs.build_weight_system(pts, [[1 / (len(pts) + 1)]] * (len(pts) + 1))
+    angle = np.angle(ws.points - ws.default_basepoint())
+    order = np.argsort(angle, kind="stable")
+    assume(np.all(np.diff(angle[order]) > 1e-6))
+    assert ws.loops.departure_order().tolist() == order.tolist()
+
+
 def _entry_values(loops, series):
     """The solution's values F(x) diag(x^-lam) coords at every loop entry x,
     (B, n, r, r), from the coordinates of the series that
     MonodromyLoops.monodromy returns: the approach legs' transports at the
     punctures, I on the big circle."""
-    n, r = len(series.at), series.coords.shape[-1]
+    n, r = len(series.scale), series.coords.shape[-1]
     b = len(series.coords) // n
     coords = series.coords.reshape(b, n, r, r)
     frame = series.frame(np.exp(loops.entry_logs)).reshape(b, n, r, r)
@@ -1150,9 +1177,14 @@ def test_monodromy_loops_path_independence_property(seed):
     gens, series = loops.monodromy(residues, tol)
     assert gens.shape == (3, 4, 3, 3) and series.coords.shape == (12, 3, 3)
     # the circles' series: system b at point p is member 4 b + p, infinity last
-    assert series.at == (0, 1, 2, None) and series.exponents.shape == (12, 3)
+    assert series.scale.shape == (4,) and series.exponents.shape == (12, 3)
+    for b in range(3):
+        lead = np.concatenate([residues[b], -residues[b].sum(axis=0, keepdims=True)])
+        for p in range(4):
+            want = np.sort_complex(np.linalg.eigvals(lead[p]))
+            assert np.allclose(np.sort_complex(series.exponents[4 * b + p]), want, atol=1e-12)
     big = paths.circle(0.0, abs(loops.z0), float(np.angle(loops.z0)))
-    refs = [reversed_path(puncture_loop(ws, i, loops.z0)) for i in range(3)] + [[big]]
+    refs = [reversed_path(puncture_loop(ws, i)) for i in range(3)] + [[big]]
     for i, loop in enumerate(refs):
         ref, _ = transport_path(ws.points, residues, loop, np.eye(ws.rank), tol / 100)
         for b in range(3):
@@ -1182,6 +1214,18 @@ def test_transports_reject_non_positive_tol(tol):
 # local series
 
 
+def _series_at(points, residues, p, radius, tol):
+    """series_stack of residues (B, n-1, r, r) at every point, point p
+    (n-1: infinity) at the given radius and every other point at 1/100 of
+    its convergence radius, so that the count is point p's, as if its
+    members were summed alone; read them as members b n + p."""
+    pts = np.asarray(points, dtype=complex)
+    gaps = np.abs(pts[:, None] - pts[None]) + np.diag(np.full(len(pts), np.inf))
+    radii = np.append(gaps.min(axis=1), 1.0 / np.abs(pts).max()) / 100
+    radii[p] = radius
+    return fuchs.series_stack(pts, residues, radii, tol)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 # at this draw the series read 5.8 tol off a tol / 100 reference, 1.93 tol off tol / 1e4
@@ -1197,25 +1241,29 @@ def test_local_series_matches_fan_property(seed):
     system = _admissible_n4_rank3(rng)
     pts, res = system.points, system.residues
     tol = 1e-10
-    for at in (0, 1, 2, None):
-        if at is None:
+    for p in range(4):
+        if p == 3:
             center, ring = 0j, 2.0 * np.max(np.abs(pts)) + 2.0
             radius, s_far = 1.0 / ring, np.log(20 * ring)
         else:
-            center = pts[at]
-            ring = 0.5 * min(abs(pts[at] - pts[j]) for j in range(3) if j != at)
+            center = pts[p]
+            ring = 0.5 * min(abs(pts[p] - pts[j]) for j in range(3) if j != p)
             radius, s_far = ring, np.log(1e-3 * ring)
-        series = fuchs.series_stack(pts, res[None], [at], [radius], tol)
-        assert series.tail[0] <= tol / 100
+        series = _series_at(pts, res[None], p, radius, tol)
+        assert series.tail[p] <= tol / 100
         a0 = rng.uniform(0.0, 2 * np.pi)
         entry_value = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
         # the coordinates diag(x^lam) F(x)^{-1} Y of the entry value, log x =
         # +-(log ring + i a0)
-        log_x = (-1.0 if at is None else 1.0) * (np.log(ring) + 1j * a0)
-        lifted = np.linalg.solve(series.frame([np.exp(log_x)])[0], entry_value)
-        right = np.exp(log_x * series.exponents[0])[:, None] * lifted
+        log_x = (-1.0 if p == 3 else 1.0) * (np.log(ring) + 1j * a0)
+        x = np.zeros(4, dtype=complex)
+        x[p] = np.exp(log_x)
+        lifted = np.linalg.solve(series.frame(x)[p], entry_value)
+        right = np.exp(log_x * series.exponents[p])[:, None] * lifted
         # the series carries that solution, entered at a0
-        series = dataclasses.replace(series, coords=right[None], entry_angle=np.array([a0]))
+        coords, entry_angle = series.coords.copy(), series.entry_angle.copy()
+        coords[p], entry_angle[p] = right, a0
+        series = dataclasses.replace(series, coords=coords, entry_angle=entry_angle)
         phi = rng.uniform(0.0, 2 * np.pi, 6)
         theta = a0 + np.mod(phi - a0, 2 * np.pi)
         arcs = paths.SegmentFan([paths.Arc(complex(center), ring, a0, a1) for a1 in theta])
@@ -1224,7 +1272,7 @@ def test_local_series_matches_fan_property(seed):
         rays = paths.RayFan(center, theta, np.log(ring), s_far)
         ray_ref = fuchs.transport(pts, res, rays, ring_ref, stops, tol / 1e4).values
         rhos = np.exp(np.log(ring) + stops * (s_far - np.log(ring)))
-        got = series.values(0, np.concatenate([[ring], rhos])[:, None], phi[None, :])
+        got = series.values(p, np.concatenate([[ring], rhos])[:, None], phi[None, :])
         refs = np.concatenate([ring_ref[None], ray_ref])
         for k in range(len(refs)):
             for b in range(6):
@@ -1238,57 +1286,58 @@ def test_local_series_near_resonant_divisor_raises():
     c = np.array([[1.0, 0.3], [0.2, 1.0]])
     a0 = c @ np.diag([0.2, 1.2 + 1e-8]) @ np.linalg.inv(c)
     residues = np.array([a0, np.diag([0.3, 0.6])], dtype=complex)
-    with pytest.raises(fuchs.ResonanceError):
-        fuchs.series_stack([0.0, 1.0], residues[None], [0], [0.5], 1e-10)
+    with pytest.raises(fuchs.ResonanceError, match="at order 1$"):
+        _series_at([0.0, 1.0], residues[None], 0, 0.5, 1e-10)
     # the same eigenvalue gap 1 + 1e-8 one order away is no resonance
     residues[0] = c @ np.diag([0.2, 0.7 + 1e-8]) @ np.linalg.inv(c)
-    fuchs.series_stack([0.0, 1.0], residues[None], [0], [0.5], 1e-10)
+    _series_at([0.0, 1.0], residues[None], 0, 0.5, 1e-10)
 
 
 def test_local_series_limits():
     system = _n4_rank3_system(41)
     pts, res = system.points, system.residues[None]
     # the nearest other puncture is 1.0 away from the one at 0
+    with pytest.raises(ValueError, match="convergence radius"):
+        _series_at(pts, res, 1, 1.0, 1e-10)
     with pytest.raises(ValueError):
-        fuchs.series_stack(pts, res, [1], [1.0], 1e-10)
-    with pytest.raises(ValueError):
-        fuchs.series_stack(pts, res, [1], [0.5], 0.0)
+        _series_at(pts, res, 1, 0.5, 0.0)
     # at q = 0.99 the tail needs thousands of terms
     with pytest.raises(numcore.NumericalError):
-        fuchs.series_stack(pts, res, [1], [0.99], 1e-10)
-    series = fuchs.series_stack(pts, res, [1], [0.5], 1e-10)
+        _series_at(pts, res, 1, 0.99, 1e-10)
+    series = _series_at(pts, res, 1, 0.5, 1e-10)
     with pytest.raises(ValueError):
-        series.values(0, 0.6, 0.0)
+        series.values(1, 0.6, 0.0)
 
 
-@pytest.mark.parametrize("at", [1, None], ids=["puncture", "infinity"])
-def test_local_series_grid_values_match_horner(at):
+@pytest.mark.parametrize("p", [1, 3], ids=["puncture", "infinity"])
+def test_local_series_grid_values_match_horner(p):
     # Y0 K on a random rho x theta grid (broadcast nodes) from the power
     # table against Horner on the coefficients, with x^{-L} from one complex
     # exp per node, at every node, for a puncture member and for the
     # infinity member
     system = _n4_rank3_system(41)
-    radius = 0.5 if at is not None else 0.3
-    series = fuchs.series_stack(system.points, system.residues[None], [at], [radius], 1e-10)
+    radius = 0.5 if p < 3 else 0.3
+    series = _series_at(system.points, system.residues[None], p, radius, 1e-10)
     rng = np.random.default_rng(3)
     rho = rng.uniform(1e-3, radius, 37)
-    if at is None:
+    if p == 3:
         rho = 1.0 / rho
     theta = rng.uniform(-4 * np.pi, 4 * np.pi, 23)
-    coords = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-    got = dataclasses.replace(series, coords=coords[None]).values(0, rho[:, None], theta[None, :])
+    coords = series.coords.copy()
+    coords[p] = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
+    got = dataclasses.replace(series, coords=coords).values(p, rho[:, None], theta[None, :])
     assert got.shape == (37, 23, 3, 3)
     # series_stack's principal branch: arg(z - z_i) in [-pi, pi)
     branch = -np.pi + np.mod(theta + np.pi, 2 * np.pi)
     log_x = np.log(rho)[:, None] + 1j * branch[None, :]
-    if at is None:
+    if p == 3:
         log_x = -log_x
-    u = (np.exp(log_x) / series.scale[0])[..., None, None]
-    coefficients = series.coefficients[0]
+    u = (np.exp(log_x) / series.scale[p])[..., None, None]
+    coefficients = series.coefficients[p]
     frame = np.broadcast_to(coefficients[-1], got.shape).copy()
     for c in coefficients[-2::-1]:
         frame = frame * u + c
-    want = (frame * np.exp(-log_x[..., None] * series.exponents[0])[..., None, :]) @ coords
+    want = (frame * np.exp(-log_x[..., None] * series.exponents[p])[..., None, :]) @ coords[p]
     err = np.linalg.norm(got - want, axis=(-2, -1))
     assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))
 
@@ -1299,20 +1348,20 @@ def test_local_series_values_are_pointwise():
     # (r, r) value, and shapes that do not broadcast raise; agreement is to
     # rounding, as BLAS may sum a product of another size in another order
     system = _n4_rank3_system(41)
-    series = fuchs.series_stack(system.points, system.residues[None], [1], [0.5], 1e-10)
+    series = _series_at(system.points, system.residues[None], 1, 0.5, 1e-10)
     rng = np.random.default_rng(5)
     rho = rng.uniform(1e-3, 0.5, 29)
     phi = rng.uniform(-4 * np.pi, 4 * np.pi, 29)
-    nodes = series.values(0, rho, phi)
-    grid = series.values(0, rho[:, None], phi[None, :])
+    nodes = series.values(1, rho, phi)
+    grid = series.values(1, rho[:, None], phi[None, :])
     assert nodes.shape == (29, 3, 3) and grid.shape == (29, 29, 3, 3)
     scale = np.linalg.norm(nodes, axis=(-2, -1))
     diagonal = grid[np.arange(29), np.arange(29)]
     assert np.all(np.linalg.norm(nodes - diagonal, axis=(-2, -1)) <= 1e-15 * scale)
-    single = series.values(0, rho[3], phi[3])
+    single = series.values(1, rho[3], phi[3])
     assert single.shape == (3, 3) and numcore.fro(single - nodes[3]) <= 1e-15 * scale[3]
     with pytest.raises(ValueError):
-        series.values(0, rho, phi[:5])
+        series.values(1, rho, phi[:5])
 
 
 def _n4_rank2_weights():
@@ -1361,10 +1410,9 @@ def test_series_stack_members_match_local_series():
     # and inside its radius; the stack runs to the hardest member's count
     ws = _n4_rank3_weights()
     residues = _random_residues(ws, np.random.default_rng(7), 3)
-    at = [0, 1, 2, None]
     radii = [0.4, 0.3, 0.5, 0.2]
     tol = 1e-10
-    stack = fuchs.series_stack(ws.points, residues, at, radii, tol)
+    stack = fuchs.series_stack(ws.points, residues, radii, tol)
     assert np.all(stack.tail <= tol / 100)
     rng = np.random.default_rng(8)
     for _ in range(4):
@@ -1372,11 +1420,11 @@ def test_series_stack_members_match_local_series():
         frame = stack.frame(x)
         for b in range(3):
             for p in range(4):
-                alone = fuchs.series_stack(ws.points, residues[b : b + 1], [at[p]], [radii[p]], tol)
-                assert alone.tail[0] <= tol / 100
-                u = x[p] / alone.scale[0]
-                f_alone = sum(c * u**m for m, c in enumerate(alone.coefficients[0]))
-                g_alone = f_alone @ np.linalg.inv(alone.coefficients[0, 0])
+                alone = _series_at(ws.points, residues[b : b + 1], p, radii[p], tol)
+                assert alone.tail[p] <= tol / 100
+                u = x[p] / alone.scale[p]
+                f_alone = sum(c * u**m for m, c in enumerate(alone.coefficients[p]))
+                g_alone = f_alone @ np.linalg.inv(alone.coefficients[p, 0])
                 s = 4 * b + p
                 g_stack = frame[s] @ np.linalg.inv(stack.coefficients[s, 0])
                 assert numcore.fro(g_stack - g_alone) <= tol / 100
@@ -1386,9 +1434,9 @@ def test_series_stack_tail_not_converging_raises():
     # one member at q = 0.99 needs thousands of terms: the stack raises
     ws = _n4_rank3_weights()
     residues = _random_residues(ws, np.random.default_rng(9), 2)
-    fuchs.series_stack(ws.points, residues, [0, None], [0.5, 0.5 / 1.2], 1e-10)
+    fuchs.series_stack(ws.points, residues, [0.5, 0.5, 0.6, 0.5 / 1.2], 1e-10)
     with pytest.raises(numcore.NumericalError, match="tail"):
-        fuchs.series_stack(ws.points, residues, [0, None], [0.5, 0.99 / 1.2], 1e-10)
+        fuchs.series_stack(ws.points, residues, [0.5, 0.5, 0.6, 0.99 / 1.2], 1e-10)
 
 
 def _series_by_convolution(points, residues, series, tol):
@@ -1398,11 +1446,11 @@ def _series_by_convolution(points, residues, series, tol):
     V = coefficients[:, 0], exponents and scales).  Returns the coefficients
     V g_m up to the first order whose tail bound is <= tol / 100 for every
     member, and the tails there."""
-    pts, p = np.asarray(points, dtype=complex), len(series.at)
+    pts, p = np.asarray(points, dtype=complex), len(series.scale)
     v = series.coefficients[:, 0]
     s, r = v.shape[:2]
-    t = np.array([sc * pts if i is None else sc / np.where(np.arange(len(pts)) == i, np.inf, pts - pts[i])
-                  for i, sc in zip(series.at, series.scale)])[np.arange(s) % p]
+    t = np.array([sc * pts if i == p - 1 else sc / np.where(np.arange(len(pts)) == i, np.inf, pts - pts[i])
+                  for i, sc in enumerate(series.scale)])[np.arange(s) % p]
     v_inv = np.linalg.inv(v)
     a_e = v_inv[:, None] @ np.asarray(residues)[np.arange(s) // p] @ v[:, None]
     gaps = series.exponents[:, :, None] - series.exponents[:, None, :]
@@ -1422,13 +1470,13 @@ def _fixture_series_input():
     ws = fuchs.build_weight_system([0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
     loops = fuchs.MonodromyLoops(ws)
     residues = fuchs.rank2_rigid_residues(ws)[None]
-    return ws.points, residues, loops.at, loops.radii, fuchs.TRANSPORT_TOL
+    return ws.points, residues, loops.radii, fuchs.TRANSPORT_TOL
 
 
 def _rank3_series_input():
     ws = _n4_rank3_weights()
     residues = _random_residues(ws, np.random.default_rng(7), 3)
-    return ws.points, residues, [0, 1, 2, None], [0.4, 0.3, 0.5, 0.2], 1e-10
+    return ws.points, residues, [0.4, 0.3, 0.5, 0.2], 1e-10
 
 
 def _criterion9_jacobian_series_input():
@@ -1442,7 +1490,7 @@ def _criterion9_jacobian_series_input():
     shift = np.diag(rhsolve.FD_STEP * np.ones(parm.dim))
     residues = parm.residues(np.concatenate([shift, -shift]))
     loops = fuchs.MonodromyLoops(ws)
-    return ws.points, residues, loops.at, loops.radii, rhsolve.LM_TRANSPORT_TOL
+    return ws.points, residues, loops.radii, rhsolve.LM_TRANSPORT_TOL
 
 
 @pytest.mark.parametrize(
@@ -1454,11 +1502,11 @@ def test_series_stack_matches_the_direct_convolution(make_input):
     # the partial-sum recursion against the convolution over all earlier
     # orders: the same count and tails, and coefficients that agree to
     # 1e-13 of each member's largest
-    points, residues, at, radii, tol = make_input()
-    series = fuchs.series_stack(points, residues, at, radii, tol)
+    points, residues, radii, tol = make_input()
+    series = fuchs.series_stack(points, residues, radii, tol)
     want, tail = _series_by_convolution(points, residues, series, tol)
     assert series.coefficients.shape == want.shape
-    assert series.coefficients.shape[0] == len(residues) * len(at)
+    assert series.coefficients.shape[0] == len(residues) * len(radii)
     largest = np.abs(want).max(axis=(1, 2, 3))
     err = np.abs(series.coefficients - want).max(axis=(1, 2, 3))
     assert np.all(err <= 1e-13 * largest)
@@ -1476,7 +1524,7 @@ def test_series_stack_resonance_up_to_the_count_raises():
     # eigenvalues 0.2 and 3.2 at 0: the divisor 3 + 0.2 - 3.2 vanishes at
     # order 3, well below the count at q = 1/2
     with pytest.raises(fuchs.ResonanceError, match="at order 3$"):
-        fuchs.series_stack([0.0, 1.0], _resonant_at_zero(3.0), [0], [0.5], 1e-10)
+        _series_at([0.0, 1.0], _resonant_at_zero(3.0), 0, 0.5, 1e-10)
 
 
 def test_series_stack_resonance_beyond_the_count_is_not_reached():
@@ -1484,11 +1532,11 @@ def test_series_stack_resonance_beyond_the_count_is_not_reached():
     # is below tol / 100 before that order and the series is returned, at
     # q = 1/2 the count would pass order 12, and the stack raises naming it
     residues = _resonant_at_zero(12.0 + 1e-9)
-    series = fuchs.series_stack([0.0, 1.0], residues, [0], [0.01], 1e-10)
+    series = _series_at([0.0, 1.0], residues, 0, 0.01, 1e-10)
     assert series.coefficients.shape[1] - 1 < 12
     assert series.tail[0] <= 1e-12
     with pytest.raises(fuchs.ResonanceError, match="at order 12$"):
-        fuchs.series_stack([0.0, 1.0], residues, [0], [0.5], 1e-10)
+        _series_at([0.0, 1.0], residues, 0, 0.5, 1e-10)
 
 
 def test_series_stack_diverging_member_raises_without_warnings():
@@ -1501,7 +1549,7 @@ def test_series_stack_diverging_member_raises_without_warnings():
     residues = np.array([[g @ np.diag([0.2, 0.6]) @ np.linalg.inv(g),
                           h @ np.diag([0.1, 0.8]) @ np.linalg.inv(h)]], dtype=complex)
     with pytest.raises(numcore.NumericalError, match="tail not finite at order"):
-        fuchs.series_stack([0.0, 1.0], residues, [0, 1, None], [0.5, 0.5, 0.5], 1e-9)
+        fuchs.series_stack([0.0, 1.0], residues, [0.5, 0.5, 0.5], 1e-9)
 
 
 def test_monodromy_resonant_infinity_member_raises():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -244,6 +245,33 @@ def test_action_surface_warm_starts_every_point_from_the_center(rank1_weights, r
         assert target is rank1_target and init is None
         assert len(warm) == sum(eps != 0 for eps in grid)
         assert all(t is not rank1_target and i is center_system for t, i, _ in warm)
+
+
+def test_action_surface_solves_cold_when_the_center_fails(rank1_weights, rank1_target, monkeypatch):
+    # a center whose solve fails is a "solve failed" hole at eps = 0, and
+    # every other point solves cold: no init, the caller's own options
+    calls = []
+    solve = rhsolve.solve
+
+    def failing_center(weights, target, init=None, opts=None):
+        system, report = solve(weights, target, init=init, opts=opts)
+        calls.append((target, init, opts))
+        if target is rank1_target:
+            report = dataclasses.replace(report, success=False)
+        return system, report
+
+    monkeypatch.setattr(rhsolve, "solve", failing_center)
+    direction = moduli.random_tangent_direction(rank1_weights, 3)
+    opts = rhsolve.SolveOptions(restarts=1)
+    grid = [0.0, 0.02, -0.02j]
+    pts = moduli.action_surface(rank1_target, direction, grid, solve_opts=opts)
+    assert [p.eps for p in pts] == grid
+    assert not pts[0].ok and pts[0].message == "solve failed"
+    assert all(p.ok for p in pts[1:])
+    (target, init, center_opts), *cold = calls
+    assert target is rank1_target and init is None and center_opts is opts
+    assert len(cold) == 2
+    assert all(t is not rank1_target and i is None and o is opts for t, i, o in cold)
 
 
 @pytest.mark.parametrize(

@@ -235,14 +235,16 @@ def test_normalize_constant_term_is_the_richardson_limit(rank2_solved, rank2_tar
 def test_normalize_builds_the_series_at_infinity_once(rank2_solved, rank2_target, monkeypatch):
     # the constant term reads the infinity member of the series the loop
     # circles came from: one series_stack call per normalization of a system
-    # that solve did not normalize already
+    # that solve did not normalize already, whose stack holds every point,
+    # infinity last at the big circle's radius 1 / |z0|
     system, _ = rank2_solved
     copy = fuchs.FuchsianSystem(system.weights, system.residues.copy())
     calls = []
     series_stack = fuchs.series_stack
     monkeypatch.setattr(fuchs, "series_stack", lambda *a: calls.append(a[2]) or series_stack(*a))
     rhsolve.normalize_at_infinity(copy, rank2_target)
-    assert calls == [[0, 1, None]]
+    assert len(calls) == 1 and len(calls[0]) == system.weights.n
+    assert calls[0][-1] == 1.0 / abs(system.weights.default_basepoint())
 
 
 def test_normalize_sums_the_series_frame_once(rank2_solved, rank2_target, monkeypatch):
@@ -267,7 +269,7 @@ def test_normalize_keeps_the_matched_loop_series(rank2_solved, rank2_target):
     norm = rhsolve.normalize_at_infinity(system, rank2_target)
     loops = fuchs.MonodromyLoops(system.weights)
     series = norm.series
-    assert series.at == (0, 1, None) and series.coords.shape == (3, 2, 2)
+    assert series.scale.shape == (3,) and series.coords.shape == (3, 2, 2)
     for s, circle in enumerate(loops.circles):
         got = series.values(s, circle.radius, circle.angle0)
         if s < len(loops.approaches):

@@ -1,11 +1,12 @@
 import dataclasses
+import re
 import time
 
 import numpy as np
 import pytest
 
 from conftest import FINE, direct_sum, off_curve_integrals, transport_path
-from rhwznw import factor, fuchs, moduli, numcore, paths, rhsolve, wznw
+from rhwznw import factor, fuchs, moduli, numcore, paths, rhsolve, verify, wznw
 
 
 def test_metric_rank1_explicit(rank1_field, rank1_weights):
@@ -271,11 +272,14 @@ def test_y_at_and_the_web_switch_to_the_series_at_infinity_at_z0(rank2_field):
     # one region rule: for |z| >= |z0| y_at reads the series at infinity (see
     # above), and the web's outer region, read from the same series, starts
     # on that circle (its first Gauss-Legendre node lies just beyond it), so
-    # no node of the web beyond |z0| is reached by a ray
+    # no node of the web beyond |z0| is reached by a ray; the outer region's
+    # radius is its local coordinate 1 / |z|
     fld = rank2_field
     web = wznw.TransportWeb(fld, wznw.DELTA_SCHEDULE)
     r0 = abs(fld.basepoint)
-    assert r0 <= web.regions[-1].rho.min() < 1.05 * r0
+    outer = web.regions[-1]
+    assert r0 <= np.abs(outer.z).min() < 1.05 * r0
+    np.testing.assert_allclose(outer.rho, 1.0 / np.abs(outer.z), rtol=1e-14)
 
 
 def test_h_at_matches_a_transported_reference(rank2_field):
@@ -392,7 +396,7 @@ def test_flatness_constant_field():
         system=system,
         basepoint_value=np.eye(1, dtype=complex),
         # Y0 = 1 on every member: series_stack's coordinates describe Y0
-        series=fuchs.series_stack(ws.points, zeros[None], loops.at, loops.radii, fuchs.TRANSPORT_TOL),
+        series=fuchs.series_stack(ws.points, zeros[None], loops.radii, fuchs.TRANSPORT_TOL),
         monodromy_quality=0.0,
     )
     assert wznw.flatness_residual(fld, 0.5 + 0.4j, 1e-3) < 1e-10
@@ -631,6 +635,68 @@ def test_counterterm_annulus(rank2_field, rank2_weights):
         assert abs(val / pred - 1) <= 1e-3
 
 
+def test_counterterm_at_infinity():
+    # the K2 counterterm, which enters the action only through the delta
+    # fit: the kinetic integral over 1/(2 delta) < |z| < 1/delta, read from
+    # the series at infinity (point n-1), tends to 2 pi log 2 K2 as delta -> 0
+    fld = verify.rigid_fixture_field()
+    inf = fld.weights.n - 1
+    pred = 2 * np.pi * np.log(2.0) * fld.weights.counterterm_coefficients()[1]
+    errors = []
+    for delta in (1e-2, 1e-3, 1e-4):
+        x, _, wt, y = wznw._series_grid(fld, inf, wznw._log_panels(0.5 / delta, 1.0 / delta, []))
+        kin, _ = wznw.densities(y, wznw._region_A(fld.system, inf, x))
+        errors.append(abs(float(np.sum(wt * kin)) / pred - 1))
+    assert errors[0] > errors[1] > errors[2]
+    assert errors[2] <= 1e-6, errors
+
+
+def _rank1_field_at(points):
+    """The rank-1 field of the weights [[.3], [.45], [.8], [.45]] at three points."""
+    ws = fuchs.build_weight_system(points, [[0.3], [0.45], [0.8], [0.45]])
+    target = fuchs.build_admissible_rep(ws, [np.eye(1, dtype=complex)] * 3)
+    return wznw.make_metric_field(fuchs.FuchsianSystem(ws, ws.weights[:-1, :, None]), target)
+
+
+@pytest.mark.parametrize(
+    "points, where",
+    [((-0.3, 0.0, 0.2), "puncture 1"), ((-6.5, 0.0, 5.0), "infinity")],
+    ids=["close-pair", "far-point"],
+)
+def test_default_schedule_refused_at_the_smallest_ring(points, where):
+    # a pair 0.2 apart gives puncture 1 the ring 0.1, and a point at
+    # |z| = 6.5 gives infinity the ring 1 / |z0| = 1/13: the default
+    # schedule's 0.1 does not fit, and the refusal names the point and the
+    # bound ring / RING_MARGIN; the schedule scaled under it runs and matches
+    # the closed form
+    fld = _rank1_field_at(points)
+    ring = float(fld.series.radius.min())
+    bound = ring / wznw.RING_MARGIN
+    message = f"of {where}: every delta must be below {bound:.6g}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        wznw.action_regularized(fld)
+    scaled = tuple(0.2 * d for d in wznw.DELTA_SCHEDULE)
+    assert max(scaled) < bound
+    closed = wznw.abelian_action_closed_form(fld.weights)
+    assert abs(wznw.action_regularized(fld, scaled).value / closed - 1) <= 1e-4
+
+
+@pytest.mark.parametrize("share, fits", [(0.82, True), (0.84, False)])
+def test_ring_margin_band(share, fits):
+    # the schedule (d, d/2, d/4, d/8) at d = share times the smallest ring
+    # (puncture 1's 0.1): RING_MARGIN d is 0.984 of the ring at 0.82, which
+    # runs, and 1.008 at 0.84, which is refused
+    fld = _rank1_field_at((-0.3, 0.0, 0.2))
+    d = share * float(fld.series.radius.min())
+    schedule = (d, d / 2, d / 4, d / 8)
+    if not fits:
+        with pytest.raises(ValueError, match="of puncture 1: every delta must be below"):
+            wznw.action_regularized(fld, schedule)
+        return
+    closed = wznw.abelian_action_closed_form(fld.weights)
+    assert abs(wznw.action_regularized(fld, schedule).value / closed - 1) <= 1e-3
+
+
 def test_cholesky_exponents_along_ray(rank2_field, rank2_weights):
     # local log-log slope of the Cholesky diagonal recovers 2 alpha_ij
     rhos = np.array([0.4, 1e-3, 1e-4])
@@ -848,10 +914,8 @@ def test_field_does_not_depend_on_the_normalization_source(problem, request):
     assert np.array_equal(fresh.basepoint_value, handed.basepoint_value)
     assert fresh.basepoint == handed.basepoint
     assert fresh.monodromy_quality == handed.monodromy_quality
-    assert fresh.series.at == handed.series.at
     for f in dataclasses.fields(fuchs.SeriesStack):
-        if f.name != "at":
-            assert np.array_equal(getattr(fresh.series, f.name), getattr(handed.series, f.name)), f.name
+        assert np.array_equal(getattr(fresh.series, f.name), getattr(handed.series, f.name)), f.name
 
 
 @pytest.mark.parametrize(
@@ -870,7 +934,7 @@ def test_series_angle_counts_keep_the_totals(problems, monkeypatch):
     # agrees with the same web at 192 angles on every circle
     fields = [wznw.make_metric_field(system, target) for system, target in problems()]
     sized = [wznw.action_regularized(fld) for fld in fields]
-    monkeypatch.setattr(wznw, "_angle_counts", lambda series, at, rho: np.full(len(rho), 192))
+    monkeypatch.setattr(wznw, "_angle_counts", lambda series, p, rho: np.full(len(rho), 192))
     for fld, act in zip(fields, sized):
         full = wznw.action_regularized(fld)
         assert act.web_nodes < full.web_nodes
@@ -878,28 +942,30 @@ def test_series_angle_counts_keep_the_totals(problems, monkeypatch):
             assert abs(total - want) <= 1e-12
 
 
-@pytest.mark.parametrize("at", [0, None], ids=["patch", "outer"])
-def test_series_grid_matches_per_circle_values(rank2_oracle_system, rank2_target, at):
+@pytest.mark.parametrize("p", [0, 2], ids=["patch", "outer"])
+def test_series_grid_matches_per_circle_values(rank2_oracle_system, rank2_target, p):
     # the one pointwise call over every circle of a region, each circle at
-    # its own angle count, matches the circles evaluated one at a time
+    # its own angle count, matches the circles evaluated one at a time; the
+    # outer region is point n-1 = 2, infinity, with the radius 1 / |z|
     fld = wznw.make_metric_field(rank2_oracle_system, rank2_target)
     deltas = list(wznw.DELTA_SCHEDULE)
-    if at is None:
+    outer = p == fld.weights.n - 1
+    if outer:
         radial = wznw._log_panels(abs(fld.basepoint), 1 / min(deltas), [1 / d for d in deltas])
     else:
-        radial = wznw._log_panels(min(deltas), float(fld.series.radius[at]), deltas)
-    x, rho, wt, y = wznw._series_grid(fld, at, radial)
+        radial = wznw._log_panels(min(deltas), float(fld.series.radius[p]), deltas)
+    x, rho, wt, y = wznw._series_grid(fld, p, radial)
     radii = np.exp(radial[0])
-    counts = wznw._angle_counts(fld.series, at, radii)
+    counts = wznw._angle_counts(fld.series, p, radii)
     assert len(np.unique(counts)) > 1 and len(x) == len(y) == counts.sum()
     for c, n in enumerate(counts):
         part = slice(counts[:c].sum(), counts[: c + 1].sum())
         phis = 2 * np.pi * (np.arange(n) + 0.5) / n
-        want = fld.series.values(-1 if at is None else at, radii[c], phis)
+        want = fld.series.values(p, radii[c], phis)
         err = np.linalg.norm(y[part] - want, axis=(-2, -1))
         assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))
         assert np.array_equal(x[part], radii[c] * np.exp(1j * phis))
-        assert np.all(rho[part] == radii[c])
+        assert np.all(rho[part] == (1.0 / radii[c] if outer else radii[c]))
         assert np.isclose(wt[part].sum(), 2 * np.pi * radial[1][c] * radii[c] ** 2, rtol=1e-14)
 
 
