@@ -120,8 +120,9 @@ ADMISSIBLE_SPECTRUM_TOL = 1e-6
 # commutant_dimension counts the singular values up to this times the largest
 COMMUTANT_TOL = 1e-8
 # the transport and local-series tolerance of the normalization at infinity,
-# the metric field and its flatness stencil, the action's web and the CLI's
-# monodromy; the LM residuals use rhsolve.LM_TRANSPORT_TOL
+# the metric field and its flatness stencil, the action's web, the CLI's
+# monodromy and the LM residual at a chart point; a Jacobian stack runs at
+# rhsolve.JACOBIAN_TOL
 TRANSPORT_TOL = 1e-10
 
 

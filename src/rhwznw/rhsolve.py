@@ -15,15 +15,19 @@ and each iteration's central-difference Jacobian, a single stack of 2 dim
 points, mapped to residues by one batched numcore.expm, taken through the
 weights' loop set (every loop circle in closed form from one stacked
 local-series recursion, one kernel call per approach leg), and
-gauge-aligned in one call.
+gauge-aligned in one call.  Each runs at the tolerance its use needs: a
+point at fuchs.TRANSPORT_TOL, the normalization's, a Jacobian stack at
+the looser JACOBIAN_TOL.
 
 The loops and the gauge alignment live in fuchs (WeightSystem.loops,
 align_tuple_to_target); nothing here builds or passes a loop set.  A
 restart's final residual is the squared norm of the generator block of
-its last LM residual: nothing is transported again.  Nor is the
-solution after its one normalization: normalize_at_infinity hands it back
-for the system that solve returned and its target object
-(_NORMALIZATIONS, held weakly).
+its last LM residual, and the solution is LM's last point evaluation
+(ResidueParametrization.last_point): solve returns its residues and
+normalizes its series and gauge alignment, so nothing is transported
+again.  Nor is the solution after that: normalize_at_infinity hands the
+normalization back for the system that solve returned and its target
+object (_NORMALIZATIONS, held weakly).
 
 Both records are keyed on objects of the problem types, which are values
 (fuchs.WeightSystem, AdmissibleRep and FuchsianSystem: frozen, with
@@ -35,10 +39,10 @@ stacks there, the chart center x0 = 0 and the central-difference stack at
 x0, depend on init alone up to the gauge alignment to the target.  Each
 init object given to solve owns one warm start record (_WarmStart, held
 weakly, so it dies with init): the chart, and the residues and loop
-generators of those two stacks, read-only, kept as LM first evaluates
-them.  A later warm solve from the same init on the same weights object
-aligns them to its own target without transporting them again, and takes
-the same LM steps to the same bits.
+generators of those two stacks, with the point's series, read-only, kept
+as LM first evaluates them.  A later warm solve from the same init on the
+same weights object aligns them to its own target without transporting
+them again, and takes the same LM steps to the same bits.
 Cold solves and restarts after the first never read a record.
 """
 
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -65,9 +69,9 @@ class ReducibleTargetError(ValueError):
 INFINITY_WEIGHT = 10.0
 # relative step of the central-difference Jacobian, scaled by max(1, |x_j|)
 FD_STEP = 1e-6
-# transport and local-series tolerance of the LM residuals; (10 times it)^2
-# is the floor of the LM's target cost
-LM_TRANSPORT_TOL = 1e-9
+# transport and local-series tolerance of a central-difference Jacobian
+# stack; a chart point runs at fuchs.TRANSPORT_TOL (residual_vector)
+JACOBIAN_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +88,9 @@ class ResidueParametrization:
 
     weights: fuchs.WeightSystem
     basepoints: np.ndarray  # (n-1, r, r)
+    # the last chart point that residual_vector evaluated (_PointEvaluation),
+    # which solve normalizes when it is LM's solution; not a field
+    last_point = None
 
     @property
     def dim(self) -> int:
@@ -110,16 +117,18 @@ class ResidueParametrization:
         return cs @ diag_stack(self.weights.weights[:-1]) @ np.linalg.inv(cs)
 
     def system(self, x: np.ndarray) -> fuchs.FuchsianSystem:
-        return fuchs.FuchsianSystem(self.weights, self.residues(x))
+        """The system at one chart point x (dim,), with the residues that
+        residual_vector evaluates there (a stack of one), bit for bit."""
+        return fuchs.FuchsianSystem(self.weights, self.residues(x[None])[0])
 
-    def loop_generators(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def loop_generators(self, xs: np.ndarray, tol: float) -> tuple:
         """The target-free part of the residuals of a (B, dim) stack of chart
-        points: its residues (B, n-1, r, r) and their monodromy generators
-        (B, n, r, r) on the weights' loop set at LM_TRANSPORT_TOL, each from
-        one call."""
+        points: its residues (B, n-1, r, r), their monodromy generators
+        (B, n, r, r) and the loops' series on the weights' loop set at tol,
+        each from one call."""
         residues = self.residues(xs)
-        gens, _ = self.weights.loops.monodromy(residues, LM_TRANSPORT_TOL)
-        return residues, gens
+        gens, series = self.weights.loops.monodromy(residues, tol)
+        return residues, gens, series
 
 
 def parametrization_from_system(system: fuchs.FuchsianSystem) -> ResidueParametrization:
@@ -137,25 +146,31 @@ def parametrization_from_system(system: fuchs.FuchsianSystem) -> ResidueParametr
 
 @dataclass(eq=False)
 class _WarmStart(ResidueParametrization):
-    """The warm start record of one init system: its chart, and the residues
-    and generators (loop_generators) of the two stacks that LM evaluates
-    first at the chart center x0 = 0, the point itself and the
-    central-difference stack of _central_points(x0).  Each is kept when it is
-    first evaluated, read-only, and handed to every later evaluation of the
-    same stack; any other stack is evaluated afresh.  The init is a value
-    (fuchs.FuchsianSystem), so the record holds for as long as it lives.
+    """The warm start record of one init system: its chart, and the
+    loop_generators of the two stacks that LM evaluates first at the chart
+    center x0 = 0: the point itself at fuchs.TRANSPORT_TOL, with its series
+    (a solve that takes no step normalizes it), and the central-difference
+    stack of _central_points(x0) at JACOBIAN_TOL, without.  Each is kept when
+    it is first evaluated, read-only, and handed to every later evaluation
+    of the same stack at the same tolerance; any other is evaluated afresh.
+    The init is a value (fuchs.FuchsianSystem), so the record holds for as
+    long as it lives.
     """
 
-    # [points, (residues, generators) or None] of the two first stacks
+    # [points, tol, (residues, generators, series or None) or None] of the two first stacks
     first: list
 
-    def loop_generators(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def loop_generators(self, xs: np.ndarray, tol: float) -> tuple:
         for entry in self.first:
-            if np.array_equal(xs, entry[0]):
-                if entry[1] is None:
-                    entry[1] = tuple(map(read_only, super().loop_generators(xs)))
-                return entry[1]
-        return super().loop_generators(xs)
+            if tol == entry[1] and np.array_equal(xs, entry[0]):
+                if entry[2] is None:
+                    residues, gens, series = super().loop_generators(xs, tol)
+                    if len(xs) == 1:
+                        series = replace(series, **{f.name: read_only(getattr(series, f.name))
+                                                    for f in fields(series)})
+                    entry[2] = (read_only(residues), read_only(gens), series if len(xs) == 1 else None)
+                return entry[2]
+        return super().loop_generators(xs, tol)
 
 
 # the warm start record of each init object solve was given, dropped with it
@@ -171,7 +186,10 @@ def _warm_start(weights: fuchs.WeightSystem, init: fuchs.FuchsianSystem) -> _War
         return rec
     chart = parametrization_from_system(fuchs.FuchsianSystem(weights, init.residues))
     x0 = np.zeros(chart.dim)
-    first = [[read_only(x0[None]), None], [read_only(_central_points(x0)[1]), None]]
+    first = [
+        [read_only(x0[None]), fuchs.TRANSPORT_TOL, None],
+        [read_only(_central_points(x0)[1]), JACOBIAN_TOL, None],
+    ]
     rec = _WarmStart(weights, chart.basepoints, first)
     _WARM_STARTS[init] = rec
     return rec
@@ -181,19 +199,39 @@ def _warm_start(weights: fuchs.WeightSystem, init: fuchs.FuchsianSystem) -> _War
 # residual
 
 
+@dataclass(frozen=True)
+class _PointEvaluation:
+    """What residual_vector evaluated at one chart point x, at
+    fuchs.TRANSPORT_TOL: everything the normalization at infinity of the
+    point's system reads (_normalize), so that solve normalizes LM's last
+    point without evaluating it again."""
+
+    x: np.ndarray
+    series: fuchs.SeriesStack
+    aligned: fuchs.TupleAlignment  # of the generators (n, r, r) to the target
+
+
 def residual_vector(
     parm: ResidueParametrization, x: np.ndarray, target: fuchs.AdmissibleRep
 ) -> np.ndarray:
     """Concatenated gauge-aligned monodromy and infinity-spectrum residuals:
-    (m,) at a chart point x (dim,), (B, m) for a (B, dim) stack; a point
-    runs as a stack of one.  The stack's target-free residues and generators
-    come from the chart (ResidueParametrization.loop_generators), their gauge
-    alignment to the target from one call; then the infinity spectrum."""
+    (m,) at a chart point x (dim,), (B, m) for a (B, dim) stack.  Each runs
+    at the tolerance its use needs: a point, an LM start or trial point that
+    may become the solution, at fuchs.TRANSPORT_TOL, the tolerance of its
+    normalization; a stack, a central-difference Jacobian, at JACOBIAN_TOL.
+    Its members share one step sequence and one series length, so their
+    differences are derivatives of one discretization (internal numerical
+    differentiation), far more accurate than the tolerance.  The
+    target-free residues and generators come from the chart
+    (ResidueParametrization.loop_generators), their gauge alignment to the
+    target from one call; then the infinity spectrum.  A point's evaluation
+    is kept on the chart as its last_point (_PointEvaluation)."""
     x = np.asarray(x, dtype=float)
-    xs = x[None] if x.ndim == 1 else x
-    residues, gens = parm.loop_generators(xs)
-    aligned = align_tuple_to_target(gens, target).generators
-    diff = aligned - target.generators
+    point = x.ndim == 1
+    xs = x[None] if point else x
+    residues, gens, series = parm.loop_generators(xs, fuchs.TRANSPORT_TOL if point else JACOBIAN_TOL)
+    aligned = align_tuple_to_target(gens, target)
+    diff = aligned.generators - target.generators
     # per generator: real parts, then imaginary parts
     d = np.stack([diff.real, diff.imag], axis=2).reshape(len(gens), -1)
     lam = sorted_eigvals(-np.sum(residues, axis=1))
@@ -202,7 +240,11 @@ def residual_vector(
         [d, INFINITY_WEIGHT * (lam.real - tgt), INFINITY_WEIGHT * lam.imag],
         axis=1,
     )
-    return f[0] if x.ndim == 1 else f
+    if not point:
+        return f
+    one = fuchs.TupleAlignment(aligned.generators[0], aligned.conjugator[0], aligned.mismatch[0])
+    parm.last_point = _PointEvaluation(x.copy(), series, one)
+    return f[0]
 
 
 def _central_points(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,9 +313,9 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, opts: SolveOptions):
     n_iter = 0
     # cost is on the squared scale of the gauge distance; stop at the
     # acceptance bound tol^2, floored at the noise level (10
-    # LM_TRANSPORT_TOL)^2 that the transport tolerance sets, which binds
-    # only for tol below 1e-8
-    target_cost = max(opts.tol**2, (10.0 * LM_TRANSPORT_TOL) ** 2)
+    # fuchs.TRANSPORT_TOL)^2 that a point's transport tolerance sets, which
+    # binds only for tol below 1e-9
+    target_cost = max(opts.tol**2, (10.0 * fuchs.TRANSPORT_TOL) ** 2)
     for n_iter in range(1, opts.max_iter + 1):
         if cost <= target_cost:
             break
@@ -339,7 +381,10 @@ def solve(
     is at most opts.tol; the report's final_residual is its square.  The
     returned report carries the normalization at infinity of a successful
     solution, whose large_cell_flag it reads, and normalize_at_infinity
-    hands it back for the returned system (module docstring).
+    hands it back for the returned system (module docstring).  It is built
+    from LM's last point evaluation (_normalize), which is the solution's
+    unless LM rejected trial points after it; then the solution is
+    normalized afresh (normalize_at_infinity), to the same bits.
     """
     opts = opts or SolveOptions()
     if not target.is_irreducible():
@@ -379,7 +424,9 @@ def solve(
         # 2r entries are the infinity-spectrum penalty
         gauge = f[: -2 * r]
         final = float(gauge @ gauge)
-        cand = (final, restart, parm, x, iters, history)
+        # LM's last point evaluation, unless trial points that it rejected came after x
+        last = parm.last_point if np.array_equal(parm.last_point.x, x) else None
+        cand = (final, restart, parm, x, iters, history, last)
         if best is None or cand[0] < best[0]:
             best = cand
         # final is a squared distance, tol a distance
@@ -387,12 +434,16 @@ def solve(
         if success:
             break
 
-    final, restart, parm, x, iters, history = best
+    final, restart, parm, x, iters, history, last = best
     system = parm.system(x)
     norm = None
     if success:
         try:
-            norm = normalize_at_infinity(system, target)
+            if last is None:
+                norm = normalize_at_infinity(system, target)
+            else:
+                _refuse_resonance_at_infinity(weights)
+                norm = _normalize(system, last.series, last.aligned)
             _NORMALIZATIONS[system] = (target, norm)
         except NumericalError as exc:
             warnings.warn(f"normalization at infinity failed: {exc}")
@@ -476,14 +527,26 @@ def normalize_at_infinity(
     if rec is not None and rec[0] is target:
         return rec[1]
     ws = system.weights
+    _refuse_resonance_at_infinity(ws)
+    gens, series = ws.loops.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
+    return _normalize(system, series, align_tuple_to_target(gens[0], target))
+
+
+def _refuse_resonance_at_infinity(ws: fuchs.WeightSystem) -> None:
     diffs = ws.infinity_exponents[:, None] - ws.infinity_exponents[None, :]
     off = np.abs(diffs - np.round(diffs))
     mask = ~np.eye(len(ws.infinity_exponents), dtype=bool)
     if ws.rank > 1 and np.min(off[mask]) < 1e-6:
         raise ResonanceError("infinity exponents have (near) integer differences")
 
-    gens, series = ws.loops.monodromy(system.residues[None], fuchs.TRANSPORT_TOL)
-    aligned = align_tuple_to_target(gens[0], target)
+
+def _normalize(
+    system: fuchs.FuchsianSystem, series: fuchs.SeriesStack, aligned: fuchs.TupleAlignment
+) -> NormalizationResult:
+    """The normalization at infinity (normalize_at_infinity) of one
+    evaluation of the system's loop set at fuchs.TRANSPORT_TOL: its series
+    (n members) and the gauge alignment of its generators to the target."""
+    ws = system.weights
     W = aligned.conjugator
     coords = series.coords @ W
     inf = ws.n - 1  # the big circle's member: at infinity, radius 1/|z0|

@@ -1490,7 +1490,7 @@ def _criterion9_jacobian_series_input():
     shift = np.diag(rhsolve.FD_STEP * np.ones(parm.dim))
     residues = parm.residues(np.concatenate([shift, -shift]))
     loops = fuchs.MonodromyLoops(ws)
-    return ws.points, residues, loops.radii, rhsolve.LM_TRANSPORT_TOL
+    return ws.points, residues, loops.radii, rhsolve.JACOBIAN_TOL
 
 
 @pytest.mark.parametrize(

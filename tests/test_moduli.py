@@ -158,8 +158,9 @@ def test_action_surface_single_point(rank1_weights, rank1_target, rank1_field):
 
 def test_action_surface_normalizes_each_point_once(rank1_weights, rank1_target, monkeypatch):
     # on a rank-1 chart of dimension 0 each point's solve evaluates its one
-    # chart point at the LM's tolerance and normalizes it once at the
-    # normalization's, and the field reads that normalization back
+    # chart point once, at the normalization's tolerance, and normalizes that
+    # evaluation without a loop set of its own; the field reads the
+    # normalization back
     from rhwznw import fuchs, rhsolve
 
     calls = []
@@ -175,7 +176,7 @@ def test_action_surface_normalizes_each_point_once(rank1_weights, rank1_target, 
         rank1_target, direction, [0.0, 0.02], solve_opts=rhsolve.SolveOptions(restarts=1)
     )
     assert all(p.ok for p in pts)
-    assert calls == [(1, rhsolve.LM_TRANSPORT_TOL), (1, fuchs.TRANSPORT_TOL)] * 2
+    assert calls == [(1, fuchs.TRANSPORT_TOL)] * 2
 
 
 def test_action_surface_hole_above_monodromy_quality_gate(rank1_weights, rank1_target, monkeypatch):

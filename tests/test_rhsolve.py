@@ -95,11 +95,11 @@ def test_non_finite_trial_point_raises_numerical_error(monkeypatch, rank2_target
         rhsolve.residual_vector(parm, x, rank2_target)
     real = parm.loop_generators
 
-    def non_finite_residues(xs):
-        residues, gens = real(xs)
+    def non_finite_residues(xs, tol):
+        residues, gens, series = real(xs, tol)
         residues = residues.copy()
         residues[:, 0, 0, 0] = bad
-        return residues, gens
+        return residues, gens, series
 
     monkeypatch.setattr(parm, "loop_generators", non_finite_residues)
     with pytest.raises(numcore.NumericalError, match="non-finite"):
@@ -117,16 +117,35 @@ def test_residual_vector_stack_rows_match_points_rank1(rank1_weights, rank1_targ
 
 
 def test_residual_vector_stack_rows_match_points_rank2(rank2_target, rank2_oracle_system):
+    # the stack runs at JACOBIAN_TOL and each point at fuchs.TRANSPORT_TOL;
+    # the rows agree to 3e-10
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
     xs = 0.1 * np.random.default_rng(9).standard_normal((4, parm.dim))
     f = rhsolve.residual_vector(parm, xs, rank2_target)
     for row, x in zip(f, xs):
         one = rhsolve.residual_vector(parm, x, rank2_target)
-        # the stack shares its transport steps, so rows agree to the transport tolerance
         assert np.max(np.abs(row - one)) <= 1e-8
-    # a point runs as a stack of one
-    one = rhsolve.residual_vector(parm, xs[0], rank2_target)
-    assert np.array_equal(rhsolve.residual_vector(parm, xs[:1], rank2_target), one[None])
+
+
+def test_residual_vector_runs_each_evaluation_at_its_use(rank2_target, rank2_oracle_system, monodromy_calls):
+    # a point, which may become the solution, runs at the normalization's
+    # tolerance and is kept on the chart with what the normalization reads; a
+    # stack, a Jacobian's even with one member, runs at JACOBIAN_TOL and is not kept
+    parm = rhsolve.parametrization_from_system(rank2_oracle_system)
+    x = 0.05 * np.random.default_rng(4).standard_normal(parm.dim)
+    rhsolve.residual_vector(parm, x, rank2_target)
+    last = parm.last_point
+    rhsolve.residual_vector(parm, x[None], rank2_target)
+    rhsolve.central_jacobian(partial(rhsolve.residual_vector, parm, target=rank2_target), x)
+    assert monodromy_calls == [
+        (1, fuchs.TRANSPORT_TOL), (1, rhsolve.JACOBIAN_TOL), (2 * parm.dim, rhsolve.JACOBIAN_TOL)
+    ]
+    assert parm.last_point is last and np.array_equal(last.x, x)
+    gens, series = rank2_oracle_system.weights.loops.monodromy(parm.residues(x[None]), fuchs.TRANSPORT_TOL)
+    aligned = rhsolve.align_tuple_to_target(gens[0], rank2_target)
+    assert np.array_equal(last.aligned.conjugator, aligned.conjugator)
+    assert np.array_equal(last.aligned.generators, aligned.generators)
+    assert np.array_equal(last.series.coords, series.coords)
 
 
 def test_solve_rank1(rank1_weights, rank1_target):
@@ -436,7 +455,7 @@ def test_lm_rejects_a_trial_point_whose_loop_matrix_is_singular(
     monkeypatch.setattr(owner, name, patched)
     armed[0] = True
     with pytest.raises(numcore.NumericalError, match=message):
-        rank2_weights.loops.monodromy(rank2_oracle_system.residues[None], rhsolve.LM_TRANSPORT_TOL)
+        rank2_weights.loops.monodromy(rank2_oracle_system.residues[None], fuchs.TRANSPORT_TOL)
 
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
     x0 = 0.05 * np.random.default_rng(4).standard_normal(parm.dim)
@@ -499,10 +518,8 @@ def test_stacked_jacobian_matches_columns(rank2_target, rank2_oracle_system):
         columns.append((fp - fm) / (2 * h))
     J_cols = np.stack(columns, axis=1)
     assert J.shape == J_cols.shape
+    # the stack at JACOBIAN_TOL, the columns' points at fuchs.TRANSPORT_TOL
     assert numcore.fro(J - J_cols) <= 1e-6 * numcore.fro(J_cols)
-    # the residual at one point is the stacked residual of a one-member stack
-    f = rhsolve.residual_vector(parm, x, rank2_target)
-    assert np.array_equal(f, rhsolve.residual_vector(parm, x[None, :], rank2_target)[0])
 
 
 def test_cold_solve_fixture(rank2_weights, rank2_target):
@@ -628,13 +645,13 @@ def warm_family():
 
 @pytest.fixture
 def monodromy_calls(monkeypatch):
-    """The residue stack size of every MonodromyLoops.monodromy call."""
+    """The residue stack size and tolerance of every MonodromyLoops.monodromy call."""
     calls = []
     real = fuchs.MonodromyLoops.monodromy
 
-    def counted(self, *args):
-        calls.append(len(args[0]))
-        return real(self, *args)
+    def counted(self, residues, tol):
+        calls.append((len(residues), tol))
+        return real(self, residues, tol)
 
     monkeypatch.setattr(fuchs.MonodromyLoops, "monodromy", counted)
     return calls
@@ -704,15 +721,18 @@ def test_warm_record_is_read_only_and_dies_with_its_init(warm_family):
     init = fuchs.FuchsianSystem(ws, center.residues.copy())
     rhsolve.solve(ws, target, init=init, opts=WARM_OPTS)
     rec = rhsolve._WARM_STARTS[init]
-    kept = []
-    for points, saved in rec.first:
-        kept += [points, *saved]
-    assert len(kept) == 6
+    # the point x0 keeps its series, which a solve without a step normalizes;
+    # the Jacobian stack keeps none
+    (_, tol0, (*point, series)), (_, tol1, (*stack, none)) = rec.first
+    assert (tol0, tol1) == (fuchs.TRANSPORT_TOL, rhsolve.JACOBIAN_TOL) and none is None
+    kept = [rec.first[0][0], *point, rec.first[1][0], *stack]
+    kept += [getattr(series, f.name) for f in dataclasses.fields(series)]
+    assert len(kept) == 13
     for a in kept:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
     ref = weakref.ref(rec)
-    del rec, kept, init
+    del rec, kept, init, series
     gc.collect()
     assert ref() is None
 
@@ -743,15 +763,21 @@ def test_field_after_a_solve_transports_nothing(warm_family, monodromy_calls):
     assert ref() is None and len(rhsolve._NORMALIZATIONS) == records - 1
 
 
-def test_zero_step_warm_solve_returns_residues_apart_from_the_record(warm_family):
+def test_zero_step_warm_solve_returns_residues_apart_from_the_record(warm_family, monodromy_calls):
     # re-solving the center from its own solution stops at the warm record's
     # x0 without a step, where LM's evaluation is the record's read-only
-    # one: the returned system's residues are read-only and its own
+    # one: the returned system's residues are read-only and its own, and its
+    # normalization reads the record's series, so a repeat transports nothing
     ws, _, center = warm_family
     rep = moduli.random_admissible_rep(ws, seed=5)
+    rhsolve.solve(ws, rep, init=center, opts=WARM_OPTS)
+    before = len(monodromy_calls)
     system, report = rhsolve.solve(ws, rep, init=center, opts=WARM_OPTS)
+    assert len(monodromy_calls) == before
     assert report.success and len(report.objective_history) == 1
-    saved = rhsolve._WARM_STARTS[center].first[0][1][0]
+    copy = fuchs.FuchsianSystem(ws, system.residues.copy())
+    _assert_same_normalization(report.normalization, rhsolve.normalize_at_infinity(copy, rep))
+    saved = rhsolve._WARM_STARTS[center].first[0][2][0]
     assert not saved.flags.writeable and not system.residues.flags.writeable
     assert not np.shares_memory(system.residues, saved)
     with pytest.raises(ValueError, match="read-only"):
@@ -773,3 +799,101 @@ def test_written_target_cannot_stale_the_solves_normalization(warm_family):
     got = rhsolve.normalize_at_infinity(system, target)
     assert got is report.normalization
     _assert_same_normalization(got, rhsolve.normalize_at_infinity(system, dataclasses.replace(target)))
+
+
+def _seeded_cold_chart(weights, seed):
+    """A chart whose basepoints are drawn as a cold restart of solve draws them."""
+    n, r = weights.n, weights.rank
+    g = np.random.default_rng(seed).standard_normal((n - 1, 2, r, r))
+    ks = 0.6 * (g[:, 0] + 1j * g[:, 1])
+    ks[:, np.arange(r), np.arange(r)] = 0.0
+    return rhsolve.ResidueParametrization(weights, numcore.expm(ks))
+
+
+@pytest.mark.parametrize("where", ["stencil", "cold-1", "cold-2"])
+def test_jacobian_at_the_stack_tolerance_matches_a_tight_reference(where, monkeypatch, request):
+    # the stack's members share one step sequence and one series length, so
+    # its central differences are derivatives of one discretization: at
+    # JACOBIAN_TOL the Jacobian agrees with one at 1e-12 far inside the
+    # tolerance (4.2e-9 at the criterion-9 stencil point, 9.8e-9 and 1.4e-8
+    # at the fixture's cold charts 1 and 2)
+    if where == "stencil":
+        _, target, center = request.getfixturevalue("warm_family")
+        parm = rhsolve.parametrization_from_system(center)
+    else:
+        target = request.getfixturevalue("rank2_target")
+        parm = _seeded_cold_chart(target.weights, int(where[-1]))
+    residuals = partial(rhsolve.residual_vector, parm, target=target)
+    x = np.zeros(parm.dim)
+    J = rhsolve.central_jacobian(residuals, x)
+    monkeypatch.setattr(rhsolve, "JACOBIAN_TOL", 1e-12)
+    reference = rhsolve.central_jacobian(residuals, x)
+    assert numcore.fro(J - reference) <= 1e-7 * numcore.fro(reference)
+
+
+@pytest.fixture
+def transport_work(monkeypatch):
+    """Calls and steps of the module-level fuchs.transport."""
+    work = {"calls": 0, "steps": 0}
+    real = fuchs.transport
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        work["calls"] += 1
+        work["steps"] += out.step_count
+        return out
+
+    monkeypatch.setattr(fuchs, "transport", counted)
+    return work
+
+
+def test_warm_stencil_point_makes_three_transport_calls(warm_family, transport_work, monodromy_calls):
+    # after one warm solve from the center has made its record, a stencil
+    # point's solve evaluates its first trial point, one Jacobian stack and
+    # the second trial point, which it normalizes: three loop sets, one
+    # transport call each
+    ws, first, center = warm_family
+    rhsolve.solve(ws, first, init=center, opts=WARM_OPTS)
+    direction = moduli.random_tangent_direction(ws, seed=1)
+    target = moduli.deform_rep(moduli.random_admissible_rep(ws, seed=5), direction, 0.025j)
+    transport_work.update(calls=0, steps=0)
+    del monodromy_calls[:]
+    _, report = rhsolve.solve(ws, target, init=center, opts=WARM_OPTS)
+    assert report.success and report.normalization is not None
+    assert transport_work["calls"] == 3
+    assert monodromy_calls == [(1, fuchs.TRANSPORT_TOL), (24, rhsolve.JACOBIAN_TOL), (1, fuchs.TRANSPORT_TOL)]
+
+
+def test_failing_three_restart_solve_takes_at_most_279_steps(rank2_weights, rank2_target, transport_work):
+    # no restart reaches tol 1e-14, so each runs to LM's noise floor: the
+    # loose Jacobian stacks must pay for the points at the normalization's
+    # tolerance, against 279 steps with every evaluation at 1e-9 (269)
+    opts = rhsolve.SolveOptions(seed=7, tol=1e-14, restarts=3)
+    _, report = rhsolve.solve(rank2_weights, rank2_target, opts=opts)
+    assert not report.success
+    assert transport_work["steps"] <= 279
+
+
+def test_solve_normalizes_afresh_when_lm_evaluated_past_its_solution(
+    monkeypatch, rank2_weights, rank2_target, monodromy_calls
+):
+    # LM's last point evaluation is a rejected trial point when its last
+    # iteration found no better step: the solve then normalizes its solution
+    # with one loop set of its own, to the bits of a fresh normalization
+    real = rhsolve._levenberg_marquardt
+    solutions = []
+
+    def trial_after(residuals, x0, opts):
+        x, f, n_iter, history = real(residuals, x0, opts)
+        residuals(x + 1e-3)
+        solutions.append((residuals.args[0], x))
+        return x, f, n_iter, history
+
+    monkeypatch.setattr(rhsolve, "_levenberg_marquardt", trial_after)
+    system, report = rhsolve.solve(rank2_weights, rank2_target)
+    assert report.success and len(solutions) == 1
+    parm, x = solutions[0]
+    assert np.array_equal(system.residues, parm.system(x).residues)
+    assert monodromy_calls[-2:] == [(1, fuchs.TRANSPORT_TOL)] * 2
+    copy = fuchs.FuchsianSystem(system.weights, system.residues.copy())
+    _assert_same_normalization(report.normalization, rhsolve.normalize_at_infinity(copy, rank2_target))
