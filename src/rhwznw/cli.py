@@ -275,7 +275,7 @@ def cmd_monodromy(cfg: ProblemConfig, out_dir: Path) -> int:
             "spectra": _spectra_payload(mon.generators),
             "relation_residual": mon.relation_residual,
             "basepoint": _complex_to_json(ws.loops.z0),
-            "relation_order": ws.relation_order.tolist(),
+            "relation_order": ws.loops.relation_order.tolist(),
         }
     elif cfg.conjugators is not None:
         rep = _target_rep(cfg, ws)

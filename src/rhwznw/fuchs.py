@@ -11,8 +11,8 @@ Orientation conventions (documented once, used everywhere):
   inverses of those loop transports.  Loop inversion turns the transport
   anti-homomorphism into a homomorphism, so the generators satisfy
   M_i1 ... M_i(n-1) M_n = I with (i1, ..., i(n-1)) the order in which the
-  loops leave the basepoint z0 counterclockwise,
-  WeightSystem.relation_order (increasing arg(z_i - z0)), and
+  loops leave the basepoint z0 counterclockwise, read off the approach
+  legs once by the loop set (WeightSystem.loops.relation_order), and
   spec(M_i) = exp(2 pi i spec(A_i)), matching admissible tuples built from
   the weights.  The points may be listed in any order: member i of every
   tuple belongs to point i, and every relation product (closing M_n,
@@ -35,12 +35,14 @@ values: frozen dataclasses that own read-only copies of their arrays
 for as long as the object lives.
 
 One loop set per weight system (WeightSystem.loops, a
-:class:`MonodromyLoops` built and clearance-checked on first access) serves
-every monodromy evaluation of its systems: the solver's residuals, the
-normalization at infinity and :func:`monodromy_rep`, which is the loop set
-with one member.  Each puncture loop is an approach leg P_i from the
-basepoint, a full circle and the approach run back.  The loop set computes
-generators only, one formula for all n loops:
+:class:`MonodromyLoops` built and clearance-checked on first access, when a
+tuple is first closed on the weights or a system first evaluated) owns the
+loop geometry: the basepoint z0, the circles, the approach legs and the
+relation order.  It serves every monodromy evaluation of its systems: the
+solver's residuals, the normalization at infinity and :func:`monodromy_rep`,
+which is the loop set with one member.  Each puncture loop is an approach
+leg P_i from the basepoint, a full circle and the approach run back.  The
+loop set computes generators only, one formula for all n loops:
 M_i = P_i^{-1} F exp(2 pi i Lambda) F^{-1} P_i, F the local series at the
 circle's entry (below) and P = I on the big circle.  The circles of all
 loops and all systems of a stack are not marched, all come from one
@@ -161,9 +163,10 @@ class WeightSystem:
     points holds the n-1 finite punctures; the n-th is infinity.  weights
     has one strictly increasing row in (0,1) per puncture, the last row
     belonging to infinity.  loops is the one loop set (MonodromyLoops) that
-    every monodromy evaluation of these weights reads, built on first access;
-    relation_order is the one order that every relation product reads.  A
-    value: the arrays are read-only copies, so neither goes stale.
+    every monodromy evaluation and every relation product of these weights
+    reads, with its basepoint z0 and its relation order, built on first
+    access.  A value: the arrays are read-only copies, so it never goes
+    stale.
     """
 
     points: np.ndarray
@@ -189,34 +192,9 @@ class WeightSystem:
     def min_pairwise_distance(self) -> float:
         return _min_pairwise_distance(self.points)
 
-    def default_basepoint(self) -> complex:
-        return 2j * max(1.0, float(np.max(np.abs(self.points))))
-
     @cached_property
     def loops(self) -> MonodromyLoops:
         return MonodromyLoops(self)
-
-    @cached_property
-    def relation_order(self) -> np.ndarray:
-        """The finite punctures' indices in the order of the relation
-        M_i1 ... M_i(n-1) M_n = I: the order in which the loops of the loop
-        set leave the basepoint z0 = default_basepoint() counterclockwise.
-
-        Every z_i lies strictly below z0 = 2i max(1, max |z_j|), so the
-        angles arg(z_i - z0) lie in (-pi, 0) and never wrap, and the loops
-        leave z0 by increasing angle.  Two angles within 1e-6 belong to
-        points (nearly) collinear with z0: the farther point's approach leg
-        detours round the nearer point's circle, and the side it takes
-        decides, read off the legs (MonodromyLoops.departure_order); on an
-        exact tie the detour is clockwise and the nearer point comes first.
-        Apart from such ties the order comes from the points alone, and no
-        loop is planned for it.
-        """
-        angle = np.angle(self.points - self.default_basepoint())
-        order = np.argsort(angle, kind="stable")
-        if np.all(np.diff(angle[order]) > 1e-6):
-            return order
-        return self.loops.departure_order()
 
     def counterterm_coefficients(self) -> tuple[float, float]:
         """(K1, K2) = (sum of squared finite weights, squared infinity exponents)."""
@@ -340,10 +318,11 @@ class AdmissibleRep:
 
 def _relation_product(weights: WeightSystem, gens: np.ndarray) -> np.ndarray:
     """M_i1 ... M_i(n-1) of the n-1 finite generators, an (n-1, r, r) stack
-    whose member i belongs to point i, in weights.relation_order, multiplied
-    left to right starting from I: the one ordered-product loop of tuples."""
+    whose member i belongs to point i, in the loop set's relation order
+    (weights.loops.relation_order), multiplied left to right starting from
+    I: the one ordered-product loop of tuples."""
     prod = np.eye(gens.shape[-1], dtype=complex)
-    for m in gens[weights.relation_order]:
+    for m in gens[weights.loops.relation_order]:
         prod = prod @ m
     return prod
 
@@ -387,7 +366,8 @@ def build_admissible_rep(weights: WeightSystem, conjugators) -> AdmissibleRep:
 
     Another shape raises ValueError naming the expected one.  M_n is the
     inverse of the product of the first n-1 generators in
-    weights.relation_order (closing_generator); it is accepted when
+    weights.loops.relation_order (closing_generator), so closing a tuple
+    plans the weights' loop set; it is accepted when
     its spectrum matches the infinity weight phases to
     ADMISSIBLE_SPECTRUM_TOL, then the whole tuple is conjugated by the
     eigenbasis V of M_n, in one construction: generators V^* M_i V, with M_n
@@ -704,8 +684,9 @@ def _integrate_stack(coefficients, y, tol: float, stops) -> tuple[np.ndarray, in
     that passes earlier stops reads them off DOP853's 7th-order dense
     output: three more stages (a second coefficients call, made only on
     such steps), then one (stops, 16) real weight matrix times the stage
-    stack.  Returns the values at the increasing stops, each in [0, 1],
-    shape (len(stops), r, r, M), and the number of accepted steps.
+    stack; stops at t = 0 take the start, before any step.  Returns the
+    values at the increasing stops, each in [0, 1], shape
+    (len(stops), r, r, M), and the number of accepted steps.
     """
     shape = y.shape
     ks = np.empty((16,) + shape, dtype=complex)
@@ -714,6 +695,10 @@ def _integrate_stack(coefficients, y, tol: float, stops) -> tuple[np.ndarray, in
     marks = [float(s) for s in stops]
     end, last = marks[-1], len(marks) - 1
     t, h, k, accepted = 0.0, 0.1, 0, 0
+    # stops at t = 0 are the start; when no other is left no step is taken
+    while k < len(marks) and marks[k] <= t:
+        out[k] = y
+        k += 1
     yn = np.maximum(_member_fro(y), 1.0)
     np.einsum("ijm,jkm->ikm", coefficients(np.zeros(1))[0], y, out=ks[0])
     err_prev = 1.0
@@ -1088,47 +1073,37 @@ def series_stack(points, residues, radius, tol: float) -> SeriesStack:
 # monodromy
 
 
-def loop_radius(weights: WeightSystem, i: int) -> float:
-    """The radius of puncture i's loop circle: half the distance to the
-    nearest other puncture or to the basepoint default_basepoint()."""
-    pts = weights.points
-    others = [abs(pts[i] - pts[j]) for j in range(len(pts)) if j != i]
-    others.append(abs(pts[i] - weights.default_basepoint()))
-    return 0.5 * min(others)
-
-
-def _approach_leg(weights: WeightSystem, i: int):
-    """The approach leg from the basepoint default_basepoint() to the
-    circle around puncture i (a plan_route path around the other
-    punctures' circles) and that full counterclockwise circle, entered
-    where the leg ends: on the ray from z_i to the basepoint, at the
-    argument arg(basepoint - z_i)."""
-    pts, basepoint = weights.points, weights.default_basepoint()
-    radius = loop_radius(weights, i)
-    center = complex(pts[i])
-    entry = center + radius * (basepoint - center) / abs(basepoint - center)
-    keepouts = [
-        (complex(pts[j]), 0.8 * loop_radius(weights, j))
-        for j in range(len(pts))
-        if j != i
-    ]
-    approach = paths.plan_route(basepoint, entry, keepouts)
-    return approach, paths.circle(center, radius, float(np.angle(basepoint - center)))
+def _departure_order(points: np.ndarray, approaches) -> np.ndarray:
+    """The punctures in the order their loops leave z0 counterclockwise,
+    read off the approach legs: leg i, run on to z_i, comes before leg j
+    when arg(z - z_j) turns more along it than arg(z - z_i) turns along
+    leg j (paths.arg_change).  For straight legs that is the order of
+    increasing arg(z_i - z0); a detour passes a point on one side or the
+    other and turns by about pi round it, and on an exact tie it is
+    clockwise, so the nearer point comes first."""
+    pts, m = [complex(z) for z in points], len(points)
+    legs = [leg + [paths.Line(leg[-1].point(1.0), z)] for leg, z in zip(approaches, pts)]
+    turn = np.zeros((m, m))
+    for i, j in permutations(range(m), 2):
+        turn[i, j] = paths.arg_change(legs[i], pts[j])
+    return np.array(sorted(range(m), key=cmp_to_key(lambda i, j: turn[j, i] - turn[i, j])))
 
 
 class MonodromyLoops:
-    """The monodromy loops of a weight system, built and checked once, by WeightSystem.loops.
+    """The monodromy loops of a weight system, built and checked once, by
+    WeightSystem.loops: the one owner of the loop geometry.
 
-    Loop i < n-1 runs from the basepoint z0 =
-    WeightSystem.default_basepoint() = 2i max(1, max |z_j|) along its
-    approach leg P_i to the circle around puncture i, once around that
-    circle counterclockwise and back along P_i; loop n is the big
+    The basepoint is z0 = 2i max(1, max |z_j|).  Loop i < n-1 runs from z0
+    along its approach leg P_i to the circle around puncture i, once around
+    that circle counterclockwise and back along P_i; loop n is the big
     counterclockwise circle |z| = |z0|.  At z0 the series at infinity
     converges with q = max |z_j| / |z0| <= 1/2 on and beyond that circle,
     and every loop circle lies inside |z| <= |z0| (a ring is at most half
     the distance to another puncture, so |z_i| + ring_i <= 2 max |z_j|); a
-    ring may touch the big circle.  Each loop passes check_clearance when
-    the set is built.
+    ring may touch the big circle.  All loops pass one check_clearance
+    when the set is built.  relation_order, the order in which the loops leave
+    z0 counterclockwise (_departure_order), is the one order that every
+    relation product M_i1 ... M_i(n-1) M_n = I reads.
 
     A monodromy evaluation marches the approach legs of all systems as one
     fan per segment round: K transport calls, K the longest leg's
@@ -1149,13 +1124,23 @@ class MonodromyLoops:
 
     def __init__(self, weights: WeightSystem):
         self.weights = weights
-        self.z0 = weights.default_basepoint()
-        legs = [_approach_leg(weights, i) for i in range(weights.n - 1)]
-        self.approaches = [approach for approach, _ in legs]
-        circles = [circle for _, circle in legs]
-        circles.append(paths.circle(0.0, abs(self.z0), float(np.angle(self.z0))))
-        for approach, circle in zip(self.approaches + [[]], circles):
-            check_clearance(weights, approach + [circle])
+        pts, m = weights.points, weights.n - 1
+        self.z0 = z0 = 2j * max(1.0, float(np.max(np.abs(pts))))
+        # a loop circle's radius: half the distance to the nearest other
+        # puncture or to z0; its approach leg runs from z0 around the other
+        # circles (plan_route) to its entry on the ray from z_i to z0
+        rings = [0.5 * min([abs(pts[i] - pts[j]) for j in range(m) if j != i] + [abs(pts[i] - z0)])
+                 for i in range(m)]
+        circles, self.approaches = [], []
+        for i in range(m):
+            center = complex(pts[i])
+            entry = center + rings[i] * (z0 - center) / abs(z0 - center)
+            keepouts = [(complex(pts[j]), 0.8 * rings[j]) for j in range(m) if j != i]
+            self.approaches.append(paths.plan_route(z0, entry, keepouts))
+            circles.append(paths.circle(center, rings[i], float(np.angle(z0 - center))))
+        self.relation_order = read_only(_departure_order(pts, self.approaches))
+        circles.append(paths.circle(0.0, abs(z0), float(np.angle(z0))))
+        check_clearance(weights, [seg for approach in self.approaches for seg in approach] + circles)
         self.circles = circles
         # round k: segment k of every approach leg, padded at the front
         depth = max(len(approach) for approach in self.approaches)
@@ -1169,20 +1154,6 @@ class MonodromyLoops:
         self.entry_angles = np.array([c.angle0 for c in circles])
         self.entry_logs = np.array([np.log(c.radius) + 1j * c.angle0 for c in circles[:-1]]
                                    + [-(np.log(abs(self.z0)) + 1j * np.angle(self.z0))])
-
-    def departure_order(self) -> np.ndarray:
-        """The punctures in the order their loops leave z0 counterclockwise,
-        read off the approach legs: leg i, run on to z_i, comes before leg j
-        when arg(z - z_j) turns more along it than arg(z - z_i) turns along
-        leg j (paths.arg_change).  For straight legs that is the order of
-        increasing arg(z_i - z0); a detour passes a point on one side or the
-        other and turns by about pi round it."""
-        pts, m = [complex(z) for z in self.weights.points], self.weights.n - 1
-        legs = [leg + [paths.Line(leg[-1].point(1.0), z)] for leg, z in zip(self.approaches, pts)]
-        turn = np.zeros((m, m))
-        for i, j in permutations(range(m), 2):
-            turn[i, j] = paths.arg_change(legs[i], pts[j])
-        return np.array(sorted(range(m), key=cmp_to_key(lambda i, j: turn[j, i] - turn[i, j])))
 
     def circle_transports(self, residues, tol: float) -> tuple[np.ndarray, SeriesStack]:
         """The generator circles F exp(2 pi i Lambda) F^{-1}, (B, n, r, r),
@@ -1259,7 +1230,7 @@ def monodromy_rep(system: FuchsianSystem, tol: float = TRANSPORT_TOL) -> Monodro
     The weights' loop set (WeightSystem.loops) with one member.  The loop
     transports are formed here: the inverse of each puncture generator,
     and the big circle's generator as it is.  The relation residual
-    multiplies the generators in WeightSystem.relation_order, as every
+    multiplies the generators in the loop set's relation_order, as every
     relation product does.  It is a genuine check: the big circle comes
     from the series at infinity, which depends neither on the approach
     legs nor on the puncture series.

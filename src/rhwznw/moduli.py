@@ -9,12 +9,14 @@ implied generator at infinity), and the tuple is re-normalized.  The
 conjugators are an (n-1, r, r) array, member i at point i however the
 points are listed, and a direction a (2, n-1, r, r) array, its index 0
 moving Re eps and its index 1 Im eps.  The generator at infinity is the
-inverse of the product in the weights' one relation order
-(fuchs.WeightSystem.relation_order), as everywhere in fuchs.  Each Newton
-iterate forms the closure residual; only one that misses the tolerance
-forms its Jacobian too, from the residual's generators and powers, every
-Jacobian block one stacked product over the su(r) basis, and the step
-moves all conjugators by one einsum and one batched expm.
+inverse of the product in the weights' one relation order, which their
+loop set reads off its approach legs (WeightSystem.loops.relation_order),
+as everywhere in fuchs; the first closure on a weight system plans its
+loop set.  Each Newton iterate forms the closure residual; only one that
+misses the tolerance forms its Jacobian too, from the residual's
+generators and powers, every Jacobian block one stacked product over the
+su(r) basis, and the step moves all conjugators by one einsum and one
+batched expm.
 
 action_surface warm-starts every grid point from one solve of the center,
 so a point's value depends on its eps alone, not on the grid's order.
@@ -108,11 +110,11 @@ def _closure_jacobian(
     the generator product, d tr(M_n^j) = j tr(M_n^{j-1} dM_n).  The
     columns, conjugator major and basis element minor, come from one
     stacked product over all (i, B), between the prefix and suffix products
-    of the generators in relation order (WeightSystem.relation_order),
+    of the generators in relation order (WeightSystem.loops.relation_order),
     which are then put back in the conjugators' order.
     """
     r = weights.rank
-    order = weights.relation_order
+    order = weights.loops.relation_order
     pre = [np.eye(r, dtype=complex)]
     for g in gens[order[:-1]]:
         pre.append(pre[-1] @ g)

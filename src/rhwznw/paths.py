@@ -36,7 +36,7 @@ class Line:
         d = self.end - self.start
         if abs(d) == 0:
             return abs(self.start - w)
-        t = np.clip(((w - self.start) / d).real, 0.0, 1.0)
+        t = min(max(((w - self.start) / d).real, 0.0), 1.0)
         return abs(self.start + t * d - w)
 
 

@@ -42,10 +42,10 @@ def transport_path(points, residues, path, start, tol):
 
 
 def puncture_loop(weights, i):
-    """The loop around puncture i from the basepoint default_basepoint():
-    the loop set's approach leg, its full circle, and the approach run back."""
-    approach, circle = fuchs._approach_leg(weights, i)
-    return approach + [circle] + reversed_path(approach)
+    """The loop around puncture i from the loop set's basepoint z0: its
+    approach leg, its full circle, and the approach run back."""
+    approach = weights.loops.approaches[i]
+    return approach + [weights.loops.circles[i]] + reversed_path(approach)
 
 
 def off_curve_integrals(web, delta):

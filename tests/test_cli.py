@@ -122,7 +122,7 @@ def test_monodromy_relation_order_off_the_axis(tmp_path):
     assert rc == 0
     rec = json.loads((tmp_path / "result.json").read_text())
     assert rec["relation_order"] == [1, 0, 2]
-    assert rec["basepoint"] == [0.0, ws.default_basepoint().imag]
+    assert rec["basepoint"] == [0.0, ws.loops.z0.imag]
     assert rec["relation_residual"] <= 1e-8
 
 

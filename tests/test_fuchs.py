@@ -251,7 +251,7 @@ def test_transport_rank1_loop(rank1_system, rank1_weights):
 def test_check_clearance_refuses_a_grazing_path(rank1_weights):
     # the clearance check lives with the loop set (MonodromyLoops), not in
     # transport
-    path = [paths.Line(rank1_weights.default_basepoint(), 0.001 + 0.001j)]
+    path = [paths.Line(rank1_weights.loops.z0, 0.001 + 0.001j)]
     with pytest.raises(paths.ProximityError):
         fuchs.check_clearance(rank1_weights, path)
 
@@ -324,10 +324,10 @@ def test_loop_geometry_at_the_one_basepoint_property(pts):
 def test_monodromy_path_independence(rank2_oracle_system, rank2_weights):
     # circle loop against a square loop around the same puncture
     ws = rank2_weights
-    z0 = ws.default_basepoint()
+    z0 = ws.loops.z0
     tol = 1e-10
     circle_loop = puncture_loop(ws, 0)
-    r = fuchs.loop_radius(ws, 0)
+    r = ws.loops.radii[0]
     c = complex(ws.points[0])
     corners = [c + r * np.exp(1j * (np.pi / 2 + k * np.pi / 2)) for k in range(5)]
     square = [paths.Line(z0, corners[0])]
@@ -524,6 +524,29 @@ def test_align_rank3_torus_oracle():
         assert abs(mismatch(np.zeros(2), gens) - found) <= 1e-12 * (1 + found)
 
 
+def test_align_rank4_torus_starts_reach_the_best_of_64():
+    # at rank 4 the torus ascent from theta = 0 alone stops at a lesser
+    # local maximum on a few tuples in a hundred; the seven starts reach the
+    # best of 64 seeded starts on every one, to the ascent's sweep limit
+    ws = fuchs.build_weight_system(
+        [-1.0, 0.0, 1.0],
+        [[0.05, 0.15, 0.3, 0.45], [0.1, 0.2, 0.35, 0.5], [0.1, 0.25, 0.4, 0.55], [0.05, 0.1, 0.2, 0.25]],
+    )
+    target = moduli.random_admissible_rep(ws, seed=2)
+    tgts = np.asarray(target.generators)
+    rng = np.random.default_rng(1)
+    stack = np.concatenate([_perturbed_tuples(target, rng, 50, scale) for scale in (0.3, 0.5, 0.7, 1.0)])
+    aligned = fuchs.align_tuple_to_target(stack, target)
+    # every torus rotation of the aligned tuple, from 64 seeded starts
+    c = np.sum(aligned.generators * np.conj(tgts), axis=1)
+    starts = np.random.default_rng(0).uniform(0, 2 * np.pi, (64, 4))
+    theta = fuchs._torus_ascent(c, np.broadcast_to(starts, (len(c), 64, 4)).copy())
+    g = np.exp(1j * theta)[:, :, None]
+    rotated = g[..., :, None] * aligned.generators[:, None] * np.conj(g)[..., None, :]
+    best = np.min(np.sum(np.abs(rotated - tgts) ** 2, axis=(-3, -2, -1)), axis=1)
+    assert np.all(aligned.mismatch <= best * (1 + 1e-6))
+
+
 def test_align_conjugator_stable_under_last_bit_perturbations(rank2_oracle_system, rank2_target):
     # at a unitary tuple every torus start reaches the optimum, only up to a
     # common phase and with equal scores; last-bit changes of the tuple must
@@ -614,7 +637,7 @@ def test_transport_stack_shared_step_follows_hardest():
     ws = _n4_rank3_weights()
     full = _random_residues(ws, np.random.default_rng(3), 1)[0]
     easy, hard = 0.01 * full, full
-    line = [paths.Line(ws.default_basepoint(), 0.02j)]
+    line = [paths.Line(ws.loops.z0, 0.02j)]
     tol = 1e-10
     stacked, steps = transport_path(ws.points, np.array([easy, hard]), line, np.eye(ws.rank), tol)
 
@@ -641,7 +664,7 @@ def test_transport_stack_stiffness_propagates():
     # the path runs into the puncture at 0; only the second member is singular there
     residues = np.array([np.zeros_like(full), full])
     with pytest.raises(fuchs.StiffnessError):
-        transport_path(ws.points, residues, [paths.Line(ws.default_basepoint(), 0.0)], np.eye(ws.rank), 1e-10)
+        transport_path(ws.points, residues, [paths.Line(ws.loops.z0, 0.0)], np.eye(ws.rank), 1e-10)
 
 
 def test_transport_stack_stage_on_pole_raises():
@@ -949,6 +972,24 @@ def test_transport_fan_rejects_bad_stops(stops):
         fuchs.transport(system.points, system.residues, fan, np.eye(3), stops)
 
 
+def test_transport_stops_at_the_start_take_no_step(rank2_oracle_system):
+    # stops at t = 0 are the starts: with no later stop no step is taken,
+    # and a stop at 0 before the end changes neither the steps nor the end
+    pts, res = rank2_oracle_system.points, rank2_oracle_system.residues
+    fan = paths.SegmentFan([paths.Line(rank2_oracle_system.weights.loops.z0, 0.5 + 0.5j)])
+    start = numcore.random_unitary(np.random.default_rng(5), 2)
+    for stops in [(0.0,), (0.0, 0.0)]:
+        out = fuchs.transport(pts, res, fan, start, stops)
+        assert out.step_count == 0
+        assert out.values.shape == (len(stops), 1, 2, 2)
+        assert np.array_equal(out.values, np.broadcast_to(start, out.values.shape))
+    free = fuchs.transport(pts, res, fan, start)
+    both = fuchs.transport(pts, res, fan, start, (0.0, 1.0))
+    assert both.step_count == free.step_count > 0
+    assert np.array_equal(both.values[0, 0], start)
+    assert np.array_equal(both.values[1], free.values[0])
+
+
 def test_transport_fan_stiffness_propagates():
     system = _n4_rank3_system(3)
     # the second ray runs from -0.5 into the puncture at 0
@@ -1034,10 +1075,10 @@ def _relation_residuals(ws, gens):
 
 
 def _least_order_margin(ws, gens):
-    """The relation residual in ws.relation_order and the least residual of
-    any other order."""
+    """The relation residual in the loop set's relation order and the least
+    residual of any other order."""
     res = _relation_residuals(ws, gens)
-    order = tuple(ws.relation_order.tolist())
+    order = tuple(ws.loops.relation_order.tolist())
     return res[order], min(v for p, v in res.items() if p != order)
 
 
@@ -1067,11 +1108,30 @@ def test_relation_order_on_a_tie_puts_the_nearer_point_first(pts, order):
     # both points lie straight below z0 = 2i: the angles tie, and the leg to 0
     # detours round the circle at 1j, so the relation takes 1j first
     ws = fuchs.build_weight_system(pts, [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
-    assert ws.relation_order.tolist() == order
+    assert ws.loops.relation_order.tolist() == order
     residues = _random_residues(ws, np.random.default_rng(71), 1)[0]
     mon = fuchs.monodromy_rep(fuchs.FuchsianSystem(ws, residues))
     best, other = _least_order_margin(ws, mon.generators)
     assert mon.relation_residual == best <= 1e-9
+    assert other >= 1e4 * best
+
+
+@pytest.mark.parametrize("turn, order", [(1e-7, [0, 1]), (-1e-7, [1, 0])])
+def test_relation_order_near_a_tie_is_the_legs_order(turn, order):
+    # the point near 1j lies 1e-7 radians to either side of the line from
+    # z0 = 2i through 0, not on it: the leg to 0 detours round its circle on
+    # the side away from it, and the relation takes the order the legs give
+    ws = fuchs.build_weight_system(
+        [0.0, 2j + np.exp(1j * (turn - np.pi / 2))], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]]
+    )
+    angle = np.angle(ws.points - ws.loops.z0)
+    assert angle[1] - angle[0] == pytest.approx(turn, rel=1e-6)
+    assert [len(approach) for approach in ws.loops.approaches] == [3, 1]
+    assert ws.loops.relation_order.tolist() == order
+    residues = _random_residues(ws, np.random.default_rng(71), 1)[0]
+    mon = fuchs.monodromy_rep(fuchs.FuchsianSystem(ws, residues), tol=1e-12)
+    best, other = _least_order_margin(ws, mon.generators)
+    assert mon.relation_residual == best <= 1e-12
     assert other >= 1e4 * best
 
 
@@ -1095,14 +1155,14 @@ def _loop_point_lists(draw):
 @settings(max_examples=80, deadline=None)
 @given(_loop_point_lists())
 def test_departure_order_is_the_angle_order_off_ties_property(pts):
-    # off the 1e-6 tie band of relation_order, the order read off the legs
-    # (MonodromyLoops.departure_order) is the order of increasing
-    # arg(z_i - z0), however near the band two points' angles come
+    # where every two angles arg(z_i - z0) lie more than 1e-6 apart, however
+    # little more, the relation order read off the legs is their increasing
+    # order
     ws = fuchs.build_weight_system(pts, [[1 / (len(pts) + 1)]] * (len(pts) + 1))
-    angle = np.angle(ws.points - ws.default_basepoint())
+    angle = np.angle(ws.points - ws.loops.z0)
     order = np.argsort(angle, kind="stable")
     assume(np.all(np.diff(angle[order]) > 1e-6))
-    assert ws.loops.departure_order().tolist() == order.tolist()
+    assert ws.loops.relation_order.tolist() == order.tolist()
 
 
 def _entry_values(loops, series):

@@ -79,7 +79,7 @@ def test_reversed_listing_solves_cold():
     # the criterion-9 family listed right to left closes, solves cold at
     # restart 0 and gives a field inside the quality gate
     ws = fuchs.build_weight_system(*N4_REVERSED)
-    assert ws.relation_order.tolist() == [2, 1, 0]
+    assert ws.loops.relation_order.tolist() == [2, 1, 0]
     center = moduli.random_admissible_rep(ws, seed=5)
     system, report = rhsolve.solve(ws, center, opts=rhsolve.SolveOptions(seed=3))
     assert report.success and report.restart_index == 0

@@ -263,7 +263,7 @@ def test_normalize_builds_the_series_at_infinity_once(rank2_solved, rank2_target
     monkeypatch.setattr(fuchs, "series_stack", lambda *a: calls.append(a[2]) or series_stack(*a))
     rhsolve.normalize_at_infinity(copy, rank2_target)
     assert len(calls) == 1 and len(calls[0]) == system.weights.n
-    assert calls[0][-1] == 1.0 / abs(system.weights.default_basepoint())
+    assert calls[0][-1] == 1.0 / abs(system.weights.loops.z0)
 
 
 def test_normalize_sums_the_series_frame_once(rank2_solved, rank2_target, monkeypatch):
@@ -583,20 +583,21 @@ def test_cold_solve_seeded_centers_at_restart_0(seed):
 
 
 def test_one_weight_system_plans_its_loops_once(monkeypatch):
-    # the loop set belongs to the weight system (WeightSystem.loops): a cold
-    # solve, its normalization, a second normalization, monodromy_rep and a
-    # warm solve plan the n-1 approach legs once, at the first build
+    # the loop set belongs to the weight system (WeightSystem.loops) and
+    # owns the relation order: closing the target on the weights plans the
+    # n-1 approach legs once, and a cold solve, its normalization, a second
+    # normalization, monodromy_rep and a warm solve plan nothing more
     calls = []
     plan_route = paths.plan_route
     monkeypatch.setattr(paths, "plan_route", lambda *a: calls.append(a) or plan_route(*a))
     ws = fuchs.build_weight_system(
         [-1.0, 0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.1, 0.3], [0.05, 0.4]]
     )
-    center = moduli.random_admissible_rep(ws, seed=5)
     assert calls == []
+    center = moduli.random_admissible_rep(ws, seed=5)
+    assert len(calls) == ws.n - 1 == 3
     system, report = rhsolve.solve(ws, center)
     assert report.success and report.normalization is not None
-    assert len(calls) == ws.n - 1 == 3
     rhsolve.normalize_at_infinity(system, center)
     fuchs.monodromy_rep(system)
     # an init on an equal copy of the weights still reads the solve's loop set
