@@ -66,9 +66,21 @@ def _read(fieldname: str, convert, value):
         raise ConfigError(fieldname, str(exc)) from exc
 
 
+def _real(value) -> float:
+    """A JSON number as a float: true, false and "1e-6" are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _reals(value) -> np.ndarray:
+    """Nested lists of JSON numbers (_real) as a float array."""
+    return np.array([_reals(v) for v in value] if isinstance(value, list) else _real(value))
+
+
 def _complex_array(value, fieldname: str, ndim: int) -> np.ndarray:
     """Nested lists of [re, im] pairs as a complex array with ndim axes."""
-    pairs = _read(fieldname, lambda v: np.asarray(v, dtype=float), value)
+    pairs = _read(fieldname, _reals, value)
     shape_ok = pairs.ndim == ndim + 1 and pairs.shape[-1] == 2 and 0 not in pairs.shape
     if not (shape_ok and np.isfinite(pairs).all()):
         kind = "a list" if ndim == 1 else "a list of matrices"
@@ -102,7 +114,7 @@ def _count(value) -> int:
 
 
 def _positive_float(value) -> float:
-    x = float(value)
+    x = _real(value)
     if not (np.isfinite(x) and x > 0):
         raise ValueError(f"must be finite and positive, got {x}")
     return x
@@ -110,12 +122,12 @@ def _positive_float(value) -> float:
 
 # the fields of the "solver" section (on ProblemConfig.solver) and of the
 # "action" section (on ProblemConfig), each with the reader of its value;
-# the delta schedule is checked as action_regularized checks it
+# the delta schedule is a list of numbers, checked as action_regularized checks it
 SOLVER_FIELDS = (
     ("tol", _positive_float), ("max_iter", _count), ("restarts", _count),
     ("seed", _integer),
 )
-ACTION_FIELDS = (("delta_schedule", wznw.checked_delta_schedule),)
+ACTION_FIELDS = (("delta_schedule", lambda v: wznw.checked_delta_schedule(_reals(v))),)
 
 
 def _section_to_dict(obj, fields) -> dict:
@@ -177,7 +189,7 @@ class ProblemConfig:
         for key in ("points", "weights"):
             if key not in data:
                 raise ConfigError(key, "missing required field")
-        weights = _read("weights", lambda w: np.asarray(w, dtype=float), data["weights"])
+        weights = _read("weights", _reals, data["weights"])
         if weights.ndim != 2:
             raise ConfigError("weights", "expected an n x r matrix of reals")
         cfg = ProblemConfig(

@@ -5,7 +5,7 @@ The unknowns are conjugators C_i in the chart C_i = B_i exp(K_i) with
 zero-diagonal K_i (the right-diagonal torus acting trivially on
 A_i = C_i W_i C_i^{-1} is removed exactly).  Every restart without an
 initial system, the first included, draws its basepoints B_i = exp(K)
-from zero-diagonal Gaussian K; at identity basepoints the
+from zero-diagonal Gaussian K (cold_chart); at identity basepoints the
 central-difference Jacobian is rounding noise.  The merit function
 compares gauge-aligned computed monodromy generators with the target
 tuple entrywise and adds a penalty, weighted by INFINITY_WEIGHT, on the
@@ -34,16 +34,18 @@ Both records are keyed on objects of the problem types, which are values
 read-only copies of their arrays).  What a record was made from cannot
 change, so it holds for as long as its key lives and is never checked.
 
-A warm solve's restart 0 runs on the chart of its init, and LM's first two
-stacks there, the chart center x0 = 0 and the central-difference stack at
-x0, depend on init alone up to the gauge alignment to the target.  Each
-init object given to solve owns one warm start record (_WarmStart, held
-weakly, so it dies with init): the chart, and the residues and loop
-generators of those two stacks, with the point's series, read-only, kept
-as LM first evaluates them.  A later warm solve from the same init on the
-same weights object aligns them to its own target without transporting
-them again, and takes the same LM steps to the same bits.
-Cold solves and restarts after the first never read a record.
+A chart keeps the first evaluation of its loop set at each tolerance
+(ResidueParametrization.loop_generators), which in LM's order is its
+start point x0 = 0 at fuchs.TRANSPORT_TOL and its first Jacobian stack,
+the central differences at x0, at JACOBIAN_TOL.  Only LM decides that
+order.  Both depend on the chart alone up to the gauge alignment to the
+target.  A warm solve's restart 0 runs on the chart of its init, and each
+init object given to solve owns that chart as its warm start record
+(_warm_start, held weakly, so it dies with init).  A later warm solve
+from the same init on the same weights object aligns the kept
+evaluations to its own target without transporting them again, and
+takes the same LM steps to the same bits.  A cold chart keeps its own
+for its restart, and dies with it.
 """
 
 from __future__ import annotations
@@ -84,13 +86,20 @@ class ResidueParametrization:
 
     C_i = B_i exp(K_i) with K_i zero-diagonal; A_i = C_i W_i C_i^{-1}
     has spectrum exactly the i-th weight row at every chart point.
+
+    A chart keeps two records, set in __post_init__, so neither is a field:
+    last_point, the last chart point that residual_vector evaluated
+    (_PointEvaluation), which solve normalizes when it is LM's solution;
+    and first, the first evaluation of loop_generators at each tolerance.
     """
 
     weights: fuchs.WeightSystem
     basepoints: np.ndarray  # (n-1, r, r)
-    # the last chart point that residual_vector evaluated (_PointEvaluation),
-    # which solve normalizes when it is LM's solution; not a field
-    last_point = None
+
+    def __post_init__(self):
+        self.last_point = None
+        # {tol: (points, (residues, generators, series or None))}, read-only
+        self.first = {}
 
     @property
     def dim(self) -> int:
@@ -125,10 +134,27 @@ class ResidueParametrization:
         """The target-free part of the residuals of a (B, dim) stack of chart
         points: its residues (B, n-1, r, r), their monodromy generators
         (B, n, r, r) and the loops' series on the weights' loop set at tol,
-        each from one call."""
+        each from one call.
+
+        The first stack evaluated at each tol is kept in first, read-only,
+        with its series when it is one point (a solve that takes no step
+        normalizes it) and without for a larger stack; every later
+        evaluation of the same stack at that tol gets it back, and any other
+        stack is evaluated afresh.  In LM's order these are its start point
+        and its first Jacobian stack, so a warm chart (_warm_start) keeps
+        them for every solve from its init."""
+        kept = self.first.get(tol)
+        if kept is not None and np.array_equal(xs, kept[0]):
+            return kept[1]
         residues = self.residues(xs)
         gens, series = self.weights.loops.monodromy(residues, tol)
-        return residues, gens, series
+        if kept is not None:
+            return residues, gens, series
+        series = replace(
+            series, **{f.name: read_only(getattr(series, f.name)) for f in fields(series)}
+        ) if len(xs) == 1 else None
+        self.first[tol] = (read_only(xs), (read_only(residues), read_only(gens), series))
+        return self.first[tol][1]
 
 
 def parametrization_from_system(system: fuchs.FuchsianSystem) -> ResidueParametrization:
@@ -144,55 +170,33 @@ def parametrization_from_system(system: fuchs.FuchsianSystem) -> ResidueParametr
     return ResidueParametrization(system.weights, v / np.linalg.norm(v, axis=-2, keepdims=True))
 
 
-@dataclass(eq=False)
-class _WarmStart(ResidueParametrization):
-    """The warm start record of one init system: its chart, and the
-    loop_generators of the two stacks that LM evaluates first at the chart
-    center x0 = 0: the point itself at fuchs.TRANSPORT_TOL, with its series
-    (a solve that takes no step normalizes it), and the central-difference
-    stack of _central_points(x0) at JACOBIAN_TOL, without.  Each is kept when
-    it is first evaluated, read-only, and handed to every later evaluation
-    of the same stack at the same tolerance; any other is evaluated afresh.
-    The init is a value (fuchs.FuchsianSystem), so the record holds for as
-    long as it lives.
-    """
-
-    # [points, tol, (residues, generators, series or None) or None] of the two first stacks
-    first: list
-
-    def loop_generators(self, xs: np.ndarray, tol: float) -> tuple:
-        for entry in self.first:
-            if tol == entry[1] and np.array_equal(xs, entry[0]):
-                if entry[2] is None:
-                    residues, gens, series = super().loop_generators(xs, tol)
-                    if len(xs) == 1:
-                        series = replace(series, **{f.name: read_only(getattr(series, f.name))
-                                                    for f in fields(series)})
-                    entry[2] = (read_only(residues), read_only(gens), series if len(xs) == 1 else None)
-                return entry[2]
-        return super().loop_generators(xs, tol)
+def cold_chart(weights: fuchs.WeightSystem, seed: int) -> ResidueParametrization:
+    """The chart of a restart without an initial system: basepoints
+    B_i = exp(K_i) from one Gaussian draw of seed, per conjugator its real,
+    then its imaginary part, scaled by 0.6, with zero diagonal."""
+    n, r = weights.n, weights.rank
+    g = np.random.default_rng(seed).standard_normal((n - 1, 2, r, r))
+    ks = 0.6 * (g[:, 0] + 1j * g[:, 1])
+    ks[:, np.arange(r), np.arange(r)] = 0.0
+    return ResidueParametrization(weights, expm(ks))
 
 
 # the warm start record of each init object solve was given, dropped with it
 _WARM_STARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _warm_start(weights: fuchs.WeightSystem, init: fuchs.FuchsianSystem) -> _WarmStart:
-    """The warm start record of init on weights: the saved one when it was
+def _warm_start(weights: fuchs.WeightSystem, init: fuchs.FuchsianSystem) -> ResidueParametrization:
+    """The warm start record of init on weights: init's chart
+    (parametrization_from_system), with the evaluations that it keeps
+    (ResidueParametrization.loop_generators).  The saved one when it was
     made for these weights (the same object, so the same loop set), else a
-    new one in its place."""
-    rec = _WARM_STARTS.get(init)
-    if rec is not None and rec.weights is weights:
-        return rec
-    chart = parametrization_from_system(fuchs.FuchsianSystem(weights, init.residues))
-    x0 = np.zeros(chart.dim)
-    first = [
-        [read_only(x0[None]), fuchs.TRANSPORT_TOL, None],
-        [read_only(_central_points(x0)[1]), JACOBIAN_TOL, None],
-    ]
-    rec = _WarmStart(weights, chart.basepoints, first)
-    _WARM_STARTS[init] = rec
-    return rec
+    new one in its place.  The init is a value (fuchs.FuchsianSystem), so
+    the record holds for as long as it lives."""
+    chart = _WARM_STARTS.get(init)
+    if chart is None or chart.weights is not weights:
+        chart = parametrization_from_system(fuchs.FuchsianSystem(weights, init.residues))
+        _WARM_STARTS[init] = chart
+    return chart
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +375,10 @@ def solve(
 
     Levenberg-Marquardt from deterministic multi-starts: restart 0 starts
     from the chart of init when one is given; otherwise, and on every later
-    restart, the chart basepoints are drawn from the restart's seed.  A
-    warm restart 0 reads init's warm start record (module docstring): a
-    repeat solve from one init transports its first residual and first
-    Jacobian stack once, whatever the target.  An
+    restart, the chart basepoints are drawn from the restart's seed
+    (cold_chart).  A warm restart 0 runs on init's warm start record, its
+    chart (module docstring): a repeat solve from one init transports its
+    first residual and first Jacobian stack once, whatever the target.  An
     init of other points or weight rows than weights raises ValueError.
     Success means the gauge distance between the solution's monodromy and
     the target (the norm of the generator block of the last LM residual)
@@ -389,7 +393,7 @@ def solve(
     opts = opts or SolveOptions()
     if not target.is_irreducible():
         raise ReducibleTargetError("target representation is reducible")
-    n, r = weights.n, weights.rank
+    r = weights.rank
     if init is not None:
         if not (np.array_equal(init.points, weights.points)
                 and np.array_equal(init.weights.weights, weights.weights)):
@@ -401,15 +405,7 @@ def solve(
     rng_master = np.random.default_rng(opts.seed)
     seeds = rng_master.integers(0, 2**63 - 1, size=max(opts.restarts, 1))
     for restart, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        if restart == 0 and init is not None:
-            parm = warm
-        else:
-            # one draw: per conjugator its real, then its imaginary part
-            g = rng.standard_normal((n - 1, 2, r, r))
-            ks = 0.6 * (g[:, 0] + 1j * g[:, 1])
-            ks[:, np.arange(r), np.arange(r)] = 0.0
-            parm = ResidueParametrization(weights, expm(ks))
+        parm = warm if restart == 0 and init is not None else cold_chart(weights, seed)
 
         # the module-global name: a wrapper of rhsolve.residual_vector sees every call
         residuals = partial(residual_vector, parm, target=target)

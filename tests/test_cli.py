@@ -543,6 +543,42 @@ def test_integral_floats_read_as_integers():
     assert cli.config_hash(read) == cli.config_hash(cfg)
 
 
+# per number field of the rank-2 config: the path to one of its entries, and
+# a JSON value there that is not a number
+NON_NUMBERS = [
+    ("solver.tol", ("solver", "tol"), True),
+    ("solver.tol", ("solver", "tol"), "1e-6"),
+    ("action.delta_schedule", ("action", "delta_schedule", 0), True),
+    ("action.delta_schedule", ("action", "delta_schedule", 0), "0.1"),
+    ("points", ("points", 0), [False, False]),
+    ("points", ("points", 1, 0), "1.0"),
+    ("weights", ("weights", 0, 0), False),
+    ("weights", ("weights", 0, 0), "0.15"),
+    ("representation.conjugators", ("representation", "conjugators", 0, 0, 0, 1), False),
+    ("residues", ("residues", 0, 0, 0, 1), "0"),
+]
+
+
+@pytest.mark.parametrize(
+    "fieldname, path, value", NON_NUMBERS,
+    ids=[f"{name}-{'string' if isinstance(v, str) else 'boolean'}" for name, _, v in NON_NUMBERS],
+)
+def test_non_number_in_a_number_field_exits_2(tmp_path, capsys, fieldname, path, value):
+    # each used to be read: tol true ran at 1.0, a delta true as 1.0, a
+    # point [false, false] as 0 and numeric strings as their numbers
+    data = rank2_config().to_dict()
+    *keys, last = path
+    entry = data
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    rc = cli.main(["monodromy", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"config field '{fieldname}'" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
 @pytest.mark.parametrize("preset", [None, "3"])
 def test_cli_import_pins_blas_threads(preset):
     # the pin must land before numpy is loaded, so it is checked in a fresh

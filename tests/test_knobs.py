@@ -3,9 +3,14 @@ defaulted dataclass fields over src/rhwznw.  A tolerance, step or limit with
 one value in use is a module constant, not a parameter (README, "Numerical
 constants"), so the count only falls; a change that adds a knob raises
 KNOB_BOUND with it.  The decision when a loop set is built has one owner
-too: WeightSystem.loops is the one place that calls MonodromyLoops."""
+too: WeightSystem.loops is the one place that calls MonodromyLoops.
+
+count_code_lines is the size measure that ROADMAP and CHANGES quote:
+python tests/test_knobs.py prints it per module of src/rhwznw."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rhwznw"
@@ -52,6 +57,43 @@ def test_knob_count_sees_parameters_and_fields(tmp_path):
     assert count_knobs(tmp_path) == {"m.py": 5}
 
 
+# tokens that are no code of their own line
+_NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+    tokenize.ENCODING, tokenize.ENDMARKER,
+}
+
+
+def count_code_lines(root: Path) -> dict[str, int]:
+    """Code lines of every module under root, by file name: the lines that
+    a token other than a comment spans (tokenize), less the docstrings of
+    modules, classes and functions (ast), so comments and blank lines are
+    left out too."""
+    counts = {}
+    for path in sorted(root.glob("*.py")):
+        text = path.read_text()
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _NOT_CODE:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                doc = node.body[0] if node.body else None
+                if isinstance(doc, ast.Expr) and isinstance(getattr(doc.value, "value", None), str):
+                    lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+        counts[path.name] = len(lines)
+    return counts
+
+
+def test_code_line_count_leaves_out_docstrings_comments_and_blanks(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\nimport os  # trailing\n\n'
+        'def f(a,\n      b):\n    """One line."""\n    s = """two\n    lines"""\n    return s\n\n'
+        'class C:\n    """Class\n    docstring."""\n\n    x = 1\n'
+    )
+    assert count_code_lines(tmp_path) == {"m.py": 8}
+
+
 def loop_set_builds(root: Path) -> list[tuple[str, int]]:
     """(file name, line) of every MonodromyLoops(...) call under root, by
     plain name or as an attribute."""
@@ -76,3 +118,10 @@ def test_loop_set_builds_see_both_spellings(tmp_path):
         "a = fuchs.MonodromyLoops(w)\nb = MonodromyLoops(w)\nc = fuchs.MonodromyLoops\n"
     )
     assert loop_set_builds(tmp_path) == [("m.py", 3), ("m.py", 4)]
+
+
+if __name__ == "__main__":
+    counts = count_code_lines(SRC)
+    for name, n in counts.items():
+        print(f"{name:14} {n:6,}")
+    print(f"{'total':14} {sum(counts.values()):6,}")

@@ -722,11 +722,13 @@ def test_warm_record_is_read_only_and_dies_with_its_init(warm_family):
     init = fuchs.FuchsianSystem(ws, center.residues.copy())
     rhsolve.solve(ws, target, init=init, opts=WARM_OPTS)
     rec = rhsolve._WARM_STARTS[init]
-    # the point x0 keeps its series, which a solve without a step normalizes;
-    # the Jacobian stack keeps none
-    (_, tol0, (*point, series)), (_, tol1, (*stack, none)) = rec.first
-    assert (tol0, tol1) == (fuchs.TRANSPORT_TOL, rhsolve.JACOBIAN_TOL) and none is None
-    kept = [rec.first[0][0], *point, rec.first[1][0], *stack]
+    # the record is init's chart; the point x0 keeps its series, which a
+    # solve without a step normalizes, and the Jacobian stack keeps none
+    assert type(rec) is rhsolve.ResidueParametrization
+    assert list(rec.first) == [fuchs.TRANSPORT_TOL, rhsolve.JACOBIAN_TOL]
+    (x0, (*point, series)), (xs, (*stack, none)) = rec.first.values()
+    assert none is None
+    kept = [x0, *point, xs, *stack]
     kept += [getattr(series, f.name) for f in dataclasses.fields(series)]
     assert len(kept) == 13
     for a in kept:
@@ -778,7 +780,7 @@ def test_zero_step_warm_solve_returns_residues_apart_from_the_record(warm_family
     assert report.success and len(report.objective_history) == 1
     copy = fuchs.FuchsianSystem(ws, system.residues.copy())
     _assert_same_normalization(report.normalization, rhsolve.normalize_at_infinity(copy, rep))
-    saved = rhsolve._WARM_STARTS[center].first[0][2][0]
+    saved = rhsolve._WARM_STARTS[center].first[fuchs.TRANSPORT_TOL][1][0]
     assert not saved.flags.writeable and not system.residues.flags.writeable
     assert not np.shares_memory(system.residues, saved)
     with pytest.raises(ValueError, match="read-only"):
@@ -802,13 +804,23 @@ def test_written_target_cannot_stale_the_solves_normalization(warm_family):
     _assert_same_normalization(got, rhsolve.normalize_at_infinity(system, dataclasses.replace(target)))
 
 
-def _seeded_cold_chart(weights, seed):
-    """A chart whose basepoints are drawn as a cold restart of solve draws them."""
-    n, r = weights.n, weights.rank
-    g = np.random.default_rng(seed).standard_normal((n - 1, 2, r, r))
-    ks = 0.6 * (g[:, 0] + 1j * g[:, 1])
-    ks[:, np.arange(r), np.arange(r)] = 0.0
-    return rhsolve.ResidueParametrization(weights, numcore.expm(ks))
+def test_cold_chart_keeps_its_first_point_and_jacobian_stack(rank2_target, monodromy_calls):
+    # a cold restart's chart hands its first evaluation at each tolerance
+    # back to a repeat, the same bits without a loop set; another point is
+    # evaluated afresh
+    parm = rhsolve.cold_chart(rank2_target.weights, 1)
+    residuals = partial(rhsolve.residual_vector, parm, target=rank2_target)
+    x0 = np.zeros(parm.dim)
+    f0, J0 = residuals(x0), rhsolve.central_jacobian(residuals, x0)
+    assert monodromy_calls == [(1, fuchs.TRANSPORT_TOL), (2 * parm.dim, rhsolve.JACOBIAN_TOL)]
+    f1, J1 = residuals(x0.copy()), rhsolve.central_jacobian(residuals, x0.copy())
+    assert len(monodromy_calls) == 2
+    assert np.array_equal(f1, f0) and np.array_equal(J1, J0)
+    assert np.array_equal(parm.last_point.x, x0)
+    x = np.full(parm.dim, 1e-3)
+    residuals(x)
+    assert monodromy_calls[2:] == [(1, fuchs.TRANSPORT_TOL)]
+    assert np.array_equal(parm.last_point.x, x)
 
 
 @pytest.mark.parametrize("where", ["stencil", "cold-1", "cold-2"])
@@ -823,7 +835,7 @@ def test_jacobian_at_the_stack_tolerance_matches_a_tight_reference(where, monkey
         parm = rhsolve.parametrization_from_system(center)
     else:
         target = request.getfixturevalue("rank2_target")
-        parm = _seeded_cold_chart(target.weights, int(where[-1]))
+        parm = rhsolve.cold_chart(target.weights, int(where[-1]))
     residuals = partial(rhsolve.residual_vector, parm, target=target)
     x = np.zeros(parm.dim)
     J = rhsolve.central_jacobian(residuals, x)
