@@ -1250,7 +1250,7 @@ def monodromy_rep(system: FuchsianSystem, tol: float = TRANSPORT_TOL) -> Monodro
 
 # most sweeps of _balance_positive_diagonal and of _torus_ascent
 BALANCE_SWEEPS = 200
-TORUS_SWEEPS = 60
+TORUS_SWEEPS = 1000
 
 
 def _balance_positive_diagonal(sq: np.ndarray) -> np.ndarray:
@@ -1286,24 +1286,26 @@ def _torus_ascent(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Coordinate ascent of Re sum_jk g_j c_jk conj(g_k), g = e^{i theta}.
 
     c (B, r, r), theta (B, S, r) with S starts per member; each start stops
-    once a sweep moves it by less than 1e-14, or after TORUS_SWEEPS sweeps.
-    Every coordinate step is the exact maximizer along its axis.
+    once a sweep moves it by less than 1e-14, or after TORUS_SWEEPS sweeps,
+    and later sweeps run on the starts still moving alone.  Every coordinate
+    step is the exact maximizer along its axis.
     """
     r = theta.shape[-1]
-    off = (c * (1 - np.eye(r)))[:, None]
-    active = np.ones(theta.shape[:-1], dtype=bool)
+    off = c * (1 - np.eye(r))
+    # the (member, start) index pairs still moving, the only ones a sweep updates
+    live = np.nonzero(np.ones(theta.shape[:-1], dtype=bool))
     for _ in range(TORUS_SWEEPS):
-        before = theta.copy()
+        t, o = theta[live], off[live[0]]
+        before = t.copy()
         for j in range(r):
-            g = np.exp(1j * theta)
-            w = (off[..., j, :] * np.conj(g)).sum(axis=-1) + np.conj(
-                (off[..., :, j] * g).sum(axis=-1)
-            )
-            step = active & (np.abs(w) > 0)
-            theta[..., j] = np.where(step, -np.arctan2(w.imag, w.real), theta[..., j])
-        turn = np.exp(1j * (theta - before))
-        active &= np.abs(np.arctan2(turn.imag, turn.real)).max(axis=-1) >= 1e-14
-        if not active.any():
+            g = np.exp(1j * t)
+            w = (o[..., j, :] * np.conj(g)).sum(axis=-1) + np.conj((o[..., :, j] * g).sum(axis=-1))
+            t[:, j] = np.where(np.abs(w) > 0, -np.arctan2(w.imag, w.real), t[:, j])
+        theta[live] = t
+        turn = np.exp(1j * (t - before))
+        moving = np.abs(np.arctan2(turn.imag, turn.real)).max(axis=-1) >= 1e-14
+        live = tuple(i[moving] for i in live)
+        if not moving.any():
             break
     return theta
 

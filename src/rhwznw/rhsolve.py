@@ -22,30 +22,32 @@ the looser JACOBIAN_TOL.
 The loops and the gauge alignment live in fuchs (WeightSystem.loops,
 align_tuple_to_target); nothing here builds or passes a loop set.  A
 restart's final residual is the squared norm of the generator block of
-its last LM residual, and the solution is LM's last point evaluation
-(ResidueParametrization.last_point): solve returns its residues and
-normalizes its series and gauge alignment, so nothing is transported
-again.  Nor is the solution after that: normalize_at_infinity hands the
-normalization back for the system that solve returned and its target
-object (_NORMALIZATIONS, held weakly).
+its last LM residual.  solve returns the residues of LM's solution and
+normalizes it on one path, from its chart's evaluation of the solution
+(ResidueParametrization.loop_generators): the kept one when the solution
+was LM's first or latest point, so nothing is transported again, else
+one loop set, to the same bits.  Nor is the solution normalized after
+that: normalize_at_infinity hands the normalization back for the system
+that solve returned and its target object (_NORMALIZATIONS, held weakly).
 
 Both records are keyed on objects of the problem types, which are values
 (fuchs.WeightSystem, AdmissibleRep and FuchsianSystem: frozen, with
 read-only copies of their arrays).  What a record was made from cannot
 change, so it holds for as long as its key lives and is never checked.
 
-A chart keeps the first evaluation of its loop set at each tolerance
-(ResidueParametrization.loop_generators), which in LM's order is its
-start point x0 = 0 at fuchs.TRANSPORT_TOL and its first Jacobian stack,
-the central differences at x0, at JACOBIAN_TOL.  Only LM decides that
-order.  Both depend on the chart alone up to the gauge alignment to the
-target.  A warm solve's restart 0 runs on the chart of its init, and each
-init object given to solve owns that chart as its warm start record
-(_warm_start, held weakly, so it dies with init).  A later warm solve
-from the same init on the same weights object aligns the kept
-evaluations to its own target without transporting them again, and
-takes the same LM steps to the same bits.  A cold chart keeps its own
-for its restart, and dies with it.
+A chart keeps the first and the latest evaluation of its loop set at
+each tolerance (ResidueParametrization.loop_generators).  In LM's order
+the first are its start point x0 = 0 at fuchs.TRANSPORT_TOL and its first
+Jacobian stack, the central differences at x0, at JACOBIAN_TOL; the
+latest point is LM's solution unless LM rejected trial points after it.
+Only LM decides that order.  Every evaluation depends on the chart alone
+up to the gauge alignment to the target.  A warm solve's restart 0 runs
+on the chart of its init, and each init object given to solve owns that
+chart as its warm start record (_warm_start, held weakly, so it dies with
+init).  A later warm solve from the same init on the same weights object
+aligns the kept evaluations to its own target without transporting them
+again, and takes the same LM steps to the same bits.  A cold chart keeps
+its own for its restart, and dies with it.
 """
 
 from __future__ import annotations
@@ -87,19 +89,18 @@ class ResidueParametrization:
     C_i = B_i exp(K_i) with K_i zero-diagonal; A_i = C_i W_i C_i^{-1}
     has spectrum exactly the i-th weight row at every chart point.
 
-    A chart keeps two records, set in __post_init__, so neither is a field:
-    last_point, the last chart point that residual_vector evaluated
-    (_PointEvaluation), which solve normalizes when it is LM's solution;
-    and first, the first evaluation of loop_generators at each tolerance.
+    A chart keeps one record, set in __post_init__, so it is not a field:
+    evaluations, the first and the latest evaluation of loop_generators at
+    each tolerance.
     """
 
     weights: fuchs.WeightSystem
     basepoints: np.ndarray  # (n-1, r, r)
 
     def __post_init__(self):
-        self.last_point = None
-        # {tol: (points, (residues, generators, series or None))}, read-only
-        self.first = {}
+        # {tol: (first, latest), or (first,) while they are one}, each
+        # (points, (residues, generators, series or None)), read-only
+        self.evaluations = {}
 
     @property
     def dim(self) -> int:
@@ -136,25 +137,27 @@ class ResidueParametrization:
         (B, n, r, r) and the loops' series on the weights' loop set at tol,
         each from one call.
 
-        The first stack evaluated at each tol is kept in first, read-only,
-        with its series when it is one point (a solve that takes no step
-        normalizes it) and without for a larger stack; every later
-        evaluation of the same stack at that tol gets it back, and any other
-        stack is evaluated afresh.  In LM's order these are its start point
-        and its first Jacobian stack, so a warm chart (_warm_start) keeps
-        them for every solve from its init."""
-        kept = self.first.get(tol)
-        if kept is not None and np.array_equal(xs, kept[0]):
-            return kept[1]
+        The first and the latest stack evaluated at each tol are kept in
+        evaluations, read-only, with the series when the stack is one point
+        (solve normalizes its solution from it) and without for a larger
+        stack; an equal stack at that tol gets its evaluation back without a
+        loop set, and any other stack is evaluated and becomes the latest.
+        In LM's order the first are its start point and its first Jacobian
+        stack, so a warm chart (_warm_start) keeps them for every solve from
+        its init; the latest point is LM's solution unless it rejected trial
+        points after it."""
+        kept = self.evaluations.get(tol, ())
+        for points, out in kept:
+            if np.array_equal(xs, points):
+                return out
         residues = self.residues(xs)
         gens, series = self.weights.loops.monodromy(residues, tol)
-        if kept is not None:
-            return residues, gens, series
         series = replace(
             series, **{f.name: read_only(getattr(series, f.name)) for f in fields(series)}
         ) if len(xs) == 1 else None
-        self.first[tol] = (read_only(xs), (read_only(residues), read_only(gens), series))
-        return self.first[tol][1]
+        new = (read_only(xs), (read_only(residues), read_only(gens), series))
+        self.evaluations[tol] = (*kept[:1], new)
+        return new[1]
 
 
 def parametrization_from_system(system: fuchs.FuchsianSystem) -> ResidueParametrization:
@@ -203,18 +206,6 @@ def _warm_start(weights: fuchs.WeightSystem, init: fuchs.FuchsianSystem) -> Resi
 # residual
 
 
-@dataclass(frozen=True)
-class _PointEvaluation:
-    """What residual_vector evaluated at one chart point x, at
-    fuchs.TRANSPORT_TOL: everything the normalization at infinity of the
-    point's system reads (_normalize), so that solve normalizes LM's last
-    point without evaluating it again."""
-
-    x: np.ndarray
-    series: fuchs.SeriesStack
-    aligned: fuchs.TupleAlignment  # of the generators (n, r, r) to the target
-
-
 def residual_vector(
     parm: ResidueParametrization, x: np.ndarray, target: fuchs.AdmissibleRep
 ) -> np.ndarray:
@@ -228,12 +219,12 @@ def residual_vector(
     differentiation), far more accurate than the tolerance.  The
     target-free residues and generators come from the chart
     (ResidueParametrization.loop_generators), their gauge alignment to the
-    target from one call; then the infinity spectrum.  A point's evaluation
-    is kept on the chart as its last_point (_PointEvaluation)."""
+    target from one call; then the infinity spectrum.  Nothing is written
+    to the chart but what loop_generators keeps."""
     x = np.asarray(x, dtype=float)
     point = x.ndim == 1
     xs = x[None] if point else x
-    residues, gens, series = parm.loop_generators(xs, fuchs.TRANSPORT_TOL if point else JACOBIAN_TOL)
+    residues, gens, _ = parm.loop_generators(xs, fuchs.TRANSPORT_TOL if point else JACOBIAN_TOL)
     aligned = align_tuple_to_target(gens, target)
     diff = aligned.generators - target.generators
     # per generator: real parts, then imaginary parts
@@ -244,26 +235,16 @@ def residual_vector(
         [d, INFINITY_WEIGHT * (lam.real - tgt), INFINITY_WEIGHT * lam.imag],
         axis=1,
     )
-    if not point:
-        return f
-    one = fuchs.TupleAlignment(aligned.generators[0], aligned.conjugator[0], aligned.mismatch[0])
-    parm.last_point = _PointEvaluation(x.copy(), series, one)
-    return f[0]
-
-
-def _central_points(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The steps FD_STEP * max(1, |x_j|) and the (2 dim, dim) stack of the
-    central-difference Jacobian at x: x plus each step, then x minus each."""
-    steps = FD_STEP * np.maximum(1.0, np.abs(x))
-    shift = np.diag(steps)
-    return steps, np.concatenate([x + shift, x - shift])
+    return f[0] if point else f
 
 
 def central_jacobian(residuals, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian from one call of residuals (residual_vector
-    with parm and target bound) on the 2 dim points of _central_points(x)."""
-    steps, points = _central_points(x)
-    f = residuals(points)
+    with parm and target bound) on one (2 dim, dim) stack: x plus each step
+    FD_STEP * max(1, |x_j|), then x minus each."""
+    steps = FD_STEP * np.maximum(1.0, np.abs(x))
+    shift = np.diag(steps)
+    f = residuals(np.concatenate([x + shift, x - shift]))
     n = len(x)
     return ((f[:n] - f[n:]) / (2 * steps[:, None])).T
 
@@ -386,9 +367,10 @@ def solve(
     returned report carries the normalization at infinity of a successful
     solution, whose large_cell_flag it reads, and normalize_at_infinity
     hands it back for the returned system (module docstring).  It is built
-    from LM's last point evaluation (_normalize), which is the solution's
-    unless LM rejected trial points after it; then the solution is
-    normalized afresh (normalize_at_infinity), to the same bits.
+    (_normalize) from the chart's evaluation of the solution at
+    fuchs.TRANSPORT_TOL (ResidueParametrization.loop_generators), aligned
+    to the target: LM's own when the solution was its first or latest
+    point, else one loop set, to the same bits.
     """
     opts = opts or SolveOptions()
     if not target.is_irreducible():
@@ -420,9 +402,7 @@ def solve(
         # 2r entries are the infinity-spectrum penalty
         gauge = f[: -2 * r]
         final = float(gauge @ gauge)
-        # LM's last point evaluation, unless trial points that it rejected came after x
-        last = parm.last_point if np.array_equal(parm.last_point.x, x) else None
-        cand = (final, restart, parm, x, iters, history, last)
+        cand = (final, restart, parm, x, iters, history)
         if best is None or cand[0] < best[0]:
             best = cand
         # final is a squared distance, tol a distance
@@ -430,16 +410,16 @@ def solve(
         if success:
             break
 
-    final, restart, parm, x, iters, history, last = best
+    final, restart, parm, x, iters, history = best
     system = parm.system(x)
     norm = None
     if success:
         try:
-            if last is None:
-                norm = normalize_at_infinity(system, target)
-            else:
-                _refuse_resonance_at_infinity(weights)
-                norm = _normalize(system, last.series, last.aligned)
+            _refuse_resonance_at_infinity(weights)
+            # LM's evaluation of x, kept on the chart when it was LM's first or
+            # latest point, else one loop set
+            _, gens, series = parm.loop_generators(x[None], fuchs.TRANSPORT_TOL)
+            norm = _normalize(system, series, align_tuple_to_target(gens[0], target))
             _NORMALIZATIONS[system] = (target, norm)
         except NumericalError as exc:
             warnings.warn(f"normalization at infinity failed: {exc}")

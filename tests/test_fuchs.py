@@ -524,17 +524,20 @@ def test_align_rank3_torus_oracle():
         assert abs(mismatch(np.zeros(2), gens) - found) <= 1e-12 * (1 + found)
 
 
-def test_align_rank4_torus_starts_reach_the_best_of_64():
+@pytest.mark.parametrize("draw", [1, 4])
+def test_align_rank4_torus_starts_reach_the_best_of_64(draw):
     # at rank 4 the torus ascent from theta = 0 alone stops at a lesser
     # local maximum on a few tuples in a hundred; the seven starts reach the
-    # best of 64 seeded starts on every one, to the ascent's sweep limit
+    # best of 64 seeded starts on every one, to rounding.  Draw 4 has a start
+    # that stops only after 595 sweeps, and ends 8.0e-8 above the best with
+    # the sweeps capped at 60
     ws = fuchs.build_weight_system(
         [-1.0, 0.0, 1.0],
         [[0.05, 0.15, 0.3, 0.45], [0.1, 0.2, 0.35, 0.5], [0.1, 0.25, 0.4, 0.55], [0.05, 0.1, 0.2, 0.25]],
     )
     target = moduli.random_admissible_rep(ws, seed=2)
     tgts = np.asarray(target.generators)
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(draw)
     stack = np.concatenate([_perturbed_tuples(target, rng, 50, scale) for scale in (0.3, 0.5, 0.7, 1.0)])
     aligned = fuchs.align_tuple_to_target(stack, target)
     # every torus rotation of the aligned tuple, from 64 seeded starts
@@ -544,7 +547,7 @@ def test_align_rank4_torus_starts_reach_the_best_of_64():
     g = np.exp(1j * theta)[:, :, None]
     rotated = g[..., :, None] * aligned.generators[:, None] * np.conj(g)[..., None, :]
     best = np.min(np.sum(np.abs(rotated - tgts) ** 2, axis=(-3, -2, -1)), axis=1)
-    assert np.all(aligned.mismatch <= best * (1 + 1e-6))
+    assert np.all(aligned.mismatch <= best * (1 + 1e-12))
 
 
 def test_align_conjugator_stable_under_last_bit_perturbations(rank2_oracle_system, rank2_target):

@@ -130,22 +130,26 @@ def test_residual_vector_stack_rows_match_points_rank2(rank2_target, rank2_oracl
 def test_residual_vector_runs_each_evaluation_at_its_use(rank2_target, rank2_oracle_system, monodromy_calls):
     # a point, which may become the solution, runs at the normalization's
     # tolerance and is kept on the chart with what the normalization reads; a
-    # stack, a Jacobian's even with one member, runs at JACOBIAN_TOL and is not kept
+    # stack, a Jacobian's even with one member, runs at JACOBIAN_TOL and is
+    # kept at that tolerance alone, a larger one without its series
     parm = rhsolve.parametrization_from_system(rank2_oracle_system)
     x = 0.05 * np.random.default_rng(4).standard_normal(parm.dim)
     rhsolve.residual_vector(parm, x, rank2_target)
-    last = parm.last_point
+    last = parm.evaluations[fuchs.TRANSPORT_TOL]
     rhsolve.residual_vector(parm, x[None], rank2_target)
     rhsolve.central_jacobian(partial(rhsolve.residual_vector, parm, target=rank2_target), x)
     assert monodromy_calls == [
         (1, fuchs.TRANSPORT_TOL), (1, rhsolve.JACOBIAN_TOL), (2 * parm.dim, rhsolve.JACOBIAN_TOL)
     ]
-    assert parm.last_point is last and np.array_equal(last.x, x)
+    assert parm.evaluations[fuchs.TRANSPORT_TOL] is last and np.array_equal(last[-1][0], x[None])
+    assert parm.evaluations[rhsolve.JACOBIAN_TOL][-1][1][2] is None
+    _, kept_gens, kept_series = last[-1][1]
+    kept = rhsolve.align_tuple_to_target(kept_gens[0], rank2_target)
     gens, series = rank2_oracle_system.weights.loops.monodromy(parm.residues(x[None]), fuchs.TRANSPORT_TOL)
     aligned = rhsolve.align_tuple_to_target(gens[0], rank2_target)
-    assert np.array_equal(last.aligned.conjugator, aligned.conjugator)
-    assert np.array_equal(last.aligned.generators, aligned.generators)
-    assert np.array_equal(last.series.coords, series.coords)
+    assert np.array_equal(kept.conjugator, aligned.conjugator)
+    assert np.array_equal(kept.generators, aligned.generators)
+    assert np.array_equal(kept_series.coords, series.coords)
 
 
 def test_solve_rank1(rank1_weights, rank1_target):
@@ -684,8 +688,9 @@ def test_warm_repeat_from_one_init_is_bit_identical_with_two_fewer_transports(
     fresh = _warm_solve(monodromy_calls, ws, target, fuchs.FuchsianSystem(ws, init.residues.copy()))
     _assert_same_solve(again, first)
     _assert_same_solve(fresh, first)
-    # the repeat reuses the one-point stack at x0 and the Jacobian stack at x0
-    assert again[2] == first[2] - 2
+    # the repeat reuses the one-point stack at x0, the Jacobian stack at x0
+    # and the latest Jacobian stack, the first solve's last
+    assert again[2] == first[2] - 3
     assert fresh[2] == first[2]
     # a cold solve neither reads nor makes a record
     records = len(rhsolve._WARM_STARTS)
@@ -706,7 +711,7 @@ def test_warm_record_misses_on_other_residues_or_weights(warm_family, monodromy_
         init.residues = g @ init.residues @ np.linalg.inv(g)
     again = _warm_solve(monodromy_calls, ws, target, init)
     _assert_same_solve(again, first)
-    assert again[2] == first[2] - 2
+    assert again[2] == first[2] - 3
     # an equal copy of the weights, which owns a loop set of its own
     other = dataclasses.replace(ws)
     got = _warm_solve(monodromy_calls, other, target, init)
@@ -723,19 +728,26 @@ def test_warm_record_is_read_only_and_dies_with_its_init(warm_family):
     rhsolve.solve(ws, target, init=init, opts=WARM_OPTS)
     rec = rhsolve._WARM_STARTS[init]
     # the record is init's chart; the point x0 keeps its series, which a
-    # solve without a step normalizes, and the Jacobian stack keeps none
+    # solve without a step normalizes, and the Jacobian stack keeps none;
+    # the latest point and stack are kept the same way
     assert type(rec) is rhsolve.ResidueParametrization
-    assert list(rec.first) == [fuchs.TRANSPORT_TOL, rhsolve.JACOBIAN_TOL]
-    (x0, (*point, series)), (xs, (*stack, none)) = rec.first.values()
+    assert list(rec.evaluations) == [fuchs.TRANSPORT_TOL, rhsolve.JACOBIAN_TOL]
+    (x0, (*point, series)), (xs, (*stack, none)) = (pair[0] for pair in rec.evaluations.values())
     assert none is None
     kept = [x0, *point, xs, *stack]
     kept += [getattr(series, f.name) for f in dataclasses.fields(series)]
     assert len(kept) == 13
+    (x, (*latest, last_series)), (ys, (*latest_stack, none)) = (
+        pair[-1] for pair in rec.evaluations.values()
+    )
+    assert none is None and not np.array_equal(x, x0) and not np.array_equal(ys, xs)
+    kept += [x, *latest, ys, *latest_stack]
+    kept += [getattr(last_series, f.name) for f in dataclasses.fields(last_series)]
     for a in kept:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
     ref = weakref.ref(rec)
-    del rec, kept, init, series
+    del rec, kept, init, series, last_series
     gc.collect()
     assert ref() is None
 
@@ -760,6 +772,8 @@ def test_field_after_a_solve_transports_nothing(warm_family, monodromy_calls):
     _assert_same_normalization(again, report.normalization)
     # the record dies with the system
     ref = weakref.ref(report.normalization)
+    # other tests' dead systems are collected first, so the count drops by this one
+    gc.collect()
     records = len(rhsolve._NORMALIZATIONS)
     del system, report, fld
     gc.collect()
@@ -780,7 +794,7 @@ def test_zero_step_warm_solve_returns_residues_apart_from_the_record(warm_family
     assert report.success and len(report.objective_history) == 1
     copy = fuchs.FuchsianSystem(ws, system.residues.copy())
     _assert_same_normalization(report.normalization, rhsolve.normalize_at_infinity(copy, rep))
-    saved = rhsolve._WARM_STARTS[center].first[fuchs.TRANSPORT_TOL][1][0]
+    saved = rhsolve._WARM_STARTS[center].evaluations[fuchs.TRANSPORT_TOL][0][1][0]
     assert not saved.flags.writeable and not system.residues.flags.writeable
     assert not np.shares_memory(system.residues, saved)
     with pytest.raises(ValueError, match="read-only"):
@@ -807,7 +821,7 @@ def test_written_target_cannot_stale_the_solves_normalization(warm_family):
 def test_cold_chart_keeps_its_first_point_and_jacobian_stack(rank2_target, monodromy_calls):
     # a cold restart's chart hands its first evaluation at each tolerance
     # back to a repeat, the same bits without a loop set; another point is
-    # evaluated afresh
+    # evaluated afresh and becomes the latest, beside the first
     parm = rhsolve.cold_chart(rank2_target.weights, 1)
     residuals = partial(rhsolve.residual_vector, parm, target=rank2_target)
     x0 = np.zeros(parm.dim)
@@ -816,11 +830,12 @@ def test_cold_chart_keeps_its_first_point_and_jacobian_stack(rank2_target, monod
     f1, J1 = residuals(x0.copy()), rhsolve.central_jacobian(residuals, x0.copy())
     assert len(monodromy_calls) == 2
     assert np.array_equal(f1, f0) and np.array_equal(J1, J0)
-    assert np.array_equal(parm.last_point.x, x0)
+    assert np.array_equal(parm.evaluations[fuchs.TRANSPORT_TOL][-1][0], x0[None])
     x = np.full(parm.dim, 1e-3)
     residuals(x)
     assert monodromy_calls[2:] == [(1, fuchs.TRANSPORT_TOL)]
-    assert np.array_equal(parm.last_point.x, x)
+    first, latest = parm.evaluations[fuchs.TRANSPORT_TOL]
+    assert np.array_equal(first[0], x0[None]) and np.array_equal(latest[0], x[None])
 
 
 @pytest.mark.parametrize("where", ["stencil", "cold-1", "cold-2"])
