@@ -78,14 +78,22 @@ def _reals(value) -> np.ndarray:
     return np.array([_reals(v) for v in value] if isinstance(value, list) else _real(value))
 
 
-def _complex_array(value, fieldname: str, ndim: int) -> np.ndarray:
+def _complex_array(value, ndim: int) -> np.ndarray:
     """Nested lists of [re, im] pairs as a complex array with ndim axes."""
-    pairs = _read(fieldname, _reals, value)
+    pairs = _reals(value)
     shape_ok = pairs.ndim == ndim + 1 and pairs.shape[-1] == 2 and 0 not in pairs.shape
     if not (shape_ok and np.isfinite(pairs).all()):
         kind = "a list" if ndim == 1 else "a list of matrices"
-        raise ConfigError(fieldname, f"expected {kind} of finite [re, im] pairs")
+        raise ValueError(f"expected {kind} of finite [re, im] pairs")
     return pairs.view(complex)[..., 0]
+
+
+def _matrix(value) -> np.ndarray:
+    """A matrix of JSON numbers (_reals)."""
+    m = _reals(value)
+    if m.ndim != 2:
+        raise ValueError("expected an n x r matrix of reals")
+    return m
 
 
 def _complex_to_json(a) -> list:
@@ -113,6 +121,13 @@ def _count(value) -> int:
     return n
 
 
+def _schema_version(value) -> int:
+    """The config's schema version, which must be SCHEMA_VERSION."""
+    if _integer(value) != SCHEMA_VERSION:
+        raise ValueError(f"expected {SCHEMA_VERSION}, got {value!r}")
+    return SCHEMA_VERSION
+
+
 def _positive_float(value) -> float:
     x = _real(value)
     if not (np.isfinite(x) and x > 0):
@@ -120,12 +135,19 @@ def _positive_float(value) -> float:
     return x
 
 
-# the fields of the "solver" section (on ProblemConfig.solver) and of the
-# "action" section (on ProblemConfig), each with the reader of its value;
-# the delta schedule is a list of numbers, checked as action_regularized checks it
+# the top-level fields of a config, of the "representation" section, of the
+# "solver" section (on ProblemConfig.solver) and of the "action" section (on
+# ProblemConfig), each with the reader of its value; a section is read on
+# its own, and the delta schedule is checked as action_regularized checks it
+CONFIG_FIELDS = (
+    ("schema_version", _schema_version), ("points", lambda v: [complex(z) for z in _complex_array(v, 1)]),
+    ("weights", _matrix), ("degree", _integer), ("residues", lambda v: _complex_array(v, 3)),
+    *((section, lambda v: v) for section in ("representation", "solver", "action")),
+)
+REPRESENTATION_FIELDS = (("conjugators", lambda v: _complex_array(v, 3)),)
 SOLVER_FIELDS = (
     ("tol", _positive_float), ("max_iter", _count), ("restarts", _count),
-    ("seed", _integer),
+    ("seed", _count),
 )
 ACTION_FIELDS = (("delta_schedule", lambda v: wznw.checked_delta_schedule(_reals(v))),)
 
@@ -137,17 +159,19 @@ def _section_to_dict(obj, fields) -> dict:
 
 
 def _section_from_dict(data: dict, section: str, fields) -> dict:
-    """The fields present in data[section], read; absent ones keep their
-    defaults, and a key that is not a field of the section is refused."""
-    values = data.get(section, {})
+    """The fields present in data[section], or in data itself for the top
+    level (section ""), read; absent ones keep their defaults, and a key
+    that is not a field at that level is refused."""
+    values = data.get(section, {}) if section else data
     if not isinstance(values, dict):
-        raise ConfigError(section, "expected an object")
+        raise ConfigError(section or "<root>", "expected an object")
+    prefix = f"{section}." if section else ""
     known = {name for name, _ in fields}
     for key in values:
         if key not in known:
-            raise ConfigError(f"{section}.{key}", "unknown field")
+            raise ConfigError(prefix + key, "unknown field")
     return {
-        name: _read(f"{section}.{name}", convert, values[name])
+        name: _read(prefix + name, convert, values[name])
         for name, convert in fields
         if name in values
     }
@@ -184,31 +208,21 @@ class ProblemConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ProblemConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("<root>", "config must be a JSON object")
+        top = _section_from_dict(data, "", CONFIG_FIELDS)
         for key in ("points", "weights"):
-            if key not in data:
+            if key not in top:
                 raise ConfigError(key, "missing required field")
-        weights = _read("weights", _reals, data["weights"])
-        if weights.ndim != 2:
-            raise ConfigError("weights", "expected an n x r matrix of reals")
         cfg = ProblemConfig(
-            points=[complex(z) for z in _complex_array(data["points"], "points", 1)],
-            weights=weights,
+            points=top["points"], weights=top["weights"], degree=top.get("degree"),
+            residues=top.get("residues"),
             solver=rhsolve.SolveOptions(**_section_from_dict(data, "solver", SOLVER_FIELDS)),
             **_section_from_dict(data, "action", ACTION_FIELDS),
         )
-        if "degree" in data:
-            cfg.degree = _read("degree", _integer, data["degree"])
-        rep = data.get("representation")
-        if rep is not None:
-            if not isinstance(rep, dict):
-                raise ConfigError("representation", "expected an object")
+        if data.get("representation") is not None:
+            rep = _section_from_dict(data, "representation", REPRESENTATION_FIELDS)
             if "conjugators" not in rep:
                 raise ConfigError("representation.conjugators", "missing required field")
-            cfg.conjugators = _complex_array(rep["conjugators"], "representation.conjugators", 3)
-        if "residues" in data:
-            cfg.residues = _complex_array(data["residues"], "residues", 3)
+            cfg.conjugators = rep["conjugators"]
         return cfg
 
 
@@ -418,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.command == "rhsolve":
             if args.seed is not None:
-                cfg.solver.seed = args.seed
+                cfg.solver.seed = _read("solver.seed", _count, args.seed)
             if args.tol is not None:
                 cfg.solver.tol = _read("solver.tol", _positive_float, args.tol)
         return COMMANDS[args.command][0](cfg, out_dir)

@@ -58,15 +58,17 @@ starts there.  A patch's ring is its puncture's loop circle.  The series gives t
 every inward node of a patch and the whole outer region, so the web
 builds no series and transports no ring entry; only the outward rays,
 from the ring to the Voronoi or outer boundary, are transported: the rays
-of all patches as the members of one adaptive fan call
+of all patches are laid out once as the members of one adaptive fan call
 (fuchs.transport), with a stop at every Gauss-Legendre node, read
-off the kernel's dense output, so the stops cost no steps.  The inward
-nodes of a patch and the outer region lie on circles, each circle at its
-own angle count; all nodes of a region are one pointwise series
-evaluation (fuchs.SeriesStack.values), and A at all nodes of a region is
-one product.  A region takes it from the nodes' offsets x = z - c from
-its center c (z_i at a puncture, 0 at infinity),
-sum_j A_j / (x + c - z_j), which keep their digits however close to z_i.
+off the kernel's dense output, so the stops cost no steps.  Then one
+loop over the points p = 0 .. n-1, infinity last, builds each region
+from its series grid and its point's rays (none at infinity).  The series nodes lie on
+circles, each circle at its own angle count; all of a region's series
+nodes are one pointwise series evaluation (fuchs.SeriesStack.values),
+and A at all nodes of a region is one product.  A region takes it from
+the nodes' offsets x = z - c from its center c (z_i at a puncture, 0 at
+infinity), sum_j A_j / (x + c - z_j), which keep their digits however
+close to z_i.
 
 The two identity checks take stacks: three_form_pair a (..., r, r) stack
 of metrics and directions, all their Cholesky differentials one call, and
@@ -474,11 +476,13 @@ def _kink_angles(points: np.ndarray, i: int, r_out: float) -> np.ndarray:
 class TransportWeb:
     """Transported solution values and densities on the full quadrature web.
 
-    One region per point, in point order, infinity last: a patch per
-    puncture and the outer region.  Each region stores its nodes' radius in
-    its point's local coordinate, |z - z_i| at a puncture and 1 / |z| at
-    infinity, so that X_delta keeps the nodes at radius delta or more in
-    every region alike (integrals_at).  Besides the densities, the web
+    One region per point, built by one loop in point order, infinity last:
+    a patch per puncture and the outer region.  Each region stores its
+    nodes' radius in its point's local coordinate, |z - z_i| at a puncture
+    and 1 / |z| at infinity, so that X_delta keeps the nodes at radius delta
+    or more in every region alike (integrals_at).  A region's nodes are its
+    series grid (_series_grid) and then its point's outward rays, t-major;
+    the region at infinity has no rays.  Besides the densities, the web
     keeps h and A at IMAG_SAMPLE nodes of the first patch, spread evenly
     over its node list, for the check that the trace form stays real.  The
     web spans the smallest delta of the schedule.
@@ -496,7 +500,7 @@ class TransportWeb:
 
     The patches end and the outer region starts on |z| = |z0|, as in y_at.
     Every ring lies inside that circle (fuchs.MonodromyLoops); a ring that
-    touches it has outward rays of zero length there (_patch_rays).
+    touches it has outward rays of zero length there.
     """
 
     IMAG_SAMPLE = 64
@@ -504,7 +508,7 @@ class TransportWeb:
     def __init__(self, fld: MetricField, delta_schedule: tuple):
         self.field = fld
         pts = np.asarray(fld.system.points)
-        self.r_out = abs(fld.basepoint)
+        r_out = abs(fld.basepoint)
         # every point's ring in its local coordinate: a puncture's loop
         # circle, and 1 / |z0| at infinity
         rings = fld.series.radius
@@ -519,11 +523,16 @@ class TransportWeb:
         # delta_min to its ring, and the outer region in log |z| from |z0|
         # to 1 / delta_min
         radial = [_log_panels(delta_min, ring_r, fixed) for ring_r in rings[:-1]]
-        radial.append(_log_panels(self.r_out, 1.0 / delta_min, [1.0 / d for d in delta_schedule]))
-        angles = [self._ray_angles(i) for i in range(len(pts))]
+        radial.append(_log_panels(r_out, 1.0 / delta_min, [1.0 / d for d in delta_schedule]))
+        # each patch's ray angles and weights: its boundary has kinks at the
+        # patch's corners (_kink_angles), at least two since n >= 2, so the
+        # rule is GL on panels split there (uniform trapezoid would stall at N^-2)
+        angles = [_gl_panels(np.append(k, k[0] + 2 * np.pi), 2 * np.pi / 12)
+                  for k in (_kink_angles(pts, i, r_out) for i in range(len(pts)))]
+        n_rays = [len(phi) for phi, _ in angles]
         t_nodes, t_weights = _gl_panels(np.linspace(0, 1, OUTWARD_PANELS + 1), 1.0)
         nodes = (sum(int(_angle_counts(fld.series, p, np.exp(s)).sum()) for p, (s, _) in enumerate(radial))
-                 + len(t_nodes) * sum(len(phi) for phi, _ in angles))
+                 + len(t_nodes) * sum(n_rays))
         if nodes > WEB_NODE_LIMIT:
             raise ValueError(f"the quadrature web would have {nodes} nodes, "
                              f"more than WEB_NODE_LIMIT = {WEB_NODE_LIMIT}")
@@ -535,70 +544,39 @@ class TransportWeb:
                 f"the floor DELTA_CONDITION_LIMIT^(-1/g) for the exponent gap g = {gap:.3g}: "
                 "Y is too ill-conditioned there for h"
             )
-        # every patch's outward rays are the members of one fan call, with a
-        # stop at every Gauss-Legendre node in t
-        rays, ring_y = zip(*[self._patch_rays(i, rings[i], phi)
-                             for i, (phi, _) in enumerate(angles)])
-        fan = paths.RayFan(*map(np.concatenate, zip(*rays)))
-        y_out = fuchs.transport(pts, fld.system.residues, fan, np.concatenate(ring_y), t_nodes).values
-        ends = np.cumsum([len(phi) for phi, _ in angles])[:-1]
-        self.regions = [
-            self._build_patch(i, ray, w_phi, rule, y, t_nodes, t_weights)
-            for i, (ray, (_, w_phi), rule, y)
-            in enumerate(zip(rays, angles, radial, np.split(y_out, ends, axis=1)))
-        ]
-        # the outer region from the series at infinity, out to 1 / delta_min
-        x, rho, wt, y = _series_grid(fld, len(pts), radial[-1])
-        self.regions.append(_WebRegion(x, rho, wt, *densities(y, _region_A(fld.system, len(pts), x))))
-
-    # -- patches ------------------------------------------------------------
-
-    def _ray_angles(self, i: int):
-        """The angles of the outward rays of the patch at puncture i and their
-        weights.  The boundary rho_max(phi) has kinks at the corners of the
-        patch (_kink_angles), at least two since n >= 2, so the angular rule
-        is GL on panels split at the kinks (uniform trapezoid would stall at
-        N^-2)."""
-        kinks = _kink_angles(np.asarray(self.field.system.points), i, self.r_out)
-        edges = np.concatenate([kinks, [kinks[0] + 2 * np.pi]])
-        return _gl_panels(edges, 2 * np.pi / 12)
-
-    def _patch_rays(self, i: int, ring_r: float, phi: np.ndarray):
-        """The outward rays of the patch at puncture i at the angles phi, from
-        its ring to the patch boundary, as the RayFan fields (center, phis,
-        s0, s1) of one member per ray, and their ring values from the series."""
-        pts = np.asarray(self.field.system.points)
-        rho_max = _voronoi_rho_max(pts, i, phi, self.r_out)
-        rays = (np.full(len(phi), complex(pts[i])), phi, np.full(len(phi), np.log(ring_r)),
-                np.log(np.maximum(rho_max, ring_r)))
-        return rays, self.field.series.values(i, ring_r, phi)
-
-    def _build_patch(self, i: int, rays, w_rays, radial, y_out, t_nodes, t_weights) -> _WebRegion:
-        """The patch at puncture i: its inward nodes from the series, at the
-        log-radius rule radial from delta_min to the ring, and its rays'
-        values y_out (len(t_nodes), rays, r, r) at the stops t_nodes, w_rays
-        their angular weights."""
-        x_in, rho_in, wt_in, y_in = _series_grid(self.field, i, radial)
-        _, phis, s0, s1 = rays
-        span = s1 - s0
-        s_out = s0 + t_nodes[:, None] * span[None, :]
-        rho_out = np.exp(s_out)
-        x_out = rho_out * np.exp(1j * phis)[None, :]
-        wt_out = (t_weights[:, None] * span[None, :]) * np.exp(2 * s_out) * w_rays[None, :]
-
-        x = np.concatenate([x_in, x_out.ravel()])
-        y = np.concatenate([y_in, y_out.reshape(-1, *y_out.shape[2:])])
-        A = _region_A(self.field.system, i, x)
-        if i == 0:
-            # the trace-form check's sample, spread evenly over the first patch
-            idx = np.linspace(0, len(x) - 1, min(self.IMAG_SAMPLE, len(x))).astype(int)
-            self.sample_h, self.sample_A = _metric_from_factor(y[idx]), A[idx]
-        kin, top = densities(y, A)
-        return _WebRegion(z=self.field.system.points[i] + x,
-                          rho=np.concatenate([rho_in, rho_out.ravel()]),
-                          weight=np.concatenate([wt_in, wt_out.ravel()]), kinetic=kin, topological=top)
-
-    # -- assembly -----------------------------------------------------------
+        # every patch's outward rays, from its ring to its boundary, are the
+        # members of one fan call, with a stop at every Gauss-Legendre node in t
+        phis, w_phi = map(np.concatenate, zip(*angles))
+        ring = rings[np.repeat(np.arange(len(pts)), n_rays)]
+        rho_max = np.concatenate([_voronoi_rho_max(pts, i, phi, r_out) for i, (phi, _) in enumerate(angles)])
+        s0, s1 = np.log(ring), np.log(np.maximum(rho_max, ring))
+        fan = paths.RayFan(np.repeat(pts, n_rays), phis, s0, s1)
+        start = np.concatenate([fld.series.values(i, rings[i], phi) for i, (phi, _) in enumerate(angles)])
+        y_out = fuchs.transport(pts, fld.system.residues, fan, start, t_nodes).values
+        # one loop builds the regions in point order: each from its series
+        # grid and then its point's rays, t-major (infinity's piece has none)
+        ends = np.cumsum(n_rays)
+        on_rays = [np.split(a, ends) for a in (s0, s1, phis, w_phi)] + [np.split(y_out, ends, axis=1)]
+        centers = np.append(pts, 0.0)
+        self.regions = []
+        for p, (rule, s0_ray, s1_ray, phi, w_ray, y_ray) in enumerate(zip(radial, *on_rays)):
+            x_in, rho_in, wt_in, y_in = _series_grid(fld, p, rule)
+            s_ray = s0_ray + t_nodes[:, None] * (s1_ray - s0_ray)
+            rho_ray = np.exp(s_ray)
+            wt_ray = (t_weights[:, None] * (s1_ray - s0_ray)) * np.exp(2 * s_ray) * w_ray
+            x = np.concatenate([x_in, (rho_ray * np.exp(1j * phi)).ravel()])
+            y = np.concatenate([y_in, y_ray.reshape(-1, *y_in.shape[1:])])
+            A = _region_A(fld.system, p, x)
+            if p == 0:
+                # the trace-form check's sample, spread evenly over the first patch
+                idx = np.linspace(0, len(x) - 1, min(self.IMAG_SAMPLE, len(x))).astype(int)
+                self.sample_h, self.sample_A = _metric_from_factor(y[idx]), A[idx]
+            self.regions.append(_WebRegion(centers[p] + x, np.concatenate([rho_in, rho_ray.ravel()]),
+                                           np.concatenate([wt_in, wt_ray.ravel()]), *densities(y, A)))
+            # freed before the next region's series grid, whose arrays then
+            # reuse their memory: kept alive, they made the rigid fixture's
+            # web about 5 % slower
+            del x, y, A, y_in
 
     def integrals_at(self, delta: float) -> tuple[float, float]:
         """(kinetic, topological) integrals over X_delta: every region's nodes

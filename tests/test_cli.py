@@ -378,9 +378,15 @@ def test_seed_and_tol_overrides(tmp_path):
         # a misspelt field must not leave its default in place silently
         ({"solver": {"restart": 1}}, "solver.restart"),
         ({"action": {"nphi": 8}}, "action.nphi"),
+        # at every level: a misspelt section, a stray key beside the
+        # conjugators, and a schema version other than 1 used to exit 0
+        ({"solvr": {"tol": 1e-3}}, "solvr"),
+        ({"representation": {"conjugators": [[[[1.0, 0.0]]]] * 3, "extra": 1}}, "representation.extra"),
+        ({"schema_version": 99}, "schema_version"),
     ],
     ids=["points", "solver", "representation", "residues", "delta_schedule", "n_phi",
-         "gl_order", "solver.restart", "action.nphi"],
+         "gl_order", "solver.restart", "action.nphi", "solvr", "representation.extra",
+         "schema_version"],
 )
 def test_bad_config_field_exits_2(tmp_path, capsys, patch, fieldname):
     data = rank1_config().to_dict()
@@ -490,10 +496,11 @@ def test_non_positive_tolerance_exits_2(tmp_path, capsys, fieldname, value):
     assert not (tmp_path / "result.json").exists()
 
 
-@pytest.mark.parametrize("fieldname, value", [("max_iter", -5), ("restarts", -2)])
+@pytest.mark.parametrize("fieldname, value", [("max_iter", -5), ("restarts", -2), ("seed", -1)])
 def test_negative_solver_count_exits_2(tmp_path, capsys, fieldname, value):
-    # both used to load: rhsolve on the fixture ran 0 LM iterations and
-    # exited 3 (no convergence)
+    # all three used to load: rhsolve on the fixture ran 0 LM iterations and
+    # exited 3 (no convergence), and a negative seed exited 2 with numpy's
+    # message, which names no field
     data = rank2_config().to_dict()
     data["solver"][fieldname] = value
     (tmp_path / "cfg.json").write_text(json.dumps(data))
@@ -510,6 +517,18 @@ def test_non_positive_tol_override_exits_2(tmp_path, capsys):
     )
     assert rc == cli.EXIT_VALIDATION
     assert "config field 'solver.tol'" in capsys.readouterr().err
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    # used to reach the solver, whose random generator refused it without
+    # naming the field
+    cli.save_config(rank2_config(), tmp_path / "cfg.json")
+    rc = cli.main(
+        ["rhsolve", "--config", str(tmp_path / "cfg.json"), "--seed=-3", "--out", str(tmp_path)]
+    )
+    assert rc == cli.EXIT_VALIDATION
+    assert "config field 'solver.seed'" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
 
 
 INTEGER_FIELDS = [
