@@ -218,7 +218,7 @@ class ProblemConfig:
             solver=rhsolve.SolveOptions(**_section_from_dict(data, "solver", SOLVER_FIELDS)),
             **_section_from_dict(data, "action", ACTION_FIELDS),
         )
-        if data.get("representation") is not None:
+        if "representation" in data:
             rep = _section_from_dict(data, "representation", REPRESENTATION_FIELDS)
             if "conjugators" not in rep:
                 raise ConfigError("representation.conjugators", "missing required field")

@@ -22,32 +22,32 @@ the looser JACOBIAN_TOL.
 The loops and the gauge alignment live in fuchs (WeightSystem.loops,
 align_tuple_to_target); nothing here builds or passes a loop set.  A
 restart's final residual is the squared norm of the generator block of
-its last LM residual.  solve returns the residues of LM's solution and
-normalizes it on one path, from its chart's evaluation of the solution
-(ResidueParametrization.loop_generators): the kept one when the solution
-was LM's first or latest point, so nothing is transported again, else
-one loop set, to the same bits.  Nor is the solution normalized after
-that: normalize_at_infinity hands the normalization back for the system
-that solve returned and its target object (_NORMALIZATIONS, held weakly).
+its last LM residual.  Each residual comes with the evaluation it was
+made from (its residues, their alignment to the target and, at a point,
+its loop series), and LM keeps the one of the point it accepted last, so
+solve returns the residues of LM's solution and normalizes it from that
+evaluation, on one path: the solution is neither transported nor aligned
+again.  Nor is the solution normalized after that: normalize_at_infinity
+hands the normalization back for the system that solve returned and its
+target object (_NORMALIZATIONS, held weakly).
 
 Both records are keyed on objects of the problem types, which are values
 (fuchs.WeightSystem, AdmissibleRep and FuchsianSystem: frozen, with
 read-only copies of their arrays).  What a record was made from cannot
 change, so it holds for as long as its key lives and is never checked.
 
-A chart keeps the first and the latest evaluation of its loop set at
-each tolerance (ResidueParametrization.loop_generators).  In LM's order
-the first are its start point x0 = 0 at fuchs.TRANSPORT_TOL and its first
-Jacobian stack, the central differences at x0, at JACOBIAN_TOL; the
-latest point is LM's solution unless LM rejected trial points after it.
-Only LM decides that order.  Every evaluation depends on the chart alone
-up to the gauge alignment to the target.  A warm solve's restart 0 runs
-on the chart of its init, and each init object given to solve owns that
-chart as its warm start record (_warm_start, held weakly, so it dies with
-init).  A later warm solve from the same init on the same weights object
-aligns the kept evaluations to its own target without transporting them
-again, and takes the same LM steps to the same bits.  A cold chart keeps
-its own for its restart, and dies with it.
+A chart keeps the first evaluation of its loop set at each tolerance
+(ResidueParametrization.loop_generators).  In LM's order these are its
+start point x0 = 0 at fuchs.TRANSPORT_TOL and its first Jacobian stack,
+the central differences at x0, at JACOBIAN_TOL; only LM decides that
+order.  Every evaluation depends on the chart alone up to the gauge
+alignment to the target.  A warm solve's restart 0 runs on the chart of
+its init, and each init object given to solve owns that chart as its
+warm start record (_warm_start, held weakly, so it dies with init).  A
+later warm solve from the same init on the same weights object aligns
+the kept evaluations to its own target without transporting them again,
+and takes the same LM steps to the same bits.  A cold chart keeps its
+own for its restart, and dies with it.
 """
 
 from __future__ import annotations
@@ -90,16 +90,14 @@ class ResidueParametrization:
     has spectrum exactly the i-th weight row at every chart point.
 
     A chart keeps one record, set in __post_init__, so it is not a field:
-    evaluations, the first and the latest evaluation of loop_generators at
-    each tolerance.
+    evaluations, the first evaluation of loop_generators at each tolerance.
     """
 
     weights: fuchs.WeightSystem
     basepoints: np.ndarray  # (n-1, r, r)
 
     def __post_init__(self):
-        # {tol: (first, latest), or (first,) while they are one}, each
-        # (points, (residues, generators, series or None)), read-only
+        # {tol: (points, (residues, generators, series or None))}, read-only
         self.evaluations = {}
 
     @property
@@ -126,37 +124,27 @@ class ResidueParametrization:
         cs = self.conjugators(x)
         return cs @ diag_stack(self.weights.weights[:-1]) @ np.linalg.inv(cs)
 
-    def system(self, x: np.ndarray) -> fuchs.FuchsianSystem:
-        """The system at one chart point x (dim,), with the residues that
-        residual_vector evaluates there (a stack of one), bit for bit."""
-        return fuchs.FuchsianSystem(self.weights, self.residues(x[None])[0])
-
     def loop_generators(self, xs: np.ndarray, tol: float) -> tuple:
         """The target-free part of the residuals of a (B, dim) stack of chart
         points: its residues (B, n-1, r, r), their monodromy generators
-        (B, n, r, r) and the loops' series on the weights' loop set at tol,
-        each from one call.
+        (B, n, r, r) and, when the stack is one point, the loops' series on
+        the weights' loop set at tol, each from one call, read-only.
 
-        The first and the latest stack evaluated at each tol are kept in
-        evaluations, read-only, with the series when the stack is one point
-        (solve normalizes its solution from it) and without for a larger
-        stack; an equal stack at that tol gets its evaluation back without a
-        loop set, and any other stack is evaluated and becomes the latest.
-        In LM's order the first are its start point and its first Jacobian
+        The first stack evaluated at each tol is kept in evaluations; an
+        equal stack at that tol gets its evaluation back without a loop set.
+        In LM's order these are its start point and its first Jacobian
         stack, so a warm chart (_warm_start) keeps them for every solve from
-        its init; the latest point is LM's solution unless it rejected trial
-        points after it."""
-        kept = self.evaluations.get(tol, ())
-        for points, out in kept:
-            if np.array_equal(xs, points):
-                return out
+        its init."""
+        kept = self.evaluations.get(tol)
+        if kept is not None and np.array_equal(xs, kept[0]):
+            return kept[1]
         residues = self.residues(xs)
         gens, series = self.weights.loops.monodromy(residues, tol)
         series = replace(
             series, **{f.name: read_only(getattr(series, f.name)) for f in fields(series)}
         ) if len(xs) == 1 else None
         new = (read_only(xs), (read_only(residues), read_only(gens), series))
-        self.evaluations[tol] = (*kept[:1], new)
+        self.evaluations.setdefault(tol, new)
         return new[1]
 
 
@@ -208,34 +196,39 @@ def _warm_start(weights: fuchs.WeightSystem, init: fuchs.FuchsianSystem) -> Resi
 
 def residual_vector(
     parm: ResidueParametrization, x: np.ndarray, target: fuchs.AdmissibleRep
-) -> np.ndarray:
-    """Concatenated gauge-aligned monodromy and infinity-spectrum residuals:
-    (m,) at a chart point x (dim,), (B, m) for a (B, dim) stack.  Each runs
-    at the tolerance its use needs: a point, an LM start or trial point that
-    may become the solution, at fuchs.TRANSPORT_TOL, the tolerance of its
-    normalization; a stack, a central-difference Jacobian, at JACOBIAN_TOL.
-    Its members share one step sequence and one series length, so their
-    differences are derivatives of one discretization (internal numerical
+) -> tuple:
+    """Concatenated gauge-aligned monodromy and infinity-spectrum residuals,
+    with the evaluation they come from: (m,) at a chart point x (dim,),
+    (B, m) for a (B, dim) stack.  Each runs at the tolerance its use needs:
+    a point, an LM start or trial point that may become the solution, at
+    fuchs.TRANSPORT_TOL, the tolerance of its normalization; a stack, a
+    central-difference Jacobian, at JACOBIAN_TOL.  Its members share one
+    step sequence and one series length, so their differences are
+    derivatives of one discretization (internal numerical
     differentiation), far more accurate than the tolerance.  The
     target-free residues and generators come from the chart
     (ResidueParametrization.loop_generators), their gauge alignment to the
-    target from one call; then the infinity spectrum.  Nothing is written
-    to the chart but what loop_generators keeps."""
+    target from one call; then the infinity spectrum.  The evaluation is
+    (residues, alignment, series): at a point the residues (n-1, r, r), the
+    alignment of its one tuple and its loop series, which solve normalizes
+    (_normalize); for a stack the stacked residues and alignment, and the
+    series only when the stack has one member.  Nothing is written to the
+    chart but what loop_generators keeps."""
     x = np.asarray(x, dtype=float)
     point = x.ndim == 1
     xs = x[None] if point else x
-    residues, gens, _ = parm.loop_generators(xs, fuchs.TRANSPORT_TOL if point else JACOBIAN_TOL)
-    aligned = align_tuple_to_target(gens, target)
+    residues, gens, series = parm.loop_generators(xs, fuchs.TRANSPORT_TOL if point else JACOBIAN_TOL)
+    aligned = align_tuple_to_target(gens[0] if point else gens, target)
     diff = aligned.generators - target.generators
     # per generator: real parts, then imaginary parts
-    d = np.stack([diff.real, diff.imag], axis=2).reshape(len(gens), -1)
+    d = np.stack([diff.real, diff.imag], axis=-3).reshape(len(xs), -1)
     lam = sorted_eigvals(-np.sum(residues, axis=1))
     tgt = np.sort(parm.weights.infinity_exponents)
     f = np.concatenate(
         [d, INFINITY_WEIGHT * (lam.real - tgt), INFINITY_WEIGHT * lam.imag],
         axis=1,
     )
-    return f[0] if point else f
+    return (f[0], (residues[0], aligned, series)) if point else (f, (residues, aligned, series))
 
 
 def central_jacobian(residuals, x: np.ndarray) -> np.ndarray:
@@ -244,7 +237,7 @@ def central_jacobian(residuals, x: np.ndarray) -> np.ndarray:
     FD_STEP * max(1, |x_j|), then x minus each."""
     steps = FD_STEP * np.maximum(1.0, np.abs(x))
     shift = np.diag(steps)
-    f = residuals(np.concatenate([x + shift, x - shift]))
+    f = residuals(np.concatenate([x + shift, x - shift]))[0]
     n = len(x)
     return ((f[:n] - f[n:]) / (2 * steps[:, None])).T
 
@@ -285,23 +278,24 @@ class SolveReport:
 def _levenberg_marquardt(residuals, x0: np.ndarray, opts: SolveOptions):
     """Small dense LM with central-difference Jacobian and Nielsen damping.
 
-    residuals takes one point (dim,) or a stack (B, dim), as residual_vector
-    does: LM calls it at its start and trial points, and on one stack for
-    each iteration's Jacobian (central_jacobian).  Returns the final point,
-    its residual, the iteration count and the cost history.
+    residuals takes one point (dim,) or a stack (B, dim) and returns the
+    residual with its evaluation, as residual_vector does: LM calls it at
+    its start and trial points, and on one stack for each iteration's
+    Jacobian (central_jacobian).  Returns the final point, its residual and
+    evaluation, which LM keeps beside them as it accepts a point, and the
+    cost history, the start's cost and one entry per iteration.
     """
     x = x0.copy()
-    f = residuals(x)
+    f, evaluation = residuals(x)
     cost = float(f @ f)
     history = [cost]
     lam, nu = 1e-3, 2.0
-    n_iter = 0
     # cost is on the squared scale of the gauge distance; stop at the
     # acceptance bound tol^2, floored at the noise level (10
     # fuchs.TRANSPORT_TOL)^2 that a point's transport tolerance sets, which
     # binds only for tol below 1e-9
     target_cost = max(opts.tol**2, (10.0 * fuchs.TRANSPORT_TOL) ** 2)
-    for n_iter in range(1, opts.max_iter + 1):
+    for _ in range(opts.max_iter):
         if cost <= target_cost:
             break
         n = len(x)
@@ -320,7 +314,7 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, opts: SolveOptions):
                 continue
             x_new = x + delta
             try:
-                f_new = residuals(x_new)
+                f_new, ev_new = residuals(x_new)
                 cost_new = float(f_new @ f_new)
             except NumericalError:
                 # a trial point whose residual cannot be evaluated is rejected
@@ -329,7 +323,7 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, opts: SolveOptions):
             predicted = float(delta @ (lam * delta - g))
             rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
             if cost_new < cost and rho > 0:
-                x, f, cost = x_new, f_new, cost_new
+                x, f, evaluation, cost = x_new, f_new, ev_new, cost_new
                 lam = lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
                 improved = True
@@ -343,7 +337,7 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, opts: SolveOptions):
             break
         if len(history) > 3 and abs(history[-3] - cost) < 1e-16 * (1 + cost):
             break
-    return x, f, n_iter, history
+    return x, f, evaluation, history
 
 
 def solve(
@@ -366,11 +360,12 @@ def solve(
     is at most opts.tol; the report's final_residual is its square.  The
     returned report carries the normalization at infinity of a successful
     solution, whose large_cell_flag it reads, and normalize_at_infinity
-    hands it back for the returned system (module docstring).  It is built
-    (_normalize) from the chart's evaluation of the solution at
-    fuchs.TRANSPORT_TOL (ResidueParametrization.loop_generators), aligned
-    to the target: LM's own when the solution was its first or latest
-    point, else one loop set, to the same bits.
+    hands it back for the returned system (module docstring).  The system
+    and its normalization (_normalize) are built from LM's evaluation of
+    its solution (residual_vector at fuchs.TRANSPORT_TOL): its residues,
+    its alignment to the target and its loop series, with no loop set and
+    no alignment of their own.  The report's iterations are the entries of
+    objective_history after the start's.
     """
     opts = opts or SolveOptions()
     if not target.is_irreducible():
@@ -393,16 +388,16 @@ def solve(
         residuals = partial(residual_vector, parm, target=target)
         x0 = np.zeros(parm.dim)
         if parm.dim == 0:
-            f = residuals(x0)
-            x, iters, history = x0, 0, [float(f @ f)]
+            f, evaluation = residuals(x0)
+            history = [float(f @ f)]
         else:
-            x, f, iters, history = _levenberg_marquardt(residuals, x0, opts)
+            _, f, evaluation, history = _levenberg_marquardt(residuals, x0, opts)
 
         # the generator block of the residual is aligned - target; the last
         # 2r entries are the infinity-spectrum penalty
         gauge = f[: -2 * r]
         final = float(gauge @ gauge)
-        cand = (final, restart, parm, x, iters, history)
+        cand = (final, restart, evaluation, history)
         if best is None or cand[0] < best[0]:
             best = cand
         # final is a squared distance, tol a distance
@@ -410,22 +405,19 @@ def solve(
         if success:
             break
 
-    final, restart, parm, x, iters, history = best
-    system = parm.system(x)
+    final, restart, (residues, aligned, series), history = best
+    system = fuchs.FuchsianSystem(weights, residues)
     norm = None
     if success:
         try:
             _refuse_resonance_at_infinity(weights)
-            # LM's evaluation of x, kept on the chart when it was LM's first or
-            # latest point, else one loop set
-            _, gens, series = parm.loop_generators(x[None], fuchs.TRANSPORT_TOL)
-            norm = _normalize(system, series, align_tuple_to_target(gens[0], target))
+            norm = _normalize(system, series, aligned)
             _NORMALIZATIONS[system] = (target, norm)
         except NumericalError as exc:
             warnings.warn(f"normalization at infinity failed: {exc}")
     report = SolveReport(
         final_residual=float(final),
-        iterations=iters,
+        iterations=len(history) - 1,
         objective_history=history,
         infinity_spectrum_error=system.infinity_spectrum_residual(),
         success=success,

@@ -397,6 +397,20 @@ def test_bad_config_field_exits_2(tmp_path, capsys, patch, fieldname):
     assert f"config field '{fieldname}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["representation", "solver", "action"])
+def test_null_section_exits_2_on_monodromy(tmp_path, capsys, section):
+    # a section set to null is refused as a section of any other non-object
+    # value is: "representation": null must not read as an absent
+    # representation, which monodromy from residues would drop silently
+    data = rank2_config().to_dict()
+    data[section] = None
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    rc = cli.main(["monodromy", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"config field '{section}': expected an object" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
 BAD_SCHEDULES = [
     ([0.1, 0.1, 0.1], cli.EXIT_VALIDATION),
     ([0.1, 0.1, 0.05], cli.EXIT_VALIDATION),

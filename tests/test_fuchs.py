@@ -365,7 +365,7 @@ def test_monodromy_random_systems(rank2_weights):
     )
     for _ in range(3):
         x = 0.5 * rng.standard_normal(parm.dim)
-        system = parm.system(x)
+        system = fuchs.FuchsianSystem(rank2_weights, parm.residues(x))
         mon = fuchs.monodromy_rep(system, tol=1e-9)
         assert mon.relation_residual <= 1e-7
         for i in range(2):
