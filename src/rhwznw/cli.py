@@ -369,6 +369,8 @@ def cmd_verify(suite: str, seed: int, count: int, out_dir: Path) -> int:
         raise ValueError(f"unknown suite '{suite}' (choose from {sorted(verify.SUITES)})")
     if count < 1:
         raise ValueError(f"--count must be at least 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {seed}")
     checks = [(name, bool(ok), detail) for name, ok, detail in verify.SUITES[suite](seed, count)]
     all_ok = all(ok for _, ok, _ in checks)
     for name, ok, detail in checks:

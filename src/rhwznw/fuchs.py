@@ -35,9 +35,9 @@ values: frozen dataclasses that own read-only copies of their arrays
 for as long as the object lives.
 
 One loop set per weight system (WeightSystem.loops, a
-:class:`MonodromyLoops` built and clearance-checked on first access, when a
-tuple is first closed on the weights or a system first evaluated) owns the
-loop geometry: the basepoint z0, the circles, the approach legs and the
+:class:`MonodromyLoops` built on first access, when a tuple is first
+closed on the weights or a system first evaluated) owns the loop
+geometry: the basepoint z0, the circles, the approach legs and the
 relation order.  It serves every monodromy evaluation of its systems: the
 solver's residuals, the normalization at infinity and :func:`monodromy_rep`,
 which is the loop set with one member.  Each puncture loop is an approach
@@ -188,9 +188,6 @@ class WeightSystem:
     @property
     def degree(self) -> int:
         return int(sum(self.splitting.m))
-
-    def min_pairwise_distance(self) -> float:
-        return _min_pairwise_distance(self.points)
 
     @cached_property
     def loops(self) -> MonodromyLoops:
@@ -816,23 +813,6 @@ def transport(
     return StackTransport(values=values[:, 0] if single else values, step_count=steps)
 
 
-# paths keep this fraction of the minimal pairwise puncture distance away
-# from every puncture
-CLEARANCE = 0.05
-
-
-def check_clearance(weights: WeightSystem, path: list[paths.Segment]) -> None:
-    """Raise ProximityError when the path comes within CLEARANCE times the
-    minimal pairwise puncture distance of a puncture."""
-    r_min = CLEARANCE * weights.min_pairwise_distance()
-    for w in weights.points:
-        d = paths.path_min_distance(path, complex(w))
-        if d < r_min:
-            raise paths.ProximityError(
-                f"path comes within {d:.3e} of puncture {w} (limit {r_min:.3e})"
-            )
-
-
 # ---------------------------------------------------------------------------
 # local series
 
@@ -1090,7 +1070,7 @@ def _departure_order(points: np.ndarray, approaches) -> np.ndarray:
 
 
 class MonodromyLoops:
-    """The monodromy loops of a weight system, built and checked once, by
+    """The monodromy loops of a weight system, built once, by
     WeightSystem.loops: the one owner of the loop geometry.
 
     The basepoint is z0 = 2i max(1, max |z_j|).  Loop i < n-1 runs from z0
@@ -1100,10 +1080,22 @@ class MonodromyLoops:
     converges with q = max |z_j| / |z0| <= 1/2 on and beyond that circle,
     and every loop circle lies inside |z| <= |z0| (a ring is at most half
     the distance to another puncture, so |z_i| + ring_i <= 2 max |z_j|); a
-    ring may touch the big circle.  All loops pass one check_clearance
-    when the set is built.  relation_order, the order in which the loops leave
-    z0 counterclockwise (_departure_order), is the one order that every
-    relation product M_i1 ... M_i(n-1) M_n = I reads.
+    ring may touch the big circle.  relation_order, the order in which the
+    loops leave z0 counterclockwise (_departure_order), is the one order
+    that every relation product M_i1 ... M_i(n-1) M_n = I reads.
+
+    Every loop keeps at least 0.2 d_min from every puncture, d_min the
+    least distance between two punctures, by construction; nothing checks
+    it.  Puncture i's ring is ring_i = 1/2 min(|z_i - z_k|, |z_i - z0|),
+    and leg i detours round keepout disks of radius 0.8 ring_j about the
+    other punctures (plan_route).  These disks are pairwise disjoint, as
+    0.8 (ring_j + ring_k) <= 0.8 |z_j - z_k|, and neither z0 nor a leg's
+    entry lies in one.  So each Line of leg i lies on the segment from z0
+    to its entry, outside every keepout disk, and each Arc on a keepout
+    circle: leg i keeps ring_i from z_i and 0.8 ring_j from each other
+    z_j, and circle i keeps ring_i from every puncture.  Every ring is at
+    least d_min / 4, since |z_j - z0| >= max(1, max |z|) >= d_min / 2, and
+    the big circle keeps that max(1, max |z|) too.
 
     A monodromy evaluation marches the approach legs of all systems as one
     fan per segment round: K transport calls, K the longest leg's
@@ -1140,7 +1132,6 @@ class MonodromyLoops:
             circles.append(paths.circle(center, rings[i], float(np.angle(z0 - center))))
         self.relation_order = read_only(_departure_order(pts, self.approaches))
         circles.append(paths.circle(0.0, abs(z0), float(np.angle(z0))))
-        check_clearance(weights, [seg for approach in self.approaches for seg in approach] + circles)
         self.circles = circles
         # round k: segment k of every approach leg, padded at the front
         depth = max(len(approach) for approach in self.approaches)

@@ -56,18 +56,6 @@ class Arc:
         e = np.exp(1j * ang)
         return self.center + self.radius * e, 1j * (self.angle1 - self.angle0) * self.radius * e
 
-    def distance_to(self, w: complex) -> float:
-        if abs(w - self.center) < 1e-300:
-            return self.radius
-        ang = np.angle(w - self.center)
-        lo, hi = sorted((self.angle0, self.angle1))
-        # bring ang into [lo, lo + 2*pi)
-        k = np.floor((ang - lo) / (2 * np.pi))
-        ang = ang - 2 * np.pi * k
-        if ang <= hi:
-            return abs(abs(w - self.center) - self.radius)
-        return min(abs(self.point(0.0) - w), abs(self.point(1.0) - w))
-
 
 Segment = Line | Arc
 
@@ -114,10 +102,6 @@ class RayFan:
         return self.center + e, e * (self.s1 - self.s0)
 
 
-def path_min_distance(path: list[Segment], w: complex) -> float:
-    return min(seg.distance_to(w) for seg in path)
-
-
 def arg_change(path: list[Segment], w: complex) -> float:
     """The continuous change of arg(z - w) along a path clear of w, w
     outside every Arc's circle or at its center.
@@ -146,15 +130,10 @@ def plan_route(a: complex, b: complex, keepouts: list[tuple[complex, float]]) ->
     Straight line if clear; otherwise detour around the most intruding
     keepout along its clearance circle, by the shorter arc (the clockwise
     one when the line runs through the keepout's center), recursing on the
-    two remaining pieces, at most eight levels deep (ProximityError beyond).
+    two remaining pieces without that keepout, so at most len(keepouts)
+    levels deep.  An endpoint inside the disk it detours round raises
+    ProximityError.
     """
-    return _route(a, b, keepouts, 0)
-
-
-def _route(a: complex, b: complex, keepouts: list[tuple[complex, float]], depth: int) -> list[Segment]:
-    """plan_route at recursion depth `depth`."""
-    if depth > 8:
-        raise ProximityError("route planning recursion limit; geometry too tight")
     seg = Line(a, b)
     worst, worst_pen = None, 0.0
     for center, r in keepouts:
@@ -183,8 +162,5 @@ def _route(a: complex, b: complex, keepouts: list[tuple[complex, float]], depth:
     sweep = np.angle(np.exp(1j * (a2 - a1)))
     if np.pi - abs(sweep) < 1e-9:
         sweep = -abs(sweep)
-    route: list[Segment] = []
-    route += _route(a, q1, [k for k in keepouts if k[0] != center], depth + 1)
-    route.append(Arc(center, r, a1, a1 + sweep))
-    route += _route(q2, b, [k for k in keepouts if k[0] != center], depth + 1)
-    return route
+    rest = [k for k in keepouts if k[0] != center]
+    return plan_route(a, q1, rest) + [Arc(center, r, a1, a1 + sweep)] + plan_route(q2, b, rest)

@@ -126,6 +126,22 @@ def test_monodromy_relation_order_off_the_axis(tmp_path):
     assert rec["relation_residual"] <= 1e-8
 
 
+def test_monodromy_ten_points_on_a_line(tmp_path):
+    # the leg to the lowest point detours round the nine loop circles above it
+    alphas = 0.1 + 0.05 * np.arange(10)
+    cfg = cli.ProblemConfig(
+        points=list(-0.5j * np.arange(10)),
+        weights=np.array([[a] for a in alphas] + [[0.75]]),
+        residues=alphas.reshape(-1, 1, 1).astype(complex),
+    )
+    cli.save_config(cfg, tmp_path / "cfg.json")
+    rc = cli.main(["monodromy", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert rc == 0
+    rec = json.loads((tmp_path / "result.json").read_text())
+    assert rec["relation_residual"] <= 1e-12
+    assert rec["relation_order"] == list(range(10))
+
+
 def test_monodromy_from_a_representation(tmp_path):
     # the "representation" source: the closed tuple's generators, spectra and relation
     cfg = replace(rank2_config(), residues=None)
@@ -477,6 +493,15 @@ def test_verify_count_below_one(tmp_path, capsys, count):
     rc = cli.main(["verify", "bruhat", "--count", count, "--out", str(tmp_path)])
     assert rc == cli.EXIT_VALIDATION
     assert "--count" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize("suite", ["bruhat", "counterterm"])
+def test_verify_negative_seed(tmp_path, capsys, suite):
+    # refused before any suite runs, whether or not the suite draws from it
+    rc = cli.main(["verify", suite, "--seed", "-1", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert "--seed must be at least 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "result.json").exists()
 
 

@@ -68,15 +68,15 @@ def test_weight_system_rejects_non_finite_data(points, weights, match):
 
 
 def test_min_pairwise_distance_is_the_least_pair_abs():
-    # one pairwise computation serves the distinctness check and the method;
-    # its minimum equals the per-pair abs() of complex scalars bit for bit
+    # the pairwise computation of the distinctness check: its minimum equals
+    # the per-pair abs() of complex scalars bit for bit
     rng = np.random.default_rng(11)
     for n in (3, 4, 6, 9):
         for _ in range(40):
             pts = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
             ws = fuchs.build_weight_system(pts, [[1.0 / n]] * n)
             pairs = [abs(p - q) for k, p in enumerate(ws.points) for q in ws.points[k + 1:]]
-            assert ws.min_pairwise_distance() == min(pairs)
+            assert fuchs._min_pairwise_distance(ws.points) == min(pairs)
 
 
 @pytest.mark.parametrize("gap", [0.0, 5e-13])
@@ -248,14 +248,6 @@ def test_transport_rank1_loop(rank1_system, rank1_weights):
     assert _det_identity_residual(rank1_system, loop, np.eye(1), value) < 1e-8
 
 
-def test_check_clearance_refuses_a_grazing_path(rank1_weights):
-    # the clearance check lives with the loop set (MonodromyLoops), not in
-    # transport
-    path = [paths.Line(rank1_weights.loops.z0, 0.001 + 0.001j)]
-    with pytest.raises(paths.ProximityError):
-        fuchs.check_clearance(rank1_weights, path)
-
-
 def test_transport_tolerance_halving(rank2_oracle_system, rank2_weights):
     loop = puncture_loop(rank2_weights, 0)
     pts, res = rank2_oracle_system.points, rank2_oracle_system.residues
@@ -311,7 +303,10 @@ POINT_LISTS = (st.lists(st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)), 
 def test_loop_geometry_at_the_one_basepoint_property(pts):
     # the loop set takes z0 = 2i max(1, max|z_j|): every loop circle lies
     # inside |z| <= |z0| (a ring may touch it), and the series at infinity
-    # runs at q = max|z_j| / |z0| <= 1/2
+    # runs at q = max|z_j| / |z0| <= 1/2.  The legs keep their distance by
+    # construction (MonodromyLoops): every Line of leg i keeps ring_i from
+    # z_i and 0.8 ring_j from each other z_j, and every Arc lies on the
+    # keepout circle of another puncture
     m = len(pts)
     ws = fuchs.build_weight_system(pts, [[1 / (m + 1)]] * (m + 1))
     loops = fuchs.MonodromyLoops(ws)
@@ -319,6 +314,36 @@ def test_loop_geometry_at_the_one_basepoint_property(pts):
     assert loops.z0 == 2j * max(1.0, zmax)
     assert np.all(np.abs(ws.points) + np.asarray(loops.radii[:-1]) <= abs(loops.z0) * (1 + 1e-12))
     assert zmax * loops.radii[-1] <= 0.5 * (1 + 1e-12)
+    zs, radii = [complex(z) for z in ws.points], loops.radii[:-1]
+    for i, approach in enumerate(loops.approaches):
+        for seg in approach:
+            if isinstance(seg, paths.Line):
+                assert seg.distance_to(zs[i]) >= radii[i] * (1 - 1e-9)
+                for j in range(m):
+                    if j != i:
+                        assert seg.distance_to(zs[j]) >= 0.8 * radii[j] * (1 - 1e-9)
+            else:
+                k = zs.index(seg.center)
+                assert k != i and seg.radius == 0.8 * radii[k]
+
+
+def test_loop_set_detours_past_ten_points_on_a_line():
+    # the leg to the lowest of ten points 0.5 apart below z0 = 9i detours
+    # round the nine circles above it, one keepout per level of plan_route
+    alphas = 0.1 + 0.05 * np.arange(10)
+    ws = fuchs.build_weight_system(-0.5j * np.arange(10), [[a] for a in alphas] + [[0.75]])
+    assert max(len(approach) for approach in ws.loops.approaches) == 19
+    mon = fuchs.monodromy_rep(fuchs.FuchsianSystem(ws, alphas.reshape(-1, 1, 1)))
+    assert mon.relation_residual <= 1e-12
+    want = np.exp(2j * np.pi * np.append(alphas, 0.75))
+    np.testing.assert_allclose(mon.generators[:, 0, 0], want, rtol=0, atol=1e-12)
+
+
+def test_plan_route_refuses_an_endpoint_inside_a_keepout():
+    # the loop set's endpoints lie outside its keepouts by construction; a
+    # caller's own keepouts may not
+    with pytest.raises(paths.ProximityError, match="endpoint inside a keepout"):
+        paths.plan_route(0.1, 2.0, [(0.0, 0.5)])
 
 
 def test_monodromy_path_independence(rank2_oracle_system, rank2_weights):
@@ -1192,7 +1217,7 @@ def _admissible_n4_rank3(rng):
             ws = fuchs.build_weight_system(rng.uniform(-1.5, 1.5, 3) + 0j, w)
         except ValueError:  # last weight outside (w[3, 1], 1), or unstable
             continue
-        if ws.min_pairwise_distance() > 0.4:
+        if fuchs._min_pairwise_distance(ws.points) > 0.4:
             return fuchs.FuchsianSystem(ws, _random_residues(ws, rng, 1)[0])
 
 

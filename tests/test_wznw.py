@@ -289,7 +289,7 @@ def test_h_at_matches_a_transported_reference(rank2_field):
     fld = rank2_field
     tol = fuchs.TRANSPORT_TOL
     pts = fld.system.points
-    cap = 0.45 * fld.weights.min_pairwise_distance()
+    cap = 0.45 * fuchs._min_pairwise_distance(pts)
     rng = np.random.default_rng(11)
     todo = {"ring": 5, "ray": 5, "outer": 5}
     while any(todo.values()):
