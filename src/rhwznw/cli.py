@@ -227,8 +227,15 @@ class ProblemConfig:
 
 
 def load_config(path: str | Path) -> ProblemConfig:
+    """The config at path; a path that cannot be read as UTF-8 text raises
+    ValueError naming --config."""
     try:
-        data = json.loads(Path(path).read_text())
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ValueError(f"--config {path}: {reason}") from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("<json>", f"parse error: {exc}") from exc
     return ProblemConfig.from_dict(data)
@@ -258,6 +265,15 @@ def _record(cfg: ProblemConfig | None, command: str, payload: dict) -> dict:
         rec["seed"] = cfg.solver.seed
     rec.update(payload)
     return rec
+
+
+def _check_out(out_dir: Path) -> None:
+    """Refuses an --out that is no directory and cannot become one: its
+    nearest existing ancestor, or itself, must be a directory."""
+    path = out_dir.absolute()
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not found.is_dir():
+        raise ValueError(f"--out {out_dir}: {found} is not a directory")
 
 
 def _write_result(out_dir: Path, record: dict) -> None:
@@ -429,6 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
+        _check_out(out_dir)
         if args.command == "verify":
             return cmd_verify(args.suite, args.seed, args.count, out_dir)
         cfg = load_config(args.config)

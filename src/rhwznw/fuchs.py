@@ -46,8 +46,10 @@ loop set computes generators only, one formula for all n loops:
 M_i = P_i^{-1} F exp(2 pi i Lambda) F^{-1} P_i, F the local series at the
 circle's entry (below) and P = I on the big circle.  The circles of all
 loops and all systems of a stack are not marched, all come from one
-stacked recursion; the approach legs of all systems run as one fan per
-segment round; the return leg is never integrated (MonodromyLoops).
+stacked recursion; every segment of every approach leg of all systems is
+one member of one fan, each taken from I (cut into pieces while the stack
+is small) and the legs their products; the return leg is never integrated
+(MonodromyLoops).
 :func:`monodromy_rep` forms the loop transports from the generators.
 One gauge alignment (:func:`align_tuple_to_target`) brings computed tuples,
 one (n, r, r) or a stack (B, n, r, r), to a normalized target, each step on
@@ -78,10 +80,10 @@ velocity read from one call as (T, L).  The one kernel entry is
 :func:`transport`: one system, or a stack of S systems, each along
 every member of a fan, with stops.  A paths.SegmentFan holds arbitrary
 Line and Arc members, a paths.RayFan log-radial rays with per-member
-centers and windows.  Every transport stage is one call: the approach legs
-of a monodromy evaluation (the solver stacks the 2 dim perturbed systems of
-its central-difference Jacobian) one per segment round, all outward rays
-of the action's web, and the flatness stencil's twelve lines.
+centers and windows.  Every transport stage is one call: every approach-leg
+piece of a monodromy evaluation (the solver stacks the 2 dim perturbed
+systems of its central-difference Jacobian), all outward rays of the
+action's web, and the flatness stencil's twelve lines.
 
 Near a puncture and near infinity no march is needed: the Frobenius
 solution Y0 = G(x) x^{-L} (x = z - z_i, or 1/z at infinity) is summed to a
@@ -126,6 +128,10 @@ COMMUTANT_TOL = 1e-8
 # monodromy and the LM residual at a chart point; a Jacobian stack runs at
 # rhsolve.JACOBIAN_TOL
 TRANSPORT_TOL = 1e-10
+# a loop set of B systems cuts each of its S approach-leg segments into
+# max(1, LEG_FAN_MEMBERS // (B S)) pieces (MonodromyLoops.monodromy): a kernel
+# step costs about the same up to some 30 members, and short pieces take few
+LEG_FAN_MEMBERS = 16
 
 
 class DegreeError(ValueError):
@@ -1097,11 +1103,18 @@ class MonodromyLoops:
     least d_min / 4, since |z_j - z0| >= max(1, max |z|) >= d_min / 2, and
     the big circle keeps that max(1, max |z|) too.
 
-    A monodromy evaluation marches the approach legs of all systems as one
-    fan per segment round: K transport calls, K the longest leg's
-    segment count, each leg padded at the front with zero-length segments
-    at the basepoint, on which it does not move (a leg is one Line unless
-    plan_route detours it round another puncture's circle).  Every circle
+    A monodromy evaluation marches the approach legs of all systems in one
+    transport call (a leg is one Line unless plan_route detours it round
+    another puncture's circle).  Transport is linear, so a leg's transport
+    is the product of its pieces' transports, each from I, later pieces on
+    the left: every segment of every leg of every system is one fan member
+    started at I, and P_i is the product of its members in path order.
+    While the fan is small each segment is cut into
+    k = max(1, LEG_FAN_MEMBERS // (B S)) pieces, B systems and S segments
+    over all legs, so the one call takes fewer, shared steps: a Line of
+    leg i lies on the ray from z_i through z0 and is cut at equal steps of
+    log |z - z_i|, an Arc at equal angles (_cut).  A stack of 16 or more
+    systems is not cut.  Every circle
     is taken in closed form from one series_stack call over all
     (system, point) members, the n-1 punctures and infinity.  With
     F = G(x) V the series at the circle's entry x, V the eigenbasis of the
@@ -1133,11 +1146,8 @@ class MonodromyLoops:
         self.relation_order = read_only(_departure_order(pts, self.approaches))
         circles.append(paths.circle(0.0, abs(z0), float(np.angle(z0))))
         self.circles = circles
-        # round k: segment k of every approach leg, padded at the front
-        depth = max(len(approach) for approach in self.approaches)
-        pad = paths.Line(self.z0, self.z0)
-        padded = [[pad] * (depth - len(approach)) + approach for approach in self.approaches]
-        self._leg_rounds = [paths.SegmentFan(round_) for round_ in zip(*padded)]
+        self._segments = sum(len(approach) for approach in self.approaches)
+        self._leg_fans = {}
         # each point's series radius, entry angle (the argument of z - z_p,
         # of z0 on the big circle) and log x at its entry, x the local
         # coordinate: log rho + i theta0 at a puncture, -log z0 at infinity
@@ -1145,6 +1155,20 @@ class MonodromyLoops:
         self.entry_angles = np.array([c.angle0 for c in circles])
         self.entry_logs = np.array([np.log(c.radius) + 1j * c.angle0 for c in circles[:-1]]
                                    + [-(np.log(abs(self.z0)) + 1j * np.angle(self.z0))])
+
+    def _leg_fan(self, cuts: int) -> tuple[paths.SegmentFan, list]:
+        """The one fan of every approach-leg segment cut into cuts pieces
+        (_cut), leg by leg in path order, and per place j along a leg the
+        legs that have a piece there with that piece's fan member: built
+        once per cut count."""
+        if cuts not in self._leg_fans:
+            legs = [[piece for seg in approach for piece in _cut(seg, z, cuts)]
+                    for approach, z in zip(self.approaches, self.weights.points)]
+            sizes = np.array([len(leg) for leg in legs])
+            first = np.cumsum(sizes) - sizes
+            places = [(np.flatnonzero(sizes > j), first[sizes > j] + j) for j in range(sizes.max())]
+            self._leg_fans[cuts] = paths.SegmentFan([piece for leg in legs for piece in leg]), places
+        return self._leg_fans[cuts]
 
     def circle_transports(self, residues, tol: float) -> tuple[np.ndarray, SeriesStack]:
         """The generator circles F exp(2 pi i Lambda) F^{-1}, (B, n, r, r),
@@ -1176,24 +1200,42 @@ class MonodromyLoops:
         basepoint: its coordinates are diag(x^lam) F(x)^{-1} P_i, P_i the
         approach leg's transport to the circle's entry x, I on the big
         circle.  The circles come in closed form (circle_transports), the
-        legs of all systems as one fan per segment round, K transport
-        calls in all, and every generator is P_i^{-1} (F exp(2 pi i Lambda)
-        F^{-1}) P_i.  A leg transport that np.linalg.solve finds singular,
-        or a singular circle frame, raises NumericalError naming it, so that
-        the LM rejects such a trial point as it rejects one whose series
-        tail is not finite."""
+        legs of all systems from one transport call on their pieces
+        (_leg_fan; class docstring), and every generator is
+        P_i^{-1} (F exp(2 pi i Lambda) F^{-1}) P_i.  A leg transport that
+        np.linalg.solve finds singular, or a singular circle frame, raises
+        NumericalError naming it, so that the LM rejects such a trial point
+        as it rejects one whose series tail is not finite."""
         res = np.asarray(residues, dtype=complex)
         circles, series = self.circle_transports(res, tol)
-        legs = np.broadcast_to(np.eye(self.weights.rank, dtype=complex), circles.shape).copy()
-        # called by its module name, so that a wrapper of fuchs.transport sees every round
-        for fan in self._leg_rounds:
-            legs[:, :-1] = transport(self.weights.points, res, fan, legs[:, :-1], tol=tol).values[-1]
+        fan, places = self._leg_fan(max(1, LEG_FAN_MEMBERS // (len(res) * self._segments)))
+        eye = np.eye(self.weights.rank, dtype=complex)
+        # called by its module name, so that a wrapper of fuchs.transport sees it
+        pieces = transport(self.weights.points, res, fan, eye, tol=tol).values[-1]
+        # each leg's transport, the product of its pieces' in path order, later
+        # pieces on the left; a leg of one piece is that piece's transport
+        legs = np.broadcast_to(eye, circles.shape).copy()
+        for j, (which, members) in enumerate(places):
+            legs[:, which] = pieces[:, members] @ legs[:, which] if j else pieces[:, members]
         try:
             gens = np.linalg.solve(legs, circles @ legs)
         except np.linalg.LinAlgError:
             raise NumericalError(_singular_member(legs, "transport along the approach leg of puncture")) from None
         series = replace(series, coords=series.coords @ legs.reshape(series.coords.shape))
         return gens, series
+
+
+def _cut(seg: paths.Segment, center: complex, cuts: int) -> list[paths.Segment]:
+    """seg, a piece of the approach leg to the puncture center, as cuts
+    pieces in path order: a Line, which lies on a ray from center, at equal
+    steps of log |z - center|, an Arc at equal angles."""
+    f = np.arange(1, cuts) / cuts
+    if isinstance(seg, paths.Line):
+        u = seg.start - center
+        ends = [seg.start, *(center + u * (abs(seg.end - center) / abs(u)) ** f), seg.end]
+        return [paths.Line(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    ends = [seg.angle0, *(seg.angle0 + f * (seg.angle1 - seg.angle0)), seg.angle1]
+    return [paths.Arc(seg.center, seg.radius, a, b) for a, b in zip(ends[:-1], ends[1:])]
 
 
 def _singular_member(stack: np.ndarray, what: str) -> str:

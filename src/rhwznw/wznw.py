@@ -381,9 +381,11 @@ def _gl_rule(order: int):
     return x, w
 
 
-def _gl_nodes(a: float, b: float, order: int):
+def _gl_nodes(a, b, order: int):
+    """GL nodes and weights on the panel [a, b], shape (order,), or on each
+    of the panels [a[k], b[k]] of arrays a and b, shape (len(a), order)."""
     x, w = _gl_rule(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    mid, half = (np.asarray(v)[..., None] for v in (0.5 * (a + b), 0.5 * (b - a)))
     return mid + half * x, half * w
 
 
@@ -395,9 +397,11 @@ def _panel_edges(a: float, b: float, max_span: float) -> np.ndarray:
 def _gl_panels(edges, max_span: float):
     """GL nodes and weights on [edges[0], edges[-1]] with a panel edge at
     every given edge and no panel longer than max_span."""
-    fine = [_panel_edges(a, b, max_span) for a, b in zip(edges[:-1], edges[1:])]
-    parts = [_gl_nodes(a, b, GL_ORDER) for e in fine for a, b in zip(e[:-1], e[1:])]
-    return np.concatenate([x for x, _ in parts]), np.concatenate([w for _, w in parts])
+    # every linspace ends on its b exactly, the next one's a
+    fine = np.concatenate([_panel_edges(a, b, max_span)[:-1] for a, b in zip(edges[:-1], edges[1:])]
+                          + [edges[-1:]])
+    x, w = _gl_nodes(fine[:-1], fine[1:], GL_ORDER)
+    return x.ravel(), w.ravel()
 
 
 def _log_panels(r_lo: float, r_hi: float, fixed: list[float]):

@@ -505,6 +505,33 @@ def test_verify_negative_seed(tmp_path, capsys, suite):
     assert not (tmp_path / "result.json").exists()
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_exits_2_naming_it(tmp_path, capsys, case):
+    # a missing file, a directory and bytes that are not UTF-8: one error
+    # line naming --config, never a traceback
+    path = tmp_path / "cfg.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b'{"points": "\xff"}')
+    rc = cli.main(["monodromy", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--config" in err
+
+
+def test_verify_out_on_a_file_exits_2_before_the_suite(tmp_path, capsys, monkeypatch):
+    # an --out that is an existing file is refused before the suite runs
+    ran = []
+    monkeypatch.setitem(cli.verify.SUITES, "bruhat", lambda seed, count: ran.append(1) or [])
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = cli.main(["verify", "bruhat", "--count", "1", "--out", str(out)])
+    assert rc == cli.EXIT_VALIDATION
+    assert "--out" in capsys.readouterr().err and not ran
+    assert out.read_text() == ""
+
+
 def test_action_monodromy_quality_gate(tmp_path, capsys):
     # the 0.01-perturbed fixture residues: their monodromy is not unitary
     cfg = rank2_config()

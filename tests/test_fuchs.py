@@ -327,13 +327,17 @@ def test_loop_geometry_at_the_one_basepoint_property(pts):
                 assert k != i and seg.radius == 0.8 * radii[k]
 
 
-def test_loop_set_detours_past_ten_points_on_a_line():
+def test_loop_set_detours_past_ten_points_on_a_line(monkeypatch):
     # the leg to the lowest of ten points 0.5 apart below z0 = 9i detours
-    # round the nine circles above it, one keepout per level of plan_route
+    # round the nine circles above it, one keepout per level of plan_route;
+    # all legs' segments still run as one kernel call
     alphas = 0.1 + 0.05 * np.arange(10)
     ws = fuchs.build_weight_system(-0.5j * np.arange(10), [[a] for a in alphas] + [[0.75]])
     assert max(len(approach) for approach in ws.loops.approaches) == 19
+    calls, kernel = [], fuchs._integrate_stack
+    monkeypatch.setattr(fuchs, "_integrate_stack", lambda *a, **k: calls.append(1) or kernel(*a, **k))
     mon = fuchs.monodromy_rep(fuchs.FuchsianSystem(ws, alphas.reshape(-1, 1, 1)))
+    assert len(calls) == 1
     assert mon.relation_residual <= 1e-12
     want = np.exp(2j * np.pi * np.append(alphas, 0.75))
     np.testing.assert_allclose(mon.generators[:, 0, 0], want, rtol=0, atol=1e-12)
@@ -1056,10 +1060,11 @@ def test_segment_fan_mixed_members_match_solo_transports():
         assert numcore.fro(out.values[-1, l] - solo) <= 2 * tol * numcore.fro(solo)
 
 
-def test_monodromy_detour_legs_run_as_padded_rounds(monkeypatch):
+def test_monodromy_detour_legs_run_as_one_fan(monkeypatch):
     # from the basepoint 2i the leg to 0 detours round the loop circle at
-    # 1j (Line, Arc, Line) while the leg to 1j is one Line: the legs run as
-    # K = 3 fan calls, the short leg padded, and nothing else is marched
+    # 1j (Line, Arc, Line) while the leg to 1j is one Line: every segment of
+    # every system is one member of one fan call from I (four systems and
+    # four segments: uncut), and nothing else is marched
     ws = fuchs.build_weight_system([0.0, 1j], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
     loops = fuchs.MonodromyLoops(ws)
     assert loops.z0 == 2j
@@ -1081,13 +1086,68 @@ def test_monodromy_detour_legs_run_as_padded_rounds(monkeypatch):
     monkeypatch.setattr(fuchs, "_integrate_stack", counted_kernel)
     tol = 1e-9
     _, series = loops.monodromy(residues, tol)
-    assert calls == {"fan": 3, "kernel": 3}
+    assert calls == {"fan": 1, "kernel": 1}
     monkeypatch.undo()
     legs = _entry_values(loops, series)
     for i, approach in enumerate(loops.approaches):
         ref, _ = transport_path(ws.points, residues, approach, np.eye(ws.rank), tol / 100)
         for b in range(4):
             assert numcore.fro(legs[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
+
+
+@pytest.fixture(scope="module")
+def criterion9_center_system():
+    """The criterion-9 family's seed-5 center, solved cold at seed 3."""
+    ws = _n4_rank2_weights()
+    system, report = rhsolve.solve(ws, moduli.random_admissible_rep(ws, seed=5),
+                                   opts=rhsolve.SolveOptions(seed=3))
+    assert report.success
+    return system
+
+
+def _rigid_system(points):
+    ws = fuchs.build_weight_system(points, [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
+    return fuchs.FuchsianSystem(ws, fuchs.rank2_rigid_residues(ws))
+
+
+@pytest.mark.parametrize("which", ["fixture", "criterion9-center", "detour"])
+def test_cut_legs_of_one_system_agree_with_an_uncut_stack(which, request):
+    # a 16-system stack runs its legs uncut, and each member on its own has
+    # them cut into LEG_FAN_MEMBERS // segments pieces: the generators and
+    # the legs' transports agree to 10 tol
+    system = {
+        "fixture": lambda: _rigid_system([0.0, 1.0]),
+        "criterion9-center": lambda: request.getfixturevalue("criterion9_center_system"),
+        "detour": lambda: _rigid_system([0.0, 1j]),
+    }[which]()
+    ws, tol = system.weights, 1e-9
+    loops = fuchs.MonodromyLoops(ws)
+    parm = rhsolve.parametrization_from_system(system)
+    residues = parm.residues(0.01 * np.random.default_rng(72).standard_normal((16, parm.dim)))
+    gens, series = loops.monodromy(residues, tol)
+    legs = _entry_values(loops, series)
+    for b in range(16):
+        one, one_series = loops.monodromy(residues[b : b + 1], tol)
+        one_legs = _entry_values(loops, one_series)
+        for i in range(ws.n):
+            assert numcore.fro(one[0, i] - gens[b, i]) <= 10 * tol * numcore.fro(gens[b, i])
+            assert numcore.fro(one_legs[0, i] - legs[b, i]) <= 10 * tol * numcore.fro(legs[b, i])
+
+
+def test_one_system_loop_set_is_one_short_kernel_call(monkeypatch, criterion9_center_system):
+    # the criterion-9 center's three legs, cut into five pieces each, take
+    # one kernel call of at most six steps (eleven when they ran uncut)
+    steps, kernel = [], fuchs._integrate_stack
+
+    def counted_kernel(*a, **k):
+        out = kernel(*a, **k)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(fuchs, "_integrate_stack", counted_kernel)
+    fuchs.MonodromyLoops(criterion9_center_system.weights).monodromy(
+        criterion9_center_system.residues[None], fuchs.TRANSPORT_TOL)
+    assert len(steps) == 1 and steps[0] <= 6
 
 
 def _relation_residuals(ws, gens):

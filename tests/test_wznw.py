@@ -1114,6 +1114,30 @@ def test_action_rings_are_the_loop_circles(monkeypatch):
     assert abs(act.value - exact) <= 1e-3 * abs(exact)
 
 
+@pytest.mark.parametrize(
+    "edges, span",
+    [
+        (sorted(np.log([1e-4, 0.01, 0.5, 2.0])), wznw.MAX_PANEL_SPAN),
+        (np.array([0.3, 1.2, 2.5, 0.3 + 2 * np.pi]), 2 * np.pi / 12),
+        (np.linspace(0, 1, wznw.OUTWARD_PANELS + 1), 1.0),
+    ],
+    ids=["radial", "angular", "t"],
+)
+def test_gl_panels_pin_the_per_panel_formula(edges, span):
+    # all panels at once give, bit for bit, each panel's own nodes and weights
+    x, w = wznw._gl_rule(wznw.GL_ORDER)
+    want_x, want_w = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        e = np.linspace(a, b, max(1, int(np.ceil((b - a) / span))) + 1)
+        for lo, hi in zip(e[:-1], e[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            want_x.append(mid + half * x)
+            want_w.append(half * w)
+    nodes, weights = wznw._gl_panels(edges, span)
+    assert np.array_equal(nodes, np.concatenate(want_x))
+    assert np.array_equal(weights, np.concatenate(want_w))
+
+
 def test_gl_rule_cached_and_bit_identical():
     x, w = np.polynomial.legendre.leggauss(8)
     nodes, weights = wznw._gl_nodes(-0.3, 1.7, 8)
