@@ -269,9 +269,14 @@ def _record(cfg: ProblemConfig | None, command: str, payload: dict) -> dict:
 
 def _check_out(out_dir: Path) -> None:
     """Refuses an --out that is no directory and cannot become one: its
-    nearest existing ancestor, or itself, must be a directory."""
+    nearest existing ancestor, or itself, must be a directory, and the OS
+    must accept the path.  Each refusal is a ValueError naming --out."""
     path = out_dir.absolute()
-    found = next(p for p in (path, *path.parents) if p.exists())
+    try:
+        found = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:
+        # a path the OS refuses to look up, such as a name that is too long
+        raise ValueError(f"--out {out_dir}: {exc.strerror}") from exc
     if not found.is_dir():
         raise ValueError(f"--out {out_dir}: {found} is not a directory")
 
@@ -371,9 +376,8 @@ def cmd_action(cfg: ProblemConfig, out_dir: Path) -> int:
     payload = {name: getattr(act, name) for name in ACTION_RESULT_FIELDS}
     _write_result(out_dir, _record(cfg, "action", payload))
     with open(out_dir / "deltas.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["delta", "kinetic", "topological", "counterterm", "total"]
-        )
+        # the columns are the rows' keys, in their order (wznw.action_regularized)
+        writer = csv.DictWriter(fh, fieldnames=list(act.csv_rows[0]))
         writer.writeheader()
         for row in act.csv_rows:
             writer.writerow({k: repr(v) for k, v in row.items()})

@@ -698,14 +698,17 @@ def _integrate_stack(coefficients, y, tol: float, stops) -> tuple[np.ndarray, in
     marks = [float(s) for s in stops]
     end, last = marks[-1], len(marks) - 1
     t, h, k, accepted = 0.0, 0.1, 0, 0
-    # stops at t = 0 are the start; when no other is left no step is taken
-    while k < len(marks) and marks[k] <= t:
-        out[k] = y
-        k += 1
     yn = np.maximum(_member_fro(y), 1.0)
     np.einsum("ijm,jkm->ikm", coefficients(np.zeros(1))[0], y, out=ks[0])
     err_prev = 1.0
-    while k < len(marks):
+    while True:
+        # every stop at or before t that no dense output took takes y: the
+        # start at t = 0 (stops all at 0 take no step), after a step its end
+        while k < len(marks) and marks[k] <= t:
+            out[k] = y
+            k += 1
+        if k == len(marks):
+            break
         clipped = h >= end - t
         step = end - t if clipped else h
         cs = coefficients(t + _DOP_C[1:] * step)
@@ -751,9 +754,6 @@ def _integrate_stack(coefficients, y, tol: float, stops) -> tuple[np.ndarray, in
             h = step * min(max(factor, 0.2), 5.0)
             err_prev = err
             t = t_new
-            while k < len(marks) and marks[k] <= t:
-                out[k] = y
-                k += 1
         else:
             h = step * min(max(0.9 * err ** (-1.0 / 8.0), 0.2), 5.0)
         if h < 1e-13:

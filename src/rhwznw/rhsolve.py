@@ -283,7 +283,9 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, opts: SolveOptions):
     its start and trial points, and on one stack for each iteration's
     Jacobian (central_jacobian).  Returns the final point, its residual and
     evaluation, which LM keeps beside them as it accepts a point, and the
-    cost history, the start's cost and one entry per iteration.
+    cost history, the start's cost and one entry per iteration.  A start of
+    dimension 0, a rank-1 chart, is its own solution: LM evaluates it and
+    forms no Jacobian.
     """
     x = x0.copy()
     f, evaluation = residuals(x)
@@ -295,10 +297,12 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, opts: SolveOptions):
     # fuchs.TRANSPORT_TOL)^2 that a point's transport tolerance sets, which
     # binds only for tol below 1e-9
     target_cost = max(opts.tol**2, (10.0 * fuchs.TRANSPORT_TOL) ** 2)
+    n = len(x)
     for _ in range(opts.max_iter):
-        if cost <= target_cost:
+        # a chart of dimension 0 (rank 1) has no step to take: its history
+        # is its start's cost, reached or not
+        if cost <= target_cost or not n:
             break
-        n = len(x)
         J = central_jacobian(residuals, x)
         g = J.T @ f
         if np.linalg.norm(g, np.inf) < 1e-14:
@@ -348,7 +352,8 @@ def solve(
 ) -> tuple[fuchs.FuchsianSystem, SolveReport]:
     """Find residues with the weight spectra whose monodromy matches the target.
 
-    Levenberg-Marquardt from deterministic multi-starts: restart 0 starts
+    Levenberg-Marquardt from deterministic multi-starts, every restart's
+    chart through LM, a rank-1 chart of dimension 0 too: restart 0 starts
     from the chart of init when one is given; otherwise, and on every later
     restart, the chart basepoints are drawn from the restart's seed
     (cold_chart).  A warm restart 0 runs on init's warm start record, its
@@ -386,12 +391,7 @@ def solve(
 
         # the module-global name: a wrapper of rhsolve.residual_vector sees every call
         residuals = partial(residual_vector, parm, target=target)
-        x0 = np.zeros(parm.dim)
-        if parm.dim == 0:
-            f, evaluation = residuals(x0)
-            history = [float(f @ f)]
-        else:
-            _, f, evaluation, history = _levenberg_marquardt(residuals, x0, opts)
+        _, f, evaluation, history = _levenberg_marquardt(residuals, np.zeros(parm.dim), opts)
 
         # the generator block of the residual is aligned - target; the last
         # 2r entries are the infinity-spectrum penalty

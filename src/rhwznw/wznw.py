@@ -381,32 +381,23 @@ def _gl_rule(order: int):
     return x, w
 
 
-def _gl_nodes(a, b, order: int):
-    """GL nodes and weights on the panel [a, b], shape (order,), or on each
-    of the panels [a[k], b[k]] of arrays a and b, shape (len(a), order)."""
-    x, w = _gl_rule(order)
-    mid, half = (np.asarray(v)[..., None] for v in (0.5 * (a + b), 0.5 * (b - a)))
-    return mid + half * x, half * w
-
-
-def _panel_edges(a: float, b: float, max_span: float) -> np.ndarray:
-    n = max(1, int(np.ceil((b - a) / max_span)))
-    return np.linspace(a, b, n + 1)
-
-
 def _gl_panels(edges, max_span: float):
-    """GL nodes and weights on [edges[0], edges[-1]] with a panel edge at
-    every given edge and no panel longer than max_span."""
+    """GL nodes and weights of order GL_ORDER on [edges[0], edges[-1]] with
+    a panel edge at every given edge and no panel longer than max_span: all
+    panels' nodes and weights from one broadcast of the rule, each panel
+    [a, b] at mid (a + b) / 2 and half-width (b - a) / 2."""
+    x, w = _gl_rule(GL_ORDER)
     # every linspace ends on its b exactly, the next one's a
-    fine = np.concatenate([_panel_edges(a, b, max_span)[:-1] for a, b in zip(edges[:-1], edges[1:])]
-                          + [edges[-1:]])
-    x, w = _gl_nodes(fine[:-1], fine[1:], GL_ORDER)
-    return x.ravel(), w.ravel()
+    fine = np.concatenate([np.linspace(a, b, max(1, int(np.ceil((b - a) / max_span))) + 1)[:-1]
+                           for a, b in zip(edges[:-1], edges[1:])] + [edges[-1:]])
+    mid, half = 0.5 * (fine[:-1] + fine[1:]), 0.5 * (fine[1:] - fine[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def _log_panels(r_lo: float, r_hi: float, fixed: list[float]):
+def _log_panels(r_lo: float, r_hi: float, fixed):
     """GL nodes and weights in s = log rho on [log r_lo, log r_hi] with panel
-    edges at every fixed radius in between."""
+    edges at every fixed radius in between, given in any order and with
+    repeats."""
     edges = sorted({np.log(r_lo), np.log(r_hi), *[np.log(f) for f in fixed if r_lo < f < r_hi]})
     return _gl_panels(edges, MAX_PANEL_SPAN)
 
@@ -522,11 +513,10 @@ class TransportWeb:
             raise ValueError(f"largest delta {max(delta_schedule):g} does not fit the ring {rings[tight]:.6g} "
                              f"of {where}: every delta must be below {rings[tight] / RING_MARGIN:.6g}")
         delta_min = min(delta_schedule)
-        fixed = sorted(set(delta_schedule))
         # the series regions' log-radius rules: each patch's inward part from
         # delta_min to its ring, and the outer region in log |z| from |z0|
         # to 1 / delta_min
-        radial = [_log_panels(delta_min, ring_r, fixed) for ring_r in rings[:-1]]
+        radial = [_log_panels(delta_min, ring_r, delta_schedule) for ring_r in rings[:-1]]
         radial.append(_log_panels(r_out, 1.0 / delta_min, [1.0 / d for d in delta_schedule]))
         # each patch's ray angles and weights: its boundary has kinks at the
         # patch's corners (_kink_angles), at least two since n >= 2, so the
@@ -656,24 +646,16 @@ def action_regularized(
         web = TransportWeb(fld, deltas)
         integrals = [web.integrals_at(d) for d in deltas]
 
-    rows, totals = [], []
-    kin_last = top_last = 0.0
+    # one row per delta, the one record: the fit, per_delta and the last
+    # delta's parts are read off it
+    rows = []
     for d, (kin, top) in zip(deltas, integrals):
         ct = float(2 * np.pi * np.log(d) * (k1 + k2))
         total = kin + top + ct
         if not np.isfinite(total):
             raise NumericalError(f"the total at delta {d:g} is {total}, not finite")
-        rows.append(
-            {
-                "delta": float(d),
-                "kinetic": float(kin),
-                "topological": float(top),
-                "counterterm": ct,
-                "total": float(total),
-            }
-        )
-        totals.append(total)
-        kin_last, top_last = kin, top
+        rows.append(dict(delta=d, kinetic=kin, topological=top, counterterm=ct, total=total))
+    totals = np.array([row["total"] for row in rows])
 
     kappa = decay_exponent(fld.weights)
     dd = np.asarray(deltas)
@@ -684,7 +666,7 @@ def action_regularized(
     if abs(kappa - 2.0) > 0.1 and len(deltas) >= 4:
         cols.append(dd**2)
     design = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(design, np.asarray(totals), rcond=None)
+    coef, *_ = np.linalg.lstsq(design, totals, rcond=None)
     fit = design @ coef
     resid = float(np.max(np.abs(fit - totals)))
     value = float(coef[0])
@@ -700,10 +682,10 @@ def action_regularized(
         value=value,
         counterterm_k1=k1,
         counterterm_k2=k2,
-        per_delta=[(float(d), float(t)) for d, t in zip(deltas, totals)],
+        per_delta=[(row["delta"], row["total"]) for row in rows],
         extrapolation_error=resid,
-        topological_part=top_last,
-        kinetic_part=kin_last,
+        topological_part=rows[-1]["topological"],
+        kinetic_part=rows[-1]["kinetic"],
         kappa=kappa,
         imag_residual=imag_residual,
         web_nodes=sum(len(region.rho) for region in web.regions),

@@ -532,6 +532,23 @@ def test_verify_out_on_a_file_exits_2_before_the_suite(tmp_path, capsys, monkeyp
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "monodromy"])
+def test_out_the_os_refuses_exits_2_before_the_command(tmp_path, capsys, monkeypatch, command):
+    # a 300-character name is longer than any file system allows: the
+    # probe of --out raised OSError, a traceback and exit 1
+    ran = []
+    monkeypatch.setitem(cli.verify.SUITES, "bruhat", lambda seed, count: ran.append(1) or [])
+    monkeypatch.setitem(cli.COMMANDS, "monodromy", (lambda cfg, out_dir: ran.append(1) or 0, ""))
+    cli.save_config(rank1_config(), tmp_path / "cfg.json")
+    args = {"verify": ["verify", "bruhat", "--count", "1"],
+            "monodromy": ["monodromy", "--config", str(tmp_path / "cfg.json")]}[command]
+    rc = cli.main(args + ["--out", str(tmp_path / ("a" * 300))])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "--out" in err and "\n" not in err
+    assert not ran
+
+
 def test_action_monodromy_quality_gate(tmp_path, capsys):
     # the 0.01-perturbed fixture residues: their monodromy is not unitary
     cfg = rank2_config()

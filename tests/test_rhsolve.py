@@ -162,9 +162,11 @@ def test_solve_rank1(rank1_weights, rank1_target):
                        rank1_weights.weights[:-1, 0])
 
 
-def test_solve_rank1_records_its_one_cost(rank1_weights, rank1_target):
+def test_solve_rank1_records_its_one_cost(rank1_weights, rank1_target, monkeypatch):
     # a chart of dimension 0 takes no LM step: its history is the one cost
-    # it evaluated, as every LM history starts with its initial cost
+    # it evaluated, as every LM history starts with its initial cost, and
+    # LM forms no Jacobian for it
+    monkeypatch.setattr(rhsolve, "central_jacobian", _no_jacobian)
     _, report = rhsolve.solve(
         rank1_weights, rank1_target, opts=rhsolve.SolveOptions(seed=0, restarts=1)
     )
@@ -173,6 +175,24 @@ def test_solve_rank1_records_its_one_cost(rank1_weights, rank1_target):
     assert report.iterations == 0
     assert report.objective_history == [float(f @ f)]
     assert np.isfinite(report.objective_history[0])
+
+
+def _no_jacobian(residuals, x):
+    raise AssertionError("a Jacobian was formed")
+
+
+def test_solve_rank1_off_target_fails_on_its_one_cost(rank1_weights, monkeypatch):
+    # a rank-1 target of other phases than the weights' is out of reach: the
+    # chart of dimension 0 stops at its start, above tolerance, with no
+    # Jacobian, and every restart reports the same one cost
+    monkeypatch.setattr(rhsolve, "central_jacobian", _no_jacobian)
+    other = fuchs.build_weight_system([-1.3, 0.0, 1.0], [[0.1], [0.45], [0.8], [0.65]])
+    reach = fuchs.build_admissible_rep(other, [np.eye(1, dtype=complex)] * 3)
+    target = fuchs.AdmissibleRep(rank1_weights, reach.generators, reach.conjugators)
+    _, report = rhsolve.solve(rank1_weights, target, opts=rhsolve.SolveOptions(restarts=2))
+    assert not report.success and report.normalization is None
+    assert report.iterations == 0 and report.restart_index == 0
+    assert report.objective_history[0] > 1.0
 
 
 def test_solve_rank2_rigid(rank2_solved, rank2_weights, rank2_target):

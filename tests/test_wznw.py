@@ -1140,7 +1140,8 @@ def test_gl_panels_pin_the_per_panel_formula(edges, span):
 
 def test_gl_rule_cached_and_bit_identical():
     x, w = np.polynomial.legendre.leggauss(8)
-    nodes, weights = wznw._gl_nodes(-0.3, 1.7, 8)
+    # one panel at GL_ORDER 8: [-0.3, 1.7] is no longer than the span 2
+    nodes, weights = wznw._gl_panels(np.array([-0.3, 1.7]), 2.0)
     assert np.array_equal(nodes, 0.7 + 1.0 * x) and np.array_equal(weights, 1.0 * w)
     assert wznw._gl_rule(8) is wznw._gl_rule(8)
     with pytest.raises(ValueError):
