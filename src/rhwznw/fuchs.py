@@ -57,9 +57,11 @@ the whole stack: conjugate by the ordered eigenbasis of the last generator
 (batched eig; all r! matchings to the target phases scored at once),
 balance over the positive diagonal group (Osborne sweeps on (B, r) arrays;
 away from a solution the tuple is only conjugate to a unitary one, and
-balancing lands on the unitary gauge when one exists), then align the
-diagonal torus by coordinate ascent with its seven starts as one more stack
-axis (B, 7, r).  :func:`rep_distance` is the mismatch it leaves.
+balancing lands on the unitary gauge when one exists), then conjugate by
+the unitary polar factor of the least-squares intertwiner X, the least
+eigenvector of sum_i S_i^* S_i for the Sylvester maps
+S_i: X -> M_i X - X T_i (one batched eigh and one batched SVD, no
+iteration).  :func:`rep_distance` is the mismatch it leaves.
 
 Transport has one integrator, an adaptive Dormand-Prince 8(5,3) loop
 (DOP853: 12 stages, the last at the 8th-order solution, so FSAL) over a
@@ -270,16 +272,21 @@ def build_weight_system(points, weights, degree: int | None = None) -> WeightSys
 # admissible representations
 
 
+def _sylvester(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The maps X -> M_i X - X T_i of stacks m and t (..., r, r), broadcast
+    against each other, as (..., r*r, r*r) matrices on the row-major vec(X)."""
+    eye = np.eye(m.shape[-1])
+    # s[..., a, b, c, d] = M[a, c] delta_bd - delta_ac T[d, b]
+    s = (m[..., :, None, :, None] * eye[:, None, :]
+         - eye[:, None, :, None] * np.swapaxes(t, -1, -2)[..., None, :, None, :])
+    return s.reshape(*s.shape[:-4], eye.size, eye.size)
+
+
 def commutant_dimension(mats) -> int:
     """Dimension of {X : [X, M_i] = 0 for all i} of an (m, r, r) stack: one
-    SVD of the rows kron(M_i^T, I) - kron(I, M_i) of all members, stacked."""
+    SVD of the Sylvester maps X -> M_i X - X M_i of all members, stacked."""
     m = np.asarray(mats, dtype=complex)
-    r = m.shape[-1]
-    eye = np.eye(r)
-    # big[k, a, i, b, j] = M_k[b, a] delta_ij - delta_ab M_k[i, j]
-    big = (np.swapaxes(m, -1, -2)[:, :, None, :, None] * eye[:, None, :]
-           - eye[:, None, :, None] * m[:, None, :, None, :])
-    sv = np.linalg.svd(big.reshape(-1, r * r), compute_uv=False)
+    sv = np.linalg.svd(np.concatenate(_sylvester(m, m)), compute_uv=False)
     return int(np.sum(sv <= COMMUTANT_TOL * max(sv[0], 1.0)))
 
 
@@ -1240,7 +1247,7 @@ def _cut(seg: paths.Segment, center: complex, cuts: int) -> list[paths.Segment]:
 
 def _singular_member(stack: np.ndarray, what: str) -> str:
     """Names the first member (b, i) of a (B, m, r, r) stack that
-    np.linalg.inv finds singular: the what at loop i of system b."""
+    np.linalg.inv finds singular: the what i of system b."""
     for b, i in np.ndindex(stack.shape[:2]):
         try:
             np.linalg.inv(stack[b, i])
@@ -1281,9 +1288,8 @@ def monodromy_rep(system: FuchsianSystem, tol: float = TRANSPORT_TOL) -> Monodro
 # gauge alignment
 
 
-# most sweeps of _balance_positive_diagonal and of _torus_ascent
+# most Osborne sweeps of _balance_positive_diagonal
 BALANCE_SWEEPS = 200
-TORUS_SWEEPS = 1000
 
 
 def _balance_positive_diagonal(sq: np.ndarray) -> np.ndarray:
@@ -1315,44 +1321,32 @@ def _balance_positive_diagonal(sq: np.ndarray) -> np.ndarray:
     return np.exp(lam)
 
 
-def _torus_ascent(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Coordinate ascent of Re sum_jk g_j c_jk conj(g_k), g = e^{i theta}.
-
-    c (B, r, r), theta (B, S, r) with S starts per member; each start stops
-    once a sweep moves it by less than 1e-14, or after TORUS_SWEEPS sweeps,
-    and later sweeps run on the starts still moving alone.  Every coordinate
-    step is the exact maximizer along its axis.
-    """
-    r = theta.shape[-1]
-    off = c * (1 - np.eye(r))
-    # the (member, start) index pairs still moving, the only ones a sweep updates
-    live = np.nonzero(np.ones(theta.shape[:-1], dtype=bool))
-    for _ in range(TORUS_SWEEPS):
-        t, o = theta[live], off[live[0]]
-        before = t.copy()
-        for j in range(r):
-            g = np.exp(1j * t)
-            w = (o[..., j, :] * np.conj(g)).sum(axis=-1) + np.conj((o[..., :, j] * g).sum(axis=-1))
-            t[:, j] = np.where(np.abs(w) > 0, -np.arctan2(w.imag, w.real), t[:, j])
-        theta[live] = t
-        turn = np.exp(1j * (t - before))
-        moving = np.abs(np.arctan2(turn.imag, turn.real)).max(axis=-1) >= 1e-14
-        live = tuple(i[moving] for i in live)
-        if not moving.any():
-            break
-    return theta
-
-
 @dataclass
 class TupleAlignment:
+    """The aligned tuples, unitarily equivalent to the computed ones in
+    their balanced frame, the conjugator back to the computed ones and the
+    mismatch with the target (align_tuple_to_target)."""
+
     generators: np.ndarray  # (..., n, r, r) aligned tuples
     conjugator: np.ndarray  # (..., r, r) W with computed_i = W aligned_i W^{-1}
     mismatch: np.ndarray    # (...) sum_i ||aligned_i - target_i||_F^2
 
 
 def align_tuple_to_target(computed, target: AdmissibleRep) -> TupleAlignment:
-    """Conjugate computed tuples, one (n, r, r) or a stack (..., n, r, r), as
-    close as possible to the target tuple; every step runs on the whole stack.
+    """Conjugate computed tuples, one (n, r, r) or a stack (..., n, r, r), to
+    the target tuple; every step runs on the whole stack.
+
+    The last generator's eigenbasis, matched to the target phases, then the
+    Osborne balancing, which lands on the unitary gauge when there is one,
+    give each tuple's balanced frame M.  There X is the least-squares
+    intertwiner, min sum_i ||M_i X - X T_i||_F^2 at ||X||_F = 1: the least
+    eigenvector of sum_i S_i^* S_i, S_i the Sylvester map (_sylvester);
+    where the target's commutant has dimension k > 1 (a direct sum), the
+    projection of vec(I) onto the k least eigenvectors.  The aligned tuple
+    is U^* M U, U the unitary polar factor of X from one SVD with its phase
+    pinned so that U[0, 0] >= 0, and W = v D^{-1} U (v the eigenbasis, D
+    the balancing).  No step iterates but the balancing, and none has a
+    local optimum.
     """
     m = np.asarray(computed, dtype=complex)
     lead, (n, r) = m.shape[:-3], m.shape[-3:-1]
@@ -1368,24 +1362,20 @@ def align_tuple_to_target(computed, target: AdmissibleRep) -> TupleAlignment:
     d = _balance_positive_diagonal(np.sum(np.abs(gens) ** 2, axis=1))
     gens = d[:, None, :, None] * gens * (1.0 / d)[:, None, None, :]
 
-    # maximize Re sum_i <g M_i g^*, T_i> over the diagonal torus g = diag(e^{i theta}),
-    # from theta = 0 and six seeded starts; the first best start wins
-    c = np.sum(gens * np.conj(tgt), axis=1)
-    draws = np.random.default_rng(2024).uniform(0, 2 * np.pi, (6, r))
-    starts = np.concatenate([np.zeros((1, r)), draws])
-    theta = _torus_ascent(c, np.broadcast_to(starts, (len(m), 7, r)).copy())
-    g = np.exp(1j * theta)
-    value = np.real(np.sum(g[..., :, None] * np.conj(g)[..., None, :] * c[:, None], axis=(-2, -1)))
-    theta = theta[np.arange(len(m)), np.argmax(value, axis=-1)]
-    # the starts reach one optimum up to a common phase, which moves no
-    # aligned generator: pin theta_0 = 0, so that W does not follow the
-    # rounding tie that argmax breaks between them
-    theta -= theta[:, :1]
-    g = np.exp(1j * theta)
-    gens = g[:, None, :, None] * gens * np.conj(g)[:, None, None, :]
+    s = _sylvester(gens, tgt).reshape(len(m), -1, r * r)
+    _, e = np.linalg.eigh(adjoint(s) @ s)
+    k = commutant_dimension(tgt)
+    # k = 1: e itself, whose overlap with I may vanish; k > 1: e e^* vec(I),
+    # whose coefficients are the conjugated diagonal entries of e
+    x = e[..., 0] if k == 1 else e[..., :k] @ np.conj(e[:, ::r + 1, :k]).sum(axis=1)[..., None]
+    u, _, vh = np.linalg.svd(x.reshape(-1, r, r))
+    u = u @ vh
+    # one phase moves no aligned generator: pin U[0, 0] >= 0 (angle(0) is 0)
+    u *= np.exp(-1j * np.angle(u[:, :1, :1]))
+    gens = adjoint(u)[:, None] @ gens @ u[:, None]
 
     mismatch = np.sum(np.abs(gens - tgt) ** 2, axis=(-3, -2, -1))
-    conj = v * (1.0 / d)[:, None, :] * np.exp(-1j * theta)[:, None, :]
+    conj = (v * (1.0 / d)[:, None, :]) @ u
     return TupleAlignment(
         generators=gens.reshape(*lead, n, r, r),
         conjugator=conj.reshape(*lead, r, r),
@@ -1397,9 +1387,9 @@ def rep_distance(a: AdmissibleRep, b: AdmissibleRep) -> float:
     """Squared gauge distance between normalized tuples: the mismatch of
     a aligned to b by :func:`align_tuple_to_target`.
 
-    The residual gauge of a normalized tuple is the diagonal torus only
-    when the infinity phases are distinct; repeated phases raise
-    ValueError (their exponents at infinity are resonant anyway).
+    Repeated infinity phases raise ValueError: the alignment matches the
+    last generator's eigenbasis to those phases, which then do not fix it
+    (their exponents at infinity are resonant anyway).
     """
     if a.weights.weights.shape != b.weights.weights.shape:
         raise ValueError("weight data must match")
@@ -1407,5 +1397,5 @@ def rep_distance(a: AdmissibleRep, b: AdmissibleRep) -> float:
     # the phases lie on a circle: the first and last weights are neighbours too
     gaps = np.append(np.diff(w), 1.0 - (w[-1] - w[0]))
     if a.rank > 1 and np.min(gaps) < 1e-8:
-        raise ValueError("repeated infinity phases: the residual gauge is not a torus")
+        raise ValueError("repeated infinity phases: the last eigenbasis is not fixed")
     return align_tuple_to_target(a.generators, b).mismatch

@@ -120,9 +120,14 @@ class ResidueParametrization:
         return self.basepoints @ expm(ks)
 
     def residues(self, x: np.ndarray) -> np.ndarray:
-        """A_i of chart points x (..., dim) as (..., n-1, r, r)."""
+        """A_i of chart points x (..., dim) as (..., n-1, r, r); a singular
+        conjugator raises NumericalError naming it."""
         cs = self.conjugators(x)
-        return cs @ diag_stack(self.weights.weights[:-1]) @ np.linalg.inv(cs)
+        try:
+            return cs @ diag_stack(self.weights.weights[:-1]) @ np.linalg.inv(cs)
+        except np.linalg.LinAlgError:
+            stack = cs.reshape(-1, *cs.shape[-3:])
+            raise NumericalError(fuchs._singular_member(stack, "chart conjugator of point")) from None
 
     def loop_generators(self, xs: np.ndarray, tol: float) -> tuple:
         """The target-free part of the residuals of a (B, dim) stack of chart

@@ -424,6 +424,52 @@ def test_lm_rejects_a_trial_step_whose_residual_raises(monkeypatch, rank2_weight
     assert report.success and report.restart_index == 0
 
 
+def _singular_chart_point():
+    """W3's seed-5 target, cold chart 7 and a point of it whose chart
+    conjugator 0 is singular to rounding (condition number 1.8e154)."""
+    ws = fuchs.build_weight_system(*W3)
+    target = moduli.random_admissible_rep(ws, 5)
+    parm = rhsolve.cold_chart(ws, 7)
+    x = np.zeros(parm.dim)
+    x[0] = x[4] = 355.0
+    return target, parm, x
+
+
+def test_singular_chart_conjugator_raises_numerical_error():
+    # a singular chart conjugator raises NumericalError, which LM rejects,
+    # not numpy's LinAlgError, which would end solve with its restarts unrun
+    target, parm, x = _singular_chart_point()
+    message = "chart conjugator of point 0 of system 0 is singular"
+    with pytest.raises(numcore.NumericalError, match=message):
+        parm.residues(x)
+    with pytest.raises(numcore.NumericalError, match=message):
+        rhsolve.residual_vector(parm, x, target)
+
+
+def test_lm_rejects_a_trial_point_whose_chart_conjugator_is_singular():
+    # the first trial point of a cold W3 run is replaced by a point whose
+    # chart conjugator is singular: that step is rejected like a rise in
+    # cost, and the later steps lower it
+    target, parm, bad = _singular_chart_point()
+    calls, raised = [], []
+
+    def residuals(x):
+        if x.ndim == 1:
+            calls.append(x.copy())
+            if len(calls) == 2:  # calls[0] is the start
+                try:
+                    return rhsolve.residual_vector(parm, bad, target)
+                except numcore.NumericalError as exc:
+                    raised.append(exc)
+                    raise
+        return rhsolve.residual_vector(parm, x, target)
+
+    opts = rhsolve.SolveOptions(max_iter=2)
+    _, _, _, history = rhsolve._levenberg_marquardt(residuals, np.zeros(parm.dim), opts)
+    assert len(raised) == 1 and len(calls) > 2
+    assert len(history) == 3 and np.all(np.diff(history) < 0)
+
+
 def test_lm_rejects_a_raising_trial_point_and_converges():
     # a synthetic residual x - c whose first trial evaluation raises
     # NumericalError: that step is rejected, the damping grows, so the next
@@ -576,6 +622,21 @@ def test_cold_solve_rank3(seed):
     # the delta-fit passes, or action_regularized raises
     act = wznw.action_regularized(fld)
     assert act.imag_residual <= 1e-8
+
+
+# (points, weights) of D4, a rank-3 system at n = 4 of degree -4 with a
+# non-scalar splitting
+D4 = ([-1.0, 0.0, 1.0], [[0.1, 0.3, 0.6], [0.15, 0.4, 0.7], [0.2, 0.35, 0.55], [0.1, 0.25, 0.3]])
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_cold_solve_d4_at_restart_0(seed):
+    # D4 targets 2 and 3 solve cold at restart 0 at solve seed 0, where a
+    # gauge alignment with local optima needs later restarts or fails
+    ws = fuchs.build_weight_system(*D4)
+    target = moduli.random_admissible_rep(ws, seed=seed)
+    _, report = rhsolve.solve(ws, target, opts=rhsolve.SolveOptions(restarts=3))
+    assert report.success and report.restart_index == 0
 
 
 def test_capped_solve_short_of_the_tolerance_fails(rank2_weights, rank2_target):
