@@ -1130,8 +1130,10 @@ class MonodromyLoops:
     circle.  One phase sign serves every circle: a counterclockwise circle
     in z is clockwise in w = 1/z, and that sign at infinity cancels the
     generator's inversion of the counterclockwise transport
-    F exp(-2 pi i Lambda) F^{-1} at a puncture.  The return leg is never
-    integrated: its transport is exactly P_i^{-1}.
+    F exp(-2 pi i Lambda) F^{-1} at a puncture.  The return leg is not
+    integrated: its transport is exactly P_i^{-1}.  Only a member whose
+    frame F is too ill conditioned for the closed form (monodromy) is
+    transported along its whole loop, return leg included.
     """
 
     def __init__(self, weights: WeightSystem):
@@ -1177,12 +1179,13 @@ class MonodromyLoops:
             self._leg_fans[cuts] = paths.SegmentFan([piece for leg in legs for piece in leg]), places
         return self._leg_fans[cuts]
 
-    def circle_transports(self, residues, tol: float) -> tuple[np.ndarray, SeriesStack]:
+    def circle_transports(self, residues, tol: float) -> tuple:
         """The generator circles F exp(2 pi i Lambda) F^{-1}, (B, n, r, r),
-        of a (B, n-1, r, r) residue stack (class docstring), and the one
+        of a (B, n-1, r, r) residue stack (class docstring), the one
         SeriesStack they come from, describing on every member the solution
         that is I at its circle's entry x: coordinates diag(x^lam) F(x)^{-1}
-        and the entry's angle.  One series_stack call; the power is a row
+        and the entry's angle, and the frames F(x) and F(x)^{-1},
+        (B, n, r, r) each.  One series_stack call; the power is a row
         scaling of F^{-1}, never a dense inverse of x^{-L}: rows it spreads
         over many orders of magnitude keep their digits.  A frame that
         np.linalg.inv finds singular raises NumericalError naming it."""
@@ -1198,7 +1201,7 @@ class MonodromyLoops:
         circles = (frame * np.exp(TWO_PI_I * exponents)[:, :, None, :]) @ frame_inv
         coords = np.exp(self.entry_logs[:, None] * exponents)[..., None] * frame_inv
         series = replace(series, coords=coords.reshape(b * n, r, r), entry_angle=self.entry_angles)
-        return circles, series
+        return circles, series, frame, frame_inv
 
     def monodromy(self, residues, tol: float) -> tuple[np.ndarray, SeriesStack]:
         """Representation generators, (B, n, r, r), of a (B, n-1, r, r)
@@ -1212,9 +1215,17 @@ class MonodromyLoops:
         P_i^{-1} (F exp(2 pi i Lambda) F^{-1}) P_i.  A leg transport that
         np.linalg.solve finds singular, or a singular circle frame, raises
         NumericalError naming it, so that the LM rejects such a trial point
-        as it rejects one whose series tail is not finite."""
+        as it rejects one whose series tail is not finite.
+
+        A frame so ill conditioned that its inverse alone may cost more than
+        the series' budget, eps ||F|| ||F^{-1}|| > tol / 100, loses the
+        closed form's digits: that member's generator is transported along
+        its whole loop instead (_loop_transport), and its coordinates are
+        diag(x^lam) X with X = solve(F, P_i), whose residual F X - P_i is
+        about eps ||F|| ||X|| where the product F^{-1} P_i's is about
+        eps cond(F) ||P_i||."""
         res = np.asarray(residues, dtype=complex)
-        circles, series = self.circle_transports(res, tol)
+        circles, series, frame, frame_inv = self.circle_transports(res, tol)
         fan, places = self._leg_fan(max(1, LEG_FAN_MEMBERS // (len(res) * self._segments)))
         eye = np.eye(self.weights.rank, dtype=complex)
         # called by its module name, so that a wrapper of fuchs.transport sees it
@@ -1228,8 +1239,27 @@ class MonodromyLoops:
             gens = np.linalg.solve(legs, circles @ legs)
         except np.linalg.LinAlgError:
             raise NumericalError(_singular_member(legs, "transport along the approach leg of puncture")) from None
-        series = replace(series, coords=series.coords @ legs.reshape(series.coords.shape))
-        return gens, series
+        coords = series.coords.reshape(legs.shape) @ legs
+        cond = np.linalg.norm(frame, axis=(-2, -1)) * np.linalg.norm(frame_inv, axis=(-2, -1))
+        for b, k in np.argwhere(np.finfo(float).eps * cond > tol / 100):
+            gens[b, k] = self._loop_transport(res[b], k, tol)
+            power = np.exp(self.entry_logs[k] * series.exponents[b * len(self.circles) + k])
+            coords[b, k] = power[:, None] * np.linalg.solve(frame[b, k], legs[b, k])
+        return gens, replace(series, coords=coords.reshape(series.coords.shape))
+
+    def _loop_transport(self, res: np.ndarray, k: int, tol: float) -> np.ndarray:
+        """Generator k of one system (n-1, r, r) by transport from I at z0
+        along the whole loop k, segment by segment: the approach leg, the
+        circle clockwise and the leg back for a puncture, the big circle
+        counterclockwise.  Nothing is inverted."""
+        loop = [self.circles[k]]
+        if k < len(self.approaches):
+            loop = self.approaches[k] + [_reverse(seg) for seg in loop + self.approaches[k][::-1]]
+        y = np.eye(self.weights.rank, dtype=complex)
+        for seg in loop:
+            # by its module name, so that a wrapper of fuchs.transport sees it
+            y = transport(self.weights.points, res, paths.SegmentFan([seg]), y, tol=tol).values[-1, 0]
+        return y
 
 
 def _cut(seg: paths.Segment, center: complex, cuts: int) -> list[paths.Segment]:
@@ -1243,6 +1273,13 @@ def _cut(seg: paths.Segment, center: complex, cuts: int) -> list[paths.Segment]:
         return [paths.Line(a, b) for a, b in zip(ends[:-1], ends[1:])]
     ends = [seg.angle0, *(seg.angle0 + f * (seg.angle1 - seg.angle0)), seg.angle1]
     return [paths.Arc(seg.center, seg.radius, a, b) for a, b in zip(ends[:-1], ends[1:])]
+
+
+def _reverse(seg: paths.Segment) -> paths.Segment:
+    """seg run backwards, from its end to its start."""
+    if isinstance(seg, paths.Line):
+        return paths.Line(seg.end, seg.start)
+    return paths.Arc(seg.center, seg.radius, seg.angle1, seg.angle0)
 
 
 def _singular_member(stack: np.ndarray, what: str) -> str:

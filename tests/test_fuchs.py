@@ -1285,6 +1285,7 @@ def test_transport_fan_det_identity_property(seed):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(seed=1_838_530_778)  # ill-conditioned frames (test_monodromy_loops_transport_ill_conditioned_frames)
 def test_monodromy_loops_path_independence_property(seed):
     # the loop set assembles each puncture generator as P^-1 C P from its
     # approach leg P and its circle C, without the return leg; it must agree
@@ -1320,6 +1321,29 @@ def test_monodromy_loops_path_independence_property(seed):
         ref, _ = transport_path(ws.points, residues, approach, np.eye(ws.rank), tol / 100)
         for b in range(3):
             assert numcore.fro(legs[b, i] - ref[b]) <= 5 * tol * numcore.fro(ref[b])
+
+
+def test_monodromy_loops_transport_ill_conditioned_frames(monkeypatch):
+    # seed 1838530778 draws a system (b = 1) with a residue of norm ~350 at
+    # z_0: its puncture frames at the circles' entries have condition numbers
+    # 2e6 to 5e9, where F exp(2 pi i Lambda) F^-1 loses up to 1e-5 of its
+    # digits, so those three generators are transported along their whole
+    # loops; every other member keeps the closed form.  A seed of ordinary
+    # residues transports none.
+    for seed, want in [(1_838_530_778, [(1, 0), (1, 1), (1, 2)]), (7, [])]:
+        rng = np.random.default_rng(seed)
+        ws = _admissible_n4_rank3(rng).weights
+        residues = _random_residues(ws, rng, 3)
+        loops = fuchs.MonodromyLoops(ws)
+        calls, real = [], loops._loop_transport
+
+        def spy(res, k, tol):
+            calls.extend((b, k) for b in range(3) if np.array_equal(res, residues[b]))
+            return real(res, k, tol)
+
+        monkeypatch.setattr(loops, "_loop_transport", spy)
+        loops.monodromy(residues, 1e-9)
+        assert calls == want
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
@@ -1515,7 +1539,7 @@ def test_circle_transports_match_fan(make_weights, seed):
     _set_infinity_exponents(residues[2], ws.infinity_exponents + shift, rng)
     loops = fuchs.MonodromyLoops(ws)
     tol = 1e-9
-    got, _ = loops.circle_transports(residues, tol)
+    got = loops.circle_transports(residues, tol)[0]
     assert got.shape == (4, ws.n, ws.rank, ws.rank)
     turns = [-2 * np.pi] * (ws.n - 1) + [2 * np.pi]
     fan = paths.SegmentFan([paths.Arc(a.center, a.radius, a.angle0, a.angle0 + turn)
