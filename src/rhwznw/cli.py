@@ -4,7 +4,9 @@ Config files are JSON with complex numbers as two-element [re, im] arrays
 and matrices row-major.  Every result record embeds the schema version,
 the library version, and a hash of the canonical config serialization, so
 identical config + seed reruns are byte-identical.  The property suites of
-``rhwznw verify`` live in rhwznw.verify.
+``rhwznw verify`` live in rhwznw.verify.  The argument parser is built
+once per process (build_parser), so a process that calls main many times
+parses every argv with one parser.
 
 Exit codes (EXIT_CODES maps exceptions to them): 0 success, 1 a verify
 check failed, 2 validation/usage (ValueError, ConfigError among them),
@@ -21,6 +23,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 
 # BLAS is pinned to one thread before numpy is imported: threads on 2x2 to
@@ -420,7 +423,10 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse_args call
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="rhwznw",
         description="Fuchsian monodromy, Riemann-Hilbert solving, and the regularized WZNW action",

@@ -1179,7 +1179,7 @@ class MonodromyLoops:
             self._leg_fans[cuts] = paths.SegmentFan([piece for leg in legs for piece in leg]), places
         return self._leg_fans[cuts]
 
-    def circle_transports(self, residues, tol: float) -> tuple:
+    def _circle_transports(self, residues, tol: float) -> tuple:
         """The generator circles F exp(2 pi i Lambda) F^{-1}, (B, n, r, r),
         of a (B, n-1, r, r) residue stack (class docstring), the one
         SeriesStack they come from, describing on every member the solution
@@ -1188,7 +1188,11 @@ class MonodromyLoops:
         (B, n, r, r) each.  One series_stack call; the power is a row
         scaling of F^{-1}, never a dense inverse of x^{-L}: rows it spreads
         over many orders of magnitude keep their digits.  A frame that
-        np.linalg.inv finds singular raises NumericalError naming it."""
+        np.linalg.inv finds singular raises NumericalError naming it.
+
+        Every member is in closed form, however ill conditioned its frame:
+        monodromy, the one caller, replaces each member with
+        eps cond(F) > tol / 100 by a transport along its whole loop."""
         res = np.asarray(residues, dtype=complex)
         b, n, r = len(res), self.weights.n, self.weights.rank
         series = series_stack(self.weights.points, res, self.radii, tol)
@@ -1209,7 +1213,7 @@ class MonodromyLoops:
         point p, infinity last) describing the solution that is I at the
         basepoint: its coordinates are diag(x^lam) F(x)^{-1} P_i, P_i the
         approach leg's transport to the circle's entry x, I on the big
-        circle.  The circles come in closed form (circle_transports), the
+        circle.  The circles come in closed form (_circle_transports), the
         legs of all systems from one transport call on their pieces
         (_leg_fan; class docstring), and every generator is
         P_i^{-1} (F exp(2 pi i Lambda) F^{-1}) P_i.  A leg transport that
@@ -1225,7 +1229,7 @@ class MonodromyLoops:
         about eps ||F|| ||X|| where the product F^{-1} P_i's is about
         eps cond(F) ||P_i||."""
         res = np.asarray(residues, dtype=complex)
-        circles, series, frame, frame_inv = self.circle_transports(res, tol)
+        circles, series, frame, frame_inv = self._circle_transports(res, tol)
         fan, places = self._leg_fan(max(1, LEG_FAN_MEMBERS // (len(res) * self._segments)))
         eye = np.eye(self.weights.rank, dtype=complex)
         # called by its module name, so that a wrapper of fuchs.transport sees it

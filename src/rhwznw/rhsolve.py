@@ -35,6 +35,12 @@ Both records are keyed on objects of the problem types, which are values
 (fuchs.WeightSystem, AdmissibleRep and FuchsianSystem: frozen, with
 read-only copies of their arrays).  What a record was made from cannot
 change, so it holds for as long as its key lives and is never checked.
+What a record holds cannot change either: a normalization
+(NormalizationResult, frozen) and a chart's kept evaluations are
+read-only copies, arrays and series alike, made by one helper
+(_read_only_arrays).  So the one normalization that the solve's report,
+normalize_at_infinity and every metric field built from it share by
+identity cannot be written through.
 
 A chart keeps the first evaluation of its loop set at each tolerance
 (ResidueParametrization.loop_generators).  In LM's order these are its
@@ -145,9 +151,7 @@ class ResidueParametrization:
             return kept[1]
         residues = self.residues(xs)
         gens, series = self.weights.loops.monodromy(residues, tol)
-        series = replace(
-            series, **{f.name: read_only(getattr(series, f.name)) for f in fields(series)}
-        ) if len(xs) == 1 else None
+        series = _read_only_arrays(series) if len(xs) == 1 else None
         new = (read_only(xs), (read_only(residues), read_only(gens), series))
         self.evaluations.setdefault(tol, new)
         return new[1]
@@ -444,10 +448,16 @@ DISAGREEMENT_WARNING = 1e-3
 _NORMALIZATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizationResult:
     """The canonical solution at infinity.  The spectrum's drift there is
-    SolveReport.infinity_spectrum_error; normalize_at_infinity warns on it."""
+    SolveReport.infinity_spectrum_error; normalize_at_infinity warns on it.
+
+    A value: its arrays, and every array of its series, are read-only
+    copies (_read_only_arrays).  The record is handed out by identity, to
+    SolveReport.normalization, to normalize_at_infinity's callers and to
+    every metric field built from it (wznw.make_metric_field), so a write
+    through one of them raises ValueError instead of reaching the others."""
 
     constant_term: np.ndarray
     # whether the solution lies on the regular locus: a scalar splitting with
@@ -539,12 +549,20 @@ def _normalize(
     else:
         left = np.eye(ws.rank, dtype=complex)
     flag = invertible and ws.splitting.partition == (ws.rank,)
-    return NormalizationResult(
+    return _read_only_arrays(NormalizationResult(
         constant_term=G,
         large_cell_flag=flag,
         canonical_system=system.conjugated(left),
         basepoint_value=left @ W,
         right_conjugator=W,
         aligned_generators=aligned.generators,
-        series=replace(series, coefficients=left @ series.coefficients, coords=coords),
-    )
+        series=_read_only_arrays(series, coefficients=left @ series.coefficients, coords=coords),
+    ))
+
+
+def _read_only_arrays(record, **changes):
+    """A copy of the dataclass record with changes made and every array
+    field a read-only copy (numcore.read_only): a record that is handed out
+    by identity cannot be written through."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)} | changes
+    return replace(record, **{k: read_only(v) if isinstance(v, np.ndarray) else v for k, v in values.items()})

@@ -17,6 +17,14 @@ Each suite takes a seed and a sample count and returns a list of
   fixture against 2 pi log(wznw.ANNULUS_RATIO) sum_j alpha_ij^2.  Its
   checks are one per finite puncture, so it ignores the count.
 
+The fixture field (rigid_fixture_field) is built once per process, on
+first use, and flatness and counterterm both read that one object: a
+process that runs verify many times transports, plans and normalizes the
+fixture once.  It is a value, read-only to the last array (its
+normalization's, rhsolve.NormalizationResult), so a suite cannot change
+what a later one reads, and every suite's figures are those of a freshly
+built field, bit for bit.
+
 The bruhat, cholesky, three-form and flatness suites draw their samples
 in the order of a per-sample loop, so a seed gives the same samples, and
 hand them to the library as stacks of at most STACK_SAMPLES samples: per
@@ -34,6 +42,7 @@ attributes sees every call.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -168,8 +177,12 @@ def _suite_three_form(seed: int, count: int) -> list[tuple[str, bool, str]]:
     return [("three-form identity <= 1e-5", worst <= 1e-5, f"worst {worst:.3e}")]
 
 
+@cache
 def rigid_fixture_field() -> wznw.MetricField:
-    """Metric field of the closed-form rigid rank-2 system at points 0, 1."""
+    """Metric field of the closed-form rigid rank-2 system at points 0, 1,
+    built on the first call and the same object on every later one.  Its
+    arrays are read-only (rhsolve.NormalizationResult), so no caller can
+    change what the next one reads."""
     ws = fuchs.build_weight_system([0.0, 1.0], [[0.15, 0.35], [0.2, 0.45], [0.3, 0.55]])
     target = fuchs.build_admissible_rep(ws, fuchs.rank2_closure_conjugators(ws))
     system = fuchs.FuchsianSystem(ws, fuchs.rank2_rigid_residues(ws))

@@ -699,3 +699,27 @@ def test_cli_import_pins_blas_threads(preset):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False", preset or "1", "1", "1"]
+
+
+def test_one_process_parses_every_argv_with_one_parser(tmp_path, capsys):
+    # main parses with the one parser of the process: two verify runs of
+    # other --seed/--count pairs each write the bytes that a fresh process
+    # writes, and a bad argv after them still exits 2
+    assert cli.build_parser() is cli.build_parser()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    for seed, count in (("1", "3"), ("4", "7")):
+        argv = ["verify", "flatness", "--seed", seed, "--count", count]
+        here, there = tmp_path / f"in{seed}", tmp_path / f"fresh{seed}"
+        assert cli.main(argv + ["--out", str(here)]) == 0
+        printed = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "rhwznw.cli", *argv, "--out", str(there)],
+                               env=env, capture_output=True, text=True, timeout=300)
+        assert fresh.returncode == 0, fresh.stderr
+        assert printed == fresh.stdout
+        assert (here / "result.json").read_bytes() == (there / "result.json").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "flatness", "--count", "three"])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert "--count" in capsys.readouterr().err

@@ -1539,7 +1539,7 @@ def test_circle_transports_match_fan(make_weights, seed):
     _set_infinity_exponents(residues[2], ws.infinity_exponents + shift, rng)
     loops = fuchs.MonodromyLoops(ws)
     tol = 1e-9
-    got = loops.circle_transports(residues, tol)[0]
+    got = loops._circle_transports(residues, tol)[0]
     assert got.shape == (4, ws.n, ws.rank, ws.rank)
     turns = [-2 * np.pi] * (ws.n - 1) + [2 * np.pi]
     fan = paths.SegmentFan([paths.Arc(a.center, a.radius, a.angle0, a.angle0 + turn)

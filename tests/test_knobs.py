@@ -16,7 +16,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rhwznw"
 KNOB_BOUND = 17
-CODE_LINE_BOUND = 2_414
+CODE_LINE_BOUND = 2_419
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -624,6 +624,25 @@ def test_cold_solve_rank3(seed):
     assert act.imag_residual <= 1e-8
 
 
+# (points, weights) of n5, a rank-2 system at n = 5 (scripts/cold_solve_sample.py)
+N5 = ([-1.0, 0.0, 1.0, 0.5 + 1.0j], [[0.25, 0.45], [0.3, 0.55], [0.2, 0.4], [0.35, 0.5], [0.4, 0.6]])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_cold_solve_n5_at_restart_0(seed):
+    # n5 targets 1-4 solve cold at restart 0 at solve seed 0 and meet
+    # criterion 5's figures at n = 5
+    ws = fuchs.build_weight_system(*N5)
+    target = moduli.random_admissible_rep(ws, seed)
+    system, report = rhsolve.solve(ws, target, opts=rhsolve.SolveOptions(seed=0, restarts=3))
+    assert report.success and report.restart_index == 0
+    assert np.sqrt(report.final_residual) <= 1e-6
+    lam = np.sort(np.linalg.eigvals(system.residue_at_infinity()).real)
+    assert np.max(np.abs(lam - np.sort(ws.infinity_exponents))) <= 1e-6
+    assert fuchs.monodromy_rep(system, tol=1e-10).relation_residual <= 1e-7
+    assert report.large_cell_flag
+
+
 # (points, weights) of D4, a rank-3 system at n = 4 of degree -4 with a
 # non-scalar splitting
 D4 = ([-1.0, 0.0, 1.0], [[0.1, 0.3, 0.6], [0.15, 0.4, 0.7], [0.2, 0.35, 0.55], [0.1, 0.25, 0.3]])
@@ -874,6 +893,23 @@ def test_zero_step_warm_solve_returns_residues_apart_from_the_record(warm_family
     assert not np.shares_memory(system.residues, saved)
     with pytest.raises(ValueError, match="read-only"):
         system.residues[...] = 0
+
+
+def test_solved_normalization_is_read_only(rank2_solved, rank2_field):
+    # the solve's normalization is one record, handed out by identity to its
+    # report, to normalize_at_infinity and to every field built from it: none
+    # of its arrays, its series' included, takes a write
+    _, report = rank2_solved
+    norm = report.normalization
+    assert rank2_field.series is norm.series
+    arrays = [getattr(norm, f.name) for f in dataclasses.fields(norm)]
+    arrays += [getattr(norm.series, f.name) for f in dataclasses.fields(norm.series)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == 11 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        norm.aligned_generators[0] = np.eye(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        norm.aligned_generators = np.eye(2)
 
 
 def test_written_target_cannot_stale_the_solves_normalization(warm_family):

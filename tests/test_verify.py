@@ -89,3 +89,23 @@ def test_suite_takes_its_samples_in_chunks(monkeypatch, suite, tolerance):
     monkeypatch.undo()
     for k, want in enumerate(_reference(suite, 11, 7)):
         assert abs(_figure(checks, k) - want) <= tolerance
+
+
+def test_fixture_field_is_built_once_and_read_only():
+    # one field per process, shared by flatness and counterterm: a write
+    # through it would reach every later suite, so each array refuses one
+    fld = verify.rigid_fixture_field()
+    assert verify.rigid_fixture_field() is fld
+    for a in (fld.basepoint_value, fld.series.coefficients, fld.series.coords):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+@pytest.mark.parametrize("suite, seed, count", [("flatness", 3, 10), ("counterterm", 0, 1)])
+def test_suites_on_the_shared_field_read_a_fresh_ones_bits(monkeypatch, suite, seed, count):
+    # the shared field, read by a suite twice over, gives the details that
+    # a freshly built field gives, bit for bit
+    verify.SUITES[suite](seed, count)
+    shared = verify.SUITES[suite](seed, count)
+    monkeypatch.setattr(verify, "rigid_fixture_field", verify.rigid_fixture_field.__wrapped__)
+    assert verify.SUITES[suite](seed, count) == shared
